@@ -288,23 +288,11 @@ func BenchmarkAblationAvgTolerance(b *testing.B) {
 	}
 }
 
-// --- Campaign engine vs the pre-engine sequential path -----------------------
+// --- Campaign engine ---------------------------------------------------------
 
-// BenchmarkFig7GridSequential is the pre-engine reference: cells run one
-// after another and every injection run rebuilds its world (NewFS + Setup)
-// from scratch. BenchmarkFig7GridEngine runs the identical grid (same seed,
-// identical tallies — TestFig7EngineMatchesSequential asserts it) on the
-// campaign engine: Setup once per cell, COW clone per run, one shared pool,
-// one profiling pass per cell. The ratio of the two ns/op numbers is the
-// engine speedup; the acceptance bar is ≥2×.
-func BenchmarkFig7GridSequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig7Sequential(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkFig7GridEngine runs the Figure 7 grid on the campaign engine:
+// Setup once per cell, COW clone per run, one shared pool, one profiling
+// pass per cell.
 func BenchmarkFig7GridEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := experiments.Fig7(benchOpts()); err != nil {
@@ -315,18 +303,21 @@ func BenchmarkFig7GridEngine(b *testing.B) {
 
 // BenchmarkCampaignCOWvsFresh isolates the world-lifecycle cost on one cell
 // with a heavyweight Setup (MT4's preamble runs the first three Montage
-// stages): the same campaign with per-run COW clones vs per-run rebuilds.
+// stages): the same campaign with per-run COW clones vs per-run rebuilds of
+// a world that cannot be cloned.
 func BenchmarkCampaignCOWvsFresh(b *testing.B) {
 	for _, fresh := range []bool{false, true} {
 		fresh := fresh
 		b.Run(map[bool]string{false: "cow", true: "fresh"}[fresh], func(b *testing.B) {
 			w := cachedWorkload(b, "MT4")
+			if fresh {
+				w.NewFS = func() (vfs.FS, error) { return unclonableFS{vfs.NewMemFS()}, nil }
+			}
 			for i := 0; i < b.N; i++ {
 				_, err := core.Campaign(core.CampaignConfig{
-					Fault:       core.Config{Model: core.BitFlip},
-					Runs:        benchOpts().Runs,
-					Seed:        2021,
-					FreshWorlds: fresh,
+					Fault: core.Config{Model: core.BitFlip},
+					Runs:  benchOpts().Runs,
+					Seed:  2021,
 				}, w)
 				if err != nil {
 					b.Fatal(err)
@@ -335,6 +326,10 @@ func BenchmarkCampaignCOWvsFresh(b *testing.B) {
 		})
 	}
 }
+
+// unclonableFS hides MemFS's Cloner implementation, so a campaign on it
+// rebuilds its world (NewFS + Setup) for every run.
+type unclonableFS struct{ vfs.FS }
 
 // --- Substrate microbenchmarks ------------------------------------------------
 

@@ -62,8 +62,7 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate every table and figure")
 		runs     = flag.Int("runs", 1000, "runs per Figure 7 campaign cell")
 		seed     = flag.Uint64("seed", 2021, "campaign seed")
-		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		jobs     = flag.Int("jobs", 0, "campaign engine pool width shared across the whole grid (0 = -workers, then GOMAXPROCS)")
+		jobs     = flag.Int("jobs", 0, "parallel runs: campaign engine pool width shared across the whole grid (0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "stream per-campaign progress to stderr while grids run")
 		nyxN     = flag.Int("nyx-n", 0, "override the Nyx grid edge")
 		stride   = flag.Int("meta-stride", 1, "Table III byte stride (1 = exhaustive)")
@@ -96,7 +95,6 @@ func main() {
 	o := experiments.Options{
 		Runs:           *runs,
 		Seed:           *seed,
-		Workers:        *workers,
 		Jobs:           *jobs,
 		NyxN:           *nyxN,
 		MetaStride:     *stride,

@@ -75,8 +75,7 @@ func main() {
 		listOnly = flag.Bool("list-models", false, "print the fault-model registry table and exit")
 		runs     = flag.Int("runs", 1000, "fault-injection runs (the paper uses 1000)")
 		seed     = flag.Uint64("seed", 2021, "campaign seed")
-		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		jobs     = flag.Int("jobs", 0, "campaign engine pool width (0 = -workers, then GOMAXPROCS)")
+		jobs     = flag.Int("jobs", 0, "parallel runs: campaign engine pool width (0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "stream campaign progress to stderr")
 		nyxN     = flag.Int("nyx-n", 0, "override the Nyx grid edge (0 = default 48)")
 		useAvg   = flag.Bool("avg-detector", false, "apply the Nyx average-value detection method")
@@ -172,7 +171,6 @@ func main() {
 	opts := experiments.Options{
 		Runs:           *runs,
 		Seed:           *seed,
-		Workers:        *workers,
 		Jobs:           *jobs,
 		NyxN:           *nyxN,
 		UseAvgDetector: *useAvg,
@@ -229,7 +227,7 @@ func main() {
 			os.Exit(1)
 		}
 		// Trace on the same world the campaign will run on, so the printed
-		// profile matches what ProfileMounts is about to count.
+		// profile matches what the profiling pass is about to count.
 		world := vfs.FS(vfs.NewMemFS())
 		if w.NewFS != nil {
 			world, err = w.NewFS()

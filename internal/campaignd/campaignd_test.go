@@ -127,6 +127,12 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 			defer wg.Done()
 			errs[i] = w.Run(context.Background())
 		}(i, w)
+		if i == 0 {
+			// w2 and w3 start only once w1 holds a lease: with prefetch,
+			// two workers can lease all three specs before w1's first
+			// poll, leaving w1 no spec to die in.
+			waitLeasedBy(t, coord, w.ID)
+		}
 	}
 	wg.Wait()
 
@@ -155,6 +161,19 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 			t.Errorf("%s differs between single-machine and distributed runs:\n--- reference ---\n%s\n--- distributed ---\n%s", rel, wb, gb)
 		}
 	}
+}
+
+// waitLeasedBy polls the coordinator until worker holds a lease.
+func waitLeasedBy(t *testing.T, coord *Coordinator, worker string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		for _, p := range coord.Progress() {
+			if p.State == "leased" && p.Worker == worker {
+				return
+			}
+		}
+	}
+	t.Fatalf("worker %s never leased a spec", worker)
 }
 
 // coordForOneSpec builds a coordinator over a single cheap spec with a

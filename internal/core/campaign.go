@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"ffis/internal/classify"
 	"ffis/internal/stats"
@@ -29,9 +28,10 @@ type Workload struct {
 	// application error or recovered panic, nil for a clean exit. It runs
 	// on the bare file system.
 	Classify func(fs vfs.FS, runErr error) classify.Outcome
-	// NewFS constructs the storage world for one run (golden, profiling,
-	// and every injection run alike — each gets a fresh world, as the
-	// paper remounts FFISFS per run). Nil selects a bare MemFS. Tiered
+	// NewFS constructs the storage world. Every run (golden, profiling,
+	// and each injection run) observes a pristine post-Setup world: a COW
+	// clone when the world can be cloned, a full rebuild otherwise — the
+	// paper's remount of FFISFS per run. Nil selects a bare MemFS. Tiered
 	// campaigns return a *vfs.MountFS here so that CampaignConfig.ArmMounts
 	// can aim the injector at a single storage tier.
 	NewFS func() (vfs.FS, error)
@@ -54,7 +54,9 @@ type CampaignConfig struct {
 	Runs int
 	// Seed makes the campaign reproducible; run i derives its own stream.
 	Seed uint64
-	// Workers bounds parallel runs; <= 0 selects GOMAXPROCS.
+	// Workers bounds the parallel runs of Campaign and Sweep, which each
+	// build a private Engine with Jobs = Workers; <= 0 selects GOMAXPROCS.
+	// An Engine grid ignores it in favor of Engine.Jobs.
 	Workers int
 	// ArmMounts restricts injection (and the profiling count) to the I/O
 	// routed to these mount points of the workload's *vfs.MountFS world:
@@ -62,13 +64,6 @@ type CampaignConfig struct {
 	// Requires Workload.NewFS to return a *vfs.MountFS. Empty arms the
 	// whole file system, the paper's flat single-device setup.
 	ArmMounts []string
-	// FreshWorlds forces a full world rebuild (NewFS + Setup) for every run
-	// instead of handing each run a copy-on-write clone of a single
-	// post-Setup snapshot — the paper's literal remount-per-run procedure.
-	// Results are identical either way (clones are bit-identical to fresh
-	// builds); this is the reference path equivalence tests and the
-	// engine-speedup benchmarks compare against.
-	FreshWorlds bool
 	// Sink, when non-nil, receives every finished run record as it
 	// completes: BeginCampaign once after profiling succeeds, then one
 	// Record call per successful run. Delivery is serialized (calls never
@@ -255,23 +250,17 @@ var ErrNoTargets = errors.New("core: target primitive never executes in workload
 // returns the dynamic execution count of the signature's target primitive
 // (the I/O profiler of Figure 4). The workload must succeed fault-free.
 func Profile(w Workload, sig Signature) (int64, error) {
-	return ProfileMounts(w, sig, nil)
-}
-
-// ProfileMounts is Profile restricted to the I/O routed to the given mount
-// points: only primitive executions that reach one of the armed tiers are
-// counted, so the injection target space matches exactly what ArmMounts can
-// corrupt. Empty mounts profiles the whole file system.
-func ProfileMounts(w Workload, sig Signature, mounts []string) (int64, error) {
 	base, err := buildWorld(w)
 	if err != nil {
 		return 0, err
 	}
-	return profileWorld(base, w, sig, mounts)
+	return profileWorld(base, w, sig, nil)
 }
 
 // profileWorld runs the fault-free profiling pass on an already-built
-// post-Setup world (a snapshot clone in campaign use).
+// post-Setup world (a snapshot clone in campaign use). Non-empty mounts
+// restrict the count to the I/O routed to those mount points, so the
+// injection target space matches exactly what ArmMounts can corrupt.
 func profileWorld(base vfs.FS, w Workload, sig Signature, mounts []string) (int64, error) {
 	var counters []*vfs.CountingFS
 	counted, err := interposeMounts(base, mounts, func(inner vfs.FS) vfs.FS {
@@ -329,72 +318,22 @@ func runRecovering(run func(vfs.FS) error, fs vfs.FS) (err error) {
 	return run(fs)
 }
 
-// Campaign executes a full statistical fault-injection campaign: Setup runs
-// once and is snapshotted, a profiling pass on a snapshot clone counts the
-// target primitive, then cfg.Runs injection runs — each on its own cheap
-// copy-on-write clone of the post-Setup world — draw uniformly random
-// targets and are classified against the workload's own notion of the
-// golden output.
+// Campaign executes a full statistical fault-injection campaign as a
+// one-spec Engine grid on a private pool of cfg.Workers slots: Setup runs
+// once and is snapshotted, a profiling pass on a snapshot world counts the
+// target primitive, then cfg.Runs injection runs — each on its own pristine
+// post-Setup world — draw uniformly random targets and are classified
+// against the workload's own notion of the golden output.
 func Campaign(cfg CampaignConfig, w Workload) (CampaignResult, error) {
-	if cfg.Runs <= 0 {
-		return CampaignResult{}, errors.New("core: campaign needs Runs > 0")
-	}
-	sig := cfg.Fault.Signature()
-	if err := sig.Validate(); err != nil {
-		return CampaignResult{}, err
-	}
-	snap, err := newSnapshot(w, cfg.FreshWorlds)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	world, err := snap.World()
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	count, err := profileWorld(world, w, sig, cfg.ArmMounts)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	if count == 0 {
-		return CampaignResult{}, ErrNoTargets
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-	r := &Runner{
-		Workload:     w,
-		Config:       cfg,
-		Snapshot:     snap,
-		ProfileCount: count,
-		Pool:         make(chan struct{}, workers),
-	}
-	return r.Run()
+	grid := (&Engine{Jobs: cfg.Workers}).Run([]CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
 }
 
 // runStream derives run idx's independent, reproducible RNG stream from the
-// campaign seed. Both Campaign and Engine use it, so a cell produces the
-// same per-run draws no matter which scheduler executes it or how wide the
-// worker pool is.
+// campaign seed, so a cell produces the same per-run draws no matter how
+// wide the worker pool is or which grid it runs in.
 func runStream(seed uint64, idx int) *stats.RNG {
 	return stats.NewRNG(seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15)
-}
-
-// GoldenSnapshot captures the bytes of every file under root after a
-// fault-free run; classifiers use it for the paper's "bit-wise identical"
-// benign test. The snapshot is taken on the workload's own world (NewFS),
-// so tiered campaigns compare against a golden run on the same mount
-// layout.
-func GoldenSnapshot(w Workload, root string) (map[string][]byte, error) {
-	base, err := buildWorld(w)
-	if err != nil {
-		return nil, err
-	}
-	return goldenOnWorld(base, w, root)
 }
 
 // goldenOnWorld runs the workload fault-free on an already-built pristine

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ffis/internal/classify"
+	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
 
@@ -45,6 +46,37 @@ func toyWorkload() Workload {
 			return classify.SDC
 		},
 	}
+}
+
+// runOnce performs one injection run on a freshly built world, with the
+// injector armed on the given mounts (none arms the whole file system).
+func runOnce(w Workload, sig Signature, target int64, rng *stats.RNG, mounts ...string) (RunRecord, error) {
+	base, err := buildWorld(w)
+	if err != nil {
+		return RunRecord{}, err
+	}
+	var st stageTimes
+	return runOnceTimed(base, w, sig, target, rng, mounts, &st)
+}
+
+// profileArmed counts the target primitive's executions on a freshly built
+// world, restricted to the I/O routed to the given mounts.
+func profileArmed(w Workload, sig Signature, mounts ...string) (int64, error) {
+	base, err := buildWorld(w)
+	if err != nil {
+		return 0, err
+	}
+	return profileWorld(base, w, sig, mounts)
+}
+
+// goldenSnapshot captures every file under root after a fault-free run on
+// a freshly built world.
+func goldenSnapshot(w Workload, root string) (map[string][]byte, error) {
+	base, err := buildWorld(w)
+	if err != nil {
+		return nil, err
+	}
+	return goldenOnWorld(base, w, root)
 }
 
 func TestProfileCountsWrites(t *testing.T) {
@@ -186,7 +218,7 @@ func TestRunRecoveringCatchesPanics(t *testing.T) {
 			return classify.Benign
 		},
 	}
-	rec, err := RunOnce(w, Config{Model: BitFlip}.Signature(), 0, nil)
+	rec, err := runOnce(w, Config{Model: BitFlip}.Signature(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +235,7 @@ func TestRunOnceDefaultClassification(t *testing.T) {
 		Name: "silent",
 		Run:  func(fs vfs.FS) error { return vfs.WriteFile(fs, "/f", []byte("x")) },
 	}
-	rec, err := RunOnce(w, Config{Model: BitFlip}.Signature(), 99, nil)
+	rec, err := runOnce(w, Config{Model: BitFlip}.Signature(), 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +246,7 @@ func TestRunOnceDefaultClassification(t *testing.T) {
 
 func TestGoldenSnapshotAndSnapshot(t *testing.T) {
 	w := toyWorkload()
-	snap, err := GoldenSnapshot(w, "/")
+	snap, err := goldenSnapshot(w, "/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,14 +45,15 @@ type GridResult struct {
 }
 
 // Engine schedules a grid of fault-injection campaigns over one shared
-// bounded worker pool. This is the statistical-scale substrate the paper's
-// methodology implies (1,000 runs × cells × models) and the ROADMAP's
-// "fast as the hardware allows" demands: Setup executes once per world (not
-// once per run), every injection run receives a copy-on-write clone of the
-// post-Setup snapshot, profile counts and golden snapshots are memoized by
-// (world, mounts) key across cells, and all runs of all campaigns share one
-// pool so the grid saturates the machine regardless of how unevenly cells
-// are sized.
+// bounded worker pool. It is the only campaign driver: Campaign and Sweep
+// are one-grid wrappers around it, and persisted grids and distributed
+// workers hand it their specs. Setup executes once per world (not once per
+// run), every injection run receives a copy-on-write clone of the
+// post-Setup snapshot (or a rebuilt world when the world cannot be
+// cloned), profile counts and golden snapshots are memoized by (world,
+// mounts) key across cells, and all runs of all campaigns share one pool
+// so the grid saturates the machine regardless of how unevenly cells are
+// sized.
 //
 // Determinism: each run's RNG stream is derived purely from the campaign
 // seed and the run index (runStream), and results are reported in spec
@@ -72,23 +73,19 @@ type Engine struct {
 	prepared map[string]*enginePrep
 }
 
-// enginePrep is the per-world memoization record: the snapshots (one per
-// world mode, so a FreshWorlds reference spec never poisons its COW
-// siblings or vice versa) plus profile counts and golden snapshots keyed
-// within it.
+// enginePrep is the per-world memoization record: the post-Setup snapshot
+// (COW, or rebuild-per-run for a world that cannot be cloned) plus profile
+// counts and golden snapshots keyed within it.
 type enginePrep struct {
 	w Workload // the workload that builds this world (first spec wins)
 
+	snapOnce sync.Once
+	snap     *WorldSnapshot
+	snapErr  error
+
 	mu       sync.Mutex
-	snaps    [2]*snapMemo // indexed by the FreshWorlds flag
 	profiles map[string]*profileMemo
 	goldens  map[string]*goldenMemo
-}
-
-type snapMemo struct {
-	once sync.Once
-	snap *WorldSnapshot
-	err  error
 }
 
 type profileMemo struct {
@@ -131,45 +128,24 @@ func (e *Engine) prep(key string, w Workload) *enginePrep {
 	return p
 }
 
-// snapshot builds (once per world key and mode) the post-Setup snapshot.
-func (p *enginePrep) snapshot(fresh bool) (*WorldSnapshot, error) {
-	idx := 0
-	if fresh {
-		idx = 1
-	}
-	p.mu.Lock()
-	m := p.snaps[idx]
-	if m == nil {
-		m = &snapMemo{}
-		p.snaps[idx] = m
-	}
-	p.mu.Unlock()
-	m.once.Do(func() {
-		m.snap, m.err = newSnapshot(p.w, fresh)
+// snapshot builds (once per world key) the post-Setup snapshot.
+func (p *enginePrep) snapshot() (*WorldSnapshot, error) {
+	p.snapOnce.Do(func() {
+		p.snap, p.snapErr = NewWorldSnapshot(p.w)
 	})
-	return m.snap, m.err
-}
-
-// profileKey distinguishes profile counts within one world: the count
-// depends on the target primitive, the armed mounts, and the world mode —
-// not the fault model's mutation details.
-func profileKey(sig Signature, mounts []string, fresh bool) string {
-	key := string(sig.Primitive) + "\x00" + strings.Join(mounts, "\x00")
-	if fresh {
-		key += "\x00fresh"
-	}
-	return key
+	return p.snap, p.snapErr
 }
 
 // profileCount memoizes the fault-free profiling pass by (primitive,
-// mounts) within the world. Three fault models targeting the write
+// mounts) within the world — the count does not depend on the fault
+// model's mutation details, so three fault models targeting the write
 // primitive on the same world cost one profiling run, not three.
-func (p *enginePrep) profileCount(sig Signature, mounts []string, fresh bool) (int64, error) {
-	snap, err := p.snapshot(fresh)
+func (p *enginePrep) profileCount(sig Signature, mounts []string) (int64, error) {
+	snap, err := p.snapshot()
 	if err != nil {
 		return 0, err
 	}
-	key := profileKey(sig, mounts, fresh)
+	key := string(sig.Primitive) + "\x00" + strings.Join(mounts, "\x00")
 	p.mu.Lock()
 	m, ok := p.profiles[key]
 	if !ok {
@@ -193,19 +169,15 @@ func (p *enginePrep) profileCount(sig Signature, mounts []string, fresh bool) (i
 // across the entire grid. Specs sharing a WorldKey share the result.
 func (e *Engine) GoldenSnapshot(spec CampaignSpec, root string) (map[string][]byte, error) {
 	p := e.prep(spec.worldKey(), spec.Workload)
-	snap, err := p.snapshot(spec.Config.FreshWorlds)
+	snap, err := p.snapshot()
 	if err != nil {
 		return nil, err
 	}
-	key := root
-	if spec.Config.FreshWorlds {
-		key += "\x00fresh"
-	}
 	p.mu.Lock()
-	m, ok := p.goldens[key]
+	m, ok := p.goldens[root]
 	if !ok {
 		m = &goldenMemo{}
-		p.goldens[key] = m
+		p.goldens[root] = m
 	}
 	p.mu.Unlock()
 	m.once.Do(func() {
@@ -261,7 +233,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, 
 	// Preparation (world build + profiling run) is real work: it occupies a
 	// pool slot like any injection run.
 	sem <- struct{}{}
-	count, err := p.profileCount(sig, cfg.ArmMounts, cfg.FreshWorlds)
+	count, err := p.profileCount(sig, cfg.ArmMounts)
 	<-sem
 	if err != nil {
 		return fail(err)
@@ -270,10 +242,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, 
 		e.publish(Event{Kind: EventSpecDone, Key: spec.Key, Total: cfg.Runs, Err: ErrNoTargets})
 		return CampaignResult{Workload: spec.Workload.Name, Signature: sig}, ErrNoTargets
 	}
-	snap, err := p.snapshot(cfg.FreshWorlds)
-	if err != nil {
-		return fail(err)
-	}
+	snap, _ := p.snapshot() // built and error-checked by profileCount
 	r := &Runner{
 		Key:          spec.Key,
 		Workload:     spec.Workload,

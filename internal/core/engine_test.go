@@ -43,40 +43,46 @@ func requireSameResult(t *testing.T, label string, a, b CampaignResult) {
 // for every fault model, on both a flat and a tiered (mount-armed) world,
 // the same seed must produce identical tallies and identical per-run
 // Mutation records whether runs execute serially or on eight workers — and
-// whether worlds are COW clones or full per-run rebuilds.
+// whether worlds are COW clones or full per-run rebuilds (the same world
+// over an unclonable plainFS backend).
 func TestCampaignDeterminismHarness(t *testing.T) {
 	type tc struct {
 		name      string
 		workload  func() Workload
+		rebuilt   func() Workload
 		armMounts []string
 	}
 	cases := []tc{
-		{name: "flat", workload: toyWorkload},
-		{name: "tiered-scratch", workload: tieredWorkload, armMounts: []string{"/scratch"}},
+		{name: "flat", workload: toyWorkload, rebuilt: func() Workload {
+			w := toyWorkload()
+			w.NewFS = newPlainFS
+			return w
+		}},
+		{name: "tiered-scratch", workload: tieredWorkload, armMounts: []string{"/scratch"},
+			rebuilt: func() Workload { return tieredWorkloadOn(newPlainFS) }},
 	}
 	for _, c := range cases {
 		for _, model := range writeTrio() {
 			c, model := c, model
 			t.Run(fmt.Sprintf("%s/%s", c.name, model.Short()), func(t *testing.T) {
-				run := func(workers int, fresh bool) CampaignResult {
+				run := func(w Workload, workers int) CampaignResult {
 					res, err := Campaign(CampaignConfig{
-						Fault:       Config{Model: model},
-						Runs:        24,
-						Seed:        4242,
-						Workers:     workers,
-						ArmMounts:   c.armMounts,
-						FreshWorlds: fresh,
-					}, c.workload())
+						Fault:     Config{Model: model},
+						Runs:      24,
+						Seed:      4242,
+						Workers:   workers,
+						ArmMounts: c.armMounts,
+					}, w)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				serial := run(1, false)
-				parallel := run(8, false)
+				serial := run(c.workload(), 1)
+				parallel := run(c.workload(), 8)
 				requireSameResult(t, "workers 1 vs 8", serial, parallel)
-				rebuilt := run(8, true)
-				requireSameResult(t, "COW vs fresh worlds", serial, rebuilt)
+				rebuilt := run(c.rebuilt(), 8)
+				requireSameResult(t, "COW vs rebuilt worlds", serial, rebuilt)
 			})
 		}
 	}
@@ -154,24 +160,35 @@ func TestEngineMatchesCampaign(t *testing.T) {
 	requireSameResult(t, "engine vs campaign", direct, grid[0].Result)
 }
 
-// TestEngineMixedWorldModes pins the memoization boundary: specs sharing a
-// WorldKey but differing in FreshWorlds each get their own world mode (the
-// reference spec really rebuilds per run, the other really clones) and
-// still produce identical results under the same seed.
+// TestEngineMixedWorldModes pins the memoization boundary: in one grid, a
+// spec whose world clones and a spec whose world cannot (plainFS) each get
+// their own world mode and still produce identical results under the same
+// seed.
 func TestEngineMixedWorldModes(t *testing.T) {
 	cfg := CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 12, Seed: 3}
-	fresh := cfg
-	fresh.FreshWorlds = true
-	grid := (&Engine{Jobs: 2}).Run([]CampaignSpec{
-		{Key: "cow", WorldKey: "shared", Workload: toyWorkload(), Config: cfg},
-		{Key: "fresh", WorldKey: "shared", Workload: toyWorkload(), Config: fresh},
-	})
+	rebuilt := toyWorkload()
+	rebuilt.NewFS = newPlainFS
+	e := &Engine{Jobs: 2}
+	specs := []CampaignSpec{
+		{Key: "cow", WorldKey: "cow", Workload: toyWorkload(), Config: cfg},
+		{Key: "rebuilt", WorldKey: "rebuilt", Workload: rebuilt, Config: cfg},
+	}
+	grid := e.Run(specs)
 	for _, r := range grid {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
 		}
 	}
-	requireSameResult(t, "cow vs fresh under one WorldKey", grid[0].Result, grid[1].Result)
+	for i, wantCOW := range []bool{true, false} {
+		snap, err := e.prep(specs[i].worldKey(), specs[i].Workload).snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.COW() != wantCOW {
+			t.Fatalf("%s: snapshot COW = %v, want %v", specs[i].Key, snap.COW(), wantCOW)
+		}
+	}
+	requireSameResult(t, "cow vs rebuilt in one grid", grid[0].Result, grid[1].Result)
 }
 
 // TestEngineMemoizesWorldAndProfile counts Setup and Run executions: three
@@ -221,13 +238,13 @@ func TestEngineMemoizesWorldAndProfile(t *testing.T) {
 }
 
 // TestEngineGoldenSnapshotMemoized asserts the golden run executes once per
-// (world, root) and matches the standalone GoldenSnapshot helper.
+// (world, root) and matches a golden run on a freshly built world.
 func TestEngineGoldenSnapshotMemoized(t *testing.T) {
 	var runs atomic.Int64
 	w := toyWorkload()
 	inner := w.Run
 	w.Run = func(fs vfs.FS) error { runs.Add(1); return inner(fs) }
-	want, err := GoldenSnapshot(toyWorkload(), "/")
+	want, err := goldenSnapshot(toyWorkload(), "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +434,13 @@ func TestWorldSnapshotModes(t *testing.T) {
 }
 
 // plainFS hides MemFS's Cloner implementation, standing in for an OSFS-like
-// backend.
+// backend: a world built on it cannot be cloned, so its snapshot rebuilds
+// the world (NewFS + Setup) for every run — the paper's remount-per-run.
 type plainFS struct{ vfs.FS }
+
+// newPlainFS is a Workload.NewFS building a flat world that cannot be
+// cloned.
+func newPlainFS() (vfs.FS, error) { return plainFS{vfs.NewMemFS()}, nil }
 
 // TestSweepPlumbsArmMounts is the regression test for the tiered-ablation
 // fix: a sweep over a mounted world must profile (and inject) only the I/O
@@ -426,11 +448,11 @@ type plainFS struct{ vfs.FS }
 func TestSweepPlumbsArmMounts(t *testing.T) {
 	w := tieredWorkload()
 	sig := Config{Model: BitFlip}.Signature()
-	armed, err := ProfileMounts(w, sig, []string{"/scratch"})
+	armed, err := profileArmed(w, sig, "/scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := ProfileMounts(w, sig, nil)
+	whole, err := profileArmed(w, sig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -498,7 +498,7 @@ func TestZeroLengthWriteProfileAlignment(t *testing.T) {
 		t.Fatalf("profiled %d writes, want 4 (empty writes must not count)", count)
 	}
 	for target := int64(0); target < count; target++ {
-		rec, err := RunOnce(w, sig, target, stats.NewRNG(61))
+		rec, err := runOnce(w, sig, target, stats.NewRNG(61))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,12 @@
 //
 //   - Fault generator — Config.Signature() turns a user configuration into a
 //     fault signature (fault model + target primitive + model feature).
-//   - I/O profiler — Profile() executes the workload fault-free on a
-//     CountingFS and reports the dynamic count of the target primitive.
+//   - I/O profiler — a fault-free pass on a CountingFS reports the dynamic
+//     count of the target primitive (Profile() for a one-off count; the
+//     Engine memoizes it per world for every campaign).
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
-//     instance; Campaign() loops runs and classifies outcomes.
+//     instance; the Engine (Campaign() for a single cell) schedules the runs
+//     and the Runner classifies and tallies their outcomes.
 //
 // Fault models are an open vocabulary, as device studies keep surfacing new
 // manifestations: each model is a self-contained Model implementation
@@ -21,7 +23,7 @@
 // Beyond the paper's flat single-device setup, campaigns can route faults
 // by storage tier: a Workload whose NewFS returns a *vfs.MountFS world can
 // be armed on a subset of its mounts via CampaignConfig.ArmMounts, in which
-// case ProfileMounts counts — and the injector corrupts — only the I/O
+// case the profiling pass counts — and the injector corrupts — only the I/O
 // routed to those mounts. All other tiers stay clean, and outcome
 // classification always reads through the unarmed view of the same storage.
 package core

@@ -16,10 +16,20 @@ import (
 // /out. Each tier is its own backend behind a MountFS, the storage layout a
 // mount-scoped campaign targets.
 func tieredWorkload() Workload {
+	return tieredWorkloadOn(func() (vfs.FS, error) { return vfs.NewMemFS(), nil })
+}
+
+// tieredWorkloadOn is tieredWorkload with the mount table's root backend
+// built by root.
+func tieredWorkloadOn(root func() (vfs.FS, error)) Workload {
 	return Workload{
 		Name: "tiered-toy",
 		NewFS: func() (vfs.FS, error) {
-			m := vfs.NewMountFS(vfs.NewMemFS())
+			r, err := root()
+			if err != nil {
+				return nil, err
+			}
+			m := vfs.NewMountFS(r)
 			for _, dir := range []string{"/input", "/scratch", "/out"} {
 				if err := m.Mount(dir, vfs.NewMemFS()); err != nil {
 					return nil, err
@@ -50,7 +60,7 @@ func tieredWorkload() Workload {
 // run — in every single injection run, across every possible target.
 func TestArmMountsIsolation(t *testing.T) {
 	w := tieredWorkload()
-	golden, err := GoldenSnapshot(w, "/")
+	golden, err := goldenSnapshot(w, "/")
 	if err != nil {
 		t.Fatalf("golden: %v", err)
 	}
@@ -83,7 +93,7 @@ func TestArmMountsIsolation(t *testing.T) {
 	}
 
 	sig := Config{Model: BitFlip}.Signature()
-	count, err := ProfileMounts(w, sig, []string{"/scratch"})
+	count, err := profileArmed(w, sig, "/scratch")
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -95,7 +105,7 @@ func TestArmMountsIsolation(t *testing.T) {
 	// Exhaust every reachable target rather than sampling.
 	fired := 0
 	for target := int64(0); target < count; target++ {
-		rec, err := RunOnceMounts(w, sig, target, stats.NewRNG(7), []string{"/scratch"})
+		rec, err := runOnce(w, sig, target, stats.NewRNG(7), "/scratch")
 		if err != nil {
 			t.Fatalf("run target %d: %v", target, err)
 		}
@@ -122,7 +132,7 @@ func TestArmMountsIsolation(t *testing.T) {
 // arming and checks that a clean-tier classifier never trips.
 func TestArmMountsCampaign(t *testing.T) {
 	w := tieredWorkload()
-	golden, err := GoldenSnapshot(w, "/")
+	golden, err := goldenSnapshot(w, "/")
 	if err != nil {
 		t.Fatalf("golden: %v", err)
 	}
@@ -256,11 +266,11 @@ func TestProfileMountsRoutedCountOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("profile all: %v", err)
 	}
-	scratchOnly, err := ProfileMounts(w, sig, []string{"/scratch"})
+	scratchOnly, err := profileArmed(w, sig, "/scratch")
 	if err != nil {
 		t.Fatalf("profile scratch: %v", err)
 	}
-	rootOnly, err := ProfileMounts(w, sig, []string{"/"})
+	rootOnly, err := profileArmed(w, sig, "/")
 	if err != nil {
 		t.Fatalf("profile root: %v", err)
 	}

@@ -354,30 +354,31 @@ func readWorkload() Workload {
 }
 
 // TestReadModelCampaignDeterminism is the read-path determinism check: for
-// every read model, workers 1 vs 8 and COW vs fresh worlds must produce
-// identical tallies and per-run mutation records.
+// every read model, workers 1 vs 8 and COW vs rebuilt (plainFS) worlds must
+// produce identical tallies and per-run mutation records.
 func TestReadModelCampaignDeterminism(t *testing.T) {
 	for _, model := range ReadModels() {
 		model := model
 		t.Run(model.Short(), func(t *testing.T) {
-			run := func(workers int, fresh bool) CampaignResult {
+			run := func(workers int, newFS func() (vfs.FS, error)) CampaignResult {
+				w := readWorkload()
+				w.NewFS = newFS
 				res, err := Campaign(CampaignConfig{
-					Fault:       Config{Model: model},
-					Runs:        24,
-					Seed:        777,
-					Workers:     workers,
-					FreshWorlds: fresh,
-				}, readWorkload())
+					Fault:   Config{Model: model},
+					Runs:    24,
+					Seed:    777,
+					Workers: workers,
+				}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			serial := run(1, false)
-			parallel := run(8, false)
+			serial := run(1, nil)
+			parallel := run(8, nil)
 			requireSameResult(t, "workers 1 vs 8", serial, parallel)
-			rebuilt := run(8, true)
-			requireSameResult(t, "COW vs fresh worlds", serial, rebuilt)
+			rebuilt := run(8, newPlainFS)
+			requireSameResult(t, "COW vs rebuilt worlds", serial, rebuilt)
 			// A read campaign must actually reach the read path.
 			firedOnRead := 0
 			for _, rec := range serial.Records {
@@ -454,7 +455,7 @@ func TestArmMountsReadIsolation(t *testing.T) {
 		},
 	}
 	sig := Config{Model: LatentCorruption}.Signature()
-	count, err := ProfileMounts(w, sig, []string{"/scratch"})
+	count, err := profileArmed(w, sig, "/scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestArmMountsReadIsolation(t *testing.T) {
 		t.Fatal("no reads routed to the armed mount")
 	}
 	for target := int64(0); target < count; target++ {
-		rec, err := RunOnceMounts(w, sig, target, stats.NewRNG(23), []string{"/scratch"})
+		rec, err := runOnce(w, sig, target, stats.NewRNG(23), "/scratch")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,14 +83,14 @@ func TestRunInjectionsTalliesAllSuccessfulRuns(t *testing.T) {
 		if calls.Add(1) == failCall {
 			return nil, fmt.Errorf("world %d exploded", failCall)
 		}
-		return vfs.NewMemFS(), nil
+		// An unclonable world is rebuilt per run, so NewFS is hit once per run.
+		return plainFS{vfs.NewMemFS()}, nil
 	}
 	res, err := Campaign(CampaignConfig{
-		Fault:       Config{Model: BitFlip},
-		Runs:        runs,
-		Seed:        11,
-		Workers:     1,
-		FreshWorlds: true, // rebuild per run so NewFS is hit once per run
+		Fault:   Config{Model: BitFlip},
+		Runs:    runs,
+		Seed:    11,
+		Workers: 1,
 	}, w)
 	if err == nil {
 		t.Fatal("expected the failing run's error to propagate")

@@ -16,10 +16,10 @@ import (
 // record and tally — for exactly one spec, parameterized by the
 // CampaignConfig hooks (Sink, RunFilter, Abort, Stop barriers,
 // PriorOutcome). It is the only place in the tree that sequences those
-// stages: Campaign and Engine.runSpec are thin drivers that differ only
-// in where the snapshot, profile count, and worker pool come from, and
-// every other layer (persisted grids, distributed workers) goes through
-// them.
+// stages; Engine.runSpec is its one driver, supplying the memoized
+// snapshot and profile count and the grid-wide worker pool, and every
+// other layer (Campaign, Sweep, persisted grids, distributed workers)
+// reaches it through the Engine.
 type Runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
 	Key      string
@@ -35,8 +35,7 @@ type Runner struct {
 	// from [0, ProfileCount).
 	ProfileCount int64
 	// Pool bounds concurrent runs: one slot acquired per dispatched run.
-	// Campaign hands the Runner a private pool sized by Workers; the
-	// Engine hands every Runner its single grid-wide pool.
+	// The Engine hands every Runner of a grid the same pool.
 	Pool chan struct{}
 	// Events, when non-nil, receives the spec's structured stream:
 	// SpecStart, one RunDone per successful run, Barrier/StopDecision at
@@ -285,29 +284,11 @@ type stageTimes struct {
 	classifyNs int64
 }
 
-// RunOnce performs a single fault-injection run with the given target
-// instance, returning its record. Each run gets a fresh file system —
-// matching the paper, which remounts FFISFS for every run.
-func RunOnce(w Workload, sig Signature, target int64, rng *stats.RNG) (RunRecord, error) {
-	return RunOnceMounts(w, sig, target, rng, nil)
-}
-
-// RunOnceMounts is RunOnce with the injector armed only on the I/O routed
-// to the given mount points (empty = the whole file system). The workload
-// runs on a view whose armed tiers are wrapped by the injector; outcome
-// classification runs on the clean view of the same storage.
-func RunOnceMounts(w Workload, sig Signature, target int64, rng *stats.RNG, mounts []string) (RunRecord, error) {
-	base, err := buildWorld(w)
-	if err != nil {
-		return RunRecord{}, err
-	}
-	var st stageTimes
-	return runOnceTimed(base, w, sig, target, rng, mounts, &st)
-}
-
 // runOnceTimed performs one injection run on an already-built pristine
 // world — arm, run, classify on the clean view — filling st with the
-// stage costs the event stream reports.
+// stage costs the event stream reports. Non-empty mounts arm the injector
+// only on the I/O routed to those mount points; classification always
+// reads through the unarmed view of the same storage.
 func runOnceTimed(base vfs.FS, w Workload, sig Signature, target int64, rng *stats.RNG, mounts []string, st *stageTimes) (RunRecord, error) {
 	inj := NewInjector(sig, target, rng)
 	armed, err := interposeMounts(base, mounts, inj.Wrap)

@@ -43,15 +43,6 @@ func buildWorld(w Workload) (vfs.FS, error) {
 // (an OSFS-backed mount, a custom NewFS) fall back to rebuild-per-run
 // transparently.
 func NewWorldSnapshot(w Workload) (*WorldSnapshot, error) {
-	return newSnapshot(w, false)
-}
-
-// newSnapshot is NewWorldSnapshot with an explicit rebuild-per-run override
-// (CampaignConfig.FreshWorlds).
-func newSnapshot(w Workload, fresh bool) (*WorldSnapshot, error) {
-	if fresh {
-		return &WorldSnapshot{w: w}, nil
-	}
 	base, err := buildWorld(w)
 	if err != nil {
 		return nil, err

@@ -21,17 +21,25 @@ type SweepPoint struct {
 // Every field of base except Fault is honored per point — in particular
 // ArmMounts, so a sweep over a tiered world keeps its fault placement
 // instead of silently degrading to the flat whole-world arming.
+//
+// The points run as one Engine grid on base.Workers slots, all sharing the
+// workload's world: one Setup and one profiling pass per target primitive
+// serve the whole sweep. Points run concurrently, so a base.Sink receives
+// their campaigns' calls concurrently too.
 func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResult, error) {
-	out := make([]CampaignResult, 0, len(points))
-	for _, pt := range points {
+	specs := make([]CampaignSpec, len(points))
+	for i, pt := range points {
 		cfg := base
 		cfg.Fault = pt.Fault
-		res, err := Campaign(cfg, w)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %q: %w", pt.Label, err)
+		specs[i] = CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w, Config: cfg}
+	}
+	out := make([]CampaignResult, len(points))
+	for i, r := range (&Engine{Jobs: base.Workers}).Run(specs) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("core: sweep point %q: %w", points[i].Label, r.Err)
 		}
-		res.Workload = w.Name + "/" + pt.Label
-		out = append(out, res)
+		out[i] = r.Result
+		out[i].Workload = r.Spec.Key
 	}
 	return out, nil
 }

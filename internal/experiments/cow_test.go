@@ -169,35 +169,54 @@ func TestCloneMutationsNeverLeak(t *testing.T) {
 	}
 }
 
-// TestFig7EngineMatchesSequential is the acceptance gate for the engine
-// rewrite: the engine-scheduled grid must reproduce the pre-engine
-// sequential path's tallies exactly, cell for cell, under the same seed.
+// plainFS hides a world's Cloner implementation, so the engine rebuilds it
+// (NewFS + Setup) for every run — the paper's remount-per-run procedure.
+type plainFS struct{ vfs.FS }
+
+// TestFig7EngineMatchesSequential is the acceptance gate for the COW
+// engine: Fig7 must reproduce, cell for cell under the same seed, the
+// tallies of the same specs run one at a time (Jobs 1) on worlds that
+// cannot be cloned and are rebuilt for every run.
 func TestFig7EngineMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig7 grid comparison")
 	}
 	o := smallOpts()
-	seqTable, seqCells, err := Fig7Sequential(o)
+	_, engCells, err := Fig7(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engTable, engCells, err := Fig7(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqCells) != len(engCells) {
-		t.Fatalf("%d vs %d cells", len(seqCells), len(engCells))
-	}
-	for i := range seqCells {
-		if seqCells[i].Label != engCells[i].Label {
-			t.Fatalf("cell %d label %q vs %q", i, seqCells[i].Label, engCells[i].Label)
+	o = o.normalize()
+	var specs []core.CampaignSpec
+	for _, cell := range Fig7Cells {
+		w, err := NewWorkload(cell, o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seqCells[i].Tally != engCells[i].Tally {
-			t.Fatalf("cell %s: sequential %s vs engine %s",
-				seqCells[i].Label, seqCells[i].Tally.String(), engCells[i].Tally.String())
+		newFS := w.NewFS
+		w.NewFS = func() (vfs.FS, error) {
+			if newFS == nil {
+				return plainFS{vfs.NewMemFS()}, nil
+			}
+			fs, err := newFS()
+			return plainFS{fs}, err
+		}
+		for _, model := range Fig7Models() {
+			specs = append(specs, fig7Spec(cell, w, model, o))
 		}
 	}
-	if seqTable != engTable {
-		t.Fatalf("rendered tables differ:\n--- sequential\n%s\n--- engine\n%s", seqTable, engTable)
+	grid := (&core.Engine{Jobs: 1}).Run(specs)
+	if len(grid) != len(engCells) {
+		t.Fatalf("%d vs %d cells", len(grid), len(engCells))
+	}
+	for i, r := range grid {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
+		}
+		seq := r.Result.Cell()
+		if seq != engCells[i] {
+			t.Fatalf("cell %d: sequential rebuilt %s %s vs engine %s %s",
+				i, seq.Label, seq.Tally.String(), engCells[i].Label, engCells[i].Tally.String())
+		}
 	}
 }

@@ -28,8 +28,6 @@ type Options struct {
 	Runs int
 	// Seed for all campaigns.
 	Seed uint64
-	// Workers caps campaign parallelism (0 = GOMAXPROCS).
-	Workers int
 	// NyxN overrides the Nyx grid edge (0 = DefaultSim).
 	NyxN int
 	// MetaStride samples the Table III byte sweep (1 = exhaustive).
@@ -55,8 +53,7 @@ type Options struct {
 	ArmMounts []string
 	// Jobs bounds the campaign engine's shared worker pool across a whole
 	// grid (every cell of Fig7, Ablations, Fig7WithDetector, Tiered draws
-	// runs from one pool). 0 falls back to Workers, then GOMAXPROCS
-	// (cmd flag -jobs).
+	// runs from one pool). 0 selects GOMAXPROCS (cmd flag -jobs).
 	Jobs int
 	// Events, when set, is the event bus the engine publishes every
 	// campaign's run-lifecycle stream to; the CLIs subscribe their
@@ -95,11 +92,7 @@ type Options struct {
 // build one engine and set it on Options.Engine so world memoization
 // spans every sweep.
 func (o Options) NewEngine() *core.Engine {
-	jobs := o.Jobs
-	if jobs <= 0 {
-		jobs = o.Workers
-	}
-	return &core.Engine{Jobs: jobs, Events: o.Events}
+	return &core.Engine{Jobs: o.Jobs, Events: o.Events}
 }
 
 // engine resolves the engine grids run on: the shared one when set.
@@ -360,40 +353,6 @@ func Fig7(o Options) (string, []classify.Cell, error) {
 			return "", nil, fmt.Errorf("cell %s: %w", r.Spec.Key, r.Err)
 		}
 		cells = append(cells, r.Result.Cell())
-	}
-	title := fmt.Sprintf("Figure 7: characterization of I/O faults (%d runs per cell)", o.Runs)
-	return o.table(title, cells), cells, nil
-}
-
-// Fig7Sequential is the pre-engine reference implementation of Fig7: cells
-// run strictly one after another and every injection run rebuilds its world
-// (NewFS + Setup) from scratch, the paper's literal remount-per-run
-// procedure. Under the same seed it produces tallies identical to Fig7 —
-// the equivalence tests assert it and the repository benchmarks measure the
-// engine's speedup against it.
-func Fig7Sequential(o Options) (string, []classify.Cell, error) {
-	o = o.normalize()
-	var cells []classify.Cell
-	for _, cellName := range Fig7Cells {
-		w, err := NewWorkload(cellName, o)
-		if err != nil {
-			return "", nil, fmt.Errorf("cell %s: %w", cellName, err)
-		}
-		for _, model := range Fig7Models() {
-			res, err := core.Campaign(core.CampaignConfig{
-				Fault:       core.Config{Model: model, Shots: o.Shots},
-				Runs:        o.Runs,
-				Seed:        o.Seed,
-				Workers:     o.Workers,
-				ArmMounts:   o.ArmMounts,
-				FreshWorlds: true,
-				Stop:        o.Stop,
-			}, w)
-			if err != nil {
-				return "", nil, fmt.Errorf("cell %s/%s: %w", cellName, model.Short(), err)
-			}
-			cells = append(cells, res.Cell())
-		}
 	}
 	title := fmt.Sprintf("Figure 7: characterization of I/O faults (%d runs per cell)", o.Runs)
 	return o.table(title, cells), cells, nil

@@ -64,19 +64,12 @@ type CapabilityReporter interface {
 }
 
 // CapabilitiesOf returns the declared capability set of fs. A backend that
-// does not report capabilities is assumed byte-addressable (the FS
-// interface's native shape), with CapClone inferred from a Cloner
-// implementation — the legacy duck-typed contract, kept so third-party
-// backends behave as they did before the capability model existed.
+// does not implement CapabilityReporter declares nothing.
 func CapabilitiesOf(fs FS) Capability {
 	if r, ok := fs.(CapabilityReporter); ok {
 		return r.Capabilities()
 	}
-	caps := CapByteAddressable
-	if _, ok := fs.(Cloner); ok {
-		caps |= CapClone
-	}
-	return caps
+	return 0
 }
 
 // SimClocked is implemented by backends that model I/O latency against a

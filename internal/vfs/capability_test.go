@@ -62,26 +62,6 @@ func TestMountFSCapabilities(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesOfInfersLegacyContract: a backend that predates the
-// capability model (no CapabilityReporter) gets the historical duck-typed
-// reading — byte-addressable, clonable iff it implements Cloner.
-func TestCapabilitiesOfInfersLegacyContract(t *testing.T) {
-	if got, want := CapabilitiesOf(legacyFS{}), CapByteAddressable; got != want {
-		t.Fatalf("legacy non-cloner = %v; want %v", got, want)
-	}
-	if got, want := CapabilitiesOf(legacyClonerFS{}), CapByteAddressable|CapClone; got != want {
-		t.Fatalf("legacy cloner = %v; want %v", got, want)
-	}
-}
-
-// legacyFS is a minimal FS with no capability declaration.
-type legacyFS struct{ FS }
-
-// legacyClonerFS additionally implements Cloner.
-type legacyClonerFS struct{ FS }
-
-func (legacyClonerFS) CloneFS() (FS, error) { return legacyClonerFS{}, nil }
-
 func TestCapabilityString(t *testing.T) {
 	cases := map[Capability]string{
 		0:                                      "none",
