@@ -19,15 +19,14 @@
 //
 // Persistent results: -out streams every grid cell's run records to a JSONL
 // store, -resume continues an interrupted store (finalized cells load from
-// disk, partial cells pick up at the first missing run), -shard i/n
-// executes only that slice of every cell's run indices (merge shard stores
-// with -merge), and -report re-renders a store as text, CSV, JSON, or
-// Markdown without re-running anything:
+// disk, partial cells pick up at the first missing run), and -report
+// re-renders a store as text, CSV, JSON, or Markdown without re-running
+// anything. To split a grid across machines, serve it with campaignd and
+// attach ffis-worker processes.
 //
 //	experiments -fig 7 -runs 1000 -out ./fig7
 //	experiments -fig 7 -runs 1000 -out ./fig7 -resume   # after a crash
 //	experiments -out ./fig7 -report markdown
-//	experiments -merge ./s0 -merge ./s1 -out ./fig7
 package main
 
 import (
@@ -79,11 +78,9 @@ func main() {
 		traceOut = flag.String("trace", "", "stream per-run lifecycle events (spec_start, run_done with stage timings, barriers, spec_done) as JSONL to this file")
 		storeDir = flag.String("out", "", "stream grid run records to a JSONL results store at this directory")
 		resume   = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted work")
-		shardStr = flag.String("shard", "", "execute only shard i/n of every cell's run indices (requires -out)")
 		report   = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
-	var mergeSrcs, backends stringList
-	flag.Var(&mergeSrcs, "merge", "merge this shard store into -out (repeatable) and exit without running")
+	var backends stringList
 	flag.Var(&backends, "backend", "storage backend the -tiered sweep runs every placement under (repeatable: mem, object[:lag=N], latency[:bb|:pfs]; default mem)")
 	flag.Parse()
 
@@ -127,12 +124,6 @@ func main() {
 	// once per process instead of once per sweep.
 	o.Engine = o.NewEngine()
 	if *adaptive > 0 {
-		if *shardStr != "" {
-			// A shard owns every n-th run index, never a complete prefix, so
-			// an adaptive rule cannot evaluate its barriers on one.
-			fmt.Fprintln(os.Stderr, "experiments: -adaptive cannot run under -shard (a shard never holds a complete run prefix); drop one of them")
-			os.Exit(2)
-		}
 		o.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
 	}
 
@@ -146,16 +137,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if (*resume || *shardStr != "" || *report != "" || len(mergeSrcs) > 0) && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume, -shard, -report, and -merge all operate on a results store; add -out DIR")
+	if (*resume || *report != "") && *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -resume and -report operate on a results store; add -out DIR")
 		os.Exit(2)
-	}
-	if len(mergeSrcs) > 0 {
-		if err := results.Merge(*storeDir, mergeSrcs...); err != nil {
-			die(err)
-		}
-		fmt.Printf("merged %d shard stores into %s\n", len(mergeSrcs), *storeDir)
-		return
 	}
 	if *report != "" {
 		st, err := results.Open(*storeDir)
@@ -170,18 +154,12 @@ func main() {
 		return
 	}
 	if *storeDir != "" {
-		shard, err := results.ParseShard(*shardStr)
-		if err != nil {
-			die(err)
-		}
-		st, err := results.CreateOrResume(*storeDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Shard: shard.String(),
-		})
+		st, err := results.CreateOrResume(*storeDir, *resume, results.Manifest{Seed: *seed, Runs: *runs})
 		if err != nil {
 			die(err)
 		}
 		o.RunGrid = func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
-			return results.RunGrid(e, st, shard, specs)
+			return results.RunGrid(e, st, specs)
 		}
 	}
 	saveImages := func(prefix string, images map[string][]byte) {

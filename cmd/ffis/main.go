@@ -27,17 +27,13 @@
 // Persistent results: -out streams every run record to a JSONL store as it
 // completes, so a killed campaign loses nothing and the stored records can
 // be re-rendered later. -resume continues an interrupted store from the
-// first missing run, -shard i/n executes only that slice of the run indices
-// (run each shard on its own machine into its own -out, then -merge them),
-// and -report re-renders a store without re-running anything. All of it is
-// seed-deterministic: resumed and merged stores are byte-identical to an
-// uninterrupted single-process run.
+// first missing run, and -report re-renders a store without re-running
+// anything. A resumed store is byte-identical to an uninterrupted run. To
+// split a grid across machines, serve it with campaignd and attach
+// ffis-worker processes.
 //
 //	ffis -app MT2 -model bf -runs 1000 -out ./res          # durable campaign
 //	ffis -app MT2 -model bf -runs 1000 -out ./res -resume  # continue after a crash
-//	ffis -app MT2 -model bf -runs 1000 -out ./s0 -shard 0/2
-//	ffis -app MT2 -model bf -runs 1000 -out ./s1 -shard 1/2
-//	ffis -merge ./s0 -merge ./s1 -out ./res                # reassemble shards
 //	ffis -out ./res -report markdown                       # re-render from disk
 package main
 
@@ -91,13 +87,11 @@ func main() {
 	var (
 		outDir    = flag.String("out", "", "stream run records to a JSONL results store at this directory")
 		resume    = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted runs")
-		shardSpec = flag.String("shard", "", "execute only shard i/n of the run indices (requires -out; e.g. 0/4)")
 		reportFmt = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
-	var mountSpecs, armMounts, mergeSrcs stringList
+	var mountSpecs, armMounts stringList
 	flag.Var(&mountSpecs, "mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs], os:DIR)")
 	flag.Var(&armMounts, "arm", "arm the injector only on this mount point (repeatable; requires -mount)")
-	flag.Var(&mergeSrcs, "merge", "merge this shard store into -out (repeatable) and exit without running")
 	flag.Parse()
 
 	if *listOnly || strings.EqualFold(*model, "list") {
@@ -109,16 +103,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 		os.Exit(1)
 	}
-	if (*resume || *shardSpec != "" || *reportFmt != "" || len(mergeSrcs) > 0) && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "ffis: -resume, -shard, -report, and -merge all operate on a results store; add -out DIR")
+	if (*resume || *reportFmt != "") && *outDir == "" {
+		fmt.Fprintln(os.Stderr, "ffis: -resume and -report operate on a results store; add -out DIR")
 		os.Exit(2)
-	}
-	if len(mergeSrcs) > 0 {
-		if err := results.Merge(*outDir, mergeSrcs...); err != nil {
-			fail(err)
-		}
-		fmt.Printf("merged %d shard stores into %s\n", len(mergeSrcs), *outDir)
-		return
 	}
 	if *reportFmt != "" {
 		st, err := results.Open(*outDir)
@@ -181,12 +168,6 @@ func main() {
 		CI:             *showCI,
 	}
 	if *adaptive > 0 {
-		if *shardSpec != "" {
-			// A shard owns every n-th run index, never a complete prefix, so
-			// an adaptive rule cannot evaluate its barriers on one.
-			fmt.Fprintln(os.Stderr, "ffis: -adaptive cannot run under -shard (a shard never holds a complete run prefix); drop one of them")
-			os.Exit(2)
-		}
 		opts.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
 	}
 	var progressTo io.Writer
@@ -202,22 +183,18 @@ func main() {
 	// and profile passes memoize across grids instead of per call.
 	opts.Engine = opts.NewEngine()
 	if *outDir != "" {
-		shard, err := results.ParseShard(*shardSpec)
-		if err != nil {
-			fail(err)
-		}
 		manBackend := *backend
 		if manBackend == "mem" {
 			manBackend = ""
 		}
 		st, err := results.CreateOrResume(*outDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Shard: shard.String(), Backend: manBackend,
+			Seed: *seed, Runs: *runs, Backend: manBackend,
 		})
 		if err != nil {
 			fail(err)
 		}
 		opts.RunGrid = func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
-			return results.RunGrid(e, st, shard, specs)
+			return results.RunGrid(e, st, specs)
 		}
 	}
 	if *ioTrace {
@@ -267,12 +244,8 @@ func main() {
 			strings.Join(armMounts, ", "))
 	}
 	if *outDir != "" {
-		note := ""
-		if *shardSpec != "" {
-			note = fmt.Sprintf(" (shard %s)", *shardSpec)
-		}
-		fmt.Printf("run records persisted to %s%s; re-render any time with -out %s -report FORMAT\n",
-			*outDir, note, *outDir)
+		fmt.Printf("run records persisted to %s; re-render any time with -out %s -report FORMAT\n",
+			*outDir, *outDir)
 	}
 	fmt.Printf("fault signature: %s\n", res.Signature)
 	fmt.Printf("profiled %d dynamic executions of the target primitive\n", res.ProfileCount)

@@ -83,7 +83,7 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grid, err := results.RunGrid(&core.Engine{}, refStore, results.Shard{}, cspecs)
+	grid, err := results.RunGrid(&core.Engine{}, refStore, cspecs)
 	if err != nil {
 		t.Fatal(err)
 	}

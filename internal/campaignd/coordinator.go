@@ -98,7 +98,7 @@ type workerStat struct {
 // and one run budget (mixed grids are refused, mirroring the single
 // -seed/-runs flags of a local grid), and the shared backend string when
 // every spec runs the same non-default backend — which is what arms the
-// Merge/resume backend guard for distributed shards.
+// resume backend guard of CreateOrResume.
 func ManifestFor(specs []experiments.WireSpec) (results.Manifest, error) {
 	if len(specs) == 0 {
 		return results.Manifest{}, fmt.Errorf("campaignd: no specs")
@@ -231,7 +231,7 @@ func (c *Coordinator) Lease(worker string) (l LeaseGrant, ok, done bool, err err
 			continue
 		}
 		if st.sink == nil {
-			sink, err := c.store.SpecSink(key, st.ws.Runs, results.Shard{})
+			sink, err := c.store.SpecSink(key, st.ws.Runs)
 			if err != nil {
 				return LeaseGrant{}, false, false, err
 			}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/results"
 )
@@ -304,7 +305,7 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, grant, &revoked)
 
-	sink := &remoteSink{w: w, leaseID: grant.LeaseID, next: grant.Start, pending: map[int]results.Record{}}
+	sink := &remoteSink{w: w, leaseID: grant.LeaseID, start: grant.Start, next: grant.Start, pending: map[int]results.Record{}}
 	w.sinkMu.Lock()
 	w.curSink = sink
 	w.sinkMu.Unlock()
@@ -314,7 +315,6 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 		w.sinkMu.Unlock()
 	}()
 	spec.Config.Sink = sink
-	spec.Config.RunFilter = core.LeaseFilter(grant.Start)
 	spec.Config.DiscardRecords = true
 	spec.Config.Abort = func() bool { return revoked.Load() || ctx.Err() != nil }
 
@@ -415,6 +415,7 @@ func (w *Worker) post(path string, body, out any) (int, error) {
 type remoteSink struct {
 	w       *Worker
 	leaseID string
+	start   int // the lease's resume point; immutable
 	mu      sync.Mutex
 	next    int
 	pending map[int]results.Record
@@ -441,6 +442,12 @@ func (s *remoteSink) BeginCampaign(meta core.CampaignMeta) error {
 	s.begun = true
 	return nil
 }
+
+// Resume implements core.Resumer: the lease covers runs [start, Runs), the
+// coordinator already holds the rest. It reports no prior outcomes, so an
+// adaptive campaign cannot resume remotely past run 0 (and WireSpec has no
+// stopping rule to begin with).
+func (s *remoteSink) Resume() (int, []classify.Outcome) { return s.start, nil }
 
 // Record buffers one finished run and ships every contiguous batch of
 // batchSize records.
@@ -520,4 +527,7 @@ func (s *remoteSink) send(req RecordsRequest) error {
 	}
 }
 
-var _ core.RecordSink = (*remoteSink)(nil)
+var (
+	_ core.RecordSink = (*remoteSink)(nil)
+	_ core.Resumer    = (*remoteSink)(nil)
+)

@@ -83,25 +83,21 @@ func TestAdaptivePrefixMatchesFixedBudget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveResumeWithPriorOutcomes: skipping already-persisted indices
-// via RunFilter while feeding their outcomes back through PriorOutcome must
-// reach the same stopping decision as the uninterrupted campaign.
-func TestAdaptiveResumeWithPriorOutcomes(t *testing.T) {
+// TestAdaptiveResumeFromPersistedPrefix: resuming past already-persisted
+// runs while the sink reports their outcomes must reach the same stopping
+// decision as the uninterrupted campaign.
+func TestAdaptiveResumeFromPersistedPrefix(t *testing.T) {
 	rule := &stats.StopRule{TargetHalfWidth: 0.08, MinRuns: 50, CheckEvery: 25}
 	full := adaptiveToyCampaign(t, rule, 4)
-	prior := map[int]classify.Outcome{}
 	const persisted = 30 // "crash" left the first 30 runs on disk
+	sink := &resumeSink{start: persisted}
 	for _, rec := range full.Records[:persisted] {
-		prior[rec.Index] = rec.Outcome
+		sink.prior = append(sink.prior, rec.Outcome)
 	}
 	res, err := Campaign(CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42, Workers: 4,
-		Stop:      rule,
-		RunFilter: func(idx int) bool { return idx >= persisted },
-		PriorOutcome: func(idx int) (classify.Outcome, bool) {
-			o, ok := prior[idx]
-			return o, ok
-		},
+		Stop: rule,
+		Sink: sink,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -115,24 +111,23 @@ func TestAdaptiveResumeWithPriorOutcomes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRequiresPriorForFilteredRuns: an adaptive campaign whose
-// RunFilter skips indices without a PriorOutcome source cannot evaluate
-// complete prefixes and must refuse, and a skipped index the source does
-// not know must fail the campaign rather than mis-evaluate the rule.
+// TestAdaptiveRequiresPriorForFilteredRuns: an adaptive campaign whose sink
+// resumes past runs it cannot report the outcomes of cannot evaluate
+// complete prefixes, and must refuse before any run executes.
 func TestAdaptiveRequiresPriorForFilteredRuns(t *testing.T) {
-	cfg := CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1, Workers: 2,
-		Stop:      &stats.StopRule{TargetHalfWidth: 0.1},
-		RunFilter: func(idx int) bool { return idx%2 == 0 },
-	}
-	if _, err := Campaign(cfg, toyWorkload()); err == nil ||
-		!strings.Contains(err.Error(), "PriorOutcome") {
-		t.Fatalf("err = %v, want PriorOutcome requirement", err)
-	}
-	cfg.PriorOutcome = func(int) (classify.Outcome, bool) { return 0, false }
-	if _, err := Campaign(cfg, toyWorkload()); err == nil ||
-		!strings.Contains(err.Error(), "no persisted outcome") {
-		t.Fatalf("err = %v, want missing-prior failure", err)
+	for _, prior := range [][]classify.Outcome{nil, make([]classify.Outcome, 29)} {
+		sink := &resumeSink{start: 30, prior: prior}
+		_, err := Campaign(CampaignConfig{
+			Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1, Workers: 2,
+			Stop: &stats.StopRule{TargetHalfWidth: 0.1},
+			Sink: sink,
+		}, toyWorkload())
+		if err == nil || !strings.Contains(err.Error(), "persisted outcomes") {
+			t.Fatalf("%d prior outcomes for resume point 30: err = %v, want the adaptive refusal", len(prior), err)
+		}
+		if sink.began != 0 {
+			t.Fatal("refused campaign began its sink")
+		}
 	}
 }
 

@@ -70,22 +70,14 @@ type CampaignConfig struct {
 	// overlap) but arrives in completion order, not index order — a
 	// persistent sink that needs index order (internal/results) reorders
 	// internally. A sink error aborts record delivery and fails the
-	// campaign; records already delivered stay delivered.
+	// campaign; records already delivered stay delivered. A sink that
+	// already holds a prefix of the campaign says so through Resumer.
 	Sink RecordSink
 	// DiscardRecords drops the per-run Records slice from the
 	// CampaignResult — the Tally still covers every run — so large grids
 	// that stream records to a Sink (or only need rates) run in O(workers)
 	// memory instead of O(Runs).
 	DiscardRecords bool
-	// RunFilter, when non-nil, selects which run indices in [0, Runs)
-	// execute; the rest are skipped entirely. Because each run's RNG
-	// stream derives purely from (Seed, index) via runStream, the executed
-	// subset produces records bit-identical to the same indices of an
-	// unfiltered campaign — this is what makes persisted campaigns
-	// resumable (skip already-stored indices) and shardable (each shard
-	// owns index % n == i) with no statistical caveats. The Tally and
-	// Records of the result cover only the executed indices.
-	RunFilter func(idx int) bool
 	// Stop enables adaptive, confidence-driven stopping: runs dispatch in
 	// chunks up to the rule's fixed index barriers, and at each barrier the
 	// complete outcome tally of the prefix [0, barrier) decides whether the
@@ -95,12 +87,6 @@ type CampaignConfig struct {
 	// index is independent of Workers and scheduling. Nil keeps the classic
 	// fixed-budget campaign, bit for bit.
 	Stop *stats.StopRule
-	// PriorOutcome reports the already-persisted outcome of a run index the
-	// RunFilter skips. Adaptive campaigns require it whenever RunFilter is
-	// set: a barrier decision needs the complete prefix tally, so skipped
-	// indices must contribute their stored outcomes (resume); a shard,
-	// which cannot know its siblings' outcomes, cannot run adaptively.
-	PriorOutcome func(idx int) (classify.Outcome, bool)
 	// Abort, when non-nil, is polled before each run dispatch; once it
 	// returns true the campaign stops launching new runs, drains the ones
 	// in flight, and fails with ErrAborted. Records already delivered to
@@ -118,17 +104,6 @@ type CampaignConfig struct {
 // execute. Test with errors.Is.
 var ErrAborted = errors.New("core: campaign aborted")
 
-// LeaseFilter returns the RunFilter of a work lease over a partially
-// persisted spec: only indices at or after start execute, the resume-at-
-// first-missing-index discipline of the distributed coordinator. Because
-// run streams derive purely from (Seed, index), the executed suffix is
-// bit-identical to the same indices of an uninterrupted campaign — a dead
-// worker's persisted prefix plus a successor's leased suffix reassemble
-// the exact single-machine record file.
-func LeaseFilter(start int) func(idx int) bool {
-	return func(idx int) bool { return idx >= start }
-}
-
 // NormalizedStop resolves the campaign's adaptive stopping rule against its
 // run budget: every field concrete, as persisted in record headers. Nil
 // when the campaign is fixed-budget.
@@ -141,21 +116,6 @@ func (cfg CampaignConfig) NormalizedStop() (*stats.StopRule, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// execTotal counts the run indices the campaign will actually execute
-// under its RunFilter.
-func (cfg CampaignConfig) execTotal() int {
-	if cfg.RunFilter == nil {
-		return cfg.Runs
-	}
-	n := 0
-	for idx := 0; idx < cfg.Runs; idx++ {
-		if cfg.RunFilter(idx) {
-			n++
-		}
-	}
-	return n
 }
 
 // CampaignMeta identifies the campaign a record stream belongs to: what a
@@ -193,6 +153,18 @@ type RecordSink interface {
 // never learns the stop index — the records themselves are unaffected.
 type StopRecorder interface {
 	RecordStop(stopIndex int) error
+}
+
+// Resumer is the optional RecordSink extension for a sink that already
+// holds the start of the campaign: runs [0, start) are persisted, so only
+// [start, Runs) execute. Because each run's RNG stream derives purely from
+// (Seed, index), the executed suffix is bit-identical to the same indices
+// of an uninterrupted campaign. prior holds the persisted outcomes by run
+// index; an adaptive campaign needs all of [0, start) to evaluate its
+// barriers over complete prefixes and refuses to run when prior is
+// shorter. A sink without this method starts at 0.
+type Resumer interface {
+	Resume() (start int, prior []classify.Outcome)
 }
 
 // RunRecord captures a single fault-injection run.

@@ -41,8 +41,8 @@ type Event struct {
 	// workload name under bare Campaign.
 	Key string
 
-	// Done and Total count completed vs scheduled executed runs (the
-	// RunFilter-selected subset). SpecStart carries Total; RunDone carries
+	// Done and Total count completed vs scheduled executed runs (Runs
+	// minus the sink's resume point). SpecStart carries Total; RunDone carries
 	// both; SpecDone reports the final counts (equal at completion, and
 	// both equal to the executed-run count after an adaptive early stop).
 	Done, Total int

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ffis/internal/classify"
 	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
@@ -198,34 +199,59 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 	}
 }
 
-func TestCampaignRunFilterExecutesSubsetDeterministically(t *testing.T) {
-	const runs = 10
+// resumeSink is a collectSink that already holds runs [0, start): the
+// Resumer extension a persistent store implements, without the store.
+type resumeSink struct {
+	collectSink
+	start int
+	prior []classify.Outcome
+}
+
+func (s *resumeSink) Resume() (int, []classify.Outcome) { return s.start, s.prior }
+
+// TestCampaignResumePointExecutesSuffixDeterministically: a sink reporting
+// resume point k makes the campaign execute exactly runs [k, Runs), each
+// bit-identical to the same index of the uninterrupted campaign, and the
+// event stream schedules Runs-k of them.
+func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
+	const runs, start = 10, 4
 	full, err := Campaign(CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Workers: 2,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Workers: 2,
-		RunFilter: func(idx int) bool { return idx%2 == 1 },
-	}, toyWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(half.Records); got != runs/2 {
-		t.Fatalf("filtered campaign ran %d records, want %d", got, runs/2)
-	}
-	for i, rec := range half.Records {
-		want := full.Records[rec.Index]
-		if rec.Index%2 != 1 {
-			t.Fatalf("record %d has unowned index %d", i, rec.Index)
+	bus := NewEventBus()
+	specTotal := -1
+	bus.Subscribe(0, func(ev Event) {
+		if ev.Kind == EventSpecStart {
+			specTotal = ev.Total
 		}
-		if rec.Target != want.Target || rec.Outcome != want.Outcome || rec.Mutation.BitPos != want.Mutation.BitPos {
-			t.Fatalf("filtered run %d diverged from the unfiltered run: %+v vs %+v", rec.Index, rec, want)
+	})
+	sink := &resumeSink{start: start}
+	grid := (&Engine{Jobs: 2, Events: bus}).Run([]CampaignSpec{{
+		Key:      "resume",
+		Workload: toyWorkload(),
+		Config:   CampaignConfig{Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Sink: sink},
+	}})
+	bus.Close()
+	if grid[0].Err != nil {
+		t.Fatal(grid[0].Err)
+	}
+	suffix := grid[0].Result
+	if got := len(suffix.Records); got != runs-start {
+		t.Fatalf("resumed campaign ran %d records, want %d", got, runs-start)
+	}
+	for i, rec := range suffix.Records {
+		want := full.Records[start+i]
+		if rec.Index != want.Index || rec.Target != want.Target || rec.Outcome != want.Outcome || rec.Mutation.BitPos != want.Mutation.BitPos {
+			t.Fatalf("resumed run %d diverged from the uninterrupted run: %+v vs %+v", rec.Index, rec, want)
 		}
 	}
-	if half.Tally.Total() != runs/2 {
-		t.Fatalf("filtered tally covers %d runs, want %d", half.Tally.Total(), runs/2)
+	if suffix.Tally.Total() != runs-start || len(sink.records) != runs-start {
+		t.Fatalf("tally covers %d runs and the sink saw %d, want %d", suffix.Tally.Total(), len(sink.records), runs-start)
+	}
+	if specTotal != runs-start {
+		t.Fatalf("SpecStart.Total = %d, want Runs-start = %d", specTotal, runs-start)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -14,8 +13,8 @@ import (
 // Runner owns the per-run campaign lifecycle — clone-or-rebuild the
 // world, arm the injector, run the workload, classify the artifact,
 // record and tally — for exactly one spec, parameterized by the
-// CampaignConfig hooks (Sink, RunFilter, Abort, Stop barriers,
-// PriorOutcome). It is the only place in the tree that sequences those
+// CampaignConfig hooks (Sink and its resume point, Abort, Stop
+// barriers). It is the only place in the tree that sequences those
 // stages; Engine.runSpec is its one driver, supplying the memoized
 // snapshot and profile count and the grid-wide worker pool, and every
 // other layer (Campaign, Sweep, persisted grids, distributed workers)
@@ -58,14 +57,14 @@ func (r *Runner) publish(ev Event) {
 	r.Events.Publish(ev)
 }
 
-// Run executes the spec's injection runs (all of [0, Runs), or the
-// RunFilter subset) against worlds served by the snapshot, bounded by the
-// pool.
+// Run executes the spec's injection runs [start, Runs) against worlds
+// served by the snapshot, bounded by the pool; start is the sink's resume
+// point (Resumer), 0 for a sink that holds nothing yet.
 //
 // With Config.Stop set, dispatch is chunked at the rule's index barriers:
 // each chunk drains completely, the rule is evaluated on the prefix tally
-// (executed outcomes plus PriorOutcome for indices the RunFilter
-// skipped), and dispatch stops once satisfied. The evaluated prefix is
+// (executed outcomes plus the sink's persisted outcomes below start), and
+// dispatch stops once satisfied. The evaluated prefix is
 // always a complete [0, barrier) — never a completion-order sample — so
 // the stopping index depends only on (Seed, Runs, rule), not on pool
 // width.
@@ -81,10 +80,13 @@ func (r *Runner) Run() (CampaignResult, error) {
 	sig := cfg.Fault.Signature()
 	count := r.ProfileCount
 	res := CampaignResult{Workload: w.Name, Signature: sig, ProfileCount: count}
-	// A RunFilter (resume skipping persisted indices, shard ownership)
-	// shrinks the work actually executed; progress accounting reports the
-	// executed total so done/total reaches 100% exactly at completion.
-	total := cfg.execTotal()
+	// A resuming sink already holds [0, start); progress accounting reports
+	// the executed total so done/total reaches 100% exactly at completion.
+	start, prior := 0, []classify.Outcome(nil)
+	if rs, ok := cfg.Sink.(Resumer); ok {
+		start, prior = rs.Resume()
+	}
+	total := cfg.Runs - start
 	r.publish(Event{Kind: EventSpecStart, Total: total, Runs: cfg.Runs, ProfileCount: count})
 	fail := func(err error) (CampaignResult, error) {
 		r.publish(Event{Kind: EventSpecDone, Done: total, Total: total, Err: err})
@@ -94,8 +96,8 @@ func (r *Runner) Run() (CampaignResult, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if rule != nil && cfg.RunFilter != nil && cfg.PriorOutcome == nil {
-		return fail(errors.New("core: adaptive stopping under a RunFilter needs PriorOutcome for the skipped indices (shards cannot run adaptively)"))
+	if rule != nil && len(prior) < start {
+		return fail(fmt.Errorf("core: adaptive stopping needs the persisted outcomes of runs [0, %d) to evaluate its barriers; the sink reports %d", start, len(prior)))
 	}
 	if cfg.Sink != nil {
 		if err := cfg.Sink.BeginCampaign(CampaignMeta{
@@ -126,11 +128,9 @@ func (r *Runner) Run() (CampaignResult, error) {
 		failIdx  = -1
 		failErr  error
 		sinkErr  error
-		// priorTally accumulates the persisted outcomes of skipped indices
-		// (adaptive resume); touched only from the dispatch loop, read only
-		// after its chunk has drained.
+		// priorTally accumulates the persisted outcomes below start
+		// (adaptive resume); touched only from the dispatch loop.
 		priorTally classify.Tally
-		priorErr   error
 		// aborted latches the Abort hook's decision; set only from the
 		// dispatch loop, read only after the chunk has drained.
 		aborted bool
@@ -143,17 +143,6 @@ func (r *Runner) Run() (CampaignResult, error) {
 				aborted = true
 				break
 			}
-			if cfg.RunFilter != nil && !cfg.RunFilter(idx) {
-				if rule != nil && priorErr == nil {
-					if o, ok := cfg.PriorOutcome(idx); ok {
-						priorTally.Add(o)
-					} else {
-						priorErr = fmt.Errorf("core: adaptive resume: no persisted outcome for skipped run %d", idx)
-					}
-				}
-				continue
-			}
-			idx := idx
 			r.Pool <- struct{}{}
 			wg.Add(1)
 			go func() {
@@ -207,13 +196,18 @@ func (r *Runner) Run() (CampaignResult, error) {
 		wg.Wait()
 	}
 	if rule == nil {
-		dispatch(0, cfg.Runs)
+		dispatch(start, cfg.Runs)
 	} else {
 		for next := 0; ; {
 			b := rule.NextBarrier(next)
-			dispatch(next, b)
+			// Indices below start are persisted already: they contribute
+			// their stored outcomes and never execute.
+			for _, o := range prior[min(next, start):min(b, start)] {
+				priorTally.Add(o)
+			}
+			dispatch(max(next, start), b)
 			next = b
-			if failErr != nil || sinkErr != nil || priorErr != nil || aborted {
+			if failErr != nil || sinkErr != nil || aborted {
 				break
 			}
 			res.StopIndex = b
@@ -223,7 +217,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 				break
 			}
 			// The complete prefix [0, b): executed outcomes plus the
-			// persisted outcomes of skipped indices.
+			// persisted outcomes below start.
 			outcomes := classify.Outcomes()
 			counts := make([]int, len(outcomes))
 			trials := 0
@@ -239,7 +233,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 		}
 		// Persist the decision: a sink that stores records by index needs
 		// the stop index to declare the stream complete.
-		if sr, ok := cfg.Sink.(StopRecorder); ok && failErr == nil && sinkErr == nil && priorErr == nil && !aborted {
+		if sr, ok := cfg.Sink.(StopRecorder); ok && failErr == nil && sinkErr == nil && !aborted {
 			sinkErr = sr.RecordStop(res.StopIndex)
 		}
 	}
@@ -258,8 +252,6 @@ func (r *Runner) Run() (CampaignResult, error) {
 		return fail(fmt.Errorf("core: run %d: %w", failIdx, failErr))
 	case sinkErr != nil:
 		return fail(fmt.Errorf("core: record sink: %w", sinkErr))
-	case priorErr != nil:
-		return fail(priorErr)
 	case aborted:
 		return fail(ErrAborted)
 	}

@@ -61,10 +61,9 @@ type Options struct {
 	Events *core.EventBus
 	// RunGrid, when set, replaces Engine.Run for every campaign grid in
 	// this package: the persistence layer (internal/results.RunGrid via
-	// the CLIs' -out/-resume/-shard flags) injects itself here to stream
-	// records to disk, skip already-persisted work, and shard run indices
-	// — without this package importing the store. Nil runs grids
-	// in-memory, exactly as before.
+	// the CLIs' -out/-resume flags) injects itself here to stream records
+	// to disk and skip already-persisted work — without this package
+	// importing the store. Nil runs grids in-memory, exactly as before.
 	RunGrid func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error)
 	// Stop, when set, runs every campaign cell under the adaptive stopping
 	// rule (cmd flag -adaptive): Runs becomes a budget cap and each cell
@@ -105,8 +104,8 @@ func (o Options) engine() *core.Engine {
 
 // runGrid executes one engine grid through the configured runner: the
 // durable RunGrid hook when set, the plain in-memory engine otherwise.
-// Every grid in this package goes through here, so -out/-resume/-shard
-// apply uniformly to Fig7, the ablations, the detector study, the tiered
+// Every grid in this package goes through here, so -out/-resume apply
+// uniformly to Fig7, the ablations, the detector study, the tiered
 // sweep, and the read/write grid.
 func (o Options) runGrid(specs []core.CampaignSpec) ([]core.GridResult, error) {
 	e := o.engine()

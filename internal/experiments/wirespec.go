@@ -19,8 +19,8 @@ import (
 //
 // Adaptive stopping deliberately has no wire form: a stopping rule needs
 // the complete outcome prefix to evaluate, which a re-leased spec only
-// holds on the coordinator. Distributed campaigns are fixed-budget, the
-// same restriction sharding already imposes.
+// holds on the coordinator (a worker's sink reports its lease's resume
+// point but no prior outcomes). Distributed campaigns are fixed-budget.
 type WireSpec struct {
 	// Key names the spec inside the results store. Empty defaults to the
 	// grid convention "<cell>/<model short name>".

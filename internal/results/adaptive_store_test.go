@@ -45,7 +45,7 @@ func adaptiveSpec(t *testing.T) core.CampaignSpec {
 
 func runAdaptiveCell(t *testing.T, st *Store) core.GridResult {
 	t.Helper()
-	grid, err := RunGrid(&core.Engine{Jobs: 4}, st, Shard{}, []core.CampaignSpec{adaptiveSpec(t)})
+	grid, err := RunGrid(&core.Engine{Jobs: 4}, st, []core.CampaignSpec{adaptiveSpec(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +149,5 @@ func TestAdaptiveStoreResume(t *testing.T) {
 	if again.Result.StopIndex != stop || again.Result.Tally != ref.Result.Tally {
 		t.Fatalf("finalized reload drifted: stop %d tally %v, want stop %d tally %v",
 			again.Result.StopIndex, again.Result.Tally, stop, ref.Result.Tally)
-	}
-}
-
-// TestAdaptiveRejectsShard: a shard never owns a complete run prefix, so an
-// adaptive spec under a non-trivial shard must be refused before any cell
-// executes.
-func TestAdaptiveRejectsShard(t *testing.T) {
-	st, err := Create(t.TempDir(), Manifest{Seed: adaptiveSeed, Runs: adaptiveBudget, Shard: "1/2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunGrid(&core.Engine{Jobs: 2}, st, Shard{Index: 0, Count: 2}, []core.CampaignSpec{adaptiveSpec(t)})
-	if err == nil || !strings.Contains(err.Error(), "adaptive") {
-		t.Fatalf("err = %v, want adaptive-under-shard refusal", err)
 	}
 }

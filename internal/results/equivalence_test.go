@@ -2,8 +2,10 @@ package results
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ffis/internal/classify"
@@ -11,10 +13,11 @@ import (
 	"ffis/internal/vfs"
 )
 
-// The seed-pinned equivalence suite: an interrupted-then-resumed grid and a
-// sharded-then-merged grid must both produce record files byte-identical to
-// an uninterrupted single-process run — at worker widths 1 and 8 — because
-// every run's RNG stream derives purely from (seed, run index).
+// The seed-pinned equivalence suite: an interrupted-then-resumed grid must
+// produce record files byte-identical to an uninterrupted single-process
+// run — at worker widths 1 and 8 — because every run's RNG stream derives
+// purely from (seed, run index). The distributed kill-worker test in
+// internal/campaignd carries the same invariant across machines.
 
 const (
 	eqSeed = 42
@@ -82,13 +85,13 @@ func eqSpecs() []core.CampaignSpec {
 }
 
 // runGridInto executes the eq grid into a fresh store at dir.
-func runGridInto(t *testing.T, dir string, workers int, shard Shard) []core.GridResult {
+func runGridInto(t *testing.T, dir string, workers int) []core.GridResult {
 	t.Helper()
-	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns, Shard: shard.String()})
+	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := RunGrid(&core.Engine{Jobs: workers}, st, shard, eqSpecs())
+	grid, err := RunGrid(&core.Engine{Jobs: workers}, st, eqSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,31 +145,34 @@ func assertTalliesMatch(t *testing.T, label string, want, got []core.GridResult)
 // at pool widths 1 and 8 writes byte-identical files.
 func TestUninterruptedStoreIsWorkerIndependent(t *testing.T) {
 	d1, d8 := t.TempDir(), t.TempDir()
-	g1 := runGridInto(t, d1, 1, Shard{})
-	g8 := runGridInto(t, d8, 8, Shard{})
+	g1 := runGridInto(t, d1, 1)
+	g8 := runGridInto(t, d8, 8)
 	assertStoresIdentical(t, "workers 1 vs 8", d1, d8)
 	assertTalliesMatch(t, "workers 1 vs 8", g1, g8)
 }
 
-// TestInterruptedThenResumedGridIsBitIdentical kills a grid roughly halfway
-// (the first spec fully unstarted, the second half-persisted with a torn
-// final line — the honest crash artifact) and resumes it; the resumed store
-// must be byte-identical to an uninterrupted run, at workers 1 and 8.
+// TestInterruptedThenResumedGridIsBitIdentical kills a grid halfway (every
+// spec half-persisted, one with a torn final line — the honest crash
+// artifact) and resumes it; the resumed store must be byte-identical to an
+// uninterrupted run, at workers 1 and 8.
 func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		ref := t.TempDir()
-		refGrid := runGridInto(t, ref, workers, Shard{})
+		refGrid := runGridInto(t, ref, workers)
 
-		// Interrupted store: run only the first ~half of each spec's
-		// indices through a real engine+sink pass, then abandon without
-		// finalizing — exactly what a mid-grid kill leaves behind.
+		// Interrupted store: each spec's campaign runs through a real
+		// engine+sink pass until its Abort hook — the mechanism a revoked
+		// lease trips — stops dispatch after the first half of the indices.
+		// The in-flight runs drain, their in-order prefix stays on disk, and
+		// the sink is abandoned without finalizing: what a mid-grid kill
+		// leaves behind.
 		dir := t.TempDir()
 		st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, spec := range eqSpecs() {
-			sink, err := st.SpecSink(spec.Key, eqRuns, Shard{})
+			sink, err := st.SpecSink(spec.Key, eqRuns)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,9 +180,13 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 			cfg.Workers = workers
 			cfg.Sink = sink
 			cfg.DiscardRecords = true
-			cfg.RunFilter = func(idx int) bool { return idx < eqRuns/2 }
-			if _, err := core.Campaign(cfg, spec.Workload); err != nil {
-				t.Fatal(err)
+			dispatched := 0 // polled only by the dispatch loop
+			cfg.Abort = func() bool {
+				dispatched++
+				return dispatched > eqRuns/2
+			}
+			if _, err := core.Campaign(cfg, spec.Workload); !errors.Is(err, core.ErrAborted) {
+				t.Fatalf("interrupted campaign: err = %v, want ErrAborted", err)
 			}
 			if err := sink.Close(); err != nil { // no Finalize: the "kill"
 				t.Fatal(err)
@@ -198,7 +208,7 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := RunGrid(&core.Engine{Jobs: workers}, st2, Shard{}, eqSpecs())
+		grid, err := RunGrid(&core.Engine{Jobs: workers}, st2, eqSpecs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,52 +222,11 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedThenMergedGridIsBitIdentical splits the grid into -shard 0/2
-// and -shard 1/2 stores and merges them; the merged store must be
-// byte-identical to the uninterrupted single-process run, at workers 1
-// and 8.
-func TestShardedThenMergedGridIsBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		ref := t.TempDir()
-		refGrid := runGridInto(t, ref, workers, Shard{})
-
-		s0, s1 := t.TempDir(), t.TempDir()
-		runGridInto(t, s0, workers, Shard{Index: 0, Count: 2})
-		runGridInto(t, s1, workers, Shard{Index: 1, Count: 2})
-
-		merged := filepath.Join(t.TempDir(), "merged")
-		if err := Merge(merged, s0, s1); err != nil {
-			t.Fatal(err)
-		}
-		assertStoresIdentical(t, "merged", ref, merged)
-
-		// The merged store reconstructs the same tallies the
-		// uninterrupted grid reported.
-		mst, err := Open(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, spec := range eqSpecs() {
-			res, err := mst.Result(spec.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Tally != refGrid[i].Result.Tally {
-				t.Fatalf("workers %d: merged %s tally %v, want %v", workers, spec.Key,
-					res.Tally, refGrid[i].Result.Tally)
-			}
-			if got := len(res.Records); got != eqRuns {
-				t.Fatalf("merged %s holds %d records, want %d", spec.Key, got, eqRuns)
-			}
-		}
-	}
-}
-
 // TestResumeOfCompleteStoreRunsNothing proves finalized specs load from
 // disk: resuming a finished grid must not execute a single application run.
 func TestResumeOfCompleteStoreRunsNothing(t *testing.T) {
 	dir := t.TempDir()
-	first := runGridInto(t, dir, 4, Shard{})
+	first := runGridInto(t, dir, 4)
 
 	st, err := Open(dir)
 	if err != nil {
@@ -270,7 +239,7 @@ func TestResumeOfCompleteStoreRunsNothing(t *testing.T) {
 			return nil
 		}
 	}
-	grid, err := RunGrid(&core.Engine{Jobs: 4}, st, Shard{}, specs)
+	grid, err := RunGrid(&core.Engine{Jobs: 4}, st, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,35 +251,20 @@ func TestResumeOfCompleteStoreRunsNothing(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsShardDrift: a store written under one shard assignment
-// must refuse to resume under another — the persisted indices would no
-// longer be a prefix of the new execution sequence.
-func TestResumeRejectsShardDrift(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns, Shard: "1/2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := eqSpecs()[0]
-	sink, err := st.SpecSink(spec.Key, eqRuns, Shard{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := spec.Config
-	cfg.Sink = sink
-	cfg.RunFilter = sink.Include
-	if _, err := core.Campaign(cfg, spec.Workload); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st2.SpecSink(spec.Key, eqRuns, Shard{}); err == nil {
-		t.Fatal("resuming a 1/2-shard store as the whole grid must be rejected")
+// TestResumeRejectsNonPrefixPartial: a partial file whose records are not
+// exactly runs [0, k) — a gap, or the odd indices a static shard of an older
+// layout wrote — cannot be extended without appending after the gap, so the
+// sink must refuse to open it.
+func TestResumeRejectsNonPrefixPartial(t *testing.T) {
+	for _, indices := range [][]int{{0, 1, 3}, {1, 3, 5}} {
+		st, err := Create(t.TempDir(), Manifest{Seed: eqSeed, Runs: eqRuns})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRecordFile(t, st.partialPath("eq/BF"), eqHeader(0), indices...)
+		if _, err := st.SpecSink("eq/BF", eqRuns); err == nil ||
+			!strings.Contains(err.Error(), "not a resumable prefix") {
+			t.Fatalf("partial holding runs %v: err = %v, want the non-prefix refusal", indices, err)
+		}
 	}
 }

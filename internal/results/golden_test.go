@@ -35,7 +35,7 @@ func TestReportGoldenAfterResume(t *testing.T) {
 		o := experiments.Options{
 			Runs: runs, Seed: seed, Jobs: 2,
 			RunGrid: func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
-				return RunGrid(e, st, Shard{}, specs)
+				return RunGrid(e, st, specs)
 			},
 		}
 		res, err := experiments.Fig7Cell(cell, core.MustModel("bit-flip"), o)

@@ -9,30 +9,19 @@ import (
 
 // RunGrid is Engine.Run with durability: every spec streams its records
 // into the store as runs finish, specs already finalized on disk are loaded
-// instead of re-executed, partially persisted specs resume from exactly the
-// first missing run index, and a non-trivial shard executes only its slice
-// of each spec's indices. On success each spec's file is atomically
-// finalized and the returned results are reconstructed from disk — so what
-// the caller renders is provably what a later Report invocation will see.
+// instead of re-executed, and partially persisted specs resume from exactly
+// the first missing run index (the sink's resume point). On success each
+// spec's file is atomically finalized and the returned results are
+// reconstructed from disk — so what the caller renders is provably what a
+// later Report invocation will see.
 //
 // Campaign errors stay per-cell in GridResult.Err, exactly like Engine.Run:
 // a failed or starved cell keeps its partial file for the next resume while
 // the rest of the grid completes and finalizes. RunGrid itself returns an
 // error only for store-level failures.
-func RunGrid(e *core.Engine, st *Store, shard Shard, specs []core.CampaignSpec) ([]core.GridResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
+func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridResult, error) {
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
-		// Adaptive stopping and sharding are statistically incoherent: the
-		// rule needs complete index prefixes to evaluate, and a shard by
-		// construction owns only every k-th index. Refuse up front rather
-		// than let the campaign's own guard fail every cell.
-		if spec.Config.Stop != nil && shard.String() != "" {
-			return nil, fmt.Errorf("results: spec %q uses adaptive stopping, which cannot run under shard %s (a shard never holds a complete run prefix)",
-				spec.Key, shard)
-		}
 		keys[i] = spec.Key
 	}
 	if err := st.EnsureSpecs(keys); err != nil {
@@ -84,23 +73,19 @@ func RunGrid(e *core.Engine, st *Store, shard Shard, specs []core.CampaignSpec) 
 		if sinks[spec.Key] != nil {
 			return fail(fmt.Errorf("results: duplicate spec key %q in grid", spec.Key))
 		}
-		sink, err := st.SpecSink(spec.Key, spec.Config.Runs, shard)
+		sink, err := st.SpecSink(spec.Key, spec.Config.Runs)
 		if err != nil {
 			return fail(err)
 		}
 		sinks[spec.Key] = sink
 		// The sink is the single source of truth for what still runs:
-		// records stream to it, already-persisted and out-of-shard indices
-		// are skipped, and the in-memory Records slice is dropped — the
-		// campaign tallies online and the authoritative records live on
-		// disk, bounding memory at the worker-pool width.
+		// records stream to it, its Resume point (with the persisted
+		// outcomes an adaptive rule needs) skips the stored prefix, and the
+		// in-memory Records slice is dropped — the campaign tallies online
+		// and the authoritative records live on disk, bounding memory at
+		// the worker-pool width.
 		spec.Config.Sink = sink
-		spec.Config.RunFilter = sink.Include
 		spec.Config.DiscardRecords = true
-		// The sink retained the persisted records' outcomes during recovery,
-		// so a resumed adaptive campaign can evaluate its stopping rule over
-		// the complete prefix despite the RunFilter skipping those indices.
-		spec.Config.PriorOutcome = sink.PriorOutcome
 		pending = append(pending, spec)
 		pendingAt = append(pendingAt, i)
 	}
@@ -127,8 +112,8 @@ func RunGrid(e *core.Engine, st *Store, shard Shard, specs []core.CampaignSpec) 
 			continue
 		}
 		// Reconstruct from disk: the full record set and tally, including
-		// runs persisted by earlier interrupted invocations and other
-		// already-merged state — not just the slice this process executed.
+		// runs persisted by earlier interrupted invocations — not just the
+		// suffix this process executed.
 		r.Result, r.Err = st.Result(r.Spec.Key)
 		out[pendingAt[j]] = r
 	}

@@ -53,7 +53,7 @@ func pr5Grid(t *testing.T, st *Store, workers int) {
 		})
 	}
 	e := &core.Engine{Jobs: workers}
-	grid, err := RunGrid(e, st, Shard{}, specs)
+	grid, err := RunGrid(e, st, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,8 @@ func (h Header) SignatureValue() (core.Signature, error) {
 
 // Record is the serializable form of one core.RunRecord: one JSONL line of
 // a spec record file. Encoding is deterministic (fixed field order, no
-// maps, no timestamps), which is what makes resumed and sharded campaigns
-// byte-comparable to uninterrupted ones.
+// maps, no timestamps), which is what makes resumed and distributed
+// campaigns byte-comparable to uninterrupted ones.
 type Record struct {
 	Index   int    `json:"index"`
 	Target  int64  `json:"target"`

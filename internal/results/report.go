@@ -45,9 +45,6 @@ func Report(st *Store, format string) (string, error) {
 	man := st.Manifest()
 	title := fmt.Sprintf("Stored campaign results (%d specs, %d runs per cell, seed %d)",
 		len(cells), man.Runs, man.Seed)
-	if man.Shard != "" {
-		title += fmt.Sprintf(", shard %s", man.Shard)
-	}
 
 	var b strings.Builder
 	switch strings.ToLower(format) {

@@ -27,42 +27,33 @@ type SpecSink struct {
 	store *Store
 	key   string
 	runs  int
-	shard Shard
 
-	f         *os.File
-	header    *Header      // recovered from an existing partial, nil when fresh
-	persisted map[int]bool // run indices already on disk from a prior process
-	// outcomes retains the persisted records' classifications, so a resumed
-	// adaptive campaign can re-evaluate its stopping rule over the complete
-	// prefix (executed runs plus these) via PriorOutcome.
-	outcomes map[int]classify.Outcome
-	next     int // lowest run index not yet skipped or written
-	pending  map[int][]byte
-	stop     int // adaptive stop index reported by the campaign, 0 otherwise
-	err      error
+	f      *os.File
+	header *Header // recovered from an existing partial, nil when fresh
+	// prefix holds the outcomes of runs [0, len(prefix)) a prior process
+	// persisted: the resume point, and what a resumed adaptive campaign
+	// re-evaluates its stopping rule over.
+	prefix  []classify.Outcome
+	next    int // lowest run index not yet written
+	pending map[int][]byte
+	stop    int // adaptive stop index reported by the campaign, 0 otherwise
+	err     error
 }
 
-// SpecSink opens a record stream for one spec: runs is the campaign's run
-// count, shard the slice of run indices this process owns. An existing
-// partial file is recovered — its torn tail (if any) truncated away, its
-// persisted indices marked so Include skips them — making the sink equally
-// the fresh-start and the resume entry point. A finalized spec refuses a
-// sink: it has nothing left to run.
-func (st *Store) SpecSink(key string, runs int, shard Shard) (*SpecSink, error) {
+// SpecSink opens a record stream for one spec of a runs-run campaign. An
+// existing partial file is recovered — its torn tail (if any) truncated
+// away, its persisted prefix reported through Resume — making the sink
+// equally the fresh-start and the resume entry point. A finalized spec
+// refuses a sink: it has nothing left to run.
+func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 	if st.Finalized(key) {
 		return nil, fmt.Errorf("results: spec %q already finalized", key)
 	}
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
 	s := &SpecSink{
-		store:     st,
-		key:       key,
-		runs:      runs,
-		shard:     shard,
-		persisted: map[int]bool{},
-		outcomes:  map[int]classify.Outcome{},
-		pending:   map[int][]byte{},
+		store:   st,
+		key:     key,
+		runs:    runs,
+		pending: map[int][]byte{},
 	}
 	sf, ok, err := st.readSpec(key, false)
 	if err != nil {
@@ -75,39 +66,28 @@ func (st *Store) SpecSink(key string, runs int, shard Shard) (*SpecSink, error) 
 		if err := os.Truncate(path, sf.validLen); err != nil {
 			return nil, fmt.Errorf("results: recover %s: %w", path, err)
 		}
-		if sf.headerLine != nil {
+		if sf.hasHeader {
 			h := sf.header
 			s.header = &h
 		}
-		// The persisted records must be exactly the leading prefix of this
-		// shard's index sequence: resuming under a different shard than the
-		// store was written with would append the new indices after the old
-		// ones out of order, silently breaking the byte-identity contract.
-		k := 0
-		for idx := 0; idx < runs && k < len(sf.records); idx++ {
-			if !shard.Owns(idx) {
-				if sf.records[k].Index == idx {
-					return nil, fmt.Errorf("results: spec %q holds record %d, which shard %s does not own (was the store written under a different -shard?)",
-						key, idx, shard)
-				}
-				continue
+		// The persisted records must be exactly runs [0, k): anything else
+		// would append the new indices after a gap, silently breaking the
+		// byte-identity contract.
+		for k, rec := range sf.records {
+			if rec.Index != k {
+				return nil, fmt.Errorf("results: spec %q records are not a resumable prefix (stored run %d where run %d is next)",
+					key, rec.Index, k)
 			}
-			if sf.records[k].Index != idx {
-				return nil, fmt.Errorf("results: spec %q records are not a resumable prefix of shard %s (stored %d where index %d is next); was the store written under a different -shard?",
-					key, shard, sf.records[k].Index, idx)
+			if k >= runs {
+				return nil, fmt.Errorf("results: spec %q holds record %d beyond the campaign's %d runs", key, k, runs)
 			}
-			o, err := classify.ParseOutcome(sf.records[k].Outcome)
+			o, err := classify.ParseOutcome(rec.Outcome)
 			if err != nil {
-				return nil, fmt.Errorf("results: spec %q record %d: %w", key, idx, err)
+				return nil, fmt.Errorf("results: spec %q record %d: %w", key, k, err)
 			}
-			s.persisted[idx] = true
-			s.outcomes[idx] = o
-			k++
+			s.prefix = append(s.prefix, o)
 		}
-		if k < len(sf.records) {
-			return nil, fmt.Errorf("results: spec %q holds record %d beyond the campaign's %d runs",
-				key, sf.records[k].Index, runs)
-		}
+		s.next = len(s.prefix)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -117,23 +97,15 @@ func (st *Store) SpecSink(key string, runs int, shard Shard) (*SpecSink, error) 
 	return s, nil
 }
 
-// Include reports whether run idx still needs to execute in this process:
-// it is the CampaignConfig.RunFilter pairing of the sink, false for indices
-// another shard owns and for indices already persisted by a prior run.
-func (s *SpecSink) Include(idx int) bool {
-	return s.shard.Owns(idx) && !s.persisted[idx]
-}
+// Persisted returns how many of this spec's runs a prior process left on
+// disk: the resume point.
+func (s *SpecSink) Persisted() int { return len(s.prefix) }
 
-// Persisted returns how many of this spec's runs are already on disk.
-func (s *SpecSink) Persisted() int { return len(s.persisted) }
-
-// PriorOutcome reports the persisted outcome of a run index a prior process
-// executed: the CampaignConfig.PriorOutcome pairing of the sink, which lets
-// a resumed adaptive campaign evaluate its stopping rule over the complete
-// prefix even though Include skips the already-persisted indices.
-func (s *SpecSink) PriorOutcome(idx int) (classify.Outcome, bool) {
-	o, ok := s.outcomes[idx]
-	return o, ok
+// Resume implements core.Resumer: the campaign executes only the runs
+// after the recovered prefix, and a resumed adaptive campaign evaluates
+// its stopping rule over the prefix's stored outcomes plus its own.
+func (s *SpecSink) Resume() (start int, prior []classify.Outcome) {
+	return len(s.prefix), s.prefix
 }
 
 // RecordStop implements core.StopRecorder: the campaign reports where its
@@ -190,7 +162,7 @@ func (s *SpecSink) Header() *Header {
 }
 
 // Record implements core.RecordSink: it buffers the record and flushes the
-// longest contiguous in-order run of owned indices to disk. Each line is
+// longest contiguous in-order run of indices to disk. Each line is
 // written with its trailing newline in one call, so a kill between records
 // never tears the file mid-line (a kill during a write can, which recovery
 // handles).
@@ -202,8 +174,8 @@ func (s *SpecSink) Record(rec core.RunRecord) error {
 // ingesting records produced on another machine. It re-marshals the record
 // through the same canonical encoder local runs use, so stored bytes never
 // depend on how a client happened to format its JSON. Indices outside the
-// campaign, outside this sink's shard, or already persisted are refused —
-// the coordinator's defense against a confused or duplicate worker.
+// campaign or already persisted are refused — the coordinator's defense
+// against a confused or duplicate worker.
 func (s *SpecSink) Append(rec Record) error {
 	if s.err != nil {
 		return s.err
@@ -211,10 +183,7 @@ func (s *SpecSink) Append(rec Record) error {
 	if rec.Index < 0 || rec.Index >= s.runs {
 		return fmt.Errorf("results: spec %q: record index %d outside campaign of %d runs", s.key, rec.Index, s.runs)
 	}
-	if !s.shard.Owns(rec.Index) {
-		return fmt.Errorf("results: spec %q: record index %d not owned by shard %s", s.key, rec.Index, s.shard)
-	}
-	if _, dup := s.pending[rec.Index]; dup || s.persisted[rec.Index] || rec.Index < s.next {
+	if _, dup := s.pending[rec.Index]; dup || rec.Index < s.next {
 		return fmt.Errorf("results: spec %q: record index %d already delivered", s.key, rec.Index)
 	}
 	line, err := marshalLine(rec)
@@ -223,11 +192,7 @@ func (s *SpecSink) Append(rec Record) error {
 		return err
 	}
 	s.pending[rec.Index] = line
-	for s.next < s.runs {
-		if !s.Include(s.next) {
-			s.next++
-			continue
-		}
+	for {
 		line, ok := s.pending[s.next]
 		if !ok {
 			break
@@ -336,4 +301,5 @@ func (s *SpecSink) Close() error {
 var (
 	_ core.RecordSink   = (*SpecSink)(nil)
 	_ core.StopRecorder = (*SpecSink)(nil)
+	_ core.Resumer      = (*SpecSink)(nil)
 )

@@ -1,13 +1,14 @@
 // Package results is the durable half of the campaign engine: a streaming
-// JSONL store for fault-injection run records, the resume/shard logic that
-// lets one logical grid be interrupted, split across processes, and merged
-// back bit-identically, and the report generator that re-renders stored
-// results into the paper's table layouts after the fact.
+// JSONL store for fault-injection run records, the resume logic that lets
+// one logical grid be interrupted and continued bit-identically (by this
+// process, or by the distributed coordinator in internal/campaignd), and the
+// report generator that re-renders stored results into the paper's table
+// layouts after the fact.
 //
 // On disk a store is one directory:
 //
 //	out/
-//	  manifest.json              campaign-level metadata (seed, runs, shard, spec keys)
+//	  manifest.json              campaign-level metadata (seed, runs, backend, spec keys)
 //	  records/
 //	    <key>.jsonl              finalized spec: header line + one record line per run
 //	    <key>.jsonl.partial      in-flight spec: same layout, atomically renamed on finalize
@@ -18,11 +19,11 @@
 // order. Records are appended strictly in index order — out-of-order
 // completions from a parallel worker pool are buffered in memory by
 // SpecSink until their predecessors land — so the persisted set is always a
-// prefix of the executed index sequence and a killed process leaves a file
-// that is a valid prefix (possibly plus one torn final line, which recovery
+// prefix [0, k) of the run indices and a killed process leaves a file that
+// is a valid prefix (possibly plus one torn final line, which recovery
 // truncates). Nothing in a record file depends on wall-clock time, map
-// iteration, or worker interleaving: a resumed or sharded campaign
-// reproduces the uninterrupted file byte for byte.
+// iteration, or worker interleaving: a resumed campaign reproduces the
+// uninterrupted file byte for byte.
 package results
 
 import (
@@ -44,19 +45,17 @@ const (
 
 // Manifest is the campaign-level metadata of a store, persisted as
 // manifest.json. Seed and Runs pin the grid parameters every spec ran
-// under; Shard records which slice of the run indices this store holds
-// ("" = the whole grid); Specs lists the spec keys in submission order,
-// which is also report order.
+// under; Specs lists the spec keys in submission order, which is also
+// report order.
 type Manifest struct {
 	Schema int    `json:"ffis_store"`
 	Seed   uint64 `json:"seed"`
 	Runs   int    `json:"runs"`
-	Shard  string `json:"shard,omitempty"`
 	// Backend is the storage-backend grammar string the grid's worlds were
 	// built over ("" = the default mem backend). Part of campaign identity:
-	// two shards run over different backends can hold identical-looking
-	// record streams (same seed, same runs) whose outcomes came from
-	// different worlds, so resume and merge refuse to mix them.
+	// two runs over different backends can hold identical-looking record
+	// streams (same seed, same runs) whose outcomes came from different
+	// worlds, so resume refuses to mix them.
 	Backend string   `json:"backend,omitempty"`
 	Specs   []string `json:"specs,omitempty"`
 }
@@ -120,7 +119,7 @@ func Open(dir string) (*Store, error) {
 // CreateOrResume is the CLI entry point: it creates a fresh store, or — when
 // resume is set — opens the existing one and validates that the campaign
 // parameters match, since records produced under a different seed, run
-// count, or shard assignment can never extend the stored ones.
+// count, or backend can never extend the stored ones.
 func CreateOrResume(dir string, resume bool, man Manifest) (*Store, error) {
 	if !resume {
 		return Create(dir, man)
@@ -129,10 +128,10 @@ func CreateOrResume(dir string, resume bool, man Manifest) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.man.Seed != man.Seed || st.man.Runs != man.Runs || st.man.Shard != man.Shard || st.man.Backend != man.Backend {
+	if st.man.Seed != man.Seed || st.man.Runs != man.Runs || st.man.Backend != man.Backend {
 		return nil, fmt.Errorf(
-			"results: resume mismatch: store %s holds seed=%d runs=%d shard=%q backend=%q, this invocation wants seed=%d runs=%d shard=%q backend=%q",
-			dir, st.man.Seed, st.man.Runs, st.man.Shard, st.man.Backend, man.Seed, man.Runs, man.Shard, man.Backend)
+			"results: resume mismatch: store %s holds seed=%d runs=%d backend=%q, this invocation wants seed=%d runs=%d backend=%q",
+			dir, st.man.Seed, st.man.Runs, st.man.Backend, man.Seed, man.Runs, man.Backend)
 	}
 	return st, nil
 }
@@ -223,13 +222,11 @@ func (st *Store) Finalized(key string) bool {
 	return err == nil
 }
 
-// specFile is a parsed record file: the raw header line and record lines
-// (for byte-exact merging) plus their decoded forms.
+// specFile is a parsed record file: its decoded header and records.
 type specFile struct {
-	headerLine []byte
-	header     Header
-	lines      [][]byte
-	records    []Record
+	hasHeader bool // false when the file is empty or its header line is torn
+	header    Header
+	records   []Record
 	// validLen is the byte length of the well-formed prefix; anything
 	// beyond it is a torn tail from a killed writer.
 	validLen int64
@@ -264,7 +261,6 @@ func parseSpecFile(raw []byte) (*specFile, error) {
 						rec.Index, sf.records[n-1].Index)
 				}
 				sf.records = append(sf.records, rec)
-				sf.lines = append(sf.lines, append([]byte(nil), line...))
 			}
 		}
 		if decodeErr != nil {
@@ -273,9 +269,7 @@ func parseSpecFile(raw []byte) (*specFile, error) {
 			}
 			break // torn tail: last complete-looking line is garbage
 		}
-		if lineNo == 0 {
-			sf.headerLine = append([]byte(nil), line...)
-		}
+		sf.hasHeader = true
 		off += int64(len(line))
 		raw = raw[nl+1:]
 		lineNo++
@@ -305,6 +299,27 @@ func (st *Store) readSpec(key string, final bool) (sf *specFile, ok bool, err er
 	return sf, true, nil
 }
 
+// checkCoverage enforces the promise a finalized file makes: it holds
+// exactly runs [0, n), n being the adaptive stop index when one is set and
+// the run budget otherwise. A gapped file (say, the even indices a static
+// shard of an older layout wrote) fails here instead of being reported as
+// a complete cell.
+func (sf *specFile) checkCoverage() error {
+	n := sf.header.Runs
+	if sf.header.StopIndex != 0 {
+		n = sf.header.StopIndex
+	}
+	for i, rec := range sf.records {
+		if rec.Index != i {
+			return fmt.Errorf("finalized file is missing run %d (next stored run is %d)", i, rec.Index)
+		}
+	}
+	if len(sf.records) != n {
+		return fmt.Errorf("finalized file holds runs [0, %d), want exactly [0, %d)", len(sf.records), n)
+	}
+	return nil
+}
+
 // SpecData is the loaded content of one spec's record stream.
 type SpecData struct {
 	Key     string
@@ -317,7 +332,8 @@ type SpecData struct {
 
 // LoadSpec reads a spec's records, preferring the finalized file and
 // falling back to the partial one. ok is false when the spec has no stored
-// header yet (no file, or a file whose torn tail swallowed the header).
+// header yet (no file, or a file whose torn tail swallowed the header). A
+// finalized file must cover its runs exactly (checkCoverage).
 func (st *Store) LoadSpec(key string) (data SpecData, ok bool, err error) {
 	final := true
 	sf, ok, err := st.readSpec(key, true)
@@ -331,8 +347,13 @@ func (st *Store) LoadSpec(key string) (data SpecData, ok bool, err error) {
 			return SpecData{}, false, err
 		}
 	}
-	if sf.headerLine == nil {
+	if !sf.hasHeader {
 		return SpecData{}, false, nil
+	}
+	if final {
+		if err := sf.checkCoverage(); err != nil {
+			return SpecData{}, false, fmt.Errorf("results: %s: %w", st.finalPath(key), err)
+		}
 	}
 	return SpecData{Key: key, Header: sf.header, Records: sf.records, Final: final}, true, nil
 }

@@ -2,7 +2,7 @@ package results
 
 import (
 	"encoding/json"
-	"path/filepath"
+	"os"
 	"strings"
 	"testing"
 
@@ -78,16 +78,15 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 
 func TestCreateOrResumeValidatesParameters(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, Manifest{Seed: 7, Runs: 50, Shard: "0/2"}); err != nil {
+	if _, err := Create(dir, Manifest{Seed: 7, Runs: 50, Backend: "object"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CreateOrResume(dir, true, Manifest{Seed: 7, Runs: 50, Shard: "0/2"}); err != nil {
+	if _, err := CreateOrResume(dir, true, Manifest{Seed: 7, Runs: 50, Backend: "object"}); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
 	for _, bad := range []Manifest{
-		{Seed: 8, Runs: 50, Shard: "0/2"},
-		{Seed: 7, Runs: 51, Shard: "0/2"},
-		{Seed: 7, Runs: 50, Shard: "1/2"},
+		{Seed: 8, Runs: 50, Backend: "object"},
+		{Seed: 7, Runs: 51, Backend: "object"},
 		{Seed: 7, Runs: 50},
 	} {
 		if _, err := CreateOrResume(dir, true, bad); err == nil {
@@ -96,21 +95,14 @@ func TestCreateOrResumeValidatesParameters(t *testing.T) {
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	if s, err := ParseShard(""); err != nil || s != (Shard{}) {
-		t.Fatalf("empty shard: %v %v", s, err)
+func TestResumeRejectsBackendMismatch(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns, Backend: "object"}); err != nil {
+		t.Fatal(err)
 	}
-	s, err := ParseShard("1/4")
-	if err != nil || s.Index != 1 || s.Count != 4 {
-		t.Fatalf("1/4: %+v %v", s, err)
-	}
-	if s.Owns(0) || !s.Owns(1) || !s.Owns(5) {
-		t.Fatal("shard 1/4 ownership wrong")
-	}
-	for _, bad := range []string{"x", "2/2", "-1/2", "1/0", "1", "1/2/3"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) must fail", bad)
-		}
+	_, err := CreateOrResume(dir, true, Manifest{Seed: eqSeed, Runs: eqRuns, Backend: "latency:bb"})
+	if err == nil || !strings.Contains(err.Error(), "backend") {
+		t.Fatalf("resume across backends must be refused, got %v", err)
 	}
 }
 
@@ -127,7 +119,7 @@ func TestBeginCampaignValidatesResumeHeader(t *testing.T) {
 		Runs:         eqRuns,
 		Seed:         eqSeed,
 	}
-	sink, err := st.SpecSink("eq/BF", eqRuns, Shard{})
+	sink, err := st.SpecSink("eq/BF", eqRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +133,7 @@ func TestBeginCampaignValidatesResumeHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := st.SpecSink("eq/BF", eqRuns, Shard{})
+	resumed, err := st.SpecSink("eq/BF", eqRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +142,7 @@ func TestBeginCampaignValidatesResumeHeader(t *testing.T) {
 	}
 	resumed.Close()
 
-	drifted, err := st.SpecSink("eq/BF", eqRuns, Shard{})
+	drifted, err := st.SpecSink("eq/BF", eqRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,44 +154,9 @@ func TestBeginCampaignValidatesResumeHeader(t *testing.T) {
 	drifted.Close()
 }
 
-func TestMergeRejectsOverlapAndUnfinishedShards(t *testing.T) {
-	s0, s1 := t.TempDir(), t.TempDir()
-	runGridInto(t, s0, 2, Shard{Index: 0, Count: 2})
-	runGridInto(t, s1, 2, Shard{Index: 0, Count: 2}) // same shard twice: overlap
-
-	if err := Merge(filepath.Join(t.TempDir(), "m"), s0, s1); err == nil ||
-		!strings.Contains(err.Error(), "more than one source") {
-		t.Fatalf("overlapping shards must fail the merge, got %v", err)
-	}
-
-	// An unfinalized partial in a source must abort the merge rather than
-	// bake a gap into the merged file.
-	s2 := t.TempDir()
-	st, err := Create(s2, Manifest{Seed: eqSeed, Runs: eqRuns, Shard: "1/2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := eqSpecs()[0]
-	sink, err := st.SpecSink(spec.Key, eqRuns, Shard{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := spec.Config
-	cfg.Sink = sink
-	cfg.RunFilter = func(idx int) bool { return sink.Include(idx) && idx < eqRuns/2 }
-	if _, err := core.Campaign(cfg, spec.Workload); err != nil {
-		t.Fatal(err)
-	}
-	sink.Close() // partial, never finalized
-	if err := Merge(filepath.Join(t.TempDir(), "m2"), s0, s2); err == nil ||
-		!strings.Contains(err.Error(), "unfinalized") {
-		t.Fatalf("merge over an unfinished shard must fail, got %v", err)
-	}
-}
-
 func TestReportFormats(t *testing.T) {
 	dir := t.TempDir()
-	runGridInto(t, dir, 4, Shard{})
+	runGridInto(t, dir, 4)
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +209,7 @@ func TestReportFormats(t *testing.T) {
 // human-readable footers instead of vanishing.
 func TestReportCallsOutMissingSpecs(t *testing.T) {
 	dir := t.TempDir()
-	runGridInto(t, dir, 2, Shard{})
+	runGridInto(t, dir, 2)
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +231,7 @@ func TestReportCallsOutMissingSpecs(t *testing.T) {
 // profile count — from disk alone.
 func TestStoredRecordsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	grid := runGridInto(t, dir, 4, Shard{})
+	grid := runGridInto(t, dir, 4)
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -317,15 +274,86 @@ func TestStoredRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsIncompleteCoverage: finalizing is the promise that every
-// run is persisted, so a merge missing a whole shard (or a spec one shard
-// never started) must fail instead of renaming a gapped file.
-func TestMergeRejectsIncompleteCoverage(t *testing.T) {
-	s0 := t.TempDir()
-	runGridInto(t, s0, 2, Shard{Index: 0, Count: 2})
-	if err := Merge(filepath.Join(t.TempDir(), "m"), s0); err == nil ||
-		!strings.Contains(err.Error(), "covers 15 of 30 runs") {
-		t.Fatalf("merging half the shards must fail with a coverage error, got %v", err)
+// eqHeader is the header of the eq grid's bit-flip spec, as a campaign
+// that stopped at stopIndex (0 = fixed budget) would persist it.
+func eqHeader(stopIndex int) Header {
+	h := NewHeader(core.CampaignMeta{
+		Workload:     "eq",
+		Signature:    core.Config{Model: core.MustModel("bit-flip")}.Signature(),
+		ProfileCount: 8,
+		Runs:         eqRuns,
+		Seed:         eqSeed,
+	})
+	h.StopIndex = stopIndex
+	return h
+}
+
+// writeRecordFile hand-writes a record file at path: header h, then one
+// benign record per run index, in the order given.
+func writeRecordFile(t *testing.T, path string, h Header, indices ...int) {
+	t.Helper()
+	raw, err := marshalLine(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range indices {
+		line, err := marshalLine(Record{Index: idx, Target: int64(idx), Outcome: classify.Benign.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, line...)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runsTo returns the run indices [lo, hi) stepping by step.
+func runsTo(lo, hi, step int) []int {
+	var out []int
+	for i := lo; i < hi; i += step {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestLoadSpecRejectsGappedFinalizedFile: a finalized file is the promise
+// that every run is persisted, so loading one must find exactly runs
+// [0, n) — n the stop index when set, the run budget otherwise. A gapped
+// file (here the even indices an old -shard 0/2 store finalized) must fail
+// loudly, naming the file, on every path that reads finalized specs.
+func TestLoadSpecRejectsGappedFinalizedFile(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		stop    int
+		indices []int
+		ok      bool
+	}{
+		{"complete", 0, runsTo(0, eqRuns, 1), true},
+		{"adaptive stop", 10, runsTo(0, 10, 1), true},
+		{"even indices", 0, runsTo(0, eqRuns, 2), false},
+		{"short", 0, runsTo(0, eqRuns-1, 1), false},
+		{"past the stop index", 10, runsTo(0, 11, 1), false},
+	} {
+		dir := t.TempDir()
+		st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns, Specs: []string{"eq/BF"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRecordFile(t, st.finalPath("eq/BF"), eqHeader(c.stop), c.indices...)
+
+		_, _, loadErr := st.LoadSpec("eq/BF")
+		_, resultErr := st.Result("eq/BF")
+		_, reportErr := Report(st, "text")
+		_, gridErr := RunGrid(&core.Engine{Jobs: 1}, st, eqSpecs()[:1])
+		for _, err := range []error{loadErr, resultErr, reportErr, gridErr} {
+			if c.ok && err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !c.ok && (err == nil || !strings.Contains(err.Error(), st.finalPath("eq/BF"))) {
+				t.Fatalf("%s: err = %v, want a coverage error naming the file", c.name, err)
+			}
+		}
 	}
 }
 
@@ -335,7 +363,7 @@ func TestMergeRejectsIncompleteCoverage(t *testing.T) {
 // not a silently stale result.
 func TestRunGridRejectsFinalizedSpecDrift(t *testing.T) {
 	dir := t.TempDir()
-	runGridInto(t, dir, 2, Shard{})
+	runGridInto(t, dir, 2)
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +372,7 @@ func TestRunGridRejectsFinalizedSpecDrift(t *testing.T) {
 	for i := range specs {
 		specs[i].Config.Seed = eqSeed + 1
 	}
-	if _, err := RunGrid(&core.Engine{Jobs: 2}, st, Shard{}, specs); err == nil ||
+	if _, err := RunGrid(&core.Engine{Jobs: 2}, st, specs); err == nil ||
 		!strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("finalized specs from a drifted campaign must be rejected, got %v", err)
 	}
@@ -369,7 +397,7 @@ func TestStoreLockExcludesConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunGrid(&core.Engine{Jobs: 2}, st2, Shard{}, eqSpecs()); err == nil ||
+	if _, err := RunGrid(&core.Engine{Jobs: 2}, st2, eqSpecs()); err == nil ||
 		!strings.Contains(err.Error(), "another process") {
 		t.Fatalf("second writer must be excluded, got %v", err)
 	}

@@ -57,7 +57,7 @@ func TestRunGridMemoizesWorldsByWorldKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := RunGrid(eng, st, Shard{}, specs)
+		grid, err := RunGrid(eng, st, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
