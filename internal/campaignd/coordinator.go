@@ -48,10 +48,6 @@ type lease struct {
 	id      string
 	worker  string
 	expires time.Time
-	// next is the run index the coordinator expects to ingest next:
-	// records must arrive in strict index order so the on-disk partial is
-	// always the resumable prefix the re-queue discipline depends on.
-	next int
 	// header reports whether the worker's campaign header has been
 	// validated and written/confirmed for this lease.
 	header bool
@@ -201,13 +197,11 @@ func (c *Coordinator) expireLocked() {
 	now := c.now()
 	for _, st := range c.states {
 		if st.lease != nil && now.After(st.lease.expires) {
-			st.resumeAt = st.lease.next
-			st.lease = nil
+			// A leased spec always has its sink open.
+			st.resumeAt = st.sink.Persisted()
+			st.sink.Close()
+			st.sink, st.lease = nil, nil
 			c.leasesExpired++
-			if st.sink != nil {
-				st.sink.Close()
-				st.sink = nil
-			}
 		}
 	}
 }
@@ -242,13 +236,12 @@ func (c *Coordinator) Lease(worker string) (l LeaseGrant, ok, done bool, err err
 			id:      fmt.Sprintf("lease-%d", c.nLease),
 			worker:  worker,
 			expires: c.now().Add(c.ttl),
-			next:    st.sink.Persisted(),
 			header:  st.sink.Header() != nil,
 		}
 		return LeaseGrant{
 			LeaseID:   st.lease.id,
 			Spec:      st.ws,
-			Start:     st.lease.next,
+			Start:     st.sink.Persisted(),
 			TTLMillis: c.ttl.Milliseconds(),
 		}, true, false, nil
 	}
@@ -298,7 +291,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 // asked for) and against any recovered header from a previous worker's
 // prefix (SpecSink.BeginHeader — profile drift across workers is refused).
 // Records must arrive in strict index order starting at the lease's
-// resume point; any gap or repeat is an error, not a buffer.
+// resume point; SpecSink.Append refuses any gap or repeat.
 func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []results.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,14 +322,9 @@ func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []resu
 		return fmt.Errorf("campaignd: spec %q: first record batch must carry the campaign header", st.ws.Key)
 	}
 	for _, rec := range recs {
-		if rec.Index != st.lease.next {
-			return fmt.Errorf("campaignd: spec %q: record %d out of order (expected %d): workers must stream in strict index order",
-				st.ws.Key, rec.Index, st.lease.next)
-		}
 		if err := st.sink.Append(rec); err != nil {
 			return err
 		}
-		st.lease.next++
 		c.runsIngested++
 	}
 	st.lease.expires = c.now().Add(c.ttl)
@@ -345,7 +333,8 @@ func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []resu
 
 // Complete finalizes a spec whose lease delivered every remaining run:
 // the partial renames atomically into its final form, the same durable
-// completion marker a local RunGrid writes.
+// completion marker a local RunGrid writes. SpecSink.Finalize refuses a
+// spec with runs still missing.
 func (c *Coordinator) Complete(leaseID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -353,10 +342,6 @@ func (c *Coordinator) Complete(leaseID string) error {
 	st := c.findLease(leaseID)
 	if st == nil {
 		return errLeaseGone
-	}
-	if st.lease.next != st.ws.Runs {
-		return fmt.Errorf("campaignd: spec %q: complete with %d of %d runs ingested",
-			st.ws.Key, st.lease.next, st.ws.Runs)
 	}
 	if err := st.sink.Finalize(); err != nil {
 		return err
@@ -394,7 +379,7 @@ func (c *Coordinator) Progress() []SpecProgress {
 		case st.done:
 			p.State, p.Persisted = "done", st.ws.Runs
 		case st.lease != nil:
-			p.State, p.Persisted, p.Worker = "leased", st.lease.next, st.lease.worker
+			p.State, p.Persisted, p.Worker = "leased", st.sink.Persisted(), st.lease.worker
 		default:
 			p.State, p.Persisted = "pending", st.resumeAt
 		}

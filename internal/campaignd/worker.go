@@ -57,8 +57,7 @@ type Worker struct {
 	// Events, when non-nil, is the bus the worker's engine publishes the
 	// run-lifecycle stream to (the CLI subscribes its renderer and trace
 	// writer there). Nil builds a private bus: the worker always consumes
-	// the stream itself to derive heartbeat progress and barrier-aligned
-	// batch flushes.
+	// the stream itself to derive heartbeat progress.
 	Events *core.EventBus
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
@@ -68,11 +67,6 @@ type Worker struct {
 	stats struct {
 		done, cloneUS, workNS, classifyUS, simNS atomic.Int64
 	}
-	// curSink is the remote sink of the lease currently executing; the
-	// event subscription flushes it at adaptive barriers so the durable
-	// prefix on the coordinator tracks every stopping decision.
-	sinkMu  sync.Mutex
-	curSink *remoteSink
 }
 
 // errWorkerKilled is the simulated mid-lease death of FailAfterRecords.
@@ -92,24 +86,14 @@ func (w *Worker) engine() *core.Engine {
 }
 
 // consumeEvent is the worker's own subscription to the run-event stream:
-// RunDone aggregates feed the heartbeat's /metrics report, and Barrier
-// events flush the current lease's buffered records so the coordinator's
-// durable prefix aligns with every adaptive stopping decision.
+// RunDone aggregates feed the heartbeat's /metrics report.
 func (w *Worker) consumeEvent(ev core.Event) {
-	switch ev.Kind {
-	case core.EventRunDone:
+	if ev.Kind == core.EventRunDone {
 		w.stats.done.Add(1)
 		w.stats.cloneUS.Add(ev.CloneMicros)
 		w.stats.workNS.Add(ev.WorkloadNanos)
 		w.stats.classifyUS.Add(ev.ClassifyMicros)
 		w.stats.simNS.Add(ev.SimNanos)
-	case core.EventBarrier:
-		w.sinkMu.Lock()
-		s := w.curSink
-		w.sinkMu.Unlock()
-		if s != nil {
-			s.flush()
-		}
 	}
 }
 
@@ -148,8 +132,8 @@ func (w *Worker) poll() time.Duration {
 // coordinator to have re-queued the remainder.
 func (w *Worker) Run(ctx context.Context) error {
 	// The worker always consumes the run-event stream itself (heartbeat
-	// progress, barrier flushes); a CLI-provided bus just adds its own
-	// subscribers alongside.
+	// progress); a CLI-provided bus just adds its own subscribers
+	// alongside.
 	bus := w.Events
 	if bus == nil {
 		bus = core.NewEventBus()
@@ -305,17 +289,8 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, grant, &revoked)
 
-	sink := &remoteSink{w: w, leaseID: grant.LeaseID, start: grant.Start, next: grant.Start, pending: map[int]results.Record{}}
-	w.sinkMu.Lock()
-	w.curSink = sink
-	w.sinkMu.Unlock()
-	defer func() {
-		w.sinkMu.Lock()
-		w.curSink = nil
-		w.sinkMu.Unlock()
-	}()
+	sink := &remoteSink{w: w, leaseID: grant.LeaseID, start: grant.Start}
 	spec.Config.Sink = sink
-	spec.Config.DiscardRecords = true
 	spec.Config.Abort = func() bool { return revoked.Load() || ctx.Err() != nil }
 
 	res := w.engine().Run([]core.CampaignSpec{spec})[0]
@@ -405,42 +380,27 @@ func (w *Worker) post(path string, body, out any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// remoteSink is the worker-side core.RecordSink: it reorders completion-
-// order records into strict index order (the same pending-map discipline
-// results.SpecSink uses) and streams contiguous batches to the
-// coordinator, so the wire only ever carries the next piece of the
-// resumable prefix. The engine serializes Record/BeginCampaign calls, but
-// the worker's event subscription flushes from its drain goroutine at
-// adaptive barriers, so a mutex guards all state.
+// remoteSink is the worker-side core.RecordSink: the Runner delivers
+// records in index order, and the sink streams them to the coordinator in
+// batches, so the wire only ever carries the next piece of the resumable
+// prefix. The Runner serializes every sink call and execute flushes only
+// after the campaign returns, so the sink needs no lock.
 type remoteSink struct {
 	w       *Worker
 	leaseID string
 	start   int // the lease's resume point; immutable
-	mu      sync.Mutex
-	next    int
-	pending map[int]results.Record
 	batch   []results.Record
 	posted  int
-	begun   bool
 	err     error
 }
 
 // BeginCampaign posts the campaign header alone as the lease's first
 // batch: validation failures (world drift, wrong spec) surface before any
-// compute-heavy record streaming starts.
+// compute-heavy record streaming starts. A failure here fails the campaign
+// before any Record call.
 func (s *remoteSink) BeginCampaign(meta core.CampaignMeta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.begun {
-		return nil
-	}
 	h := results.NewHeader(meta)
-	if err := s.send(RecordsRequest{LeaseID: s.leaseID, Header: &h}); err != nil {
-		s.err = err
-		return err
-	}
-	s.begun = true
-	return nil
+	return s.send(RecordsRequest{LeaseID: s.leaseID, Header: &h})
 }
 
 // Resume implements core.Resumer: the lease covers runs [start, Runs), the
@@ -449,27 +409,15 @@ func (s *remoteSink) BeginCampaign(meta core.CampaignMeta) error {
 // stopping rule to begin with).
 func (s *remoteSink) Resume() (int, []classify.Outcome) { return s.start, nil }
 
-// Record buffers one finished run and ships every contiguous batch of
-// batchSize records.
+// Record buffers one finished run and ships every batch of batchSize
+// records.
 func (s *remoteSink) Record(rec core.RunRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	r := results.NewRecord(rec)
-	s.pending[r.Index] = r
-	for {
-		next, ok := s.pending[s.next]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.next)
-		s.batch = append(s.batch, next)
-		s.next++
-	}
+	s.batch = append(s.batch, results.NewRecord(rec))
 	if len(s.batch) >= s.batchSize() {
-		return s.flushLocked()
+		return s.flush()
 	}
 	return nil
 }
@@ -481,17 +429,11 @@ func (s *remoteSink) batchSize() int {
 	return 64
 }
 
-// flush posts the buffered contiguous records, then applies the simulated
-// -death test hook: the records it counts are already durable on the
-// coordinator, so the "kill" lands exactly between two batches — the same
-// place a real SIGKILL between HTTP posts would.
+// flush posts the buffered records, then applies the simulated-death test
+// hook: the records it counts are already durable on the coordinator, so
+// the "kill" lands exactly between two batches — the same place a real
+// SIGKILL between HTTP posts would.
 func (s *remoteSink) flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *remoteSink) flushLocked() error {
 	if s.err != nil {
 		return s.err
 	}

@@ -64,20 +64,16 @@ type CampaignConfig struct {
 	// Requires Workload.NewFS to return a *vfs.MountFS. Empty arms the
 	// whole file system, the paper's flat single-device setup.
 	ArmMounts []string
-	// Sink, when non-nil, receives every finished run record as it
-	// completes: BeginCampaign once after profiling succeeds, then one
-	// Record call per successful run. Delivery is serialized (calls never
-	// overlap) but arrives in completion order, not index order — a
-	// persistent sink that needs index order (internal/results) reorders
-	// internally. A sink error aborts record delivery and fails the
-	// campaign; records already delivered stay delivered. A sink that
-	// already holds a prefix of the campaign says so through Resumer.
+	// Sink, when non-nil, receives the campaign's run records while it
+	// runs: BeginCampaign once after profiling succeeds, then one Record
+	// call per run. The Runner delivers in index order, serialized, from
+	// the sink's resume point on, so the sink only ever holds a prefix: a
+	// run past a failed index is never delivered. A sink error stops
+	// delivery and fails the campaign; records already delivered stay
+	// delivered. The sink owns the records, so the CampaignResult keeps
+	// none (its Tally still covers every run). A sink that already holds a
+	// prefix of the campaign says so through Resumer.
 	Sink RecordSink
-	// DiscardRecords drops the per-run Records slice from the
-	// CampaignResult — the Tally still covers every run — so large grids
-	// that stream records to a Sink (or only need rates) run in O(workers)
-	// memory instead of O(Runs).
-	DiscardRecords bool
 	// Stop enables adaptive, confidence-driven stopping: runs dispatch in
 	// chunks up to the rule's fixed index barriers, and at each barrier the
 	// complete outcome tally of the prefix [0, barrier) decides whether the
@@ -90,11 +86,11 @@ type CampaignConfig struct {
 	// Abort, when non-nil, is polled before each run dispatch; once it
 	// returns true the campaign stops launching new runs, drains the ones
 	// in flight, and fails with ErrAborted. Records already delivered to
-	// the Sink stay delivered, and because delivery-side reordering only
-	// ever persists in-order prefixes, an aborted campaign leaves behind
-	// exactly the resumable prefix a killed process would. A distributed
-	// worker sets this to its lease-revocation check so compute stops as
-	// soon as the coordinator has re-queued the spec elsewhere.
+	// the Sink stay delivered, and because the Runner delivers in index
+	// order, an aborted campaign leaves behind exactly the resumable
+	// prefix a killed process would. A distributed worker sets this to its
+	// lease-revocation check so compute stops as soon as the coordinator
+	// has re-queued the spec elsewhere.
 	Abort func() bool
 }
 
@@ -134,15 +130,17 @@ type CampaignMeta struct {
 
 // RecordSink streams finished run records out of a campaign while it runs,
 // so results reach durable storage before the process exits and the
-// campaign need not retain them in memory. Implementations never see
-// overlapping calls.
+// campaign need not retain them in memory. The Runner delivers in index
+// order and never overlaps calls, so a sink can append each record as it
+// arrives and its contents are always a prefix of the campaign.
 type RecordSink interface {
 	// BeginCampaign is invoked once per campaign, after the profiling pass
 	// succeeds and before any Record call. A resuming sink validates meta
 	// against its persisted header here: a mismatched profile count or
 	// seed means the stored records cannot belong to this campaign.
 	BeginCampaign(meta CampaignMeta) error
-	// Record receives one successfully completed run.
+	// Record receives the next run in index order: the resume point
+	// first, then each successor.
 	Record(RunRecord) error
 }
 
@@ -192,7 +190,9 @@ type CampaignResult struct {
 	// by the fault-free profiling run.
 	ProfileCount int64
 	Tally        classify.Tally
-	Records      []RunRecord
+	// Records holds the executed runs in index order; nil when a Sink
+	// received them.
+	Records []RunRecord
 	// StopIndex is the adaptive stopping decision: run indices [0,
 	// StopIndex) exist and nothing after them does. 0 means the campaign
 	// ran its fixed budget (no stopping rule); an adaptive campaign that

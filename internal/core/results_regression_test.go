@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -138,12 +139,11 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 	const runs = 8
 	sink := &collectSink{}
 	res, err := Campaign(CampaignConfig{
-		Fault:          Config{Model: BitFlip},
-		Runs:           runs,
-		Seed:           5,
-		Workers:        4,
-		Sink:           sink,
-		DiscardRecords: true,
+		Fault:   Config{Model: BitFlip},
+		Runs:    runs,
+		Seed:    5,
+		Workers: 4,
+		Sink:    sink,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -158,29 +158,22 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 		t.Fatalf("sink received %d records, want %d", len(sink.records), runs)
 	}
 	if res.Records != nil {
-		t.Fatalf("DiscardRecords kept %d records in memory", len(res.Records))
+		t.Fatalf("a campaign with a sink kept %d records in memory", len(res.Records))
 	}
 	if res.Tally.Total() != runs {
-		t.Fatalf("tally covers %d runs despite DiscardRecords, want %d", res.Tally.Total(), runs)
+		t.Fatalf("tally covers %d runs, want %d", res.Tally.Total(), runs)
 	}
 	// The streamed records must be exactly the records an unsunk campaign
-	// retains (completion order aside).
+	// retains, in index order.
 	plain, err := Campaign(CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Workers: 1,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byIdx := map[int]RunRecord{}
-	for _, rec := range sink.records {
-		byIdx[rec.Index] = rec
-	}
-	for _, want := range plain.Records {
-		got, ok := byIdx[want.Index]
-		if !ok {
-			t.Fatalf("run %d never reached the sink", want.Index)
-		}
-		if got.Target != want.Target || got.Outcome != want.Outcome || got.Fired != want.Fired {
+	for i, want := range plain.Records {
+		got := sink.records[i]
+		if got.Index != want.Index || got.Target != want.Target || got.Outcome != want.Outcome || got.Fired != want.Fired {
 			t.Fatalf("run %d: sink saw %+v, in-memory campaign has %+v", want.Index, got, want)
 		}
 	}
@@ -239,10 +232,10 @@ func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
 		t.Fatal(grid[0].Err)
 	}
 	suffix := grid[0].Result
-	if got := len(suffix.Records); got != runs-start {
+	if got := len(sink.records); got != runs-start {
 		t.Fatalf("resumed campaign ran %d records, want %d", got, runs-start)
 	}
-	for i, rec := range suffix.Records {
+	for i, rec := range sink.records {
 		want := full.Records[start+i]
 		if rec.Index != want.Index || rec.Target != want.Target || rec.Outcome != want.Outcome || rec.Mutation.BitPos != want.Mutation.BitPos {
 			t.Fatalf("resumed run %d diverged from the uninterrupted run: %+v vs %+v", rec.Index, rec, want)
@@ -253,5 +246,62 @@ func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
 	}
 	if specTotal != runs-start {
 		t.Fatalf("SpecStart.Total = %d, want Runs-start = %d", specTotal, runs-start)
+	}
+}
+
+// TestSinkReceivesRunsInIndexOrder: runs finish out of order under a wide
+// pool, yet the sink sees indices start, start+1, … in order. The first
+// dispatched run is held inside the workload until a later run has
+// finished, so completion order provably differs from index order.
+func TestSinkReceivesRunsInIndexOrder(t *testing.T) {
+	const runs, start = 12, 3
+	var dispatching, held atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	w := toyWorkload()
+	run := w.Run
+	w.Run = func(fs vfs.FS) error {
+		if !dispatching.Load() {
+			return run(fs) // the fault-free profiling pass
+		}
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+			return run(fs)
+		}
+		err := run(fs)
+		releaseOnce.Do(func() { close(release) })
+		return err
+	}
+	polls := 0 // touched only by the dispatch loop
+	sink := &resumeSink{start: start}
+	grid := (&Engine{Jobs: 8}).Run([]CampaignSpec{{
+		Key:      "order",
+		Workload: w,
+		Config: CampaignConfig{
+			Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Sink: sink,
+			// Abort is polled before each dispatch. Holding the second poll
+			// until a run is inside the workload makes run `start`, the only
+			// one dispatched so far, the held run.
+			Abort: func() bool {
+				polls++
+				dispatching.Store(true)
+				if polls == 2 {
+					<-entered
+				}
+				return false
+			},
+		},
+	}})
+	if grid[0].Err != nil {
+		t.Fatal(grid[0].Err)
+	}
+	if len(sink.records) != runs-start {
+		t.Fatalf("sink received %d records, want %d", len(sink.records), runs-start)
+	}
+	for i, rec := range sink.records {
+		if rec.Index != start+i {
+			t.Fatalf("sink record %d is run %d, want run %d: delivery left index order", i, rec.Index, start+i)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,12 +71,16 @@ func (r *Runner) publish(ev Event) {
 // the stopping index depends only on (Seed, Runs, rule), not on pool
 // width.
 //
-// Error semantics: a failing run (world build or arming failure — never
-// the application's own error, which classification absorbs) does not
-// poison its siblings. Every successful run is tallied, recorded, and
-// delivered to the sink; the returned error reports the lowest failing
-// run index. The result's Tally therefore always covers exactly
-// res.Records (plus nothing else), never a silent prefix of them.
+// Ordering and error semantics: runs finish in any order under the pool,
+// but one that finishes ahead of a lower index waits in a reorder buffer,
+// so Config.Sink (or res.Records, without a sink) receives the contiguous
+// prefix [start, k) in index order. A failing run (world build or arming
+// failure — never the application's own error, which classification
+// absorbs) does not poison its siblings: every successful run is tallied,
+// and the returned error reports the lowest failing index, where the
+// prefix ends. Without a sink, the runs past it are appended to
+// res.Records after the prefix, so the result's Tally always covers
+// exactly res.Records, never a silent prefix of them.
 func (r *Runner) Run() (CampaignResult, error) {
 	cfg, w := r.Config, r.Workload
 	sig := cfg.Fault.Signature()
@@ -108,14 +114,6 @@ func (r *Runner) Run() (CampaignResult, error) {
 			return fail(fmt.Errorf("core: record sink: %w", err))
 		}
 	}
-	// In streaming mode (DiscardRecords) nothing per-index is retained:
-	// the tally accumulates online and memory stays O(pool).
-	var records []RunRecord
-	var ran []bool
-	if !cfg.DiscardRecords {
-		records = make([]RunRecord, cfg.Runs)
-		ran = make([]bool, cfg.Runs)
-	}
 	var (
 		wg sync.WaitGroup
 		// mu guards the shared accumulators and serializes sink delivery
@@ -128,6 +126,10 @@ func (r *Runner) Run() (CampaignResult, error) {
 		failIdx  = -1
 		failErr  error
 		sinkErr  error
+		// pending is the reorder buffer: finished runs waiting for a lower
+		// index; next is the lowest index not yet delivered.
+		pending = map[int]RunRecord{}
+		next    = start
 		// priorTally accumulates the persisted outcomes below start
 		// (adaptive resume); touched only from the dispatch loop.
 		priorTally classify.Tally
@@ -170,14 +172,22 @@ func (r *Runner) Run() (CampaignResult, error) {
 				} else {
 					tally.Add(rec.Outcome)
 					simTotal += rec.SimNanos
-					if records != nil {
-						records[idx], ran[idx] = rec, true
-					}
-					if cfg.Sink != nil && sinkErr == nil {
-						// The sink goes sterile after its first error: a
-						// persistent store that failed mid-stream must not
-						// receive further records it could misorder.
-						sinkErr = cfg.Sink.Record(rec)
+					pending[idx] = rec
+					for {
+						rec, ok := pending[next]
+						if !ok {
+							break
+						}
+						delete(pending, next)
+						next++
+						switch {
+						case cfg.Sink == nil:
+							res.Records = append(res.Records, rec)
+						case sinkErr == nil:
+							// The sink goes sterile after its first error:
+							// the next record would not extend its prefix.
+							sinkErr = cfg.Sink.Record(rec)
+						}
 					}
 				}
 				done++
@@ -198,15 +208,15 @@ func (r *Runner) Run() (CampaignResult, error) {
 	if rule == nil {
 		dispatch(start, cfg.Runs)
 	} else {
-		for next := 0; ; {
-			b := rule.NextBarrier(next)
+		for lo := 0; ; {
+			b := rule.NextBarrier(lo)
 			// Indices below start are persisted already: they contribute
 			// their stored outcomes and never execute.
-			for _, o := range prior[min(next, start):min(b, start)] {
+			for _, o := range prior[min(lo, start):min(b, start)] {
 				priorTally.Add(o)
 			}
-			dispatch(max(next, start), b)
-			next = b
+			dispatch(max(lo, start), b)
+			lo = b
 			if failErr != nil || sinkErr != nil || aborted {
 				break
 			}
@@ -240,11 +250,11 @@ func (r *Runner) Run() (CampaignResult, error) {
 
 	res.Tally = tally
 	res.SimNanos = simTotal
-	if records != nil {
-		for idx, ok := range ran {
-			if ok {
-				res.Records = append(res.Records, records[idx])
-			}
+	if cfg.Sink == nil {
+		// Runs past a failed index never became deliverable; without a
+		// sink to hold a prefix, the result still reports them.
+		for _, idx := range slices.Sorted(maps.Keys(pending)) {
+			res.Records = append(res.Records, pending[idx])
 		}
 	}
 	switch {

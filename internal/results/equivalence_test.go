@@ -179,7 +179,6 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 			cfg := spec.Config
 			cfg.Workers = workers
 			cfg.Sink = sink
-			cfg.DiscardRecords = true
 			dispatched := 0 // polled only by the dispatch loop
 			cfg.Abort = func() bool {
 				dispatched++

@@ -81,11 +81,9 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 		// The sink is the single source of truth for what still runs:
 		// records stream to it, its Resume point (with the persisted
 		// outcomes an adaptive rule needs) skips the stored prefix, and the
-		// in-memory Records slice is dropped — the campaign tallies online
-		// and the authoritative records live on disk, bounding memory at
-		// the worker-pool width.
+		// campaign keeps no in-memory Records — it tallies online and the
+		// authoritative records live on disk.
 		spec.Config.Sink = sink
-		spec.Config.DiscardRecords = true
 		pending = append(pending, spec)
 		pendingAt = append(pendingAt, i)
 	}

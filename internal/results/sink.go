@@ -11,12 +11,9 @@ import (
 )
 
 // SpecSink streams one campaign's run records into the store. It implements
-// core.RecordSink: the engine hands it records in completion order and the
-// sink reorders them into strict run-index order before appending, so the
-// on-disk file is always a valid in-order prefix — the invariant resume
-// relies on. The reorder buffer holds only runs that finished ahead of a
-// still-executing predecessor, which the engine's bounded worker pool caps
-// at roughly the pool width.
+// core.RecordSink: the Runner delivers records in run-index order and the
+// sink appends each as it arrives, refusing any other index, so the on-disk
+// file is always a valid in-order prefix — the invariant resume relies on.
 //
 // Lifecycle: the sink opens (and crash-recovers) the spec's partial file at
 // creation; BeginCampaign writes or re-validates the header; Record appends
@@ -33,11 +30,10 @@ type SpecSink struct {
 	// prefix holds the outcomes of runs [0, len(prefix)) a prior process
 	// persisted: the resume point, and what a resumed adaptive campaign
 	// re-evaluates its stopping rule over.
-	prefix  []classify.Outcome
-	next    int // lowest run index not yet written
-	pending map[int][]byte
-	stop    int // adaptive stop index reported by the campaign, 0 otherwise
-	err     error
+	prefix []classify.Outcome
+	next   int // lowest run index not yet written: the count persisted so far
+	stop   int // adaptive stop index reported by the campaign, 0 otherwise
+	err    error
 }
 
 // SpecSink opens a record stream for one spec of a runs-run campaign. An
@@ -49,12 +45,7 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 	if st.Finalized(key) {
 		return nil, fmt.Errorf("results: spec %q already finalized", key)
 	}
-	s := &SpecSink{
-		store:   st,
-		key:     key,
-		runs:    runs,
-		pending: map[int][]byte{},
-	}
+	s := &SpecSink{store: st, key: key, runs: runs}
 	sf, ok, err := st.readSpec(key, false)
 	if err != nil {
 		return nil, err
@@ -70,17 +61,11 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 			h := sf.header
 			s.header = &h
 		}
-		// The persisted records must be exactly runs [0, k): anything else
-		// would append the new indices after a gap, silently breaking the
-		// byte-identity contract.
+		// parseSpecFile has checked the records are exactly runs [0, k).
+		if len(sf.records) > runs {
+			return nil, fmt.Errorf("results: spec %q holds %d records, beyond the campaign's %d runs", key, len(sf.records), runs)
+		}
 		for k, rec := range sf.records {
-			if rec.Index != k {
-				return nil, fmt.Errorf("results: spec %q records are not a resumable prefix (stored run %d where run %d is next)",
-					key, rec.Index, k)
-			}
-			if k >= runs {
-				return nil, fmt.Errorf("results: spec %q holds record %d beyond the campaign's %d runs", key, k, runs)
-			}
 			o, err := classify.ParseOutcome(rec.Outcome)
 			if err != nil {
 				return nil, fmt.Errorf("results: spec %q record %d: %w", key, k, err)
@@ -97,9 +82,9 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 	return s, nil
 }
 
-// Persisted returns how many of this spec's runs a prior process left on
-// disk: the resume point.
-func (s *SpecSink) Persisted() int { return len(s.prefix) }
+// Persisted returns how many of this spec's runs are on disk so far: the
+// recovered prefix plus every record appended since.
+func (s *SpecSink) Persisted() int { return s.next }
 
 // Resume implements core.Resumer: the campaign executes only the runs
 // after the recovered prefix, and a resumed adaptive campaign evaluates
@@ -161,11 +146,10 @@ func (s *SpecSink) Header() *Header {
 	return &h
 }
 
-// Record implements core.RecordSink: it buffers the record and flushes the
-// longest contiguous in-order run of indices to disk. Each line is
-// written with its trailing newline in one call, so a kill between records
-// never tears the file mid-line (a kill during a write can, which recovery
-// handles).
+// Record implements core.RecordSink: it appends the record to disk. Each
+// line is written with its trailing newline in one call, so a kill between
+// records never tears the file mid-line (a kill during a write can, which
+// recovery handles).
 func (s *SpecSink) Record(rec core.RunRecord) error {
 	return s.Append(NewRecord(rec))
 }
@@ -173,9 +157,9 @@ func (s *SpecSink) Record(rec core.RunRecord) error {
 // Append is the already-serialized form of Record, the entry point for
 // ingesting records produced on another machine. It re-marshals the record
 // through the same canonical encoder local runs use, so stored bytes never
-// depend on how a client happened to format its JSON. Indices outside the
-// campaign or already persisted are refused — the coordinator's defense
-// against a confused or duplicate worker.
+// depend on how a client happened to format its JSON. Any index but the
+// next one is refused — the coordinator's defense against a confused or
+// duplicate worker.
 func (s *SpecSink) Append(rec Record) error {
 	if s.err != nil {
 		return s.err
@@ -183,41 +167,36 @@ func (s *SpecSink) Append(rec Record) error {
 	if rec.Index < 0 || rec.Index >= s.runs {
 		return fmt.Errorf("results: spec %q: record index %d outside campaign of %d runs", s.key, rec.Index, s.runs)
 	}
-	if _, dup := s.pending[rec.Index]; dup || rec.Index < s.next {
-		return fmt.Errorf("results: spec %q: record index %d already delivered", s.key, rec.Index)
+	if rec.Index != s.next {
+		return fmt.Errorf("results: spec %q: record %d out of order (expected %d)", s.key, rec.Index, s.next)
 	}
 	line, err := marshalLine(rec)
+	if err == nil {
+		_, err = s.f.Write(line)
+	}
 	if err != nil {
-		s.err = err
-		return err
+		s.err = fmt.Errorf("results: spec %q: append record %d: %w", s.key, rec.Index, err)
+		return s.err
 	}
-	s.pending[rec.Index] = line
-	for {
-		line, ok := s.pending[s.next]
-		if !ok {
-			break
-		}
-		if _, err := s.f.Write(line); err != nil {
-			s.err = fmt.Errorf("results: spec %q: append record %d: %w", s.key, s.next, err)
-			return s.err
-		}
-		delete(s.pending, s.next)
-		s.next++
-	}
+	s.next++
 	return nil
 }
 
 // Finalize marks the spec complete: the partial file is synced and
 // atomically renamed to its final name, the durable signal that every one
-// of the spec's runs is persisted. Pending (out-of-order) records at this
-// point mean a predecessor run never delivered — the campaign did not
-// actually complete — and finalizing would persist a gap, so it refuses.
+// of the spec's runs is persisted. It refuses a short stream — fewer runs
+// than the budget, or than the adaptive stop index when one is recorded —
+// since finalizing would declare missing runs complete.
 func (s *SpecSink) Finalize() error {
 	if s.err != nil {
 		return s.err
 	}
-	if len(s.pending) > 0 {
-		return fmt.Errorf("results: spec %q: %d records still waiting on unfinished predecessors; not finalizing", s.key, len(s.pending))
+	want := s.runs
+	if s.stop != 0 {
+		want = s.stop
+	}
+	if s.next != want {
+		return fmt.Errorf("results: spec %q: %d of %d runs persisted; not finalizing", s.key, s.next, want)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("results: spec %q: sync: %w", s.key, err)

@@ -16,14 +16,14 @@
 // Every line is a self-contained JSON document. The first line of each
 // record file is a Header identifying the campaign (workload, model,
 // profile count, seed); each following line is one Record in run-index
-// order. Records are appended strictly in index order — out-of-order
-// completions from a parallel worker pool are buffered in memory by
-// SpecSink until their predecessors land — so the persisted set is always a
-// prefix [0, k) of the run indices and a killed process leaves a file that
-// is a valid prefix (possibly plus one torn final line, which recovery
-// truncates). Nothing in a record file depends on wall-clock time, map
-// iteration, or worker interleaving: a resumed campaign reproduces the
-// uninterrupted file byte for byte.
+// order. The campaign Runner delivers records in index order and SpecSink
+// appends each as it arrives, refusing any other index, so the persisted
+// set is always a prefix [0, k) of the run indices and a killed process
+// leaves a file that is a valid prefix (possibly plus one torn final line,
+// which recovery truncates); loading any other file fails. Nothing in a
+// record file depends on wall-clock time, map iteration, or worker
+// interleaving: a resumed campaign reproduces the uninterrupted file byte
+// for byte.
 package results
 
 import (
@@ -235,7 +235,8 @@ type specFile struct {
 // parseSpecFile decodes a record file, tolerating exactly one torn tail: a
 // final chunk that is incomplete (no newline) or fails to decode is treated
 // as the debris of a kill and excluded from validLen. Malformed lines with
-// well-formed successors are corruption and fail the parse.
+// well-formed successors are corruption and fail the parse, as does stored
+// record k holding any index but k.
 func parseSpecFile(raw []byte) (*specFile, error) {
 	sf := &specFile{}
 	off := int64(0)
@@ -256,9 +257,10 @@ func parseSpecFile(raw []byte) (*specFile, error) {
 			var rec Record
 			decodeErr = json.Unmarshal(line, &rec)
 			if decodeErr == nil {
-				if n := len(sf.records); n > 0 && rec.Index <= sf.records[n-1].Index {
-					return nil, fmt.Errorf("results: record file out of order: index %d after %d",
-						rec.Index, sf.records[n-1].Index)
+				// Anything but a prefix would let a resume append after a
+				// gap, or a load report a gapped cell as complete.
+				if k := len(sf.records); rec.Index != k {
+					return nil, fmt.Errorf("results: record file is not a resumable prefix: stored run %d where run %d is next", rec.Index, k)
 				}
 				sf.records = append(sf.records, rec)
 			}
@@ -299,27 +301,6 @@ func (st *Store) readSpec(key string, final bool) (sf *specFile, ok bool, err er
 	return sf, true, nil
 }
 
-// checkCoverage enforces the promise a finalized file makes: it holds
-// exactly runs [0, n), n being the adaptive stop index when one is set and
-// the run budget otherwise. A gapped file (say, the even indices a static
-// shard of an older layout wrote) fails here instead of being reported as
-// a complete cell.
-func (sf *specFile) checkCoverage() error {
-	n := sf.header.Runs
-	if sf.header.StopIndex != 0 {
-		n = sf.header.StopIndex
-	}
-	for i, rec := range sf.records {
-		if rec.Index != i {
-			return fmt.Errorf("finalized file is missing run %d (next stored run is %d)", i, rec.Index)
-		}
-	}
-	if len(sf.records) != n {
-		return fmt.Errorf("finalized file holds runs [0, %d), want exactly [0, %d)", len(sf.records), n)
-	}
-	return nil
-}
-
 // SpecData is the loaded content of one spec's record stream.
 type SpecData struct {
 	Key     string
@@ -333,7 +314,9 @@ type SpecData struct {
 // LoadSpec reads a spec's records, preferring the finalized file and
 // falling back to the partial one. ok is false when the spec has no stored
 // header yet (no file, or a file whose torn tail swallowed the header). A
-// finalized file must cover its runs exactly (checkCoverage).
+// finalized file promises exactly runs [0, n), n being the adaptive stop
+// index when one is set and the run budget otherwise; parseSpecFile has
+// checked the records are a prefix, so only its length remains to check.
 func (st *Store) LoadSpec(key string) (data SpecData, ok bool, err error) {
 	final := true
 	sf, ok, err := st.readSpec(key, true)
@@ -351,8 +334,13 @@ func (st *Store) LoadSpec(key string) (data SpecData, ok bool, err error) {
 		return SpecData{}, false, nil
 	}
 	if final {
-		if err := sf.checkCoverage(); err != nil {
-			return SpecData{}, false, fmt.Errorf("results: %s: %w", st.finalPath(key), err)
+		n := sf.header.Runs
+		if sf.header.StopIndex != 0 {
+			n = sf.header.StopIndex
+		}
+		if len(sf.records) != n {
+			return SpecData{}, false, fmt.Errorf("results: %s: finalized file holds runs [0, %d), want exactly [0, %d)",
+				st.finalPath(key), len(sf.records), n)
 		}
 	}
 	return SpecData{Key: key, Header: sf.header, Records: sf.records, Final: final}, true, nil

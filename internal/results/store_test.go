@@ -357,6 +357,38 @@ func TestLoadSpecRejectsGappedFinalizedFile(t *testing.T) {
 	}
 }
 
+// TestFinalizeRefusesShortStream: a sink holding runs [0, 5) of a 10-run
+// campaign has not persisted every run, so Finalize must refuse and leave
+// no finalized file behind.
+func TestFinalizeRefusesShortStream(t *testing.T) {
+	const runs = 10
+	st, err := Create(t.TempDir(), Manifest{Seed: eqSeed, Runs: runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := st.SpecSink("eq/BF", runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	h := eqHeader(0)
+	h.Runs = runs
+	if err := sink.BeginHeader(h); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if err := sink.Append(Record{Index: i, Target: int64(i), Outcome: classify.Benign.String()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Finalize(); err == nil || !strings.Contains(err.Error(), "5 of 10 runs") {
+		t.Fatalf("finalizing runs [0, 5) of 10: err = %v, want the short-stream refusal", err)
+	}
+	if st.Finalized("eq/BF") {
+		t.Fatal("a refused Finalize left a finalized .jsonl behind")
+	}
+}
+
 // TestRunGridRejectsFinalizedSpecDrift: the finalized fast path must apply
 // the same campaign-identity guard the partial-resume path enforces — a
 // store answering for a different seed (or model, runs, ...) is an error,
