@@ -92,7 +92,6 @@ func main() {
 	o := experiments.Options{
 		Runs:           *runs,
 		Seed:           *seed,
-		Jobs:           *jobs,
 		NyxN:           *nyxN,
 		MetaStride:     *stride,
 		UseAvgDetector: *useAvg,
@@ -118,11 +117,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	o.Events = bus
 	// Share one engine across every sweep this invocation runs (-all runs
 	// several), so each distinct world's Setup and profile pass execute
 	// once per process instead of once per sweep.
-	o.Engine = o.NewEngine()
+	o.Engine = &core.Engine{Jobs: *jobs, Events: bus}
 	if *adaptive > 0 {
 		o.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
 	}

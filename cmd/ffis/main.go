@@ -158,7 +158,6 @@ func main() {
 	opts := experiments.Options{
 		Runs:           *runs,
 		Seed:           *seed,
-		Jobs:           *jobs,
 		NyxN:           *nyxN,
 		UseAvgDetector: *useAvg,
 		Mounts:         mounts,
@@ -178,10 +177,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	opts.Events = bus
 	// One engine for everything this invocation runs, so world snapshots
 	// and profile passes memoize across grids instead of per call.
-	opts.Engine = opts.NewEngine()
+	opts.Engine = &core.Engine{Jobs: *jobs, Events: bus}
 	if *outDir != "" {
 		manBackend := *backend
 		if manBackend == "mem" {

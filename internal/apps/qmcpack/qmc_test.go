@@ -9,6 +9,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/stats"
+	"ffis/internal/trace"
 	"ffis/internal/vfs"
 )
 
@@ -182,12 +183,12 @@ func TestAnalyzeFailsOnEmpty(t *testing.T) {
 }
 
 func TestWriteScalarFileBlockWrites(t *testing.T) {
-	fs := vfs.NewCountingFS(vfs.NewMemFS())
+	fs := trace.NewRecorder(vfs.NewMemFS())
 	content := strings.Repeat("x", 10000)
 	if err := WriteScalarFile(fs, "/f", content); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.Count(vfs.PrimWrite); got != 3 { // ceil(10000/4096)
+	if got := trace.Analyze(fs.Log()).ByPrim[vfs.PrimWrite]; got != 3 { // ceil(10000/4096)
 		t.Fatalf("writes = %d, want 3", got)
 	}
 	raw, _ := vfs.ReadFile(fs, "/f")

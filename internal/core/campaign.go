@@ -218,7 +218,7 @@ func (r CampaignResult) Cell() classify.Cell {
 // target primitive, i.e. the fault has nowhere to land.
 var ErrNoTargets = errors.New("core: target primitive never executes in workload")
 
-// Profile runs the workload fault-free on a counting file system and
+// Profile runs the workload fault-free through a disarmed injector and
 // returns the dynamic execution count of the signature's target primitive
 // (the I/O profiler of Figure 4). The workload must succeed fault-free.
 func Profile(w Workload, sig Signature) (int64, error) {
@@ -230,27 +230,21 @@ func Profile(w Workload, sig Signature) (int64, error) {
 }
 
 // profileWorld runs the fault-free profiling pass on an already-built
-// post-Setup world (a snapshot clone in campaign use). Non-empty mounts
-// restrict the count to the I/O routed to those mount points, so the
-// injection target space matches exactly what ArmMounts can corrupt.
+// post-Setup world (a snapshot clone in campaign use). The profiler is a
+// disarmed injector wrapped exactly as an injection run arms one, so the
+// count it returns is the injection target space by construction: an
+// instance is whatever the injector would claim. Non-empty mounts restrict
+// the count to the I/O routed to those mount points.
 func profileWorld(base vfs.FS, w Workload, sig Signature, mounts []string) (int64, error) {
-	var counters []*vfs.CountingFS
-	counted, err := interposeMounts(base, mounts, func(inner vfs.FS) vfs.FS {
-		c := vfs.NewCountingFS(inner)
-		counters = append(counters, c)
-		return c
-	})
+	inj := Disarmed(sig)
+	counted, err := interposeMounts(base, mounts, inj.Wrap)
 	if err != nil {
 		return 0, err
 	}
 	if err := runRecovering(w.Run, counted); err != nil {
 		return 0, fmt.Errorf("core: fault-free profiling run failed: %w", err)
 	}
-	var total int64
-	for _, c := range counters {
-		total += c.Count(sig.Primitive)
-	}
-	return total, nil
+	return inj.Count(), nil
 }
 
 // interposeMounts wraps the armed scope of the world with wrap: the whole

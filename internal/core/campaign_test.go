@@ -203,6 +203,48 @@ func TestCampaignNoTargets(t *testing.T) {
 	}
 }
 
+// statHostModel claims to host stat, a primitive the injector passes
+// through without intercepting. It is deliberately left unregistered so the
+// conformance suite (which would reject it) never sees it.
+type statHostModel struct{ BaseModel }
+
+func (statHostModel) Name() string           { return "stat-host" }
+func (statHostModel) Short() string          { return "ST" }
+func (statHostModel) Hosts() []vfs.Primitive { return []vfs.Primitive{vfs.PrimStat} }
+func (statHostModel) Describe() string       { return "hosts stat (test-only, unregistered)" }
+
+// TestProfileCountsOnlyInterceptedInstances pins that the profiler counts
+// exactly what the injector can claim: a model hosting a primitive the
+// injector never intercepts profiles zero instances and the campaign
+// starves with ErrNoTargets, instead of running every injection unfired
+// and tallying a spurious 100% benign.
+func TestProfileCountsOnlyInterceptedInstances(t *testing.T) {
+	w := Workload{
+		Name:  "stat-only",
+		Setup: func(fs vfs.FS) error { return vfs.WriteFile(fs, "/in", []byte("x")) },
+		Run: func(fs vfs.FS) error {
+			for i := 0; i < 4; i++ {
+				if _, err := fs.Stat("/in"); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	cfg := CampaignConfig{Fault: Config{Model: statHostModel{}}, Runs: 5, Seed: 1}
+	if err := cfg.Fault.Signature().Validate(); err != nil {
+		t.Fatalf("signature must pass validation for the test to mean anything: %v", err)
+	}
+	grid := (&Engine{Jobs: 2}).Run([]CampaignSpec{{Workload: w, Config: cfg}})
+	if !errors.Is(grid[0].Err, ErrNoTargets) {
+		t.Fatalf("Engine.Run err = %v (tally %s), want ErrNoTargets",
+			grid[0].Err, grid[0].Result.Tally.String())
+	}
+	if _, err := Campaign(cfg, w); !errors.Is(err, ErrNoTargets) {
+		t.Fatalf("Campaign err = %v, want ErrNoTargets", err)
+	}
+}
+
 func TestRunRecoveringCatchesPanics(t *testing.T) {
 	w := Workload{
 		Name: "panics",

@@ -446,10 +446,9 @@ func TestConformanceDeterministicMutation(t *testing.T) {
 
 // TestConformanceAllocFreePassThrough pins the hot-path allocation
 // discipline the campaign engine's throughput rests on: an armed-but-not-
-// yet-fired injector op and a profiled (CountingFS) op must not allocate.
-// The injector's miss path is a single atomic add on the dynamic count;
-// the profiler's bump is a single atomic add into a fixed counter array.
-// Any model or wrapper change that puts an allocation (or a lock-induced
+// yet-fired injector op and a profiled (Disarmed injector) op must not
+// allocate. Both paths are a single atomic add on the dynamic count. Any
+// model or wrapper change that puts an allocation (or a lock-induced
 // escape) on these paths fails here rather than showing up as a campaign
 // slowdown.
 func TestConformanceAllocFreePassThrough(t *testing.T) {
@@ -503,23 +502,24 @@ func TestConformanceAllocFreePassThrough(t *testing.T) {
 		r.Close()
 	}
 
-	// Profiled ops: the counting layer adds one atomic add, nothing else.
-	cfs := vfs.NewCountingFS(vfs.NewMemFS())
-	w, r := openHandles(cfs)
+	// Profiled ops: the profiling pass runs through a Disarmed injector,
+	// which adds one atomic add on the target primitive and nothing else.
+	pfs := Disarmed(Config{Model: BitFlip}.Signature()).Wrap(vfs.NewMemFS())
+	w, r := openHandles(pfs)
 	defer w.Close()
 	defer r.Close()
-	assertZero("counting WriteAt", func() {
+	assertZero("profiled WriteAt", func() {
 		if _, err := w.WriteAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	assertZero("counting ReadAt", func() {
+	assertZero("profiled ReadAt", func() {
 		if _, err := r.ReadAt(rd, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	assertZero("counting Stat", func() {
-		if _, err := cfs.Stat("/f"); err != nil {
+	assertZero("profiled Stat", func() {
+		if _, err := pfs.Stat("/f"); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -79,7 +79,9 @@ func NewInjector(sig Signature, target int64, rng *stats.RNG) *Injector {
 }
 
 // Disarmed returns an injector that never fires; wrapping with it yields a
-// pure pass-through, used to validate transparency (R1) in tests.
+// pure pass-through that still counts instances. It is the I/O profiler:
+// the profiling pass runs the workload through a disarmed injector and
+// takes its Count as the size of the injection target space.
 func Disarmed(sig Signature) *Injector {
 	return NewInjector(sig, -1, stats.NewRNG(0))
 }
@@ -90,7 +92,10 @@ func (inj *Injector) Signature() Signature { return inj.sig }
 // Target returns the dynamic primitive instance that will be corrupted.
 func (inj *Injector) Target() int64 { return inj.target }
 
-// Count returns how many instances of the target primitive have executed.
+// Count returns how many instances of the target primitive have executed:
+// the executions the injector intercepts and could claim, which excludes
+// zero-length transfers. Armed or disarmed, this is the one instance
+// counter, so a profiled count and an injection run's indices always agree.
 func (inj *Injector) Count() int64 { return inj.count.Load() }
 
 // Fired reports whether the fault has been planted, and the first recorded
@@ -429,7 +434,7 @@ func (f *injectorFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Truncate intercepts the handle-level truncate primitive, hosting the same
-// faults as the FS-level call so the claim count matches the profiler's.
+// faults as the FS-level call: both are instances of one primitive.
 func (f *injectorFile) Truncate(size int64) error {
 	size, drop := f.inj.interceptTruncate(f.File.Name(), size)
 	if drop {

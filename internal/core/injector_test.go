@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"ffis/internal/classify"
@@ -25,6 +26,87 @@ func TestDisarmedInjectorIsTransparent(t *testing.T) {
 	got, err := vfs.ReadFile(base, "/f")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatal("disarmed injector altered data")
+	}
+}
+
+// The profiler is a Disarmed injector, so the tests below pin its count
+// rule: what counts as one dynamic instance of the target primitive.
+
+// TestDisarmedCountsEveryInterceptedPrimitive profiles each primitive the
+// injector intercepts, plus the handle-level truncate, which counts as the
+// same primitive as the FS-level call.
+func TestDisarmedCountsEveryInterceptedPrimitive(t *testing.T) {
+	for _, prim := range conformancePrims {
+		inj := Disarmed(Signature{Model: BitFlip, Primitive: prim})
+		exercisePrimitive(t, inj.Wrap(conformanceWorld(t)), prim, primTarget(prim))
+		if got := inj.Count(); got != 1 {
+			t.Errorf("%s counted %d instances, want 1", prim, got)
+		}
+	}
+	inj := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimTruncate})
+	f, err := inj.Wrap(conformanceWorld(t)).Append("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Count(); got != 1 {
+		t.Fatalf("handle-level truncate counted %d instances, want 1", got)
+	}
+}
+
+func TestDisarmedCountConcurrent(t *testing.T) {
+	inj := Disarmed(Config{Model: BitFlip}.Signature())
+	fs := inj.Wrap(vfs.NewMemFS())
+	var wg sync.WaitGroup
+	const workers, writesPer = 8, 200
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			f, err := fs.Create("/f" + string(rune('0'+id)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer f.Close()
+			for i := 0; i < writesPer; i++ {
+				f.Write([]byte("x"))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := inj.Count(); got != workers*writesPer {
+		t.Fatalf("write count = %d, want %d", got, workers*writesPer)
+	}
+}
+
+// TestDisarmedCountSkipsZeroLengthTransfers: an empty transfer has nothing
+// to corrupt, so it is not an instance of the write or read primitive.
+func TestDisarmedCountSkipsZeroLengthTransfers(t *testing.T) {
+	writes := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimWrite})
+	reads := Disarmed(Signature{Model: ReadBitFlip, Primitive: vfs.PrimRead})
+	f, err := reads.Wrap(writes.Wrap(vfs.NewMemFS())).Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(nil)             // not an instance
+	f.WriteAt([]byte{}, 0)   // not an instance
+	f.Write([]byte("abc"))   // instance 0
+	f.WriteAt([]byte{1}, 10) // instance 1
+	buf := make([]byte, 4)
+	f.ReadAt(buf, 0) // instance 0
+	f.ReadAt(nil, 0) // not an instance
+	f.Read(buf[:0])  // not an instance
+	f.Read(buf)      // instance 1
+	f.Close()
+	if got := writes.Count(); got != 2 {
+		t.Fatalf("write count = %d, want 2 (zero-length writes counted)", got)
+	}
+	if got := reads.Count(); got != 2 {
+		t.Fatalf("read count = %d, want 2 (zero-length reads counted)", got)
 	}
 }
 

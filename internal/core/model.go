@@ -7,9 +7,9 @@
 //
 //   - Fault generator — Config.Signature() turns a user configuration into a
 //     fault signature (fault model + target primitive + model feature).
-//   - I/O profiler — a fault-free pass on a CountingFS reports the dynamic
-//     count of the target primitive (Profile() for a one-off count; the
-//     Engine memoizes it per world for every campaign).
+//   - I/O profiler — a fault-free pass through a Disarmed injector reports
+//     the dynamic count of the target primitive (Profile() for a one-off
+//     count; the Engine memoizes it per world for every campaign).
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
 //     instance; the Engine (Campaign() for a single cell) schedules the runs
 //     and the Runner classifies and tallies their outcomes.

@@ -21,13 +21,13 @@ import (
 func TestAdaptiveMT2SavesRuns(t *testing.T) {
 	model := core.MustModel("unreadable-sector")
 	adaptive, err := Fig7Cell("MT2", model, Options{
-		Runs: 1000, Seed: 2021, Jobs: 8,
+		Runs: 1000, Seed: 2021, Engine: &core.Engine{Jobs: 8},
 		Stop: &stats.StopRule{TargetHalfWidth: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Fig7Cell("MT2", model, Options{Runs: 1000, Seed: 2021, Jobs: 8})
+	fixed, err := Fig7Cell("MT2", model, Options{Runs: 1000, Seed: 2021, Engine: &core.Engine{Jobs: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAdaptiveMT2WorkerIndependence(t *testing.T) {
 	run := func(jobs int) core.CampaignResult {
 		t.Helper()
 		res, err := Fig7Cell("MT2", core.MustModel("unreadable-sector"), Options{
-			Runs: 400, Seed: 7, Jobs: jobs,
+			Runs: 400, Seed: 7, Engine: &core.Engine{Jobs: jobs},
 			Stop: &stats.StopRule{TargetHalfWidth: 0.05},
 		})
 		if err != nil {

@@ -51,14 +51,6 @@ type Options struct {
 	// ArmMounts restricts fault injection to the I/O routed to these
 	// mount points of the world (cmd/ffis -arm); empty arms everything.
 	ArmMounts []string
-	// Jobs bounds the campaign engine's shared worker pool across a whole
-	// grid (every cell of Fig7, Ablations, Fig7WithDetector, Tiered draws
-	// runs from one pool). 0 selects GOMAXPROCS (cmd flag -jobs).
-	Jobs int
-	// Events, when set, is the event bus the engine publishes every
-	// campaign's run-lifecycle stream to; the CLIs subscribe their
-	// progress renderer (-progress) and trace writer (-trace) here.
-	Events *core.EventBus
 	// RunGrid, when set, replaces Engine.Run for every campaign grid in
 	// this package: the persistence layer (internal/results.RunGrid via
 	// the CLIs' -out/-resume flags) injects itself here to stream records
@@ -78,20 +70,15 @@ type Options struct {
 	// (cmd flag -ci) — the units an adaptive stopping rule is stated in.
 	CI bool
 	// Engine, when set, is the campaign engine every grid in these options
-	// runs on. The engine memoizes built worlds, snapshots, and profile
-	// counts by WorldKey, so sharing one across sweeps (cmd -all, the
-	// distributed worker's successive leases) means each distinct world's
-	// Setup executes once per process instead of once per sweep. Nil builds
-	// a fresh engine per grid, exactly as before.
+	// runs on: its Jobs bounds the shared worker pool across a whole grid
+	// (every cell of Fig7, Ablations, Fig7WithDetector, Tiered draws runs
+	// from one pool) and its Events bus carries every campaign's
+	// run-lifecycle stream. The engine memoizes built worlds, snapshots,
+	// and profile counts by WorldKey, so sharing one across sweeps (cmd
+	// -all, the distributed worker's successive leases) means each distinct
+	// world's Setup executes once per process instead of once per sweep.
+	// Nil builds a default engine (GOMAXPROCS slots, no bus) per grid.
 	Engine *core.Engine
-}
-
-// NewEngine builds the shared grid scheduler for these options. Callers
-// that run several grids (or hand specs to RunGrid themselves) should
-// build one engine and set it on Options.Engine so world memoization
-// spans every sweep.
-func (o Options) NewEngine() *core.Engine {
-	return &core.Engine{Jobs: o.Jobs, Events: o.Events}
 }
 
 // engine resolves the engine grids run on: the shared one when set.
@@ -99,7 +86,7 @@ func (o Options) engine() *core.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return o.NewEngine()
+	return &core.Engine{}
 }
 
 // runGrid executes one engine grid through the configured runner: the

@@ -60,7 +60,7 @@ func TestReadWriteGridDeterministic(t *testing.T) {
 	o.Runs = 3
 	run := func(jobs int) []classify.Cell {
 		o := o
-		o.Jobs = jobs
+		o.Engine = &core.Engine{Jobs: jobs}
 		_, cells, err := ReadWriteGrid(o)
 		if err != nil {
 			t.Fatal(err)

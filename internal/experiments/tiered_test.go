@@ -97,7 +97,7 @@ func TestTieredBackendSweepDeterminism(t *testing.T) {
 	run := func(jobs int) []PlacementResult {
 		o := smallOpts()
 		o.Backends = []string{"mem", "object", "latency"}
-		o.Jobs = jobs
+		o.Engine = &core.Engine{Jobs: jobs}
 		_, results, err := Tiered([]string{"MT2"}, core.DroppedWrite, o)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ffis/internal/stats"
+	"ffis/internal/trace"
 	"ffis/internal/vfs"
 )
 
@@ -144,14 +145,14 @@ func TestWriteReadVFS(t *testing.T) {
 }
 
 func TestWriteUsesBlockWrites(t *testing.T) {
-	fs := vfs.NewCountingFS(vfs.NewMemFS())
+	fs := trace.NewRecorder(vfs.NewMemFS())
 	im := testImage(64, 64) // 32768 B data + 2880 header
 	if err := Write(fs, "/t.fits", im); err != nil {
 		t.Fatal(err)
 	}
 	raw := im.Encode()
-	want := int64((len(raw) + BlockSize - 1) / BlockSize)
-	if got := fs.Count(vfs.PrimWrite); got != want {
+	want := (len(raw) + BlockSize - 1) / BlockSize
+	if got := trace.Analyze(fs.Log()).ByPrim[vfs.PrimWrite]; got != want {
 		t.Fatalf("writes = %d, want %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ffis/internal/stats"
+	"ffis/internal/trace"
 	"ffis/internal/vfs"
 )
 
@@ -185,16 +186,16 @@ func TestWriteToIOPattern(t *testing.T) {
 	// WriteTo must produce data-chunk writes, then the metadata write
 	// (penultimate), then the EOF stamp (final) — the sequence the
 	// metadata injection campaign targets.
-	fs := vfs.NewCountingFS(vfs.NewMemFS())
+	fs := trace.NewRecorder(vfs.NewMemFS())
 	img := buildSmall(t, seqValues(1024), []uint64{1024}) // 8 KiB data
 	if err := img.WriteTo(fs, "/d.h5"); err != nil {
 		t.Fatal(err)
 	}
-	wantWrites := int64((len(img.Data)+4095)/4096) + 2
-	if got := fs.Count(vfs.PrimWrite); got != wantWrites {
+	wantWrites := (len(img.Data)+4095)/4096 + 2
+	if got := trace.Analyze(fs.Log()).ByPrim[vfs.PrimWrite]; got != wantWrites {
 		t.Fatalf("writes = %d, want %d", got, wantWrites)
 	}
-	if img.MetadataWriteIndex() != wantWrites-2 {
+	if img.MetadataWriteIndex() != int64(wantWrites-2) {
 		t.Fatalf("metadata write index = %d, want %d", img.MetadataWriteIndex(), wantWrites-2)
 	}
 }

@@ -33,7 +33,7 @@ func TestReportGoldenAfterResume(t *testing.T) {
 	runCell := func(st *Store) core.CampaignResult {
 		t.Helper()
 		o := experiments.Options{
-			Runs: runs, Seed: seed, Jobs: 2,
+			Runs: runs, Seed: seed, Engine: &core.Engine{Jobs: 2},
 			RunGrid: func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
 				return RunGrid(e, st, specs)
 			},

@@ -164,9 +164,9 @@ func (m *MountFS) MountFor(name string) (mountPath string, backend FS) {
 // dir is replaced by wrap over a prefix-translating view of that backend.
 // Backends are shared with the receiver, not copied: both tables route to
 // the same storage, only the wrapping differs. This is how core arms a
-// fault injector (or the I/O profiler's CountingFS) on a single storage
-// tier while the original table remains a clean view for golden comparison
-// and outcome classification.
+// fault injector (or a disarmed one, for the profiling pass) on a single
+// storage tier while the original table remains a clean view for golden
+// comparison and outcome classification.
 //
 // The interposed stack observes table-absolute paths — wrap's FS receives
 // "/scratch/run/out.h5", not "/run/out.h5" — so injector mutation records

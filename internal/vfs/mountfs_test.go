@@ -231,10 +231,10 @@ func TestMountTableGuards(t *testing.T) {
 
 func TestMountWithInterposed(t *testing.T) {
 	m, _, _, _ := newWorld(t)
-	counting := NewCountingFS(nil) // replaced below; declared for type only
+	var lat *LatencyFS
 	armed, err := m.WithInterposed("/scratch", func(inner FS) FS {
-		counting = NewCountingFS(inner)
-		return counting
+		lat = NewLatencyFS(inner, BurstBufferModel)
+		return lat
 	})
 	if err != nil {
 		t.Fatalf("interpose: %v", err)
@@ -243,22 +243,23 @@ func TestMountWithInterposed(t *testing.T) {
 	if err := WriteFile(armed, "/scratch/f", []byte("shared")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if got := counting.Count(PrimWrite); got != 1 {
-		t.Fatalf("interposed wrapper counted %d writes; want 1", got)
+	seen := lat.SimElapsed()
+	if seen == 0 {
+		t.Fatal("interposed wrapper saw none of the armed-mount I/O")
 	}
 	// I/O outside the interposed mount bypasses the wrapper entirely.
 	if err := WriteFile(armed, "/out/g", []byte("clean")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if got := counting.Count(PrimWrite); got != 1 {
-		t.Fatalf("other-mount I/O leaked into the wrapper (count %d)", got)
+	if got := lat.SimElapsed(); got != seen {
+		t.Fatalf("other-mount I/O leaked into the wrapper (clock %v -> %v)", seen, got)
 	}
 	// The original table shares storage but not the wrapper.
 	if data, err := ReadFile(m, "/scratch/f"); err != nil || string(data) != "shared" {
 		t.Fatalf("original view = %q, %v; want shared backend content", data, err)
 	}
-	if got := counting.Count(PrimRead); got != 0 {
-		t.Fatalf("reads through the original table must not count (got %d)", got)
+	if got := lat.SimElapsed(); got != seen {
+		t.Fatalf("reads through the original table must not reach the wrapper (clock %v -> %v)", seen, got)
 	}
 	if _, err := m.WithInterposed("/nope", func(inner FS) FS { return inner }); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("interpose on unknown mount = %v; want ErrNotExist", err)

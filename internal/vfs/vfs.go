@@ -5,9 +5,10 @@
 // the fault injector corrupts the arguments on their way to the backing
 // store. This package is the Go equivalent of that boundary: an FS interface
 // with FUSE-shaped primitives, an in-memory implementation (MemFS) standing
-// in for the backing device, and wrapper implementations (CountingFS here;
-// core.InjectorFS in package core) standing in for the FFIS instrumentation
-// inserted between the application and the store.
+// in for the backing device, and wrapper implementations (core.InjectorFS in
+// package core, which injects when armed and profiles when disarmed)
+// standing in for the FFIS instrumentation inserted between the application
+// and the store.
 //
 // Where the paper has a single FFISFS mount point over one device, MountFS
 // generalizes the boundary to tiered storage: a Unix-style mount table
@@ -21,7 +22,7 @@
 // Everything the applications in internal/apps do to persistent state flows
 // through this interface, exactly as the paper requires transparency (R1)
 // and convenience (R2): applications never know whether they run on a bare
-// MemFS, a counting profiler, an armed fault injector, or a mount table
+// MemFS, a disarmed (profiling) or armed fault injector, or a mount table
 // dispatching to several of each.
 package vfs
 
