@@ -29,8 +29,47 @@ func TestDisarmedInjectorIsTransparent(t *testing.T) {
 	}
 }
 
+// TestDisarmedInjectorDelegatesContent: profiling must be transparent
+// (requirement R1) in both directions: what is written through the disarmed
+// layer lands unchanged in the bare FS and reads back unchanged through it.
+func TestDisarmedInjectorDelegatesContent(t *testing.T) {
+	inner := vfs.NewMemFS()
+	fs := Disarmed(Config{Model: ReadBitFlip}.Signature()).Wrap(inner)
+	if err := vfs.WriteFile(fs, "/f", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := vfs.ReadFile(inner, "/f")
+	if err != nil || string(got) != "payload" {
+		t.Fatalf("inner content: %v %q", err, got)
+	}
+	got, err = vfs.ReadFile(fs, "/f")
+	if err != nil || string(got) != "payload" {
+		t.Fatalf("content through disarmed layer: %v %q", err, got)
+	}
+}
+
 // The profiler is a Disarmed injector, so the tests below pin its count
 // rule: what counts as one dynamic instance of the target primitive.
+
+// TestDisarmedCountTracksWrites: sequential and positional writes are both
+// instances of the write primitive; the create that opens the file is not.
+func TestDisarmedCountTracksWrites(t *testing.T) {
+	inj := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimWrite})
+	f, err := inj.Wrap(vfs.NewMemFS()).Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Count(); got != 0 {
+		t.Fatalf("create counted as %d write instances, want 0", got)
+	}
+	f.Write([]byte("a"))
+	f.Write([]byte("b"))
+	f.WriteAt([]byte("c"), 0)
+	f.Close()
+	if got := inj.Count(); got != 3 {
+		t.Fatalf("write count = %d, want 3", got)
+	}
+}
 
 // TestDisarmedCountsEveryInterceptedPrimitive profiles each primitive the
 // injector intercepts, plus the handle-level truncate, which counts as the
