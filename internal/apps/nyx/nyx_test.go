@@ -213,6 +213,16 @@ func TestAppGoldenClassifiesBenign(t *testing.T) {
 	}
 }
 
+// A grid edge of 8 or less leaves no room for halo centers; NewApp must
+// refuse it rather than panic inside Generate.
+func TestNewAppRejectsTinyGrid(t *testing.T) {
+	sim := smallSim()
+	sim.N = 4
+	if _, err := NewApp(sim, DefaultHalo()); err == nil || !strings.Contains(err.Error(), "too small") {
+		t.Fatalf("NewApp with N=4: got %v, want a too-small error", err)
+	}
+}
+
 func TestAppClassifyCrashOnRunError(t *testing.T) {
 	app, err := NewApp(smallSim(), DefaultHalo())
 	if err != nil {

@@ -40,8 +40,12 @@ type App struct {
 	UseAvgDetector bool
 }
 
-// NewApp generates the simulation data and the golden catalog.
+// NewApp generates the simulation data and the golden catalog. The grid
+// edge must exceed 8: halo centers keep 4 cells clear of every face.
 func NewApp(sim SimConfig, halo HaloConfig) (*App, error) {
+	if sim.N <= 8 {
+		return nil, fmt.Errorf("nyx: grid edge %d too small (need more than 8)", sim.N)
+	}
 	a := &App{Sim: sim, Halo: halo}
 	a.field = sim.Generate()
 	cat := FindHalos(a.field, sim.N, halo)

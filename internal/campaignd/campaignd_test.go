@@ -286,7 +286,7 @@ func TestIngestRejectsOutOfOrderAndDriftedHeaders(t *testing.T) {
 	bad := wireHeader(t, ws, 11)
 	bad.Seed = 999
 	if err := coord.Ingest(g.LeaseID, &bad, nil); err == nil || !strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("want HeaderMatchesSpec rejection, got %v", err)
+		t.Fatalf("want HeaderMatches rejection, got %v", err)
 	}
 
 	h := wireHeader(t, ws, 11)
@@ -325,5 +325,79 @@ func TestManifestForRejectsMixedCampaigns(t *testing.T) {
 	specs[1].Backend = "mem"
 	if man, err = ManifestFor(specs); err != nil || man.Backend != "" {
 		t.Fatalf("mixed backends should leave the manifest backend empty, got %q (%v)", man.Backend, err)
+	}
+}
+
+// TestIngestChecksHeaderWithoutBuilding serves a spec that validates but
+// cannot be built (a Nyx edge of 12 seeds no halos): the coordinator must
+// check the worker's header against the spec's static identity alone, so
+// lease, header, records and completion all succeed.
+func TestIngestChecksHeaderWithoutBuilding(t *testing.T) {
+	const runs = 3
+	ws := experiments.WireSpec{Cell: "nyx", Model: "bit-flip", Runs: runs, Seed: 5, NyxN: 12}
+	if _, err := ws.CampaignSpec(); err == nil || !strings.Contains(err.Error(), "no halos") {
+		t.Fatalf("the probe spec must fail to build, got %v", err)
+	}
+	man, err := ManifestFor([]experiments.WireSpec{ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := results.Create(t.TempDir(), man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(st, []experiments.WireSpec{ws}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	g, ok, _, err := coord.Lease("a")
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	h := results.NewHeader(core.CampaignMeta{
+		Workload:     "nyx",
+		Signature:    core.Config{Model: core.BitFlip}.Signature(),
+		ProfileCount: 5,
+		Runs:         runs,
+		Seed:         5,
+	})
+	recs := make([]results.Record, runs)
+	for i := range recs {
+		recs[i] = results.Record{Index: i, Target: int64(i), Outcome: "benign"}
+	}
+	if err := coord.Ingest(g.LeaseID, &h, recs); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if err := coord.Complete(g.LeaseID); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	if !coord.Done() {
+		t.Fatal("grid not done after its only spec completed")
+	}
+}
+
+// NewCoordinator must refuse a spec no worker could run, instead of
+// leasing it out to fail on every worker in turn.
+func TestNewCoordinatorRefusesUnbuildableSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		ws   experiments.WireSpec
+		want string
+	}{
+		{experiments.WireSpec{Cell: "nyxx", Model: "bit-flip", Runs: 4, Seed: 1}, "unknown cell"},
+		{experiments.WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 4, Seed: 1, NyxN: -1}, "nyx_n"},
+		{experiments.WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 4, Seed: 1, NyxN: 4}, "nyx_n"},
+	} {
+		st, err := results.Create(t.TempDir(), results.Manifest{Seed: 1, Runs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := NewCoordinator(st, []experiments.WireSpec{tc.ws}, time.Minute)
+		if err == nil {
+			coord.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewCoordinator(%+v): got %v, want an error containing %q", tc.ws, err, tc.want)
+		}
 	}
 }

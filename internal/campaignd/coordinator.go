@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"ffis/internal/core"
 	"ffis/internal/experiments"
 	"ffis/internal/results"
 )
@@ -32,11 +31,8 @@ const DefaultLeaseTTL = time.Minute
 // Lease state machine per spec: pending -> leased -> (complete | expired
 // -> pending again). A spec whose record file finalizes is done forever.
 type specState struct {
-	ws   experiments.WireSpec
-	sink *results.SpecSink // open while leased; nil between leases
-	// spec caches the rebuilt campaign spec for header validation; built
-	// lazily on the first record batch so startup stays cheap.
-	spec  *core.CampaignSpec
+	ws    experiments.WireSpec
+	sink  *results.SpecSink // open while leased; nil between leases
 	lease *lease
 	done  bool
 	// resumeAt remembers how much of the spec was persisted when its last
@@ -287,9 +283,10 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 
 // Ingest validates and persists a batch of records from a live lease.
 // The first batch must carry the campaign header, which is checked both
-// against the spec (HeaderMatchesSpec — the worker built the world we
-// asked for) and against any recovered header from a previous worker's
-// prefix (SpecSink.BeginHeader — profile drift across workers is refused).
+// against the wire spec's static identity (HeaderMatches on Meta — the
+// worker ran the campaign we asked for; nothing is built here) and against
+// any recovered header from a previous worker's prefix
+// (SpecSink.BeginHeader — profile drift across workers is refused).
 // Records must arrive in strict index order starting at the lease's
 // resume point; SpecSink.Append refuses any gap or repeat.
 func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []results.Record) error {
@@ -301,15 +298,9 @@ func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []resu
 		return errLeaseGone
 	}
 	if header != nil {
-		if st.spec == nil {
-			spec, err := st.ws.CampaignSpec()
-			if err != nil {
-				return err
-			}
-			st.spec = &spec
-		}
-		if err := results.HeaderMatchesSpec(*header, *st.spec); err != nil {
-			return err
+		meta, _ := st.ws.Meta() // NewCoordinator validated the spec
+		if err := results.HeaderMatches(*header, meta); err != nil {
+			return fmt.Errorf("campaignd: spec %q: %w", st.ws.Key, err)
 		}
 		// On a re-leased spec the sink recovered the previous worker's
 		// header; BeginHeader compares against it, so a successor whose

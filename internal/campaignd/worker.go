@@ -20,8 +20,9 @@ import (
 // Worker executes leases against the local campaign engine and streams
 // finished records back to the coordinator. One worker process serves
 // many leases in sequence; the engine persists across them, so two leases
-// over the same world (same cell, different fault models) share one Setup
-// and one profile pass exactly like cells of a local grid.
+// over the same world (same cell, different fault models) share one built
+// workload, one Setup and one profile pass exactly like cells of a local
+// grid.
 type Worker struct {
 	// ID names the worker in leases and progress views.
 	ID string
@@ -272,16 +273,18 @@ func (p *prefetchedLease) take() *LeaseGrant {
 // been re-queued and belongs to someone else now.
 var errLeaseLost = errors.New("campaignd: lease revoked by coordinator")
 
-// execute runs one lease: rebuild the spec's world from its wire form,
-// run indices [Start, Runs) with records streaming to the coordinator,
-// then finalize. A background heartbeat keeps the lease alive; if it ever
-// fails, the campaign's Abort hook stops dispatching new runs — compute
-// halts as soon as the work stops being ours.
+// execute runs one lease: take the spec's workload from the engine
+// (building it only the first time its world is seen), run indices
+// [Start, Runs) with records streaming to the coordinator, then finalize.
+// A background heartbeat keeps the lease alive; if it ever fails, the
+// campaign's Abort hook stops dispatching new runs — compute halts as soon
+// as the work stops being ours.
 func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
-	spec, err := grant.Spec.CampaignSpec()
+	wl, err := w.engine().Workload(grant.Spec.WorldKey(), grant.Spec.Workload)
 	if err != nil {
 		return fmt.Errorf("campaignd: worker %s: %w", w.ID, err)
 	}
+	spec := grant.Spec.CampaignSpecOn(wl)
 	w.logf("worker %s: leased %q runs [%d,%d)", w.ID, grant.Spec.Key, grant.Start, grant.Spec.Runs)
 
 	var revoked atomic.Bool

@@ -128,6 +128,25 @@ func (e *Engine) prep(key string, w Workload) *enginePrep {
 	return p
 }
 
+// Workload returns the workload the engine holds for worldKey — the one
+// an earlier Run or Workload call registered — and otherwise builds one
+// with build and registers it. A caller that runs many specs over the same
+// world, such as a distributed worker serving successive leases, thereby
+// builds each application once per engine instead of once per spec.
+func (e *Engine) Workload(worldKey string, build func() (Workload, error)) (Workload, error) {
+	e.mu.Lock()
+	p, ok := e.prepared[worldKey]
+	e.mu.Unlock()
+	if ok {
+		return p.w, nil
+	}
+	w, err := build()
+	if err != nil {
+		return Workload{}, err
+	}
+	return e.prep(worldKey, w).w, nil
+}
+
 // snapshot builds (once per world key) the post-Setup snapshot.
 func (p *enginePrep) snapshot() (*WorldSnapshot, error) {
 	p.snapOnce.Do(func() {

@@ -237,6 +237,73 @@ func TestEngineMemoizesWorldAndProfile(t *testing.T) {
 	}
 }
 
+// TestEngineWorkloadBuildsOncePerKey pins Engine.Workload: build runs once
+// per world key across calls, and never for a key an earlier Run already
+// registered — the held workload comes back instead.
+func TestEngineWorkloadBuildsOncePerKey(t *testing.T) {
+	e := &Engine{Jobs: 2}
+	ran := toyWorkload()
+	ran.Name = "registered-by-run"
+	spec := CampaignSpec{Key: "toy/BF", WorldKey: "run-world", Workload: ran,
+		Config: CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 2, Seed: 1}}
+	if r := e.Run([]CampaignSpec{spec})[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+
+	var builds int
+	build := func(name string) func() (Workload, error) {
+		return func() (Workload, error) {
+			builds++
+			w := toyWorkload()
+			w.Name = name
+			return w, nil
+		}
+	}
+	got, err := e.Workload("run-world", build("rebuilt"))
+	if err != nil || got.Name != "registered-by-run" || builds != 0 {
+		t.Fatalf("key registered by Run: got %q (err %v) after %d builds, want the held workload and no build", got.Name, err, builds)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := e.Workload("fresh-world", build(fmt.Sprintf("build-%d", i)))
+		if err != nil || got.Name != "build-0" {
+			t.Fatalf("call %d: got %q (err %v), want the first build", i, got.Name, err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("build ran %d times for one key, want 1", builds)
+	}
+	if _, err := e.Workload("broken-world", func() (Workload, error) { return Workload{}, errors.New("boom") }); err == nil {
+		t.Fatal("a failed build must surface its error")
+	}
+	if got, err := e.Workload("broken-world", build("after-failure")); err != nil || got.Name != "after-failure" {
+		t.Fatalf("a failed build must not register the key: got %q (err %v)", got.Name, err)
+	}
+
+	// Concurrent first calls may each build, but all of them get the one
+	// workload that was registered.
+	names := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range names {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w, err := e.Workload("contended-world", func() (Workload, error) {
+				return Workload{Name: fmt.Sprintf("racer-%d", i)}, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			names[i] = w.Name
+		}(i)
+	}
+	wg.Wait()
+	for _, n := range names {
+		if n != names[0] {
+			t.Fatalf("concurrent callers got different workloads: %v", names)
+		}
+	}
+}
+
 // TestEngineGoldenSnapshotMemoized asserts the golden run executes once per
 // (world, root) and matches a golden run on a freshly built world.
 func TestEngineGoldenSnapshotMemoized(t *testing.T) {

@@ -13,9 +13,10 @@ import (
 // remote worker needs to rebuild the exact core.CampaignSpec the
 // coordinator is leasing out. Only statically nameable campaign identity
 // crosses the wire — cell, model, run budget, seed, world shape — never
-// live objects; both sides resolve the spec through the same
-// CampaignSpec() builder, so a worker's world, profile pass, and record
-// stream are bit-identical to a local run of the same grid.
+// live objects. The worker builds through Workload and CampaignSpecOn, the
+// coordinator checks headers against Meta, and both derive from the same
+// fields, so a worker's world, profile pass, and record stream are
+// bit-identical to a local run of the same grid.
 //
 // Adaptive stopping deliberately has no wire form: a stopping rule needs
 // the complete outcome prefix to evaluate, which a re-leased spec only
@@ -47,14 +48,11 @@ type WireSpec struct {
 	// workload. Read-path models force it regardless: the standard phases
 	// only write, so a read fault would have no instance to land on.
 	Pipeline bool `json:"pipeline,omitempty"`
-	// WorldKey groups specs that share a built world onto one snapshot and
-	// one profile pass. Empty derives it from the cell and world shape.
-	WorldKey string `json:"world_key,omitempty"`
 }
 
-// Normalized fills the derived fields (Key, WorldKey) from the grid
-// conventions. Both the coordinator and the worker normalize before use,
-// so the two sides always agree on store keys and world grouping.
+// Normalized fills the derived Key from the grid convention. Both the
+// coordinator and the worker normalize before use, so the two sides always
+// agree on store keys.
 func (ws WireSpec) Normalized() WireSpec {
 	if ws.Key == "" {
 		short := ws.Model
@@ -63,92 +61,143 @@ func (ws WireSpec) Normalized() WireSpec {
 		}
 		ws.Key = ws.Cell + "/" + short
 	}
-	if ws.WorldKey == "" {
-		ws.WorldKey = ws.Cell
-		if ws.Pipeline {
-			// A pipeline variant runs a different Setup than the standard
-			// cell, so it must never share the standard cell's snapshot.
-			ws.WorldKey += "@pipe"
-		}
-		if len(ws.Mounts) > 0 {
-			for _, m := range ws.Mounts {
-				ws.WorldKey += "+" + m
-			}
-		} else if ws.Backend != "" && ws.Backend != "mem" {
-			ws.WorldKey += "@" + ws.Backend
-		}
-	}
 	return ws
 }
 
-// Validate checks the statically checkable parts of the spec: registered
-// model, parseable world grammar, positive run budget. World construction
-// itself (unknown cells, bad Nyx geometry) surfaces from CampaignSpec.
+// pipeline reports whether the spec runs the cell's pipeline variant.
+func (ws WireSpec) pipeline() bool {
+	m, ok := core.Lookup(ws.Model)
+	return ws.Pipeline || (ok && core.IsRead(m))
+}
+
+// WorldKey groups specs that share a built world onto one snapshot, one
+// profile pass, and (on a worker's engine) one built workload. It is
+// derived from every field that shapes the world — cell, Nyx edge,
+// pipeline variant, mounts or backend — so two specs share a key only when
+// they would build the same application on the same storage.
+func (ws WireSpec) WorldKey() string {
+	key := ws.Cell
+	if ws.Cell == "nyx" && ws.NyxN != 0 {
+		key += fmt.Sprintf("@n%d", ws.NyxN)
+	}
+	if ws.pipeline() {
+		// A pipeline variant runs a different Setup than the standard
+		// cell, so it must never share the standard cell's snapshot.
+		key += "@pipe"
+	}
+	if len(ws.Mounts) > 0 {
+		for _, m := range ws.Mounts {
+			key += "+" + m
+		}
+	} else if ws.Backend != "" && ws.Backend != "mem" {
+		key += "@" + ws.Backend
+	}
+	return key
+}
+
+// cellWorkloads maps every accepted cell name to the name of the workload
+// it builds, which is what a campaign header records.
+var cellWorkloads = map[string]string{
+	"nyx": "nyx", "qmcpack": "qmcpack", "qmc": "qmcpack",
+	"MT1": "MT1", "MT2": "MT2", "MT3": "MT3", "MT4": "MT4",
+	"mt1": "MT1", "mt2": "MT2", "mt3": "MT3", "mt4": "MT4",
+}
+
+// Validate checks the spec without building anything: known cell, usable
+// Nyx edge, registered model, parseable world grammar, positive run
+// budget. A spec that passes can still fail to build (a Nyx edge that
+// seeds no halos), which surfaces from Workload.
 func (ws WireSpec) Validate() error {
 	if ws.Cell == "" {
 		return fmt.Errorf("experiments: wire spec has no cell")
 	}
+	key := ws.Normalized().Key
+	if _, ok := cellWorkloads[ws.Cell]; !ok {
+		return fmt.Errorf("experiments: wire spec %q: unknown cell %q (want one of %v)", key, ws.Cell, Fig7Cells)
+	}
+	if ws.NyxN < 0 || (ws.NyxN > 0 && ws.NyxN <= 8) {
+		return fmt.Errorf("experiments: wire spec %q: nyx_n must be 0 (default) or above 8, got %d", key, ws.NyxN)
+	}
 	if _, ok := core.Lookup(ws.Model); !ok {
-		return fmt.Errorf("experiments: wire spec %q: unregistered fault model %q", ws.Normalized().Key, ws.Model)
+		return fmt.Errorf("experiments: wire spec %q: unregistered fault model %q", key, ws.Model)
 	}
 	if ws.Runs <= 0 {
-		return fmt.Errorf("experiments: wire spec %q: runs must be positive, got %d", ws.Normalized().Key, ws.Runs)
+		return fmt.Errorf("experiments: wire spec %q: runs must be positive, got %d", key, ws.Runs)
 	}
 	if ws.Backend != "" {
 		if err := ValidateBackend(ws.Backend); err != nil {
-			return fmt.Errorf("experiments: wire spec %q: %w", ws.Normalized().Key, err)
+			return fmt.Errorf("experiments: wire spec %q: %w", key, err)
 		}
 	}
 	if _, err := ParseMountSpecs(ws.Mounts); err != nil {
-		return fmt.Errorf("experiments: wire spec %q: %w", ws.Normalized().Key, err)
+		return fmt.Errorf("experiments: wire spec %q: %w", key, err)
 	}
 	return nil
 }
 
-// CampaignSpec rebuilds the executable campaign spec this wire form
-// describes. This is the single canonical builder — the worker runs what
-// it returns, and the coordinator validates incoming record headers
-// against it — so "same WireSpec" means "same campaign" by construction.
-func (ws WireSpec) CampaignSpec() (core.CampaignSpec, error) {
+// Meta is the campaign identity a worker's header must carry for this
+// spec — workload name, signature, runs, seed — read off the wire fields
+// without building the workload. The profile count is left zero: only a
+// built world knows it.
+func (ws WireSpec) Meta() (core.CampaignMeta, error) {
 	if err := ws.Validate(); err != nil {
-		return core.CampaignSpec{}, err
+		return core.CampaignMeta{}, err
 	}
-	ws = ws.Normalized()
 	model, _ := core.Lookup(ws.Model)
-	o := Options{
+	return core.CampaignMeta{
+		Workload:  cellWorkloads[ws.Cell],
+		Signature: core.Config{Model: model, Shots: ws.Shots}.Signature(),
 		Runs:      ws.Runs,
 		Seed:      ws.Seed,
-		Shots:     ws.Shots,
-		NyxN:      ws.NyxN,
-		Backend:   ws.Backend,
-		ArmMounts: ws.ArmMounts,
+	}, nil
+}
+
+// Workload builds the application this spec runs on its storage world:
+// the expensive half of CampaignSpec (a Nyx field and its golden catalog,
+// a QMCPACK golden energy). Specs with equal WorldKeys build equal
+// workloads, so a caller may build once per key and reuse the result.
+func (ws WireSpec) Workload() (core.Workload, error) {
+	if err := ws.Validate(); err != nil {
+		return core.Workload{}, err
 	}
-	if len(ws.Mounts) > 0 {
-		mounts, err := ParseMountSpecs(ws.Mounts)
-		if err != nil {
-			return core.CampaignSpec{}, err
-		}
-		o.Mounts = mounts
-	}
+	mounts, _ := ParseMountSpecs(ws.Mounts) // checked by Validate
+	o := Options{NyxN: ws.NyxN, Backend: ws.Backend, Mounts: mounts}
 	var w core.Workload
 	var err error
-	if ws.Pipeline || core.IsRead(model) {
+	if ws.pipeline() {
 		w, err = NewPipelineWorkload(ws.Cell, o)
-		if err == nil {
-			if newFS := o.worldFS(); newFS != nil {
-				w.NewFS = newFS
-			}
+		if newFS := o.worldFS(); err == nil && newFS != nil {
+			w.NewFS = newFS
 		}
 	} else {
 		w, err = NewWorkload(ws.Cell, o)
 	}
 	if err != nil {
-		return core.CampaignSpec{}, fmt.Errorf("experiments: wire spec %q: %w", ws.Key, err)
+		return core.Workload{}, fmt.Errorf("experiments: wire spec %q: %w", ws.Normalized().Key, err)
 	}
-	spec := fig7Spec(ws.Cell, w, model, o)
+	return w, nil
+}
+
+// CampaignSpecOn is the cheap half of CampaignSpec: the executable spec
+// that runs this wire form's campaign on w, a workload built by Workload
+// for a spec with the same WorldKey. ws must be valid.
+func (ws WireSpec) CampaignSpecOn(w core.Workload) core.CampaignSpec {
+	ws = ws.Normalized()
+	model, _ := core.Lookup(ws.Model)
+	spec := fig7Spec(ws.Cell, w, model, Options{Runs: ws.Runs, Seed: ws.Seed, Shots: ws.Shots, ArmMounts: ws.ArmMounts})
 	spec.Key = ws.Key
-	spec.WorldKey = ws.WorldKey
-	return spec, nil
+	spec.WorldKey = ws.WorldKey()
+	return spec
+}
+
+// CampaignSpec builds the executable campaign spec this wire form
+// describes: Workload and CampaignSpecOn combined.
+func (ws WireSpec) CampaignSpec() (core.CampaignSpec, error) {
+	w, err := ws.Workload()
+	if err != nil {
+		return core.CampaignSpec{}, err
+	}
+	return ws.CampaignSpecOn(w), nil
 }
 
 // ParseWireSpecs reads a spec grid from r: either one JSON array of

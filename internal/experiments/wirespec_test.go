@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ffis/internal/core"
+	"ffis/internal/results"
 )
 
 func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
@@ -12,21 +15,27 @@ func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
 	if ws.Key != "MT2/BF" {
 		t.Fatalf("key: got %q, want MT2/BF", ws.Key)
 	}
-	if ws.WorldKey != "MT2" {
-		t.Fatalf("world key: got %q, want MT2", ws.WorldKey)
+	if ws.WorldKey() != "MT2" {
+		t.Fatalf("world key: got %q, want MT2", ws.WorldKey())
 	}
 
 	// World-shape variants must not share the plain cell's snapshot key.
-	pipe := WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Pipeline: true}.Normalized()
-	if pipe.WorldKey == ws.WorldKey {
-		t.Fatalf("pipeline variant shares world key %q with the standard cell", pipe.WorldKey)
+	for _, v := range []WireSpec{
+		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Pipeline: true},
+		{Cell: "MT2", Model: "read-bit-flip", Runs: 10, Seed: 3},
+		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "object:lag=2"},
+	} {
+		if v.WorldKey() == ws.WorldKey() {
+			t.Fatalf("variant %+v shares world key %q with the standard cell", v, v.WorldKey())
+		}
 	}
-	backed := WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "object:lag=2"}.Normalized()
-	if backed.WorldKey == ws.WorldKey {
-		t.Fatalf("backend variant shares world key %q with the mem cell", backed.WorldKey)
+	if mem := (WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "mem"}); mem.WorldKey() != ws.WorldKey() {
+		t.Fatalf("explicit mem backend should normalize to the default world key, got %q", mem.WorldKey())
 	}
-	if mem := (WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "mem"}).Normalized(); mem.WorldKey != ws.WorldKey {
-		t.Fatalf("explicit mem backend should normalize to the default world key, got %q", mem.WorldKey)
+	n24 := WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, NyxN: 24}
+	n32 := WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, NyxN: 32}
+	if n24.WorldKey() == n32.WorldKey() {
+		t.Fatalf("nyx edges 24 and 32 share world key %q", n24.WorldKey())
 	}
 }
 
@@ -36,6 +45,10 @@ func TestWireSpecValidateCatchesStaticErrors(t *testing.T) {
 		want string
 	}{
 		{WireSpec{Model: "bit-flip", Runs: 10}, "no cell"},
+		{WireSpec{Cell: "MT9", Model: "bit-flip", Runs: 10}, "unknown cell"},
+		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, NyxN: -1}, "nyx_n"},
+		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, NyxN: 4}, "nyx_n"},
+		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, NyxN: 8}, "nyx_n"},
 		{WireSpec{Cell: "MT2", Model: "no-such-model", Runs: 10}, "unregistered"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip"}, "runs"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Backend: "floppy"}, "backend"},
@@ -63,8 +76,9 @@ func TestWireSpecCampaignSpecMatchesLocalBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fig7Spec("MT2", w, spec.Config.Fault.Model, o)
-	if spec.Key != want.Key || spec.WorldKey != want.WorldKey {
-		t.Fatalf("keys drifted: wire (%q, %q) vs local (%q, %q)", spec.Key, spec.WorldKey, want.Key, want.WorldKey)
+	if spec.Key != want.Key || spec.WorldKey != want.WorldKey || spec.WorldKey != ws.WorldKey() {
+		t.Fatalf("keys drifted: wire (%q, %q, WorldKey() %q) vs local (%q, %q)",
+			spec.Key, spec.WorldKey, ws.WorldKey(), want.Key, want.WorldKey)
 	}
 	if spec.Config.Runs != want.Config.Runs || spec.Config.Seed != want.Config.Seed ||
 		spec.Config.Fault.Shots != want.Config.Fault.Shots {
@@ -80,7 +94,9 @@ func TestParseWireSpecsArrayAndJSONL(t *testing.T) {
 		{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3},
 		{"cell": "MT2", "model": "dropped-write", "runs": 10, "seed": 3}
 	]`
-	jsonl := `{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3}
+	// world_key is no longer a wire field (the key is derived); spec files
+	// that still carry it keep parsing.
+	jsonl := `{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3, "world_key": "old"}
 {"cell": "MT2", "model": "dropped-write", "runs": 10, "seed": 3}`
 	for _, input := range []string{array, jsonl} {
 		specs, err := ParseWireSpecs(strings.NewReader(input))
@@ -136,5 +152,95 @@ func TestFig7WireGridCoversEveryCellAndModel(t *testing.T) {
 	}
 	if len(seen) != want {
 		t.Fatalf("duplicate keys in generated grid")
+	}
+}
+
+// Meta must describe exactly the header a worker writes after building the
+// spec, or the coordinator would refuse honest workers (or accept drifted
+// ones). Pin it for every spec shape the coordinator can serve.
+func TestWireSpecMetaMatchesBuiltSpec(t *testing.T) {
+	cases := Fig7WireGrid(10, 5)
+	for _, cell := range []string{"nyx", "qmcpack", "MT2"} {
+		cases = append(cases, WireSpec{Cell: cell, Model: "dropped-write", Runs: 10, Seed: 5, NyxN: 24, Pipeline: true})
+	}
+	for _, cell := range []string{"nyx", "qmcpack"} {
+		for _, m := range core.ReadModels() {
+			cases = append(cases, WireSpec{Cell: cell, Model: m.Name(), Runs: 10, Seed: 5, NyxN: 24})
+		}
+	}
+	cases = append(cases,
+		WireSpec{Cell: "qmc", Model: "bit-flip", Runs: 10, Seed: 5},
+		WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 10, Seed: 5},
+		WireSpec{Cell: "MT2", Model: "burst-corruption", Runs: 10, Seed: 5, Shots: 2},
+	)
+	// CampaignSpec is Workload then CampaignSpecOn; the expensive Workload
+	// half is built once per world key so the test stays cheap under -race.
+	built := map[string]core.Workload{}
+	for _, ws := range cases {
+		meta, err := ws.Meta()
+		if err != nil {
+			t.Fatalf("%+v: Meta: %v", ws, err)
+		}
+		w, ok := built[ws.WorldKey()]
+		if !ok {
+			spec, err := ws.CampaignSpec()
+			if err != nil {
+				t.Fatalf("%+v: CampaignSpec: %v", ws, err)
+			}
+			w = spec.Workload
+			built[ws.WorldKey()] = w
+		}
+		spec := ws.CampaignSpecOn(w)
+		stop, err := spec.Config.NormalizedStop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta.ProfileCount = 17
+		got := results.NewHeader(meta)
+		want := results.NewHeader(core.CampaignMeta{
+			Workload: spec.Workload.Name, Signature: spec.Config.Fault.Signature(),
+			ProfileCount: 17, Runs: spec.Config.Runs, Seed: spec.Config.Seed, Stop: stop,
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v:\n Meta header  %+v\n built header %+v", ws, got, want)
+		}
+	}
+}
+
+// TestWireWorldKeysSeparateWorlds runs wire specs through one engine the
+// way a worker serving successive leases does. Specs whose worlds differ —
+// a read model forcing the pipeline variant, or another Nyx edge — must
+// not be handed the first spec's workload, snapshot or profile count.
+func TestWireWorldKeysSeparateWorlds(t *testing.T) {
+	run := func(e *core.Engine, ws WireSpec) core.GridResult {
+		t.Helper()
+		w, err := e.Workload(ws.WorldKey(), ws.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Run([]core.CampaignSpec{ws.CampaignSpecOn(w)})[0]
+	}
+	nyx := func(model string, n int) WireSpec {
+		return WireSpec{Cell: "nyx", Model: model, Runs: 2, Seed: 3, NyxN: n}
+	}
+
+	e := &core.Engine{Jobs: 2}
+	for _, ws := range []WireSpec{nyx("bit-flip", 24), nyx("read-bit-flip", 24)} {
+		if r := run(e, ws); r.Err != nil {
+			t.Fatalf("%s on a shared engine: %v", ws.Normalized().Key, r.Err)
+		}
+	}
+
+	e = &core.Engine{Jobs: 2}
+	for _, ws := range []WireSpec{nyx("bit-flip", 24), nyx("bit-flip", 32)} {
+		shared := run(e, ws)
+		fresh := run(&core.Engine{Jobs: 2}, ws)
+		if shared.Err != nil || fresh.Err != nil {
+			t.Fatalf("nyx_n %d: shared err %v, fresh err %v", ws.NyxN, shared.Err, fresh.Err)
+		}
+		if shared.Result.ProfileCount != fresh.Result.ProfileCount {
+			t.Fatalf("nyx_n %d: shared engine profiled %d writes, a fresh engine %d",
+				ws.NyxN, shared.Result.ProfileCount, fresh.Result.ProfileCount)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func TestAdaptiveStoreResume(t *testing.T) {
 	}
 
 	// Re-running the grid over the finalized store must take the load-only
-	// fast path — which exercises HeaderMatchesSpec on an adaptive header —
+	// fast path — which exercises HeaderMatches on an adaptive header —
 	// and reproduce the stop index and tally from disk alone.
 	again := runAdaptiveCell(t, resumed)
 	if again.Result.StopIndex != stop || again.Result.Tally != ref.Result.Tally {

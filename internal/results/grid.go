@@ -63,8 +63,13 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 			// the profile count is the one thing a static check cannot
 			// see; everything nameable — workload, model, primitive,
 			// feature, runs, seed — is compared.)
-			if err := HeaderMatchesSpec(data.Header, spec); err != nil {
-				return fail(err)
+			stop, err := spec.Config.NormalizedStop()
+			if err == nil {
+				err = HeaderMatches(data.Header, core.CampaignMeta{Workload: spec.Workload.Name,
+					Signature: spec.Config.Fault.Signature(), Runs: spec.Config.Runs, Seed: spec.Config.Seed, Stop: stop})
+			}
+			if err != nil {
+				return fail(fmt.Errorf("results: spec %q: %w", spec.Key, err))
 			}
 			res, err := data.CampaignResult()
 			out[i] = core.GridResult{Spec: spec, Result: res, Err: err}
@@ -118,34 +123,24 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 	return out, firstErr
 }
 
-// HeaderMatchesSpec verifies a stored header describes the spec a caller is
-// asking for: everything statically knowable about the campaign must match.
-// The profile count is copied from the stored header — it is a property of
-// the built world, observable only by re-profiling, which the fast path
-// exists to skip. Exported for the distributed coordinator, which applies
-// the same guard to headers arriving over the wire before ingesting a
-// worker's records.
-func HeaderMatchesSpec(h Header, spec core.CampaignSpec) error {
-	stop, err := spec.Config.NormalizedStop()
-	if err != nil {
-		return fmt.Errorf("results: spec %q: %w", spec.Key, err)
-	}
-	want := NewHeader(core.CampaignMeta{
-		Workload:     spec.Workload.Name,
-		Signature:    spec.Config.Fault.Signature(),
-		ProfileCount: h.ProfileCount,
-		Runs:         spec.Config.Runs,
-		Seed:         spec.Config.Seed,
-		Stop:         stop,
-	})
+// HeaderMatches verifies a stored header describes the campaign a caller
+// is asking for: everything statically knowable about it — workload name,
+// signature, runs, seed, stopping rule — must equal want. The profile count
+// is copied from the stored header: it is a property of the built world,
+// observable only by re-profiling, which both callers exist to skip.
+// RunGrid's finalized fast path checks its spec's identity here, and the
+// distributed coordinator checks each worker's header against its wire
+// spec's Meta before ingesting any record.
+func HeaderMatches(h Header, want core.CampaignMeta) error {
+	want.ProfileCount = h.ProfileCount
+	w := NewHeader(want)
 	// The stop index is the stored campaign's runtime decision, not a spec
 	// property a caller could know statically; like the profile count it is
 	// copied from the header. The rule itself still has to match, so a fixed-
 	// budget spec can never silently adopt an adaptive store or vice versa.
-	want.StopIndex = h.StopIndex
-	if !reflect.DeepEqual(h, want) {
-		return fmt.Errorf("results: spec %q: stored records are from a different campaign (stored %+v, requested %+v); use a fresh -out",
-			spec.Key, h, want)
+	w.StopIndex = h.StopIndex
+	if !reflect.DeepEqual(h, w) {
+		return fmt.Errorf("stored records are from a different campaign (stored %+v, requested %+v); use a fresh -out", h, w)
 	}
 	return nil
 }

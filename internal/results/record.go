@@ -82,7 +82,7 @@ type FeatureRecord struct {
 // NewHeader renders campaign metadata into the persisted header form. It
 // is exported for the distributed path: a campaign worker serializes its
 // header here and streams it to the coordinator, whose ingest validates it
-// against the spec before persisting (HeaderMatchesSpec, SpecSink.BeginHeader).
+// against the spec before persisting (HeaderMatches, SpecSink.BeginHeader).
 func NewHeader(meta core.CampaignMeta) Header {
 	sig := meta.Signature
 	return Header{
