@@ -184,9 +184,19 @@ func TestSweepAcrossFlipWidthsOnNyx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := core.Sweep(core.FlipWidthSweep(), core.CampaignConfig{Runs: 6, Seed: 11}, app.Workload())
-	if err != nil {
-		t.Fatal(err)
+	w := app.Workload()
+	var specs []core.CampaignSpec
+	for _, pt := range core.FlipWidthSweep() {
+		specs = append(specs, core.CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w,
+			Config: core.CampaignConfig{Fault: pt.Fault, Runs: 6, Seed: 11}})
+	}
+	var results []core.CampaignResult
+	for _, r := range (&core.Engine{}).Run(specs) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
+		}
+		r.Result.Workload = r.Spec.Key
+		results = append(results, r.Result)
 	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ffis/internal/core"
 	"ffis/internal/results"
 )
 
@@ -101,6 +102,22 @@ func TestBearerTokenGatesEveryRoute(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsReusedRunsApart pins the worker side of the reuse
+// telemetry: a RunReused event counts as done and as reused and adds
+// nothing to the stage sums, which therefore cover executed runs only.
+func TestWorkerCountsReusedRunsApart(t *testing.T) {
+	w := &Worker{ID: "w"}
+	w.consumeEvent(core.Event{Kind: core.EventRunDone, CloneMicros: 10, WorkloadNanos: 20, ClassifyMicros: 30, SimNanos: 40})
+	w.consumeEvent(core.Event{Kind: core.EventRunReused, SimNanos: 40})
+	w.consumeEvent(core.Event{Kind: core.EventSpecDone})
+	got := w.heartbeatReq("L")
+	want := HeartbeatRequest{LeaseID: "L", Worker: "w", Done: 2, Reused: 1,
+		CloneMicros: 10, WorkloadNanos: 20, ClassifyMicros: 30, SimNanos: 40}
+	if got != want {
+		t.Fatalf("heartbeat = %+v, want %+v", got, want)
+	}
+}
+
 // TestMetricsCountsWorkersAndExpiries exercises the coordinator-side
 // aggregation directly: heartbeats with stage aggregates show up as
 // per-worker averages, and a lapsed lease increments the expiry counter.
@@ -113,14 +130,15 @@ func TestMetricsCountsWorkersAndExpiries(t *testing.T) {
 	}
 	if !coord.Heartbeat(HeartbeatRequest{
 		LeaseID: g.LeaseID, Worker: "w1",
-		Done: 4, CloneMicros: 400, WorkloadNanos: 8_000_000, ClassifyMicros: 40, SimNanos: 4_000_000,
+		Done: 6, Reused: 2, CloneMicros: 400, WorkloadNanos: 8_000_000, ClassifyMicros: 40, SimNanos: 4_000_000,
 	}) {
 		t.Fatal("heartbeat on a live lease refused")
 	}
 	m := coord.Metrics()
-	if m.Workers != 1 || m.LeasesGranted != 1 {
-		t.Fatalf("want 1 worker and 1 lease granted, got %+v", m)
+	if m.Workers != 1 || m.LeasesGranted != 1 || m.RunsReused != 2 {
+		t.Fatalf("want 1 worker, 1 lease granted and 2 runs reused, got %+v", m)
 	}
+	// Averages are per executed run: 6 done minus 2 reused.
 	if m.AvgCloneMicros != 100 || m.AvgWorkloadMillis != 2 {
 		t.Fatalf("stage averages: want clone 100us, workload 2ms, got %+v", m)
 	}

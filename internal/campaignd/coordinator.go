@@ -71,19 +71,12 @@ type Coordinator struct {
 
 	// Operational counters behind GET /metrics. runsIngested counts
 	// records accepted into the store; workerStats holds each worker's
-	// latest cumulative per-stage report from its heartbeats.
+	// latest heartbeat, which carries its cumulative per-stage report.
 	started         time.Time
 	runsIngested    int64
 	leasesExpired   int
 	leasesCompleted int
-	workerStats     map[string]workerStat
-}
-
-// workerStat is one worker's cumulative event-stream aggregate, as
-// reported on its heartbeats.
-type workerStat struct {
-	done                               int64
-	cloneUS, workNS, classifyUS, simNS int64
+	workerStats     map[string]HeartbeatRequest
 }
 
 // ManifestFor derives the store manifest a spec grid requires: one seed
@@ -156,7 +149,7 @@ func NewCoordinator(st *results.Store, specs []experiments.WireSpec, ttl time.Du
 		now:         time.Now,
 		order:       keys,
 		states:      states,
-		workerStats: map[string]workerStat{},
+		workerStats: map[string]HeartbeatRequest{},
 	}
 	c.started = c.now()
 	return c, nil
@@ -265,13 +258,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	defer c.mu.Unlock()
 	c.expireLocked()
 	if req.Worker != "" {
-		c.workerStats[req.Worker] = workerStat{
-			done:       req.Done,
-			cloneUS:    req.CloneMicros,
-			workNS:     req.WorkloadNanos,
-			classifyUS: req.ClassifyMicros,
-			simNS:      req.SimNanos,
-		}
+		c.workerStats[req.Worker] = req
 	}
 	st := c.findLease(req.LeaseID)
 	if st == nil {
@@ -395,9 +382,12 @@ type Metrics struct {
 	LeasesExpired   int `json:"leases_expired"`
 	LeasesCompleted int `json:"leases_completed"`
 
-	// Workers counts the workers that have reported stats on a heartbeat;
-	// the averages below are per completed run across all of them.
+	// Workers counts the workers that have reported stats on a heartbeat.
+	// RunsReused counts their runs that copied an earlier draw-free record
+	// instead of executing; the averages below are per executed run
+	// (completed minus reused) across all of them.
 	Workers           int     `json:"workers"`
+	RunsReused        int64   `json:"runs_reused"`
 	AvgCloneMicros    float64 `json:"avg_clone_us,omitempty"`
 	AvgWorkloadMillis float64 `json:"avg_workload_ms,omitempty"`
 	AvgClassifyMicros float64 `json:"avg_classify_us,omitempty"`
@@ -430,20 +420,22 @@ func (c *Coordinator) Metrics() Metrics {
 		m.UptimeMillis = elapsed.Milliseconds()
 		m.RunsPerSec = float64(c.runsIngested) / elapsed.Seconds()
 	}
-	var total workerStat
+	var total HeartbeatRequest
 	for _, ws := range c.workerStats {
-		total.done += ws.done
-		total.cloneUS += ws.cloneUS
-		total.workNS += ws.workNS
-		total.classifyUS += ws.classifyUS
-		total.simNS += ws.simNS
+		total.Done += ws.Done
+		total.Reused += ws.Reused
+		total.CloneMicros += ws.CloneMicros
+		total.WorkloadNanos += ws.WorkloadNanos
+		total.ClassifyMicros += ws.ClassifyMicros
+		total.SimNanos += ws.SimNanos
 	}
-	if total.done > 0 {
-		n := float64(total.done)
-		m.AvgCloneMicros = float64(total.cloneUS) / n
-		m.AvgWorkloadMillis = float64(total.workNS) / n / 1e6
-		m.AvgClassifyMicros = float64(total.classifyUS) / n
-		m.AvgSimMillis = float64(total.simNS) / n / 1e6
+	m.RunsReused = total.Reused
+	if executed := total.Done - total.Reused; executed > 0 {
+		n := float64(executed)
+		m.AvgCloneMicros = float64(total.CloneMicros) / n
+		m.AvgWorkloadMillis = float64(total.WorkloadNanos) / n / 1e6
+		m.AvgClassifyMicros = float64(total.ClassifyMicros) / n
+		m.AvgSimMillis = float64(total.SimNanos) / n / 1e6
 	}
 	return m
 }

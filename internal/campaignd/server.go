@@ -44,11 +44,13 @@ type LeaseResponse struct {
 // HeartbeatRequest extends a lease. The optional Worker name plus
 // cumulative stage aggregates — summed worker-side from its run-event
 // stream — feed the coordinator's /metrics view; a bare lease renewal
-// leaves them zero.
+// leaves them zero. Reused counts the done runs that copied an earlier
+// record instead of executing; the stage sums cover executed runs only.
 type HeartbeatRequest struct {
 	LeaseID        string `json:"lease_id"`
 	Worker         string `json:"worker,omitempty"`
 	Done           int64  `json:"done,omitempty"`
+	Reused         int64  `json:"reused,omitempty"`
 	CloneMicros    int64  `json:"clone_us,omitempty"`
 	WorkloadNanos  int64  `json:"workload_ns,omitempty"`
 	ClassifyMicros int64  `json:"classify_us,omitempty"`

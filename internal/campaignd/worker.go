@@ -66,7 +66,7 @@ type Worker struct {
 	// stats accumulates this worker's RunDone aggregates from its event
 	// subscription; heartbeats report them cumulatively to /metrics.
 	stats struct {
-		done, cloneUS, workNS, classifyUS, simNS atomic.Int64
+		done, reused, cloneUS, workNS, classifyUS, simNS atomic.Int64
 	}
 }
 
@@ -87,15 +87,23 @@ func (w *Worker) engine() *core.Engine {
 }
 
 // consumeEvent is the worker's own subscription to the run-event stream:
-// RunDone aggregates feed the heartbeat's /metrics report.
+// RunDone aggregates feed the heartbeat's /metrics report. A reused run
+// counts as done and as reused; the stage sums cover executed runs only.
 func (w *Worker) consumeEvent(ev core.Event) {
-	if ev.Kind == core.EventRunDone {
+	switch ev.Kind {
+	case core.EventRunReused:
 		w.stats.done.Add(1)
-		w.stats.cloneUS.Add(ev.CloneMicros)
-		w.stats.workNS.Add(ev.WorkloadNanos)
-		w.stats.classifyUS.Add(ev.ClassifyMicros)
-		w.stats.simNS.Add(ev.SimNanos)
+		w.stats.reused.Add(1)
+		return
+	case core.EventRunDone:
+		w.stats.done.Add(1)
+	default:
+		return
 	}
+	w.stats.cloneUS.Add(ev.CloneMicros)
+	w.stats.workNS.Add(ev.WorkloadNanos)
+	w.stats.classifyUS.Add(ev.ClassifyMicros)
+	w.stats.simNS.Add(ev.SimNanos)
 }
 
 // heartbeatReq builds a lease renewal carrying the worker's cumulative
@@ -105,6 +113,7 @@ func (w *Worker) heartbeatReq(leaseID string) HeartbeatRequest {
 		LeaseID:        leaseID,
 		Worker:         w.ID,
 		Done:           w.stats.done.Load(),
+		Reused:         w.stats.reused.Load(),
 		CloneMicros:    w.stats.cloneUS.Load(),
 		WorkloadNanos:  w.stats.workNS.Load(),
 		ClassifyMicros: w.stats.classifyUS.Load(),

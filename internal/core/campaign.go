@@ -54,8 +54,8 @@ type CampaignConfig struct {
 	Runs int
 	// Seed makes the campaign reproducible; run i derives its own stream.
 	Seed uint64
-	// Workers bounds the parallel runs of Campaign and Sweep, which each
-	// build a private Engine with Jobs = Workers; <= 0 selects GOMAXPROCS.
+	// Workers bounds the parallel runs of Campaign, which builds a private
+	// Engine with Jobs = Workers; <= 0 selects GOMAXPROCS.
 	// An Engine grid ignores it in favor of Engine.Jobs.
 	Workers int
 	// ArmMounts restricts injection (and the profiling count) to the I/O

@@ -51,12 +51,20 @@ func toyWorkload() Workload {
 // runOnce performs one injection run on a freshly built world, with the
 // injector armed on the given mounts (none arms the whole file system).
 func runOnce(w Workload, sig Signature, target int64, rng *stats.RNG, mounts ...string) (RunRecord, error) {
+	rec, _, err := runOnceDrew(w, sig, target, rng, mounts...)
+	return rec, err
+}
+
+// runOnceDrew is runOnce that also reports whether the run drew from its
+// RNG stream.
+func runOnceDrew(w Workload, sig Signature, target int64, rng *stats.RNG, mounts ...string) (RunRecord, bool, error) {
 	base, err := buildWorld(w)
 	if err != nil {
-		return RunRecord{}, err
+		return RunRecord{}, false, err
 	}
-	var st stageTimes
-	return runOnceTimed(base, w, sig, target, rng, mounts, &st)
+	inj := NewInjector(sig, target, rng)
+	rec, err := runOnceTimed(base, w, inj, mounts, &stageTimes{})
+	return rec, inj.drew.Load(), err
 }
 
 // profileArmed counts the target primitive's executions on a freshly built

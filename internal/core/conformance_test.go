@@ -444,6 +444,96 @@ func TestConformanceDeterministicMutation(t *testing.T) {
 	}
 }
 
+// hookOutcome is everything one direct hook call produced: the action it
+// returned, the mutations it recorded, the victim file's bytes afterwards,
+// and whether it drew from the run's RNG stream.
+type hookOutcome struct {
+	action    any
+	mutations []Mutation
+	victim    []byte
+	drew      bool
+}
+
+// callHook claims one shot of m at prim and calls the matching hook
+// directly on a fixed op against the conformance world's victim file.
+func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcome {
+	t.Helper()
+	base := conformanceWorld(t)
+	inj := NewInjector(Config{Model: m, Primitive: prim}.Signature(), 0, stats.NewRNG(seed))
+	if !inj.claim() {
+		t.Fatal("target 0 did not claim")
+	}
+	env := inj.env()
+	var action any
+	switch prim {
+	case vfs.PrimWrite:
+		f, err := base.Append("/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		action = m.MutateWrite(env, WriteOp{File: f, Path: "/victim", Buf: bytes.Repeat([]byte{0xAB}, 4096), Off: 1024})
+	case vfs.PrimRead:
+		f, err := base.Open("/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		buf := make([]byte, 1024)
+		n, err := m.MutateRead(env, ReadOp{File: f, FS: base, Path: "/victim", Buf: buf, Off: 512,
+			Do: func(p []byte) (int, error) { return f.ReadAt(p, 512) }})
+		action = []any{n, err, buf}
+	case vfs.PrimTruncate:
+		action = m.MutateTruncate(env, TruncateOp{Path: "/victim", Size: 100})
+	case vfs.PrimMknod, vfs.PrimChmod:
+		action = m.MutateMeta(env, MetaOp{Primitive: prim, Path: "/victim", Mode: 0o640, Dev: 7})
+	default:
+		t.Fatalf("conformance: no hook for primitive %s", prim)
+	}
+	victim, err := vfs.ReadFile(base, "/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hookOutcome{action: action, mutations: inj.Mutations(), victim: victim, drew: inj.drew.Load()}
+}
+
+// TestConformanceDrawFreeHooksArePure pins the contract the Runner's
+// record reuse rests on: a hook that makes no Env draw acts as a pure
+// function of its op. Every hosted primitive of every registered model is
+// called twice on identical ops under two different RNG streams; whenever
+// the hook drew nothing, action, recorded mutations and post-hook bytes
+// must be identical.
+func TestConformanceDrawFreeHooksArePure(t *testing.T) {
+	var pure, drawing int
+	for _, m := range AllModels() {
+		for _, prim := range m.Hosts() {
+			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
+				a, b := callHook(t, m, prim, 1), callHook(t, m, prim, 0xdecafbad)
+				if a.drew != b.drew {
+					t.Fatalf("the hook drew under one stream and not the other (%v vs %v)", a.drew, b.drew)
+				}
+				if a.drew {
+					drawing++
+					return
+				}
+				pure++
+				if !reflect.DeepEqual(a.action, b.action) {
+					t.Fatalf("draw-free hook returned different actions:\n  %+v\n  %+v", a.action, b.action)
+				}
+				if !reflect.DeepEqual(a.mutations, b.mutations) {
+					t.Fatalf("draw-free hook recorded different mutations:\n  %+v\n  %+v", a.mutations, b.mutations)
+				}
+				if !bytes.Equal(a.victim, b.victim) {
+					t.Fatal("draw-free hook left different bytes behind")
+				}
+			})
+		}
+	}
+	if pure == 0 || drawing == 0 {
+		t.Fatalf("%d draw-free and %d drawing hooks: the suite must see both kinds", pure, drawing)
+	}
+}
+
 // TestConformanceAllocFreePassThrough pins the hot-path allocation
 // discipline the campaign engine's throughput rests on: an armed-but-not-
 // yet-fired injector op and a profiled (Disarmed injector) op must not

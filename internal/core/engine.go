@@ -45,8 +45,8 @@ type GridResult struct {
 }
 
 // Engine schedules a grid of fault-injection campaigns over one shared
-// bounded worker pool. It is the only campaign driver: Campaign and Sweep
-// are one-grid wrappers around it, and persisted grids and distributed
+// bounded worker pool. It is the only campaign driver: Campaign is a
+// one-grid wrapper around it, and persisted grids and distributed
 // workers hand it their specs. Setup executes once per world (not once per
 // run), every injection run receives a copy-on-write clone of the
 // post-Setup snapshot (or a rebuilt world when the world cannot be

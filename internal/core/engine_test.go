@@ -194,7 +194,7 @@ func TestEngineMixedWorldModes(t *testing.T) {
 // TestEngineMemoizesWorldAndProfile counts Setup and Run executions: three
 // fault models sharing a WorldKey must trigger exactly one Setup (the COW
 // snapshot) and one profiling Run — the rest of the Run calls are the
-// injection runs themselves.
+// injection runs that executed rather than reused a record.
 func TestEngineMemoizesWorldAndProfile(t *testing.T) {
 	var setups, runs atomic.Int64
 	golden := []byte("engine memoization probe")
@@ -219,7 +219,17 @@ func TestEngineMemoizesWorldAndProfile(t *testing.T) {
 			Config:   CampaignConfig{Fault: Config{Model: model}, Runs: runsPerSpec, Seed: 1},
 		})
 	}
-	for _, r := range (&Engine{Jobs: 4}).Run(specs) {
+	bus := NewEventBus()
+	var executed, reused atomic.Int64
+	bus.Subscribe(1<<10, func(ev Event) {
+		switch ev.Kind {
+		case EventRunReused:
+			reused.Add(1)
+		case EventRunDone:
+			executed.Add(1)
+		}
+	})
+	for _, r := range (&Engine{Jobs: 4, Events: bus}).Run(specs) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
 		}
@@ -227,12 +237,16 @@ func TestEngineMemoizesWorldAndProfile(t *testing.T) {
 			t.Fatalf("%s: tally %d", r.Spec.Key, r.Result.Tally.Total())
 		}
 	}
+	bus.Close()
 	if got := setups.Load(); got != 1 {
 		t.Fatalf("Setup executed %d times, want 1 (COW snapshot not shared)", got)
 	}
+	if got := executed.Load() + reused.Load(); got != int64(len(specs)*runsPerSpec) {
+		t.Fatalf("%d RunDone/RunReused events, want %d", got, len(specs)*runsPerSpec)
+	}
 	// One shared profiling pass (all three models target the write
-	// primitive) plus the injection runs.
-	if got, want := runs.Load(), int64(1+len(specs)*runsPerSpec); got != want {
+	// primitive) plus the injection runs that executed.
+	if got, want := runs.Load(), 1+executed.Load(); got != want {
 		t.Fatalf("Run executed %d times, want %d (profile not memoized)", got, want)
 	}
 }
@@ -409,7 +423,7 @@ func TestEngineEventStream(t *testing.T) {
 			if ev.ProfileCount <= 0 {
 				t.Fatalf("%s: SpecStart profile count %d", ev.Key, ev.ProfileCount)
 			}
-		case EventRunDone:
+		case EventRunDone, EventRunReused:
 			if ev.Total != 8 {
 				t.Fatalf("%s: RunDone total %d, want 8", ev.Key, ev.Total)
 			}

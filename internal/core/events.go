@@ -15,9 +15,15 @@ const (
 	// profiling succeeded, and injection runs are about to dispatch.
 	EventSpecStart EventKind = "spec_start"
 	// EventRunDone reports one successfully finished injection run with
-	// its per-stage wall-clock costs. High-volume (one per run) and the
-	// only kind a saturated subscriber queue is allowed to drop.
+	// its per-stage wall-clock costs. High-volume (one per run) and, with
+	// RunReused, the only kind a saturated subscriber queue may drop.
 	EventRunDone EventKind = "run_done"
+	// EventRunReused stands in for RunDone when a run's record was copied
+	// from an earlier draw-free run of the same target (see Runner.Run):
+	// the same identity and counts, but no stage timings, since the run
+	// executed nothing. Which runs are reused depends on scheduling, so
+	// the kind is telemetry like the timings.
+	EventRunReused EventKind = "run_reused"
 	// EventBarrier marks an adaptive dispatch barrier: the prefix
 	// [0, Barrier) has drained completely and its tally is about to be
 	// evaluated.
@@ -54,7 +60,8 @@ type Event struct {
 
 	// RunDone payload: the deterministic run identity (Index, Target,
 	// Outcome, Fired — functions of seed and index alone) plus the
-	// per-stage wall-clock costs of this particular execution.
+	// per-stage wall-clock costs of this particular execution. RunReused
+	// carries the identity and SimNanos (from the copied record) only.
 	Index          int
 	Target         int64
 	Outcome        classify.Outcome
@@ -85,8 +92,9 @@ const DefaultEventBuffer = 1024
 // dedicated goroutine, so a slow consumer (a stalled -trace writer, a
 // terminal behind a slow ssh link) can never stall the run pool.
 //
-// Drop policy: when a subscriber's queue is full, further RunDone events
-// are dropped for that subscriber and counted on its Dropped tally —
+// Drop policy: when a subscriber's queue is full, further RunDone (and
+// RunReused) events are dropped for that subscriber and counted on its
+// Dropped tally —
 // they are per-run telemetry, and the terminal SpecDone event carries the
 // complete tally regardless. Lifecycle events (SpecStart, Barrier,
 // StopDecision, SpecDone) always queue: their volume is bounded by the
@@ -166,8 +174,8 @@ func (b *EventBus) Close() {
 	}
 }
 
-// Dropped reports how many RunDone events this subscriber has lost to a
-// full queue. Lifecycle events are never dropped.
+// Dropped reports how many RunDone and RunReused events this subscriber
+// has lost to a full queue. Lifecycle events are never dropped.
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 func (s *Subscription) offer(ev Event) {
@@ -176,7 +184,7 @@ func (s *Subscription) offer(ev Event) {
 	if s.closed {
 		return
 	}
-	if ev.Kind == EventRunDone && len(s.queue) >= s.limit {
+	if (ev.Kind == EventRunDone || ev.Kind == EventRunReused) && len(s.queue) >= s.limit {
 		s.dropped.Add(1)
 		return
 	}

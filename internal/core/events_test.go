@@ -33,7 +33,8 @@ func eventGrid() []CampaignSpec {
 // eventView runs the fixture grid at the given pool width and renders each
 // campaign's event stream into a canonical summary: SpecStart fields,
 // the RunDone set ordered by index (wall-clock timings excluded — they are
-// the one legitimately nondeterministic payload), the Barrier/StopDecision
+// the one legitimately nondeterministic payload — and RunReused folded in,
+// since which runs are reused depends on scheduling), the Barrier/StopDecision
 // sequence in arrival order, and the terminal counts and tally.
 func eventView(t *testing.T, jobs int) map[string]string {
 	t.Helper()
@@ -60,7 +61,7 @@ func eventView(t *testing.T, jobs int) map[string]string {
 			switch ev.Kind {
 			case EventSpecStart:
 				fmt.Fprintf(&b, "start total=%d runs=%d profile=%d\n", ev.Total, ev.Runs, ev.ProfileCount)
-			case EventRunDone:
+			case EventRunDone, EventRunReused:
 				runs = append(runs, ev)
 			case EventBarrier:
 				fmt.Fprintf(&b, "barrier %d\n", ev.Barrier)

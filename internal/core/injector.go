@@ -58,6 +58,10 @@ type Injector struct {
 	// the seed-pinned equivalence suites pin it.
 	serialDraws bool
 	rngMu       sync.Mutex
+	// drew latches once a hook draws from the stream (flip, Env.Intn). A
+	// run that finishes without a draw has a record that is a pure
+	// function of (spec, target), which the Runner reuses for repeats.
+	drew atomic.Bool
 }
 
 // NewInjector arms an injector for the given signature at the given dynamic
@@ -163,6 +167,7 @@ func (inj *Injector) record(m Mutation) {
 // handles, serialize on rngMu — still never queuing behind the
 // claim/record bookkeeping guarded by mu.
 func (inj *Injector) flip(buf []byte) ([]byte, Mutation) {
+	inj.drew.Store(true)
 	if inj.serialDraws {
 		inj.rngMu.Lock()
 		defer inj.rngMu.Unlock()
@@ -195,6 +200,7 @@ func (e Env) Flip(buf []byte) ([]byte, Mutation) { return e.inj.flip(buf) }
 // stream — lock-free for single-shot signatures (the claim winner owns
 // the stream), under the dedicated draw mutex for MultiShot plans.
 func (e Env) Intn(n int) int {
+	e.inj.drew.Store(true)
 	if e.inj.serialDraws {
 		e.inj.rngMu.Lock()
 		defer e.inj.rngMu.Unlock()

@@ -49,7 +49,9 @@ import (
 // fires at most once per campaign run. A hook is responsible for recording
 // what it did via Env.Record; a fired-but-unrecorded shot makes the run
 // tally as never injected, which the registry conformance suite treats as
-// a model bug.
+// a model bug. Hooks draw randomness only through Env, and the Runner
+// reuses the records of runs that drew nothing, so a hook that makes no
+// draw must act as a pure function of its op and the feature.
 type Model interface {
 	// Name is the stable long identifier ("bit-flip"): the ParseModel key,
 	// the report label, and the JSON-export value.

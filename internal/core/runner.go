@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ffis/internal/classify"
-	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
 
@@ -19,8 +18,8 @@ import (
 // barriers). It is the only place in the tree that sequences those
 // stages; Engine.runSpec is its one driver, supplying the memoized
 // snapshot and profile count and the grid-wide worker pool, and every
-// other layer (Campaign, Sweep, persisted grids, distributed workers)
-// reaches it through the Engine.
+// other layer (Campaign, persisted grids, distributed workers) reaches it
+// through the Engine.
 type Runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
 	Key      string
@@ -39,8 +38,9 @@ type Runner struct {
 	// The Engine hands every Runner of a grid the same pool.
 	Pool chan struct{}
 	// Events, when non-nil, receives the spec's structured stream:
-	// SpecStart, one RunDone per successful run, Barrier/StopDecision at
-	// adaptive chunk boundaries, and exactly one terminal SpecDone.
+	// SpecStart, one RunDone (or RunReused) per successful run,
+	// Barrier/StopDecision at adaptive chunk boundaries, and exactly one
+	// terminal SpecDone.
 	Events *EventBus
 }
 
@@ -81,6 +81,14 @@ func (r *Runner) publish(ev Event) {
 // prefix ends. Without a sink, the runs past it are appended to
 // res.Records after the prefix, so the result's Tally always covers
 // exactly res.Records, never a silent prefix of them.
+//
+// Record reuse: targets are drawn with replacement, so they repeat. A run
+// that succeeded without drawing from its RNG stream (models draw only
+// through Env) has a record that, apart from Index, is a pure function of
+// (spec, target). Run keeps such records by target for the rest of this
+// call; a later run of that target copies one instead of executing and
+// publishes RunReused in place of RunDone. A duplicate still in flight
+// executes.
 func (r *Runner) Run() (CampaignResult, error) {
 	cfg, w := r.Config, r.Workload
 	sig := cfg.Fault.Signature()
@@ -130,6 +138,8 @@ func (r *Runner) Run() (CampaignResult, error) {
 		// index; next is the lowest index not yet delivered.
 		pending = map[int]RunRecord{}
 		next    = start
+		// memo holds draw-free runs' records by target (record reuse).
+		memo = map[int64]RunRecord{}
 		// priorTally accumulates the persisted outcomes below start
 		// (adaptive resume); touched only from the dispatch loop.
 		priorTally classify.Tally
@@ -152,16 +162,17 @@ func (r *Runner) Run() (CampaignResult, error) {
 				defer func() { <-r.Pool }()
 				rng := runStream(cfg.Seed, idx)
 				target := rng.Int64n(count)
+				mu.Lock()
+				rec, reused := memo[target]
+				mu.Unlock()
 				var st stageTimes
-				rec, err := func() (RunRecord, error) {
-					t0 := time.Now()
-					base, err := r.Snapshot.World()
-					st.cloneNs = time.Since(t0).Nanoseconds()
-					if err != nil {
-						return RunRecord{}, err
-					}
-					return runOnceTimed(base, w, sig, target, rng, cfg.ArmMounts, &st)
-				}()
+				var err error
+				drawFree := false
+				if !reused {
+					inj := NewInjector(sig, target, rng)
+					rec, err = r.execute(inj, &st)
+					drawFree = !inj.drew.Load()
+				}
 				rec.Index = idx
 				mu.Lock()
 				defer mu.Unlock()
@@ -170,6 +181,9 @@ func (r *Runner) Run() (CampaignResult, error) {
 						failIdx, failErr = idx, err
 					}
 				} else {
+					if drawFree {
+						memo[target] = rec
+					}
 					tally.Add(rec.Outcome)
 					simTotal += rec.SimNanos
 					pending[idx] = rec
@@ -192,8 +206,12 @@ func (r *Runner) Run() (CampaignResult, error) {
 				}
 				done++
 				if err == nil {
+					kind := EventRunDone
+					if reused {
+						kind = EventRunReused
+					}
 					r.publish(Event{
-						Kind: EventRunDone, Index: idx, Done: done, Total: total,
+						Kind: kind, Index: idx, Done: done, Total: total,
 						Target: rec.Target, Outcome: rec.Outcome, Fired: rec.Fired,
 						CloneMicros:    st.cloneNs / 1e3,
 						WorkloadNanos:  st.workNs,
@@ -286,13 +304,24 @@ type stageTimes struct {
 	classifyNs int64
 }
 
-// runOnceTimed performs one injection run on an already-built pristine
-// world — arm, run, classify on the clean view — filling st with the
-// stage costs the event stream reports. Non-empty mounts arm the injector
-// only on the I/O routed to those mount points; classification always
-// reads through the unarmed view of the same storage.
-func runOnceTimed(base vfs.FS, w Workload, sig Signature, target int64, rng *stats.RNG, mounts []string, st *stageTimes) (RunRecord, error) {
-	inj := NewInjector(sig, target, rng)
+// execute runs one injection through inj on a world served by the
+// snapshot, timing the clone-or-rebuild into st.
+func (r *Runner) execute(inj *Injector, st *stageTimes) (RunRecord, error) {
+	t0 := time.Now()
+	base, err := r.Snapshot.World()
+	st.cloneNs = time.Since(t0).Nanoseconds()
+	if err != nil {
+		return RunRecord{}, err
+	}
+	return runOnceTimed(base, r.Workload, inj, r.Config.ArmMounts, st)
+}
+
+// runOnceTimed performs one injection run through inj on an already-built
+// pristine world — arm, run, classify on the clean view — filling st with
+// the stage costs the event stream reports. Non-empty mounts arm the
+// injector only on the I/O routed to those mount points; classification
+// always reads through the unarmed view of the same storage.
+func runOnceTimed(base vfs.FS, w Workload, inj *Injector, mounts []string, st *stageTimes) (RunRecord, error) {
 	armed, err := interposeMounts(base, mounts, inj.Wrap)
 	if err != nil {
 		return RunRecord{}, err
@@ -319,7 +348,7 @@ func runOnceTimed(base vfs.FS, w Workload, sig Signature, target int64, rng *sta
 	st.classifyNs = time.Since(t).Nanoseconds()
 	mut, fired := inj.Fired()
 	return RunRecord{
-		Target:   target,
+		Target:   inj.Target(),
 		Outcome:  outcome,
 		Mutation: mut,
 		Fired:    fired,

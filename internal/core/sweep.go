@@ -8,40 +8,12 @@ import (
 	"ffis/internal/classify"
 )
 
-// SweepPoint is one cell of a feature sweep: a fault configuration plus a
-// label for reports.
+// SweepPoint is one cell of a feature sweep — the ablation studies (2-bit
+// vs 4-bit flips, 3/8 vs 7/8 shorn fraction) the paper touches in footnote
+// 3 and Table I: a fault configuration plus a label for reports.
 type SweepPoint struct {
 	Label string
 	Fault Config
-}
-
-// Sweep runs the same workload under a series of fault configurations —
-// the mechanism behind the ablation studies (2-bit vs 4-bit flips,
-// 3/8 vs 7/8 shorn fraction) the paper touches in footnote 3 and Table I.
-// Every field of base except Fault is honored per point — in particular
-// ArmMounts, so a sweep over a tiered world keeps its fault placement
-// instead of silently degrading to the flat whole-world arming.
-//
-// The points run as one Engine grid on base.Workers slots, all sharing the
-// workload's world: one Setup and one profiling pass per target primitive
-// serve the whole sweep. Points run concurrently, so a base.Sink receives
-// their campaigns' calls concurrently too.
-func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResult, error) {
-	specs := make([]CampaignSpec, len(points))
-	for i, pt := range points {
-		cfg := base
-		cfg.Fault = pt.Fault
-		specs[i] = CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w, Config: cfg}
-	}
-	out := make([]CampaignResult, len(points))
-	for i, r := range (&Engine{Jobs: base.Workers}).Run(specs) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: sweep point %q: %w", points[i].Label, r.Err)
-		}
-		out[i] = r.Result
-		out[i].Workload = r.Spec.Key
-	}
-	return out, nil
 }
 
 // FlipWidthSweep returns the bit-flip width ablation points (the paper's

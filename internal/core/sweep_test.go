@@ -3,11 +3,35 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ffis/internal/classify"
 )
+
+// Sweep runs the same workload under a series of fault configurations as
+// one Engine grid on base.Workers slots. Every field of base except Fault
+// is honored per point — in particular ArmMounts, so a sweep over a tiered
+// world keeps its fault placement. All points share the workload's world:
+// one Setup and one profiling pass per target primitive serve the sweep.
+func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResult, error) {
+	specs := make([]CampaignSpec, len(points))
+	for i, pt := range points {
+		cfg := base
+		cfg.Fault = pt.Fault
+		specs[i] = CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w, Config: cfg}
+	}
+	out := make([]CampaignResult, len(points))
+	for i, r := range (&Engine{Jobs: base.Workers}).Run(specs) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("core: sweep point %q: %w", points[i].Label, r.Err)
+		}
+		out[i] = r.Result
+		out[i].Workload = r.Spec.Key
+	}
+	return out, nil
+}
 
 func TestSweepRunsAllPoints(t *testing.T) {
 	pts := FlipWidthSweep()

@@ -45,7 +45,7 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 			return nil
 		}
 		if n := traceSub.Dropped(); n > 0 && errTo != nil {
-			fmt.Fprintf(errTo, "trace: dropped %d run_done events (writer fell behind; lifecycle events are complete)\n", n)
+			fmt.Fprintf(errTo, "trace: dropped %d run_done/run_reused events (writer fell behind; lifecycle events are complete)\n", n)
 		}
 		return f.Close()
 	}
@@ -61,7 +61,7 @@ func Wire(progressTo io.Writer, tracePath string, errTo io.Writer) (bus *core.Ev
 func Renderer(w io.Writer) func(core.Event) {
 	return func(ev core.Event) {
 		switch ev.Kind {
-		case core.EventRunDone:
+		case core.EventRunDone, core.EventRunReused:
 			step := ev.Total / 10
 			if step < 1 {
 				step = 1
@@ -128,12 +128,15 @@ func WriteTrace(w io.Writer) func(core.Event) {
 			l.Total = &ev.Total
 			l.Runs = ev.Runs
 			l.ProfileCount = ev.ProfileCount
-		case core.EventRunDone:
+		case core.EventRunDone, core.EventRunReused:
 			l.Index, l.Done, l.Total = &ev.Index, &ev.Done, &ev.Total
 			l.Target = &ev.Target
 			l.Outcome = ev.Outcome.String()
 			l.Fired = &ev.Fired
-			l.CloneUS, l.WorkNS, l.ClassUS, l.SimNS = &ev.CloneMicros, &ev.WorkloadNanos, &ev.ClassifyMicros, &ev.SimNanos
+			l.SimNS = &ev.SimNanos
+			if ev.Kind == core.EventRunDone {
+				l.CloneUS, l.WorkNS, l.ClassUS = &ev.CloneMicros, &ev.WorkloadNanos, &ev.ClassifyMicros
+			}
 		case core.EventBarrier:
 			l.Barrier, l.Done = &ev.Barrier, &ev.Done
 		case core.EventStopDecision:
