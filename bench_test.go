@@ -21,6 +21,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
+	"ffis/internal/fits"
 	"ffis/internal/hdf5"
 	"ffis/internal/metainject"
 	"ffis/internal/stats"
@@ -415,6 +416,45 @@ func BenchmarkMemFSWrite4K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.WriteAt(buf, int64(i%1024)*4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchAppend writes a 1 MiB file sequentially in chunk-sized writes per
+// iteration — the pattern of fits.Write and the HDF5 writer. With geometric
+// tail growth B/op stays near twice the file size.
+func benchAppend(b *testing.B, fs vfs.FS, chunk int) {
+	buf := make([]byte, chunk)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fs.Create("/bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < 1<<20; off += chunk {
+			if _, err := f.Write(buf[:min(chunk, 1<<20-off)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.Close()
+	}
+}
+
+func BenchmarkMemFSAppend2880(b *testing.B)  { benchAppend(b, vfs.NewMemFS(), fits.BlockSize) }
+func BenchmarkObjectFSAppend4K(b *testing.B) { benchAppend(b, vfs.NewObjectFS(), 4096) }
+
+// BenchmarkFITSEncodeDecode round-trips one 64×64 Montage tile through the
+// FITS codec.
+func BenchmarkFITSEncodeDecode(b *testing.B) {
+	cfg := montage.DefaultConfig()
+	im := cfg.Observe(cfg.TileSpecs()[0], 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fits.Decode(im.Encode()); err != nil {
 			b.Fatal(err)
 		}
 	}

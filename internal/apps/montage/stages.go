@@ -435,7 +435,8 @@ func (c Config) runAdd(fs vfs.FS) error {
 	if !(hi > lo) {
 		return fmt.Errorf("montage: mosaic has no covered pixels")
 	}
-	pgm := []byte(fmt.Sprintf("P5\n%d %d\n255\n", c.MosaicW, c.MosaicH))
+	hdr := fmt.Sprintf("P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
+	pgm := append(make([]byte, 0, len(hdr)+c.MosaicW*c.MosaicH), hdr...)
 	for _, v := range mosaic.Data {
 		if math.IsNaN(v) {
 			pgm = append(pgm, 0)

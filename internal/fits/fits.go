@@ -4,9 +4,15 @@
 // (BITPIX = -64) image data, written through the vfs layer in
 // 2,880-byte-block writes so that storage faults land on realistic
 // device-write boundaries.
+//
+// The codec moves one 64-bit word per pixel into a buffer of the final
+// size. The byte layout and the 2,880-byte write pattern are those of a
+// byte-at-a-time codec, which TestEncodeMatchesReferenceEncoder keeps as
+// its reference.
 package fits
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -64,46 +70,36 @@ func (im *Image) Bilinear(x, y float64) (float64, bool) {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
 }
 
-func card(key string, value string) []byte {
-	c := fmt.Sprintf("%-8s= %20s", key, value)
-	for len(c) < cardLen {
-		c += " "
-	}
-	return []byte(c[:cardLen])
+func card(key string, value string) string {
+	return pad(fmt.Sprintf("%-8s= %20s", key, value))
 }
 
-func endCard() []byte {
-	c := "END"
-	for len(c) < cardLen {
-		c += " "
-	}
-	return []byte(c)
+// pad space-fills (or cuts) a card to exactly cardLen characters.
+func pad(c string) string {
+	return (c + strings.Repeat(" ", max(0, cardLen-len(c))))[:cardLen]
 }
 
-// Encode renders the image as a complete FITS byte stream.
+// roundBlock rounds n up to a whole number of FITS blocks.
+func roundBlock(n int) int { return (n + BlockSize - 1) / BlockSize * BlockSize }
+
+// Encode renders the image as a complete FITS byte stream: the header cards
+// space-padded to a block boundary, then the big-endian pixels zero-padded
+// to one, filled into a single buffer of the final size.
 func (im *Image) Encode() []byte {
-	var hdr []byte
-	hdr = append(hdr, card("SIMPLE", "T")...)
-	hdr = append(hdr, card("BITPIX", "-64")...)
-	hdr = append(hdr, card("NAXIS", "2")...)
-	hdr = append(hdr, card("NAXIS1", strconv.Itoa(im.Width))...)
-	hdr = append(hdr, card("NAXIS2", strconv.Itoa(im.Height))...)
-	hdr = append(hdr, card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64))...)
-	hdr = append(hdr, card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64))...)
-	hdr = append(hdr, endCard()...)
-	for len(hdr)%BlockSize != 0 {
-		hdr = append(hdr, ' ')
+	hdr := card("SIMPLE", "T") + card("BITPIX", "-64") + card("NAXIS", "2") +
+		card("NAXIS1", strconv.Itoa(im.Width)) + card("NAXIS2", strconv.Itoa(im.Height)) +
+		card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)) +
+		card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)) + pad("END")
+	hdrLen := roundBlock(len(hdr))
+	out := make([]byte, hdrLen+roundBlock(im.Width*im.Height*8))
+	for i := copy(out, hdr); i < hdrLen; i++ {
+		out[i] = ' '
 	}
-	data := make([]byte, ((im.Width*im.Height*8)+BlockSize-1)/BlockSize*BlockSize)
+	data := out[hdrLen:]
 	for i, v := range im.Data {
-		bits := math.Float64bits(v)
-		base := i * 8
-		// FITS is big-endian.
-		for b := 0; b < 8; b++ {
-			data[base+b] = byte(bits >> (8 * uint(7-b)))
-		}
+		binary.BigEndian.PutUint64(data[i*8:], math.Float64bits(v))
 	}
-	return append(hdr, data...)
+	return out
 }
 
 // FormatError reports a malformed FITS stream (the Montage crash class).
@@ -174,12 +170,7 @@ func Decode(raw []byte) (*Image, error) {
 	im := &Image{Width: w, Height: h, CRVAL1: crval1, CRVAL2: crval2, Data: make([]float64, w*h)}
 	base := blocks * BlockSize
 	for i := range im.Data {
-		var bits uint64
-		off := base + i*8
-		for b := 0; b < 8; b++ {
-			bits = bits<<8 | uint64(raw[off+b])
-		}
-		im.Data[i] = math.Float64frombits(bits)
+		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[base+i*8:]))
 	}
 	return im, nil
 }

@@ -20,6 +20,7 @@
 package hdf5
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -292,12 +293,7 @@ func (s FloatSpec) DecodeSlice(raw []byte, count int) ([]float64, error) {
 	out := make([]float64, count)
 	if s.IsIEEEDouble() {
 		for i := range out {
-			var bits uint64
-			base := i * 8
-			for b := 0; b < 8; b++ {
-				bits |= uint64(raw[base+b]) << (8 * uint(b))
-			}
-			out[i] = math.Float64frombits(bits)
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 		return out, nil
 	}
@@ -312,11 +308,7 @@ func (s FloatSpec) EncodeSlice(values []float64) []byte {
 	out := make([]byte, len(values)*int(s.Size))
 	if s.IsIEEEDouble() {
 		for i, v := range values {
-			bits := math.Float64bits(v)
-			base := i * 8
-			for b := 0; b < 8; b++ {
-				out[base+b] = byte(bits >> (8 * uint(b)))
-			}
+			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
 		}
 		return out
 	}

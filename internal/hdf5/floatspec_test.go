@@ -1,6 +1,7 @@
 package hdf5
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,48 @@ func TestDecodeSliceAndEncodeSlice(t *testing.T) {
 	}
 	if _, err := spec.DecodeSlice(raw, 6); err == nil {
 		t.Fatal("short raw accepted")
+	}
+}
+
+// TestIEEESliceMatchesScalarCodec pins the word-at-a-time IEEE-double slice
+// codec to the element-wise one on random 64-bit patterns plus the special
+// values: EncodeSlice bytes equal concatenated Encode bytes, DecodeSlice
+// values equal Decode values bit for bit (any NaN for a NaN pattern, since
+// the scalar decoder canonicalizes NaNs), and short input keeps its error.
+func TestIEEESliceMatchesScalarCodec(t *testing.T) {
+	spec := IEEE754Double()
+	rng := stats.NewRNG(23)
+	vals := []float64{
+		math.Float64frombits(0x7FF8_0000_DEAD_BEEF), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64,
+	}
+	for len(vals) < 4096 {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	raw := spec.EncodeSlice(vals)
+	var want []byte
+	for _, v := range vals {
+		want = append(want, spec.Encode(v)...)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatal("EncodeSlice differs from element-wise Encode")
+	}
+	got, err := spec.DecodeSlice(raw, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		w := spec.Decode(raw[i*8 : i*8+8])
+		if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+			t.Fatalf("element %d (%#x): DecodeSlice %#x, Decode %#x", i, math.Float64bits(vals[i]), math.Float64bits(got[i]), math.Float64bits(w))
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("element %d: DecodeSlice %#x, encoded %#x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+		}
+	}
+	_, err = spec.DecodeSlice(raw[:len(raw)-1], len(vals))
+	if want := "hdf5: raw data truncated: need 32768 bytes, have 32767"; err == nil || err.Error() != want {
+		t.Fatalf("short input: err = %v, want %q", err, want)
 	}
 }
 

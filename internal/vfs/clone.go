@@ -40,7 +40,7 @@ func (m *MemFS) Clone() *MemFS {
 		n.mu.Lock()
 		for _, b := range n.blocks {
 			if b != nil {
-				b.sealed.Store(true)
+				b.seal()
 			}
 		}
 		nodes[p] = &memNode{

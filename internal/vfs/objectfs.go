@@ -45,19 +45,10 @@ type ObjectFS struct {
 	rewritten atomic.Int64
 }
 
-// objVersion is one committed object generation. sealed marks it immutable
-// and possibly shared across clones; a writer landing on a sealed version
-// replaces it wholesale (objNode.own). Sealing is monotonic, as for
-// memBlock.
-type objVersion struct {
-	sealed atomic.Bool
-	data   []byte
-}
-
 // objNode is a key-table entry: an object (file) or a directory marker.
 type objNode struct {
 	mu    sync.RWMutex
-	ver   *objVersion // file content; nil for directories
+	ver   *memBlock // committed object version; nil for directories
 	mode  uint32
 	isDir bool
 	dev   uint64
@@ -135,14 +126,14 @@ func (o *ObjectFS) Create(name string) (File, error) {
 		}
 		n.mu.Lock()
 		if o.lag > 0 && len(n.ver.data) > 0 {
-			n.ver.sealed.Store(true)
+			n.ver.seal()
 			o.stale[name] = &staleObject{data: n.ver.data, mode: n.mode, remaining: o.lag}
 		}
-		n.ver = &objVersion{}
+		n.ver = &memBlock{}
 		n.mu.Unlock()
 		return &objFile{name: name, fs: o, node: n, writable: true}, nil
 	}
-	n := &objNode{mode: 0o644, ver: &objVersion{}}
+	n := &objNode{mode: 0o644, ver: &memBlock{}}
 	o.nodes[name] = n
 	return &objFile{name: name, fs: o, node: n, writable: true}, nil
 }
@@ -159,7 +150,7 @@ func (o *ObjectFS) Open(name string) (File, error) {
 		if s.remaining <= 0 {
 			delete(o.stale, name)
 		}
-		n := &objNode{mode: s.mode, ver: &objVersion{data: s.data}}
+		n := &objNode{mode: s.mode, ver: &memBlock{data: s.data}}
 		n.ver.sealed.Store(true)
 		return &objFile{name: name, fs: o, node: n, writable: false}, nil
 	}
@@ -184,7 +175,7 @@ func (o *ObjectFS) Append(name string) (File, error) {
 	}
 	n, ok := o.nodes[name]
 	if !ok {
-		n = &objNode{mode: 0o644, ver: &objVersion{}}
+		n = &objNode{mode: 0o644, ver: &memBlock{}}
 		o.nodes[name] = n
 	} else if n.isDir {
 		return nil, &PathError{Op: "append", Path: name, Err: ErrIsDir}
@@ -387,7 +378,7 @@ func (o *ObjectFS) Mknod(name string, mode uint32, dev uint64) error {
 	if err := o.parentOK(name); err != nil {
 		return err
 	}
-	o.nodes[name] = &objNode{mode: mode, dev: dev, ver: &objVersion{}}
+	o.nodes[name] = &objNode{mode: mode, dev: dev, ver: &memBlock{}}
 	return nil
 }
 
@@ -429,30 +420,32 @@ func (o *ObjectFS) Truncate(name string, size int64) error {
 // own gives the node a private, mutable version, paying the whole-object
 // copy when the current one is sealed (shared with a clone or a stale
 // reader). Caller holds n.mu for writing.
-func (n *objNode) own() *objVersion {
+func (n *objNode) own() *memBlock {
 	if n.ver.sealed.Load() {
-		n.ver = &objVersion{data: append([]byte(nil), n.ver.data...)}
+		n.ver = &memBlock{data: append([]byte(nil), n.ver.data...)}
 	}
 	return n.ver
 }
 
-// resize grows (zero-filling) or shrinks the object to size. Caller holds
-// n.mu for writing.
+// resize grows (zero-filling) or shrinks the object to size. A sealed
+// version is replaced by one allocation at the new size; a private one grows
+// its capacity geometrically, so a sequential append copies the object
+// O(log) times, not once per write. Caller holds n.mu for writing.
 func (n *objNode) resize(size int64) {
-	v := n.own()
-	switch cur := int64(len(v.data)); {
-	case size < cur:
+	switch v, cur := n.ver, len(n.ver.data); {
+	case v.sealed.Load():
+		data := make([]byte, size)
+		copy(data, v.data)
+		n.ver = &memBlock{data: data}
+	case size <= int64(cap(v.data)):
 		v.data = v.data[:size]
-	case size > cur:
-		if int64(cap(v.data)) >= size {
-			old := len(v.data)
-			v.data = v.data[:size]
-			clear(v.data[old:])
-		} else {
-			grown := make([]byte, size)
-			copy(grown, v.data)
-			v.data = grown
+		if int(size) > cur {
+			clear(v.data[cur:])
 		}
+	default:
+		data := make([]byte, size, max(size, 2*int64(cap(v.data))))
+		copy(data, v.data)
+		v.data = data
 	}
 }
 
@@ -499,7 +492,7 @@ func (o *ObjectFS) Clone() *ObjectFS {
 		n.mu.Lock()
 		cp := &objNode{mode: n.mode, isDir: n.isDir, dev: n.dev}
 		if n.ver != nil {
-			n.ver.sealed.Store(true)
+			n.ver.seal()
 			cp.ver = n.ver
 		}
 		nodes[p] = cp

@@ -200,10 +200,11 @@ func Walk(fsys FS, root string, fn func(p string, info FileInfo) error) error {
 // two blocks, never the whole file.
 const BlockSize = 64 << 10
 
-// memBlock is one extent of file content. data holds the materialized
-// bytes of the block (len(data) <= BlockSize); logical bytes past
-// len(data) — and entire nil table entries — read as zero, so sparse
-// regions and truncate-grown tails cost nothing until written.
+// memBlock is one sealable extent of content: a MemFS block or a whole
+// ObjectFS object version. In MemFS, data holds the materialized bytes of
+// the block (len(data) <= BlockSize); logical bytes past len(data) — and
+// entire nil table entries — read as zero, so sparse regions and
+// truncate-grown tails cost nothing until written.
 //
 // sealed marks the block immutable: Clone seals every block of every node
 // it snapshots, after which the block may be referenced from any number of
@@ -318,12 +319,27 @@ func (n *memNode) ownBlock(bi int) []byte {
 			b.data = b.data[:bl]
 			clear(b.data[old:])
 		} else {
-			data := make([]byte, bl)
+			// Grow geometrically (up to BlockSize) so a sequential append
+			// copies the tail O(log) times, not once per write.
+			data := make([]byte, bl, max(bl, min(2*cap(b.data), BlockSize)))
 			copy(data, b.data)
 			b.data = data
 		}
 	}
 	return b.data
+}
+
+// seal makes b immutable. The first seal clips the spare capacity left by
+// geometric growth, so a snapshot holds exactly its bytes. An unsealed
+// block belongs to one node, whose lock the caller holds, so no other tree
+// can observe the swap.
+func (b *memBlock) seal() {
+	if !b.sealed.Load() {
+		if cap(b.data) > len(b.data) {
+			b.data = append(make([]byte, 0, len(b.data)), b.data...)
+		}
+		b.sealed.Store(true)
+	}
 }
 
 // grow extends the file to size without materializing anything: new table
