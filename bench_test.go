@@ -446,16 +446,44 @@ func benchAppend(b *testing.B, fs vfs.FS, chunk int) {
 func BenchmarkMemFSAppend2880(b *testing.B)  { benchAppend(b, vfs.NewMemFS(), fits.BlockSize) }
 func BenchmarkObjectFSAppend4K(b *testing.B) { benchAppend(b, vfs.NewObjectFS(), 4096) }
 
-// BenchmarkFITSEncodeDecode round-trips one 64×64 Montage tile through the
-// FITS codec.
+// BenchmarkFITSEncodeDecode round-trips one 64×64 Montage tile through
+// MemFS: fits.Write, then fits.Read into one reused image, as a pipeline
+// stage does across its tiles.
 func BenchmarkFITSEncodeDecode(b *testing.B) {
 	cfg := montage.DefaultConfig()
 	im := cfg.Observe(cfg.TileSpecs()[0], 0)
+	fs := vfs.NewMemFS()
+	dst := new(fits.Image)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fits.Decode(im.Encode()); err != nil {
+		if err := fits.Write(fs, "/t.fits", im); err != nil {
 			b.Fatal(err)
+		}
+		if _, err := fits.Read(fs, "/t.fits", dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMontageMT2RunClassify is one MT2 campaign run without a fault:
+// mDiffExec on a clone of the post-Setup world, then the fault-free rest of
+// the pipeline and the classification.
+func BenchmarkMontageMT2RunClassify(b *testing.B) {
+	app, err := montage.NewApp(montage.DefaultConfig(), montage.StageDiff)
+	if err != nil {
+		b.Fatal(err)
+	}
+	world := vfs.NewMemFS()
+	if err := app.Setup(world); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs := world.Clone()
+		if got := app.Classify(fs, app.Run(fs)); got != classify.Benign {
+			b.Fatalf("fault-free run classified %s", got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/fits"
+	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
 
@@ -84,7 +85,7 @@ func TestFullPipelineProducesMosaic(t *testing.T) {
 	if minV < 70 || minV > 95 {
 		t.Fatalf("mosaic min = %v, implausible", minV)
 	}
-	mosaic, err := fits.Read(fs, MosaicPath)
+	mosaic, err := fits.Read(fs, MosaicPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestBackgroundMatchingReducesSeams(t *testing.T) {
 		var n int
 		imgs := make([]*fits.Image, cfg.Tiles)
 		for i := 0; i < cfg.Tiles; i++ {
-			im, err := fits.Read(fs, pathOf(i))
+			im, err := fits.Read(fs, pathOf(i), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,21 +145,89 @@ func TestBackgroundMatchingReducesSeams(t *testing.T) {
 }
 
 func TestPlaneFitExact(t *testing.T) {
-	// planeFit must recover an exact plane.
-	var xs, ys, ds []float64
+	// planeSums must recover an exact plane.
+	var s planeSums
 	for y := 0; y < 10; y++ {
 		for x := 0; x < 10; x++ {
-			xs = append(xs, float64(x))
-			ys = append(ys, float64(y))
-			ds = append(ds, 3.5+0.25*float64(x)-0.75*float64(y))
+			s.add(float64(x), float64(y), 3.5+0.25*float64(x)-0.75*float64(y))
 		}
 	}
-	p, err := planeFit(xs, ys, ds)
+	p, err := solve3(s.m, s.rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p[0]-3.5) > 1e-9 || math.Abs(p[1]-0.25) > 1e-9 || math.Abs(p[2]+0.75) > 1e-9 {
 		t.Fatalf("plane = %v", p)
+	}
+	if s.n != 100 {
+		t.Fatalf("n = %d, want 100", s.n)
+	}
+}
+
+// slicePlaneFit is the fitting pass as it was before the sums were
+// streamed: gather the covered pixels into three slices, then sum the
+// normal equations over them.
+func slicePlaneFit(diff *fits.Image) ([3]float64, int, error) {
+	var xs, ys, ds []float64
+	for y := 0; y < diff.Height; y++ {
+		for x := 0; x < diff.Width; x++ {
+			d := diff.At(x, y)
+			if math.IsNaN(d) {
+				continue
+			}
+			xs = append(xs, diff.CRVAL1+float64(x))
+			ys = append(ys, diff.CRVAL2+float64(y))
+			ds = append(ds, d)
+		}
+	}
+	var m [3][3]float64
+	var rhs [3]float64
+	for i := range ds {
+		v := [3]float64{1, xs[i], ys[i]}
+		for r := 0; r < 3; r++ {
+			for cc := 0; cc < 3; cc++ {
+				m[r][cc] += v[r] * v[cc]
+			}
+			rhs[r] += v[r] * ds[i]
+		}
+	}
+	p, err := solve3(m, rhs)
+	return p, len(ds), err
+}
+
+// TestPlaneSumsMatchesSliceFit pins the streamed fit to the slice-based
+// one: bit-identical coefficients, counts and errors on random difference
+// images with NaN holes, so the fits table cannot move.
+func TestPlaneSumsMatchesSliceFit(t *testing.T) {
+	rng := stats.NewRNG(24)
+	for trial := 0; trial < 200; trial++ {
+		diff := fits.New(rng.Intn(60)+1, rng.Intn(60)+1)
+		diff.CRVAL1, diff.CRVAL2 = float64(rng.Intn(100)), float64(rng.Intn(100))
+		hole := rng.Float64()
+		a, b, c := rng.NormFloat64()*10, rng.NormFloat64(), rng.NormFloat64()
+		for y := 0; y < diff.Height; y++ {
+			for x := 0; x < diff.Width; x++ {
+				v := a + b*float64(x) + c*float64(y) + rng.NormFloat64()
+				if rng.Float64() < hole {
+					v = math.NaN()
+				}
+				diff.Set(x, y, v)
+			}
+		}
+		want, wantN, wantErr := slicePlaneFit(diff)
+		sums := diffSums(diff)
+		got, gotErr := solve3(sums.m, sums.rhs)
+		if sums.n != wantN {
+			t.Fatalf("trial %d: n = %d, want %d", trial, sums.n, wantN)
+		}
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: err = %v, want %v", trial, gotErr, wantErr)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("trial %d: p[%d] = %v, want %v", trial, k, got[k], want[k])
+			}
+		}
 	}
 }
 
@@ -233,7 +302,7 @@ func TestAppClassifyDetectedOnBlackStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a corrected tile before mAdd runs: zero a band of pixels.
-	im, err := fits.Read(fs, corrPath(2))
+	im, err := fits.Read(fs, corrPath(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +333,7 @@ func TestAppClassifySmallPerturbationSDC(t *testing.T) {
 	if err := app.Setup(fs); err != nil {
 		t.Fatal(err)
 	}
-	im, err := fits.Read(fs, corrPath(1))
+	im, err := fits.Read(fs, corrPath(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

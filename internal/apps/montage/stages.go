@@ -71,23 +71,24 @@ func (c Config) RunPipeline(fs vfs.FS, from, to Stage) error {
 
 // runProject resamples each raw tile onto the integer mosaic grid
 // (bilinear), producing a projected image and a fractional-coverage area
-// image per tile.
+// image per tile. Like every stage, it reuses one image per role across
+// its loop, so a run allocates for its largest tile, not for every tile.
 func (c Config) runProject(fs vfs.FS) error {
 	if err := fs.MkdirAll(ProjDir); err != nil {
 		return err
 	}
+	raw, proj, area := new(fits.Image), new(fits.Image), new(fits.Image)
 	for i := 0; i < c.Tiles; i++ {
-		raw, err := fits.Read(fs, rawPath(i))
-		if err != nil {
+		if _, err := fits.Read(fs, rawPath(i), raw); err != nil {
 			return err
 		}
 		x0 := int(math.Ceil(raw.CRVAL1))
 		y0 := int(math.Ceil(raw.CRVAL2))
 		w := raw.Width - 1 // resampling loses up to one boundary pixel
 		h := raw.Height - 1
-		proj := fits.New(w, h)
+		proj.Reset(w, h)
 		proj.CRVAL1, proj.CRVAL2 = float64(x0), float64(y0)
-		area := fits.New(w, h)
+		area.Reset(w, h)
 		area.CRVAL1, area.CRVAL2 = float64(x0), float64(y0)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
@@ -135,21 +136,38 @@ func minInt(a, b int) int {
 	return b
 }
 
-// planeFit fits d ≈ p[0] + p[1]·x + p[2]·y by least squares over the
-// samples; x,y are mosaic coordinates.
-func planeFit(xs, ys, ds []float64) ([3]float64, error) {
-	var m [3][3]float64
-	var rhs [3]float64
-	for i := range ds {
-		v := [3]float64{1, xs[i], ys[i]}
-		for r := 0; r < 3; r++ {
-			for cc := 0; cc < 3; cc++ {
-				m[r][cc] += v[r] * v[cc]
+// planeSums accumulates the normal equations m·p = rhs of the
+// least-squares plane d ≈ p[0] + p[1]·x + p[2]·y one sample at a time; x,y
+// are mosaic coordinates.
+type planeSums struct {
+	m   [3][3]float64
+	rhs [3]float64
+	n   int
+}
+
+func (s *planeSums) add(x, y, d float64) {
+	v := [3]float64{1, x, y}
+	for r := 0; r < 3; r++ {
+		for cc := 0; cc < 3; cc++ {
+			s.m[r][cc] += v[r] * v[cc]
+		}
+		s.rhs[r] += v[r] * d
+	}
+	s.n++
+}
+
+// diffSums scans a difference image in row order and sums every covered
+// (non-NaN) pixel into the plane fit.
+func diffSums(diff *fits.Image) planeSums {
+	var s planeSums
+	for y := 0; y < diff.Height; y++ {
+		for x := 0; x < diff.Width; x++ {
+			if d := diff.At(x, y); !math.IsNaN(d) {
+				s.add(diff.CRVAL1+float64(x), diff.CRVAL2+float64(y), d)
 			}
-			rhs[r] += v[r] * ds[i]
 		}
 	}
-	return solve3(m, rhs)
+	return s
 }
 
 // solve3 solves a 3×3 linear system by Gaussian elimination with partial
@@ -193,17 +211,19 @@ func (c Config) runDiff(fs vfs.FS) error {
 	if err := fs.MkdirAll(DiffDir); err != nil {
 		return err
 	}
+	// Every tile and area is live at once; diff is reused by both passes.
 	imgs := make([]*fits.Image, c.Tiles)
 	areas := make([]*fits.Image, c.Tiles)
 	for i := 0; i < c.Tiles; i++ {
 		var err error
-		if imgs[i], err = fits.Read(fs, projPath(i)); err != nil {
+		if imgs[i], err = fits.Read(fs, projPath(i), nil); err != nil {
 			return err
 		}
-		if areas[i], err = fits.Read(fs, areaPath(i)); err != nil {
+		if areas[i], err = fits.Read(fs, areaPath(i), nil); err != nil {
 			return err
 		}
 	}
+	diff := new(fits.Image)
 	type pair struct{ i, j int }
 	var pairs []pair
 	for i := 0; i < c.Tiles; i++ {
@@ -212,7 +232,7 @@ func (c Config) runDiff(fs vfs.FS) error {
 			if !ok {
 				continue
 			}
-			diff := fits.New(x1-x0, y1-y0)
+			diff.Reset(x1-x0, y1-y0)
 			diff.CRVAL1, diff.CRVAL2 = float64(x0), float64(y0)
 			valid := 0
 			for y := y0; y < y1; y++ {
@@ -240,30 +260,18 @@ func (c Config) runDiff(fs vfs.FS) error {
 	var table strings.Builder
 	table.WriteString("# i j a b c npix\n")
 	for _, pr := range pairs {
-		diff, err := fits.Read(fs, diffPath(pr.i, pr.j))
-		if err != nil {
+		if _, err := fits.Read(fs, diffPath(pr.i, pr.j), diff); err != nil {
 			return err
 		}
-		var xs, ys, ds []float64
-		for y := 0; y < diff.Height; y++ {
-			for x := 0; x < diff.Width; x++ {
-				d := diff.At(x, y)
-				if math.IsNaN(d) {
-					continue
-				}
-				xs = append(xs, diff.CRVAL1+float64(x))
-				ys = append(ys, diff.CRVAL2+float64(y))
-				ds = append(ds, d)
-			}
-		}
-		if len(ds) < 16 {
+		sums := diffSums(diff)
+		if sums.n < 16 {
 			continue
 		}
-		p, err := planeFit(xs, ys, ds)
+		p, err := solve3(sums.m, sums.rhs)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(&table, "%d %d %.8f %.8f %.8f %d\n", pr.i, pr.j, p[0], p[1], p[2], len(ds))
+		fmt.Fprintf(&table, "%d %d %.8f %.8f %.8f %d\n", pr.i, pr.j, p[0], p[1], p[2], sums.n)
 	}
 	return vfs.WriteFile(fs, FitsTablePath, []byte(table.String()))
 }
@@ -343,12 +351,12 @@ func (c Config) runBg(fs vfs.FS) error {
 			}
 		}
 	}
+	im, out := new(fits.Image), new(fits.Image)
 	for i := 0; i < c.Tiles; i++ {
-		im, err := fits.Read(fs, projPath(i))
-		if err != nil {
+		if _, err := fits.Read(fs, projPath(i), im); err != nil {
 			return err
 		}
-		out := fits.New(im.Width, im.Height)
+		out.Reset(im.Width, im.Height)
 		out.CRVAL1, out.CRVAL2 = im.CRVAL1, im.CRVAL2
 		for y := 0; y < im.Height; y++ {
 			for x := 0; x < im.Width; x++ {
@@ -373,13 +381,12 @@ func (c Config) runAdd(fs vfs.FS) error {
 	}
 	mosaic := fits.New(c.MosaicW, c.MosaicH)
 	weight := fits.New(c.MosaicW, c.MosaicH)
+	im, area := new(fits.Image), new(fits.Image)
 	for i := 0; i < c.Tiles; i++ {
-		im, err := fits.Read(fs, corrPath(i))
-		if err != nil {
+		if _, err := fits.Read(fs, corrPath(i), im); err != nil {
 			return err
 		}
-		area, err := fits.Read(fs, areaPath(i))
-		if err != nil {
+		if _, err := fits.Read(fs, areaPath(i), area); err != nil {
 			return err
 		}
 		x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
@@ -415,9 +422,9 @@ func (c Config) runAdd(fs vfs.FS) error {
 	// Image generation step (the mViewer/shrink stage): re-read the
 	// mosaic from storage — the real pipeline hands a file, not memory,
 	// to the image generator, so storage faults in the mosaic FITS are
-	// visible here — and stretch covered pixels to 8-bit grayscale.
-	mosaic, err := fits.Read(fs, MosaicPath)
-	if err != nil {
+	// visible here — and stretch covered pixels to 8-bit grayscale. The
+	// read decodes into the written mosaic's own buffers.
+	if _, err := fits.Read(fs, MosaicPath, mosaic); err != nil {
 		return err
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)

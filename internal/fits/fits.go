@@ -5,15 +5,16 @@
 // 2,880-byte-block writes so that storage faults land on realistic
 // device-write boundaries.
 //
-// The codec moves one 64-bit word per pixel into a buffer of the final
-// size. The byte layout and the 2,880-byte write pattern are those of a
-// byte-at-a-time codec, which TestEncodeMatchesReferenceEncoder keeps as
-// its reference.
+// Write streams an image through one block buffer with the write calls and
+// bytes of a byte-at-a-time encoder, which TestEncodeMatchesReferenceEncoder
+// keeps as its reference. Read decodes into a caller-owned *Image, reusing
+// its pixels and raw bytes. The package holds no buffers of its own.
 package fits
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -35,6 +36,8 @@ type Image struct {
 	// must resample.
 	CRVAL1, CRVAL2 float64
 	Data           []float64 // row-major, len = Width*Height
+
+	raw []byte // file bytes of the last Read into this image
 }
 
 // New allocates a zero image.
@@ -79,27 +82,23 @@ func pad(c string) string {
 	return (c + strings.Repeat(" ", max(0, cardLen-len(c))))[:cardLen]
 }
 
-// roundBlock rounds n up to a whole number of FITS blocks.
-func roundBlock(n int) int { return (n + BlockSize - 1) / BlockSize * BlockSize }
+// Reset resizes the image to w×h in place and zeroes every pixel and both
+// CRVALs, reusing the pixel buffer when its capacity allows.
+func (im *Image) Reset(w, h int) {
+	im.resize(w, h)
+	clear(im.Data)
+	im.CRVAL1, im.CRVAL2 = 0, 0
+}
 
-// Encode renders the image as a complete FITS byte stream: the header cards
-// space-padded to a block boundary, then the big-endian pixels zero-padded
-// to one, filled into a single buffer of the final size.
-func (im *Image) Encode() []byte {
-	hdr := card("SIMPLE", "T") + card("BITPIX", "-64") + card("NAXIS", "2") +
-		card("NAXIS1", strconv.Itoa(im.Width)) + card("NAXIS2", strconv.Itoa(im.Height)) +
-		card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)) +
-		card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)) + pad("END")
-	hdrLen := roundBlock(len(hdr))
-	out := make([]byte, hdrLen+roundBlock(im.Width*im.Height*8))
-	for i := copy(out, hdr); i < hdrLen; i++ {
-		out[i] = ' '
+// resize sets the dimensions and the pixel count, leaving pixel values
+// unspecified.
+func (im *Image) resize(w, h int) {
+	im.Width, im.Height = w, h
+	if n := w * h; cap(im.Data) >= n {
+		im.Data = im.Data[:n]
+	} else {
+		im.Data = make([]float64, n)
 	}
-	data := out[hdrLen:]
-	for i, v := range im.Data {
-		binary.BigEndian.PutUint64(data[i*8:], math.Float64bits(v))
-	}
-	return out
 }
 
 // FormatError reports a malformed FITS stream (the Montage crash class).
@@ -107,18 +106,19 @@ type FormatError struct{ Msg string }
 
 func (e *FormatError) Error() string { return "fits: " + e.Msg }
 
-// Decode parses a FITS byte stream produced by Encode (or corrupted en
-// route). Violations return *FormatError.
-func Decode(raw []byte) (*Image, error) {
+// decode parses a FITS byte stream written by Write (or corrupted en
+// route) into im, reusing its pixel buffer. Violations return *FormatError
+// and leave im's header fields and pixels unchanged.
+func (im *Image) decode(raw []byte) error {
 	if len(raw) < BlockSize {
-		return nil, &FormatError{Msg: "file shorter than one header block"}
+		return &FormatError{Msg: "file shorter than one header block"}
 	}
 	hdr := map[string]string{}
 	end := false
 	blocks := 0
 	for !end {
 		if (blocks+1)*BlockSize > len(raw) {
-			return nil, &FormatError{Msg: "header END card missing"}
+			return &FormatError{Msg: "header END card missing"}
 		}
 		block := raw[blocks*BlockSize : (blocks+1)*BlockSize]
 		for c := 0; c < BlockSize/cardLen; c++ {
@@ -132,77 +132,120 @@ func Decode(raw []byte) (*Image, error) {
 				continue
 			}
 			if len(line) < 10 || line[8] != '=' {
-				return nil, &FormatError{Msg: "malformed card: " + strings.TrimSpace(line)}
+				return &FormatError{Msg: "malformed card: " + strings.TrimSpace(line)}
 			}
 			hdr[key] = strings.TrimSpace(line[10:])
 		}
 		blocks++
 	}
 	if hdr["SIMPLE"] != "T" {
-		return nil, &FormatError{Msg: "not a SIMPLE FITS file"}
+		return &FormatError{Msg: "not a SIMPLE FITS file"}
 	}
 	if hdr["BITPIX"] != "-64" {
-		return nil, &FormatError{Msg: "unsupported BITPIX " + hdr["BITPIX"]}
+		return &FormatError{Msg: "unsupported BITPIX " + hdr["BITPIX"]}
 	}
 	if hdr["NAXIS"] != "2" {
-		return nil, &FormatError{Msg: "unsupported NAXIS " + hdr["NAXIS"]}
+		return &FormatError{Msg: "unsupported NAXIS " + hdr["NAXIS"]}
 	}
 	w, err := strconv.Atoi(hdr["NAXIS1"])
 	if err != nil || w <= 0 || w > 1<<16 {
-		return nil, &FormatError{Msg: "bad NAXIS1 " + hdr["NAXIS1"]}
+		return &FormatError{Msg: "bad NAXIS1 " + hdr["NAXIS1"]}
 	}
 	h, err := strconv.Atoi(hdr["NAXIS2"])
 	if err != nil || h <= 0 || h > 1<<16 {
-		return nil, &FormatError{Msg: "bad NAXIS2 " + hdr["NAXIS2"]}
+		return &FormatError{Msg: "bad NAXIS2 " + hdr["NAXIS2"]}
 	}
 	crval1, err := strconv.ParseFloat(hdr["CRVAL1"], 64)
 	if err != nil {
-		return nil, &FormatError{Msg: "bad CRVAL1 " + hdr["CRVAL1"]}
+		return &FormatError{Msg: "bad CRVAL1 " + hdr["CRVAL1"]}
 	}
 	crval2, err := strconv.ParseFloat(hdr["CRVAL2"], 64)
 	if err != nil {
-		return nil, &FormatError{Msg: "bad CRVAL2 " + hdr["CRVAL2"]}
+		return &FormatError{Msg: "bad CRVAL2 " + hdr["CRVAL2"]}
 	}
 	need := blocks*BlockSize + w*h*8
 	if len(raw) < need {
-		return nil, &FormatError{Msg: fmt.Sprintf("data truncated: need %d bytes, have %d", need, len(raw))}
+		return &FormatError{Msg: fmt.Sprintf("data truncated: need %d bytes, have %d", need, len(raw))}
 	}
-	im := &Image{Width: w, Height: h, CRVAL1: crval1, CRVAL2: crval2, Data: make([]float64, w*h)}
-	base := blocks * BlockSize
+	im.resize(w, h)
+	im.CRVAL1, im.CRVAL2 = crval1, crval2
+	data := raw[blocks*BlockSize:]
 	for i := range im.Data {
-		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[base+i*8:]))
+		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
 	}
-	return im, nil
+	return nil
 }
 
 // Write persists the image at path in BlockSize-sized writes — the
-// realistic write pattern fault campaigns interpose on.
-func Write(fs vfs.FS, path string, im *Image) error {
-	raw := im.Encode()
+// realistic write pattern fault campaigns interpose on. It streams through
+// one block buffer: the header cards space-padded to a block, then the
+// big-endian pixels, the last block zero-padded. It returns the first error
+// of the writes, Sync and Close.
+func Write(fs vfs.FS, path string, im *Image) (err error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	for off := 0; off < len(raw); off += BlockSize {
-		endOff := off + BlockSize
-		if endOff > len(raw) {
-			endOff = len(raw)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if _, err := f.Write(raw[off:endOff]); err != nil {
+	}()
+	// The eight header cards always fit in one block.
+	block := make([]byte, BlockSize)
+	hdr := card("SIMPLE", "T") + card("BITPIX", "-64") + card("NAXIS", "2") +
+		card("NAXIS1", strconv.Itoa(im.Width)) + card("NAXIS2", strconv.Itoa(im.Height)) +
+		card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)) +
+		card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)) + pad("END")
+	for i := copy(block, hdr); i < BlockSize; i++ {
+		block[i] = ' '
+	}
+	if _, err := f.Write(block); err != nil {
+		return err
+	}
+	for data := im.Data; len(data) > 0; {
+		n := min(len(data), BlockSize/8)
+		for i, v := range data[:n] {
+			binary.BigEndian.PutUint64(block[i*8:], math.Float64bits(v))
+		}
+		clear(block[n*8:])
+		if _, err := f.Write(block); err != nil {
 			return err
 		}
+		data = data[n:]
 	}
 	return f.Sync()
 }
 
-// Read loads and parses a FITS file from the file system.
-func Read(fs vfs.FS, path string) (*Image, error) {
-	raw, err := vfs.ReadFile(fs, path)
+// Read loads and parses the FITS file at path into dst and returns it, or
+// into a new image when dst is nil. The read is one Open, one Size and one
+// full read into a raw buffer held by dst; it and dst.Data are reused when
+// their capacity allows, so reading many files into one image allocates
+// only for the largest.
+func Read(fs vfs.FS, path string, dst *Image) (*Image, error) {
+	if dst == nil {
+		dst = &Image{}
+	}
+	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(raw)
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	if int64(cap(dst.raw)) < size {
+		dst.raw = make([]byte, size)
+	}
+	n, err := io.ReadFull(f, dst.raw[:size])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	if err := dst.decode(dst.raw[:n]); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // IsFormatError reports whether err is a FITS format violation.

@@ -10,10 +10,11 @@ import (
 
 	"ffis/internal/apps/montage"
 	"ffis/internal/fits"
+	"ffis/internal/trace"
+	"ffis/internal/vfs"
 )
 
-// refCard is the byte-at-a-time card builder the word-at-a-time codec
-// must reproduce.
+// refCard is the byte-at-a-time card builder Write must reproduce.
 func refCard(key, value string) []byte {
 	c := fmt.Sprintf("%-8s= %20s", key, value)
 	for len(c) < 80 {
@@ -137,10 +138,43 @@ func specialImage() *fits.Image {
 	return im
 }
 
-// TestEncodeMatchesReferenceEncoder pins the word-at-a-time codec to the
-// byte-at-a-time one: identical bytes for every Montage tile and for an
-// image of special values, bit-identical decoded pixels, and the same
-// FormatError text for truncated and header-corrupted streams.
+// written returns the bytes fits.Write leaves in a MemFS and the size of
+// each of its write calls, as trace.Recorder saw them.
+func written(t *testing.T, im *fits.Image) ([]byte, []int) {
+	t.Helper()
+	rec := trace.NewRecorder(vfs.NewMemFS())
+	if err := fits.Write(rec, "/t.fits", im); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for _, op := range rec.Log() {
+		if op.Primitive == vfs.PrimWrite {
+			sizes = append(sizes, op.Size)
+		}
+	}
+	raw, err := vfs.ReadFile(rec, "/t.fits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, sizes
+}
+
+// read stores raw in a MemFS and parses it with fits.Read.
+func read(t *testing.T, raw []byte) (*fits.Image, error) {
+	t.Helper()
+	fs := vfs.NewMemFS()
+	if err := vfs.WriteFile(fs, "/t.fits", raw); err != nil {
+		t.Fatal(err)
+	}
+	return fits.Read(fs, "/t.fits", nil)
+}
+
+// TestEncodeMatchesReferenceEncoder pins the block-streaming Write and the
+// buffer-reusing Read to the byte-at-a-time codec: identical bytes and
+// BlockSize write calls for every Montage tile, an image of special values
+// and one whose last data block is partly filled; bit-identical read-back
+// pixels; and the same FormatError text for truncated and
+// header-corrupted streams.
 func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 	cfg := montage.DefaultConfig()
 	var images []*fits.Image
@@ -150,28 +184,41 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 	if len(images) != 10 {
 		t.Fatalf("%d montage tiles, want 10", len(images))
 	}
-	images = append(images, specialImage())
+	partial := fits.New(19, 19) // 361 pixels: one full data block and one pixel
+	for i := range partial.Data {
+		partial.Data[i] = float64(i) - 180.25
+	}
+	images = append(images, specialImage(), partial)
 	for i, im := range images {
-		raw := im.Encode()
-		if want := refEncode(im); !bytes.Equal(raw, want) {
-			t.Fatalf("image %d: Encode differs from the reference (len %d vs %d)", i, len(raw), len(want))
+		raw, sizes := written(t, im)
+		want := refEncode(im)
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("image %d: Write differs from the reference (len %d vs %d)", i, len(raw), len(want))
 		}
-		got, err := fits.Decode(raw)
+		if len(sizes) != len(want)/fits.BlockSize {
+			t.Fatalf("image %d: %d write calls, want %d", i, len(sizes), len(want)/fits.BlockSize)
+		}
+		for k, n := range sizes {
+			if n != fits.BlockSize {
+				t.Fatalf("image %d: write %d has %d bytes, want %d", i, k, n, fits.BlockSize)
+			}
+		}
+		got, err := read(t, raw)
 		if err != nil {
 			t.Fatalf("image %d: %v", i, err)
 		}
-		want, _ := refDecode(raw)
-		if got.Width != want.Width || got.Height != want.Height || got.CRVAL1 != want.CRVAL1 || got.CRVAL2 != want.CRVAL2 {
-			t.Fatalf("image %d: header %+v, want %+v", i, got, want)
+		ref, _ := refDecode(raw)
+		if got.Width != ref.Width || got.Height != ref.Height || got.CRVAL1 != ref.CRVAL1 || got.CRVAL2 != ref.CRVAL2 {
+			t.Fatalf("image %d: header %+v, want %+v", i, got, ref)
 		}
-		for p := range want.Data {
-			if math.Float64bits(got.Data[p]) != math.Float64bits(want.Data[p]) {
-				t.Fatalf("image %d pixel %d: %#x, want %#x", i, p, math.Float64bits(got.Data[p]), math.Float64bits(want.Data[p]))
+		for p := range ref.Data {
+			if math.Float64bits(got.Data[p]) != math.Float64bits(ref.Data[p]) {
+				t.Fatalf("image %d pixel %d: %#x, want %#x", i, p, math.Float64bits(got.Data[p]), math.Float64bits(ref.Data[p]))
 			}
 		}
 	}
 
-	raw := images[0].Encode()
+	raw := refEncode(images[0])
 	corrupt := map[string]func([]byte) []byte{
 		"empty":           func(b []byte) []byte { return nil },
 		"short header":    func(b []byte) []byte { return b[:fits.BlockSize-1] },
@@ -190,7 +237,7 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 	}
 	for name, mut := range corrupt {
 		in := mut(append([]byte(nil), raw...))
-		_, err := fits.Decode(in)
+		_, err := read(t, in)
 		_, want := refDecode(in)
 		if want == nil {
 			t.Fatalf("%s: reference accepted the corruption", name)

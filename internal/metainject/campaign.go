@@ -34,16 +34,6 @@ type CampaignConfig struct {
 	Seed uint64
 }
 
-// DefaultCampaign returns the Table III configuration.
-func DefaultCampaign() CampaignConfig {
-	return CampaignConfig{
-		Sim:    nyx.DefaultSim(),
-		Halo:   nyx.DefaultHalo(),
-		Stride: 1,
-		Seed:   2021,
-	}
-}
-
 // Case is one metadata fault-injection case.
 type Case struct {
 	Offset  int

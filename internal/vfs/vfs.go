@@ -160,15 +160,6 @@ func Exists(fsys FS, name string) bool {
 	return err == nil
 }
 
-// CopyFile copies src to dst within fsys.
-func CopyFile(fsys FS, dst, src string) error {
-	data, err := ReadFile(fsys, src)
-	if err != nil {
-		return err
-	}
-	return WriteFile(fsys, dst, data)
-}
-
 // Walk calls fn for every file (not directory) under root, in sorted path
 // order. It is used by test helpers and the experiment harness to snapshot
 // file trees for golden comparison.
