@@ -147,36 +147,6 @@ func TestMetadataCorruptionToRepairPipeline(t *testing.T) {
 	}
 }
 
-// TestHDF5FileSurvivesTraceReplayStructure writes a dataset, replays its
-// recorded write pattern onto a second FS, and confirms the replayed file
-// has the same size and write layout (content differs by design).
-func TestHDF5FileSurvivesTraceReplayStructure(t *testing.T) {
-	sim := integrationSim()
-	field := sim.Generate()
-
-	rec := trace.NewRecorder(vfs.NewMemFS())
-	rec.MkdirAll("/plt00000")
-	if err := nyx.WriteDataset(rec, nyx.OutputPath, field, sim.N); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := vfs.NewMemFS()
-	if err := trace.ReplayWrites(rec.Log(), dst); err != nil {
-		t.Fatal(err)
-	}
-	srcInfo, err := rec.Stat(nyx.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstInfo, err := dst.Stat(nyx.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srcInfo.Size != dstInfo.Size {
-		t.Fatalf("replayed size %d != original %d", dstInfo.Size, srcInfo.Size)
-	}
-}
-
 // TestSweepAcrossFlipWidthsOnNyx exercises the ablation path end-to-end
 // and exports it as JSON.
 func TestSweepAcrossFlipWidthsOnNyx(t *testing.T) {

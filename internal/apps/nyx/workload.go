@@ -6,7 +6,6 @@ import (
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
-	"ffis/internal/hdf5"
 	"ffis/internal/vfs"
 )
 
@@ -62,9 +61,6 @@ func (a *App) Golden() string { return a.golden }
 // GoldenCatalog recomputes the golden catalog (for histogram comparisons).
 func (a *App) GoldenCatalog() Catalog { return FindHalos(a.field, a.Sim.N, a.Halo) }
 
-// Field exposes the generated density field (read-only use).
-func (a *App) Field() []float64 { return a.field }
-
 // Run executes the application's I/O: it persists the (precomputed) field
 // through the supplied file system. This is the phase fault injection
 // targets.
@@ -86,9 +82,6 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 	}
 	cat, err := RunHaloFinder(fs, OutputPath, a.Halo)
 	if err != nil {
-		if hdf5.IsFormatError(err) {
-			return classify.Crash
-		}
 		return classify.Crash
 	}
 	out := cat.Render()

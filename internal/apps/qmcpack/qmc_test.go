@@ -1,8 +1,8 @@
 package qmcpack
 
 import (
+	"errors"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -335,75 +335,52 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestBlockingUncorrelatedData(t *testing.T) {
-	// For i.i.d. data the reblocked error bar stays flat.
-	rng := stats.NewRNG(17)
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	blocking := Blocking(xs)
-	if len(blocking) < 8 {
-		t.Fatalf("levels = %d", len(blocking))
-	}
-	first := blocking[0].ErrorBar
-	for _, b := range blocking {
-		if b.Blocks < 64 {
-			break
-		}
-		if b.ErrorBar < first*0.7 || b.ErrorBar > first*1.5 {
-			t.Fatalf("iid data error bar drifted: level %d = %v vs %v", b.BlockSize, b.ErrorBar, first)
-		}
-	}
-	if tau := CorrelationTime(blocking); tau > 2.5 {
-		t.Fatalf("iid correlation time = %v, want ~1", tau)
-	}
+// failFS hands out files whose Sync and Close fail with the given errors.
+type failFS struct {
+	vfs.FS
+	syncErr, closeErr error
 }
 
-func TestBlockingCorrelatedData(t *testing.T) {
-	// An AR(1) series with strong autocorrelation must show the error
-	// bar growing under reblocking and a correlation time >> 1.
-	rng := stats.NewRNG(19)
-	xs := make([]float64, 8192)
-	x := 0.0
-	for i := range xs {
-		x = 0.95*x + rng.NormFloat64()
-		xs[i] = x
-	}
-	blocking := Blocking(xs)
-	if blocking[len(blocking)-1].ErrorBar <= blocking[0].ErrorBar {
-		t.Fatal("reblocking did not grow the error bar on correlated data")
-	}
-	if tau := CorrelationTime(blocking); tau < 5 {
-		t.Fatalf("correlation time = %v, want >> 1", tau)
-	}
+type failFile struct {
+	vfs.File
+	syncErr, closeErr error
 }
 
-func TestBlockingOnRealDMCSeries(t *testing.T) {
-	app := newTestApp(t)
-	a, err := Analyze(app.dmcContent)
+func (f *failFS) Create(name string) (vfs.File, error) {
+	file, err := f.FS.Create(name)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	_ = a
-	// Extract the raw energies for blocking.
-	var energies []float64
-	for _, line := range strings.Split(app.dmcContent, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || strings.HasPrefix(fields[0], "#") {
-			continue
+	return &failFile{File: file, syncErr: f.syncErr, closeErr: f.closeErr}, nil
+}
+
+func (f *failFile) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+func (f *failFile) Close() error {
+	f.File.Close()
+	return f.closeErr
+}
+
+func TestWriteScalarFileReturnsSyncAndCloseErrors(t *testing.T) {
+	syncErr, closeErr := errors.New("sync failed"), errors.New("close failed")
+	cases := []struct {
+		name            string
+		syncErr, closed error
+		want            error
+	}{
+		{"close", nil, closeErr, closeErr},
+		{"sync before close", syncErr, closeErr, syncErr},
+		{"neither", nil, nil, nil},
+	}
+	for _, c := range cases {
+		fs := &failFS{FS: vfs.NewMemFS(), syncErr: c.syncErr, closeErr: c.closed}
+		if err := WriteScalarFile(fs, "/t.dat", strings.Repeat("x", 5000)); err != c.want {
+			t.Errorf("%s: WriteScalarFile = %v, want %v", c.name, err, c.want)
 		}
-		e, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		energies = append(energies, e)
 	}
-	blocking := Blocking(energies)
-	tau := CorrelationTime(blocking)
-	if tau < 1 {
-		t.Fatalf("tau = %v", tau)
-	}
-	t.Logf("DMC series: %d steps, correlation time %.1f, plateau error %.5f",
-		len(energies), tau, blocking[len(blocking)-1].ErrorBar)
 }

@@ -36,12 +36,16 @@ func FormatRows(rows []Row) string {
 const flushBytes = 4096
 
 // WriteScalarFile streams content to path in flushBytes-sized writes.
-func WriteScalarFile(fs vfs.FS, path, content string) error {
+func WriteScalarFile(fs vfs.FS, path, content string) (err error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	data := []byte(content)
 	for off := 0; off < len(data); off += flushBytes {
 		end := off + flushBytes
@@ -118,87 +122,4 @@ func Analyze(content string) (Analysis, error) {
 	}
 	a.ErrorBar = math.Sqrt(variance / float64(len(data)))
 	return a, nil
-}
-
-// AnalyzeFile runs Analyze on a file in the virtual file system.
-func AnalyzeFile(fs vfs.FS, path string) (Analysis, error) {
-	raw, err := vfs.ReadFile(fs, path)
-	if err != nil {
-		return Analysis{}, err
-	}
-	return Analyze(string(raw))
-}
-
-// BlockingResult is one row of a reblocking analysis: the standard error of
-// the mean estimated at a given block size.
-type BlockingResult struct {
-	BlockSize int
-	ErrorBar  float64
-	Blocks    int
-}
-
-// Blocking performs Flyvbjerg–Petersen reblocking on the (equilibrated)
-// energy series: the data is repeatedly pair-averaged, and the naive
-// standard error at each level is reported. Serially correlated Monte Carlo
-// data (DMC steps are strongly correlated) shows the error bar growing with
-// block size until it plateaus at the true statistical error — the analysis
-// the real QMCA tool performs.
-func Blocking(energies []float64) []BlockingResult {
-	data := append([]float64(nil), energies...)
-	var out []BlockingResult
-	blockSize := 1
-	for len(data) >= 4 {
-		n := float64(len(data))
-		var sum, sumsq float64
-		for _, e := range data {
-			sum += e
-			sumsq += e * e
-		}
-		mean := sum / n
-		variance := sumsq/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		out = append(out, BlockingResult{
-			BlockSize: blockSize,
-			ErrorBar:  math.Sqrt(variance / (n - 1)),
-			Blocks:    len(data),
-		})
-		// Pair-average into the next level.
-		next := make([]float64, len(data)/2)
-		for i := range next {
-			next[i] = (data[2*i] + data[2*i+1]) / 2
-		}
-		data = next
-		blockSize *= 2
-	}
-	return out
-}
-
-// CorrelationTime estimates the integrated autocorrelation time from a
-// reblocking curve: the ratio of the plateau variance to the naive
-// variance. It returns at least 1.
-func CorrelationTime(blocking []BlockingResult) float64 {
-	if len(blocking) < 2 {
-		return 1
-	}
-	naive := blocking[0].ErrorBar
-	if naive == 0 {
-		return 1
-	}
-	plateau := blocking[0].ErrorBar
-	for _, b := range blocking {
-		// Ignore the noisy last levels (too few blocks).
-		if b.Blocks < 16 {
-			break
-		}
-		if b.ErrorBar > plateau {
-			plateau = b.ErrorBar
-		}
-	}
-	tau := (plateau / naive) * (plateau / naive)
-	if tau < 1 {
-		return 1
-	}
-	return tau
 }

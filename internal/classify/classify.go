@@ -11,7 +11,6 @@ package classify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ffis/internal/stats"
@@ -76,13 +75,6 @@ func (t *Tally) Add(o Outcome) {
 		panic(fmt.Sprintf("classify: invalid outcome %d", int(o)))
 	}
 	t.counts[o]++
-}
-
-// Merge adds every count from other into t.
-func (t *Tally) Merge(other Tally) {
-	for i := range t.counts {
-		t.counts[i] += other.counts[i]
-	}
 }
 
 // Count returns the number of runs recorded with outcome o.
@@ -234,33 +226,4 @@ func CSV(cells []Cell) string {
 			tt.Count(Benign), tt.Count(SDC), tt.Count(Detected), tt.Count(Crash))
 	}
 	return b.String()
-}
-
-// Markdown renders cells as a GitHub-flavored Markdown table in the Figure
-// 7 / Table III layout — percentage columns per outcome plus the Wilson 95%
-// interval on the SDC rate — for dropping campaign results straight into a
-// writeup. Pipes in labels are escaped so a label can never break the row.
-func Markdown(title string, cells []Cell) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", title)
-	b.WriteString("| cell | runs | benign | SDC | detected | crash | SDC 95% CI |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
-	for _, c := range cells {
-		tt := c.Tally
-		sdcLo, sdcHi := tt.Rate(SDC).Wilson95()
-		label := strings.ReplaceAll(c.Label, "|", `\|`)
-		fmt.Fprintf(&b, "| %s | %d | %.1f%% | %.1f%% | %.1f%% | %.1f%% | [%.1f, %.1f]%% |\n",
-			label, tt.Total(),
-			100*tt.Rate(Benign).P(), 100*tt.Rate(SDC).P(),
-			100*tt.Rate(Detected).P(), 100*tt.Rate(Crash).P(),
-			100*sdcLo, 100*sdcHi)
-	}
-	return b.String()
-}
-
-// GroupCells sorts cells by label for deterministic output.
-func GroupCells(cells []Cell) []Cell {
-	out := append([]Cell(nil), cells...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
 }

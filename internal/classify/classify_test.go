@@ -54,18 +54,6 @@ func TestTallyAddAndRates(t *testing.T) {
 	}
 }
 
-func TestTallyMerge(t *testing.T) {
-	var a, b Tally
-	a.Add(Benign)
-	a.Add(SDC)
-	b.Add(SDC)
-	b.Add(Crash)
-	a.Merge(b)
-	if a.Total() != 4 || a.Count(SDC) != 2 {
-		t.Fatalf("merge result: %s", a.String())
-	}
-}
-
 func TestTallyInvalidOutcomePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -105,17 +93,6 @@ func TestCSVRendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "qmc/DW,1,0,0,0,1") {
 		t.Fatalf("csv row missing: %q", out)
-	}
-}
-
-func TestGroupCellsSortsWithoutMutating(t *testing.T) {
-	in := []Cell{{Label: "z"}, {Label: "a"}}
-	out := GroupCells(in)
-	if out[0].Label != "a" || out[1].Label != "z" {
-		t.Fatal("not sorted")
-	}
-	if in[0].Label != "z" {
-		t.Fatal("input mutated")
 	}
 }
 
@@ -164,21 +141,5 @@ func TestParseOutcome(t *testing.T) {
 	}
 	if _, err := ParseOutcome("mystery"); err == nil {
 		t.Fatal("unknown outcome must error")
-	}
-}
-
-func TestMarkdownRendering(t *testing.T) {
-	var tl Tally
-	tl.Add(Benign)
-	tl.Add(SDC)
-	out := Markdown("demo", []Cell{{Label: "a|b", Tally: tl}})
-	if !strings.Contains(out, "### demo") || !strings.Contains(out, "| runs |") {
-		t.Fatalf("markdown output:\n%s", out)
-	}
-	if !strings.Contains(out, `a\|b`) {
-		t.Fatalf("pipe in label must be escaped:\n%s", out)
-	}
-	if !strings.Contains(out, "50.0%") {
-		t.Fatalf("missing rates:\n%s", out)
 	}
 }

@@ -303,7 +303,7 @@ func runStream(seed uint64, idx int) *stats.RNG {
 }
 
 // goldenOnWorld runs the workload fault-free on an already-built pristine
-// world (a snapshot clone under the engine) and snapshots root.
+// world and snapshots root.
 func goldenOnWorld(base vfs.FS, w Workload, root string) (map[string][]byte, error) {
 	if err := runRecovering(w.Run, base); err != nil {
 		return nil, fmt.Errorf("core: golden run failed: %w", err)

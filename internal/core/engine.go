@@ -75,7 +75,7 @@ type Engine struct {
 
 // enginePrep is the per-world memoization record: the post-Setup snapshot
 // (COW, or rebuild-per-run for a world that cannot be cloned) plus profile
-// counts and golden snapshots keyed within it.
+// counts keyed within it.
 type enginePrep struct {
 	w Workload // the workload that builds this world (first spec wins)
 
@@ -85,19 +85,12 @@ type enginePrep struct {
 
 	mu       sync.Mutex
 	profiles map[string]*profileMemo
-	goldens  map[string]*goldenMemo
 }
 
 type profileMemo struct {
 	once  sync.Once
 	count int64
 	err   error
-}
-
-type goldenMemo struct {
-	once sync.Once
-	snap map[string][]byte
-	err  error
 }
 
 func (e *Engine) jobs() int {
@@ -122,7 +115,7 @@ func (e *Engine) prep(key string, w Workload) *enginePrep {
 	}
 	p, ok := e.prepared[key]
 	if !ok {
-		p = &enginePrep{w: w, profiles: map[string]*profileMemo{}, goldens: map[string]*goldenMemo{}}
+		p = &enginePrep{w: w, profiles: map[string]*profileMemo{}}
 		e.prepared[key] = p
 	}
 	return p
@@ -181,33 +174,6 @@ func (p *enginePrep) profileCount(sig Signature, mounts []string) (int64, error)
 		m.count, m.err = profileWorld(world, p.w, sig, mounts)
 	})
 	return m.count, m.err
-}
-
-// GoldenSnapshot returns the memoized fault-free output snapshot of the
-// spec's world under root: the golden run executes once per (world, root)
-// across the entire grid. Specs sharing a WorldKey share the result.
-func (e *Engine) GoldenSnapshot(spec CampaignSpec, root string) (map[string][]byte, error) {
-	p := e.prep(spec.worldKey(), spec.Workload)
-	snap, err := p.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	m, ok := p.goldens[root]
-	if !ok {
-		m = &goldenMemo{}
-		p.goldens[root] = m
-	}
-	p.mu.Unlock()
-	m.once.Do(func() {
-		world, err := snap.World()
-		if err != nil {
-			m.err = err
-			return
-		}
-		m.snap, m.err = goldenOnWorld(world, p.w, root)
-	})
-	return m.snap, m.err
 }
 
 // Run executes every spec of the grid and returns results in spec order.

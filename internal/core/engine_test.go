@@ -318,53 +318,6 @@ func TestEngineWorkloadBuildsOncePerKey(t *testing.T) {
 	}
 }
 
-// TestEngineGoldenSnapshotMemoized asserts the golden run executes once per
-// (world, root) and matches a golden run on a freshly built world.
-func TestEngineGoldenSnapshotMemoized(t *testing.T) {
-	var runs atomic.Int64
-	w := toyWorkload()
-	inner := w.Run
-	w.Run = func(fs vfs.FS) error { runs.Add(1); return inner(fs) }
-	want, err := goldenSnapshot(toyWorkload(), "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := &Engine{Jobs: 2}
-	spec := CampaignSpec{Key: "toy/golden", WorldKey: "toy-golden", Workload: w}
-	var snaps []map[string][]byte
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := e.GoldenSnapshot(spec, "/")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			snaps = append(snaps, got)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("golden run executed %d times, want 1", got)
-	}
-	for _, got := range snaps {
-		if len(got) != len(want) {
-			t.Fatalf("golden snapshot size %d, want %d", len(got), len(want))
-		}
-		for p, data := range want {
-			if string(got[p]) != string(data) {
-				t.Fatalf("golden mismatch at %s", p)
-			}
-		}
-	}
-}
-
 // TestEngineNoTargetsDoesNotAbortGrid mirrors the tiered sweep's starved
 // placement: a cell armed on an idle tier reports ErrNoTargets while its
 // siblings complete normally.

@@ -1,6 +1,8 @@
 package hdf5
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -474,6 +476,21 @@ func TestCorruptHeapNameDetaches(t *testing.T) {
 	}
 }
 
+// TestParseHeapSizeWrapAround sets the local heap's data-segment size so
+// that address plus size wraps past 2^64: Parse must reject the file with a
+// FormatError instead of slicing out of range.
+func TestParseHeapSizeWrapAround(t *testing.T) {
+	img := buildSmall(t, seqValues(8), []uint64{8})
+	raw := img.Bytes()
+	addr := img.Fields.Find("heap.dataSegmentAddress")[0].Offset
+	size := img.Fields.Find("heap.dataSegmentSize")[0].Offset
+	dataAddr := binary.LittleEndian.Uint64(raw[addr:])
+	binary.LittleEndian.PutUint64(raw[size:], -dataAddr+1)
+	if _, err := Parse(raw); !IsFormatError(err) {
+		t.Fatalf("Parse = %v; want a FormatError", err)
+	}
+}
+
 func TestParseTruncatedFile(t *testing.T) {
 	img := buildSmall(t, seqValues(8), []uint64{8})
 	raw := img.Bytes()
@@ -548,5 +565,55 @@ func TestSingleSpecDataset(t *testing.T) {
 	}
 	if f.Datasets[0].Spec.ExpBias != 0x7F {
 		t.Fatalf("parsed bias = %#x", f.Datasets[0].Spec.ExpBias)
+	}
+}
+
+// failFS hands out files whose Sync and Close fail with the given errors.
+type failFS struct {
+	vfs.FS
+	syncErr, closeErr error
+}
+
+type failFile struct {
+	vfs.File
+	syncErr, closeErr error
+}
+
+func (f *failFS) Create(name string) (vfs.File, error) {
+	file, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failFile{File: file, syncErr: f.syncErr, closeErr: f.closeErr}, nil
+}
+
+func (f *failFile) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+func (f *failFile) Close() error {
+	f.File.Close()
+	return f.closeErr
+}
+
+func TestWriteToReturnsSyncAndCloseErrors(t *testing.T) {
+	syncErr, closeErr := errors.New("sync failed"), errors.New("close failed")
+	cases := []struct {
+		name            string
+		syncErr, closed error
+		want            error
+	}{
+		{"close", nil, closeErr, closeErr},
+		{"sync before close", syncErr, closeErr, syncErr},
+		{"neither", nil, nil, nil},
+	}
+	for _, c := range cases {
+		fs := &failFS{FS: vfs.NewMemFS(), syncErr: c.syncErr, closeErr: c.closed}
+		if err := buildSmall(t, seqValues(8), []uint64{8}).WriteTo(fs, "/t.h5"); err != c.want {
+			t.Errorf("%s: WriteTo = %v, want %v", c.name, err, c.want)
+		}
 	}
 }

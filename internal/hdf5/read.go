@@ -149,7 +149,7 @@ type parser struct {
 }
 
 func (p *parser) slice(off, n uint64, what string) ([]byte, error) {
-	if off > uint64(len(p.raw)) || off+n > uint64(len(p.raw)) {
+	if off > uint64(len(p.raw)) || n > uint64(len(p.raw))-off {
 		return nil, formatErrf(what, "range [%d,%d) outside file of %d bytes", off, off+n, len(p.raw))
 	}
 	if off+n > p.maxExtent {

@@ -476,12 +476,16 @@ const consistencyFlagsOff = 20
 // file locked), and the final small write clears the lock flag. Dropping
 // that last write therefore leaves a file the library refuses to open —
 // and fault campaigns rely on this ordering to target the metadata write.
-func (img *FileImage) WriteTo(fs vfs.FS, path string) error {
+func (img *FileImage) WriteTo(fs vfs.FS, path string) (err error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	const chunk = 4096
 	base := int64(len(img.Meta))

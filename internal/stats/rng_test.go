@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -168,43 +167,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(11)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("exponential variate %v < 0", x)
-		}
-		sum += x
-	}
-	if m := sum / n; math.Abs(m-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want about 1", m)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	cfg := &quick.Config{MaxCount: 50}
-	f := func(seed uint64) bool {
-		n := int(seed%64) + 1
-		p := NewRNG(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-	_ = r
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(21)
 	c1 := parent.Split()
@@ -217,18 +179,5 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("split children produced %d/100 identical outputs", same)
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := NewRNG(31)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -22,72 +21,6 @@ func Mean(xs []float64) float64 {
 		sum = t
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 when len < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// StdErr returns the standard error of the mean of xs.
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// MinMax returns the minimum and maximum of xs. It panics on empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }
 
 // Proportion is an observed binomial proportion with its sample size,
@@ -154,115 +87,6 @@ func (p Proportion) ErrorBar95() float64 {
 	}
 	phat := p.P()
 	return z95 * math.Sqrt(phat*(1-phat)/float64(p.Trials))
-}
-
-// ClopperPearson95 returns the exact (conservative) 95% confidence interval
-// for the proportion, from the beta-distribution inversion. It is the
-// no-surprises companion to Wilson95 for the extreme cells: guaranteed
-// >= 95% coverage at every p and n, at the cost of being wider.
-func (p Proportion) ClopperPearson95() (lo, hi float64) {
-	if p.Trials == 0 {
-		return 0, 1
-	}
-	const alpha = 0.05
-	k, n := float64(p.Successes), float64(p.Trials)
-	lo, hi = 0, 1
-	if p.Successes > 0 {
-		lo = betaQuantile(alpha/2, k, n-k+1)
-	}
-	if p.Successes < p.Trials {
-		hi = betaQuantile(1-alpha/2, k+1, n-k)
-	}
-	return lo, hi
-}
-
-// betaQuantile inverts the regularized incomplete beta function I_x(a, b)
-// by bisection: the smallest x with I_x(a, b) >= q. Fifty halvings pin x to
-// ~1e-15, far below any campaign-relevant precision.
-func betaQuantile(q, a, b float64) float64 {
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		if regIncBeta(a, b, mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// regIncBeta computes the regularized incomplete beta function I_x(a, b)
-// with the standard continued-fraction expansion (Numerical Recipes 6.4),
-// using the symmetry relation to keep the fraction in its fast-converging
-// region.
-func regIncBeta(a, b, x float64) float64 {
-	switch {
-	case x <= 0:
-		return 0
-	case x >= 1:
-		return 1
-	}
-	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(lbeta + a*math.Log(x) + b*math.Log(1-x))
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
-	}
-	return 1 - front*betaCF(b, a, 1-x)/b
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-// betaCF evaluates the continued fraction of the incomplete beta function
-// by the modified Lentz method.
-func betaCF(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 3e-14
-		tiny    = 1e-300
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
 }
 
 // String renders the proportion as a percentage with its Wilson 95%

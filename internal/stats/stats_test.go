@@ -42,62 +42,6 @@ func TestMeanKahanStability(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if v := Variance(xs); !almostEq(v, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
-	}
-	if s := StdDev(xs); !almostEq(s, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", s)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("variance of singleton should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Fatalf("MinMax = %v,%v", lo, hi)
-	}
-}
-
-func TestMinMaxPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MinMax(nil)
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q25 = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("quantile of empty should be NaN")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	Quantile(xs, 0.5)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestProportionPointEstimate(t *testing.T) {
 	p := Proportion{Successes: 37, Trials: 1000}
 	if !almostEq(p.P(), 0.037, 1e-12) {
@@ -158,13 +102,5 @@ func TestProportionQuickProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStdErrShrinksWithN(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := append(append([]float64{}, a...), a...)
-	if StdErr(b) >= StdErr(a) {
-		t.Fatal("standard error should shrink as n grows")
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 )
 
@@ -155,42 +154,6 @@ func TestWilson95Coverage(t *testing.T) {
 		if cov := float64(covered) / cells; cov < minCov {
 			t.Errorf("p=%v: Wilson95 coverage %.3f < %.2f", p, cov, minCov)
 		}
-	}
-}
-
-func TestClopperPearsonProperties(t *testing.T) {
-	// Exactness check against the closed forms at the extremes:
-	// k=0: hi = 1 - (alpha/2)^(1/n); k=n: lo = (alpha/2)^(1/n).
-	n := 1000
-	_, hi := (Proportion{Successes: 0, Trials: n}).ClopperPearson95()
-	wantHi := 1 - math.Pow(0.025, 1/float64(n))
-	if math.Abs(hi-wantHi) > 1e-9 {
-		t.Errorf("k=0 hi = %v, want %v", hi, wantHi)
-	}
-	lo, hiFull := (Proportion{Successes: n, Trials: n}).ClopperPearson95()
-	if hiFull != 1 {
-		t.Errorf("k=n hi = %v, want 1", hiFull)
-	}
-	wantLo := math.Pow(0.025, 1/float64(n))
-	if math.Abs(lo-wantLo) > 1e-9 {
-		t.Errorf("k=n lo = %v, want %v", lo, wantLo)
-	}
-	// Clopper-Pearson always contains the point estimate, and away from the
-	// boundary (where Wilson's [0,1] clamp can make it the shorter one) it
-	// is the wider, conservative interval.
-	for _, k := range []int{0, 1, 37, 500, 999, 1000} {
-		pr := Proportion{Successes: k, Trials: n}
-		cpLo, cpHi := pr.ClopperPearson95()
-		wLo, wHi := pr.Wilson95()
-		if cpLo > pr.P()+1e-12 || cpHi < pr.P()-1e-12 {
-			t.Errorf("k=%d: CP [%v,%v] excludes point %v", k, cpLo, cpHi, pr.P())
-		}
-		if k > 0 && k < n && (cpHi-cpLo)+1e-9 < (wHi-wLo) {
-			t.Errorf("k=%d: CP narrower than Wilson: %v < %v", k, cpHi-cpLo, wHi-wLo)
-		}
-	}
-	if lo, hi := (Proportion{}).ClopperPearson95(); lo != 0 || hi != 1 {
-		t.Errorf("empty proportion: [%v,%v], want [0,1]", lo, hi)
 	}
 }
 

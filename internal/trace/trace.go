@@ -4,9 +4,6 @@
 // an application performs, plus analyses over the recorded pattern — write
 // size distributions, per-file access statistics, and the primitive counts
 // the fault injector needs to aim campaigns.
-//
-// Traces also support replay: a recorded write pattern can be re-executed
-// against any vfs.FS, which the test suite uses to cross-validate backends.
 package trace
 
 import (
@@ -301,56 +298,4 @@ func (p *Profile) Render() string {
 			fsStats.OverwriteOps, fsStats.Reads, fsStats.ReadBytes)
 	}
 	return b.String()
-}
-
-// ReplayWrites re-executes the write operations of a trace against fs with
-// synthetic payloads (the byte value cycles with the sequence number).
-// Non-write operations needed for structure (mkdir, create) are re-executed
-// too; reads are skipped.
-func ReplayWrites(log []Op, fs vfs.FS) error {
-	handles := map[string]vfs.File{}
-	defer func() {
-		for _, h := range handles {
-			h.Close()
-		}
-	}()
-	for _, op := range log {
-		switch op.Primitive {
-		case vfs.PrimMkdir:
-			if err := fs.MkdirAll(op.Path); err != nil {
-				return err
-			}
-		case vfs.PrimCreate:
-			h, err := fs.Create(op.Path)
-			if err != nil {
-				return err
-			}
-			if old, ok := handles[op.Path]; ok {
-				old.Close()
-			}
-			handles[op.Path] = h
-		case vfs.PrimWrite:
-			h, ok := handles[op.Path]
-			if !ok {
-				var err error
-				h, err = fs.Append(op.Path)
-				if err != nil {
-					return err
-				}
-				handles[op.Path] = h
-			}
-			payload := make([]byte, op.Size)
-			for i := range payload {
-				payload[i] = byte(op.Seq)
-			}
-			if op.Offset >= 0 {
-				if _, err := h.WriteAt(payload, op.Offset); err != nil {
-					return err
-				}
-			} else if _, err := h.Write(payload); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -121,40 +121,3 @@ func TestProfileNyxWorkload(t *testing.T) {
 		t.Fatalf("no 4 KiB writes recorded: %v", p.WriteSizes.Counts)
 	}
 }
-
-func TestReplayWritesReproducesShape(t *testing.T) {
-	// Record a pattern, replay it onto a fresh FS, and compare file
-	// sizes (payloads differ by design).
-	src := NewRecorder(vfs.NewMemFS())
-	src.MkdirAll("/a")
-	f, _ := src.Create("/a/data")
-	f.Write(make([]byte, 1000))
-	f.WriteAt(make([]byte, 500), 2000)
-	f.Close()
-
-	dst := vfs.NewMemFS()
-	if err := ReplayWrites(src.Log(), dst); err != nil {
-		t.Fatal(err)
-	}
-	info, err := dst.Stat("/a/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size != 2500 {
-		t.Fatalf("replayed size = %d, want 2500", info.Size)
-	}
-}
-
-func TestReplayWithoutCreateUsesAppend(t *testing.T) {
-	log := []Op{
-		{Seq: 0, Primitive: vfs.PrimWrite, Path: "/implicit", Offset: -1, Size: 10},
-	}
-	dst := vfs.NewMemFS()
-	if err := ReplayWrites(log, dst); err != nil {
-		t.Fatal(err)
-	}
-	info, err := dst.Stat("/implicit")
-	if err != nil || info.Size != 10 {
-		t.Fatalf("%v %+v", err, info)
-	}
-}

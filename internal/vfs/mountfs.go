@@ -59,7 +59,7 @@ type MountPoint struct {
 //     paths under /a/b route to the inner backend.
 //   - Rename across two backends fails with ErrCrossMount (EXDEV).
 //   - Remove/RemoveAll/Rename refuse to disturb a live mount point
-//     (ErrMountBusy), and the root mount cannot be unmounted.
+//     (ErrMountBusy).
 //
 // MountFS is safe for concurrent use; the table itself is guarded by an
 // RWMutex and all per-file state lives in the backends.
@@ -116,30 +116,6 @@ func (m *MountFS) Mount(dir string, backend FS) error {
 	return nil
 }
 
-// Unmount detaches the backend at dir. The materialized mount-point
-// directory stays behind in the covering backend, as after umount(8).
-// Unmounting "/" or a path with no backend attached is an error; a mount
-// that still shadows a nested mount cannot be detached (ErrMountBusy).
-func (m *MountFS) Unmount(dir string) error {
-	dir = Clean(dir)
-	if dir == "/" {
-		return &PathError{Op: "unmount", Path: dir, Err: ErrMountBusy}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := m.indexOf(dir)
-	if idx < 0 {
-		return &PathError{Op: "unmount", Path: dir, Err: ErrNotExist}
-	}
-	for _, mp := range m.mounts {
-		if mp.path != dir && underneath(mp.path, dir) {
-			return &PathError{Op: "unmount", Path: dir, Err: ErrMountBusy}
-		}
-	}
-	m.mounts = append(m.mounts[:idx], m.mounts[idx+1:]...)
-	return nil
-}
-
 // Mounts returns a snapshot of the mount table sorted by path.
 func (m *MountFS) Mounts() []MountPoint {
 	m.mu.RLock()
@@ -150,14 +126,6 @@ func (m *MountFS) Mounts() []MountPoint {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// MountFor resolves name to the owning mount, returning its path and
-// backend. This is the introspection face of the routing every file
-// operation performs.
-func (m *MountFS) MountFor(name string) (mountPath string, backend FS) {
-	mp, _ := m.resolve(name)
-	return mp.path, mp.fs
 }
 
 // WithInterposed returns a copy of the mount table in which the backend at
