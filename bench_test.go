@@ -295,6 +295,7 @@ func BenchmarkAblationAvgTolerance(b *testing.B) {
 // Setup once per cell, COW clone per run, one shared pool, one profiling
 // pass per cell.
 func BenchmarkFig7GridEngine(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := experiments.Fig7(benchOpts()); err != nil {
 			b.Fatal(err)

@@ -8,19 +8,20 @@ import (
 )
 
 // TestStageRunAllocationBound bounds what one campaign run of each stage
-// allocates: Run plus Classify on a clone of the post-Setup world, the
-// per-run work of a Montage campaign. Stage-scoped image reuse, block-
-// streamed writes and the streamed plane fit keep each stage well under
-// the bound; whole-file encode and read buffers and fresh images per tile
-// put every stage near twice it.
+// allocates once its slot is warm: Run plus Classify through one Worker
+// pair, on clones of the post-Setup world attached to one block list and
+// released after each run, as the campaign Runner drives them. Per-slot
+// scratch images and recycled world blocks keep each stage under a third
+// of the bounds that held with a fresh image per role and fresh blocks
+// per run.
 func TestStageRunAllocationBound(t *testing.T) {
 	const mib = 1 << 20
-	const passes = 20
+	const warmup, passes = 3, 20
 	bound := map[Stage]float64{
-		StageProject: 8 * mib,
-		StageDiff:    6 * mib,
-		StageBg:      3.2 * mib,
-		StageAdd:     2 * mib,
+		StageProject: 8.0 / 3 * mib,
+		StageDiff:    6.0 / 3 * mib,
+		StageBg:      3.2 / 3 * mib,
+		StageAdd:     2.0 / 3 * mib,
 	}
 	for _, stage := range Stages() {
 		app, err := NewApp(DefaultConfig(), stage)
@@ -31,17 +32,27 @@ func TestStageRunAllocationBound(t *testing.T) {
 		if err := app.Setup(world); err != nil {
 			t.Fatal(err)
 		}
+		run, classify := app.Worker()
+		var list vfs.BlockList
+		pass := func() {
+			fs := world.Clone()
+			fs.Attach(&list)
+			classify(fs, run(fs))
+			fs.Release()
+		}
+		for i := 0; i < warmup; i++ {
+			pass()
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < passes; i++ {
-			fs := world.Clone()
-			app.Classify(fs, app.Run(fs))
+			pass()
 		}
 		runtime.ReadMemStats(&after)
 		perRun := float64(after.TotalAlloc-before.TotalAlloc) / passes
-		t.Logf("MT%d: %.2f MiB per run (bound %.1f MiB)", int(stage), perRun/mib, bound[stage]/mib)
+		t.Logf("MT%d: %.3f MiB per run (bound %.3f MiB)", int(stage), perRun/mib, bound[stage]/mib)
 		if perRun > bound[stage] {
-			t.Errorf("MT%d allocates %.2f MiB per run, bound %.1f MiB", int(stage), perRun/mib, bound[stage]/mib)
+			t.Errorf("MT%d allocates %.3f MiB per run, bound %.3f MiB", int(stage), perRun/mib, bound[stage]/mib)
 		}
 	}
 }

@@ -39,18 +39,33 @@ func (s Stage) String() string {
 // Stages lists the instrumented stages in execution order.
 func Stages() []Stage { return []Stage{StageProject, StageDiff, StageBg, StageAdd} }
 
-// RunStage executes one pipeline stage, reading its inputs from and writing
-// its outputs to fs.
-func (c Config) RunStage(fs vfs.FS, s Stage) error {
+// scratch holds the images and buffers of one run slot, one per role.
+// Every stage overwrites what it uses before reading it — fits.Read
+// decodes whole images, Reset zeroes them, the PGM is rebuilt from empty —
+// so a scratch carries nothing from one run into the next, even from a
+// run that failed midway.
+type scratch struct {
+	tiles, areas                        []fits.Image // runDiff keeps every tile live
+	in, out, area, diff, mosaic, weight fits.Image
+	pgm, img                            []byte
+}
+
+func (c Config) newScratch() *scratch {
+	return &scratch{tiles: make([]fits.Image, c.Tiles), areas: make([]fits.Image, c.Tiles)}
+}
+
+// runStage executes one pipeline stage, reading its inputs from and
+// writing its outputs to fs, with sc's images.
+func (c Config) runStage(fs vfs.FS, s Stage, sc *scratch) error {
 	switch s {
 	case StageProject:
-		return c.runProject(fs)
+		return c.runProject(fs, sc)
 	case StageDiff:
-		return c.runDiff(fs)
+		return c.runDiff(fs, sc)
 	case StageBg:
-		return c.runBg(fs)
+		return c.runBg(fs, sc)
 	case StageAdd:
-		return c.runAdd(fs)
+		return c.runAdd(fs, sc)
 	default:
 		return fmt.Errorf("montage: unknown stage %d", int(s))
 	}
@@ -58,11 +73,15 @@ func (c Config) RunStage(fs vfs.FS, s Stage) error {
 
 // RunPipeline executes stages [from, to] inclusive.
 func (c Config) RunPipeline(fs vfs.FS, from, to Stage) error {
+	return c.pipeline(fs, from, to, c.newScratch())
+}
+
+func (c Config) pipeline(fs vfs.FS, from, to Stage, sc *scratch) error {
 	for _, s := range Stages() {
 		if s < from || s > to {
 			continue
 		}
-		if err := c.RunStage(fs, s); err != nil {
+		if err := c.runStage(fs, s, sc); err != nil {
 			return fmt.Errorf("montage: %s: %w", s, err)
 		}
 	}
@@ -73,11 +92,11 @@ func (c Config) RunPipeline(fs vfs.FS, from, to Stage) error {
 // (bilinear), producing a projected image and a fractional-coverage area
 // image per tile. Like every stage, it reuses one image per role across
 // its loop, so a run allocates for its largest tile, not for every tile.
-func (c Config) runProject(fs vfs.FS) error {
+func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(ProjDir); err != nil {
 		return err
 	}
-	raw, proj, area := new(fits.Image), new(fits.Image), new(fits.Image)
+	raw, proj, area := &sc.in, &sc.out, &sc.area
 	for i := 0; i < c.Tiles; i++ {
 		if _, err := fits.Read(fs, rawPath(i), raw); err != nil {
 			return err
@@ -207,28 +226,26 @@ func solve3(m [3][3]float64, rhs [3]float64) ([3]float64, error) {
 // read-back is what lets storage faults in the difference images propagate
 // into the background model, while the fitting step mitigates most of
 // them — the paper's explanation for mDiffExec's low SDC rate.
-func (c Config) runDiff(fs vfs.FS) error {
+func (c Config) runDiff(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(DiffDir); err != nil {
 		return err
 	}
 	// Every tile and area is live at once; diff is reused by both passes.
-	imgs := make([]*fits.Image, c.Tiles)
-	areas := make([]*fits.Image, c.Tiles)
+	imgs, areas := sc.tiles, sc.areas
 	for i := 0; i < c.Tiles; i++ {
-		var err error
-		if imgs[i], err = fits.Read(fs, projPath(i), nil); err != nil {
+		if _, err := fits.Read(fs, projPath(i), &imgs[i]); err != nil {
 			return err
 		}
-		if areas[i], err = fits.Read(fs, areaPath(i), nil); err != nil {
+		if _, err := fits.Read(fs, areaPath(i), &areas[i]); err != nil {
 			return err
 		}
 	}
-	diff := new(fits.Image)
+	diff := &sc.diff
 	type pair struct{ i, j int }
 	var pairs []pair
 	for i := 0; i < c.Tiles; i++ {
 		for j := i + 1; j < c.Tiles; j++ {
-			x0, y0, x1, y1, ok := overlap(imgs[i], imgs[j])
+			x0, y0, x1, y1, ok := overlap(&imgs[i], &imgs[j])
 			if !ok {
 				continue
 			}
@@ -312,7 +329,7 @@ func readFitsTable(fs vfs.FS) ([]pairFit, error) {
 // runBg solves for per-image plane corrections from the pairwise fits
 // (iterative relaxation with image 0 as the gauge anchor) and writes
 // background-corrected images.
-func (c Config) runBg(fs vfs.FS) error {
+func (c Config) runBg(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(CorrDir); err != nil {
 		return err
 	}
@@ -351,7 +368,7 @@ func (c Config) runBg(fs vfs.FS) error {
 			}
 		}
 	}
-	im, out := new(fits.Image), new(fits.Image)
+	im, out := &sc.in, &sc.out
 	for i := 0; i < c.Tiles; i++ {
 		if _, err := fits.Read(fs, projPath(i), im); err != nil {
 			return err
@@ -375,13 +392,14 @@ func (c Config) runBg(fs vfs.FS) error {
 // runAdd co-adds the corrected images into the mosaic (area-weighted mean),
 // renders the grayscale image, and records the min/max statistics the
 // paper's classification keys on.
-func (c Config) runAdd(fs vfs.FS) error {
+func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(MosaicDir); err != nil {
 		return err
 	}
-	mosaic := fits.New(c.MosaicW, c.MosaicH)
-	weight := fits.New(c.MosaicW, c.MosaicH)
-	im, area := new(fits.Image), new(fits.Image)
+	mosaic, weight := &sc.mosaic, &sc.weight
+	mosaic.Reset(c.MosaicW, c.MosaicH)
+	weight.Reset(c.MosaicW, c.MosaicH)
+	im, area := &sc.in, &sc.area
 	for i := 0; i < c.Tiles; i++ {
 		if _, err := fits.Read(fs, corrPath(i), im); err != nil {
 			return err
@@ -443,7 +461,7 @@ func (c Config) runAdd(fs vfs.FS) error {
 		return fmt.Errorf("montage: mosaic has no covered pixels")
 	}
 	hdr := fmt.Sprintf("P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
-	pgm := append(make([]byte, 0, len(hdr)+c.MosaicW*c.MosaicH), hdr...)
+	pgm := append(sc.pgm[:0], hdr...)
 	for _, v := range mosaic.Data {
 		if math.IsNaN(v) {
 			pgm = append(pgm, 0)
@@ -452,6 +470,7 @@ func (c Config) runAdd(fs vfs.FS) error {
 		g := (v - lo) / (hi - lo)
 		pgm = append(pgm, byte(g*255))
 	}
+	sc.pgm = pgm
 	if err := vfs.WriteFile(fs, ImagePath, pgm); err != nil {
 		return err
 	}

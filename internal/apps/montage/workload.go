@@ -64,27 +64,41 @@ func (a *App) Setup(fs vfs.FS) error {
 }
 
 // Run executes only the instrumented stage — the phase whose writes are
-// fault-injected.
-func (a *App) Run(fs vfs.FS) error {
-	return a.Cfg.RunStage(fs, a.Stage)
+// fault-injected — on a fresh scratch.
+func (a *App) Run(fs vfs.FS) error { return a.Cfg.runStage(fs, a.Stage, a.Cfg.newScratch()) }
+
+// Classify is classify on a fresh scratch.
+func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
+	return a.classify(fs, runErr, a.Cfg.newScratch())
 }
 
-// Classify finishes the pipeline fault-free and applies the paper's rules:
+// Worker returns Run and Classify bound to one scratch they share and
+// reuse from run to run (core.Workload.Worker).
+func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+	sc := a.Cfg.newScratch()
+	return func(fs vfs.FS) error { return a.Cfg.runStage(fs, a.Stage, sc) },
+		func(fs vfs.FS, runErr error) classify.Outcome { return a.classify(fs, runErr, sc) }
+}
+
+// classify finishes the pipeline fault-free and applies the paper's rules:
 // identical final image → benign; missing/unbuildable products → crash;
 // min statistic within tolerance of golden → SDC; otherwise detected.
-func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
+func (a *App) classify(fs vfs.FS, runErr error, sc *scratch) classify.Outcome {
 	if runErr != nil {
 		return classify.Crash
 	}
 	if a.Stage < StageAdd {
-		if err := a.Cfg.RunPipeline(fs, a.Stage+1, StageAdd); err != nil {
+		if err := a.Cfg.pipeline(fs, a.Stage+1, StageAdd, sc); err != nil {
 			return classify.Crash
 		}
 	}
-	img, err := vfs.ReadFile(fs, ImagePath)
+	// The image is read into the slot's buffer; the comparison checks the
+	// size before any byte.
+	img, err := vfs.ReadInto(fs, ImagePath, sc.img)
 	if err != nil {
 		return classify.Crash
 	}
+	sc.img = img
 	if string(img) == string(a.goldenImage) {
 		return classify.Benign
 	}
@@ -106,6 +120,7 @@ func (a *App) Workload() core.Workload {
 		Setup:    a.Setup,
 		Run:      a.Run,
 		Classify: a.Classify,
+		Worker:   a.Worker,
 	}
 }
 

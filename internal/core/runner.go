@@ -89,6 +89,10 @@ func (r *Runner) publish(ev Event) {
 // call; a later run of that target copies one instead of executing and
 // publishes RunReused in place of RunDone. A duplicate still in flight
 // executes.
+//
+// Recycling: every run's world draws its blocks from one vfs.BlockList
+// and is released after Classify, and Worker pairs serve later runs. Both
+// belong to this call and are dropped when it returns.
 func (r *Runner) Run() (CampaignResult, error) {
 	cfg, w := r.Config, r.Workload
 	sig := cfg.Fault.Signature()
@@ -146,6 +150,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 		// aborted latches the Abort hook's decision; set only from the
 		// dispatch loop, read only after the chunk has drained.
 		aborted bool
+		slots   = runSlots{idle: make(chan Workload, cap(r.Pool))}
 	)
 	// dispatch launches runs for indices [lo, hi) and waits for the chunk
 	// to drain, so the caller observes a complete prefix.
@@ -170,7 +175,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 				drawFree := false
 				if !reused {
 					inj := NewInjector(sig, target, rng)
-					rec, err = r.execute(inj, &st)
+					rec, err = r.execute(inj, &st, &slots)
 					drawFree = !inj.drew.Load()
 				}
 				rec.Index = idx
@@ -304,16 +309,46 @@ type stageTimes struct {
 	classifyNs int64
 }
 
+// runSlots is what one Runner.Run call recycles across its runs: the
+// blocks of released worlds and the idle Worker pairs, each stored as the
+// workload with Run and Classify replaced. A pair is built only while all
+// others are in use, each under a pool slot, so idle never needs more
+// than the pool's capacity.
+type runSlots struct {
+	blocks vfs.BlockList
+	idle   chan Workload
+}
+
+// take returns w with an idle Worker pair in place of Run and Classify, or
+// a new pair when none is idle. Without a Worker it is w.
+func (s *runSlots) take(w Workload) Workload {
+	if w.Worker != nil {
+		select {
+		case w = <-s.idle:
+		default:
+			w.Run, w.Classify = w.Worker()
+		}
+	}
+	return w
+}
+
 // execute runs one injection through inj on a world served by the
-// snapshot, timing the clone-or-rebuild into st.
-func (r *Runner) execute(inj *Injector, st *stageTimes) (RunRecord, error) {
+// snapshot, timing the clone-or-rebuild into st. The world draws its
+// blocks from slots and is released once classified.
+func (r *Runner) execute(inj *Injector, st *stageTimes, slots *runSlots) (RunRecord, error) {
 	t0 := time.Now()
 	base, err := r.Snapshot.World()
 	st.cloneNs = time.Since(t0).Nanoseconds()
 	if err != nil {
 		return RunRecord{}, err
 	}
-	return runOnceTimed(base, r.Workload, inj, r.Config.ArmMounts, st)
+	vfs.Attach(base, &slots.blocks)
+	defer vfs.Release(base)
+	w := slots.take(r.Workload)
+	if w.Worker != nil {
+		defer func() { slots.idle <- w }()
+	}
+	return runOnceTimed(base, w, inj, r.Config.ArmMounts, st)
 }
 
 // runOnceTimed performs one injection run through inj on an already-built

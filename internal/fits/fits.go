@@ -14,7 +14,6 @@ package fits
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -218,31 +217,20 @@ func Write(fs vfs.FS, path string, im *Image) (err error) {
 }
 
 // Read loads and parses the FITS file at path into dst and returns it, or
-// into a new image when dst is nil. The read is one Open, one Size and one
-// full read into a raw buffer held by dst; it and dst.Data are reused when
-// their capacity allows, so reading many files into one image allocates
-// only for the largest.
+// into a new image when dst is nil. The read is one vfs.ReadInto into a
+// raw buffer held by dst; it and dst.Data are reused when their capacity
+// allows, so reading many files into one image allocates only for the
+// largest.
 func Read(fs vfs.FS, path string, dst *Image) (*Image, error) {
 	if dst == nil {
 		dst = &Image{}
 	}
-	f, err := fs.Open(path)
+	raw, err := vfs.ReadInto(fs, path, dst.raw)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	if int64(cap(dst.raw)) < size {
-		dst.raw = make([]byte, size)
-	}
-	n, err := io.ReadFull(f, dst.raw[:size])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
-	}
-	if err := dst.decode(dst.raw[:n]); err != nil {
+	dst.raw = raw
+	if err := dst.decode(raw); err != nil {
 		return nil, err
 	}
 	return dst, nil

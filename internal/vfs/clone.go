@@ -56,7 +56,12 @@ func (m *MemFS) Clone() *MemFS {
 }
 
 // CloneFS implements Cloner.
-func (m *MemFS) CloneFS() (FS, error) { return m.Clone(), nil }
+func (m *MemFS) CloneFS() (FS, error) {
+	if m.released.Load() {
+		return nil, ErrReleased
+	}
+	return m.Clone(), nil
+}
 
 // cloneBackend snapshots one backend through the Cloner contract. A
 // backend that implements Cloner answers for itself — OSFS implements the

@@ -428,15 +428,13 @@ func (m *MountFS) Truncate(name string, size int64) error {
 // CapLatencyModeled holds when any tier charges a simulated clock (the
 // world then has meaningful simulated time).
 func (m *MountFS) Capabilities() Capability {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	caps := CapClone | CapByteAddressable
 	var modeled Capability
-	for _, mp := range m.mounts {
-		c := CapabilitiesOf(mp.fs)
+	m.backends(func(fs FS) {
+		c := CapabilitiesOf(fs)
 		caps &= c
 		modeled |= c & CapLatencyModeled
-	}
+	})
 	return caps | modeled
 }
 
@@ -444,25 +442,23 @@ func (m *MountFS) Capabilities() Capability {
 // every latency-modeled backend in the table. Unclocked tiers contribute
 // zero, so a world with no latency-modeled mount reports zero.
 func (m *MountFS) SimElapsed() time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var total time.Duration
-	for _, mp := range m.mounts {
-		if c, ok := mp.fs.(SimClocked); ok {
-			total += c.SimElapsed()
-		}
-	}
+	m.backends(func(fs FS) {
+		d, _ := SimElapsed(fs)
+		total += d
+	})
 	return total
 }
 
 // ResetSim implements SimClocked by resetting every clocked backend.
-func (m *MountFS) ResetSim() {
+func (m *MountFS) ResetSim() { m.backends(ResetSim) }
+
+// backends calls fn on every mounted backend, under the table's read lock.
+func (m *MountFS) backends(fn func(FS)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, mp := range m.mounts {
-		if c, ok := mp.fs.(SimClocked); ok {
-			c.ResetSim()
-		}
+		fn(mp.fs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"errors"
 	"io"
 	"path"
 	"sort"
@@ -131,11 +130,11 @@ func (o *ObjectFS) Create(name string) (File, error) {
 		}
 		n.ver = &memBlock{}
 		n.mu.Unlock()
-		return &objFile{name: name, fs: o, node: n, writable: true}, nil
+		return &handle{node: objTarget{o, n}, name: name, writable: true}, nil
 	}
 	n := &objNode{mode: 0o644, ver: &memBlock{}}
 	o.nodes[name] = n
-	return &objFile{name: name, fs: o, node: n, writable: true}, nil
+	return &handle{node: objTarget{o, n}, name: name, writable: true}, nil
 }
 
 // Open opens name read-only. When the key sits inside an eventual-
@@ -152,7 +151,7 @@ func (o *ObjectFS) Open(name string) (File, error) {
 		}
 		n := &objNode{mode: s.mode, ver: &memBlock{data: s.data}}
 		n.ver.sealed.Store(true)
-		return &objFile{name: name, fs: o, node: n, writable: false}, nil
+		return &handle{node: objTarget{o, n}, name: name, writable: false}, nil
 	}
 	n, ok := o.nodes[name]
 	if !ok {
@@ -161,7 +160,7 @@ func (o *ObjectFS) Open(name string) (File, error) {
 	if n.isDir {
 		return nil, &PathError{Op: "open", Path: name, Err: ErrIsDir}
 	}
-	return &objFile{name: name, fs: o, node: n, writable: false}, nil
+	return &handle{node: objTarget{o, n}, name: name, writable: false}, nil
 }
 
 // Append opens name for writing with the offset at end-of-object, creating
@@ -183,7 +182,7 @@ func (o *ObjectFS) Append(name string) (File, error) {
 	n.mu.RLock()
 	off := int64(len(n.ver.data))
 	n.mu.RUnlock()
-	return &objFile{name: name, fs: o, node: n, writable: true, off: off}, nil
+	return &handle{node: objTarget{o, n}, name: name, writable: true, off: off}, nil
 }
 
 // Mkdir creates a single directory marker.
@@ -408,12 +407,9 @@ func (o *ObjectFS) Truncate(name string, size int64) error {
 		return &PathError{Op: "truncate", Path: name, Err: ErrIsDir}
 	}
 	if size < 0 {
-		return errors.New("vfs: negative truncate size")
+		return errNegativeTruncate
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.resize(size)
-	o.rewritten.Add(size)
+	objTarget{o, n}.truncate(size)
 	return nil
 }
 
@@ -509,165 +505,8 @@ func (o *ObjectFS) Clone() *ObjectFS {
 // CloneFS implements Cloner.
 func (o *ObjectFS) CloneFS() (FS, error) { return o.Clone(), nil }
 
-// objFile is an open handle onto an object. The locking protocol mirrors
-// memFile: Close takes the handle's write lock so no in-flight operation
-// still touches the node once it returns, positional operations share the
-// read side, and sequential operations take the write side because they
-// move off.
-type objFile struct {
-	name     string
-	fs       *ObjectFS
-	node     *objNode
-	writable bool
-
-	mu     sync.RWMutex
-	off    int64
-	closed bool
-}
-
-func (f *objFile) Name() string { return f.name }
-
-func (f *objFile) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	n, err := f.readAt(p, f.off)
-	f.off += int64(n)
-	return n, err
-}
-
-func (f *objFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	return f.readAt(p, off)
-}
-
-func (f *objFile) readAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errors.New("vfs: negative read offset")
-	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	return f.node.readAt(p, off)
-}
-
-func (f *objFile) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	n, err := f.writeAt(p, f.off)
-	f.off += int64(n)
-	return n, err
-}
-
-func (f *objFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	return f.writeAt(p, off)
-}
-
-func (f *objFile) writeAt(p []byte, off int64) (int, error) {
-	if !f.writable {
-		return 0, ErrReadOnly
-	}
-	if off < 0 {
-		return 0, errors.New("vfs: negative write offset")
-	}
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
-	f.node.write(f.fs, p, off)
-	return len(p), nil
-}
-
-func (f *objFile) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = f.off
-	case io.SeekEnd:
-		f.node.mu.RLock()
-		base = int64(len(f.node.ver.data))
-		f.node.mu.RUnlock()
-	default:
-		return 0, errors.New("vfs: bad seek whence")
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, errors.New("vfs: negative seek position")
-	}
-	f.off = pos
-	return pos, nil
-}
-
-func (f *objFile) Truncate(size int64) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if !f.writable {
-		return ErrReadOnly
-	}
-	if size < 0 {
-		return errors.New("vfs: negative truncate size")
-	}
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
-	f.node.resize(size)
-	f.fs.rewritten.Add(size)
-	return nil
-}
-
-func (f *objFile) Size() (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	return int64(len(f.node.ver.data)), nil
-}
-
-func (f *objFile) Sync() error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (f *objFile) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	f.closed = true
-	return nil
-}
-
 var (
 	_ FS                 = (*ObjectFS)(nil)
-	_ File               = (*objFile)(nil)
 	_ Cloner             = (*ObjectFS)(nil)
 	_ CapabilityReporter = (*ObjectFS)(nil)
 )

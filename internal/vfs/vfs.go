@@ -56,6 +56,10 @@ var (
 	// entirely: from some operation onward every read and write fails.
 	// core's DeviceFailure fault model surfaces it on the armed mount.
 	ErrDeviceFailed = errors.New("vfs: device failed (EIO)")
+	// ErrReleased fails every operation on a released world (Release) and
+	// on its open handles: the world's blocks may already hold another
+	// run's bytes, so it must not read as an empty tree either.
+	ErrReleased = errors.New("vfs: world released")
 )
 
 // FileInfo describes a file or directory.
@@ -123,7 +127,12 @@ func Clean(name string) string {
 }
 
 // ReadFile reads the whole content of name.
-func ReadFile(fsys FS, name string) ([]byte, error) {
+func ReadFile(fsys FS, name string) ([]byte, error) { return ReadInto(fsys, name, nil) }
+
+// ReadInto reads the whole content of name with one Open, one Size and one
+// full read, into buf's storage when its capacity suffices and into a new
+// slice otherwise.
+func ReadInto(fsys FS, name string, buf []byte) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
@@ -133,8 +142,10 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
-	n, err := io.ReadFull(f, buf)
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	n, err := io.ReadFull(f, buf[:size])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	}
@@ -270,15 +281,16 @@ func (n *memNode) readAt(p []byte, off int64) (int, error) {
 // write copies p into the node at off, growing the file as needed. Only
 // the blocks the write actually touches are materialized or copied, so the
 // first write after a Clone costs O(touched extents), not O(file size).
+// Blocks come from list when the world is attached to one (nil allocates).
 // Caller holds n.mu for writing.
-func (n *memNode) write(p []byte, off int64) {
+func (n *memNode) write(p []byte, off int64, list *BlockList) {
 	if end := off + int64(len(p)); end > n.size {
 		n.grow(end)
 	}
 	for len(p) > 0 {
 		bi := int(off / BlockSize)
 		bo := int(off % BlockSize)
-		nc := copy(n.ownBlock(bi)[bo:], p)
+		nc := copy(n.ownBlock(bi, list)[bo:], p)
 		p = p[nc:]
 		off += int64(nc)
 	}
@@ -288,18 +300,17 @@ func (n *memNode) write(p []byte, off int64) {
 // to the block's full valid length: zero extents are allocated, sealed
 // (clone-shared) blocks are copied, and an owned block whose materialized
 // prefix is shorter than the file now requires is extended with zeros.
-// Caller holds n.mu for writing.
-func (n *memNode) ownBlock(bi int) []byte {
+// With a list every new buffer has capacity BlockSize, so Release can
+// recycle every block the node owns. Caller holds n.mu for writing.
+func (n *memNode) ownBlock(bi int, list *BlockList) []byte {
 	bl := n.blockLen(bi)
 	b := n.blocks[bi]
 	switch {
 	case b == nil:
-		b = &memBlock{data: make([]byte, bl)}
+		b = &memBlock{data: list.alloc(nil, bl, bl)}
 		n.blocks[bi] = b
 	case b.sealed.Load():
-		data := make([]byte, bl)
-		copy(data, b.data)
-		b = &memBlock{data: data}
+		b = &memBlock{data: list.alloc(b.data, bl, bl)}
 		n.blocks[bi] = b
 	case len(b.data) < bl:
 		if cap(b.data) >= bl {
@@ -311,9 +322,7 @@ func (n *memNode) ownBlock(bi int) []byte {
 		} else {
 			// Grow geometrically (up to BlockSize) so a sequential append
 			// copies the tail O(log) times, not once per write.
-			data := make([]byte, bl, max(bl, min(2*cap(b.data), BlockSize)))
-			copy(data, b.data)
-			b.data = data
+			b.data = list.alloc(b.data, bl, max(bl, min(2*cap(b.data), BlockSize)))
 		}
 	}
 	return b.data
@@ -378,8 +387,10 @@ func (n *memNode) truncate(size int64) {
 //
 // The zero value is not usable; call NewMemFS.
 type MemFS struct {
-	mu    sync.RWMutex
-	nodes map[string]*memNode
+	mu       sync.RWMutex
+	nodes    map[string]*memNode
+	list     *BlockList // set by Attach
+	released atomic.Bool
 }
 
 // NewMemFS returns an empty file system containing only the root directory.
@@ -387,6 +398,18 @@ func NewMemFS() *MemFS {
 	return &MemFS{nodes: map[string]*memNode{
 		"/": {isDir: true, mode: 0o755},
 	}}
+}
+
+// notExist reports a name the tree does not hold. A released world holds
+// no names at all, so there it reports ErrReleased instead: every MemFS
+// operation on a released world fails loudly through this miss (MkdirAll
+// and RemoveAll, which succeed on a miss, check for themselves).
+func (m *MemFS) notExist(op, name string) error {
+	err := ErrNotExist
+	if m.released.Load() {
+		err = ErrReleased
+	}
+	return &PathError{Op: op, Path: name, Err: err}
 }
 
 func (m *MemFS) lookup(name string) (*memNode, bool) {
@@ -399,7 +422,7 @@ func (m *MemFS) parentOK(name string) error {
 	dir := path.Dir(Clean(name))
 	n, ok := m.nodes[dir]
 	if !ok {
-		return &PathError{Op: "open", Path: name, Err: ErrNotExist}
+		return m.notExist("open", name)
 	}
 	if !n.isDir {
 		return &PathError{Op: "open", Path: name, Err: ErrNotDir}
@@ -434,11 +457,11 @@ func (m *MemFS) Create(name string) (File, error) {
 		// table outright (sealed blocks are simply dereferenced).
 		n.size, n.blocks = 0, nil
 		n.mu.Unlock()
-		return &memFile{name: name, node: n, writable: true}, nil
+		return &handle{node: memTarget{m, n}, name: name, writable: true}, nil
 	}
 	n := &memNode{mode: 0o644}
 	m.nodes[name] = n
-	return &memFile{name: name, node: n, writable: true}, nil
+	return &handle{node: memTarget{m, n}, name: name, writable: true}, nil
 }
 
 // Open opens name read-only.
@@ -448,12 +471,12 @@ func (m *MemFS) Open(name string) (File, error) {
 	name = Clean(name)
 	n, ok := m.nodes[name]
 	if !ok {
-		return nil, &PathError{Op: "open", Path: name, Err: ErrNotExist}
+		return nil, m.notExist("open", name)
 	}
 	if n.isDir {
 		return nil, &PathError{Op: "open", Path: name, Err: ErrIsDir}
 	}
-	return &memFile{name: name, node: n, writable: false}, nil
+	return &handle{node: memTarget{m, n}, name: name, writable: false}, nil
 }
 
 // Append opens name for writing with the offset at end-of-file, creating the
@@ -475,7 +498,7 @@ func (m *MemFS) Append(name string) (File, error) {
 	n.mu.RLock()
 	off := n.size
 	n.mu.RUnlock()
-	return &memFile{name: name, node: n, writable: true, off: off}, nil
+	return &handle{node: memTarget{m, n}, name: name, writable: true, off: off}, nil
 }
 
 // Mkdir creates a single directory level.
@@ -495,6 +518,9 @@ func (m *MemFS) Mkdir(name string) error {
 
 // MkdirAll creates name and any missing parents.
 func (m *MemFS) MkdirAll(name string) error {
+	if m.released.Load() {
+		return &PathError{Op: "mkdir", Path: name, Err: ErrReleased}
+	}
 	name = Clean(name)
 	if name == "/" {
 		return nil
@@ -526,7 +552,7 @@ func (m *MemFS) Remove(name string) error {
 	name = Clean(name)
 	n, ok := m.nodes[name]
 	if !ok {
-		return &PathError{Op: "remove", Path: name, Err: ErrNotExist}
+		return m.notExist("remove", name)
 	}
 	if n.isDir {
 		prefix := name + "/"
@@ -546,6 +572,9 @@ func (m *MemFS) Remove(name string) error {
 // RemoveAll removes name and everything under it; absent names are not an
 // error, matching os.RemoveAll.
 func (m *MemFS) RemoveAll(name string) error {
+	if m.released.Load() {
+		return &PathError{Op: "removeall", Path: name, Err: ErrReleased}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = Clean(name)
@@ -570,7 +599,7 @@ func (m *MemFS) Rename(oldName, newName string) error {
 	oldName, newName = Clean(oldName), Clean(newName)
 	n, ok := m.nodes[oldName]
 	if !ok {
-		return &PathError{Op: "rename", Path: oldName, Err: ErrNotExist}
+		return m.notExist("rename", oldName)
 	}
 	if err := m.parentOK(newName); err != nil {
 		return err
@@ -603,7 +632,7 @@ func (m *MemFS) Stat(name string) (FileInfo, error) {
 	name = Clean(name)
 	n, ok := m.nodes[name]
 	if !ok {
-		return FileInfo{}, &PathError{Op: "stat", Path: name, Err: ErrNotExist}
+		return FileInfo{}, m.notExist("stat", name)
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -622,7 +651,7 @@ func (m *MemFS) ReadDir(name string) ([]FileInfo, error) {
 	name = Clean(name)
 	n, ok := m.nodes[name]
 	if !ok {
-		return nil, &PathError{Op: "readdir", Path: name, Err: ErrNotExist}
+		return nil, m.notExist("readdir", name)
 	}
 	if !n.isDir {
 		return nil, &PathError{Op: "readdir", Path: name, Err: ErrNotDir}
@@ -675,7 +704,7 @@ func (m *MemFS) Chmod(name string, mode uint32) error {
 	n, ok := m.lookup(name)
 	m.mu.RUnlock()
 	if !ok {
-		return &PathError{Op: "chmod", Path: name, Err: ErrNotExist}
+		return m.notExist("chmod", name)
 	}
 	n.mu.Lock()
 	n.mode = mode
@@ -689,176 +718,15 @@ func (m *MemFS) Truncate(name string, size int64) error {
 	n, ok := m.lookup(name)
 	m.mu.RUnlock()
 	if !ok {
-		return &PathError{Op: "truncate", Path: name, Err: ErrNotExist}
+		return m.notExist("truncate", name)
 	}
 	if n.isDir {
 		return &PathError{Op: "truncate", Path: name, Err: ErrIsDir}
 	}
-	return truncateNode(n, size)
-}
-
-func truncateNode(n *memNode, size int64) error {
 	if size < 0 {
-		return errors.New("vfs: negative truncate size")
+		return errNegativeTruncate
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.truncate(size)
-	return nil
-}
-
-// memFile is an open handle onto a memNode.
-//
-// The handle lock is an RWMutex so the closed check and the I/O it guards
-// are one critical section: positional operations (ReadAt/WriteAt/Size/
-// Truncate/Sync) hold the read side across the whole call — they can still
-// run concurrently with each other, as pread/pwrite allow — while Close
-// takes the write side, so it cannot slip between a handle's closed check
-// and the node access (the old check-release-then-touch sequence let I/O
-// on a closed handle succeed). Once Close returns, no in-flight operation
-// on the handle is still touching the node and every later one fails with
-// ErrClosed. Sequential Read/Write/Seek take the write side because they
-// move off.
-type memFile struct {
-	name     string
-	node     *memNode
-	writable bool
-
-	mu     sync.RWMutex // guards off and closed; see type comment
-	off    int64
-	closed bool
-}
-
-func (f *memFile) Name() string { return f.name }
-
-func (f *memFile) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	n, err := f.readAt(p, f.off)
-	f.off += int64(n)
-	return n, err
-}
-
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	return f.readAt(p, off)
-}
-
-func (f *memFile) readAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errors.New("vfs: negative read offset")
-	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	return f.node.readAt(p, off)
-}
-
-func (f *memFile) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	n, err := f.writeAt(p, f.off)
-	f.off += int64(n)
-	return n, err
-}
-
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	return f.writeAt(p, off)
-}
-
-func (f *memFile) writeAt(p []byte, off int64) (int, error) {
-	if !f.writable {
-		return 0, ErrReadOnly
-	}
-	if off < 0 {
-		return 0, errors.New("vfs: negative write offset")
-	}
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
-	f.node.write(p, off)
-	return len(p), nil
-}
-
-func (f *memFile) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = f.off
-	case io.SeekEnd:
-		f.node.mu.RLock()
-		base = f.node.size
-		f.node.mu.RUnlock()
-	default:
-		return 0, errors.New("vfs: bad seek whence")
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, errors.New("vfs: negative seek position")
-	}
-	f.off = pos
-	return pos, nil
-}
-
-func (f *memFile) Truncate(size int64) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if !f.writable {
-		return ErrReadOnly
-	}
-	return truncateNode(f.node, size)
-}
-
-func (f *memFile) Size() (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return 0, ErrClosed
-	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	return f.node.size, nil
-}
-
-func (f *memFile) Sync() error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (f *memFile) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	f.closed = true
+	memTarget{m, n}.truncate(size)
 	return nil
 }
 
@@ -869,6 +737,5 @@ func (m *MemFS) Capabilities() Capability { return CapClone | CapByteAddressable
 // interface conformance checks
 var (
 	_ FS                 = (*MemFS)(nil)
-	_ File               = (*memFile)(nil)
 	_ CapabilityReporter = (*MemFS)(nil)
 )
