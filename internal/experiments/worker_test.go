@@ -60,7 +60,7 @@ func goldenSizes(t *testing.T, app *montage.App) map[string]int64 {
 // difference read-back, MT4's mosaic read-back), leave a half-written
 // scratch to the next run; its record must not notice.
 func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
-	const runs, seed = 24, 2021
+	const runs, seed = 16, 2021
 	models := []core.Model{core.BitFlip, core.ShornWrite, core.DroppedWrite}
 	var plain, worker []core.CampaignSpec
 	for _, stage := range montage.Stages() {
@@ -101,19 +101,19 @@ func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
 		}
 		return out
 	}
+	// Plain records do not depend on jobs (the engine suites pin that), so
+	// one plain grid is the reference for both Worker grids.
+	want := map[string][]string{}
+	for _, g := range (&core.Engine{Jobs: 1}).Run(plain) {
+		want[g.Spec.Key] = encode(g)
+	}
 	var panics, errs int
-	var reference map[string][]string
 	for _, jobs := range []int{1, 8} {
-		got := map[string][]string{}
-		for i, g := range (&core.Engine{Jobs: jobs}).Run(append(plain, worker...)) {
-			lines := encode(g)
-			if i < len(plain) {
-				got[g.Spec.Key] = lines
-				continue
-			}
-			for k, want := range got[g.Spec.Key] {
-				if k >= len(lines) || lines[k] != want {
-					t.Fatalf("jobs %d %s run %d: Worker record differs from the plain one\n  plain %s", jobs, g.Spec.Key, k, want)
+		for _, g := range (&core.Engine{Jobs: jobs}).Run(worker) {
+			got := encode(g)
+			for k, line := range want[g.Spec.Key] {
+				if k >= len(got) || got[k] != line {
+					t.Fatalf("jobs %d %s run %d: Worker record differs from the plain one\n  plain %s", jobs, g.Spec.Key, k, line)
 				}
 			}
 			for _, rec := range g.Result.Records {
@@ -125,11 +125,6 @@ func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
 					errs++
 				}
 			}
-		}
-		if reference == nil {
-			reference = got
-		} else if fmt.Sprint(got) != fmt.Sprint(reference) {
-			t.Fatal("jobs 8 records differ from jobs 1")
 		}
 	}
 	if panics == 0 || errs == 0 {

@@ -45,8 +45,9 @@ const poisonByte = 0xA5
 func (l *BlockList) put(data []byte) {
 	data = data[:cap(data)]
 	if poisonReleased {
-		for i := range data {
-			data[i] = poisonByte
+		data[0] = poisonByte
+		for i := 1; i < len(data); i *= 2 {
+			copy(data[i:], data[:i])
 		}
 	}
 	l.mu.Lock()
