@@ -99,12 +99,11 @@ func main() {
 		Backends:       backends,
 	}
 	for _, b := range backends {
-		if err := experiments.ValidateBackend(b); err != nil {
+		// Each -backend value becomes the backend of tiered wire specs;
+		// check it the way those specs are checked.
+		probe := experiments.WireSpec{Key: "-backend", Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: b}
+		if err := probe.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		if !experiments.HermeticBackend(b) {
-			fmt.Fprintf(os.Stderr, "experiments: -backend %s: campaigns need hermetic per-run state; use mem, object, or latency\n", b)
 			os.Exit(2)
 		}
 	}

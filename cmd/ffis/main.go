@@ -125,47 +125,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	mounts, err := experiments.ParseMountSpecs(mountSpecs)
-	if err != nil {
+	backendName := *backend
+	if backendName == "mem" {
+		backendName = ""
+	}
+	ws := experiments.WireSpec{
+		Cell: *app, Model: fm.Name(), Runs: *runs, Seed: *seed, Shots: *shots, NyxN: *nyxN,
+		Backend: backendName, Mounts: mountSpecs, ArmMounts: armMounts, AvgDetector: *useAvg,
+	}
+	// One check for every flag that shapes the campaign: hermetic backends
+	// only (an os: directory is one shared host directory mutated by every
+	// run), -backend or -mount but not both, -arm only with -mount.
+	if err := ws.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 		os.Exit(2)
 	}
-	for _, m := range mounts {
-		// A campaign's statistics assume a fresh, hermetic world per run;
-		// an os: backend is one shared host directory mutated by every
-		// (possibly parallel) run. Reject it here rather than tally noise.
-		if !experiments.HermeticBackend(m.Backend) {
-			fmt.Fprintf(os.Stderr, "ffis: mount %s=%s: campaigns need hermetic per-run state; use a hermetic backend (os: backends are for library-level one-shot inspection)\n", m.Path, m.Backend)
-			os.Exit(2)
-		}
-	}
-	if err := experiments.ValidateBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
-		os.Exit(2)
-	}
-	if !experiments.HermeticBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "ffis: -backend %s: campaigns need hermetic per-run state; use mem, object, or latency\n", *backend)
-		os.Exit(2)
-	}
-	if *backend != "mem" && len(mounts) > 0 {
-		fmt.Fprintln(os.Stderr, "ffis: -backend applies to the flat world only; with -mount, name backends per mount (PATH=BACKEND)")
-		os.Exit(2)
-	}
-	if len(armMounts) > 0 && len(mounts) == 0 {
-		fmt.Fprintln(os.Stderr, "ffis: -arm needs a mounted world; add -mount flags")
-		os.Exit(2)
-	}
-	opts := experiments.Options{
-		Runs:           *runs,
-		Seed:           *seed,
-		NyxN:           *nyxN,
-		UseAvgDetector: *useAvg,
-		Mounts:         mounts,
-		Backend:        *backend,
-		ArmMounts:      armMounts,
-		Shots:          *shots,
-		CI:             *showCI,
-	}
+	opts := experiments.Options{CI: *showCI}
 	if *adaptive > 0 {
 		opts.Stop = &stats.StopRule{TargetHalfWidth: *adaptive}
 	}
@@ -181,12 +156,8 @@ func main() {
 	// and profile passes memoize across grids instead of per call.
 	opts.Engine = &core.Engine{Jobs: *jobs, Events: bus}
 	if *outDir != "" {
-		manBackend := *backend
-		if manBackend == "mem" {
-			manBackend = ""
-		}
 		st, err := results.CreateOrResume(*outDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Backend: manBackend,
+			Seed: *seed, Runs: *runs, Backend: backendName,
 		})
 		if err != nil {
 			fail(err)
@@ -196,7 +167,7 @@ func main() {
 		}
 	}
 	if *ioTrace {
-		w, err := experiments.NewWorkload(*app, opts)
+		w, err := opts.Engine.Workload(ws.WorldKey(), ws.Workload)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 			os.Exit(1)
@@ -226,7 +197,7 @@ func main() {
 		fmt.Print(trace.Analyze(rec.Log()).Render())
 	}
 
-	res, err := experiments.Fig7Cell(*app, fm, opts)
+	res, err := experiments.Fig7Cell(ws, opts)
 	// Flush the event subscribers before rendering: the trace file must be
 	// complete (and its drop count reported) whether the campaign
 	// succeeded or not.

@@ -17,10 +17,13 @@ type CampaignSpec struct {
 	// WorldKey groups specs that share a storage world for memoization:
 	// specs with equal WorldKeys run on clones of ONE post-Setup snapshot
 	// and share profile counts and golden snapshots, so they must have
-	// identical NewFS and Setup (Run/Classify may differ — e.g. the Nyx
-	// with/without-average-detector pair). Empty defaults to Workload.Name,
-	// which is only safe while every same-named spec builds the same world;
-	// grids mixing flat and tiered variants of one application must set it.
+	// identical NewFS and Setup. Specs built through Engine.Workload share
+	// the whole registered workload, Run and Classify included, so a key
+	// must separate everything the workload does (experiments.WireSpec's
+	// key separates the Nyx average-value classifier, for one). Empty
+	// defaults to Workload.Name, which is only safe while every same-named
+	// spec builds the same workload; grids mixing flat and tiered variants
+	// of one application must set it.
 	WorldKey string
 	Workload Workload
 	// Config drives the campaign. Workers is ignored: the engine's shared

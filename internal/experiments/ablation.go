@@ -11,44 +11,22 @@ import (
 // Ablations runs the design-choice sweeps DESIGN.md calls out — flip width
 // (paper footnote 3) on Nyx and shorn keep-fraction (Table I's two
 // variants) on QMCPACK — as one engine grid and renders one table per
-// sweep. Options.ArmMounts carries through to every sweep point, so a
-// tiered world keeps its fault placement instead of silently degrading to
-// the flat whole-world arming.
+// sweep.
 func Ablations(o Options) (string, error) {
 	o = o.normalize()
-	nyxW, err := NewWorkload("nyx", o)
-	if err != nil {
-		return "", err
-	}
-	qmcW, err := NewWorkload("qmcpack", o)
-	if err != nil {
-		return "", err
-	}
-
-	spec := func(w core.Workload, pt core.SweepPoint) core.CampaignSpec {
-		fault := pt.Fault
-		fault.Shots = o.Shots
-		return core.CampaignSpec{
-			Key:      w.Name + "/" + pt.Label,
-			WorldKey: w.Name,
-			Workload: w,
-			Config: core.CampaignConfig{
-				Fault:     fault,
-				Runs:      o.Runs,
-				Seed:      o.Seed,
-				ArmMounts: o.ArmMounts,
-				Stop:      o.Stop,
-			},
-		}
-	}
 	flips := core.FlipWidthSweep()
 	shorn := core.ShornFractionSweep()
-	var specs []core.CampaignSpec
-	for _, pt := range flips {
-		specs = append(specs, spec(nyxW, pt))
-	}
-	for _, pt := range shorn {
-		specs = append(specs, spec(qmcW, pt))
+	var specs []WireSpec
+	for i, pt := range append(flips, shorn...) {
+		cell := "nyx"
+		if i >= len(flips) {
+			cell = "qmcpack"
+		}
+		ws := o.wire(cell, pt.Fault.Model)
+		ws.Key = cell + "/" + pt.Label
+		f := pt.Fault.Feature
+		ws.Feature = WireFeature{FlipBits: f.FlipBits, ShornKeepNum: f.ShornKeepNum, ShornKeepDen: f.ShornKeepDen}
+		specs = append(specs, ws)
 	}
 
 	grid, err := o.runGrid(specs)
@@ -73,27 +51,21 @@ func Ablations(o Options) (string, error) {
 // Fig7WithDetector runs the Nyx column of Figure 7 twice — without and
 // with the average-value method — rendering the paper's headline claim
 // that "all SDC cases with Nyx will be changed to detected cases after
-// using the average-value-based method". Both variants share one WorldKey:
-// their worlds and I/O are identical (only Classify differs), so the engine
-// snapshots and profiles Nyx once for all six campaigns.
+// using the average-value-based method". The detector is part of the
+// workload, so the two variants are two worlds: Nyx is built and profiled
+// once for each.
 func Fig7WithDetector(o Options) (string, error) {
 	o = o.normalize()
-	var specs []core.CampaignSpec
+	var specs []WireSpec
 	for _, useAvg := range []bool{false, true} {
-		opts := o
-		opts.UseAvgDetector = useAvg
-		w, err := NewWorkload("nyx", opts)
-		if err != nil {
-			return "", err
-		}
-		suffix := ""
-		if useAvg {
-			suffix = "+avg"
-		}
 		for _, model := range Fig7Models() {
-			s := fig7Spec("nyx", w, model, opts)
-			s.Key += suffix
-			specs = append(specs, s)
+			ws := o.wire("nyx", model)
+			ws.AvgDetector = useAvg
+			ws = ws.Normalized()
+			if useAvg {
+				ws.Key += "+avg"
+			}
+			specs = append(specs, ws)
 		}
 	}
 	grid, err := o.runGrid(specs)

@@ -19,15 +19,15 @@ import (
 // cap at this target (their variance needs >1,000 runs for ±2%), which is
 // the rule behaving honestly, not a failure.
 func TestAdaptiveMT2SavesRuns(t *testing.T) {
-	model := core.MustModel("unreadable-sector")
-	adaptive, err := Fig7Cell("MT2", model, Options{
-		Runs: 1000, Seed: 2021, Engine: &core.Engine{Jobs: 8},
-		Stop: &stats.StopRule{TargetHalfWidth: 0.02},
+	ws := WireSpec{Cell: "MT2", Model: "unreadable-sector", Runs: 1000, Seed: 2021}
+	adaptive, err := Fig7Cell(ws, Options{
+		Engine: &core.Engine{Jobs: 8},
+		Stop:   &stats.StopRule{TargetHalfWidth: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Fig7Cell("MT2", model, Options{Runs: 1000, Seed: 2021, Engine: &core.Engine{Jobs: 8}})
+	fixed, err := Fig7Cell(ws, Options{Engine: &core.Engine{Jobs: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,10 @@ func TestAdaptiveMT2SavesRuns(t *testing.T) {
 func TestAdaptiveMT2WorkerIndependence(t *testing.T) {
 	run := func(jobs int) core.CampaignResult {
 		t.Helper()
-		res, err := Fig7Cell("MT2", core.MustModel("unreadable-sector"), Options{
-			Runs: 400, Seed: 7, Engine: &core.Engine{Jobs: jobs},
-			Stop: &stats.StopRule{TargetHalfWidth: 0.05},
+		ws := WireSpec{Cell: "MT2", Model: "unreadable-sector", Runs: 400, Seed: 7}
+		res, err := Fig7Cell(ws, Options{
+			Engine: &core.Engine{Jobs: jobs},
+			Stop:   &stats.StopRule{TargetHalfWidth: 0.05},
 		})
 		if err != nil {
 			t.Fatal(err)

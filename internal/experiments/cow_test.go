@@ -127,7 +127,7 @@ func TestCloneMutationsNeverLeak(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					w.NewFS = layout.NewFS
+					w.NewFS = layout.FSFactory("mem")
 				}
 				snap, err := core.NewWorldSnapshot(w)
 				if err != nil {
@@ -186,23 +186,18 @@ func TestFig7EngineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = o.normalize()
 	var specs []core.CampaignSpec
 	for _, cell := range Fig7Cells {
-		w, err := NewWorkload(cell, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newFS := w.NewFS
-		w.NewFS = func() (vfs.FS, error) {
-			if newFS == nil {
-				return plainFS{vfs.NewMemFS()}, nil
-			}
-			fs, err := newFS()
-			return plainFS{fs}, err
-		}
+		var w core.Workload
 		for _, model := range Fig7Models() {
-			specs = append(specs, fig7Spec(cell, w, model, o))
+			ws := WireSpec{Cell: cell, Model: model.Name(), Runs: o.Runs, Seed: o.Seed, NyxN: o.NyxN}
+			if w.Run == nil {
+				if w, err = ws.Workload(); err != nil {
+					t.Fatal(err)
+				}
+				w.NewFS = func() (vfs.FS, error) { return plainFS{vfs.NewMemFS()}, nil }
+			}
+			specs = append(specs, ws.CampaignSpecOn(w))
 		}
 	}
 	grid := (&core.Engine{Jobs: 1}).Run(specs)

@@ -34,23 +34,13 @@ type Options struct {
 	MetaStride int
 	// UseAvgDetector applies the Nyx average-value method during
 	// classification ("all SDC cases with Nyx will be changed to
-	// detected cases after using the average-value-based method").
+	// detected cases after using the average-value-based method") to the
+	// standard Nyx cell of Fig7, Ablations and Tiered.
 	UseAvgDetector bool
-	// Mounts, when non-empty, runs the workload on a MountFS world with
-	// these extra mount points instead of a flat MemFS (cmd/ffis -mount).
-	Mounts []MountSpec
-	// Backend selects the storage backend of the flat (mount-less) world:
-	// "mem" (the default), "object[:lag=N]", or "latency[:bb|:pfs]"
-	// (cmd/ffis -backend). Ignored when Mounts is set — per-mount backends
-	// come from the specs there.
-	Backend string
 	// Backends lists the storage backends the tiered sweep runs every
 	// placement under (cmd/experiments -backend, repeatable); empty sweeps
 	// the default {"mem"}.
 	Backends []string
-	// ArmMounts restricts fault injection to the I/O routed to these
-	// mount points of the world (cmd/ffis -arm); empty arms everything.
-	ArmMounts []string
 	// RunGrid, when set, replaces Engine.Run for every campaign grid in
 	// this package: the persistence layer (internal/results.RunGrid via
 	// the CLIs' -out/-resume flags) injects itself here to stream records
@@ -62,10 +52,6 @@ type Options struct {
 	// halts at the first barrier where every outcome rate's Wilson 95%
 	// half-width is under the target. Nil keeps the fixed budget.
 	Stop *stats.StopRule
-	// Shots overrides every fault signature's shot budget (cmd/ffis
-	// -shots); 0 keeps each model's own default (1 for the single-shot
-	// family).
-	Shots int
 	// CI switches campaign tables to per-outcome "rate ±halfwidth" columns
 	// (cmd flag -ci) — the units an adaptive stopping rule is stated in.
 	CI bool
@@ -89,17 +75,38 @@ func (o Options) engine() *core.Engine {
 	return &core.Engine{}
 }
 
-// runGrid executes one engine grid through the configured runner: the
-// durable RunGrid hook when set, the plain in-memory engine otherwise.
-// Every grid in this package goes through here, so -out/-resume apply
-// uniformly to Fig7, the ablations, the detector study, the tiered
-// sweep, and the read/write grid.
-func (o Options) runGrid(specs []core.CampaignSpec) ([]core.GridResult, error) {
+// runGrid runs a grid of wire specs the way a campaignd worker runs its
+// leases: each workload comes from the engine by WorldKey (built once per
+// world), each spec from CampaignSpecOn, plus the options' stopping rule.
+// The specs then run through the durable RunGrid hook when set, the plain
+// in-memory engine otherwise. Every grid in this package goes through
+// here, so -out/-resume apply uniformly to Fig7, the ablations, the
+// detector study, the tiered sweep, and the read/write grid.
+func (o Options) runGrid(specs []WireSpec) ([]core.GridResult, error) {
 	e := o.engine()
-	if o.RunGrid != nil {
-		return o.RunGrid(e, specs)
+	cspecs := make([]core.CampaignSpec, len(specs))
+	for i, ws := range specs {
+		w, err := e.Workload(ws.WorldKey(), ws.Workload)
+		if err != nil {
+			return nil, err
+		}
+		cspecs[i] = ws.CampaignSpecOn(w)
+		cspecs[i].Config.Stop = o.Stop
 	}
-	return e.Run(specs), nil
+	if o.RunGrid != nil {
+		return o.RunGrid(e, cspecs)
+	}
+	return e.Run(cspecs), nil
+}
+
+// wire is the wire spec of one local grid cell: the options' run budget,
+// seed and Nyx edge, and the average-value detector on the Nyx cell when
+// UseAvgDetector is set.
+func (o Options) wire(cell string, model core.Model) WireSpec {
+	return WireSpec{
+		Cell: cell, Model: model.Name(), Runs: o.Runs, Seed: o.Seed, NyxN: o.NyxN,
+		AvgDetector: o.UseAvgDetector && cell == "nyx",
+	}
 }
 
 // table renders campaign cells in the configured style: the classic
@@ -127,20 +134,6 @@ func (o Options) normalize() Options {
 		o.Backends = []string{"mem"}
 	}
 	return o
-}
-
-// worldFS resolves the options' world constructor: the mounted world when
-// Mounts is set, a flat single-backend world for a non-default Backend, and
-// nil (the workload's own flat MemFS) otherwise.
-func (o Options) worldFS() func() (vfs.FS, error) {
-	if len(o.Mounts) > 0 {
-		return NewFSFromSpecs(o.Mounts)
-	}
-	if o.Backend != "" && o.Backend != "mem" {
-		backend := o.Backend
-		return func() (vfs.FS, error) { return NewBackendFS(backend) }
-	}
-	return nil
 }
 
 func (o Options) nyxSim() nyx.SimConfig {
@@ -223,22 +216,9 @@ func Table4(o Options) (string, []metainject.FieldEffect, error) {
 // Fig7CellName enumerates the Figure 7 campaign cells.
 var Fig7Cells = []string{"nyx", "qmcpack", "MT1", "MT2", "MT3", "MT4"}
 
-// NewWorkload constructs the campaign workload for a Figure 7 cell name.
-// When Options.Mounts is set, the workload runs on a MountFS world with
-// those mount points, making it armable per tier via Options.ArmMounts;
-// Options.Backend swaps the flat world's storage backend.
+// NewWorkload constructs the campaign workload for a Figure 7 cell name on
+// the workload's own flat MemFS world; a WireSpec names any other world.
 func NewWorkload(cell string, o Options) (core.Workload, error) {
-	w, err := newBareWorkload(cell, o)
-	if err != nil {
-		return core.Workload{}, err
-	}
-	if newFS := o.worldFS(); newFS != nil {
-		w.NewFS = newFS
-	}
-	return w, nil
-}
-
-func newBareWorkload(cell string, o Options) (core.Workload, error) {
 	o = o.normalize()
 	switch cell {
 	case "nyx":
@@ -266,46 +246,16 @@ func newBareWorkload(cell string, o Options) (core.Workload, error) {
 	}
 }
 
-// fig7Spec builds the engine spec for one (cell, model) grid entry. The
-// WorldKey groups the cell's fault models onto one post-Setup snapshot and
-// one memoized profile count.
-func fig7Spec(cellName string, w core.Workload, model core.Model, o Options) core.CampaignSpec {
-	return core.CampaignSpec{
-		Key:      cellName + "/" + model.Short(),
-		WorldKey: cellName,
-		Workload: w,
-		Config: core.CampaignConfig{
-			Fault:     core.Config{Model: model, Shots: o.Shots},
-			Runs:      o.Runs,
-			Seed:      o.Seed,
-			ArmMounts: o.ArmMounts,
-			Stop:      o.Stop,
-		},
-	}
-}
-
-// Fig7Cell runs one campaign cell (application × fault model) on the
-// engine, so cmd/ffis single-cell invocations get the same COW-snapshot
-// fast path and progress stream as full grids. Read-path models run the
-// cell's producer→consumer pipeline variant: the standard Figure 7 phases
-// of nyx and qmcpack only write (analysis happens during classification),
-// so a read fault would have no dynamic instance to land on.
-func Fig7Cell(cell string, model core.Model, o Options) (core.CampaignResult, error) {
-	o = o.normalize()
-	var w core.Workload
-	var err error
-	if core.IsRead(model) {
-		w, err = NewPipelineWorkload(cell, o)
-		if newFS := o.worldFS(); err == nil && newFS != nil {
-			w.NewFS = newFS
-		}
-	} else {
-		w, err = NewWorkload(cell, o)
-	}
-	if err != nil {
-		return core.CampaignResult{}, err
-	}
-	grid, err := o.runGrid([]core.CampaignSpec{fig7Spec(cell, w, model, o)})
+// Fig7Cell runs one campaign cell — the wire spec ws — on the engine, so
+// cmd/ffis single-cell invocations get the same COW-snapshot fast path and
+// progress stream as full grids. Of the options it takes the engine, the
+// RunGrid hook and the stopping rule; ws names everything else. Read-path
+// models run the cell's producer→consumer pipeline variant: the standard
+// Figure 7 phases of nyx and qmcpack only write (analysis happens during
+// classification), so a read fault would have no dynamic instance to land
+// on.
+func Fig7Cell(ws WireSpec, o Options) (core.CampaignResult, error) {
+	grid, err := o.runGrid([]WireSpec{ws})
 	if err != nil {
 		return core.CampaignResult{}, err
 	}
@@ -318,15 +268,10 @@ func Fig7Cell(cell string, model core.Model, o Options) (core.CampaignResult, er
 // pass is shared by the three fault models.
 func Fig7(o Options) (string, []classify.Cell, error) {
 	o = o.normalize()
-	models := Fig7Models()
-	specs := make([]core.CampaignSpec, 0, len(Fig7Cells)*len(models))
-	for _, cellName := range Fig7Cells {
-		w, err := NewWorkload(cellName, o)
-		if err != nil {
-			return "", nil, fmt.Errorf("cell %s: %w", cellName, err)
-		}
-		for _, model := range models {
-			specs = append(specs, fig7Spec(cellName, w, model, o))
+	var specs []WireSpec
+	for _, cell := range Fig7Cells {
+		for _, model := range Fig7Models() {
+			specs = append(specs, o.wire(cell, model))
 		}
 	}
 	grid, err := o.runGrid(specs)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ffis/internal/classify"
-	"ffis/internal/core"
 )
 
 // smallOpts keeps the experiment harness tests fast: tiny grid, few runs,
@@ -76,7 +75,8 @@ func TestNewWorkloadAllCells(t *testing.T) {
 }
 
 func TestFig7CellNyxDW(t *testing.T) {
-	res, err := Fig7Cell("nyx", core.DroppedWrite, smallOpts())
+	o := smallOpts()
+	res, err := Fig7Cell(WireSpec{Cell: "nyx", Model: "dropped-write", Runs: o.Runs, Seed: o.Seed, NyxN: o.NyxN}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ import (
 //	latency:pfs  latency-modeled at parallel-file-system rates (alias of
 //	             latency)
 //	os:DIR       the host directory DIR via vfs.OSFS — state persists across
-//	             runs, so cmd/ffis rejects it for campaigns; it exists for
-//	             library-level one-shot inspection
+//	             runs, so WireSpec.Validate rejects it for campaigns; it
+//	             exists for library-level one-shot inspection
 //
 // Every backend except os:DIR is hermetic: a fresh instance per campaign
 // run. Examples: "/scratch", "/scratch=latency:bb", "/data=object:lag=2".
@@ -55,11 +55,6 @@ func ValidateBackend(b string) error {
 	}
 	return fmt.Errorf("experiments: unknown backend %q (want mem, object[:lag=N], latency[:bb|:pfs], or os:DIR)", b)
 }
-
-// HermeticBackend reports whether a backend hands out fresh per-run state —
-// the property statistical campaigns rely on. Only os:DIR is non-hermetic:
-// it is one shared host directory mutated by every run.
-func HermeticBackend(b string) bool { return !strings.HasPrefix(b, "os:") }
 
 // NewBackendFS constructs one fresh backend instance by name.
 func NewBackendFS(backend string) (vfs.FS, error) {
@@ -121,7 +116,7 @@ func ParseMountSpecs(specs []string) ([]MountSpec, error) {
 // a MountFS with a MemFS root and one backend per spec. Hermetic backends
 // are fresh per call; os backends hand out the same host directory every
 // run — they break the fresh-world-per-run assumption statistical campaigns
-// rely on (cmd/ffis therefore refuses them) and exist for one-shot
+// rely on (WireSpec.Validate therefore refuses them) and exist for one-shot
 // inspection.
 func NewFSFromSpecs(specs []MountSpec) func() (vfs.FS, error) {
 	return func() (vfs.FS, error) {

@@ -144,21 +144,6 @@ func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
 	}
 }
 
-// readWriteLayout places each pipeline cell's paths on storage tiers for
-// the grid's tiered placement, reusing the Figure 7 tier layouts.
-func readWriteLayout(cell string) (StorageLayout, error) {
-	switch cell {
-	case "nyx":
-		// Producer writes the plotfile to scratch; the consumer reads it
-		// from there and lands its catalog on the output tier.
-		return TierLayout("nyx")
-	case "qmcpack", "qmc":
-		return TierLayout("qmcpack")
-	default:
-		return TierLayout(cell)
-	}
-}
-
 // ReadWriteGrid runs the read-vs-write characterization: every cell ×
 // every registered fault model (write family ∪ read family) × {flat,
 // tiered} world, as one engine grid. The model axis comes straight from
@@ -167,32 +152,14 @@ func readWriteLayout(cell string) (StorageLayout, error) {
 // the rendered Figure 7-style table plus the raw cells in spec order.
 func ReadWriteGrid(o Options) (string, []classify.Cell, error) {
 	o = o.normalize()
-	var specs []core.CampaignSpec
-	for _, cellName := range ReadWriteCells {
-		w, err := NewPipelineWorkload(cellName, o)
-		if err != nil {
-			return "", nil, fmt.Errorf("cell %s: %w", cellName, err)
-		}
-		layout, err := readWriteLayout(cellName)
-		if err != nil {
-			return "", nil, err
-		}
+	var specs []WireSpec
+	for _, cell := range ReadWriteCells {
 		for _, placement := range readWritePlacements {
-			w := w
-			if placement == "tiered" {
-				w.NewFS = layout.NewFS
-			}
 			for _, model := range core.AllModels() {
-				specs = append(specs, core.CampaignSpec{
-					Key:      cellName + "." + placement + "/" + model.Short(),
-					WorldKey: cellName + "@rw-" + placement,
-					Workload: w,
-					Config: core.CampaignConfig{
-						Fault: core.Config{Model: model, Shots: o.Shots},
-						Runs:  o.Runs,
-						Seed:  o.Seed,
-						Stop:  o.Stop,
-					},
+				specs = append(specs, WireSpec{
+					Key:  cell + "." + placement + "/" + model.Short(),
+					Cell: cell, Model: model.Name(), Runs: o.Runs, Seed: o.Seed, NyxN: o.NyxN,
+					Pipeline: true, Tiered: placement == "tiered",
 				})
 			}
 		}

@@ -82,7 +82,7 @@ func TestEnumEquivalenceRegression(t *testing.T) {
 					Workers: workers,
 				}
 				if placement == "tiered" {
-					w.NewFS = layout.NewFS
+					w.NewFS = layout.FSFactory("mem")
 					cfg.ArmMounts = scratch
 				}
 				res, err := core.Campaign(cfg, w)

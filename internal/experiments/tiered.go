@@ -58,12 +58,6 @@ type StorageLayout struct {
 	Tiers map[string][]string
 }
 
-// NewFS builds the mounted world: a MountFS with a MemFS root and a fresh
-// MemFS backend per mount. It satisfies core.Workload.NewFS.
-func (l StorageLayout) NewFS() (vfs.FS, error) {
-	return l.FSFactory("mem")()
-}
-
 // FSFactory returns a world constructor (core.Workload.NewFS) building the
 // layout on the named backend: every mount — and the root — is a fresh
 // instance of that backend per call, so campaigns stay hermetic regardless
@@ -186,7 +180,8 @@ var TieredCells = []string{"nyx", "MT2", "MT4"}
 // world is built and Setup once, profile counts are memoized per
 // armed-mount set, and every placement's runs draw from the engine's shared
 // pool. Distinct backends get distinct WorldKeys, so the engine never hands
-// one backend's snapshot to another backend's runs. The default mem backend
+// one backend's snapshot to another backend's runs, and a backend that is
+// not hermetic fails WireSpec.Validate. The default mem backend
 // keeps its legacy spec keys (cell/placement), so stores written before the
 // backend sweep existed resume unchanged.
 func Tiered(cells []string, model core.Model, o Options) (string, []PlacementResult, error) {
@@ -194,33 +189,17 @@ func Tiered(cells []string, model core.Model, o Options) (string, []PlacementRes
 	if len(cells) == 0 {
 		cells = TieredCells
 	}
-	var specs []core.CampaignSpec
+	var specs []WireSpec
 	var metas []PlacementResult
 	for _, cell := range cells {
 		layout, err := TierLayout(cell)
 		if err != nil {
 			return "", nil, err
 		}
-		w, err := NewWorkload(cell, o)
-		if err != nil {
-			return "", nil, err
-		}
 		for _, backend := range o.Backends {
-			if err := ValidateBackend(backend); err != nil {
-				return "", nil, err
-			}
-			if !HermeticBackend(backend) {
-				return "", nil, fmt.Errorf("experiments: tiered sweep needs hermetic per-run state; backend %q is a shared host directory", backend)
-			}
-			wb := w
-			wb.NewFS = layout.FSFactory(backend)
 			key := cell
-			// Distinct from the flat Fig7 world of the same cell name, and
-			// per-backend so snapshots are never shared across backends.
-			worldKey := cell + "@tiered"
 			if backend != "mem" {
 				key = cell + "/" + backend
-				worldKey = cell + "@tiered-" + backend
 			}
 			for _, pl := range Placements {
 				mounts := append([]string(nil), layout.Tiers[pl.Tier]...)
@@ -228,18 +207,10 @@ func Tiered(cells []string, model core.Model, o Options) (string, []PlacementRes
 				metas = append(metas, PlacementResult{
 					Cell: cell, Backend: backend, Placement: pl.Name, ArmMounts: mounts,
 				})
-				specs = append(specs, core.CampaignSpec{
-					Key:      key + "/" + pl.Name,
-					WorldKey: worldKey,
-					Workload: wb,
-					Config: core.CampaignConfig{
-						Fault:     core.Config{Model: model, Shots: o.Shots},
-						Runs:      o.Runs,
-						Seed:      o.Seed,
-						ArmMounts: mounts,
-						Stop:      o.Stop,
-					},
-				})
+				ws := o.wire(cell, model)
+				ws.Key = key + "/" + pl.Name
+				ws.Tiered, ws.Backend, ws.ArmMounts = true, backend, mounts
+				specs = append(specs, ws)
 			}
 		}
 	}

@@ -162,14 +162,15 @@ func TestParseMountSpec(t *testing.T) {
 // TestNewWorkloadWithMounts checks the cmd/ffis wiring end to end: a cell
 // on a custom mounted world, armed on one mount, still campaigns cleanly.
 func TestNewWorkloadWithMounts(t *testing.T) {
-	o := smallOpts()
-	o.Mounts = []MountSpec{{Path: "/plt00000", Backend: "mem"}}
-	o.ArmMounts = []string{"/plt00000"}
-	res, err := Fig7Cell("nyx", core.DroppedWrite, o)
+	ws := WireSpec{
+		Cell: "nyx", Model: "dropped-write", Runs: 6, Seed: 2021, NyxN: 24,
+		Mounts: []string{"/plt00000=mem"}, ArmMounts: []string{"/plt00000"},
+	}
+	res, err := Fig7Cell(ws, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tally.Total() != o.Runs {
-		t.Fatalf("tally total = %d; want %d", res.Tally.Total(), o.Runs)
+	if res.Tally.Total() != ws.Runs {
+		t.Fatalf("tally total = %d; want %d", res.Tally.Total(), ws.Runs)
 	}
 }

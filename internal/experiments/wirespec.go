@@ -5,23 +5,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"ffis/internal/core"
+	"ffis/internal/vfs"
 )
 
-// WireSpec is the serializable form of one campaign cell: everything a
-// remote worker needs to rebuild the exact core.CampaignSpec the
-// coordinator is leasing out. Only statically nameable campaign identity
-// crosses the wire — cell, model, run budget, seed, world shape — never
-// live objects. The worker builds through Workload and CampaignSpecOn, the
-// coordinator checks headers against Meta, and both derive from the same
+// WireSpec is the serializable form of one campaign cell, and the one form
+// every grid takes: campaignd leases it to remote workers, and every grid
+// of this package (Fig7, Fig7Cell, Ablations, Fig7WithDetector, Tiered,
+// ReadWriteGrid) is a []WireSpec run through Options.runGrid. Only
+// statically nameable campaign identity crosses the wire — cell, model,
+// feature knobs, run budget, seed, world shape — never live objects.
+// Workers and local grids build through Workload and CampaignSpecOn, the
+// coordinator checks headers against Meta, and all derive from the same
 // fields, so a worker's world, profile pass, and record stream are
 // bit-identical to a local run of the same grid.
 //
 // Adaptive stopping deliberately has no wire form: a stopping rule needs
 // the complete outcome prefix to evaluate, which a re-leased spec only
 // holds on the coordinator (a worker's sink reports its lease's resume
-// point but no prior outcomes). Distributed campaigns are fixed-budget.
+// point but no prior outcomes). Distributed campaigns are fixed-budget;
+// local grids add Options.Stop after building.
 type WireSpec struct {
 	// Key names the spec inside the results store. Empty defaults to the
 	// grid convention "<cell>/<model short name>".
@@ -36,18 +42,42 @@ type WireSpec struct {
 	Shots int `json:"shots,omitempty"`
 	// NyxN overrides the Nyx grid edge (0 = DefaultSim).
 	NyxN int `json:"nyx_n,omitempty"`
-	// Backend is the flat world's storage backend grammar string
-	// ("" = "mem"). Ignored when Mounts is set.
+	// Backend is the storage backend grammar string ("" = "mem") of the
+	// flat world or, with Tiered, of every tier. Mounts name their own.
 	Backend string `json:"backend,omitempty"`
 	// Mounts, when non-empty, builds a MountFS world from these
 	// "dir[=backend]" mount specs instead of a flat world.
 	Mounts []string `json:"mounts,omitempty"`
-	// ArmMounts restricts injection to I/O routed to these mount points.
+	// ArmMounts restricts injection to I/O routed to these mount points of
+	// a mounted or tiered world.
 	ArmMounts []string `json:"arm_mounts,omitempty"`
 	// Pipeline selects the producer→consumer pipeline variant of the cell's
 	// workload. Read-path models force it regardless: the standard phases
 	// only write, so a read fault would have no instance to land on.
 	Pipeline bool `json:"pipeline,omitempty"`
+	// Feature overrides the fault model's feature knobs (the ablation
+	// sweeps); zero fields keep the paper defaults.
+	Feature WireFeature `json:"feature,omitzero"`
+	// AvgDetector classifies the standard Nyx cell with the average-value
+	// method.
+	AvgDetector bool `json:"avg_detector,omitempty"`
+	// Tiered builds the cell's TierLayout world, every tier on Backend.
+	Tiered bool `json:"tiered,omitempty"`
+}
+
+// WireFeature is the wire form of the core.Feature knobs a grid sweeps.
+type WireFeature struct {
+	FlipBits     int `json:"flip_bits,omitempty"`
+	ShornKeepNum int `json:"shorn_keep_num,omitempty"`
+	ShornKeepDen int `json:"shorn_keep_den,omitempty"`
+}
+
+// config is the fault configuration the spec describes. ws must be valid.
+func (ws WireSpec) config() core.Config {
+	model, _ := core.Lookup(ws.Model)
+	return core.Config{Model: model, Shots: ws.Shots, Feature: core.Feature{
+		FlipBits: ws.Feature.FlipBits, ShornKeepNum: ws.Feature.ShornKeepNum, ShornKeepDen: ws.Feature.ShornKeepDen,
+	}}
 }
 
 // Normalized fills the derived Key from the grid convention. Both the
@@ -71,10 +101,14 @@ func (ws WireSpec) pipeline() bool {
 }
 
 // WorldKey groups specs that share a built world onto one snapshot, one
-// profile pass, and (on a worker's engine) one built workload. It is
-// derived from every field that shapes the world — cell, Nyx edge,
-// pipeline variant, mounts or backend — so two specs share a key only when
-// they would build the same application on the same storage.
+// profile pass, and one built workload (Engine.Workload). It is derived
+// from every field that shapes the workload — cell, Nyx edge, pipeline
+// variant, average-value detector, tiered layout, mounts or backend — so
+// two specs share a key only when they would build the same application,
+// with the same classifier, on the same storage. Fault fields (model,
+// feature, shots) and arming stay out: they never change the world. Each
+// mount enters as its parsed, quoted "dir=backend", so no two mount lists
+// encode alike.
 func (ws WireSpec) WorldKey() string {
 	key := ws.Cell
 	if ws.Cell == "nyx" && ws.NyxN != 0 {
@@ -85,12 +119,20 @@ func (ws WireSpec) WorldKey() string {
 		// cell, so it must never share the standard cell's snapshot.
 		key += "@pipe"
 	}
-	if len(ws.Mounts) > 0 {
-		for _, m := range ws.Mounts {
-			key += "+" + m
+	if ws.AvgDetector {
+		key += "@avg"
+	}
+	if ws.Tiered {
+		key += "@tiered"
+	}
+	for _, m := range ws.Mounts {
+		if ms, err := ParseMountSpec(m); err == nil {
+			m = ms.Path + "=" + ms.Backend
 		}
-	} else if ws.Backend != "" && ws.Backend != "mem" {
-		key += "@" + ws.Backend
+		key += "+" + strconv.Quote(m)
+	}
+	if b := ws.backend(); b != "mem" {
+		key += "@" + b
 	}
 	return key
 }
@@ -104,33 +146,64 @@ var cellWorkloads = map[string]string{
 }
 
 // Validate checks the spec without building anything: known cell, usable
-// Nyx edge, registered model, parseable world grammar, positive run
-// budget. A spec that passes can still fail to build (a Nyx edge that
-// seeds no halos), which surfaces from Workload.
+// Nyx edge, registered model, sane feature knobs, positive run budget, and
+// a hermetic world — parseable backend and mounts, none of them an os:
+// host directory (one shared directory mutated by every run), one world
+// shape at a time, and arming only on a mounted or tiered world. It is the
+// one check campaignd and the CLIs apply. A spec that passes can still
+// fail to build (a Nyx edge that seeds no halos), which surfaces from
+// Workload.
 func (ws WireSpec) Validate() error {
 	if ws.Cell == "" {
 		return fmt.Errorf("experiments: wire spec has no cell")
 	}
 	key := ws.Normalized().Key
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("experiments: wire spec %q: "+format, append([]any{key}, args...)...)
+	}
 	if _, ok := cellWorkloads[ws.Cell]; !ok {
-		return fmt.Errorf("experiments: wire spec %q: unknown cell %q (want one of %v)", key, ws.Cell, Fig7Cells)
+		return fail("unknown cell %q (want one of %v)", ws.Cell, Fig7Cells)
 	}
 	if ws.NyxN < 0 || (ws.NyxN > 0 && ws.NyxN <= 8) {
-		return fmt.Errorf("experiments: wire spec %q: nyx_n must be 0 (default) or above 8, got %d", key, ws.NyxN)
+		return fail("nyx_n must be 0 (default) or above 8, got %d", ws.NyxN)
 	}
 	if _, ok := core.Lookup(ws.Model); !ok {
-		return fmt.Errorf("experiments: wire spec %q: unregistered fault model %q", key, ws.Model)
+		return fail("unregistered fault model %q", ws.Model)
+	}
+	if f := ws.Feature; f.FlipBits < 0 || f.ShornKeepNum < 0 || f.ShornKeepDen < 0 {
+		return fail("feature knobs must not be negative, got %+v", f)
 	}
 	if ws.Runs <= 0 {
-		return fmt.Errorf("experiments: wire spec %q: runs must be positive, got %d", key, ws.Runs)
+		return fail("runs must be positive, got %d", ws.Runs)
+	}
+	if ws.AvgDetector && (cellWorkloads[ws.Cell] != "nyx" || ws.pipeline()) {
+		return fail("avg_detector applies only to the standard nyx cell")
+	}
+	mounts, err := ParseMountSpecs(ws.Mounts)
+	if err != nil {
+		return fail("%w", err)
 	}
 	if ws.Backend != "" {
 		if err := ValidateBackend(ws.Backend); err != nil {
-			return fmt.Errorf("experiments: wire spec %q: %w", key, err)
+			return fail("%w", err)
 		}
 	}
-	if _, err := ParseMountSpecs(ws.Mounts); err != nil {
-		return fmt.Errorf("experiments: wire spec %q: %w", key, err)
+	backends := []string{ws.Backend}
+	for _, m := range mounts {
+		backends = append(backends, m.Backend)
+	}
+	for _, b := range backends {
+		if strings.HasPrefix(b, "os:") {
+			return fail("backend %q is a shared host directory; campaigns need hermetic per-run state", b)
+		}
+	}
+	switch {
+	case len(mounts) > 0 && ws.Tiered:
+		return fail("mounts and tiered are two world shapes; pick one")
+	case len(mounts) > 0 && ws.backend() != "mem":
+		return fail("backend applies to flat and tiered worlds; with mounts, name backends per mount (dir=backend)")
+	case len(ws.ArmMounts) > 0 && len(mounts) == 0 && !ws.Tiered:
+		return fail("arm_mounts needs a mounted world (mounts or tiered)")
 	}
 	return nil
 }
@@ -143,10 +216,9 @@ func (ws WireSpec) Meta() (core.CampaignMeta, error) {
 	if err := ws.Validate(); err != nil {
 		return core.CampaignMeta{}, err
 	}
-	model, _ := core.Lookup(ws.Model)
 	return core.CampaignMeta{
 		Workload:  cellWorkloads[ws.Cell],
-		Signature: core.Config{Model: model, Shots: ws.Shots}.Signature(),
+		Signature: ws.config().Signature(),
 		Runs:      ws.Runs,
 		Seed:      ws.Seed,
 	}, nil
@@ -160,22 +232,36 @@ func (ws WireSpec) Workload() (core.Workload, error) {
 	if err := ws.Validate(); err != nil {
 		return core.Workload{}, err
 	}
-	mounts, _ := ParseMountSpecs(ws.Mounts) // checked by Validate
-	o := Options{NyxN: ws.NyxN, Backend: ws.Backend, Mounts: mounts}
-	var w core.Workload
-	var err error
+	build := NewWorkload
 	if ws.pipeline() {
-		w, err = NewPipelineWorkload(ws.Cell, o)
-		if newFS := o.worldFS(); err == nil && newFS != nil {
-			w.NewFS = newFS
-		}
-	} else {
-		w, err = NewWorkload(ws.Cell, o)
+		build = NewPipelineWorkload
 	}
+	w, err := build(ws.Cell, Options{NyxN: ws.NyxN, UseAvgDetector: ws.AvgDetector})
 	if err != nil {
 		return core.Workload{}, fmt.Errorf("experiments: wire spec %q: %w", ws.Normalized().Key, err)
 	}
+	switch {
+	case ws.Tiered:
+		layout, err := TierLayout(ws.Cell)
+		if err != nil {
+			return core.Workload{}, err
+		}
+		w.NewFS = layout.FSFactory(ws.backend())
+	case len(ws.Mounts) > 0:
+		mounts, _ := ParseMountSpecs(ws.Mounts) // checked by Validate
+		w.NewFS = NewFSFromSpecs(mounts)
+	case ws.backend() != "mem":
+		w.NewFS = func() (vfs.FS, error) { return NewBackendFS(ws.Backend) }
+	}
 	return w, nil
+}
+
+// backend resolves the flat or tiered world's backend name.
+func (ws WireSpec) backend() string {
+	if ws.Backend == "" {
+		return "mem"
+	}
+	return ws.Backend
 }
 
 // CampaignSpecOn is the cheap half of CampaignSpec: the executable spec
@@ -183,21 +269,27 @@ func (ws WireSpec) Workload() (core.Workload, error) {
 // for a spec with the same WorldKey. ws must be valid.
 func (ws WireSpec) CampaignSpecOn(w core.Workload) core.CampaignSpec {
 	ws = ws.Normalized()
-	model, _ := core.Lookup(ws.Model)
-	spec := fig7Spec(ws.Cell, w, model, Options{Runs: ws.Runs, Seed: ws.Seed, Shots: ws.Shots, ArmMounts: ws.ArmMounts})
-	spec.Key = ws.Key
-	spec.WorldKey = ws.WorldKey()
-	return spec
+	return core.CampaignSpec{
+		Key:      ws.Key,
+		WorldKey: ws.WorldKey(),
+		Workload: w,
+		Config: core.CampaignConfig{
+			Fault:     ws.config(),
+			Runs:      ws.Runs,
+			Seed:      ws.Seed,
+			ArmMounts: ws.ArmMounts,
+		},
+	}
 }
 
 // CampaignSpec builds the executable campaign spec this wire form
 // describes: Workload and CampaignSpecOn combined.
-func (ws WireSpec) CampaignSpec() (core.CampaignSpec, error) {
+func (ws WireSpec) CampaignSpec() (spec core.CampaignSpec, err error) {
 	w, err := ws.Workload()
-	if err != nil {
-		return core.CampaignSpec{}, err
+	if err == nil {
+		spec = ws.CampaignSpecOn(w)
 	}
-	return ws.CampaignSpecOn(w), nil
+	return spec, err
 }
 
 // ParseWireSpecs reads a spec grid from r: either one JSON array of

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -24,9 +25,20 @@ func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
 		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Pipeline: true},
 		{Cell: "MT2", Model: "read-bit-flip", Runs: 10, Seed: 3},
 		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "object:lag=2"},
+		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Tiered: true},
 	} {
 		if v.WorldKey() == ws.WorldKey() {
 			t.Fatalf("variant %+v shares world key %q with the standard cell", v, v.WorldKey())
+		}
+	}
+	// Fault knobs (model, feature, shots) never change the world: they
+	// share the cell's snapshot like the three Figure 7 models do.
+	for _, v := range []WireSpec{
+		{Cell: "MT2", Model: "shorn-write", Runs: 10, Seed: 3, Feature: WireFeature{ShornKeepNum: 3, ShornKeepDen: 8}},
+		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Shots: 2},
+	} {
+		if v.WorldKey() != ws.WorldKey() {
+			t.Fatalf("fault variant %+v got world key %q, want the cell's %q", v, v.WorldKey(), ws.WorldKey())
 		}
 	}
 	if mem := (WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "mem"}); mem.WorldKey() != ws.WorldKey() {
@@ -53,39 +65,20 @@ func TestWireSpecValidateCatchesStaticErrors(t *testing.T) {
 		{WireSpec{Cell: "MT2", Model: "bit-flip"}, "runs"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Backend: "floppy"}, "backend"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Mounts: []string{"not-absolute"}}, "mount"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Backend: "os:/tmp/x"}, "hermetic"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/mosaic=os:/tmp/y"}}, "hermetic"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "os:/tmp/x"}, "hermetic"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, ArmMounts: []string{"/proj"}}, "arm_mounts"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Tiered: true}, "tiered"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Backend: "object"}, "backend"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
+		{WireSpec{Cell: "nyx", Model: "read-bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
+		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 1, Feature: WireFeature{FlipBits: -1}}, "feature"},
 	} {
 		err := tc.ws.Validate()
 		if err == nil || !strings.Contains(strings.ToLower(err.Error()), tc.want) {
 			t.Errorf("Validate(%+v): got %v, want error containing %q", tc.ws, err, tc.want)
 		}
-	}
-}
-
-// The wire form and the local grid builder must agree exactly: a worker
-// rebuilding a spec from its wire form has to produce the same key, world
-// key, and campaign parameters the coordinator's grid declared.
-func TestWireSpecCampaignSpecMatchesLocalBuilder(t *testing.T) {
-	ws := WireSpec{Cell: "MT2", Model: "shorn-write", Runs: 25, Seed: 9, Shots: 2}
-	spec, err := ws.CampaignSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Runs: 25, Seed: 9, Shots: 2}
-	w, err := NewWorkload("MT2", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fig7Spec("MT2", w, spec.Config.Fault.Model, o)
-	if spec.Key != want.Key || spec.WorldKey != want.WorldKey || spec.WorldKey != ws.WorldKey() {
-		t.Fatalf("keys drifted: wire (%q, %q, WorldKey() %q) vs local (%q, %q)",
-			spec.Key, spec.WorldKey, ws.WorldKey(), want.Key, want.WorldKey)
-	}
-	if spec.Config.Runs != want.Config.Runs || spec.Config.Seed != want.Config.Seed ||
-		spec.Config.Fault.Shots != want.Config.Fault.Shots {
-		t.Fatalf("config drifted: wire %+v vs local %+v", spec.Config, want.Config)
-	}
-	if spec.Workload.Name != want.Workload.Name {
-		t.Fatalf("workload drifted: %q vs %q", spec.Workload.Name, want.Workload.Name)
 	}
 }
 
@@ -120,6 +113,8 @@ func TestWireSpecJSONRoundTrip(t *testing.T) {
 		Cell: "nyx", Model: "misdirected-write", Runs: 100, Seed: 11,
 		Shots: 3, NyxN: 24, Backend: "latency:bb",
 		ArmMounts: []string{"/plt00000"}, Pipeline: true,
+		Feature:     WireFeature{FlipBits: 4, ShornKeepNum: 3, ShornKeepDen: 8},
+		AvgDetector: true, Tiered: true,
 	}.Normalized()
 	raw, err := json.Marshal(ws)
 	if err != nil {
@@ -131,6 +126,21 @@ func TestWireSpecJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, ws) {
 		t.Fatalf("round trip drifted:\n sent %+v\n got  %+v", ws, back)
+	}
+	for _, field := range []string{`"flip_bits":4`, `"shorn_keep_num":3`, `"shorn_keep_den":8`, `"avg_detector":true`, `"tiered":true`} {
+		if !strings.Contains(string(raw), field) {
+			t.Errorf("marshaled spec lacks %s: %s", field, raw)
+		}
+	}
+
+	// Zero-valued new fields are omitted, so spec files and campaignd -gen
+	// output written before they existed are unchanged.
+	raw, err = json.Marshal(Fig7WireGrid(10, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"key":"nyx/BF","cell":"nyx","model":"bit-flip","runs":10,"seed":1}`; string(raw) != want {
+		t.Fatalf("bare spec marshals as %s, want %s", raw, want)
 	}
 }
 
@@ -172,6 +182,9 @@ func TestWireSpecMetaMatchesBuiltSpec(t *testing.T) {
 		WireSpec{Cell: "qmc", Model: "bit-flip", Runs: 10, Seed: 5},
 		WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 10, Seed: 5},
 		WireSpec{Cell: "MT2", Model: "burst-corruption", Runs: 10, Seed: 5, Shots: 2},
+		WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, Seed: 5, NyxN: 24, Feature: WireFeature{FlipBits: 4}},
+		WireSpec{Cell: "nyx", Model: "dropped-write", Runs: 10, Seed: 5, NyxN: 24, AvgDetector: true},
+		WireSpec{Cell: "MT2", Model: "dropped-write", Runs: 10, Seed: 5, Tiered: true, Backend: "object", ArmMounts: []string{"/proj"}},
 	)
 	// CampaignSpec is Workload then CampaignSpecOn; the expensive Workload
 	// half is built once per world key so the test stays cheap under -race.
@@ -209,8 +222,10 @@ func TestWireSpecMetaMatchesBuiltSpec(t *testing.T) {
 
 // TestWireWorldKeysSeparateWorlds runs wire specs through one engine the
 // way a worker serving successive leases does. Specs whose worlds differ —
-// a read model forcing the pipeline variant, or another Nyx edge — must
-// not be handed the first spec's workload, snapshot or profile count.
+// a read model forcing the pipeline variant, another Nyx edge, one mount
+// named "/a+/b" against the two mounts "/a" and "/b", the average-value
+// classifier, a tiered layout — must not be handed the first spec's
+// workload, snapshot or profile count.
 func TestWireWorldKeysSeparateWorlds(t *testing.T) {
 	run := func(e *core.Engine, ws WireSpec) core.GridResult {
 		t.Helper()
@@ -231,16 +246,81 @@ func TestWireWorldKeysSeparateWorlds(t *testing.T) {
 		}
 	}
 
-	e = &core.Engine{Jobs: 2}
-	for _, ws := range []WireSpec{nyx("bit-flip", 24), nyx("bit-flip", 32)} {
-		shared := run(e, ws)
-		fresh := run(&core.Engine{Jobs: 2}, ws)
-		if shared.Err != nil || fresh.Err != nil {
-			t.Fatalf("nyx_n %d: shared err %v, fresh err %v", ws.NyxN, shared.Err, fresh.Err)
+	// Dropped writes leave Nyx SDC that the average-value method detects,
+	// so a detector spec on the plain classifier shows in its tally.
+	joined, split, avg, tiered := nyx("bit-flip", 24), nyx("bit-flip", 24), nyx("dropped-write", 24), nyx("bit-flip", 24)
+	joined.Mounts = []string{"/plt00000+/out"}
+	split.Mounts, split.ArmMounts = []string{"/plt00000", "/out"}, []string{"/plt00000"}
+	avg.AvgDetector = true
+	tiered.Tiered, tiered.ArmMounts = true, []string{"/plt00000"}
+	for _, pair := range [][2]WireSpec{
+		{nyx("bit-flip", 24), nyx("bit-flip", 32)},
+		{joined, split},
+		{nyx("dropped-write", 24), avg},
+		{nyx("bit-flip", 24), tiered},
+	} {
+		if pair[0].WorldKey() == pair[1].WorldKey() {
+			t.Fatalf("%+v and %+v share world key %q", pair[0], pair[1], pair[0].WorldKey())
 		}
-		if shared.Result.ProfileCount != fresh.Result.ProfileCount {
-			t.Fatalf("nyx_n %d: shared engine profiled %d writes, a fresh engine %d",
-				ws.NyxN, shared.Result.ProfileCount, fresh.Result.ProfileCount)
+		e := &core.Engine{Jobs: 2}
+		for _, ws := range pair {
+			shared := run(e, ws)
+			fresh := run(&core.Engine{Jobs: 2}, ws)
+			if shared.Err != nil || fresh.Err != nil {
+				t.Fatalf("world %q: shared err %v, fresh err %v", ws.WorldKey(), shared.Err, fresh.Err)
+			}
+			if shared.Result.ProfileCount != fresh.Result.ProfileCount || shared.Result.Tally != fresh.Result.Tally {
+				t.Fatalf("world %q: shared engine profiled %d writes with tally %v, a fresh engine %d with %v",
+					ws.WorldKey(), shared.Result.ProfileCount, shared.Result.Tally,
+					fresh.Result.ProfileCount, fresh.Result.Tally)
+			}
 		}
 	}
+}
+
+// FuzzParseWireSpecs checks the wire parser on arbitrary input: it never
+// panics, every spec it accepts re-validates and is already normalized,
+// and the accepted grid survives marshal → parse unchanged.
+func FuzzParseWireSpecs(f *testing.F) {
+	grid, err := json.Marshal(Fig7WireGrid(10, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grid)
+	f.Add([]byte(`{"cell":"MT1","model":"bit-flip","runs":10,"seed":3}
+{"cell":"MT2","model":"dropped-write","runs":10,"seed":3,"mounts":["/proj=object:lag=2","/mosaic"],"arm_mounts":["/proj"]}`))
+	f.Add([]byte(`[{"cell":"nyx","model":"bit-flip","runs":5,"nyx_n":24,"feature":{"flip_bits":4}},
+{"cell":"qmcpack","model":"shorn-write","runs":5,"key":"q","feature":{"shorn_keep_num":3,"shorn_keep_den":8}}]`))
+	f.Add([]byte(`{"cell":"nyx","model":"dropped-write","runs":5,"avg_detector":true}`))
+	f.Add([]byte(`{"cell":"MT4","model":"dw","runs":5,"tiered":true,"backend":"latency","arm_mounts":["/mosaic"]}`))
+	f.Add([]byte(`{"cell":"MT2","model":"bit-flip","runs":1,"backend":"os:/tmp/x"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := ParseWireSpecs(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, ws := range specs {
+			if err := ws.Validate(); err != nil {
+				t.Fatalf("accepted spec %+v fails Validate: %v", ws, err)
+			}
+			if !reflect.DeepEqual(ws.Normalized(), ws) {
+				t.Fatalf("accepted spec %+v is not normalized", ws)
+			}
+		}
+		raw, err := json.Marshal(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseWireSpecs(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", raw, err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, again) {
+			t.Fatalf("round trip drifted:\n sent %s\n got  %s", raw, again)
+		}
+	})
 }

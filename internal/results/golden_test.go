@@ -33,12 +33,12 @@ func TestReportGoldenAfterResume(t *testing.T) {
 	runCell := func(st *Store) core.CampaignResult {
 		t.Helper()
 		o := experiments.Options{
-			Runs: runs, Seed: seed, Engine: &core.Engine{Jobs: 2},
+			Engine: &core.Engine{Jobs: 2},
 			RunGrid: func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
 				return RunGrid(e, st, specs)
 			},
 		}
-		res, err := experiments.Fig7Cell(cell, core.MustModel("bit-flip"), o)
+		res, err := experiments.Fig7Cell(experiments.WireSpec{Cell: cell, Model: "bit-flip", Runs: runs, Seed: seed}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
