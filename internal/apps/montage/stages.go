@@ -134,25 +134,11 @@ func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 func overlap(a, b *fits.Image) (x0, y0, x1, y1 int, ok bool) {
 	ax0, ay0 := int(a.CRVAL1), int(a.CRVAL2)
 	bx0, by0 := int(b.CRVAL1), int(b.CRVAL2)
-	x0 = maxInt(ax0, bx0)
-	y0 = maxInt(ay0, by0)
-	x1 = minInt(ax0+a.Width, bx0+b.Width)
-	y1 = minInt(ay0+a.Height, by0+b.Height)
+	x0 = max(ax0, bx0)
+	y0 = max(ay0, by0)
+	x1 = min(ax0+a.Width, bx0+b.Width)
+	y1 = min(ay0+a.Height, by0+b.Height)
 	return x0, y0, x1, y1, x1 > x0 && y1 > y0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // planeSums accumulates the normal equations m·p = rhs of the

@@ -22,6 +22,7 @@ type App struct {
 
 	goldenImage []byte
 	goldenMin   float64
+	goldenTable []byte // MT2 only: the fault-free plane-fit table
 }
 
 // NewApp prepares the golden pipeline products for the given stage.
@@ -44,6 +45,11 @@ func NewApp(cfg Config, stage Stage) (*App, error) {
 	a.goldenImage = img
 	if a.goldenMin, err = ReadMin(fs); err != nil {
 		return nil, err
+	}
+	if stage == StageDiff {
+		if a.goldenTable, err = vfs.ReadFile(fs, FitsTablePath); err != nil {
+			return nil, err
+		}
 	}
 	return a, nil
 }
@@ -83,9 +89,14 @@ func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome
 // classify finishes the pipeline fault-free and applies the paper's rules:
 // identical final image → benign; missing/unbuildable products → crash;
 // min statistic within tolerance of golden → SDC; otherwise detected.
+// An MT2 run whose plane fit masked the fault (masked) is benign without
+// running the downstream stages: they would rebuild the golden image.
 func (a *App) classify(fs vfs.FS, runErr error, sc *scratch) classify.Outcome {
 	if runErr != nil {
 		return classify.Crash
+	}
+	if a.masked(fs, sc) {
+		return classify.Benign
 	}
 	if a.Stage < StageAdd {
 		if err := a.Cfg.pipeline(fs, a.Stage+1, StageAdd, sc); err != nil {
@@ -110,6 +121,30 @@ func (a *App) classify(fs vfs.FS, runErr error, sc *scratch) classify.Outcome {
 		return classify.SDC
 	}
 	return classify.Detected
+}
+
+// masked reports whether mBgExec and mAdd would read only golden bytes
+// after an MT2 run: the plane-fit table equals the golden one, every
+// projection and area file still holds its Setup bytes (vfs.Unchanged on a
+// clone of the post-Setup world), and neither stage's output directory
+// exists. Both stages are deterministic and read nothing else, so their
+// final image would equal the golden one. The table is read into the
+// slot's image buffer.
+func (a *App) masked(fs vfs.FS, sc *scratch) bool {
+	if a.goldenTable == nil || vfs.Exists(fs, CorrDir) || vfs.Exists(fs, MosaicDir) {
+		return false
+	}
+	for i := 0; i < a.Cfg.Tiles; i++ {
+		if !vfs.Unchanged(fs, projPath(i)) || !vfs.Unchanged(fs, areaPath(i)) {
+			return false
+		}
+	}
+	table, err := vfs.ReadInto(fs, FitsTablePath, sc.img)
+	if err != nil {
+		return false
+	}
+	sc.img = table
+	return string(table) == string(a.goldenTable)
 }
 
 // Workload adapts the app to the campaign runner, labelled MT1..MT4 as in

@@ -90,11 +90,11 @@ func shornPlan(off int64, length int, f Feature) (keep []segment, droppedSectors
 	blockStart := off - off%int64(f.BlockSize)
 	for bs := blockStart; bs < end; bs += int64(f.BlockSize) {
 		keepEnd := bs + int64(keepBytesPerBlock)
-		segStart, segEnd := maxI64(bs, off), minI64(keepEnd, end)
+		segStart, segEnd := max(bs, off), min(keepEnd, end)
 		if segEnd > segStart {
 			keep = append(keep, segment{segStart - off, segEnd - off})
 		}
-		lostStart, lostEnd := maxI64(keepEnd, off), minI64(bs+int64(f.BlockSize), end)
+		lostStart, lostEnd := max(keepEnd, off), min(bs+int64(f.BlockSize), end)
 		if lostEnd > lostStart {
 			droppedSectors += int((lostEnd - lostStart + int64(f.SectorSize) - 1) / int64(f.SectorSize))
 		}
@@ -104,17 +104,3 @@ func shornPlan(off int64, length int, f Feature) (keep []segment, droppedSectors
 
 // segment is a [Start,End) byte range relative to the write buffer.
 type segment struct{ Start, End int64 }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

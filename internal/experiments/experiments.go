@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ffis/internal/apps/montage"
@@ -345,7 +346,7 @@ func Fig8(o Options) (string, error) {
 	fmt.Fprintf(&b, "faulty   (%d halos, mean density %.6f):\n%s", len(faulty.Halos), faulty.Mean, fh.Render(40))
 	fmt.Fprintf(&b, "L1 distance between distributions: %d\n", gh.L1Distance(fh))
 	fmt.Fprintf(&b, "average-value detector flags the faulty run: %v (mean deviates by %.4f%%)\n",
-		nyx.DetectByAverage(faulty.Mean), 100*abs(faulty.Mean-1))
+		nyx.DetectByAverage(faulty.Mean), 100*math.Abs(faulty.Mean-1))
 	return b.String(), nil
 }
 
@@ -356,7 +357,7 @@ func massCatalogDiffers(a, b nyx.Catalog) bool {
 		return true
 	}
 	for i := range a.Halos {
-		if abs(a.Halos[i].Mass-b.Halos[i].Mass) > 1e-3*a.Halos[i].Mass {
+		if math.Abs(a.Halos[i].Mass-b.Halos[i].Mass) > 1e-3*a.Halos[i].Mass {
 			return true
 		}
 	}
@@ -377,13 +378,6 @@ func massRange(c nyx.Catalog) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Fig5 produces the density-slice visualizations for the original field,
@@ -520,7 +514,7 @@ func Fig9(o Options) (string, map[string][]byte, error) {
 		if err != nil {
 			continue
 		}
-		if abs(minV-goldenMin) > montage.MinTolerance {
+		if math.Abs(minV-goldenMin) > montage.MinTolerance {
 			images["faulty"] = img
 			var b strings.Builder
 			b.WriteString("Figure 9: a typical faulty mosaic due to a dropped write\n")

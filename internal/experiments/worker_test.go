@@ -51,6 +51,23 @@ func goldenSizes(t *testing.T, app *montage.App) map[string]int64 {
 	return golden
 }
 
+// recordLines encodes a grid cell's records as its store lines.
+func recordLines(t *testing.T, g core.GridResult) []string {
+	t.Helper()
+	if g.Err != nil {
+		t.Fatalf("%s: %v", g.Spec.Key, g.Err)
+	}
+	var out []string
+	for _, rec := range g.Result.Records {
+		line, err := json.Marshal(results.NewRecord(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(line))
+	}
+	return out
+}
+
 // TestWorkerRecordsMatchPlainRuns pins core.Workload.Worker to Run and
 // Classify: for every Montage stage under bit flips, shorn writes and
 // dropped writes, a campaign whose runs share per-slot scratch through
@@ -87,30 +104,16 @@ func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
 			worker = append(worker, core.CampaignSpec{Key: key, WorldKey: key + "/worker", Workload: ww, Config: cfg})
 		}
 	}
-	encode := func(g core.GridResult) []string {
-		if g.Err != nil {
-			t.Fatalf("%s: %v", g.Spec.Key, g.Err)
-		}
-		var out []string
-		for _, rec := range g.Result.Records {
-			line, err := json.Marshal(results.NewRecord(rec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, string(line))
-		}
-		return out
-	}
 	// Plain records do not depend on jobs (the engine suites pin that), so
 	// one plain grid is the reference for both Worker grids.
 	want := map[string][]string{}
 	for _, g := range (&core.Engine{Jobs: 1}).Run(plain) {
-		want[g.Spec.Key] = encode(g)
+		want[g.Spec.Key] = recordLines(t, g)
 	}
 	var panics, errs int
 	for _, jobs := range []int{1, 8} {
 		for _, g := range (&core.Engine{Jobs: jobs}).Run(worker) {
-			got := encode(g)
+			got := recordLines(t, g)
 			for k, line := range want[g.Spec.Key] {
 				if k >= len(got) || got[k] != line {
 					t.Fatalf("jobs %d %s run %d: Worker record differs from the plain one\n  plain %s", jobs, g.Spec.Key, k, line)

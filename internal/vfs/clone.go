@@ -49,6 +49,7 @@ func (m *MemFS) Clone() *MemFS {
 			mode:   n.mode,
 			isDir:  n.isDir,
 			dev:    n.dev,
+			cloned: true,
 		}
 		n.mu.Unlock()
 	}
@@ -98,11 +99,48 @@ func (m *MountFS) Clone() (*MountFS, error) {
 		}
 		mounts[i] = mountEntry{path: mp.path, fs: fs}
 	}
-	return &MountFS{mounts: mounts}, nil
+	return &MountFS{mounts: mounts, cloned: true}, nil
 }
 
 // CloneFS implements Cloner.
 func (m *MountFS) CloneFS() (FS, error) { return m.Clone() }
+
+// Unchanged reports whether the file name, in a world made by Clone, still
+// holds exactly what it held when the world was cloned: content, size and
+// mode, under the same path. False means only "cannot prove": a directory,
+// a missing or re-created file, a world not made by Clone, a released one,
+// and every backend that does not implement the question (OSFS, ObjectFS,
+// LatencyFS, wrappers) answer false.
+func Unchanged(fs FS, name string) bool {
+	u, ok := fs.(interface{ Unchanged(string) bool })
+	return ok && u.Unchanged(name)
+}
+
+// Unchanged implements the package function: Clone flags the nodes it
+// creates, and every write, truncate, chmod and rename of a node clears
+// its flag under the node lock.
+func (m *MemFS) Unchanged(name string) bool {
+	m.mu.RLock()
+	n, ok := m.lookup(name)
+	m.mu.RUnlock()
+	if !ok {
+		return false
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.cloned && !n.isDir
+}
+
+// Unchanged implements the package function through the backend owning
+// name, while the table is the one Clone made: a later Mount may shadow
+// the path with another backend.
+func (m *MountFS) Unchanged(name string) bool {
+	mp, rel := m.resolve(name)
+	m.mu.RLock()
+	cloned := m.cloned
+	m.mu.RUnlock()
+	return cloned && Unchanged(mp.fs, rel)
+}
 
 var (
 	_ Cloner = (*MemFS)(nil)

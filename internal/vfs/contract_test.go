@@ -70,6 +70,7 @@ func TestFSContract(t *testing.T) {
 		{"ConcurrentWriters", testConcurrentWriters},
 		{"ConcurrentHandlesSameFile", testConcurrentHandlesSameFile},
 		{"ReadAtPastEOF", testReadAtPastEOF},
+		{"UnchangedExactOrFalse", testUnchangedExactOrFalse},
 	}
 	for _, backend := range contractBackends() {
 		t.Run(backend.name, func(t *testing.T) {
@@ -491,5 +492,59 @@ func testReadAtPastEOF(t *testing.T, fs FS) {
 	}
 	if _, err := f.ReadAt(buf, -1); err == nil {
 		t.Fatal("negative offset should fail")
+	}
+}
+
+// testUnchangedExactOrFalse: Unchanged either answers exactly — true for a
+// file of a clone that nothing touched since, false once it is written,
+// for a directory and for a missing name — or answers false throughout.
+// Only a world made by Clone can answer true; MemFS and MountFS (over
+// MemFS) must answer exactly.
+func testUnchangedExactOrFalse(t *testing.T, fs FS) {
+	if err := fs.MkdirAll("/u"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/u/f", "/u/g"} {
+		if err := WriteFile(fs, p, []byte("content of "+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if Unchanged(fs, "/u/g") {
+		t.Fatal("a world not made by Clone answered true")
+	}
+	var wantExact bool
+	switch fs.(type) {
+	case *MemFS, *MountFS:
+		wantExact = true
+	}
+	c, ok := fs.(Cloner)
+	if !ok {
+		return
+	}
+	world, err := c.CloneFS()
+	if errors.Is(err, ErrNotClonable) && !wantExact {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := Unchanged(world, "/u/g")
+	if exact != wantExact {
+		t.Fatalf("untouched clone file: Unchanged = %v, want %v", exact, wantExact)
+	}
+	if err := WriteFile(world, "/u/f", []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if Unchanged(world, "/u/f") || Unchanged(world, "/u") || Unchanged(world, "/u/missing") {
+		t.Fatal("a rewritten file, a directory or a missing name answered true")
+	}
+	if Unchanged(world, "/u/g") != exact {
+		t.Fatal("writing one file changed another file's answer")
+	}
+	if got, _ := ReadFile(world, "/u/g"); exact && string(got) != "content of /u/g" {
+		t.Fatalf("an unchanged file reads %q", got)
+	}
+	if Unchanged(fs, "/u/g") {
+		t.Fatal("the clone source answered true")
 	}
 }

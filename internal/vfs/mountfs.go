@@ -66,6 +66,7 @@ type MountPoint struct {
 type MountFS struct {
 	mu     sync.RWMutex
 	mounts []mountEntry // resolution scans for the longest segment-prefix
+	cloned bool         // made by Clone and not remounted since (Unchanged)
 }
 
 // mountEntry is the table's internal form of a MountPoint. abs marks an
@@ -113,6 +114,7 @@ func (m *MountFS) Mount(dir string, backend FS) error {
 		return &PathError{Op: "mount", Path: dir, Err: ErrMountBusy}
 	}
 	m.mounts = append(m.mounts, mountEntry{path: dir, fs: backend})
+	m.cloned = false
 	return nil
 }
 

@@ -97,7 +97,7 @@ func (m *MemFS) Release() {
 				m.list.put(b.data)
 			}
 		}
-		n.size, n.blocks = 0, nil
+		n.size, n.blocks, n.cloned = 0, nil, false
 		n.mu.Unlock()
 	}
 	m.nodes = nil

@@ -231,6 +231,9 @@ type memNode struct {
 	mode   uint32
 	isDir  bool
 	dev    uint64 // mknod device number; kept so metadata faults have a target
+	// cloned is set by Clone and cleared by every write, truncate, chmod
+	// and rename that reaches the node (see Unchanged).
+	cloned bool
 }
 
 // blockCount returns how many table entries a file of the given size needs.
@@ -284,6 +287,7 @@ func (n *memNode) readAt(p []byte, off int64) (int, error) {
 // Blocks come from list when the world is attached to one (nil allocates).
 // Caller holds n.mu for writing.
 func (n *memNode) write(p []byte, off int64, list *BlockList) {
+	n.cloned = false
 	if end := off + int64(len(p)); end > n.size {
 		n.grow(end)
 	}
@@ -341,6 +345,14 @@ func (b *memBlock) seal() {
 	}
 }
 
+// moved clears the clone flag of a node that now answers to another path.
+func (n *memNode) moved() *memNode {
+	n.mu.Lock()
+	n.cloned = false
+	n.mu.Unlock()
+	return n
+}
+
 // grow extends the file to size without materializing anything: new table
 // entries are nil (all-zero) extents. Caller holds n.mu for writing.
 func (n *memNode) grow(size int64) {
@@ -355,6 +367,7 @@ func (n *memNode) grow(size int64) {
 // block's bytes (including its slice header) must never change; growing is
 // the zero-materialization grow path. Caller holds n.mu for writing.
 func (n *memNode) truncate(size int64) {
+	n.cloned = false
 	switch {
 	case size < n.size:
 		n.blocks = n.blocks[:blockCount(size)]
@@ -455,7 +468,7 @@ func (m *MemFS) Create(name string) (File, error) {
 		n.mu.Lock()
 		// Truncating to zero never needs the old bytes: drop the block
 		// table outright (sealed blocks are simply dereferenced).
-		n.size, n.blocks = 0, nil
+		n.size, n.blocks, n.cloned = 0, nil, false
 		n.mu.Unlock()
 		return &handle{node: memTarget{m, n}, name: name, writable: true}, nil
 	}
@@ -616,11 +629,11 @@ func (m *MemFS) Rename(oldName, newName string) error {
 			}
 		}
 		for from, to := range moves {
-			m.nodes[to] = m.nodes[from]
+			m.nodes[to] = m.nodes[from].moved()
 			delete(m.nodes, from)
 		}
 	}
-	m.nodes[newName] = n
+	m.nodes[newName] = n.moved()
 	delete(m.nodes, oldName)
 	return nil
 }
@@ -707,7 +720,7 @@ func (m *MemFS) Chmod(name string, mode uint32) error {
 		return m.notExist("chmod", name)
 	}
 	n.mu.Lock()
-	n.mode = mode
+	n.mode, n.cloned = mode, false
 	n.mu.Unlock()
 	return nil
 }
