@@ -85,7 +85,7 @@ func main() {
 
 	// --- Part 3: backend × placement. --------------------------------------
 	// The same placement grid for Montage stage 2, re-run under each hermetic
-	// backend type. The capability model makes the differences visible in the
+	// backend type. The backends' models make the differences visible in the
 	// table itself: ObjectFS pays whole-object read-modify-write commits for
 	// every fault the injector lands, and the latency backend's simulated
 	// clock (burst-buffer pricing on scratch mounts, parallel-FS pricing

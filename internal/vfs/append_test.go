@@ -64,8 +64,8 @@ func TestObjectFSSequentialAppendIsLinear(t *testing.T) {
 	checkLinearAppend(t, NewObjectFS(), 4096)
 }
 
-// extents returns the extents holding name's content: the block table of a
-// MemFS node or the current version of an ObjectFS object.
+// extents returns the block table holding name's content, in a MemFS or
+// in the MemFS an ObjectFS keeps its objects in.
 func extents(fsys FS, name string) []*memBlock {
 	switch fs := fsys.(type) {
 	case *MemFS:
@@ -74,10 +74,7 @@ func extents(fsys FS, name string) []*memBlock {
 		defer n.mu.RUnlock()
 		return append([]*memBlock(nil), n.blocks...)
 	case *ObjectFS:
-		n := fs.nodes[name]
-		n.mu.RLock()
-		defer n.mu.RUnlock()
-		return []*memBlock{n.ver}
+		return extents(fs.fs, name)
 	}
 	panic("extents: unsupported backend")
 }

@@ -38,20 +38,10 @@ func (m *MemFS) Clone() *MemFS {
 	nodes := make(map[string]*memNode, len(m.nodes))
 	for p, n := range m.nodes {
 		n.mu.Lock()
-		for _, b := range n.blocks {
-			if b != nil {
-				b.seal()
-			}
-		}
-		nodes[p] = &memNode{
-			size:   n.size,
-			blocks: append([]*memBlock(nil), n.blocks...),
-			mode:   n.mode,
-			isDir:  n.isDir,
-			dev:    n.dev,
-			cloned: true,
-		}
+		cp := n.snapshot()
 		n.mu.Unlock()
+		cp.cloned = true
+		nodes[p] = cp
 	}
 	return &MemFS{nodes: nodes}
 }
@@ -68,9 +58,7 @@ func (m *MemFS) CloneFS() (FS, error) {
 // backend that implements Cloner answers for itself — OSFS implements the
 // interface precisely to return ErrNotClonable explicitly, so callers see
 // the real refusal rather than a failed type assertion — while a backend
-// that doesn't is refused here with the same sentinel. Either way the
-// declared capability set tells the story up front: a backend without
-// CapClone never produces a snapshot.
+// that doesn't is refused here with the same sentinel.
 func cloneBackend(fs FS) (FS, error) {
 	c, ok := fs.(Cloner)
 	if !ok {
@@ -81,7 +69,7 @@ func cloneBackend(fs FS) (FS, error) {
 
 // Clone returns a copy-on-write snapshot of the mounted world: the mount
 // table is preserved entry for entry, with every backend replaced by its own
-// clone. Every backend must support cloning (see CapClone; the error wraps
+// clone. Every backend must support cloning (the error wraps
 // ErrNotClonable otherwise), and an interposed view (WithInterposed) cannot
 // be cloned — snapshots are taken of pristine worlds, before any injector
 // or profiler is layered on.

@@ -440,3 +440,36 @@ func TestMemFSCloneWhileWriting(t *testing.T) {
 		t.Fatal("a clone's write leaked into the parent")
 	}
 }
+
+// TestOSFSCloneRefusesExplicitly: OSFS implements Cloner only to return the
+// sentinel — callers probing for snapshot support get a typed refusal
+// instead of a failed type assertion.
+func TestOSFSCloneRefusesExplicitly(t *testing.T) {
+	fs := NewOSFS(t.TempDir())
+	cloned, err := fs.CloneFS()
+	if cloned != nil || !errors.Is(err, ErrNotClonable) {
+		t.Fatalf("CloneFS = %v, %v; want nil, ErrNotClonable", cloned, err)
+	}
+}
+
+// TestMountFSCloneErrorPath: cloning a world with a non-clonable mount
+// fails with ErrNotClonable wrapped in a PathError naming the offending
+// mount point — the error path the snapshot engine's fresh-world fallback
+// keys on.
+func TestMountFSCloneErrorPath(t *testing.T) {
+	m := NewMountFS(NewMemFS())
+	if err := m.Mount("/ok", NewMemFS()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mount("/host", NewOSFS(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Clone()
+	if !errors.Is(err, ErrNotClonable) {
+		t.Fatalf("Clone err = %v; want ErrNotClonable", err)
+	}
+	var pe *PathError
+	if !errors.As(err, &pe) || pe.Path != "/host" {
+		t.Fatalf("Clone err = %v; want PathError naming /host", err)
+	}
+}

@@ -4,8 +4,8 @@ package vfs
 // mount table — byte-addressable or whole-object, latency-modeled or not —
 // must agree on namespace semantics, handle lifecycle, error sentinels, and
 // concurrent access; these tests are the executable form of that contract.
-// They started life as MemFS unit tests and were extracted when the backend
-// capability model landed: a new backend passes the suite or it does not go
+// They started life as MemFS unit tests and were extracted when the other
+// backends joined MemFS: a new backend passes the suite or it does not go
 // behind MountFS. The CI race gate runs exactly this suite under -race.
 
 import (
@@ -329,6 +329,40 @@ func testRenameFileAndDir(t *testing.T, fs FS) {
 	}
 	if err := fs.Rename("/missing", "/x"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("rename missing err = %v", err)
+	}
+
+	// A rename onto the same path changes nothing, yet still reports a
+	// missing source.
+	if err := fs.Rename("/new", "/new"); err != nil {
+		t.Fatalf("same-path rename: %v", err)
+	}
+	if got, err := ReadFile(fs, "/new"); err != nil || string(got) != "content" {
+		t.Fatalf("same-path rename lost the file: %v %q", err, got)
+	}
+	if err := fs.Rename("/missing", "/missing"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("same-path rename of a missing file err = %v", err)
+	}
+
+	// A directory cannot move into its own subtree; the tree stays put.
+	if err := fs.Rename("/moved", "/moved/sub/inner"); err == nil {
+		t.Fatal("renaming a directory into its own subtree succeeded")
+	}
+	if got, err := ReadFile(fs, "/moved/sub/f"); err != nil || string(got) != "deep" {
+		t.Fatalf("refused subtree rename changed the tree: %v %q", err, got)
+	}
+	if info, err := fs.Stat("/moved"); err != nil || !info.IsDir {
+		t.Fatalf("refused subtree rename lost the directory: %+v, %v", info, err)
+	}
+	infos, err := fs.ReadDir("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := false
+	for _, info := range infos {
+		listed = listed || info.Name == "moved"
+	}
+	if !listed {
+		t.Fatalf("refused subtree rename orphaned /moved: root lists %+v", infos)
 	}
 }
 

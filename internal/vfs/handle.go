@@ -4,13 +4,14 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 var errNegativeTruncate = errors.New("vfs: negative truncate size")
 
-// fileNode is the storage an open handle addresses: a MemFS node
-// (memTarget) or an ObjectFS object (objTarget). Each method takes the
-// node's own lock.
+// fileNode is the storage an open handle addresses: a MemFS node, bare
+// (memTarget) or as an ObjectFS object whose writes are metered
+// (objTarget). Each method takes the node's own lock.
 type fileNode interface {
 	readAt(p []byte, off int64) (int, error)
 	writeAt(p []byte, off int64)
@@ -21,7 +22,8 @@ type fileNode interface {
 }
 
 // handle is an open file of MemFS or ObjectFS; the backends differ only
-// in the fileNode it addresses.
+// in the fileNode it addresses (read-only handles of both, including one
+// served from ObjectFS's consistency window, address a memTarget).
 //
 // The handle lock is an RWMutex so the closed check and the I/O it guards
 // are one critical section: positional operations (ReadAt/WriteAt/Size/
@@ -216,38 +218,23 @@ func (t memTarget) live() error {
 	return nil
 }
 
-// objTarget addresses an ObjectFS object; writes and truncates charge the
-// whole-object rewrite to the backend's amplification counter.
+// objTarget addresses an ObjectFS object: a memTarget whose writes and
+// truncates charge the whole resulting object to the store's meter.
 type objTarget struct {
-	fs *ObjectFS
-	n  *objNode
-}
-
-func (t objTarget) readAt(p []byte, off int64) (int, error) {
-	t.n.mu.RLock()
-	defer t.n.mu.RUnlock()
-	return t.n.readAt(p, off)
+	memTarget
+	meter *atomic.Int64
 }
 
 func (t objTarget) writeAt(p []byte, off int64) {
 	t.n.mu.Lock()
 	defer t.n.mu.Unlock()
-	t.n.write(t.fs, p, off)
+	t.n.write(p, off, t.fs.list)
+	t.meter.Add(t.n.size)
 }
 
 func (t objTarget) truncate(size int64) {
-	t.n.mu.Lock()
-	defer t.n.mu.Unlock()
-	t.n.resize(size)
-	t.fs.rewritten.Add(size)
+	t.memTarget.truncate(size)
+	t.meter.Add(size)
 }
-
-func (t objTarget) size() int64 {
-	t.n.mu.RLock()
-	defer t.n.mu.RUnlock()
-	return int64(len(t.n.ver.data))
-}
-
-func (objTarget) live() error { return nil }
 
 var _ File = (*handle)(nil)

@@ -101,11 +101,6 @@ func (l *LatencyFS) SimElapsed() time.Duration { return time.Duration(l.ns.Load(
 // ResetSim implements SimClocked.
 func (l *LatencyFS) ResetSim() { l.ns.Store(0) }
 
-// Capabilities declares the inner backend's profile plus latency modeling.
-func (l *LatencyFS) Capabilities() Capability {
-	return CapabilitiesOf(l.inner) | CapLatencyModeled
-}
-
 // CloneFS implements Cloner when the inner backend does: the clone shares
 // the cost model, snapshots the inner state, and starts a fresh clock.
 func (l *LatencyFS) CloneFS() (FS, error) {
@@ -222,9 +217,8 @@ func (f *latencyFile) Truncate(size int64) error {
 }
 
 var (
-	_ FS                 = (*LatencyFS)(nil)
-	_ File               = (*latencyFile)(nil)
-	_ Cloner             = (*LatencyFS)(nil)
-	_ CapabilityReporter = (*LatencyFS)(nil)
-	_ SimClocked         = (*LatencyFS)(nil)
+	_ FS         = (*LatencyFS)(nil)
+	_ File       = (*latencyFile)(nil)
+	_ Cloner     = (*LatencyFS)(nil)
+	_ SimClocked = (*LatencyFS)(nil)
 )

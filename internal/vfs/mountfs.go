@@ -423,23 +423,6 @@ func (m *MountFS) Truncate(name string, size int64) error {
 	return mp.fs.Truncate(rel, size)
 }
 
-// Capabilities declares the capability profile of the mounted world:
-// CapClone and CapByteAddressable hold only when every backend in the
-// table has them (the world clones iff all its tiers clone; one
-// whole-object tier makes the world partially whole-object), while
-// CapLatencyModeled holds when any tier charges a simulated clock (the
-// world then has meaningful simulated time).
-func (m *MountFS) Capabilities() Capability {
-	caps := CapClone | CapByteAddressable
-	var modeled Capability
-	m.backends(func(fs FS) {
-		c := CapabilitiesOf(fs)
-		caps &= c
-		modeled |= c & CapLatencyModeled
-	})
-	return caps | modeled
-}
-
 // SimElapsed implements SimClocked by summing the simulated clocks of
 // every latency-modeled backend in the table. Unclocked tiers contribute
 // zero, so a world with no latency-modeled mount reports zero.
@@ -465,8 +448,7 @@ func (m *MountFS) backends(fn func(FS)) {
 }
 
 var (
-	_ FS                 = (*MountFS)(nil)
-	_ File               = (*mountFile)(nil)
-	_ CapabilityReporter = (*MountFS)(nil)
-	_ SimClocked         = (*MountFS)(nil)
+	_ FS         = (*MountFS)(nil)
+	_ File       = (*mountFile)(nil)
+	_ SimClocked = (*MountFS)(nil)
 )

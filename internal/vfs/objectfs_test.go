@@ -76,9 +76,9 @@ func TestObjectFSStaleVersionIsReadOnly(t *testing.T) {
 	}
 }
 
-// TestObjectFSRemoveClearsStale: deleting or renaming a key also drops its
-// pending stale version — a removed object must not reappear through the
-// consistency window.
+// TestObjectFSRemoveClearsStale: deleting or renaming a key, or a
+// directory above it, also drops its pending stale version — a removed
+// object must not reappear through the consistency window.
 func TestObjectFSRemoveClearsStale(t *testing.T) {
 	fs := NewObjectFS()
 	fs.SetConsistencyLag(3)
@@ -95,6 +95,38 @@ func TestObjectFSRemoveClearsStale(t *testing.T) {
 	}
 	if got, _ := ReadFile(fs, "/k"); string(got) != "reborn" {
 		t.Fatalf("recreated key served ghost version: %q", got)
+	}
+
+	// Renaming a directory and removing a tree drop the windows of every
+	// key under them; a same-path rename moves nothing and keeps its own.
+	for _, drop := range []func() error{
+		func() error { return fs.Rename("/d", "/e") },
+		func() error { return fs.RemoveAll("/d") },
+	} {
+		fs.MkdirAll("/d/sub")
+		WriteFile(fs, "/d/sub/k", []byte("old"))
+		WriteFile(fs, "/d/sub/k", []byte("new"))
+		if err := drop(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Rename("/d", "/d"); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("same-path rename of a dropped tree = %v, want ErrNotExist", err)
+		}
+		fs.MkdirAll("/d/sub")
+		WriteFile(fs, "/d/sub/k", []byte("reborn"))
+		if got, _ := ReadFile(fs, "/d/sub/k"); string(got) != "reborn" {
+			t.Fatalf("recreated key served ghost version: %q", got)
+		}
+		fs.RemoveAll("/d")
+		fs.RemoveAll("/e")
+	}
+	WriteFile(fs, "/s", []byte("old"))
+	WriteFile(fs, "/s", []byte("new"))
+	if err := fs.Rename("/s", "/s"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := ReadFile(fs, "/s"); string(got) != "old" {
+		t.Fatalf("same-path rename ended the window: read %q, want \"old\"", got)
 	}
 }
 

@@ -21,11 +21,6 @@ type OSFS struct {
 // NewOSFS returns a file system rooted at dir.
 func NewOSFS(dir string) *OSFS { return &OSFS{Root: dir} }
 
-// Capabilities declares OSFS's backend profile: byte-addressable, but not
-// clonable — its state lives outside the process, so there is no cheap COW
-// snapshot (see CloneFS) — and not latency-modeled (its latency is real).
-func (o *OSFS) Capabilities() Capability { return CapByteAddressable }
-
 // CloneFS implements Cloner by refusing: OSFS cannot snapshot a real
 // directory tree as a copy-on-write clone. Implementing the interface
 // anyway lets MountFS.Clone and core's snapshot probe surface the honest
@@ -251,8 +246,7 @@ func (f *osFile) Sync() error { return osErr(f.f.Sync()) }
 func (f *osFile) Close() error { return osErr(f.f.Close()) }
 
 var (
-	_ FS                 = (*OSFS)(nil)
-	_ File               = (*osFile)(nil)
-	_ Cloner             = (*OSFS)(nil)
-	_ CapabilityReporter = (*OSFS)(nil)
+	_ FS     = (*OSFS)(nil)
+	_ File   = (*osFile)(nil)
+	_ Cloner = (*OSFS)(nil)
 )

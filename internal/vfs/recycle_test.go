@@ -3,11 +3,14 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
 // releasedWorlds builds each recycling world shape over one pristine tree:
-// a bare MemFS clone and a MountFS clone whose /lat tier is a LatencyFS.
+// a bare MemFS clone, a MountFS clone whose /lat tier is a LatencyFS, and
+// an ObjectFS clone whose /top was overwritten inside a consistency window
+// of 3 Opens.
 func releasedWorlds(t *testing.T) map[string]FS {
 	t.Helper()
 	mem := NewMemFS()
@@ -26,12 +29,20 @@ func releasedWorlds(t *testing.T) map[string]FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]FS{"memfs": mem.Clone(), "mountfs": mc}
+	obj := NewObjectFS()
+	obj.SetConsistencyLag(3)
+	buildTree(t, obj)
+	if err := WriteFile(obj, "/top", []byte("top v2")); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]FS{"memfs": mem.Clone(), "mountfs": mc, "objectfs": obj.Clone()}
 }
 
 // TestReleasedWorldFailsWithErrReleased pins that a released world never
 // reads as an empty tree: every operation on it, and on the handles it
-// had open, fails with ErrReleased.
+// had open, fails with ErrReleased. On ObjectFS that includes a handle
+// served from the consistency window, and an Open of a key whose window
+// was still pending.
 func TestReleasedWorldFailsWithErrReleased(t *testing.T) {
 	for name, world := range releasedWorlds(t) {
 		t.Run(name, func(t *testing.T) {
@@ -42,6 +53,16 @@ func TestReleasedWorldFailsWithErrReleased(t *testing.T) {
 				paths = append(paths, "/lat/f")
 			}
 			var handles []File
+			if _, ok := world.(*ObjectFS); ok {
+				stale, err := world.Open("/top")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := io.ReadAll(stale); err != nil || string(got) != "top" {
+					t.Fatalf("window served %q, %v; want the superseded \"top\"", got, err)
+				}
+				handles = append(handles, stale)
+			}
 			for _, p := range paths {
 				w, err := world.Append(p)
 				if err != nil {
@@ -115,13 +136,31 @@ func TestReleasedWorldFailsWithErrReleased(t *testing.T) {
 // BlockSize capacity and hands exactly those back on release, while the
 // sealed blocks it shared with its snapshot stay intact — also in poison
 // mode — and the next world drawing from the list reads zeros, not the
-// previous run's bytes.
+// previous run's bytes. On ObjectFS each run also overwrites an object it
+// wrote inside the consistency window: the superseded version's block is
+// sealed into the window, so it never reaches the list.
 func TestReleaseRecyclesOnlyOwnedBlocks(t *testing.T) {
 	if !poisonReleased {
 		poisonReleased = true
 		defer func() { poisonReleased = false }()
 	}
-	pristine := NewMemFS()
+	obj := NewObjectFS()
+	obj.SetConsistencyLag(1)
+	for _, tc := range []struct {
+		name     string
+		pristine FS
+		recycled int
+	}{
+		{"MemFS", NewMemFS(), 2},
+		{"ObjectFS", obj, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkRecycling(t, tc.pristine, tc.recycled) })
+	}
+}
+
+// checkRecycling runs three clones of one pristine tree on one list and
+// checks that each recycles exactly recycled blocks.
+func checkRecycling(t *testing.T, pristine FS, recycled int) {
 	buildTree(t, pristine)
 	// Full blocks the clones share but never write: sealed at BlockSize
 	// capacity, yet never theirs to recycle.
@@ -131,8 +170,11 @@ func TestReleaseRecyclesOnlyOwnedBlocks(t *testing.T) {
 	want := snapshotAll(t, pristine)
 	var list BlockList
 	for run := 0; run < 3; run++ {
-		world := pristine.Clone()
-		world.Attach(&list)
+		world, err := pristine.(Cloner).CloneFS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Attach(world, &list)
 		f, err := world.Append("/a/two") // one sealed block, copied on write
 		if err != nil {
 			t.Fatal(err)
@@ -149,6 +191,16 @@ func TestReleaseRecyclesOnlyOwnedBlocks(t *testing.T) {
 		if _, err := g.WriteAt([]byte("tail"), BlockSize+4); err != nil {
 			t.Fatal(err)
 		}
+		if _, ok := world.(*ObjectFS); ok {
+			for _, v := range []string{"first", "second"} {
+				if err := WriteFile(world, "/v", []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := ReadFile(world, "/v"); err != nil || string(got) != "first" {
+				t.Fatalf("run %d: window served %q, %v; want the superseded \"first\"", run, got, err)
+			}
+		}
 		got := snapshotAll(t, world)
 		if !bytes.Equal(got["/a/two"][:4], []byte("xrun")) || !bytes.Equal(got["/top"][BlockSize:], []byte("\x00\x00\x00\x00tail")) {
 			t.Fatalf("run %d: world content wrong: %q / %q", run, got["/a/two"][:4], got["/top"][BlockSize:])
@@ -156,14 +208,14 @@ func TestReleaseRecyclesOnlyOwnedBlocks(t *testing.T) {
 		if bytes.IndexByte(got["/top"], poisonByte) >= 0 || bytes.IndexByte(got["/a/two"], poisonByte) >= 0 {
 			t.Fatalf("run %d: a recycled block leaked poison into the world", run)
 		}
-		for _, b := range world.nodes["/top"].blocks {
+		for _, b := range extents(world, "/top") {
 			if b != nil && !b.sealed.Load() && cap(b.data) != BlockSize {
 				t.Fatalf("run %d: owned block has capacity %d, want %d", run, cap(b.data), BlockSize)
 			}
 		}
-		world.Release()
-		if len(list.free) != 2 {
-			t.Fatalf("run %d: %d blocks recycled, want the 2 the world owned", run, len(list.free))
+		Release(world)
+		if len(list.free) != recycled {
+			t.Fatalf("run %d: %d blocks recycled, want the %d the world owned", run, len(list.free), recycled)
 		}
 		for _, data := range list.free {
 			if len(data) != BlockSize || bytes.Count(data, []byte{poisonByte}) != BlockSize {

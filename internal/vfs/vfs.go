@@ -201,11 +201,11 @@ func Walk(fsys FS, root string, fn func(p string, info FileInfo) error) error {
 // two blocks, never the whole file.
 const BlockSize = 64 << 10
 
-// memBlock is one sealable extent of content: a MemFS block or a whole
-// ObjectFS object version. In MemFS, data holds the materialized bytes of
-// the block (len(data) <= BlockSize); logical bytes past len(data) — and
-// entire nil table entries — read as zero, so sparse regions and
-// truncate-grown tails cost nothing until written.
+// memBlock is one sealable extent of file content, in MemFS and in the
+// MemFS an ObjectFS keeps its objects in. data holds the materialized
+// bytes of the block (len(data) <= BlockSize); logical bytes past
+// len(data) — and entire nil table entries — read as zero, so sparse
+// regions and truncate-grown tails cost nothing until written.
 //
 // sealed marks the block immutable: Clone seals every block of every node
 // it snapshots, after which the block may be referenced from any number of
@@ -332,6 +332,24 @@ func (n *memNode) ownBlock(bi int, list *BlockList) []byte {
 	return b.data
 }
 
+// snapshot returns a copy of the node that shares its blocks, sealing
+// them first: Clone's per-node copy and ObjectFS's superseded object.
+// Caller holds n.mu for writing.
+func (n *memNode) snapshot() *memNode {
+	for _, b := range n.blocks {
+		if b != nil {
+			b.seal()
+		}
+	}
+	return &memNode{
+		size:   n.size,
+		blocks: append([]*memBlock(nil), n.blocks...),
+		mode:   n.mode,
+		isDir:  n.isDir,
+		dev:    n.dev,
+	}
+}
+
 // seal makes b immutable. The first seal clips the spare capacity left by
 // geometric growth, so a snapshot holds exactly its bytes. An unsealed
 // block belongs to one node, whose lock the caller holds, so no other tree
@@ -443,6 +461,14 @@ func (m *MemFS) parentOK(name string) error {
 	return nil
 }
 
+// dirPrefix is the key prefix every entry under the directory name shares.
+func dirPrefix(name string) string {
+	if name == "/" {
+		return "/"
+	}
+	return name + "/"
+}
+
 // PathError mirrors os.PathError for this virtual layer.
 type PathError struct {
 	Op   string
@@ -455,26 +481,41 @@ func (e *PathError) Unwrap() error { return e.Err }
 
 // Create opens name for writing, creating or truncating it.
 func (m *MemFS) Create(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	name = Clean(name)
-	if err := m.parentOK(name); err != nil {
+	n, _, err := m.create(name, false)
+	if err != nil {
 		return nil, err
 	}
-	if n, ok := m.nodes[name]; ok {
-		if n.isDir {
-			return nil, &PathError{Op: "create", Path: name, Err: ErrIsDir}
-		}
-		n.mu.Lock()
-		// Truncating to zero never needs the old bytes: drop the block
-		// table outright (sealed blocks are simply dereferenced).
-		n.size, n.blocks, n.cloned = 0, nil, false
-		n.mu.Unlock()
-		return &handle{node: memTarget{m, n}, name: name, writable: true}, nil
-	}
-	n := &memNode{mode: 0o644}
-	m.nodes[name] = n
 	return &handle{node: memTarget{m, n}, name: name, writable: true}, nil
+}
+
+// create returns the node of the cleaned name, made empty or new. With
+// keep, a non-empty file's content is first taken as old, a sealed
+// snapshot.
+func (m *MemFS) create(name string, keep bool) (n, old *memNode, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.parentOK(name); err != nil {
+		return nil, nil, err
+	}
+	n, ok := m.nodes[name]
+	if !ok {
+		n = &memNode{mode: 0o644}
+		m.nodes[name] = n
+		return n, nil, nil
+	}
+	if n.isDir {
+		return nil, nil, &PathError{Op: "create", Path: name, Err: ErrIsDir}
+	}
+	n.mu.Lock()
+	if keep && n.size > 0 {
+		old = n.snapshot()
+	}
+	// Truncating to zero never needs the old bytes: drop the block
+	// table outright (sealed blocks are simply dereferenced).
+	n.size, n.blocks, n.cloned = 0, nil, false
+	n.mu.Unlock()
+	return n, old, nil
 }
 
 // Open opens name read-only.
@@ -495,23 +536,32 @@ func (m *MemFS) Open(name string) (File, error) {
 // Append opens name for writing with the offset at end-of-file, creating the
 // file if needed.
 func (m *MemFS) Append(name string) (File, error) {
+	name = Clean(name)
+	n, off, err := m.appendNode(name)
+	if err != nil {
+		return nil, err
+	}
+	return &handle{node: memTarget{m, n}, name: name, writable: true, off: off}, nil
+}
+
+// appendNode returns the node of the cleaned name, made when missing, and
+// its size.
+func (m *MemFS) appendNode(name string) (*memNode, int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	name = Clean(name)
 	if err := m.parentOK(name); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n, ok := m.nodes[name]
 	if !ok {
 		n = &memNode{mode: 0o644}
 		m.nodes[name] = n
 	} else if n.isDir {
-		return nil, &PathError{Op: "append", Path: name, Err: ErrIsDir}
+		return nil, 0, &PathError{Op: "append", Path: name, Err: ErrIsDir}
 	}
 	n.mu.RLock()
-	off := n.size
-	n.mu.RUnlock()
-	return &handle{node: memTarget{m, n}, name: name, writable: true, off: off}, nil
+	defer n.mu.RUnlock()
+	return n, n.size, nil
 }
 
 // Mkdir creates a single directory level.
@@ -568,10 +618,7 @@ func (m *MemFS) Remove(name string) error {
 		return m.notExist("remove", name)
 	}
 	if n.isDir {
-		prefix := name + "/"
-		if name == "/" {
-			prefix = "/"
-		}
+		prefix := dirPrefix(name)
 		for p := range m.nodes {
 			if p != name && strings.HasPrefix(p, prefix) {
 				return &PathError{Op: "remove", Path: name, Err: ErrDirNotEmpty}
@@ -605,7 +652,8 @@ func (m *MemFS) RemoveAll(name string) error {
 }
 
 // Rename atomically moves oldName to newName (and any children when renaming
-// a directory).
+// a directory). Renaming a path onto itself changes nothing, and a
+// directory cannot move into its own subtree.
 func (m *MemFS) Rename(oldName, newName string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -613,6 +661,12 @@ func (m *MemFS) Rename(oldName, newName string) error {
 	n, ok := m.nodes[oldName]
 	if !ok {
 		return m.notExist("rename", oldName)
+	}
+	if oldName == newName {
+		return nil
+	}
+	if n.isDir && strings.HasPrefix(newName, dirPrefix(oldName)) {
+		return &PathError{Op: "rename", Path: newName, Err: iofs.ErrInvalid}
 	}
 	if err := m.parentOK(newName); err != nil {
 		return err
@@ -669,10 +723,7 @@ func (m *MemFS) ReadDir(name string) ([]FileInfo, error) {
 	if !n.isDir {
 		return nil, &PathError{Op: "readdir", Path: name, Err: ErrNotDir}
 	}
-	prefix := name + "/"
-	if name == "/" {
-		prefix = "/"
-	}
+	prefix := dirPrefix(name)
 	var out []FileInfo
 	for p, child := range m.nodes {
 		if p == name || !strings.HasPrefix(p, prefix) {
@@ -743,12 +794,4 @@ func (m *MemFS) Truncate(name string, size int64) error {
 	return nil
 }
 
-// Capabilities declares MemFS's backend profile: copy-on-write clonable
-// and byte-addressable (extent-granular writes).
-func (m *MemFS) Capabilities() Capability { return CapClone | CapByteAddressable }
-
-// interface conformance checks
-var (
-	_ FS                 = (*MemFS)(nil)
-	_ CapabilityReporter = (*MemFS)(nil)
-)
+var _ FS = (*MemFS)(nil)
