@@ -489,6 +489,46 @@ func BenchmarkMontageMT2RunClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkQMCPACKClassify is one standard QMCPACK campaign run whose DMC
+// file takes one bit flip: the scalar writes on a clone of an empty world,
+// the flip of a low bit in a digit mid-file, and the QMCA classification.
+func BenchmarkQMCPACKClassify(b *testing.B) {
+	app, err := qmcpack.NewApp(qmcpack.DefaultQMC())
+	if err != nil {
+		b.Fatal(err)
+	}
+	world := vfs.NewMemFS()
+	if err := app.Run(world); err != nil {
+		b.Fatal(err)
+	}
+	raw, err := vfs.ReadFile(world, qmcpack.DMCPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := len(raw) / 2
+	for raw[off] < '1' || raw[off] > '8' {
+		off++
+	}
+	world = vfs.NewMemFS()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs := world.Clone()
+		runErr := app.Run(fs)
+		f, err := fs.Append(qmcpack.DMCPath)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{raw[off] ^ 1}, int64(off)); err != nil {
+			b.Fatal(err)
+		}
+		f.Close()
+		if got := app.Classify(fs, runErr); got == classify.Benign || got == classify.Crash {
+			b.Fatalf("one flipped digit classified %s", got)
+		}
+	}
+}
+
 func BenchmarkInjectorOverheadDisarmed(b *testing.B) {
 	fs := core.Disarmed(core.Config{Model: core.BitFlip}.Signature()).Wrap(vfs.NewMemFS())
 	f, err := fs.Create("/bench")

@@ -29,6 +29,7 @@ type App struct {
 
 	vmcContent string
 	dmcContent string
+	dmc        []line // the parse of every dmcContent line
 	goldenE    float64
 }
 
@@ -40,7 +41,8 @@ func NewApp(cfg QMCConfig) (*App, error) {
 		vmcContent: FormatRows(vmcRows),
 		dmcContent: FormatRows(dmcRows),
 	}
-	golden, err := Analyze(a.dmcContent)
+	a.dmc = parseLines(a.dmcContent)
+	golden, err := summarize(a.dmc)
 	if err != nil {
 		return nil, fmt.Errorf("qmcpack: golden analysis failed: %w", err)
 	}
@@ -79,7 +81,7 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 	if string(raw) == a.dmcContent {
 		return classify.Benign
 	}
-	analysis, err := Analyze(string(raw))
+	analysis, err := a.AnalyzeDMC(raw)
 	if err != nil {
 		return classify.Crash
 	}

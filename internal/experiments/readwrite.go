@@ -101,7 +101,7 @@ func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
 				if err != nil {
 					return err
 				}
-				analysis, err := qmcpack.Analyze(string(raw))
+				analysis, err := app.AnalyzeDMC(raw)
 				if err != nil {
 					return err
 				}

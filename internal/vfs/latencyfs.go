@@ -92,9 +92,6 @@ func NewLatencyFS(inner FS, cost CostModel) *LatencyFS {
 	return &LatencyFS{inner: inner, cost: cost, ns: new(atomic.Int64)}
 }
 
-// Inner returns the wrapped backend.
-func (l *LatencyFS) Inner() FS { return l.inner }
-
 // SimElapsed implements SimClocked.
 func (l *LatencyFS) SimElapsed() time.Duration { return time.Duration(l.ns.Load()) }
 
