@@ -489,6 +489,59 @@ func BenchmarkMontageMT2RunClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkMontageClassify is one MT1, MT2 or MT3 campaign run whose
+// stage output takes one bit flip: the stage on a clone of the post-Setup
+// world, the flip of the lowest bit of the middle byte of a file the stage
+// wrote, and the classification. MT2 classifies through a wrapper that
+// hides the *MemFS, so its plane-fit shortcut cannot answer and the
+// downstream stages run.
+func BenchmarkMontageClassify(b *testing.B) {
+	for _, tc := range []struct {
+		stage montage.Stage
+		path  string
+	}{
+		{montage.StageProject, montage.ProjDir + "/p04.fits"},
+		{montage.StageDiff, montage.FitsTablePath},
+		{montage.StageBg, montage.CorrDir + "/c04.fits"},
+	} {
+		b.Run(fmt.Sprintf("MT%d", int(tc.stage)), func(b *testing.B) {
+			app, err := montage.NewApp(montage.DefaultConfig(), tc.stage)
+			if err != nil {
+				b.Fatal(err)
+			}
+			world := vfs.NewMemFS()
+			if err := app.Setup(world); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs := world.Clone()
+				runErr := app.Run(fs)
+				raw, err := vfs.ReadFile(fs, tc.path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, err := fs.Append(tc.path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte{raw[len(raw)/2] ^ 1}, int64(len(raw)/2)); err != nil {
+					b.Fatal(err)
+				}
+				f.Close()
+				var view vfs.FS = fs
+				if tc.stage == montage.StageDiff {
+					view = unclonableFS{fs}
+				}
+				if got := app.Classify(view, runErr); got == classify.Crash {
+					b.Fatalf("one flipped bit classified %s", got)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkQMCPACKClassify is one standard QMCPACK campaign run whose DMC
 // file takes one bit flip: the scalar writes on a clone of an empty world,
 // the flip of a low bit in a digit mid-file, and the QMCA classification.

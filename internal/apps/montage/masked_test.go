@@ -10,13 +10,15 @@ import (
 )
 
 // TestMT2DownstreamReadSet pins the read set the MT2 shortcut (App.masked)
-// relies on: mBgExec and mAdd, run through a trace.Recorder on the world a
-// fault-free MT2 run leaves, open for reading only the plane-fit table and
-// the projection and area files (apart from files they create
+// relies on. On the world a fault-free MT2 run leaves, traced through a
+// trace.Recorder, mBgExec and mAdd open for reading only the plane-fit
+// table and the projection and area files (apart from files they create
 // themselves), and create, write and make directories only under /corr
-// and /mosaic. A stage that starts reading another file, or touching
-// storage any other way, fails here instead of letting the shortcut
-// return Benign for a run whose downstream stages would read other bytes.
+// and /mosaic; finish, which classification runs in their place, reads
+// the same files and writes nothing. A stage that starts reading another
+// file, or touching storage any other way, fails here instead of letting
+// the shortcut return Benign for a run whose downstream stages would read
+// other bytes.
 func TestMT2DownstreamReadSet(t *testing.T) {
 	cfg := DefaultConfig()
 	app, err := NewApp(cfg, StageDiff)
@@ -30,39 +32,50 @@ func TestMT2DownstreamReadSet(t *testing.T) {
 	if err := app.Run(world); err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(world)
-	if err := cfg.RunPipeline(rec, StageBg, StageAdd); err != nil {
-		t.Fatal(err)
-	}
-	created := map[string]bool{}
-	read := map[string]bool{}
-	for _, op := range rec.Log() {
-		switch op.Primitive {
-		case vfs.PrimCreate, vfs.PrimMkdir, vfs.PrimWrite:
-			if !strings.HasPrefix(op.Path+"/", CorrDir+"/") && !strings.HasPrefix(op.Path+"/", MosaicDir+"/") {
-				t.Errorf("%s outside %s and %s", op, CorrDir, MosaicDir)
-			}
-			created[op.Path] = true
-		case vfs.PrimOpen, vfs.PrimRead:
-			if !created[op.Path] {
-				read[op.Path] = true
-			}
-		default:
-			t.Errorf("unexpected operation %s", op)
-		}
-	}
 	want := []string{FitsTablePath}
 	for i := 0; i < cfg.Tiles; i++ {
 		want = append(want, projPath(i), areaPath(i))
 	}
-	var got []string
-	for p := range read {
-		got = append(got, p)
-	}
 	sort.Strings(want)
-	sort.Strings(got)
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("mBgExec and mAdd read\n  %v\nwant\n  %v", got, want)
+	downstream := map[string]func(vfs.FS) error{
+		"mBgExec and mAdd": func(fs vfs.FS) error { return cfg.RunPipeline(fs, StageBg, StageAdd) },
+		"finish": func(fs vfs.FS) error {
+			_, _, err := cfg.finish(fs, StageBg, cfg.newScratch())
+			return err
+		},
+	}
+	for name, run := range downstream {
+		rec := trace.NewRecorder(world.Clone())
+		if err := run(rec); err != nil {
+			t.Fatal(err)
+		}
+		created := map[string]bool{}
+		read := map[string]bool{}
+		for _, op := range rec.Log() {
+			switch op.Primitive {
+			case vfs.PrimCreate, vfs.PrimMkdir, vfs.PrimWrite:
+				if name == "finish" {
+					t.Errorf("%s: %s", name, op)
+				} else if !strings.HasPrefix(op.Path+"/", CorrDir+"/") && !strings.HasPrefix(op.Path+"/", MosaicDir+"/") {
+					t.Errorf("%s: %s outside %s and %s", name, op, CorrDir, MosaicDir)
+				}
+				created[op.Path] = true
+			case vfs.PrimOpen, vfs.PrimRead:
+				if !created[op.Path] {
+					read[op.Path] = true
+				}
+			default:
+				t.Errorf("%s: unexpected operation %s", name, op)
+			}
+		}
+		var got []string
+		for p := range read {
+			got = append(got, p)
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s read\n  %v\nwant\n  %v", name, got, want)
+		}
 	}
 }
 

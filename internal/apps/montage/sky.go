@@ -137,10 +137,11 @@ const (
 	CorrDir   = "/corr"
 	MosaicDir = "/mosaic"
 
-	FitsTablePath = DiffDir + "/fits.txt"
-	MosaicPath    = MosaicDir + "/mosaic.fits"
-	ImagePath     = MosaicDir + "/m101_mosaic.pgm"
-	StatsPath     = MosaicDir + "/stats.txt"
+	FitsTablePath   = DiffDir + "/fits.txt"
+	fitsTableHeader = "# i j a b c npix\n"
+	MosaicPath      = MosaicDir + "/mosaic.fits"
+	ImagePath       = MosaicDir + "/m101_mosaic.pgm"
+	StatsPath       = MosaicDir + "/stats.txt"
 )
 
 func rawPath(i int) string  { return fmt.Sprintf("%s/tile%02d.fits", RawDir, i) }

@@ -22,18 +22,10 @@ const (
 )
 
 func (s Stage) String() string {
-	switch s {
-	case StageProject:
-		return "mProjExec"
-	case StageDiff:
-		return "mDiffExec"
-	case StageBg:
-		return "mBgExec"
-	case StageAdd:
-		return "mAdd"
-	default:
+	if s < StageProject || s > StageAdd {
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
+	return [...]string{"mProjExec", "mDiffExec", "mBgExec", "mAdd"}[s-1]
 }
 
 // Stages lists the instrumented stages in execution order.
@@ -45,9 +37,9 @@ func Stages() []Stage { return []Stage{StageProject, StageDiff, StageBg, StageAd
 // so a scratch carries nothing from one run into the next, even from a
 // run that failed midway.
 type scratch struct {
-	tiles, areas                        []fits.Image // runDiff keeps every tile live
+	tiles, areas                        []fits.Image // runDiff and finish keep every tile live
 	in, out, area, diff, mosaic, weight fits.Image
-	pgm, img                            []byte
+	pgm, img, table                     []byte
 }
 
 func (c Config) newScratch() *scratch {
@@ -57,30 +49,17 @@ func (c Config) newScratch() *scratch {
 // runStage executes one pipeline stage, reading its inputs from and
 // writing its outputs to fs, with sc's images.
 func (c Config) runStage(fs vfs.FS, s Stage, sc *scratch) error {
-	switch s {
-	case StageProject:
-		return c.runProject(fs, sc)
-	case StageDiff:
-		return c.runDiff(fs, sc)
-	case StageBg:
-		return c.runBg(fs, sc)
-	case StageAdd:
-		return c.runAdd(fs, sc)
-	default:
+	if s < StageProject || s > StageAdd {
 		return fmt.Errorf("montage: unknown stage %d", int(s))
 	}
+	run := [...]func(Config, vfs.FS, *scratch) error{Config.runProject, Config.runDiff, Config.runBg, Config.runAdd}
+	return run[s-1](c, fs, sc)
 }
 
 // RunPipeline executes stages [from, to] inclusive.
 func (c Config) RunPipeline(fs vfs.FS, from, to Stage) error {
-	return c.pipeline(fs, from, to, c.newScratch())
-}
-
-func (c Config) pipeline(fs vfs.FS, from, to Stage, sc *scratch) error {
-	for _, s := range Stages() {
-		if s < from || s > to {
-			continue
-		}
+	sc := c.newScratch()
+	for s := max(from, StageProject); s <= min(to, StageAdd); s++ {
 		if err := c.runStage(fs, s, sc); err != nil {
 			return fmt.Errorf("montage: %s: %w", s, err)
 		}
@@ -143,7 +122,8 @@ func overlap(a, b *fits.Image) (x0, y0, x1, y1 int, ok bool) {
 
 // planeSums accumulates the normal equations m·p = rhs of the
 // least-squares plane d ≈ p[0] + p[1]·x + p[2]·y one sample at a time; x,y
-// are mosaic coordinates.
+// are mosaic coordinates. add sums the six distinct entries of the
+// symmetric m and mirrors them, bit-identical to summing all nine.
 type planeSums struct {
 	m   [3][3]float64
 	rhs [3]float64
@@ -151,13 +131,16 @@ type planeSums struct {
 }
 
 func (s *planeSums) add(x, y, d float64) {
-	v := [3]float64{1, x, y}
-	for r := 0; r < 3; r++ {
-		for cc := 0; cc < 3; cc++ {
-			s.m[r][cc] += v[r] * v[cc]
-		}
-		s.rhs[r] += v[r] * d
-	}
+	s.m[0][0]++
+	s.m[0][1] += x
+	s.m[0][2] += y
+	s.m[1][1] += x * x
+	s.m[1][2] += x * y
+	s.m[2][2] += y * y
+	s.m[1][0], s.m[2][0], s.m[2][1] = s.m[0][1], s.m[0][2], s.m[1][2]
+	s.rhs[0] += d
+	s.rhs[1] += x * d
+	s.rhs[2] += y * d
 	s.n++
 }
 
@@ -204,6 +187,77 @@ func solve3(m [3][3]float64, rhs [3]float64) ([3]float64, error) {
 	return [3]float64{rhs[0] / m[0][0], rhs[1] / m[1][1], rhs[2] / m[2][2]}, nil
 }
 
+// readTiles decodes path(i) and the area file of each tile, in that
+// order, into sc.tiles and sc.areas.
+func (c Config) readTiles(fs vfs.FS, path func(int) string, sc *scratch) error {
+	for i := 0; i < c.Tiles; i++ {
+		if _, err := fits.Read(fs, path(i), &sc.tiles[i]); err != nil {
+			return err
+		}
+		if _, err := fits.Read(fs, areaPath(i), &sc.areas[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// diffPairs differences each overlapping pair of sc's tiles into sc.diff,
+// NaN where uncovered, and calls fit if 16 or more pixels are covered.
+func (c Config) diffPairs(sc *scratch, fit func(i, j int) error) error {
+	imgs, areas, diff := sc.tiles, sc.areas, &sc.diff
+	for i := 0; i < c.Tiles; i++ {
+		for j := i + 1; j < c.Tiles; j++ {
+			x0, y0, x1, y1, ok := overlap(&imgs[i], &imgs[j])
+			if !ok {
+				continue
+			}
+			diff.Reset(x1-x0, y1-y0)
+			diff.CRVAL1, diff.CRVAL2 = float64(x0), float64(y0)
+			ix0, iy0 := int(imgs[i].CRVAL1), int(imgs[i].CRVAL2)
+			jx0, jy0 := int(imgs[j].CRVAL1), int(imgs[j].CRVAL2)
+			valid := 0
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					ix, iy, jx, jy := x-ix0, y-iy0, x-jx0, y-jy0
+					if !covered(&areas[i], ix, iy) || !covered(&areas[j], jx, jy) {
+						diff.Set(x-x0, y-y0, math.NaN())
+						continue
+					}
+					diff.Set(x-x0, y-y0, imgs[i].At(ix, iy)-imgs[j].At(jx, jy))
+					valid++
+				}
+			}
+			if valid >= 16 {
+				if err := fit(i, j); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// covered reports whether an area image covers pixel (x, y) of its tile,
+// indexing as At does; pixels past the end of a corrupted one are not.
+func covered(area *fits.Image, x, y int) bool {
+	k := y*area.Width + x
+	return k < len(area.Data) && area.Data[k] != 0
+}
+
+// appendFit fits the plane of pair (i, j)'s difference image and appends
+// its table row; an image with fewer than 16 covered pixels adds none.
+func appendFit(table []byte, i, j int, diff *fits.Image) ([]byte, error) {
+	sums := diffSums(diff)
+	if sums.n < 16 {
+		return table, nil
+	}
+	p, err := solve3(sums.m, sums.rhs)
+	if err != nil {
+		return table, err
+	}
+	return fmt.Appendf(table, "%d %d %.8f %.8f %.8f %d\n", i, j, p[0], p[1], p[2], sums.n), nil
+}
+
 // runDiff differences every overlapping pair of projected images, writing
 // the difference image, and then — as Montage's mFitExec does — re-reads
 // each difference image from storage to calculate its plane-fitting
@@ -216,83 +270,40 @@ func (c Config) runDiff(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(DiffDir); err != nil {
 		return err
 	}
-	// Every tile and area is live at once; diff is reused by both passes.
-	imgs, areas := sc.tiles, sc.areas
-	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, projPath(i), &imgs[i]); err != nil {
-			return err
-		}
-		if _, err := fits.Read(fs, areaPath(i), &areas[i]); err != nil {
-			return err
-		}
+	if err := c.readTiles(fs, projPath, sc); err != nil {
+		return err
 	}
-	diff := &sc.diff
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < c.Tiles; i++ {
-		for j := i + 1; j < c.Tiles; j++ {
-			x0, y0, x1, y1, ok := overlap(&imgs[i], &imgs[j])
-			if !ok {
-				continue
-			}
-			diff.Reset(x1-x0, y1-y0)
-			diff.CRVAL1, diff.CRVAL2 = float64(x0), float64(y0)
-			valid := 0
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					ix, iy := x-int(imgs[i].CRVAL1), y-int(imgs[i].CRVAL2)
-					jx, jy := x-int(imgs[j].CRVAL1), y-int(imgs[j].CRVAL2)
-					if areas[i].At(ix, iy) == 0 || areas[j].At(jx, jy) == 0 {
-						diff.Set(x-x0, y-y0, math.NaN()) // no coverage
-						continue
-					}
-					diff.Set(x-x0, y-y0, imgs[i].At(ix, iy)-imgs[j].At(jx, jy))
-					valid++
-				}
-			}
-			if valid < 16 {
-				continue
-			}
-			if err := fits.Write(fs, diffPath(i, j), diff); err != nil {
-				return err
-			}
-			pairs = append(pairs, pair{i, j})
-		}
+	var pairs [][2]int
+	if err := c.diffPairs(sc, func(i, j int) error {
+		pairs = append(pairs, [2]int{i, j})
+		return fits.Write(fs, diffPath(i, j), &sc.diff)
+	}); err != nil {
+		return err
 	}
 	// Fitting pass: read every difference image back and fit its plane.
-	var table strings.Builder
-	table.WriteString("# i j a b c npix\n")
+	table := append(sc.table[:0], fitsTableHeader...)
 	for _, pr := range pairs {
-		if _, err := fits.Read(fs, diffPath(pr.i, pr.j), diff); err != nil {
+		if _, err := fits.Read(fs, diffPath(pr[0], pr[1]), &sc.diff); err != nil {
 			return err
 		}
-		sums := diffSums(diff)
-		if sums.n < 16 {
-			continue
-		}
-		p, err := solve3(sums.m, sums.rhs)
-		if err != nil {
+		var err error
+		if table, err = appendFit(table, pr[0], pr[1], &sc.diff); err != nil {
 			return err
 		}
-		fmt.Fprintf(&table, "%d %d %.8f %.8f %.8f %d\n", pr.i, pr.j, p[0], p[1], p[2], sums.n)
 	}
-	return vfs.WriteFile(fs, FitsTablePath, []byte(table.String()))
+	sc.table = table
+	return vfs.WriteFile(fs, FitsTablePath, table)
 }
 
-// readFitsTable parses the plane-fit table written by runDiff.
-type pairFit struct {
-	i, j int
-	p    [3]float64
-	n    int
-}
-
-func readFitsTable(fs vfs.FS) ([]pairFit, error) {
-	raw, err := vfs.ReadFile(fs, FitsTablePath)
-	if err != nil {
-		return nil, err
+// background parses the plane-fit table and solves for per-image plane
+// corrections by iterative relaxation, image 0 the gauge anchor.
+func (c Config) background(table []byte) ([][3]float64, error) {
+	type pairFit struct {
+		i, j, n int
+		p       [3]float64
 	}
-	var out []pairFit
-	for _, line := range strings.Split(string(raw), "\n") {
+	var pairs []pairFit
+	for _, line := range strings.Split(string(table), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -304,35 +315,29 @@ func readFitsTable(fs vfs.FS) ([]pairFit, error) {
 			// table; skip rows it cannot parse, fail if nothing parses.
 			continue
 		}
-		out = append(out, pf)
+		pairs = append(pairs, pf)
 	}
-	if len(out) == 0 {
+	if len(pairs) == 0 {
 		return nil, fmt.Errorf("montage: fits table has no usable rows")
 	}
-	return out, nil
-}
-
-// runBg solves for per-image plane corrections from the pairwise fits
-// (iterative relaxation with image 0 as the gauge anchor) and writes
-// background-corrected images.
-func (c Config) runBg(fs vfs.FS, sc *scratch) error {
-	if err := fs.MkdirAll(CorrDir); err != nil {
-		return err
-	}
-	pairs, err := readFitsTable(fs)
-	if err != nil {
-		return err
+	// The rows naming each tile, in table order, when both their tiles exist.
+	rows := make([][]pairFit, c.Tiles)
+	for _, pf := range pairs {
+		if pf.i < 0 || pf.i >= c.Tiles || pf.j < 0 || pf.j >= c.Tiles {
+			continue
+		}
+		rows[pf.i] = append(rows[pf.i], pf)
+		if pf.j != pf.i {
+			rows[pf.j] = append(rows[pf.j], pf)
+		}
 	}
 	corr := make([][3]float64, c.Tiles)
 	// Relaxation: correction_i − correction_j should approach fit_ij.
 	for iter := 0; iter < 200; iter++ {
-		for idx := 0; idx < c.Tiles; idx++ {
-			if idx == 0 {
-				continue // gauge anchor
-			}
+		for idx := 1; idx < c.Tiles; idx++ {
 			var sum [3]float64
 			n := 0
-			for _, pf := range pairs {
+			for _, pf := range rows[idx] {
 				switch {
 				case pf.i == idx:
 					for k := 0; k < 3; k++ {
@@ -354,45 +359,54 @@ func (c Config) runBg(fs vfs.FS, sc *scratch) error {
 			}
 		}
 	}
-	im, out := &sc.in, &sc.out
+	return corr, nil
+}
+
+// correct subtracts its background plane from im.
+func correct(im *fits.Image, plane [3]float64) {
+	for y := 0; y < im.Height; y++ {
+		for x := 0; x < im.Width; x++ {
+			mx := im.CRVAL1 + float64(x)
+			my := im.CRVAL2 + float64(y)
+			im.Set(x, y, im.At(x, y)-(plane[0]+plane[1]*mx+plane[2]*my))
+		}
+	}
+}
+
+// runBg solves for per-image plane corrections from the pairwise fits and
+// writes background-corrected images.
+func (c Config) runBg(fs vfs.FS, sc *scratch) error {
+	if err := fs.MkdirAll(CorrDir); err != nil {
+		return err
+	}
+	table, err := vfs.ReadInto(fs, FitsTablePath, sc.table)
+	if err != nil {
+		return err
+	}
+	sc.table = table
+	corr, err := c.background(table)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, projPath(i), im); err != nil {
+		if _, err := fits.Read(fs, projPath(i), &sc.in); err != nil {
 			return err
 		}
-		out.Reset(im.Width, im.Height)
-		out.CRVAL1, out.CRVAL2 = im.CRVAL1, im.CRVAL2
-		for y := 0; y < im.Height; y++ {
-			for x := 0; x < im.Width; x++ {
-				mx := im.CRVAL1 + float64(x)
-				my := im.CRVAL2 + float64(y)
-				out.Set(x, y, im.At(x, y)-(corr[i][0]+corr[i][1]*mx+corr[i][2]*my))
-			}
-		}
-		if err := fits.Write(fs, corrPath(i), out); err != nil {
+		correct(&sc.in, corr[i])
+		if err := fits.Write(fs, corrPath(i), &sc.in); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runAdd co-adds the corrected images into the mosaic (area-weighted mean),
-// renders the grayscale image, and records the min/max statistics the
-// paper's classification keys on.
-func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
-	if err := fs.MkdirAll(MosaicDir); err != nil {
-		return err
-	}
+// coaddTiles co-adds sc's tiles into sc.mosaic, the area-weighted mean.
+func (c Config) coaddTiles(sc *scratch) {
 	mosaic, weight := &sc.mosaic, &sc.weight
 	mosaic.Reset(c.MosaicW, c.MosaicH)
 	weight.Reset(c.MosaicW, c.MosaicH)
-	im, area := &sc.in, &sc.area
-	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, corrPath(i), im); err != nil {
-			return err
-		}
-		if _, err := fits.Read(fs, areaPath(i), area); err != nil {
-			return err
-		}
+	for i, area := range sc.areas {
+		im := &sc.tiles[i]
 		x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
 		for y := 0; y < im.Height; y++ {
 			for x := 0; x < im.Width; x++ {
@@ -419,20 +433,13 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 			mosaic.Data[i] = math.NaN() // blank pixel, like Montage's NaN fill
 		}
 	}
-	if err := fits.Write(fs, MosaicPath, mosaic); err != nil {
-		return err
-	}
+}
 
-	// Image generation step (the mViewer/shrink stage): re-read the
-	// mosaic from storage — the real pipeline hands a file, not memory,
-	// to the image generator, so storage faults in the mosaic FITS are
-	// visible here — and stretch covered pixels to 8-bit grayscale. The
-	// read decodes into the written mosaic's own buffers.
-	if _, err := fits.Read(fs, MosaicPath, mosaic); err != nil {
-		return err
-	}
+// render stretches sc.mosaic to the 8-bit PGM in sc.pgm and formats the
+// min/max statistics the paper's classification keys on.
+func (c Config) render(sc *scratch) (string, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range mosaic.Data {
+	for _, v := range sc.mosaic.Data {
 		if math.IsNaN(v) {
 			continue
 		}
@@ -444,11 +451,10 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 		}
 	}
 	if !(hi > lo) {
-		return fmt.Errorf("montage: mosaic has no covered pixels")
+		return "", fmt.Errorf("montage: mosaic has no covered pixels")
 	}
-	hdr := fmt.Sprintf("P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
-	pgm := append(sc.pgm[:0], hdr...)
-	for _, v := range mosaic.Data {
+	pgm := fmt.Appendf(sc.pgm[:0], "P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
+	for _, v := range sc.mosaic.Data {
 		if math.IsNaN(v) {
 			pgm = append(pgm, 0)
 			continue
@@ -457,11 +463,83 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 		pgm = append(pgm, byte(g*255))
 	}
 	sc.pgm = pgm
-	if err := vfs.WriteFile(fs, ImagePath, pgm); err != nil {
+	return fmt.Sprintf("min %.5f\nmax %.5f\n", lo, hi), nil
+}
+
+// runAdd co-adds the corrected images into the mosaic, renders the
+// grayscale image, and records the min/max statistics.
+func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
+	if err := fs.MkdirAll(MosaicDir); err != nil {
 		return err
 	}
-	statsTxt := fmt.Sprintf("min %.5f\nmax %.5f\n", lo, hi)
-	return vfs.WriteFile(fs, StatsPath, []byte(statsTxt))
+	if err := c.readTiles(fs, corrPath, sc); err != nil {
+		return err
+	}
+	c.coaddTiles(sc)
+	if err := fits.Write(fs, MosaicPath, &sc.mosaic); err != nil {
+		return err
+	}
+	// Image generation (mViewer): the real pipeline hands the mosaic file,
+	// not memory, to the image generator, so its faults are visible here.
+	if _, err := fits.Read(fs, MosaicPath, &sc.mosaic); err != nil {
+		return err
+	}
+	stats, err := c.render(sc)
+	if err != nil {
+		return err
+	}
+	if err := vfs.WriteFile(fs, ImagePath, sc.pgm); err != nil {
+		return err
+	}
+	return vfs.WriteFile(fs, StatsPath, []byte(stats))
+}
+
+// finish chains the kernels of the stages from `from` through mAdd on the
+// inputs a run left in fs and returns the image and statistics text runAdd
+// would write; all else stays in sc. Where storage would change a value,
+// finish does too: each image the file stages write and read back takes
+// StoreHeader (pixels survive bit for bit); the table is parsed as text.
+func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, error) {
+	path := projPath
+	if from == StageAdd {
+		path = corrPath
+	}
+	if err := c.readTiles(fs, path, sc); err != nil {
+		return nil, "", err
+	}
+	var corr [][3]float64
+	if from < StageAdd {
+		table, err := append(sc.table[:0], fitsTableHeader...), error(nil)
+		if from == StageDiff {
+			err = c.diffPairs(sc, func(i, j int) (err error) {
+				if err = sc.diff.StoreHeader(); err == nil {
+					table, err = appendFit(table, i, j, &sc.diff)
+				}
+				return err
+			})
+		} else {
+			table, err = vfs.ReadInto(fs, FitsTablePath, sc.table)
+		}
+		if err == nil {
+			sc.table = table
+			corr, err = c.background(table)
+		}
+		if err != nil {
+			return nil, "", err
+		}
+	}
+	for i := range corr {
+		correct(&sc.tiles[i], corr[i])
+		if err := sc.tiles[i].StoreHeader(); err != nil {
+			return nil, "", err
+		}
+	}
+	c.coaddTiles(sc)
+	if err := sc.mosaic.StoreHeader(); err != nil {
+		return nil, "", err
+	}
+	stats, err := c.render(sc)
+	return sc.pgm, stats, err
 }
 
 // ReadMin extracts the min statistic recorded by the final stage.
@@ -470,8 +548,12 @@ func ReadMin(fs vfs.FS) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return parseMin(string(raw))
+}
+
+func parseMin(stats string) (float64, error) {
 	var minV, maxV float64
-	if _, err := fmt.Sscanf(string(raw), "min %f\nmax %f\n", &minV, &maxV); err != nil {
+	if _, err := fmt.Sscanf(stats, "min %f\nmax %f\n", &minV, &maxV); err != nil {
 		return 0, fmt.Errorf("montage: unparseable stats file: %w", err)
 	}
 	return minV, nil

@@ -38,11 +38,10 @@ func NewApp(cfg Config, stage Stage) (*App, error) {
 	if err := cfg.RunPipeline(fs, StageProject, StageAdd); err != nil {
 		return nil, fmt.Errorf("montage: golden pipeline: %w", err)
 	}
-	img, err := vfs.ReadFile(fs, ImagePath)
-	if err != nil {
+	var err error
+	if a.goldenImage, err = vfs.ReadFile(fs, ImagePath); err != nil {
 		return nil, err
 	}
-	a.goldenImage = img
 	if a.goldenMin, err = ReadMin(fs); err != nil {
 		return nil, err
 	}
@@ -89,7 +88,8 @@ func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome
 // classify finishes the pipeline fault-free and applies the paper's rules:
 // identical final image → benign; missing/unbuildable products → crash;
 // min statistic within tolerance of golden → SDC; otherwise detected.
-// An MT2 run whose plane fit masked the fault (masked) is benign without
+// MT1–MT3 finish in memory; MT4's run wrote the image and statistics. An
+// MT2 run whose plane fit masked the fault (masked) is benign without
 // running the downstream stages: they would rebuild the golden image.
 func (a *App) classify(fs vfs.FS, runErr error, sc *scratch) classify.Outcome {
 	if runErr != nil {
@@ -98,22 +98,25 @@ func (a *App) classify(fs vfs.FS, runErr error, sc *scratch) classify.Outcome {
 	if a.masked(fs, sc) {
 		return classify.Benign
 	}
+	img, stats, err := sc.img, "", error(nil)
 	if a.Stage < StageAdd {
-		if err := a.Cfg.pipeline(fs, a.Stage+1, StageAdd, sc); err != nil {
-			return classify.Crash
-		}
+		img, stats, err = a.Cfg.finish(fs, a.Stage+1, sc)
+	} else if img, err = vfs.ReadInto(fs, ImagePath, sc.img); err == nil {
+		sc.img = img // read into the slot's buffer
 	}
-	// The image is read into the slot's buffer; the comparison checks the
-	// size before any byte.
-	img, err := vfs.ReadInto(fs, ImagePath, sc.img)
 	if err != nil {
 		return classify.Crash
 	}
-	sc.img = img
+	// The comparison checks the size before any byte.
 	if string(img) == string(a.goldenImage) {
 		return classify.Benign
 	}
-	minV, err := ReadMin(fs)
+	var minV float64
+	if a.Stage < StageAdd {
+		minV, err = parseMin(stats)
+	} else {
+		minV, err = ReadMin(fs)
+	}
 	if err != nil {
 		return classify.Crash
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 // MT2 campaign on cloned worlds stores records byte-identical to the same
 // campaign on worlds whose Cloner is hidden (plainFS), where
 // vfs.Unchanged is always false and every run is classified in full. A
-// wrapped Worker counts the classifications that left no /corr — the
-// shortcut's — and the test requires some under bit flips.
+// wrapped Worker counts the Benign classifications that opened no
+// projection — the shortcut's, since every full classification reads them
+// — and the test requires some under bit flips.
 func TestMT2ShortcutRecordsMatchFullClassification(t *testing.T) {
 	const runs = 16
 	app, err := montage.NewApp(montage.DefaultConfig(), montage.StageDiff)
@@ -40,8 +42,9 @@ func TestMT2ShortcutRecordsMatchFullClassification(t *testing.T) {
 			cw.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
 				run, cls := app.Worker()
 				return run, func(fs vfs.FS, runErr error) classify.Outcome {
-					o := cls(fs, runErr)
-					if runErr == nil && !vfs.Exists(fs, montage.CorrDir) {
+					opens := 0
+					o := cls(projOpens{fs, &opens}, runErr)
+					if o == classify.Benign && opens == 0 {
 						n.Add(1)
 					}
 					return o
@@ -79,3 +82,19 @@ func TestMT2ShortcutRecordsMatchFullClassification(t *testing.T) {
 	}
 	t.Logf("shortcut took %d classifications over %d cloned campaigns", total, 2*len(cloned))
 }
+
+// projOpens counts the files opened under /proj. It forwards
+// vfs.Unchanged, so the shortcut still sees the cloned world beneath.
+type projOpens struct {
+	vfs.FS
+	n *int
+}
+
+func (p projOpens) Open(name string) (vfs.File, error) {
+	if strings.HasPrefix(name, montage.ProjDir+"/") {
+		*p.n++
+	}
+	return p.FS.Open(name)
+}
+
+func (p projOpens) Unchanged(name string) bool { return vfs.Unchanged(p.FS, name) }

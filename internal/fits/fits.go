@@ -72,15 +72,6 @@ func (im *Image) Bilinear(x, y float64) (float64, bool) {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
 }
 
-func card(key string, value string) string {
-	return pad(fmt.Sprintf("%-8s= %20s", key, value))
-}
-
-// pad space-fills (or cuts) a card to exactly cardLen characters.
-func pad(c string) string {
-	return (c + strings.Repeat(" ", max(0, cardLen-len(c))))[:cardLen]
-}
-
 // Reset resizes the image to w×h in place and zeroes every pixel and both
 // CRVALs, reusing the pixel buffer when its capacity allows.
 func (im *Image) Reset(w, h int) {
@@ -109,15 +100,33 @@ func (e *FormatError) Error() string { return "fits: " + e.Msg }
 // route) into im, reusing its pixel buffer. Violations return *FormatError
 // and leave im's header fields and pixels unchanged.
 func (im *Image) decode(raw []byte) error {
+	hd, blocks, err := parseHeader(raw)
+	if err != nil {
+		return err
+	}
+	need := blocks*BlockSize + hd.Width*hd.Height*8
+	if len(raw) < need {
+		return &FormatError{Msg: fmt.Sprintf("data truncated: need %d bytes, have %d", need, len(raw))}
+	}
+	im.resize(hd.Width, hd.Height)
+	im.CRVAL1, im.CRVAL2 = hd.CRVAL1, hd.CRVAL2
+	data := raw[blocks*BlockSize:]
+	for i := range im.Data {
+		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
+	}
+	return nil
+}
+
+// parseHeader parses the header blocks at the start of raw into a
+// pixel-less image and counts them.
+func parseHeader(raw []byte) (hd Image, blocks int, err error) {
 	if len(raw) < BlockSize {
-		return &FormatError{Msg: "file shorter than one header block"}
+		return hd, 0, &FormatError{Msg: "file shorter than one header block"}
 	}
 	hdr := map[string]string{}
-	end := false
-	blocks := 0
-	for !end {
+	for end := false; !end; blocks++ {
 		if (blocks+1)*BlockSize > len(raw) {
-			return &FormatError{Msg: "header END card missing"}
+			return hd, 0, &FormatError{Msg: "header END card missing"}
 		}
 		block := raw[blocks*BlockSize : (blocks+1)*BlockSize]
 		for c := 0; c < BlockSize/cardLen; c++ {
@@ -131,48 +140,65 @@ func (im *Image) decode(raw []byte) error {
 				continue
 			}
 			if len(line) < 10 || line[8] != '=' {
-				return &FormatError{Msg: "malformed card: " + strings.TrimSpace(line)}
+				return hd, 0, &FormatError{Msg: "malformed card: " + strings.TrimSpace(line)}
 			}
 			hdr[key] = strings.TrimSpace(line[10:])
 		}
-		blocks++
 	}
 	if hdr["SIMPLE"] != "T" {
-		return &FormatError{Msg: "not a SIMPLE FITS file"}
+		return hd, 0, &FormatError{Msg: "not a SIMPLE FITS file"}
 	}
 	if hdr["BITPIX"] != "-64" {
-		return &FormatError{Msg: "unsupported BITPIX " + hdr["BITPIX"]}
+		return hd, 0, &FormatError{Msg: "unsupported BITPIX " + hdr["BITPIX"]}
 	}
 	if hdr["NAXIS"] != "2" {
-		return &FormatError{Msg: "unsupported NAXIS " + hdr["NAXIS"]}
+		return hd, 0, &FormatError{Msg: "unsupported NAXIS " + hdr["NAXIS"]}
 	}
-	w, err := strconv.Atoi(hdr["NAXIS1"])
-	if err != nil || w <= 0 || w > 1<<16 {
-		return &FormatError{Msg: "bad NAXIS1 " + hdr["NAXIS1"]}
+	if hd.Width, err = strconv.Atoi(hdr["NAXIS1"]); err != nil || hd.Width <= 0 || hd.Width > 1<<16 {
+		return hd, 0, &FormatError{Msg: "bad NAXIS1 " + hdr["NAXIS1"]}
 	}
-	h, err := strconv.Atoi(hdr["NAXIS2"])
-	if err != nil || h <= 0 || h > 1<<16 {
-		return &FormatError{Msg: "bad NAXIS2 " + hdr["NAXIS2"]}
+	if hd.Height, err = strconv.Atoi(hdr["NAXIS2"]); err != nil || hd.Height <= 0 || hd.Height > 1<<16 {
+		return hd, 0, &FormatError{Msg: "bad NAXIS2 " + hdr["NAXIS2"]}
 	}
-	crval1, err := strconv.ParseFloat(hdr["CRVAL1"], 64)
-	if err != nil {
-		return &FormatError{Msg: "bad CRVAL1 " + hdr["CRVAL1"]}
+	if hd.CRVAL1, err = strconv.ParseFloat(hdr["CRVAL1"], 64); err != nil {
+		return hd, 0, &FormatError{Msg: "bad CRVAL1 " + hdr["CRVAL1"]}
 	}
-	crval2, err := strconv.ParseFloat(hdr["CRVAL2"], 64)
-	if err != nil {
-		return &FormatError{Msg: "bad CRVAL2 " + hdr["CRVAL2"]}
+	if hd.CRVAL2, err = strconv.ParseFloat(hdr["CRVAL2"], 64); err != nil {
+		return hd, 0, &FormatError{Msg: "bad CRVAL2 " + hdr["CRVAL2"]}
 	}
-	need := blocks*BlockSize + w*h*8
-	if len(raw) < need {
-		return &FormatError{Msg: fmt.Sprintf("data truncated: need %d bytes, have %d", need, len(raw))}
+	return hd, blocks, nil
+}
+
+// putHeader fills block with the first block of the file Write makes of
+// im: per card, the key left-justified in eight columns, "= ", and the
+// value right-justified in twenty, cut at column 80; spaces elsewhere.
+func putHeader(block []byte, im *Image) {
+	for i := range block {
+		block[i] = ' '
 	}
-	im.resize(w, h)
-	im.CRVAL1, im.CRVAL2 = crval1, crval2
-	data := raw[blocks*BlockSize:]
-	for i := range im.Data {
-		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
+	for i, kv := range [...][2]string{{"SIMPLE", "T"}, {"BITPIX", "-64"}, {"NAXIS", "2"},
+		{"NAXIS1", strconv.Itoa(im.Width)}, {"NAXIS2", strconv.Itoa(im.Height)},
+		{"CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)},
+		{"CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)}} {
+		c := block[i*cardLen : (i+1)*cardLen]
+		copy(c, kv[0])
+		copy(c[8:], "= ")
+		copy(c[10+max(0, 20-len(kv[1])):], kv[1])
 	}
-	return nil
+	copy(block[7*cardLen:], "END")
+}
+
+// StoreHeader gives im the header Read returns for the file Write makes
+// of im, or returns Read's *FormatError: Write's six-decimal, 80-column
+// CRVAL cards can move a CRVAL, while pixels keep their exact bits.
+func (im *Image) StoreHeader() error {
+	var block [BlockSize]byte
+	putHeader(block[:], im)
+	hd, _, err := parseHeader(block[:])
+	if err == nil {
+		im.CRVAL1, im.CRVAL2 = hd.CRVAL1, hd.CRVAL2 // NAXIS survives whenever accepted
+	}
+	return err
 }
 
 // Write persists the image at path in BlockSize-sized writes — the
@@ -190,15 +216,8 @@ func Write(fs vfs.FS, path string, im *Image) (err error) {
 			err = cerr
 		}
 	}()
-	// The eight header cards always fit in one block.
 	block := make([]byte, BlockSize)
-	hdr := card("SIMPLE", "T") + card("BITPIX", "-64") + card("NAXIS", "2") +
-		card("NAXIS1", strconv.Itoa(im.Width)) + card("NAXIS2", strconv.Itoa(im.Height)) +
-		card("CRVAL1", strconv.FormatFloat(im.CRVAL1, 'f', 6, 64)) +
-		card("CRVAL2", strconv.FormatFloat(im.CRVAL2, 'f', 6, 64)) + pad("END")
-	for i := copy(block, hdr); i < BlockSize; i++ {
-		block[i] = ' '
-	}
+	putHeader(block, im)
 	if _, err := f.Write(block); err != nil {
 		return err
 	}

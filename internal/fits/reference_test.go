@@ -247,3 +247,35 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreHeaderMatchesReadBack: StoreHeader gives an image the header
+// the reference decoder reads from the reference encoding, or its error,
+// for CRVALs the six-decimal, 80-column card moves or cuts, and Write
+// emits the reference bytes for them.
+func TestStoreHeaderMatchesReadBack(t *testing.T) {
+	values := []float64{
+		0, 12.9999999, -1e-7, 1e300, -1e300, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+		-9223372036854775808, 123456789012345678901234567890.5,
+	}
+	for _, w := range []int{3, 0} {
+		for _, v := range values {
+			im := fits.New(w, 2)
+			im.CRVAL1, im.CRVAL2 = v, -v
+			raw := refEncode(im)
+			if w > 0 {
+				if got, _ := written(t, im); !bytes.Equal(got, raw) {
+					t.Fatalf("CRVAL %v: Write differs from the reference", v)
+				}
+			}
+			ref, wantErr := refDecode(raw)
+			err := im.StoreHeader()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("width %d CRVAL %v: err = %v, want %v", w, v, err, wantErr)
+			}
+			if err == nil && (math.Float64bits(im.CRVAL1) != math.Float64bits(ref.CRVAL1) ||
+				math.Float64bits(im.CRVAL2) != math.Float64bits(ref.CRVAL2)) {
+				t.Fatalf("CRVAL %v: StoreHeader gives %v, %v; read-back %v, %v", v, im.CRVAL1, im.CRVAL2, ref.CRVAL1, ref.CRVAL2)
+			}
+		}
+	}
+}
