@@ -644,16 +644,14 @@ func BenchmarkHaloFinder(b *testing.B) {
 	}
 }
 
-func BenchmarkQMCLocalEnergySteps(b *testing.B) {
-	cfg := qmcpack.DefaultQMC()
-	cfg.Walkers = 32
-	cfg.VMCEquil = 0
-	cfg.VMCSteps = 8
-	b.ResetTimer()
+// BenchmarkQMCGolden builds the QMCPACK world's golden: the whole VMC+DMC
+// simulation and its QMCA analysis, which every QMCPACK campaign set-up
+// pays once.
+func BenchmarkQMCGolden(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, _ := qmcpack.RunVMC(cfg, qmcpack.TrialForBench())
-		if len(rows) != 8 {
-			b.Fatal("rows")
+		if _, err := qmcpack.NewApp(qmcpack.DefaultQMC()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func TestAnalyzeDMCMatchesAnalyze(t *testing.T) {
 // FuzzAnalyzeDMC checks AnalyzeDMC against the whole-file reference on
 // arbitrary bytes, seeded with the golden DMC file.
 func FuzzAnalyzeDMC(f *testing.F) {
-	app, err := NewApp(DefaultQMC())
+	app, err := sharedApp()
 	if err != nil {
 		f.Fatal(err)
 	}

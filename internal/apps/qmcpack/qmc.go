@@ -34,40 +34,40 @@ const rEps = 1e-9
 
 func norm3(x, y, z float64) float64 { return math.Sqrt(x*x + y*y + z*z) }
 
-// geometry returns the interparticle distances, guarded away from zero.
-func (w walker) geometry() (r1, r2, r12 float64, d12 [3]float64) {
-	r1 = norm3(w.r[0], w.r[1], w.r[2])
-	r2 = norm3(w.r[3], w.r[4], w.r[5])
-	d12 = [3]float64{w.r[0] - w.r[3], w.r[1] - w.r[4], w.r[2] - w.r[5]}
-	r12 = norm3(d12[0], d12[1], d12[2])
-	if r1 < rEps {
-		r1 = rEps
-	}
-	if r2 < rEps {
-		r2 = rEps
-	}
-	if r12 < rEps {
-		r12 = rEps
-	}
-	return r1, r2, r12, d12
+// geom is a walker's interparticle geometry, guarded away from zero.
+type geom struct {
+	r1, r2, r12 float64
+	d12         [3]float64
 }
 
-// logPsi evaluates log ψ(R).
-func (t trialWavefunction) logPsi(w walker) float64 {
-	r1, r2, r12, _ := w.geometry()
-	return -t.Z*(r1+r2) + t.A*r12/(1+t.B*r12)
+// geometry returns the interparticle distances, computed once per
+// configuration and shared by logPsi and localEnergy.
+func (w walker) geometry() geom {
+	g := geom{
+		r1:  norm3(w.r[0], w.r[1], w.r[2]),
+		r2:  norm3(w.r[3], w.r[4], w.r[5]),
+		d12: [3]float64{w.r[0] - w.r[3], w.r[1] - w.r[4], w.r[2] - w.r[5]},
+	}
+	g.r12 = norm3(g.d12[0], g.d12[1], g.d12[2])
+	g.r1, g.r2, g.r12 = max(g.r1, rEps), max(g.r2, rEps), max(g.r12, rEps)
+	return g
+}
+
+// logPsi evaluates log ψ(R) from R's geometry.
+func (t trialWavefunction) logPsi(g geom) float64 {
+	return -t.Z*(g.r1+g.r2) + t.A*g.r12/(1+t.B*g.r12)
 }
 
 // localEnergy evaluates E_L = (Hψ)/ψ analytically, together with the drift
-// velocity ∇logψ used by DMC importance sampling.
+// velocity ∇logψ used by DMC importance sampling; g is w's geometry.
 //
 // With g_i = ∇_i logψ:
 //
 //	g1 = −Z r̂1 + u'(r12) r̂12        g2 = −Z r̂2 − u'(r12) r̂12
 //	∇²_i logψ = −2Z/r_i + u'' + 2u'/r12
 //	E_L = −½ Σ_i (∇²_i logψ + |g_i|²) − Z/r1 − Z/r2 + 1/r12
-func (t trialWavefunction) localEnergy(w walker) (eL float64, drift [6]float64) {
-	r1, r2, r12, d12 := w.geometry()
+func (t trialWavefunction) localEnergy(w walker, g geom) (eL float64, drift [6]float64) {
+	r1, r2, r12, d12 := g.r1, g.r2, g.r12, g.d12
 	br := 1 + t.B*r12
 	uP := t.A / (br * br)
 	uPP := -2 * t.A * t.B / (br * br * br)
@@ -128,32 +128,108 @@ func DefaultQMC() QMCConfig {
 	}
 }
 
+// draw is the randomness of one walker step: the 6 Gaussian displacements,
+// the log of the Metropolis uniform and, in DMC, the branching uniform.
+type draw struct {
+	chi [6]float64
+	lnU float64 // math.Log(u+1e-300) of the Metropolis uniform u
+	u   float64 // branching uniform (DMC only)
+}
+
+const (
+	drawChunk = 512 // draws (32 KiB) per hand-over
+	drawBufs  = 4   // chunks in flight: the producer runs up to 3 ahead
+)
+
+// drawStream hands out an RNG's walker-step draws in order. Every step
+// draws the same pattern whatever the walkers do, so the stream depends on
+// the seed alone and a goroutine can produce it ahead of the physics. Chunks
+// go to the consumer on full and come back on free; both channels hold
+// every chunk, so no send ever blocks. close must run before the consumer
+// returns; it leaves no goroutine behind.
+type drawStream struct {
+	full, free chan []draw
+	buf        []draw // the chunk being consumed
+	pos        int    // index of buf's next draw
+}
+
+func newDrawStream(rng *stats.RNG, branch bool) *drawStream {
+	s := &drawStream{full: make(chan []draw, drawBufs), free: make(chan []draw, drawBufs)}
+	for range drawBufs {
+		s.free <- make([]draw, drawChunk)
+	}
+	go func() {
+		defer close(s.full)
+		for buf := range s.free {
+			for i := range buf {
+				d := &buf[i]
+				for k := range d.chi {
+					d.chi[k] = rng.NormFloat64()
+				}
+				d.lnU = math.Log(rng.Float64() + 1e-300)
+				if branch {
+					d.u = rng.Float64()
+				}
+			}
+			s.full <- buf
+		}
+	}()
+	return s
+}
+
+// next returns the next draw; it stays valid until the following call.
+func (s *drawStream) next() *draw {
+	if s.pos == len(s.buf) {
+		if s.buf != nil {
+			s.free <- s.buf
+		}
+		s.buf, s.pos = <-s.full, 0
+	}
+	s.pos++
+	return &s.buf[s.pos-1]
+}
+
+// close stops the producer and waits until it has exited.
+func (s *drawStream) close() {
+	close(s.free)
+	for range s.full {
+	}
+}
+
 // RunVMC performs Metropolis variational Monte Carlo, returning one Row per
 // recorded step and the final walker ensemble (which seeds DMC).
 func RunVMC(cfg QMCConfig, t trialWavefunction) ([]Row, []walker) {
 	rng := stats.NewRNG(cfg.Seed)
 	walkers := make([]walker, cfg.Walkers)
 	logs := make([]float64, cfg.Walkers)
+	energies := make([]float64, cfg.Walkers)
 	for i := range walkers {
 		for k := 0; k < 6; k++ {
 			walkers[i].r[k] = rng.NormFloat64()
 		}
-		logs[i] = t.logPsi(walkers[i])
+		g := walkers[i].geometry()
+		logs[i] = t.logPsi(g)
+		energies[i], _ = t.localEnergy(walkers[i], g)
 	}
+	draws := newDrawStream(rng, false)
+	defer draws.close()
 	rows := make([]Row, 0, cfg.VMCSteps)
 	for step := 0; step < cfg.VMCEquil+cfg.VMCSteps; step++ {
 		var sumE, sumE2 float64
 		for i := range walkers {
+			d := draws.next()
 			trialW := walkers[i]
 			for k := 0; k < 6; k++ {
-				trialW.r[k] += cfg.VMCStepSize * rng.NormFloat64()
+				trialW.r[k] += cfg.VMCStepSize * d.chi[k]
 			}
-			lp := t.logPsi(trialW)
-			if math.Log(rng.Float64()+1e-300) < 2*(lp-logs[i]) {
+			g := trialW.geometry()
+			lp := t.logPsi(g)
+			if d.lnU < 2*(lp-logs[i]) {
 				walkers[i] = trialW
 				logs[i] = lp
+				energies[i], _ = t.localEnergy(trialW, g)
 			}
-			e, _ := t.localEnergy(walkers[i])
+			e := energies[i]
 			sumE += e
 			sumE2 += e * e
 		}
@@ -194,7 +270,6 @@ func capDrift(drift [6]float64, tau float64) [6]float64 {
 // control, starting from the supplied ensemble. It returns one Row per
 // step; their weighted mean is the DMC total energy.
 func RunDMC(cfg QMCConfig, t trialWavefunction, initial []walker) []Row {
-	rng := stats.NewRNG(cfg.Seed ^ 0xD31C)
 	tau := cfg.TimeStep
 	sqrtTau := math.Sqrt(tau)
 
@@ -206,26 +281,32 @@ func RunDMC(cfg QMCConfig, t trialWavefunction, initial []walker) []Row {
 	}
 	pop := make([]state, len(initial))
 	for i, w := range initial {
-		e, d := t.localEnergy(w)
-		pop[i] = state{w: w, logP: t.logPsi(w), eL: e, drift: capDrift(d, tau)}
+		g := w.geometry()
+		e, d := t.localEnergy(w, g)
+		pop[i] = state{w: w, logP: t.logPsi(g), eL: e, drift: capDrift(d, tau)}
 	}
+	// pop and next swap roles every step, so the population's storage is
+	// reused rather than reallocated.
+	next := make([]state, 0, len(pop)+16)
 	eTrial := ExactEnergy // initial guess; adapted by population control
 	rows := make([]Row, 0, cfg.DMCSteps)
+	draws := newDrawStream(stats.NewRNG(cfg.Seed^0xD31C), true)
+	defer draws.close()
 
 	for step := 0; step < cfg.DMCSteps; step++ {
-		next := make([]state, 0, len(pop)+16)
+		next = next[:0]
 		var sumE, sumE2, sumW float64
 		for _, s := range pop {
+			d := draws.next()
 			// Drift-diffusion proposal.
 			var moved walker
-			var chi [6]float64
 			for k := 0; k < 6; k++ {
-				chi[k] = rng.NormFloat64()
-				moved.r[k] = s.w.r[k] + tau*s.drift[k] + sqrtTau*chi[k]
+				moved.r[k] = s.w.r[k] + tau*s.drift[k] + sqrtTau*d.chi[k]
 			}
-			eNew, dRaw := t.localEnergy(moved)
+			g := moved.geometry()
+			eNew, dRaw := t.localEnergy(moved, g)
 			dNew := capDrift(dRaw, tau)
-			logPNew := t.logPsi(moved)
+			logPNew := t.logPsi(g)
 
 			// Metropolis accept/reject with the Green's-function ratio
 			// ln[G(R'→R)/G(R→R')] = Σ (|R'−R−τF|² − |R−R'−τF'|²) / 2τ.
@@ -237,7 +318,7 @@ func RunDMC(cfg QMCConfig, t trialWavefunction, initial []walker) []Row {
 			}
 			lnAccept := 2*(logPNew-s.logP) + lnG
 			cur := s
-			if math.Log(rng.Float64()+1e-300) < lnAccept {
+			if d.lnU < lnAccept {
 				cur = state{w: moved, logP: logPNew, eL: eNew, drift: dNew}
 			}
 
@@ -247,7 +328,7 @@ func RunDMC(cfg QMCConfig, t trialWavefunction, initial []walker) []Row {
 			eClamped := clamp(cur.eL, eTrial-20, eTrial+20)
 			eOld := clamp(s.eL, eTrial-20, eTrial+20)
 			weight := math.Exp(-tau * ((eClamped+eOld)/2 - eTrial))
-			copies := int(weight + rng.Float64())
+			copies := int(weight + d.u)
 			if copies > 3 {
 				copies = 3
 			}
@@ -260,10 +341,10 @@ func RunDMC(cfg QMCConfig, t trialWavefunction, initial []walker) []Row {
 		}
 		if len(next) == 0 {
 			// Population extinction (can only happen with absurd τ);
-			// reseed from the previous ensemble.
-			next = pop
+			// reseed from a copy of the previous ensemble.
+			next = append(next, pop...)
 		}
-		pop = next
+		pop, next = next, pop
 		mean := sumE / sumW
 		rows = append(rows, Row{
 			Index:    step,
@@ -295,7 +376,3 @@ func RunAll(cfg QMCConfig) (vmc, dmc []Row) {
 	dmcRows := RunDMC(cfg, t, ensemble)
 	return vmcRows, dmcRows
 }
-
-// TrialForBench exposes the default trial wavefunction for benchmarks that
-// want to time the sampler without exporting the internal type.
-func TrialForBench() trialWavefunction { return defaultTrial() }

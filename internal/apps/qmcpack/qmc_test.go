@@ -1,10 +1,15 @@
 package qmcpack
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
@@ -19,7 +24,7 @@ func TestLocalEnergyAtExactPoints(t *testing.T) {
 	// exponential orbital).
 	trial := trialWavefunction{Z: 2, A: 0, B: 0.35}
 	w := walker{r: [6]float64{1, 0, 0, -1, 0, 0}} // r1=r2=1, r12=2
-	e, _ := trial.localEnergy(w)
+	e, _ := trial.localEnergy(w, w.geometry())
 	want := -4.0 + 0.5
 	if math.Abs(e-want) > 1e-9 {
 		t.Fatalf("E_L = %v, want %v", e, want)
@@ -34,7 +39,7 @@ func TestLocalEnergyFiniteEverywhere(t *testing.T) {
 		for k := 0; k < 6; k++ {
 			w.r[k] = rng.NormFloat64() * 2
 		}
-		e, drift := trial.localEnergy(w)
+		e, drift := trial.localEnergy(w, w.geometry())
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			t.Fatalf("E_L = %v at %v", e, w.r)
 		}
@@ -51,7 +56,7 @@ func TestLocalEnergyCuspStability(t *testing.T) {
 	// finite; verify no blow-up at tiny r1.
 	trial := defaultTrial()
 	w := walker{r: [6]float64{1e-7, 0, 0, 0.7, 0.1, -0.3}}
-	e, _ := trial.localEnergy(w)
+	e, _ := trial.localEnergy(w, w.geometry())
 	if math.IsNaN(e) || math.IsInf(e, 0) {
 		t.Fatalf("E_L = %v at nucleus", e)
 	}
@@ -82,15 +87,12 @@ func TestVMCEnergyPlausible(t *testing.T) {
 }
 
 func TestDMCImprovesOnVMC(t *testing.T) {
-	cfg := DefaultQMC()
-	trial := defaultTrial()
-	vmcRows, ensemble := RunVMC(cfg, trial)
-	dmcRows := RunDMC(cfg, trial, ensemble)
-	vmcA, err := Analyze(FormatRows(vmcRows))
+	app := newTestApp(t)
+	vmcA, err := Analyze(app.vmcContent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmcA, err := Analyze(FormatRows(dmcRows))
+	dmcA, err := Analyze(app.dmcContent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +116,76 @@ func TestDMCPopulationControlled(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	v1, d1 := RunAll(DefaultQMC())
-	v2, d2 := RunAll(DefaultQMC())
-	if FormatRows(v1) != FormatRows(v2) || FormatRows(d1) != FormatRows(d2) {
+	app := newTestApp(t)
+	v, d := RunAll(DefaultQMC())
+	if FormatRows(v) != app.vmcContent || FormatRows(d) != app.dmcContent {
 		t.Fatal("Monte Carlo not deterministic for fixed seed")
 	}
+}
+
+// TestGoldenQMCOutputPinned pins the golden scalar.dat contents of
+// DefaultQMC: any change to the draw order, the physics or the row format
+// moves these hashes, and with them every QMCPACK campaign record. A third
+// hash pins a DMC run whose population dies out and regrows (τ = 50, three
+// walkers against a target of 30): each extinction reseeds from a copy of
+// the previous ensemble, which the recycled population slices must not
+// alias.
+func TestGoldenQMCOutputPinned(t *testing.T) {
+	app := newTestApp(t)
+	cfg := DefaultQMC()
+	cfg.Walkers, cfg.VMCEquil, cfg.VMCSteps = 3, 5, 5
+	cfg.DMCSteps, cfg.TimeStep, cfg.PopTarget = 200, 50, 30
+	_, ensemble := RunVMC(cfg, defaultTrial())
+	extinct := FormatRows(RunDMC(cfg, defaultTrial(), ensemble))
+	for _, c := range []struct{ name, content, want string }{
+		{"VMC", app.vmcContent, "f69a46651133ad236749bc05535ccbf67e4845d59af4cbd2b4c00bfa6e954336"},
+		{"DMC", app.dmcContent, "35461f27b9659724ad742ae1f3aa1a1672587cfab6b3a04859750e5f5e7db017"},
+		{"DMC with extinctions", extinct, "b4e20d09966d6228bf8c10c072e264c521e53ad4f35df3086c13e56e319857e7"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(c.content))); got != c.want {
+			t.Errorf("%s rows hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRunAllLeavesNoGoroutine checks that the draw producers stop when
+// their runs return: after a whole RunAll, after a RunDMC that stops while
+// its producer is chunks ahead, and when the consumer panics.
+func TestRunAllLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	// A stopped producer is still counted until it returns from the
+	// deferred close(full) that close waits for, so poll briefly.
+	settled := func(what string) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 1000 {
+				t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cfg := DefaultQMC()
+	cfg.Walkers, cfg.VMCEquil, cfg.VMCSteps, cfg.DMCSteps = 40, 5, 10, 20
+	if v, d := RunAll(cfg); len(v) != 10 || len(d) != 20 {
+		t.Fatalf("RunAll gave %d VMC and %d DMC rows", len(v), len(d))
+	}
+	settled("RunAll")
+
+	cfg.DMCSteps = 1
+	_, ensemble := RunVMC(cfg, defaultTrial())
+	if rows := RunDMC(cfg, defaultTrial(), ensemble[:3]); len(rows) != 1 {
+		t.Fatalf("RunDMC gave %d rows", len(rows))
+	}
+	settled("short RunDMC")
+
+	func() {
+		defer func() { recover() }()
+		s := newDrawStream(stats.NewRNG(1), true)
+		defer s.close()
+		s.next()
+		panic("consumer failed")
+	}()
+	settled("panicking consumer")
 }
 
 func TestFormatAndAnalyzeRoundTrip(t *testing.T) {
@@ -197,9 +264,13 @@ func TestWriteScalarFileBlockWrites(t *testing.T) {
 	}
 }
 
+// sharedApp builds the DefaultQMC App once for every test that only reads
+// it; an App is never changed after NewApp.
+var sharedApp = sync.OnceValues(func() (*App, error) { return NewApp(DefaultQMC()) })
+
 func newTestApp(t *testing.T) *App {
 	t.Helper()
-	app, err := NewApp(DefaultQMC())
+	app, err := sharedApp()
 	if err != nil {
 		t.Fatal(err)
 	}
