@@ -28,6 +28,13 @@ import (
 	"ffis/internal/vfs"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 // benchOpts shrinks campaigns so each bench iteration stays around a
 // second; cmd/experiments runs the full paper scale.
 func benchOpts() experiments.Options {
@@ -146,7 +153,7 @@ func benchCell(b *testing.B, cell string, model core.Model) {
 	opts := benchOpts()
 	var last classify.Tally
 	for i := 0; i < b.N; i++ {
-		res, err := core.Campaign(core.CampaignConfig{
+		res, err := runCampaign(0, core.CampaignConfig{
 			Fault: core.Config{Model: model},
 			Runs:  opts.Runs,
 			Seed:  opts.Seed + uint64(i),
@@ -194,7 +201,7 @@ func BenchmarkAblationFlipWidth(b *testing.B) {
 			w := cachedWorkload(b, "nyx")
 			var last classify.Tally
 			for i := 0; i < b.N; i++ {
-				res, err := core.Campaign(core.CampaignConfig{
+				res, err := runCampaign(0, core.CampaignConfig{
 					Fault: core.Config{Model: core.BitFlip, Feature: core.Feature{FlipBits: width}},
 					Runs:  benchOpts().Runs,
 					Seed:  99,
@@ -218,7 +225,7 @@ func BenchmarkAblationShornFraction(b *testing.B) {
 			w := cachedWorkload(b, "qmcpack")
 			var last classify.Tally
 			for i := 0; i < b.N; i++ {
-				res, err := core.Campaign(core.CampaignConfig{
+				res, err := runCampaign(0, core.CampaignConfig{
 					Fault: core.Config{Model: core.ShornWrite, Feature: core.Feature{ShornKeepNum: keep, ShornKeepDen: 8}},
 					Runs:  benchOpts().Runs,
 					Seed:  99,
@@ -316,7 +323,7 @@ func BenchmarkCampaignCOWvsFresh(b *testing.B) {
 				w.NewFS = func() (vfs.FS, error) { return unclonableFS{vfs.NewMemFS()}, nil }
 			}
 			for i := 0; i < b.N; i++ {
-				_, err := core.Campaign(core.CampaignConfig{
+				_, err := runCampaign(0, core.CampaignConfig{
 					Fault: core.Config{Model: core.BitFlip},
 					Runs:  benchOpts().Runs,
 					Seed:  2021,

@@ -199,7 +199,10 @@ func TestInspectAfterInjectedMetadataWrite(t *testing.T) {
 	fs := vfs.NewMemFS()
 	fs.MkdirAll("/plt00000")
 	sig := core.Config{Model: core.DroppedWrite}.Signature()
-	inj := core.NewInjector(sig, img.MetadataWriteIndex(), stats.NewRNG(3))
+	// WriteTo's 4 KiB data-chunk writes come first; the metadata write is
+	// the next write instance.
+	metaWrite := int64((len(img.Data) + 4095) / 4096)
+	inj := core.NewInjector(sig, metaWrite, stats.NewRNG(3))
 	if err := img.WriteTo(inj.Wrap(fs), nyx.OutputPath); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,13 @@ import (
 	"ffis/internal/vfs"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 func smallConfig() Config {
 	c := DefaultConfig()
 	c.Tiles = 6
@@ -362,7 +369,7 @@ func TestCampaignStage1BitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.BitFlip},
 		Runs:  15,
 		Seed:  3,
@@ -387,7 +394,7 @@ func TestCampaignStage4DroppedWriteNotBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.DroppedWrite},
 		Runs:  10,
 		Seed:  11,

@@ -13,6 +13,13 @@ import (
 	"ffis/internal/vfs"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 func smallSim() SimConfig {
 	c := DefaultSim()
 	c.N = 24
@@ -270,7 +277,7 @@ func TestDroppedWriteCampaignIsAllSDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.DroppedWrite},
 		Runs:  12,
 		Seed:  99,
@@ -295,7 +302,7 @@ func TestDroppedWriteDetectedByAverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.UseAvgDetector = true
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.DroppedWrite},
 		Runs:  12,
 		Seed:  99,
@@ -313,7 +320,7 @@ func TestBitFlipCampaignMostlyBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.BitFlip},
 		Runs:  40,
 		Seed:  7,
@@ -366,8 +373,12 @@ func TestMassHistogram(t *testing.T) {
 	field := cfg.Generate()
 	cat := FindHalos(field, cfg.N, DefaultHalo())
 	h := cat.MassHistogram(0, 1e5, 20)
-	if h.Total() != len(cat.Halos) {
-		t.Fatalf("histogram total = %d, want %d", h.Total(), len(cat.Halos))
+	total := h.Under + h.Over
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != len(cat.Halos) {
+		t.Fatalf("histogram total = %d, want %d", total, len(cat.Halos))
 	}
 }
 

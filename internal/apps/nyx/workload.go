@@ -6,6 +6,7 @@ import (
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
+	"ffis/internal/hdf5"
 	"ffis/internal/vfs"
 )
 
@@ -57,6 +58,9 @@ func NewApp(sim SimConfig, halo HaloConfig) (*App, error) {
 
 // Golden returns the fault-free halo-finder output.
 func (a *App) Golden() string { return a.golden }
+
+// Image builds the HDF5 image Run writes.
+func (a *App) Image() (*hdf5.FileImage, error) { return BuildImage(a.field, a.Sim.N) }
 
 // GoldenCatalog recomputes the golden catalog (for histogram comparisons).
 func (a *App) GoldenCatalog() Catalog { return FindHalos(a.field, a.Sim.N, a.Halo) }

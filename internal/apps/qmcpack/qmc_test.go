@@ -18,6 +18,13 @@ import (
 	"ffis/internal/vfs"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 func TestLocalEnergyAtExactPoints(t *testing.T) {
 	// For a bare hydrogenic product (A=0) with Z=2 the local energy is
 	// E_L = -Z² + 1/r12 (kinetic+nuclear terms are exact for the
@@ -383,7 +390,7 @@ func TestCampaignShapeBitFlip(t *testing.T) {
 	// (any flip in the DMC file that keeps the energy plausible), with
 	// benign runs from flips landing in the VMC file.
 	app := newTestApp(t)
-	res, err := core.Campaign(core.CampaignConfig{
+	res, err := runCampaign(0, core.CampaignConfig{
 		Fault: core.Config{Model: core.BitFlip},
 		Runs:  30,
 		Seed:  5,

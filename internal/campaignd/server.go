@@ -186,12 +186,20 @@ func ingestStatus(err error) int {
 	return http.StatusConflict
 }
 
+// decode reads a POST body that holds exactly one JSON value into v, and
+// answers 405 or 400 otherwise. Trailing data is refused, not ignored: a
+// request is acted on only when all of it was understood.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
+		err = errors.New("trailing data after the JSON value")
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("campaignd: bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}

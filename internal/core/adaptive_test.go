@@ -12,12 +12,11 @@ import (
 // rule and worker count.
 func adaptiveToyCampaign(t *testing.T, rule *stats.StopRule, workers int) CampaignResult {
 	t.Helper()
-	res, err := Campaign(CampaignConfig{
-		Fault:   Config{Model: BitFlip},
-		Runs:    400,
-		Seed:    42,
-		Workers: workers,
-		Stop:    rule,
+	res, err := runCampaign(workers, CampaignConfig{
+		Fault: Config{Model: BitFlip},
+		Runs:  400,
+		Seed:  42,
+		Stop:  rule,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +64,8 @@ func TestAdaptiveCapsAtBudget(t *testing.T) {
 // bit-identical to the same index prefix of the fixed-budget campaign — the
 // rule only decides where the sequence ends, never what is in it.
 func TestAdaptivePrefixMatchesFixedBudget(t *testing.T) {
-	fixed, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42, Workers: 4,
+	fixed, err := runCampaign(4, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +93,8 @@ func TestAdaptiveResumeFromPersistedPrefix(t *testing.T) {
 	for _, rec := range full.Records[:persisted] {
 		sink.prior = append(sink.prior, rec.Outcome)
 	}
-	res, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42, Workers: 4,
+	res, err := runCampaign(4, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 400, Seed: 42,
 		Stop: rule,
 		Sink: sink,
 	}, toyWorkload())
@@ -117,8 +116,8 @@ func TestAdaptiveResumeFromPersistedPrefix(t *testing.T) {
 func TestAdaptiveRequiresPriorForFilteredRuns(t *testing.T) {
 	for _, prior := range [][]classify.Outcome{nil, make([]classify.Outcome, 29)} {
 		sink := &resumeSink{start: 30, prior: prior}
-		_, err := Campaign(CampaignConfig{
-			Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1, Workers: 2,
+		_, err := runCampaign(2, CampaignConfig{
+			Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1,
 			Stop: &stats.StopRule{TargetHalfWidth: 0.1},
 			Sink: sink,
 		}, toyWorkload())
@@ -134,7 +133,7 @@ func TestAdaptiveRequiresPriorForFilteredRuns(t *testing.T) {
 // TestAdaptiveRejectsBadRule: rule validation surfaces before any run
 // executes.
 func TestAdaptiveRejectsBadRule(t *testing.T) {
-	_, err := Campaign(CampaignConfig{
+	_, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: 100, Seed: 1,
 		Stop: &stats.StopRule{}, // no target half-width
 	}, toyWorkload())

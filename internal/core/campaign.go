@@ -63,10 +63,6 @@ type CampaignConfig struct {
 	Runs int
 	// Seed makes the campaign reproducible; run i derives its own stream.
 	Seed uint64
-	// Workers bounds the parallel runs of Campaign, which builds a private
-	// Engine with Jobs = Workers; <= 0 selects GOMAXPROCS.
-	// An Engine grid ignores it in favor of Engine.Jobs.
-	Workers int
 	// ArmMounts restricts injection (and the profiling count) to the I/O
 	// routed to these mount points of the workload's *vfs.MountFS world:
 	// the fault lives in one storage tier, every other tier stays clean.
@@ -89,8 +85,8 @@ type CampaignConfig struct {
 	// campaign stops there. Runs is the fixed budget the rule is normalized
 	// against (its MaxRuns cap). Because barriers are index-determined and
 	// each run's outcome derives purely from (Seed, index), the stopping
-	// index is independent of Workers and scheduling. Nil keeps the classic
-	// fixed-budget campaign, bit for bit.
+	// index is independent of Engine.Jobs and scheduling. Nil keeps the
+	// classic fixed-budget campaign, bit for bit.
 	Stop *stats.StopRule
 	// Abort, when non-nil, is polled before each run dispatch; once it
 	// returns true the campaign stops launching new runs, drains the ones
@@ -211,7 +207,7 @@ type CampaignResult struct {
 	// SimNanos is the total simulated I/O time over all executed runs,
 	// zero when the world has no latency-modeled backend. Deterministic:
 	// per-run charges are interleaving-independent sums, so the total
-	// depends only on (Seed, Runs), never on Workers.
+	// depends only on (Seed, Runs), never on Engine.Jobs.
 	SimNanos int64
 }
 
@@ -293,43 +289,9 @@ func runRecovering(run func(vfs.FS) error, fs vfs.FS) (err error) {
 	return run(fs)
 }
 
-// Campaign executes a full statistical fault-injection campaign as a
-// one-spec Engine grid on a private pool of cfg.Workers slots: Setup runs
-// once and is snapshotted, a profiling pass on a snapshot world counts the
-// target primitive, then cfg.Runs injection runs — each on its own pristine
-// post-Setup world — draw uniformly random targets and are classified
-// against the workload's own notion of the golden output.
-func Campaign(cfg CampaignConfig, w Workload) (CampaignResult, error) {
-	grid := (&Engine{Jobs: cfg.Workers}).Run([]CampaignSpec{{Workload: w, Config: cfg}})
-	return grid[0].Result, grid[0].Err
-}
-
 // runStream derives run idx's independent, reproducible RNG stream from the
 // campaign seed, so a cell produces the same per-run draws no matter how
 // wide the worker pool is or which grid it runs in.
 func runStream(seed uint64, idx int) *stats.RNG {
 	return stats.NewRNG(seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15)
-}
-
-// goldenOnWorld runs the workload fault-free on an already-built pristine
-// world and snapshots root.
-func goldenOnWorld(base vfs.FS, w Workload, root string) (map[string][]byte, error) {
-	if err := runRecovering(w.Run, base); err != nil {
-		return nil, fmt.Errorf("core: golden run failed: %w", err)
-	}
-	return Snapshot(base, root)
-}
-
-// Snapshot reads every file under root into a path→content map.
-func Snapshot(fs vfs.FS, root string) (map[string][]byte, error) {
-	out := map[string][]byte{}
-	err := vfs.Walk(fs, root, func(p string, info vfs.FileInfo) error {
-		data, err := vfs.ReadFile(fs, p)
-		if err != nil {
-			return err
-		}
-		out[p] = data
-		return nil
-	})
-	return out, err
 }

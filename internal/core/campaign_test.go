@@ -12,6 +12,13 @@ import (
 	"ffis/internal/vfs"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg CampaignConfig, w Workload) (CampaignResult, error) {
+	grid := (&Engine{Jobs: jobs}).Run([]CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 // toyWorkload writes a known pattern and classifies by comparing with the
 // golden bytes; it stands in for a real application in campaign tests.
 func toyWorkload() Workload {
@@ -84,7 +91,24 @@ func goldenSnapshot(w Workload, root string) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return goldenOnWorld(base, w, root)
+	if err := runRecovering(w.Run, base); err != nil {
+		return nil, fmt.Errorf("core: golden run failed: %w", err)
+	}
+	return readTree(base, root)
+}
+
+// readTree reads every file under root into a path→content map.
+func readTree(fs vfs.FS, root string) (map[string][]byte, error) {
+	out := map[string][]byte{}
+	err := vfs.Walk(fs, root, func(p string, info vfs.FileInfo) error {
+		data, err := vfs.ReadFile(fs, p)
+		if err != nil {
+			return err
+		}
+		out[p] = data
+		return nil
+	})
+	return out, err
 }
 
 func TestProfileCountsWrites(t *testing.T) {
@@ -109,7 +133,7 @@ func TestProfileFailsWhenWorkloadFails(t *testing.T) {
 }
 
 func TestCampaignBitFlipAlwaysCorrupts(t *testing.T) {
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: BitFlip},
 		Runs:  50,
 		Seed:  1,
@@ -139,11 +163,10 @@ func TestCampaignBitFlipAlwaysCorrupts(t *testing.T) {
 
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []classify.Outcome {
-		res, err := Campaign(CampaignConfig{
-			Fault:   Config{Model: BitFlip},
-			Runs:    30,
-			Seed:    42,
-			Workers: workers,
+		res, err := runCampaign(workers, CampaignConfig{
+			Fault: Config{Model: BitFlip},
+			Runs:  30,
+			Seed:  42,
 		}, toyWorkload())
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +187,7 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestCampaignDroppedWriteNeverBenignHere(t *testing.T) {
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: DroppedWrite},
 		Runs:  20,
 		Seed:  2,
@@ -181,7 +204,7 @@ func TestCampaignShornWriteOnUniformDataIsBenign(t *testing.T) {
 	// The toy workload writes a uniform pattern in 512-byte sequential
 	// chunks, so stale one-sector-lagged data equals the new data: shorn
 	// writes are masked — the Nyx phenomenology in miniature.
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: ShornWrite},
 		Runs:  20,
 		Seed:  3,
@@ -195,7 +218,7 @@ func TestCampaignShornWriteOnUniformDataIsBenign(t *testing.T) {
 }
 
 func TestCampaignRejectsZeroRuns(t *testing.T) {
-	if _, err := Campaign(CampaignConfig{Fault: Config{Model: BitFlip}}, toyWorkload()); err == nil {
+	if _, err := runCampaign(0, CampaignConfig{Fault: Config{Model: BitFlip}}, toyWorkload()); err == nil {
 		t.Fatal("expected error for Runs=0")
 	}
 }
@@ -205,7 +228,7 @@ func TestCampaignNoTargets(t *testing.T) {
 		Name: "no-io",
 		Run:  func(fs vfs.FS) error { return nil },
 	}
-	_, err := Campaign(CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 5}, w)
+	_, err := runCampaign(0, CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 5}, w)
 	if !errors.Is(err, ErrNoTargets) {
 		t.Fatalf("err = %v, want ErrNoTargets", err)
 	}
@@ -248,8 +271,8 @@ func TestProfileCountsOnlyInterceptedInstances(t *testing.T) {
 		t.Fatalf("Engine.Run err = %v (tally %s), want ErrNoTargets",
 			grid[0].Err, grid[0].Result.Tally.String())
 	}
-	if _, err := Campaign(cfg, w); !errors.Is(err, ErrNoTargets) {
-		t.Fatalf("Campaign err = %v, want ErrNoTargets", err)
+	if _, err := runCampaign(0, cfg, w); !errors.Is(err, ErrNoTargets) {
+		t.Fatalf("GOMAXPROCS grid err = %v, want ErrNoTargets", err)
 	}
 }
 
@@ -322,7 +345,7 @@ func TestCampaignRunErrorPropagates(t *testing.T) {
 		Setup: func(fs vfs.FS) error { return fmt.Errorf("setup exploded") },
 		Run:   func(fs vfs.FS) error { return vfs.WriteFile(fs, "/f", []byte("x")) },
 	}
-	if _, err := Campaign(CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 2}, w); err == nil {
+	if _, err := runCampaign(0, CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 2}, w); err == nil {
 		t.Fatal("expected setup error to propagate")
 	}
 }

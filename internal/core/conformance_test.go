@@ -24,6 +24,14 @@ var conformancePrims = []vfs.Primitive{
 	vfs.PrimWrite, vfs.PrimRead, vfs.PrimTruncate, vfs.PrimMknod, vfs.PrimChmod,
 }
 
+// recordedMutations copies every mutation the injector recorded, in firing
+// order.
+func recordedMutations(inj *Injector) []Mutation {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return append([]Mutation(nil), inj.mutations...)
+}
+
 // conformanceWorld builds a base world with a seeded victim file for the
 // read/truncate/chmod exercises.
 func conformanceWorld(t *testing.T) vfs.FS {
@@ -364,7 +372,7 @@ func TestConformanceShotBudget(t *testing.T) {
 					t.Fatalf("fired %d shots, want %d (budget %d over %d instances)",
 						got, want, sig.ShotBudget(), instances)
 				}
-				if muts := inj.Mutations(); len(muts) != want {
+				if muts := recordedMutations(inj); len(muts) != want {
 					t.Fatalf("recorded %d mutations for %d fired shots — every shot must Record",
 						len(muts), want)
 				}
@@ -494,7 +502,7 @@ func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hookOutcome{action: action, mutations: inj.Mutations(), victim: victim, drew: inj.drew.Load()}
+	return hookOutcome{action: action, mutations: recordedMutations(inj), victim: victim, drew: inj.drew.Load()}
 }
 
 // TestConformanceDrawFreeHooksArePure pins the contract the Runner's

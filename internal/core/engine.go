@@ -26,8 +26,8 @@ type CampaignSpec struct {
 	// of one application must set it.
 	WorldKey string
 	Workload Workload
-	// Config drives the campaign. Workers is ignored: the engine's shared
-	// pool (Engine.Jobs) bounds parallelism across the whole grid.
+	// Config drives the campaign. The engine's shared pool (Engine.Jobs)
+	// bounds parallelism across the whole grid.
 	Config CampaignConfig
 }
 
@@ -48,10 +48,10 @@ type GridResult struct {
 }
 
 // Engine schedules a grid of fault-injection campaigns over one shared
-// bounded worker pool. It is the only campaign driver: Campaign is a
-// one-grid wrapper around it, and persisted grids and distributed
-// workers hand it their specs. Setup executes once per world (not once per
-// run), every injection run receives a copy-on-write clone of the
+// bounded worker pool. It is the only campaign driver: a single campaign is
+// a one-spec grid, and persisted grids and distributed workers hand it
+// their specs. Setup executes once per world (not once per run), every
+// injection run receives a copy-on-write clone of the
 // post-Setup snapshot (or a rebuilt world when the world cannot be
 // cloned), profile counts and golden snapshots are memoized by (world,
 // mounts) key across cells, and all runs of all campaigns share one pool

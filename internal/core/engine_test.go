@@ -66,11 +66,10 @@ func TestCampaignDeterminismHarness(t *testing.T) {
 			c, model := c, model
 			t.Run(fmt.Sprintf("%s/%s", c.name, model.Short()), func(t *testing.T) {
 				run := func(w Workload, workers int) CampaignResult {
-					res, err := Campaign(CampaignConfig{
+					res, err := runCampaign(workers, CampaignConfig{
 						Fault:     Config{Model: model},
 						Runs:      24,
 						Seed:      4242,
-						Workers:   workers,
 						ArmMounts: c.armMounts,
 					}, w)
 					if err != nil {
@@ -144,12 +143,12 @@ func TestEngineOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesCampaign pins the engine to the standalone Campaign
-// path: one spec through the grid scheduler equals a direct Campaign call
-// under the same seed.
+// TestEngineMatchesCampaign pins the one-spec grid on GOMAXPROCS slots
+// that single-campaign tests run (runCampaign) to the same spec on a
+// two-slot engine under the same seed.
 func TestEngineMatchesCampaign(t *testing.T) {
 	cfg := CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 20, Seed: 99}
-	direct, err := Campaign(cfg, toyWorkload())
+	direct, err := runCampaign(0, cfg, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +183,8 @@ func TestEngineMixedWorldModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.COW() != wantCOW {
-			t.Fatalf("%s: snapshot COW = %v, want %v", specs[i].Key, snap.COW(), wantCOW)
+		if (snap.pristine != nil) != wantCOW {
+			t.Fatalf("%s: snapshot COW = %v, want %v", specs[i].Key, snap.pristine != nil, wantCOW)
 		}
 	}
 	requireSameResult(t, "cow vs rebuilt in one grid", grid[0].Result, grid[1].Result)
@@ -419,7 +418,7 @@ func TestWorldSnapshotModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.COW() {
+	if snap.pristine == nil {
 		t.Fatal("MemFS world should snapshot as COW")
 	}
 	if snap.Pristine() == nil {
@@ -443,7 +442,7 @@ func TestWorldSnapshotModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.COW() {
+	if snap.pristine != nil {
 		t.Fatal("unclonable backend should force rebuild mode")
 	}
 	if snap.Pristine() != nil {

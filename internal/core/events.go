@@ -36,15 +36,15 @@ const (
 )
 
 // Event is one item of the unified run-lifecycle stream every execution
-// path (Campaign, Engine grids, persisted grids, distributed workers)
+// path (Engine grids, persisted grids, distributed workers)
 // emits through the Runner. Fields beyond Kind and Key are populated per
 // kind; per-stage timings live here and only here — RunRecord stays a
 // pure function of (spec, seed, index) so persisted record bytes never
 // depend on wall-clock noise.
 type Event struct {
 	Kind EventKind
-	// Key names the campaign: CampaignSpec.Key under the engine, the
-	// workload name under bare Campaign.
+	// Key names the campaign: CampaignSpec.Key, or the workload name when
+	// the spec has no Key.
 	Key string
 
 	// Done and Total count completed vs scheduled executed runs (Runs

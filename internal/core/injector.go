@@ -90,9 +90,6 @@ func Disarmed(sig Signature) *Injector {
 	return NewInjector(sig, -1, stats.NewRNG(0))
 }
 
-// Signature returns the armed fault signature.
-func (inj *Injector) Signature() Signature { return inj.sig }
-
 // Target returns the dynamic primitive instance that will be corrupted.
 func (inj *Injector) Target() int64 { return inj.target }
 
@@ -118,13 +115,6 @@ func (inj *Injector) FiredShots() int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.fired
-}
-
-// Mutations returns a copy of every recorded mutation, in firing order.
-func (inj *Injector) Mutations() []Mutation {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return append([]Mutation(nil), inj.mutations...)
 }
 
 // claim atomically checks whether this primitive execution is one of the

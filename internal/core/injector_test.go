@@ -499,7 +499,7 @@ func TestTruncateFaultHosting(t *testing.T) {
 				return classify.Benign
 			},
 		}
-		res, err := Campaign(CampaignConfig{
+		res, err := runCampaign(0, CampaignConfig{
 			Fault: Config{Model: DroppedWrite, Primitive: vfs.PrimTruncate},
 			Runs:  4,
 			Seed:  1,
@@ -531,8 +531,8 @@ func TestSignatureValidationRejectsUnhostable(t *testing.T) {
 		if err := cfg.Signature().Validate(); err == nil {
 			t.Errorf("%s validated, want rejection", cfg.Signature())
 		}
-		if _, err := Campaign(CampaignConfig{Fault: cfg, Runs: 1}, toyWorkload()); err == nil {
-			t.Errorf("%s: Campaign accepted an unhostable signature", cfg.Signature())
+		if _, err := runCampaign(0, CampaignConfig{Fault: cfg, Runs: 1}, toyWorkload()); err == nil {
+			t.Errorf("%s: a GOMAXPROCS grid accepted an unhostable signature", cfg.Signature())
 		}
 		grid := (&Engine{Jobs: 1}).Run([]CampaignSpec{{
 			Key: "bad", Workload: toyWorkload(),

@@ -11,8 +11,9 @@
 //     the dynamic count of the target primitive (Profile() for a one-off
 //     count; the Engine memoizes it per world for every campaign).
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
-//     instance; the Engine (Campaign() for a single cell) schedules the runs
-//     and the Runner classifies and tallies their outcomes.
+//     instance; the Engine schedules the runs of every campaign (a single
+//     cell is a one-spec grid) and the Runner classifies and tallies their
+//     outcomes.
 //
 // Fault models are an open vocabulary, as device studies keep surfacing new
 // manifestations: each model is a self-contained Model implementation
@@ -205,8 +206,8 @@ func (s Signature) String() string {
 }
 
 // Validate reports whether the injector can actually host this signature:
-// the primitive must be in the model's Hosts() set. Campaign and Engine
-// call it before profiling, so a signature the injector would silently pass
+// the primitive must be in the model's Hosts() set. The Engine calls it
+// before profiling, so a signature the injector would silently pass
 // through (e.g. shorn-write@truncate, or any model on stat) is a
 // configuration error instead of a campaign that profiles a nonzero count
 // and then tallies 100% benign.

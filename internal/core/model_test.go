@@ -101,6 +101,27 @@ func TestParseModel(t *testing.T) {
 	}
 }
 
+// FuzzParseModel checks the -model flag parser on arbitrary strings: it
+// never panics, and the Name and Short of every model it accepts parse
+// back to that model.
+func FuzzParseModel(f *testing.F) {
+	for _, s := range []string{"bit-flip", "BF", " dropped ", "Bit-Flip", "repeat-misdirect", "list", "", "torn-page"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseModel(s)
+		if err != nil {
+			return
+		}
+		for _, k := range []string{m.Name(), m.Short()} {
+			back, err := ParseModel(k)
+			if err != nil || back.Name() != m.Name() {
+				t.Fatalf("ParseModel(%q) = %s, but its key %q parses to %v, %v", s, m.Name(), k, back, err)
+			}
+		}
+	})
+}
+
 func TestModelTableListsEveryModel(t *testing.T) {
 	table := ModelTable()
 	for _, m := range AllModels() {

@@ -147,7 +147,7 @@ func TestArmMountsCampaign(t *testing.T) {
 		}
 		return classify.SDC
 	}
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault:     Config{Model: DroppedWrite},
 		Runs:      16,
 		Seed:      99,
@@ -183,7 +183,7 @@ func TestDisarmedInjectorOnMountR1(t *testing.T) {
 	if err := w.Run(flat); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	want, err := Snapshot(flat, "/")
+	want, err := readTree(flat, "/")
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestDisarmedInjectorOnMountR1(t *testing.T) {
 	if err := w.Run(armed); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	got, err := Snapshot(armed, "/")
+	got, err := readTree(armed, "/")
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestDisarmedInjectorOnMountR1(t *testing.T) {
 // arming on a flat world is a configuration mistake, not a silent no-op.
 func TestArmMountsRequiresMountFS(t *testing.T) {
 	w := toyWorkload() // default NewFS: bare MemFS
-	_, err := Campaign(CampaignConfig{
+	_, err := runCampaign(0, CampaignConfig{
 		Fault:     Config{Model: BitFlip},
 		Runs:      1,
 		ArmMounts: []string{"/scratch"},

@@ -63,7 +63,7 @@ func TestRegisteredTestModelRunsFullCampaign(t *testing.T) {
 			return classify.Benign
 		},
 	}
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: m},
 		Runs:  12,
 		Seed:  99,

@@ -363,11 +363,10 @@ func TestReadModelCampaignDeterminism(t *testing.T) {
 			run := func(workers int, newFS func() (vfs.FS, error)) CampaignResult {
 				w := readWorkload()
 				w.NewFS = newFS
-				res, err := Campaign(CampaignConfig{
-					Fault:   Config{Model: model},
-					Runs:    24,
-					Seed:    777,
-					Workers: workers,
+				res, err := runCampaign(workers, CampaignConfig{
+					Fault: Config{Model: model},
+					Runs:  24,
+					Seed:  777,
 				}, w)
 				if err != nil {
 					t.Fatal(err)
@@ -398,7 +397,7 @@ func TestReadModelCampaignDeterminism(t *testing.T) {
 // consumer dies on EIO), and a latent campaign must produce SDC or benign
 // (sum unchanged if the flips cancel — impossible here, so SDC).
 func TestReadModelCampaignOutcomes(t *testing.T) {
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: UnreadableSector},
 		Runs:  8,
 		Seed:  5,
@@ -409,7 +408,7 @@ func TestReadModelCampaignOutcomes(t *testing.T) {
 	if got := res.Tally.Count(classify.Crash); got != 8 {
 		t.Fatalf("unreadable campaign crashes = %d/8\n%+v", got, res.Tally)
 	}
-	res, err = Campaign(CampaignConfig{
+	res, err = runCampaign(0, CampaignConfig{
 		Fault: Config{Model: LatentCorruption},
 		Runs:  8,
 		Seed:  5,

@@ -88,11 +88,10 @@ func TestRunInjectionsTalliesAllSuccessfulRuns(t *testing.T) {
 		// An unclonable world is rebuilt per run, so NewFS is hit once per run.
 		return plainFS{vfs.NewMemFS()}, nil
 	}
-	res, err := Campaign(CampaignConfig{
-		Fault:   Config{Model: BitFlip},
-		Runs:    runs,
-		Seed:    11,
-		Workers: 1,
+	res, err := runCampaign(1, CampaignConfig{
+		Fault: Config{Model: BitFlip},
+		Runs:  runs,
+		Seed:  11,
 	}, w)
 	if err == nil {
 		t.Fatal("expected the failing run's error to propagate")
@@ -138,12 +137,11 @@ func (s *collectSink) Record(rec RunRecord) error {
 func TestCampaignStreamsRecordsToSink(t *testing.T) {
 	const runs = 8
 	sink := &collectSink{}
-	res, err := Campaign(CampaignConfig{
-		Fault:   Config{Model: BitFlip},
-		Runs:    runs,
-		Seed:    5,
-		Workers: 4,
-		Sink:    sink,
+	res, err := runCampaign(4, CampaignConfig{
+		Fault: Config{Model: BitFlip},
+		Runs:  runs,
+		Seed:  5,
+		Sink:  sink,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +163,8 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 	}
 	// The streamed records must be exactly the records an unsunk campaign
 	// retains, in index order.
-	plain, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Workers: 1,
+	plain, err := runCampaign(1, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +179,8 @@ func TestCampaignStreamsRecordsToSink(t *testing.T) {
 
 func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 	sink := &collectSink{failAt: 3}
-	_, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: 6, Seed: 5, Workers: 1, Sink: sink,
+	_, err := runCampaign(1, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: 6, Seed: 5, Sink: sink,
 	}, toyWorkload())
 	if err == nil || !strings.Contains(err.Error(), "record sink") {
 		t.Fatalf("sink failure must fail the campaign; got %v", err)
@@ -208,8 +206,8 @@ func (s *resumeSink) Resume() (int, []classify.Outcome) { return s.start, s.prio
 // event stream schedules Runs-k of them.
 func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
 	const runs, start = 10, 4
-	full, err := Campaign(CampaignConfig{
-		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Workers: 2,
+	full, err := runCampaign(2, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9,
 	}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)

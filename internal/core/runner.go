@@ -18,8 +18,8 @@ import (
 // barriers). It is the only place in the tree that sequences those
 // stages; Engine.runSpec is its one driver, supplying the memoized
 // snapshot and profile count and the grid-wide worker pool, and every
-// other layer (Campaign, persisted grids, distributed workers) reaches it
-// through the Engine.
+// other layer (local grids, persisted grids, distributed workers) reaches
+// it through the Engine.
 type Runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
 	Key      string

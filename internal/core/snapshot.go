@@ -65,10 +65,6 @@ func NewWorldSnapshot(w Workload) (*WorldSnapshot, error) {
 	return &WorldSnapshot{w: w, pristine: c, spare: probe}, nil
 }
 
-// COW reports whether per-run worlds are copy-on-write clones (true) or full
-// per-run rebuilds (false).
-func (s *WorldSnapshot) COW() bool { return s.pristine != nil }
-
 // Pristine returns the post-Setup snapshot world itself in COW mode, nil in
 // rebuild mode. It is the reference state clones diverge from; treat it as
 // read-only — mutating it would silently re-baseline every later clone.

@@ -11,7 +11,7 @@ import (
 )
 
 // Sweep runs the same workload under a series of fault configurations as
-// one Engine grid on base.Workers slots. Every field of base except Fault
+// one Engine grid on GOMAXPROCS slots. Every field of base except Fault
 // is honored per point — in particular ArmMounts, so a sweep over a tiered
 // world keeps its fault placement. All points share the workload's world:
 // one Setup and one profiling pass per target primitive serve the sweep.
@@ -23,7 +23,7 @@ func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResu
 		specs[i] = CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w, Config: cfg}
 	}
 	out := make([]CampaignResult, len(points))
-	for i, r := range (&Engine{Jobs: base.Workers}).Run(specs) {
+	for i, r := range (&Engine{}).Run(specs) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("core: sweep point %q: %w", points[i].Label, r.Err)
 		}
@@ -79,7 +79,7 @@ func TestShornFractionSweepMonotonicity(t *testing.T) {
 }
 
 func TestWriteResultsJSON(t *testing.T) {
-	res, err := Campaign(CampaignConfig{
+	res, err := runCampaign(0, CampaignConfig{
 		Fault: Config{Model: BitFlip},
 		Runs:  5,
 		Seed:  1,

@@ -9,6 +9,13 @@ import (
 	"ffis/internal/core"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 // The fault-model API redesign (closed FaultModel enum → Model interface +
 // registry) must not change a single campaign outcome: the goldens below
 // are the tallies the pre-redesign enum implementation produced for the six
@@ -76,16 +83,15 @@ func TestEnumEquivalenceRegression(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := core.CampaignConfig{
-					Fault:   core.Config{Model: m},
-					Runs:    o.Runs,
-					Seed:    o.Seed,
-					Workers: workers,
+					Fault: core.Config{Model: m},
+					Runs:  o.Runs,
+					Seed:  o.Seed,
 				}
 				if placement == "tiered" {
 					w.NewFS = layout.FSFactory("mem")
 					cfg.ArmMounts = scratch
 				}
-				res, err := core.Campaign(cfg, w)
+				res, err := runCampaign(workers, cfg, w)
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", m.Short(), placement, workers, err)
 				}

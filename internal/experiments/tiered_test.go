@@ -159,6 +159,26 @@ func TestParseMountSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseMountSpec checks the -mount flag parser on arbitrary strings:
+// it never panics, and every spec it accepts re-parses from
+// Path+"="+Backend to itself.
+func FuzzParseMountSpec(f *testing.F) {
+	for _, s := range []string{"/scratch", "/a/b/../c", "/obj=object:lag=2", "/bb=latency:bb",
+		"/data=os:/tmp/x=y", "//x/./y/=mem", "relative", "=mem", "/x=object:lag=-1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParseMountSpec(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseMountSpec(ms.Path + "=" + ms.Backend)
+		if err != nil || back != ms {
+			t.Fatalf("ParseMountSpec(%q) = %+v, but it re-parses to %+v, %v", s, ms, back, err)
+		}
+	})
+}
+
 // TestNewWorkloadWithMounts checks the cmd/ffis wiring end to end: a cell
 // on a custom mounted world, armed on one mount, still campaigns cleanly.
 func TestNewWorkloadWithMounts(t *testing.T) {

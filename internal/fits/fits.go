@@ -254,9 +254,3 @@ func Read(fs vfs.FS, path string, dst *Image) (*Image, error) {
 	}
 	return dst, nil
 }
-
-// IsFormatError reports whether err is a FITS format violation.
-func IsFormatError(err error) bool {
-	_, ok := err.(*FormatError)
-	return ok
-}

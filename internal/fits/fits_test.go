@@ -117,7 +117,7 @@ func TestDecodeRejectsCorruptHeader(t *testing.T) {
 		}
 		if _, err := decode(cp); err == nil {
 			t.Errorf("%s: corruption accepted", c.name)
-		} else if !IsFormatError(err) {
+		} else if _, ok := err.(*FormatError); !ok {
 			t.Errorf("%s: err = %v, want FormatError", c.name, err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestReadReusesImage(t *testing.T) {
 
 	_, fresh := Read(fs, "/short.fits", nil)
 	got, err := Read(fs, "/short.fits", dst)
-	if got != nil || !IsFormatError(err) || fresh == nil || err.Error() != fresh.Error() {
+	if _, ok := err.(*FormatError); got != nil || !ok || fresh == nil || err.Error() != fresh.Error() {
 		t.Fatalf("truncated file: %v, %v; fresh read gave %v", got, err, fresh)
 	}
 	last, _ := Read(fs, "/2.fits", nil)

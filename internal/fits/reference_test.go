@@ -242,7 +242,7 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: reference accepted the corruption", name)
 		}
-		if !fits.IsFormatError(err) || err.Error() != want.Error() {
+		if _, ok := err.(*fits.FormatError); !ok || err.Error() != want.Error() {
 			t.Errorf("%s: err = %v, want %v", name, err, want)
 		}
 	}

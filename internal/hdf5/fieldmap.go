@@ -141,12 +141,3 @@ func (m *FieldMap) Find(substr string) []FieldRange {
 	}
 	return out
 }
-
-// Total returns the number of mapped bytes.
-func (m *FieldMap) Total() int {
-	n := 0
-	for _, r := range m.ranges {
-		n += r.Length
-	}
-	return n
-}

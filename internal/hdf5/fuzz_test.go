@@ -1,6 +1,7 @@
 package hdf5_test
 
 import (
+	"errors"
 	"testing"
 
 	"ffis/internal/apps/nyx"
@@ -26,13 +27,15 @@ func FuzzHDF5Parse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		file, err := hdf5.Parse(raw)
 		if err != nil {
-			if !hdf5.IsFormatError(err) {
+			var fe *hdf5.FormatError
+			if !errors.As(err, &fe) {
 				t.Fatalf("Parse error %v is not a FormatError", err)
 			}
 			return
 		}
 		for _, d := range file.Datasets {
-			if _, err := file.ReadValues(d); err != nil && !hdf5.IsFormatError(err) {
+			var fe *hdf5.FormatError
+			if _, err := file.ReadValues(d); err != nil && !errors.As(err, &fe) {
 				t.Fatalf("ReadValues(%s) error %v is not a FormatError", d.Name, err)
 			}
 		}

@@ -67,8 +67,8 @@ func TestARDEqualsMetadataSize(t *testing.T) {
 	// is saved followed by data ... the ARD is exactly equal to the size
 	// of metadata".
 	img := buildSmall(t, seqValues(8), []uint64{8})
-	if img.Datasets[0].DataOffset != uint64(img.MetaSize()) {
-		t.Fatalf("ARD = %d, metadata size = %d", img.Datasets[0].DataOffset, img.MetaSize())
+	if img.Datasets[0].DataOffset != uint64(len(img.Meta)) {
+		t.Fatalf("ARD = %d, metadata size = %d", img.Datasets[0].DataOffset, len(img.Meta))
 	}
 }
 
@@ -197,8 +197,14 @@ func TestWriteToIOPattern(t *testing.T) {
 	if got := trace.Analyze(fs.Log()).ByPrim[vfs.PrimWrite]; got != wantWrites {
 		t.Fatalf("writes = %d, want %d", got, wantWrites)
 	}
-	if img.MetadataWriteIndex() != int64(wantWrites-2) {
-		t.Fatalf("metadata write index = %d, want %d", img.MetadataWriteIndex(), wantWrites-2)
+	var writes []trace.Op
+	for _, op := range fs.Log() {
+		if op.Primitive == vfs.PrimWrite {
+			writes = append(writes, op)
+		}
+	}
+	if meta := writes[wantWrites-2]; meta.Offset != 0 || meta.Size != len(img.Meta) {
+		t.Fatalf("penultimate write = %v, want the %d-byte metadata block at offset 0", meta, len(img.Meta))
 	}
 }
 
@@ -234,7 +240,8 @@ func TestCorruptSignatureCrashes(t *testing.T) {
 			t.Fatalf("%s: %d ranges", name, len(rs))
 		}
 		_, err := Parse(corrupt(img, rs[0].Offset, 0x01))
-		if err == nil || !IsFormatError(err) {
+		var fe *FormatError
+		if err == nil || !errors.As(err, &fe) {
 			t.Errorf("%s corruption: err = %v, want format error", name, err)
 		}
 	}
@@ -486,7 +493,8 @@ func TestParseHeapSizeWrapAround(t *testing.T) {
 	size := img.Fields.Find("heap.dataSegmentSize")[0].Offset
 	dataAddr := binary.LittleEndian.Uint64(raw[addr:])
 	binary.LittleEndian.PutUint64(raw[size:], -dataAddr+1)
-	if _, err := Parse(raw); !IsFormatError(err) {
+	var fe *FormatError
+	if _, err := Parse(raw); !errors.As(err, &fe) {
 		t.Fatalf("Parse = %v; want a FormatError", err)
 	}
 }

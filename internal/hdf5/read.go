@@ -2,7 +2,6 @@ package hdf5
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"ffis/internal/vfs"
@@ -533,11 +532,4 @@ func parseLayout(body []byte, ds *Dataset, what string) error {
 	ds.DataOffset = u64le(body[8:16])
 	ds.LayoutSize = u64le(body[16:24])
 	return nil
-}
-
-// IsFormatError reports whether err (or anything it wraps) is a FormatError,
-// i.e. whether the library itself rejected the file.
-func IsFormatError(err error) bool {
-	var fe *FormatError
-	return errors.As(err, &fe)
 }

@@ -120,11 +120,6 @@ func (img *FileImage) Bytes() []byte {
 	return out
 }
 
-// MetaSize returns the metadata block size. By construction the first
-// dataset's Address of Raw Data equals this value — the invariant the
-// paper's ARD auto-correction relies on.
-func (img *FileImage) MetaSize() int { return len(img.Meta) }
-
 // metaWriter appends bytes to the metadata block while recording field
 // attributions.
 type metaWriter struct {
@@ -510,12 +505,4 @@ func (img *FileImage) WriteTo(fs vfs.FS, path string) (err error) {
 		return fmt.Errorf("hdf5: unlock write: %w", err)
 	}
 	return f.Sync()
-}
-
-// MetadataWriteIndex returns the dynamic write-primitive index of the
-// metadata write within WriteTo's I/O sequence, so campaigns can aim an
-// injector exactly at it.
-func (img *FileImage) MetadataWriteIndex() int64 {
-	chunks := (len(img.Data) + 4095) / 4096
-	return int64(chunks) // data chunk writes occupy indices [0, chunks)
 }

@@ -64,23 +64,22 @@ func (r *Result) FieldsWithOutcome(o classify.Outcome) []string {
 	return out
 }
 
-// Run executes the metadata campaign: it builds the Nyx HDF5 image once,
-// then for every targeted metadata byte writes a corrupted copy of the file
-// and classifies the halo-finder outcome against the golden catalog.
+// Run executes the metadata campaign: it builds the Nyx application and
+// its HDF5 image once, then for every targeted metadata byte writes a
+// corrupted copy of the file and classifies it with the application's own
+// outcome rules (nyx.App.Classify, average-value detector off).
 func Run(cfg CampaignConfig) (*Result, error) {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	field := cfg.Sim.Generate()
-	img, err := nyx.BuildImage(field, cfg.Sim.N)
+	app, err := nyx.NewApp(cfg.Sim, cfg.Halo)
 	if err != nil {
 		return nil, err
 	}
-	golden := nyx.FindHalos(field, cfg.Sim.N, cfg.Halo)
-	if len(golden.Halos) == 0 {
-		return nil, fmt.Errorf("metainject: golden run found no halos")
+	img, err := app.Image()
+	if err != nil {
+		return nil, err
 	}
-	goldenOut := golden.Render()
 
 	res := &Result{MetaSize: len(img.Meta), PerField: map[string]*classify.Tally{}}
 	pristine := img.Bytes()
@@ -95,7 +94,10 @@ func Run(cfg CampaignConfig) (*Result, error) {
 		for _, bit := range bits {
 			raw := append([]byte(nil), pristine...)
 			raw[off] ^= 1 << uint(bit)
-			outcome := classifyImage(raw, goldenOut, cfg.Sim.N, cfg.Halo)
+			// A failed write classifies as the crash of a failed run.
+			fs := vfs.NewMemFS()
+			fs.MkdirAll("/plt00000")
+			outcome := app.Classify(fs, vfs.WriteFile(fs, nyx.OutputPath, raw))
 			res.Tally.Add(outcome)
 			res.Cases = append(res.Cases, Case{Offset: off, Bit: bit, Field: fr, Outcome: outcome})
 			t := res.PerField[fr.Name]
@@ -107,28 +109,6 @@ func Run(cfg CampaignConfig) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// classifyImage applies the paper's Nyx outcome rules to a corrupted file
-// image.
-func classifyImage(raw []byte, goldenOut string, n int, halo nyx.HaloConfig) classify.Outcome {
-	fs := vfs.NewMemFS()
-	fs.MkdirAll("/plt00000")
-	if err := vfs.WriteFile(fs, nyx.OutputPath, raw); err != nil {
-		return classify.Crash
-	}
-	cat, err := nyx.RunHaloFinder(fs, nyx.OutputPath, halo)
-	if err != nil {
-		return classify.Crash
-	}
-	out := cat.Render()
-	if out == goldenOut {
-		return classify.Benign
-	}
-	if len(cat.Halos) == 0 {
-		return classify.Detected
-	}
-	return classify.SDC
 }
 
 // RenderTable3 renders the campaign result in the layout of Table III.

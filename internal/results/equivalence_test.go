@@ -177,14 +177,13 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := spec.Config
-			cfg.Workers = workers
 			cfg.Sink = sink
 			dispatched := 0 // polled only by the dispatch loop
 			cfg.Abort = func() bool {
 				dispatched++
 				return dispatched > eqRuns/2
 			}
-			if _, err := core.Campaign(cfg, spec.Workload); !errors.Is(err, core.ErrAborted) {
+			if _, err := runCampaign(workers, cfg, spec.Workload); !errors.Is(err, core.ErrAborted) {
 				t.Fatalf("interrupted campaign: err = %v, want ErrAborted", err)
 			}
 			if err := sink.Close(); err != nil { // no Finalize: the "kill"

@@ -10,6 +10,13 @@ import (
 	"ffis/internal/core"
 )
 
+// runCampaign runs one campaign as a one-spec Engine grid on jobs slots
+// (<= 0 selects GOMAXPROCS).
+func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.CampaignResult, error) {
+	grid := (&core.Engine{Jobs: jobs}).Run([]core.CampaignSpec{{Workload: w, Config: cfg}})
+	return grid[0].Result, grid[0].Err
+}
+
 func TestEncodeKeyInjectiveAndFilesystemSafe(t *testing.T) {
 	keys := []string{"nyx/BF", "nyx%2FBF", "MT2.tiered/SW", "a b", "a/b/c", "a_b-c.d"}
 	seen := map[string]string{}
@@ -236,9 +243,9 @@ func TestStoredRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := core.Campaign(core.CampaignConfig{
+	mem, err := runCampaign(1, core.CampaignConfig{
 		Fault: core.Config{Model: core.MustModel("bit-flip")},
-		Runs:  eqRuns, Seed: eqSeed, Workers: 1,
+		Runs:  eqRuns, Seed: eqSeed,
 	}, eqWorkload())
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ type Histogram struct {
 	Counts []int
 	Under  int
 	Over   int
-	total  int
 }
 
 // NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
@@ -33,7 +32,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case math.IsNaN(x):
 		h.Over++ // NaNs count as out-of-range high; they must not vanish.
@@ -49,16 +47,6 @@ func (h *Histogram) Add(x float64) {
 		h.Counts[i]++
 	}
 }
-
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

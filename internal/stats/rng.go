@@ -33,13 +33,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives an independent generator from the current one. It is used to
-// give each campaign run its own stream so that runs can execute in parallel
-// yet remain individually reproducible.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

@@ -166,18 +166,3 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Errorf("normal variance = %v, want about 1", variance)
 	}
 }
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(21)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split children produced %d/100 identical outputs", same)
-	}
-}

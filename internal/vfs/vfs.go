@@ -172,7 +172,8 @@ func Exists(fsys FS, name string) bool {
 }
 
 // Walk calls fn for every file (not directory) under root, in sorted path
-// order. core.Snapshot uses it to read a file tree for golden comparison.
+// order. Tests in several packages use it to read a file tree for golden
+// comparison.
 func Walk(fsys FS, root string, fn func(p string, info FileInfo) error) error {
 	infos, err := fsys.ReadDir(root)
 	if err != nil {
