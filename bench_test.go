@@ -589,6 +589,51 @@ func BenchmarkQMCPACKClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkNyxClassify is one standard Nyx campaign run whose plotfile
+// takes one bit flip: the HDF5 writes on a clone of an empty world, the
+// flip of the lowest bit of a cell in the middle of the raw data, and the
+// classification, by App.Classify (a new scratch per run) and by a Worker
+// pair (one scratch for every run).
+func BenchmarkNyxClassify(b *testing.B) {
+	sim := nyx.DefaultSim()
+	sim.N, sim.NumHalos = 24, 3 // the campaigns' 24³ world
+	app, err := nyx.NewApp(sim, nyx.DefaultHalo())
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := app.Image()
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := int64(len(img.Meta) + len(img.Data)/2)
+	bit := []byte{img.Data[len(img.Data)/2] ^ 1}
+	world := vfs.NewMemFS()
+	run, workerClassify := app.Worker()
+	for _, tc := range []struct {
+		name     string
+		classify func(vfs.FS, error) classify.Outcome
+	}{{"Classify", app.Classify}, {"Worker", workerClassify}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fs := world.Clone()
+				runErr := run(fs)
+				f, err := fs.Append(nyx.OutputPath)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.WriteAt(bit, off); err != nil {
+					b.Fatal(err)
+				}
+				f.Close()
+				if got := tc.classify(fs, runErr); got == classify.Crash {
+					b.Fatalf("one flipped bit classified %s", got)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkInjectorOverheadDisarmed(b *testing.B) {
 	fs := core.Disarmed(core.Config{Model: core.BitFlip}.Signature()).Wrap(vfs.NewMemFS())
 	f, err := fs.Create("/bench")
@@ -631,7 +676,7 @@ func BenchmarkFloatDecodeGeneric(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spec.DecodeSlice(raw, 1024); err != nil {
+		if _, err := spec.DecodeInto(nil, raw, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

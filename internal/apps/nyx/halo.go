@@ -3,6 +3,7 @@ package nyx
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,7 +50,27 @@ type Catalog struct {
 // threshold are candidates, candidates are linked by 6-connectivity, and
 // components with at least MinCells cells become halos.
 func FindHalos(field []float64, n int, cfg HaloConfig) Catalog {
-	mean := stats.Mean(field)
+	return new(fof).find(field, n, cfg, stats.Mean(field))
+}
+
+// fof is the Friends-of-Friends scratch: dense arrays indexed by cell and
+// by candidate, reused from one field to the next.
+type fof struct {
+	id     []int32 // per cell: its candidate id, or -1
+	cells  []int   // per candidate, in cell order: its cell index
+	parent []int   // union-find forest over candidate ids
+	group  []int   // per root candidate: 1 + its index in acc, or 0
+	acc    []accum // per component, in order of first candidate
+}
+
+// accum accumulates one component's statistics.
+type accum struct {
+	mass, cx, cy, cz float64
+	cells            int
+}
+
+// find runs Friends-of-Friends on field, whose mean is given.
+func (s *fof) find(field []float64, n int, cfg HaloConfig, mean float64) Catalog {
 	cat := Catalog{GridN: n, Mean: mean, Integral: mean * float64(len(field))}
 	threshold := cfg.ThresholdFactor * mean
 	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
@@ -60,88 +81,64 @@ func FindHalos(field []float64, n int, cfg HaloConfig) Catalog {
 
 	// Collect candidate cells. NaN densities never satisfy the
 	// comparison, so they simply drop out.
-	candidate := make(map[int]int, 1024) // cell index -> candidate id
-	var cells []int
+	s.id = slices.Grow(s.id[:0], len(field))[:len(field)]
+	s.cells = s.cells[:0]
 	for i, v := range field {
+		s.id[i] = -1
 		if v >= threshold {
-			candidate[i] = len(cells)
-			cells = append(cells, i)
+			s.id[i] = int32(len(s.cells))
+			s.cells = append(s.cells, i)
 		}
 	}
-	cat.Candidates = len(cells)
-	if len(cells) == 0 {
-		return cat
-	}
+	cat.Candidates = len(s.cells)
 
 	// Union-find over 6-connected candidate neighbours.
-	parent := make([]int, len(cells))
+	parent := slices.Grow(s.parent[:0], len(s.cells))[:len(s.cells)]
+	s.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for id, idx := range cells {
-		x := idx % n
-		y := (idx / n) % n
-		z := idx / (n * n)
+	for id, idx := range s.cells {
+		x, y, z := idx%n, (idx/n)%n, idx/(n*n)
 		// Only look at +x/+y/+z neighbours; the -direction link is made
 		// when the neighbour itself is visited.
-		if x+1 < n {
-			if nid, ok := candidate[idx+1]; ok {
-				union(id, nid)
-			}
-		}
-		if y+1 < n {
-			if nid, ok := candidate[idx+n]; ok {
-				union(id, nid)
-			}
-		}
-		if z+1 < n {
-			if nid, ok := candidate[idx+n*n]; ok {
-				union(id, nid)
+		for _, nb := range [3]struct {
+			ok bool
+			at int
+		}{{x+1 < n, idx + 1}, {y+1 < n, idx + n}, {z+1 < n, idx + n*n}} {
+			if nb.ok && s.id[nb.at] >= 0 {
+				if ra, rb := find(id), find(int(s.id[nb.at])); ra != rb {
+					parent[ra] = rb
+				}
 			}
 		}
 	}
 
-	// Accumulate component statistics.
-	type accum struct {
-		mass  float64
-		cells int
-		cx    float64
-		cy    float64
-		cz    float64
-	}
-	groups := map[int]*accum{}
-	for id, idx := range cells {
+	// Accumulate component statistics in candidate order.
+	s.group = slices.Grow(s.group[:0], len(s.cells))[:len(s.cells)]
+	clear(s.group)
+	s.acc = s.acc[:0]
+	for id, idx := range s.cells {
 		root := find(id)
-		g := groups[root]
-		if g == nil {
-			g = &accum{}
-			groups[root] = g
+		if s.group[root] == 0 {
+			s.acc = append(s.acc, accum{})
+			s.group[root] = len(s.acc)
 		}
-		v := field[idx]
-		x := float64(idx % n)
-		y := float64((idx / n) % n)
-		z := float64(idx / (n * n))
+		g, v := &s.acc[s.group[root]-1], field[idx]
 		g.mass += v
 		g.cells++
-		g.cx += v * x
-		g.cy += v * y
-		g.cz += v * z
+		g.cx += v * float64(idx%n)
+		g.cy += v * float64((idx/n)%n)
+		g.cz += v * float64(idx/(n*n))
 	}
-	for _, g := range groups {
+	for _, g := range s.acc {
 		if g.cells < cfg.MinCells || g.mass <= 0 {
 			continue
 		}

@@ -142,12 +142,34 @@ func WriteDataset(fs vfs.FS, path string, field []float64, n int) error {
 // ReadDataset loads the density field back. Any format violation surfaces
 // as an hdf5.FormatError — the proxy for an HDF5 library exception.
 func ReadDataset(fs vfs.FS, path string) ([]float64, int, error) {
-	vals, dims, err := hdf5.ReadDataset(fs, path, DatasetName)
+	raw, err := vfs.ReadFile(fs, path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(dims) != 3 || dims[0] != dims[1] || dims[1] != dims[2] {
-		return nil, 0, &hdf5.FormatError{Field: "dataspace", Msg: "expected cubic 3-D dataset"}
+	d, vals, err := decodeField(raw, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	return vals, int(dims[0]), nil
+	return vals, int(d.Dims[0]), nil
+}
+
+// decodeField parses a plotfile and decodes its cubic density dataset into
+// dst's storage when its capacity suffices.
+func decodeField(raw []byte, dst []float64) (*hdf5.Dataset, []float64, error) {
+	f, err := hdf5.Parse(raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := f.Dataset(DatasetName)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, err := f.ReadValuesInto(d, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(d.Dims) != 3 || d.Dims[0] != d.Dims[1] || d.Dims[1] != d.Dims[2] {
+		return nil, nil, &hdf5.FormatError{Field: "dataspace", Msg: "expected cubic 3-D dataset"}
+	}
+	return d, vals, nil
 }

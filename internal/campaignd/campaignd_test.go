@@ -1,8 +1,10 @@
 package campaignd
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -301,6 +303,52 @@ func TestIngestRejectsOutOfOrderAndDriftedHeaders(t *testing.T) {
 	// Completing with runs missing is refused.
 	if err := coord.Complete(g.LeaseID); err == nil || !strings.Contains(err.Error(), "of 10 runs") {
 		t.Fatalf("want incomplete-complete rejection, got %v", err)
+	}
+}
+
+// TestIngestRejectsBatchWhole sends the batch [1, 5] after record 0: the
+// coordinator must refuse it with a conflict and leave the partial record
+// file and the persisted count exactly as they were, record 1 included.
+func TestIngestRejectsBatchWhole(t *testing.T) {
+	coord, ws, _ := coordForOneSpec(t, 10, 3, time.Minute)
+	g, ok, _, err := coord.Lease("a")
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	h := wireHeader(t, ws, 11)
+	if err := coord.Ingest(g.LeaseID, &h, []results.Record{{Index: 0, Outcome: "benign"}}); err != nil {
+		t.Fatal(err)
+	}
+	partials, err := filepath.Glob(filepath.Join(coord.store.Dir(), "*", "*.partial"))
+	if err != nil || len(partials) != 1 {
+		t.Fatalf("partial files %v (%v), want one", partials, err)
+	}
+	before, err := os.ReadFile(partials[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]results.Record{
+		{{Index: 1, Outcome: "benign"}, {Index: 5, Outcome: "benign"}},
+		{{Index: 1, Outcome: "benign"}, {Index: 10, Outcome: "benign"}},
+	} {
+		err := coord.Ingest(g.LeaseID, nil, batch)
+		if err == nil || ingestStatus(err) != http.StatusConflict {
+			t.Fatalf("batch %v: want a conflict, got %v", batch, err)
+		}
+		after, rerr := os.ReadFile(partials[0])
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("refused batch %v changed the partial file:\n%s\nwant\n%s", batch, after, before)
+		}
+		if p := coord.Progress()[0].Persisted; p != 1 {
+			t.Fatalf("refused batch %v: persisted %d, want 1", batch, p)
+		}
+	}
+	// The refused batch's valid prefix is still what comes next.
+	if err := coord.Ingest(g.LeaseID, nil, []results.Record{{Index: 1, Outcome: "benign"}}); err != nil {
+		t.Fatalf("record 1 after the refused batch: %v", err)
 	}
 }
 

@@ -275,7 +275,9 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 // any recovered header from a previous worker's prefix
 // (SpecSink.BeginHeader — profile drift across workers is refused).
 // Records must arrive in strict index order starting at the lease's
-// resume point; SpecSink.Append refuses any gap or repeat.
+// resume point. A batch is all or nothing: every index is checked before
+// the header or any record is written, so a refused batch leaves the
+// stored stream as it was.
 func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []results.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,6 +285,14 @@ func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []resu
 	st := c.findLease(leaseID)
 	if st == nil {
 		return errLeaseGone
+	}
+	for k, rec := range recs {
+		switch want := st.sink.Persisted() + k; {
+		case rec.Index < 0 || rec.Index >= st.ws.Runs:
+			return fmt.Errorf("campaignd: spec %q: record index %d outside campaign of %d runs", st.ws.Key, rec.Index, st.ws.Runs)
+		case rec.Index != want:
+			return fmt.Errorf("campaignd: spec %q: record %d out of order (expected %d)", st.ws.Key, rec.Index, want)
+		}
 	}
 	if header != nil {
 		meta, _ := st.ws.Meta() // NewCoordinator validated the spec

@@ -52,20 +52,20 @@ func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
 		if err != nil {
 			return core.Workload{}, err
 		}
-		golden := app.Golden()
-		return core.Workload{
+		run := func(fs vfs.FS, sc *nyx.Scratch) error {
+			if err := app.Run(fs); err != nil { // producer: plotfile
+				return err
+			}
+			_, text, err := app.Analyze(fs, sc) // consumer: halo finder
+			if err != nil {
+				return err
+			}
+			return vfs.WriteFile(fs, "/out/halos.txt", []byte(text))
+		}
+		w := core.Workload{
 			Name:  "nyx",
 			Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-			Run: func(fs vfs.FS) error {
-				if err := app.Run(fs); err != nil { // producer: plotfile
-					return err
-				}
-				cat, err := nyx.RunHaloFinder(fs, nyx.OutputPath, app.Halo) // consumer
-				if err != nil {
-					return err
-				}
-				return vfs.WriteFile(fs, "/out/halos.txt", []byte(cat.Render()))
-			},
+			Run:   func(fs vfs.FS) error { return run(fs, new(nyx.Scratch)) },
 			Classify: func(fs vfs.FS, runErr error) classify.Outcome {
 				if runErr != nil {
 					return classify.Crash
@@ -75,7 +75,7 @@ func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
 					return classify.Crash
 				}
 				switch {
-				case string(got) == golden:
+				case string(got) == app.Golden():
 					return classify.Benign
 				case strings.Contains(string(got), "nhalos 0"):
 					return classify.Detected // empty catalog: visibly wrong
@@ -83,7 +83,12 @@ func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
 					return classify.SDC
 				}
 			},
-		}, nil
+		}
+		w.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+			sc := new(nyx.Scratch)
+			return func(fs vfs.FS) error { return run(fs, sc) }, w.Classify
+		}
+		return w, nil
 	case "qmcpack", "qmc":
 		app, err := qmcpack.NewApp(qmcpack.DefaultQMC())
 		if err != nil {

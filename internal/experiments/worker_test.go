@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,10 +70,66 @@ func recordLines(t *testing.T, g core.GridResult) []string {
 	return out
 }
 
+// gridLines runs specs on an engine of the given width and returns their
+// store lines, each spec's records after a line naming its key.
+func gridLines(t *testing.T, specs []WireSpec, jobs int) []string {
+	t.Helper()
+	grid, err := Options{Engine: &core.Engine{Jobs: jobs}}.runGrid(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, g := range grid {
+		head, err := json.Marshal(struct {
+			Key string `json:"key"`
+		}{g.Spec.Key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(head))
+		lines = append(lines, recordLines(t, g)...)
+	}
+	return lines
+}
+
+// checkGridGolden fails t unless the store lines of specs equal the golden
+// at path byte for byte, at jobs 1 and 8, and returns the golden. With
+// UPDATE_GOLDEN set it first rewrites the golden from a jobs-1 run.
+func checkGridGolden(t *testing.T, path string, specs []WireSpec) string {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		lines := gridLines(t, specs, 1)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	for _, jobs := range []int{1, 8} {
+		got := gridLines(t, specs, jobs)
+		if len(got) != len(want) {
+			t.Fatalf("jobs %d: %d lines, golden has %d", jobs, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("jobs %d line %d differs from the golden\n  golden %s\n  got    %s", jobs, i+1, want[i], got[i])
+			}
+		}
+	}
+	return string(raw)
+}
+
 // TestWorkerRecordsMatchPlainRuns pins core.Workload.Worker to Run and
 // Classify: for every Montage stage under bit flips, shorn writes and
-// dropped writes, a campaign whose runs share per-slot scratch through
-// Worker stores records byte-identical to one that builds fresh images
+// dropped writes, and for the Nyx cell and Nyx pipeline under those and
+// read bit flips, a campaign whose runs share per-slot scratch through
+// Worker stores records byte-identical to one that builds fresh scratch
 // every run, at jobs 1 (one pair serves every run) and jobs 8. Runs that
 // return an error, and runs that panic midway through their stage (MT2's
 // difference read-back, MT4's mosaic read-back), leave a half-written
@@ -102,6 +160,29 @@ func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
 			key := fmt.Sprintf("%s/%s", w.Name, m.Short())
 			plain = append(plain, core.CampaignSpec{Key: key, WorldKey: key + "/plain", Workload: pw, Config: cfg})
 			worker = append(worker, core.CampaignSpec{Key: key, WorldKey: key + "/worker", Workload: ww, Config: cfg})
+		}
+	}
+	// Nyx: the standard cell and the pipeline, whose consumer runs the
+	// halo finder inside Run, also under read faults.
+	for _, nc := range []struct {
+		name   string
+		build  func(string, Options) (core.Workload, error)
+		models []core.Model
+	}{
+		{"nyx", NewWorkload, models},
+		{"nyx.pipeline", NewPipelineWorkload, append(models, core.ReadBitFlip)},
+	} {
+		w, err := nc.build("nyx", Options{NyxN: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw := w
+		pw.Worker = nil
+		for _, m := range nc.models {
+			cfg := core.CampaignConfig{Fault: core.Config{Model: m}, Runs: runs, Seed: seed}
+			key := nc.name + "/" + m.Short()
+			plain = append(plain, core.CampaignSpec{Key: key, WorldKey: key + "/plain", Workload: pw, Config: cfg})
+			worker = append(worker, core.CampaignSpec{Key: key, WorldKey: key + "/worker", Workload: w, Config: cfg})
 		}
 	}
 	// Plain records do not depend on jobs (the engine suites pin that), so

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Normalization enumerates the mantissa normalization modes of the HDF5
@@ -282,15 +283,16 @@ func (s FloatSpec) Encode(v float64) []byte {
 	return out
 }
 
-// DecodeSlice decodes count consecutive elements from raw. Short input
-// yields an error — the condition the reader hits when a corrupted layout
-// address points past end-of-file.
-func (s FloatSpec) DecodeSlice(raw []byte, count int) ([]float64, error) {
+// DecodeInto decodes count consecutive elements from raw into dst's
+// storage when its capacity suffices and into a new slice otherwise. Short
+// input yields an error — the condition the reader hits when a corrupted
+// layout address points past end-of-file.
+func (s FloatSpec) DecodeInto(dst []float64, raw []byte, count int) ([]float64, error) {
 	need := count * int(s.Size)
 	if len(raw) < need {
 		return nil, fmt.Errorf("hdf5: raw data truncated: need %d bytes, have %d", need, len(raw))
 	}
-	out := make([]float64, count)
+	out := slices.Grow(dst[:0], count)[:count]
 	if s.IsIEEEDouble() {
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))

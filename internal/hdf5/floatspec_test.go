@@ -231,7 +231,7 @@ func TestDecodeSliceAndEncodeSlice(t *testing.T) {
 	if len(raw) != 40 {
 		t.Fatalf("raw len = %d", len(raw))
 	}
-	got, err := spec.DecodeSlice(raw, 5)
+	got, err := spec.DecodeInto(nil, raw, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +240,14 @@ func TestDecodeSliceAndEncodeSlice(t *testing.T) {
 			t.Errorf("slice[%d] = %v, want %v", i, got[i], vals[i])
 		}
 	}
-	if _, err := spec.DecodeSlice(raw, 6); err == nil {
+	if _, err := spec.DecodeInto(nil, raw, 6); err == nil {
 		t.Fatal("short raw accepted")
 	}
 }
 
 // TestIEEESliceMatchesScalarCodec pins the word-at-a-time IEEE-double slice
 // codec to the element-wise one on random 64-bit patterns plus the special
-// values: EncodeSlice bytes equal concatenated Encode bytes, DecodeSlice
+// values: EncodeSlice bytes equal concatenated Encode bytes, DecodeInto
 // values equal Decode values bit for bit (any NaN for a NaN pattern, since
 // the scalar decoder canonicalizes NaNs), and short input keeps its error.
 func TestIEEESliceMatchesScalarCodec(t *testing.T) {
@@ -268,20 +268,20 @@ func TestIEEESliceMatchesScalarCodec(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatal("EncodeSlice differs from element-wise Encode")
 	}
-	got, err := spec.DecodeSlice(raw, len(vals))
+	got, err := spec.DecodeInto(nil, raw, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
 		w := spec.Decode(raw[i*8 : i*8+8])
 		if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
-			t.Fatalf("element %d (%#x): DecodeSlice %#x, Decode %#x", i, math.Float64bits(vals[i]), math.Float64bits(got[i]), math.Float64bits(w))
+			t.Fatalf("element %d (%#x): DecodeInto %#x, Decode %#x", i, math.Float64bits(vals[i]), math.Float64bits(got[i]), math.Float64bits(w))
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("element %d: DecodeSlice %#x, encoded %#x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+			t.Fatalf("element %d: DecodeInto %#x, encoded %#x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
 		}
 	}
-	_, err = spec.DecodeSlice(raw[:len(raw)-1], len(vals))
+	_, err = spec.DecodeInto(nil, raw[:len(raw)-1], len(vals))
 	if want := "hdf5: raw data truncated: need 32768 bytes, have 32767"; err == nil || err.Error() != want {
 		t.Fatalf("short input: err = %v, want %q", err, want)
 	}
@@ -294,7 +294,7 @@ func TestDecodeSliceNonIEEE(t *testing.T) {
 	if len(raw) != 12 {
 		t.Fatalf("raw len = %d", len(raw))
 	}
-	got, err := spec.DecodeSlice(raw, 3)
+	got, err := spec.DecodeInto(nil, raw, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,12 +175,24 @@ func TestWriteToAndOpenViaVFS(t *testing.T) {
 	if err := img.WriteTo(fs, "/plt0/data.h5"); err != nil {
 		t.Fatal(err)
 	}
-	vals, dims, err := ReadDataset(fs, "/plt0/data.h5", "baryon_density")
+	raw, err := vfs.ReadFile(fs, "/plt0/data.h5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dims) != 1 || dims[0] != 64 || vals[63] != 63.25 {
-		t.Fatalf("dims=%v vals[63]=%v", dims, vals[63])
+	f, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := f.Dataset("baryon_density")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := f.ReadValues(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Dims) != 1 || d.Dims[0] != 64 || vals[63] != 63.25 {
+		t.Fatalf("dims=%v vals[63]=%v", d.Dims, vals[63])
 	}
 }
 

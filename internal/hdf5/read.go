@@ -3,8 +3,6 @@ package hdf5
 import (
 	"bytes"
 	"fmt"
-
-	"ffis/internal/vfs"
 )
 
 // FormatError is returned when the reader rejects a file; it corresponds to
@@ -97,7 +95,11 @@ func (f *File) Dataset(name string) (*Dataset, error) {
 // one is rejected (crash), and a corrupted Address of Raw Data is honoured
 // as long as it stays inside the file — silently shifting the data
 // (the Table IV ARD SDC).
-func (f *File) ReadValues(d *Dataset) ([]float64, error) {
+func (f *File) ReadValues(d *Dataset) ([]float64, error) { return f.ReadValuesInto(d, nil) }
+
+// ReadValuesInto is ReadValues decoding into dst's storage when its
+// capacity suffices, with the same checks and errors.
+func (f *File) ReadValuesInto(d *Dataset, dst []float64) ([]float64, error) {
 	n, err := d.ElemCount()
 	if err != nil {
 		return nil, err
@@ -111,33 +113,7 @@ func (f *File) ReadValues(d *Dataset) ([]float64, error) {
 		return nil, formatErrf("layout.addressOfRawData",
 			"raw data [%d,%d) outside file of %d bytes", d.DataOffset, d.DataOffset+need, len(f.raw))
 	}
-	return d.Spec.DecodeSlice(f.raw[d.DataOffset:d.DataOffset+need], int(n))
-}
-
-// Open reads and parses path from the file system.
-func Open(fs vfs.FS, path string) (*File, error) {
-	raw, err := vfs.ReadFile(fs, path)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(raw)
-}
-
-// ReadDataset is the one-call convenience: open path, locate name, decode.
-func ReadDataset(fs vfs.FS, path, name string) ([]float64, []uint64, error) {
-	f, err := Open(fs, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := f.Dataset(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals, err := f.ReadValues(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, d.Dims, nil
+	return d.Spec.DecodeInto(dst, f.raw[d.DataOffset:d.DataOffset+need], int(n))
 }
 
 // parser walks the metadata with bounds checking; every violation becomes a

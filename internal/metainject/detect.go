@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ffis/internal/hdf5"
+	"ffis/internal/stats"
 )
 
 // Diagnosis names the metadata fault category identified by the
@@ -80,7 +81,7 @@ func Diagnose(raw []byte, dataset string) (Diagnosis, error) {
 		}
 		return DiagUnknown, err
 	}
-	avg := mean(values)
+	avg := stats.Mean(values)
 	switch {
 	case math.Abs(avg-1) <= AvgTol:
 		if ds.DataOffset != f.MetadataEnd {
@@ -152,7 +153,7 @@ func Correct(raw []byte, dataset string) ([]byte, Diagnosis, error) {
 		if err != nil {
 			return nil, diag, err
 		}
-		delta := int32(math.Round(math.Log2(mean(values))))
+		delta := int32(math.Round(math.Log2(stats.Mean(values))))
 		putU32(fixed, ds.Offsets.ExpBias, uint32(int32(ds.Spec.ExpBias)+delta))
 
 	case DiagGeometry:

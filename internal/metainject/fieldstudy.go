@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ffis/internal/apps/nyx"
-	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
 
@@ -75,15 +74,15 @@ type FieldEffect struct {
 
 // FieldStudy performs the directed Table IV injections on a Nyx dataset.
 func FieldStudy(sim nyx.SimConfig, halo nyx.HaloConfig) ([]FieldEffect, error) {
-	field := sim.Generate()
-	img, err := nyx.BuildImage(field, sim.N)
+	app, err := nyx.NewApp(sim, halo)
 	if err != nil {
 		return nil, err
 	}
-	golden := nyx.FindHalos(field, sim.N, halo)
-	if len(golden.Halos) == 0 {
-		return nil, fmt.Errorf("metainject: golden run found no halos")
+	img, err := app.Image()
+	if err != nil {
+		return nil, err
 	}
+	golden := app.GoldenCatalog()
 	pristine := img.Bytes()
 
 	var out []FieldEffect
@@ -210,6 +209,3 @@ func ScaleIsPowerOfTwo(x float64) bool {
 	r := math.Round(l)
 	return r != 0 && math.Abs(l-r) < 1e-6
 }
-
-// mean is a local convenience over stats.Mean for clarity in this package.
-func mean(xs []float64) float64 { return stats.Mean(xs) }

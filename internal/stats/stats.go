@@ -10,17 +10,27 @@ func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	// Kahan summation: campaign datasets can mix magnitudes wildly after
-	// fault injection, and the average-value detector needs ~1e-3 relative
-	// accuracy on grids of 10^6 cells.
-	var sum, c float64
+	var k Kahan
+	k.Add(xs)
+	return k.Sum / float64(len(xs))
+}
+
+// Kahan is a compensated running sum, C its running compensation.
+// Campaign datasets can mix magnitudes wildly after fault injection, and
+// the average-value detector needs ~1e-3 relative accuracy on grids of
+// 10^6 cells. A copy taken after a prefix resumes that sum bit for bit.
+type Kahan struct{ Sum, C float64 }
+
+// Add continues the sum over xs.
+func (k *Kahan) Add(xs []float64) {
+	sum, c := k.Sum, k.C
 	for _, x := range xs {
 		y := x - c
 		t := sum + y
 		c = (t - sum) - y
 		sum = t
 	}
-	return sum / float64(len(xs))
+	k.Sum, k.C = sum, c
 }
 
 // Proportion is an observed binomial proportion with its sample size,

@@ -104,3 +104,28 @@ func TestProportionQuickProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKahanResumesBitForBit checks that a sum resumed from a copy of its
+// state after any prefix equals the one-pass sum bit for bit, on values
+// whose magnitudes differ wildly.
+func TestKahanResumesBitForBit(t *testing.T) {
+	rng := NewRNG(5)
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(120)-60)
+	}
+	var whole Kahan
+	whole.Add(xs)
+	for _, cut := range []int{0, 1, 255, 256, 500, 999, 1000} {
+		var k Kahan
+		k.Add(xs[:cut])
+		resumed := k
+		resumed.Add(xs[cut:])
+		if math.Float64bits(resumed.Sum) != math.Float64bits(whole.Sum) || math.Float64bits(resumed.C) != math.Float64bits(whole.C) {
+			t.Fatalf("cut %d: resumed %+v, one pass %+v", cut, resumed, whole)
+		}
+	}
+	if got, want := Mean(xs), whole.Sum/float64(len(xs)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Mean %v, Kahan sum / n %v", got, want)
+	}
+}
