@@ -33,8 +33,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ffis/internal/core"
@@ -166,9 +168,9 @@ func main() {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			die(err)
 		}
-		for name, data := range images {
+		for _, name := range slices.Sorted(maps.Keys(images)) {
 			p := filepath.Join(*outdir, fmt.Sprintf("%s_%s.pgm", prefix, name))
-			if err := os.WriteFile(p, data, 0o644); err != nil {
+			if err := os.WriteFile(p, images[name], 0o644); err != nil {
 				die(err)
 			}
 			fmt.Printf("  wrote %s\n", p)
@@ -178,88 +180,54 @@ func main() {
 	wantTable := func(n int) bool { return *all || *table == n }
 	wantFig := func(n int) bool { return *all || *fig == n }
 	ranSomething := false
-
-	if wantTable(1) {
-		fmt.Println(experiments.Table1())
+	// emit prints one rendered artifact; an error is fatal.
+	emit := func(out string, err error) {
+		if err != nil {
+			die(err)
+		}
+		fmt.Println(out)
 		ranSomething = true
 	}
+
+	if wantTable(1) {
+		emit(experiments.Table1(), nil)
+	}
 	if wantTable(2) {
-		fmt.Println(experiments.Table2())
-		ranSomething = true
+		emit(experiments.Table2(), nil)
 	}
 	if wantTable(3) {
 		out, _, err := experiments.Table3(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(out, err)
 	}
 	if wantTable(4) {
 		out, _, err := experiments.Table4(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(out, err)
 	}
 	if wantFig(5) {
 		out, images, err := experiments.Fig5(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
+		emit(out, err)
 		saveImages("fig5", images)
-		ranSomething = true
 	}
 	if wantFig(6) {
-		out, err := experiments.Fig6(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(experiments.Fig6(o))
 	}
 	if wantFig(7) {
 		out, _, err := experiments.Fig7(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(out, err)
 	}
 	if wantFig(8) {
-		out, err := experiments.Fig8(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(experiments.Fig8(o))
 	}
 	if wantFig(9) {
 		out, images, err := experiments.Fig9(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
+		emit(out, err)
 		saveImages("fig9", images)
-		ranSomething = true
 	}
 	if *ablation || *all {
-		out, err := experiments.Ablations(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(experiments.Ablations(o))
 	}
 	if *detector || *all {
-		out, err := experiments.Fig7WithDetector(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(experiments.Fig7WithDetector(o))
 	}
 	if *tiered || *all {
 		models := experiments.Fig7Models()
@@ -272,20 +240,12 @@ func main() {
 		}
 		for _, m := range models {
 			out, _, err := experiments.Tiered(nil, m, o)
-			if err != nil {
-				die(err)
-			}
-			fmt.Println(out)
+			emit(out, err)
 		}
-		ranSomething = true
 	}
 	if *rw || *all {
 		out, _, err := experiments.ReadWriteGrid(o)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(out)
-		ranSomething = true
+		emit(out, err)
 	}
 	if err := finishEvents(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", err)

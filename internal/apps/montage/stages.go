@@ -37,7 +37,7 @@ func Stages() []Stage { return []Stage{StageProject, StageDiff, StageBg, StageAd
 // so a scratch carries nothing from one run into the next, even from a
 // run that failed midway.
 type scratch struct {
-	tiles, areas                        []fits.Image // runDiff and finish keep every tile live
+	tiles, areas                        []fits.Image // runDiff and finish before mAdd keep every tile live
 	in, out, area, diff, mosaic, weight fits.Image
 	pgm, img, table                     []byte
 }
@@ -187,11 +187,11 @@ func solve3(m [3][3]float64, rhs [3]float64) ([3]float64, error) {
 	return [3]float64{rhs[0] / m[0][0], rhs[1] / m[1][1], rhs[2] / m[2][2]}, nil
 }
 
-// readTiles decodes path(i) and the area file of each tile, in that
-// order, into sc.tiles and sc.areas.
-func (c Config) readTiles(fs vfs.FS, path func(int) string, sc *scratch) error {
+// readTiles decodes the projection and the area file of each tile, in
+// that order, into sc.tiles and sc.areas.
+func (c Config) readTiles(fs vfs.FS, sc *scratch) error {
 	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, path(i), &sc.tiles[i]); err != nil {
+		if _, err := fits.Read(fs, projPath(i), &sc.tiles[i]); err != nil {
 			return err
 		}
 		if _, err := fits.Read(fs, areaPath(i), &sc.areas[i]); err != nil {
@@ -270,7 +270,7 @@ func (c Config) runDiff(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(DiffDir); err != nil {
 		return err
 	}
-	if err := c.readTiles(fs, projPath, sc); err != nil {
+	if err := c.readTiles(fs, sc); err != nil {
 		return err
 	}
 	var pairs [][2]int
@@ -400,31 +400,18 @@ func (c Config) runBg(fs vfs.FS, sc *scratch) error {
 	return nil
 }
 
-// coaddTiles co-adds sc's tiles into sc.mosaic, the area-weighted mean.
-func (c Config) coaddTiles(sc *scratch) {
+// coadd co-adds the tiles that tile(i) supplies, in tile order, into
+// sc.mosaic, the area-weighted mean; it stops at tile's first error.
+func (c Config) coadd(sc *scratch, tile func(i int) (im, area *fits.Image, err error)) error {
 	mosaic, weight := &sc.mosaic, &sc.weight
 	mosaic.Reset(c.MosaicW, c.MosaicH)
 	weight.Reset(c.MosaicW, c.MosaicH)
-	for i, area := range sc.areas {
-		im := &sc.tiles[i]
-		x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
-		for y := 0; y < im.Height; y++ {
-			for x := 0; x < im.Width; x++ {
-				a := 0.0
-				if x < area.Width && y < area.Height {
-					a = area.At(x, y)
-				}
-				if a == 0 {
-					continue
-				}
-				mx, my := x0+x, y0+y
-				if mx < 0 || my < 0 || mx >= c.MosaicW || my >= c.MosaicH {
-					continue
-				}
-				mosaic.Set(mx, my, mosaic.At(mx, my)+a*im.At(x, y))
-				weight.Set(mx, my, weight.At(mx, my)+a)
-			}
+	for i := 0; i < c.Tiles; i++ {
+		im, area, err := tile(i)
+		if err != nil {
+			return err
 		}
+		c.addTile(sc, im, area)
 	}
 	for i := range mosaic.Data {
 		if weight.Data[i] > 0 {
@@ -432,6 +419,42 @@ func (c Config) coaddTiles(sc *scratch) {
 		} else {
 			mosaic.Data[i] = math.NaN() // blank pixel, like Montage's NaN fill
 		}
+	}
+	return nil
+}
+
+// addTile adds im, weighted by its area image, into sc.mosaic and
+// sc.weight.
+func (c Config) addTile(sc *scratch, im, area *fits.Image) {
+	x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
+	for y := 0; y < im.Height; y++ {
+		for x := 0; x < im.Width; x++ {
+			a := 0.0
+			if x < area.Width && y < area.Height {
+				a = area.At(x, y)
+			}
+			if a == 0 {
+				continue
+			}
+			mx, my := x0+x, y0+y
+			if mx < 0 || my < 0 || mx >= c.MosaicW || my >= c.MosaicH {
+				continue
+			}
+			sc.mosaic.Set(mx, my, sc.mosaic.At(mx, my)+a*im.At(x, y))
+			sc.weight.Set(mx, my, sc.weight.At(mx, my)+a)
+		}
+	}
+}
+
+// readCorr returns a coadd source that decodes corrected tile i and then
+// its area file into sc.in and sc.area, one tile at a time.
+func readCorr(fs vfs.FS, sc *scratch) func(int) (*fits.Image, *fits.Image, error) {
+	return func(i int) (*fits.Image, *fits.Image, error) {
+		if _, err := fits.Read(fs, corrPath(i), &sc.in); err != nil {
+			return nil, nil, err
+		}
+		_, err := fits.Read(fs, areaPath(i), &sc.area)
+		return &sc.in, &sc.area, err
 	}
 }
 
@@ -472,10 +495,9 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(MosaicDir); err != nil {
 		return err
 	}
-	if err := c.readTiles(fs, corrPath, sc); err != nil {
+	if err := c.coadd(sc, readCorr(fs, sc)); err != nil {
 		return err
 	}
-	c.coaddTiles(sc)
 	if err := fits.Write(fs, MosaicPath, &sc.mosaic); err != nil {
 		return err
 	}
@@ -500,15 +522,11 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 // finish does too: each image the file stages write and read back takes
 // StoreHeader (pixels survive bit for bit); the table is parsed as text.
 func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, error) {
-	path := projPath
-	if from == StageAdd {
-		path = corrPath
-	}
-	if err := c.readTiles(fs, path, sc); err != nil {
-		return nil, "", err
-	}
-	var corr [][3]float64
+	tiles := readCorr(fs, sc)
 	if from < StageAdd {
+		if err := c.readTiles(fs, sc); err != nil {
+			return nil, "", err
+		}
 		table, err := append(sc.table[:0], fitsTableHeader...), error(nil)
 		if from == StageDiff {
 			err = c.diffPairs(sc, func(i, j int) (err error) {
@@ -520,6 +538,7 @@ func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, erro
 		} else {
 			table, err = vfs.ReadInto(fs, FitsTablePath, sc.table)
 		}
+		var corr [][3]float64
 		if err == nil {
 			sc.table = table
 			corr, err = c.background(table)
@@ -527,14 +546,14 @@ func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, erro
 		if err != nil {
 			return nil, "", err
 		}
-	}
-	for i := range corr {
-		correct(&sc.tiles[i], corr[i])
-		if err := sc.tiles[i].StoreHeader(); err != nil {
-			return nil, "", err
+		tiles = func(i int) (*fits.Image, *fits.Image, error) {
+			correct(&sc.tiles[i], corr[i])
+			return &sc.tiles[i], &sc.areas[i], sc.tiles[i].StoreHeader()
 		}
 	}
-	c.coaddTiles(sc)
+	if err := c.coadd(sc, tiles); err != nil {
+		return nil, "", err
+	}
 	if err := sc.mosaic.StoreHeader(); err != nil {
 		return nil, "", err
 	}

@@ -146,6 +146,12 @@ func ReadDataset(fs vfs.FS, path string) ([]float64, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	return DecodeDataset(raw)
+}
+
+// DecodeDataset decodes the density field of the plotfile bytes raw, as
+// ReadDataset does once it has read them.
+func DecodeDataset(raw []byte) ([]float64, int, error) {
 	d, vals, err := decodeField(raw, nil)
 	if err != nil {
 		return nil, 0, err

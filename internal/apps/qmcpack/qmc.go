@@ -130,51 +130,75 @@ func DefaultQMC() QMCConfig {
 
 // draw is the randomness of one walker step: the 6 Gaussian displacements,
 // the log of the Metropolis uniform and, in DMC, the branching uniform.
+// Until transformed, chi[k] and s[k] hold a polar pair and lnU holds u.
 type draw struct {
-	chi [6]float64
-	lnU float64 // math.Log(u+1e-300) of the Metropolis uniform u
-	u   float64 // branching uniform (DMC only)
+	chi, s [6]float64
+	lnU    float64 // math.Log(u+1e-300) of the Metropolis uniform u
+	u      float64 // branching uniform (DMC only)
 }
 
 const (
-	drawChunk = 512 // draws (32 KiB) per hand-over
-	drawBufs  = 4   // chunks in flight: the producer runs up to 3 ahead
+	drawChunk = 512 // draws (56 KiB) per hand-over
+	drawBufs  = 16  // chunks in flight: slack so a descheduled goroutine stalls no other
 )
 
 // drawStream hands out an RNG's walker-step draws in order. Every step
 // draws the same pattern whatever the walkers do, so the stream depends on
-// the seed alone and a goroutine can produce it ahead of the physics. Chunks
-// go to the consumer on full and come back on free; both channels hold
+// the seed alone and can be produced ahead of the physics, in two
+// goroutines: generate owns the RNG and fills chunks with accepted polar
+// pairs and raw uniforms, transform applies stats.Polar and the logarithm.
+// Chunks go free → pairs → full → consumer → free; every channel holds
 // every chunk, so no send ever blocks. close must run before the consumer
 // returns; it leaves no goroutine behind.
 type drawStream struct {
-	full, free chan []draw
-	buf        []draw // the chunk being consumed
-	pos        int    // index of buf's next draw
+	free, pairs, full chan []draw
+	buf               []draw // the chunk being consumed
+	pos               int    // index of buf's next draw
 }
 
 func newDrawStream(rng *stats.RNG, branch bool) *drawStream {
-	s := &drawStream{full: make(chan []draw, drawBufs), free: make(chan []draw, drawBufs)}
+	ch := func() chan []draw { return make(chan []draw, drawBufs) }
+	s := &drawStream{free: ch(), pairs: ch(), full: ch()}
 	for range drawBufs {
 		s.free <- make([]draw, drawChunk)
 	}
-	go func() {
-		defer close(s.full)
-		for buf := range s.free {
-			for i := range buf {
-				d := &buf[i]
-				for k := range d.chi {
-					d.chi[k] = rng.NormFloat64()
-				}
-				d.lnU = math.Log(rng.Float64() + 1e-300)
-				if branch {
-					d.u = rng.Float64()
-				}
-			}
-			s.full <- buf
-		}
-	}()
+	go s.generate(rng, branch)
+	go s.transform()
 	return s
+}
+
+// generate is the sequential stage: the RNG's draws in stream order.
+func (s *drawStream) generate(rng *stats.RNG, branch bool) {
+	defer close(s.pairs)
+	for buf := range s.free {
+		for i := range buf {
+			d := &buf[i]
+			for k := range d.chi {
+				d.chi[k], d.s[k] = rng.PolarPair()
+			}
+			d.lnU = rng.Float64()
+			if branch {
+				d.u = rng.Float64()
+			}
+		}
+		s.pairs <- buf
+	}
+}
+
+// transform is the pure stage: the same float64 operations NormFloat64
+// and the sequential Metropolis test applied, on the same inputs.
+func (s *drawStream) transform() {
+	defer close(s.full)
+	for buf := range s.pairs {
+		for i := range buf {
+			d := &buf[i]
+			for k := range d.chi {
+				d.chi[k] = stats.Polar(d.chi[k], d.s[k])
+			}
+			d.lnU = math.Log(d.lnU + 1e-300)
+		}
+		s.full <- buf
+	}
 }
 
 // next returns the next draw; it stays valid until the following call.
@@ -189,7 +213,8 @@ func (s *drawStream) next() *draw {
 	return &s.buf[s.pos-1]
 }
 
-// close stops the producer and waits until it has exited.
+// close stops both stages and waits until they have finished: generate
+// closes pairs when free is closed, transform closes full when pairs is.
 func (s *drawStream) close() {
 	close(s.free)
 	for range s.full {

@@ -155,18 +155,36 @@ func TestGoldenQMCOutputPinned(t *testing.T) {
 	}
 }
 
-// TestRunAllLeavesNoGoroutine checks that the draw producers stop when
-// their runs return: after a whole RunAll, after a RunDMC that stops while
-// its producer is chunks ahead, and when the consumer panics.
+// stageStates returns the scheduler state ("chan receive", "running",
+// ...) of every goroutine inside a drawStream stage, keyed by stage.
+func stageStates() map[string][]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	states := map[string][]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, stage := range []string{"generate", "transform"} {
+			if strings.Contains(g, "(*drawStream)."+stage+"(") {
+				states[stage] = append(states[stage], g[strings.Index(g, "[")+1:strings.Index(g, "]")])
+			}
+		}
+	}
+	return states
+}
+
+// TestRunAllLeavesNoGoroutine checks that both draw stages stop when their
+// runs return: after a whole RunAll, after a RunDMC that stops while its
+// stages are chunks ahead, when close comes while transform holds a chunk
+// and generate waits for a free one, and when the consumer panics, at its
+// first draw or mid-chunk with both stages idle.
 func TestRunAllLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
-	// A stopped producer is still counted until it returns from the
-	// deferred close(full) that close waits for, so poll briefly.
+	// A stopped stage is still counted until it returns from the deferred
+	// channel close that close waits for, so poll briefly.
 	settled := func(what string) {
 		t.Helper()
-		for i := 0; runtime.NumGoroutine() > base; i++ {
+		for i := 0; runtime.NumGoroutine() > base || len(stageStates()) > 0; i++ {
 			if i == 1000 {
-				t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+				t.Fatalf("%s: %d goroutines, want %d; stages left: %v", what, runtime.NumGoroutine(), base, stageStates())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -185,6 +203,26 @@ func TestRunAllLeavesNoGoroutine(t *testing.T) {
 	}
 	settled("short RunDMC")
 
+	// One chunk and an unbuffered full channel: transform holds the chunk,
+	// blocked handing it over, while generate waits on the empty free list.
+	s := &drawStream{free: make(chan []draw, 1), pairs: make(chan []draw, 1), full: make(chan []draw)}
+	s.free <- make([]draw, drawChunk)
+	go s.generate(stats.NewRNG(1), true)
+	go s.transform()
+	for i := 0; ; i++ {
+		st := stageStates()
+		if len(st["generate"]) == 1 && strings.HasPrefix(st["generate"][0], "chan receive") &&
+			len(st["transform"]) == 1 && strings.HasPrefix(st["transform"][0], "chan send") {
+			break
+		}
+		if i == 1000 {
+			t.Fatalf("stages never reached generate blocked, transform holding a chunk: %v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.close()
+	settled("close while transform holds a chunk")
+
 	func() {
 		defer func() { recover() }()
 		s := newDrawStream(stats.NewRNG(1), true)
@@ -192,7 +230,22 @@ func TestRunAllLeavesNoGoroutine(t *testing.T) {
 		s.next()
 		panic("consumer failed")
 	}()
-	settled("panicking consumer")
+	settled("consumer panicking at its first draw")
+
+	func() {
+		defer func() { recover() }()
+		s := newDrawStream(stats.NewRNG(1), true)
+		defer s.close()
+		for range drawChunk + drawChunk/2 {
+			s.next()
+		}
+		// Both stages idle: every chunk but the consumer's is transformed.
+		for len(s.full) < drawBufs-1 {
+			runtime.Gosched()
+		}
+		panic("consumer failed mid-chunk")
+	}()
+	settled("consumer panicking mid-chunk")
 }
 
 func TestFormatAndAnalyzeRoundTrip(t *testing.T) {

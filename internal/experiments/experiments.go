@@ -17,6 +17,7 @@ import (
 	"ffis/internal/apps/qmcpack"
 	"ffis/internal/classify"
 	"ffis/internal/core"
+	"ffis/internal/hdf5"
 	"ffis/internal/metainject"
 	"ffis/internal/stats"
 	"ffis/internal/vfs"
@@ -337,7 +338,7 @@ func Fig8(o Options) (string, error) {
 		return "", fmt.Errorf("experiments: no dropped-write SDC found for Figure 8")
 	}
 
-	_, hiMass := massRange(golden)
+	hiMass := golden.Halos[0].Mass // NewApp fails on no halos; heaviest first
 	gh := golden.MassHistogram(0, hiMass*1.05, 12)
 	fh := faulty.MassHistogram(0, hiMass*1.05, 12)
 	var b strings.Builder
@@ -364,30 +365,22 @@ func massCatalogDiffers(a, b nyx.Catalog) bool {
 	return false
 }
 
-func massRange(c nyx.Catalog) (lo, hi float64) {
-	if len(c.Halos) == 0 {
-		return 0, 1
+// nyxGolden builds the Nyx app of o's grid and a fresh copy of the image
+// its runs write, field map included.
+func (o Options) nyxGolden() (*nyx.App, *hdf5.FileImage, error) {
+	app, err := nyx.NewApp(o.nyxSim(), nyx.DefaultHalo())
+	if err != nil {
+		return nil, nil, err
 	}
-	lo, hi = c.Halos[0].Mass, c.Halos[0].Mass
-	for _, h := range c.Halos {
-		if h.Mass < lo {
-			lo = h.Mass
-		}
-		if h.Mass > hi {
-			hi = h.Mass
-		}
-	}
-	return lo, hi
+	img, err := app.Image()
+	return app, img, err
 }
 
 // Fig5 produces the density-slice visualizations for the original field,
 // the Exponent Bias fault (scaled data), and the ARD fault (shifted data).
 // It returns a textual summary and the three PGM images.
 func Fig5(o Options) (string, map[string][]byte, error) {
-	o = o.normalize()
-	sim := o.nyxSim()
-	field := sim.Generate()
-	img, err := nyx.BuildImage(field, sim.N)
+	_, img, err := o.normalize().nyxGolden()
 	if err != nil {
 		return "", nil, err
 	}
@@ -397,12 +390,7 @@ func Fig5(o Options) (string, map[string][]byte, error) {
 	b.WriteString("Figure 5: visualization of typical metadata SDC cases\n")
 
 	slice := func(name string, raw []byte) error {
-		fs := vfs.NewMemFS()
-		fs.MkdirAll("/plt00000")
-		if err := vfs.WriteFile(fs, nyx.OutputPath, raw); err != nil {
-			return err
-		}
-		vals, n, err := nyx.ReadDataset(fs, nyx.OutputPath)
+		vals, n, err := nyx.DecodeDataset(raw)
 		if err != nil {
 			return err
 		}
@@ -429,31 +417,24 @@ func Fig5(o Options) (string, map[string][]byte, error) {
 
 // Fig6 reports the halo-candidate loss under a Mantissa Size fault.
 func Fig6(o Options) (string, error) {
-	o = o.normalize()
-	sim := o.nyxSim()
-	field := sim.Generate()
-	img, err := nyx.BuildImage(field, sim.N)
+	app, img, err := o.normalize().nyxGolden()
 	if err != nil {
 		return "", err
 	}
-	golden := nyx.FindHalos(field, sim.N, nyx.DefaultHalo())
-	if len(golden.Halos) == 0 {
-		return "", fmt.Errorf("experiments: no golden halos")
-	}
+	golden := app.GoldenCatalog()
 	center := golden.Halos[0].Center
 
 	raw := img.Bytes()
-	raw[img.Fields.Find("float.mantissaSize")[0].Offset] ^= 0x08
-	fs := vfs.NewMemFS()
-	fs.MkdirAll("/plt00000")
-	if err := vfs.WriteFile(fs, nyx.OutputPath, raw); err != nil {
-		return "", err
-	}
-	vals, n, err := nyx.ReadDataset(fs, nyx.OutputPath)
+	field, n, err := nyx.DecodeDataset(raw)
 	if err != nil {
 		return "", err
 	}
-	origCount := nyx.CandidateCensus(field, sim.N, nyx.DefaultHalo(), center, 4)
+	raw[img.Fields.Find("float.mantissaSize")[0].Offset] ^= 0x08
+	vals, _, err := nyx.DecodeDataset(raw)
+	if err != nil {
+		return "", err
+	}
+	origCount := nyx.CandidateCensus(field, n, nyx.DefaultHalo(), center, 4)
 	faultCount := nyx.CandidateCensus(vals, n, nyx.DefaultHalo(), center, 4)
 	faultyCat := nyx.FindHalos(vals, n, nyx.DefaultHalo())
 	var b strings.Builder

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ffis/internal/apps/nyx"
-	"ffis/internal/vfs"
 )
 
 // FieldCase is one directed corruption of a Table IV SDC-prone field.
@@ -95,17 +94,13 @@ func FieldStudy(sim nyx.SimConfig, halo nyx.HaloConfig) ([]FieldEffect, error) {
 		raw[ranges[0].Offset+fc.ByteOffset] ^= 1 << uint(fc.Bit)
 
 		eff := FieldEffect{Case: fc, GoldenHalos: len(golden.Halos)}
-		fs := vfs.NewMemFS()
-		fs.MkdirAll("/plt00000")
-		if err := vfs.WriteFile(fs, nyx.OutputPath, raw); err != nil {
-			return nil, err
-		}
-		faulty, err := nyx.RunHaloFinder(fs, nyx.OutputPath, halo)
+		field, n, err := nyx.DecodeDataset(raw)
 		if err != nil {
 			eff.Crashed = true
 			out = append(out, eff)
 			continue
 		}
+		faulty := nyx.FindHalos(field, n, halo)
 		eff.FaultyHalos = len(faulty.Halos)
 		eff.AverageValue = faulty.Mean
 		compareHalos(&eff, golden, faulty)

@@ -12,7 +12,9 @@ import "math"
 
 // RNG is a small, fast, seedable pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). It is NOT safe for concurrent use;
-// campaigns hand each worker its own RNG derived with Split.
+// campaigns hand each worker its own RNG derived with Split. Uint64 and
+// PolarPair share one inlined step, so the polar rejection loop keeps the
+// state in registers and stores it once per accepted pair.
 type RNG struct {
 	s [4]uint64
 }
@@ -35,17 +37,24 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step advances the xoshiro256** state (s0, s1, s2, s3) once, returning
+// the output word and the new state.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -91,18 +100,33 @@ func mul64(a, b uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a uniform float64 in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) NormFloat64() float64 { return Polar(r.PolarPair()) }
+
+// PolarPair is the sequential half of the polar method: it draws points
+// (u, v) in [-1, 1)² until one falls strictly inside the unit disc and
+// returns u and s = u²+v². Polar(PolarPair()) is NormFloat64.
+func (r *RNG) PolarPair() (u, s float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		var x, y uint64
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		y, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		u = 2*unit(x) - 1
+		v := 2*unit(y) - 1
+		s = u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			r.s = [4]uint64{s0, s1, s2, s3}
+			return u, s
 		}
 	}
 }
+
+// Polar is the pure half of the polar method: the normal variate of an
+// accepted pair from PolarPair.
+func Polar(u, s float64) float64 { return u * math.Sqrt(-2*math.Log(s)/s) }

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -164,5 +167,87 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("normal variance = %v, want about 1", variance)
+	}
+}
+
+// TestNormFloat64StreamPinned pins the SHA-256 of the bits of the first
+// 100,000 normals at the seeds the applications draw from: QMCPACK's VMC
+// and DMC streams, Montage's tile 0 noise (DefaultConfig seed 101) and 0.
+// The hashes were taken from the single-function polar method that
+// PolarPair and Polar replaced.
+func TestNormFloat64StreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		sum  string
+	}{
+		{4, "ad5157c89cb923094e5ba61b1653cd3415a8f8bbd9258ecf82d48f4fc17aeaa4"},
+		{4 ^ 0xD31C, "622cd67faea868f41fa5b5dffe41f3c2580ed73dc9c93cb8b49e6d697a6da3f8"},
+		{101 ^ 0x9E3779B97F4A7C15, "1674f463db99dbc91e81713d13f5bd4be69b54d38de986b8f83d5c6d433d41f0"},
+		{0, "e0c71e51c009867d35544309dd10a55b870cdca0d0687644fb26a8b3fe7f751e"},
+	} {
+		r := NewRNG(c.seed)
+		h := sha256.New()
+		var b [8]byte
+		for range 100_000 {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.NormFloat64()))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sum {
+			t.Errorf("seed %#x: normal stream hash %s, want %s", c.seed, got, c.sum)
+		}
+	}
+}
+
+// refNormFloat64 is the single-function polar method PolarPair and Polar
+// were split from, kept as the reference they must equal.
+func refNormFloat64(r *RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
+// TestPolarPairMatchesReference checks that Polar(PolarPair()) gives the
+// reference's value and leaves the reference's state, with Uint64 and
+// Float64 draws interleaved so a state PolarPair failed to store back
+// would show in the next draw.
+func TestPolarPairMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{0, 4, 4 ^ 0xD31C, 2021} {
+		ref, got := NewRNG(seed), NewRNG(seed)
+		for i := range 20_000 {
+			if a, b := refNormFloat64(ref), Polar(got.PolarPair()); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d draw %d: Polar(PolarPair()) = %v, reference %v", seed, i, b, a)
+			}
+			if ref.s != got.s {
+				t.Fatalf("seed %d draw %d: state %x, reference %x", seed, i, got.s, ref.s)
+			}
+			switch i % 3 {
+			case 0:
+				if a, b := ref.Uint64(), got.Uint64(); a != b {
+					t.Fatalf("seed %d draw %d: Uint64 %x, reference %x", seed, i, b, a)
+				}
+			case 1:
+				if a, b := ref.Float64(), got.Float64(); a != b {
+					t.Fatalf("seed %d draw %d: Float64 %v, reference %v", seed, i, b, a)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNormFloat64 draws one normal: the polar rejection loop and its
+// transform.
+func BenchmarkNormFloat64(b *testing.B) {
+	r := NewRNG(4)
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += r.NormFloat64()
+	}
+	if math.IsNaN(sum) {
+		b.Fatal("NaN normal")
 	}
 }
