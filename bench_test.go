@@ -265,7 +265,7 @@ func BenchmarkAblationHaloThreshold(b *testing.B) {
 func BenchmarkAblationAvgTolerance(b *testing.B) {
 	w := cachedWorkload(b, "nyx")
 	sig := core.Config{Model: core.DroppedWrite}.Signature()
-	count, err := core.Profile(w, sig)
+	count, err := (&core.Engine{}).Profile(core.CampaignSpec{Workload: w, Config: core.CampaignConfig{Fault: core.Config{Model: core.DroppedWrite}}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 	"ffis/internal/apps/montage"
 	"ffis/internal/classify"
 	"ffis/internal/core"
-	"ffis/internal/stats"
-	"ffis/internal/vfs"
 )
 
 func main() {
@@ -21,31 +19,33 @@ func main() {
 	cfg.TileW, cfg.TileH = 48, 48
 	cfg.MosaicW, cfg.MosaicH = 110, 110
 
+	var e core.Engine
 	for _, stage := range montage.Stages() {
 		app, err := montage.NewApp(cfg, stage)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sig := core.Config{Model: core.MustModel("shorn-write")}.Signature()
-		count, err := core.Profile(app.Workload(), sig)
+		spec := core.CampaignSpec{
+			Workload: app.Workload(),
+			Config:   core.CampaignConfig{Fault: core.Config{Model: core.MustModel("shorn-write")}},
+		}
+		count, err := e.Profile(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// Inject into three spots of the stage's write stream.
 		var tally classify.Tally
-		for _, frac := range []int64{4, 2, 4 * 3} {
+		for i, frac := range []int64{4, 2, 4 * 3} {
 			target := count * frac / 16
 			if target >= count {
 				target = count - 1
 			}
-			fs := vfs.NewMemFS()
-			if err := app.Setup(fs); err != nil {
+			rec, _, err := e.Replay(spec, i, target)
+			if err != nil {
 				log.Fatal(err)
 			}
-			inj := core.NewInjector(sig, target, stats.NewRNG(uint64(stage)))
-			runErr := app.Run(inj.Wrap(fs))
-			tally.Add(app.Classify(fs, runErr))
+			tally.Add(rec.Outcome)
 		}
 		fmt.Printf("%-10s %3d writes profiled | shorn-write outcomes: %s | golden min=%.5f\n",
 			stage, count, tally.String(), app.GoldenMin())

@@ -9,9 +9,8 @@ import (
 	"log"
 
 	"ffis/internal/apps/nyx"
+	"ffis/internal/classify"
 	"ffis/internal/core"
-	"ffis/internal/stats"
-	"ffis/internal/vfs"
 )
 
 func main() {
@@ -25,31 +24,37 @@ func main() {
 	fmt.Printf("golden halo catalog:\n%s\n", app.Golden())
 
 	// Inject a dropped write into the middle of the data stream.
-	sig := core.Config{Model: core.MustModel("dropped-write")}.Signature()
-	count, err := core.Profile(app.Workload(), sig)
+	var e core.Engine
+	spec := core.CampaignSpec{
+		Workload: app.Workload(),
+		Config:   core.CampaignConfig{Fault: core.Config{Model: core.MustModel("dropped-write")}},
+	}
+	count, err := e.Profile(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	target := count / 2
-	fs := vfs.NewMemFS()
-	inj := core.NewInjector(sig, target, stats.NewRNG(7))
-	if err := app.Run(inj.Wrap(fs)); err != nil {
+	rec, world, err := e.Replay(spec, 0, target)
+	if err != nil {
 		log.Fatal(err)
 	}
-	mut, _ := inj.Fired()
-	fmt.Printf("injected: %s (write %d of %d)\n\n", mut, target, count)
+	if rec.RunErr != nil {
+		log.Fatal(rec.RunErr)
+	}
+	fmt.Printf("injected: %s (write %d of %d)\n\n", rec.Mutation, target, count)
 
-	cat, err := nyx.RunHaloFinder(fs, nyx.OutputPath, nyx.DefaultHalo())
+	cat, text, err := app.Analyze(world, new(nyx.Scratch))
 	if err != nil {
 		log.Fatalf("halo finder crashed: %v", err)
 	}
-	fmt.Printf("faulty halo catalog:\n%s\n", cat.Render())
+	fmt.Printf("faulty halo catalog:\n%s\n", text)
 
-	if cat.Render() == app.Golden() {
+	switch rec.Outcome {
+	case classify.Benign:
 		fmt.Println("outcome: benign")
-	} else if len(cat.Halos) == 0 {
+	case classify.Detected:
 		fmt.Println("outcome: detected (no halos found)")
-	} else {
+	case classify.SDC:
 		fmt.Println("outcome: SDC — the catalog silently changed")
 	}
 	fmt.Printf("average-value method: mean=%.6f, flagged=%v (tolerance %.1f%%)\n",

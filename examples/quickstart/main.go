@@ -36,21 +36,21 @@ func main() {
 	sig := core.Config{Model: core.MustModel("bit-flip")}.Signature()
 	fmt.Printf("fault signature: %s (flip %d consecutive bits)\n", sig, sig.Feature.FlipBits)
 
-	// 2. I/O profiler: count dynamic executions of the target primitive.
-	count, err := core.Profile(core.Workload{
-		Name:  "quickstart",
-		Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-		Run:   workload,
-	}, sig)
-	if err != nil {
+	// 2. I/O profiler: a fault-free run through a disarmed injector counts
+	// the dynamic executions of the target primitive.
+	prof := core.Disarmed(sig)
+	fs := vfs.NewMemFS()
+	fs.MkdirAll("/out")
+	if err := workload(prof.Wrap(fs)); err != nil {
 		log.Fatal(err)
 	}
+	count := prof.Count()
 	fmt.Printf("profiler: workload performs %d writes\n", count)
 
 	// 3. Fault injector: corrupt one uniformly chosen write instance.
 	rng := stats.NewRNG(42)
 	target := int64(rng.Intn(int(count)))
-	fs := vfs.NewMemFS()
+	fs = vfs.NewMemFS()
 	fs.MkdirAll("/out")
 	inj := core.NewInjector(sig, target, rng)
 	if err := workload(inj.Wrap(fs)); err != nil {

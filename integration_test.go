@@ -34,7 +34,7 @@ func TestCampaignOnRealStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := core.Config{Model: core.DroppedWrite}.Signature()
-	count, err := core.Profile(app.Workload(), sig)
+	count, err := (&core.Engine{}).Profile(core.CampaignSpec{Workload: app.Workload(), Config: core.CampaignConfig{Fault: core.Config{Model: core.DroppedWrite}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTracedInjectionCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := core.Config{Model: core.BitFlip}.Signature()
-	count, err := core.Profile(app.Workload(), sig)
+	count, err := (&core.Engine{}).Profile(core.CampaignSpec{Workload: app.Workload(), Config: core.CampaignConfig{Fault: core.Config{Model: core.BitFlip}}})
 	if err != nil {
 		t.Fatal(err)
 	}

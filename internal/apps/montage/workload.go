@@ -3,6 +3,7 @@ package montage
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
@@ -52,6 +53,9 @@ func NewApp(cfg Config, stage Stage) (*App, error) {
 	}
 	return a, nil
 }
+
+// GoldenImage returns a copy of the fault-free mosaic PGM.
+func (a *App) GoldenImage() []byte { return slices.Clone(a.goldenImage) }
 
 // GoldenMin returns the fault-free min statistic.
 func (a *App) GoldenMin() float64 { return a.goldenMin }

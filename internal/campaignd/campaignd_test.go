@@ -3,13 +3,16 @@ package campaignd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,7 +120,7 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 	// — including across w1's mid-spec death while holding a prefetched
 	// lease, which must expire and re-queue cleanly.
 	workers := []*Worker{
-		{ID: "w1", Coordinator: srv.URL, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, FailAfterRecords: 3, Prefetch: true},
+		{ID: "w1", Coordinator: srv.URL, Client: &http.Client{Transport: new(killAfterRecords)}, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, Prefetch: true},
 		{ID: "w2", Coordinator: srv.URL, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, Prefetch: true},
 		{ID: "w3", Coordinator: srv.URL, Poll: 25 * time.Millisecond, Heartbeat: 50 * time.Millisecond, Batch: 3, Prefetch: true},
 	}
@@ -139,7 +142,7 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 	wg.Wait()
 
 	if !errors.Is(errs[0], errWorkerKilled) {
-		t.Fatalf("w1 should have died to the kill hook mid-spec, got %v", errs[0])
+		t.Fatalf("w1 should have died of its transport mid-spec, got %v", errs[0])
 	}
 	for i := 1; i < len(errs); i++ {
 		if errs[i] != nil {
@@ -163,6 +166,46 @@ func TestDistributedKillWorkerByteIdentity(t *testing.T) {
 			t.Errorf("%s differs between single-machine and distributed runs:\n--- reference ---\n%s\n--- distributed ---\n%s", rel, wb, gb)
 		}
 	}
+}
+
+// errWorkerKilled is the simulated death of a worker whose transport is a
+// killAfterRecords.
+var errWorkerKilled = errors.New("campaignd test: worker killed after its first record batch")
+
+// killAfterRecords is a worker's transport that dies mid-lease: once the
+// coordinator has acknowledged one /records batch that carries records,
+// it fails every later request with errWorkerKilled. The acknowledged
+// records are durable on the coordinator, so the death lands between two
+// batches, where a SIGKILL between two HTTP posts would.
+type killAfterRecords struct {
+	dead atomic.Bool
+}
+
+func (k *killAfterRecords) RoundTrip(req *http.Request) (*http.Response, error) {
+	if k.dead.Load() {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errWorkerKilled
+	}
+	var body []byte
+	if req.Body != nil {
+		var err error
+		if body, err = io.ReadAll(req.Body); err != nil {
+			return nil, err
+		}
+		req.Body.Close()
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/records" || resp.StatusCode != http.StatusNoContent {
+		return resp, err
+	}
+	var rr RecordsRequest
+	if json.Unmarshal(body, &rr) == nil && len(rr.Records) > 0 {
+		k.dead.Store(true)
+	}
+	return resp, nil
 }
 
 // waitLeasedBy polls the coordinator until worker holds a lease.

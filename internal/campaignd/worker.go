@@ -42,11 +42,6 @@ type Worker struct {
 	Heartbeat time.Duration
 	// Batch caps records per POST /records (default 64).
 	Batch int
-	// FailAfterRecords, when positive, makes the worker die (Run returns
-	// an error) once it has streamed that many records on its current
-	// lease — the fault the end-to-end test injects to prove a killed
-	// worker's prefix is reused byte-identically.
-	FailAfterRecords int
 	// Token is the coordinator's shared bearer secret; requests carry it
 	// as "Authorization: Bearer <token>" when set.
 	Token string
@@ -69,9 +64,6 @@ type Worker struct {
 		done, reused, cloneUS, workNS, classifyUS, simNS atomic.Int64
 	}
 }
-
-// errWorkerKilled is the simulated mid-lease death of FailAfterRecords.
-var errWorkerKilled = errors.New("campaignd: worker killed by FailAfterRecords test hook")
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.Log != nil {
@@ -402,7 +394,6 @@ type remoteSink struct {
 	leaseID string
 	start   int // the lease's resume point; immutable
 	batch   []results.Record
-	posted  int
 	err     error
 }
 
@@ -441,10 +432,7 @@ func (s *remoteSink) batchSize() int {
 	return 64
 }
 
-// flush posts the buffered records, then applies the simulated-death test
-// hook: the records it counts are already durable on the coordinator, so
-// the "kill" lands exactly between two batches — the same place a real
-// SIGKILL between HTTP posts would.
+// flush posts the buffered records.
 func (s *remoteSink) flush() error {
 	if s.err != nil {
 		return s.err
@@ -457,12 +445,7 @@ func (s *remoteSink) flush() error {
 		s.err = err
 		return err
 	}
-	s.posted += len(s.batch)
 	s.batch = s.batch[:0]
-	if s.w.FailAfterRecords > 0 && s.posted >= s.w.FailAfterRecords {
-		s.err = errWorkerKilled
-		return s.err
-	}
 	return nil
 }
 

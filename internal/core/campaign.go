@@ -223,17 +223,6 @@ func (r CampaignResult) Cell() classify.Cell {
 // target primitive, i.e. the fault has nowhere to land.
 var ErrNoTargets = errors.New("core: target primitive never executes in workload")
 
-// Profile runs the workload fault-free through a disarmed injector and
-// returns the dynamic execution count of the signature's target primitive
-// (the I/O profiler of Figure 4). The workload must succeed fault-free.
-func Profile(w Workload, sig Signature) (int64, error) {
-	base, err := buildWorld(w)
-	if err != nil {
-		return 0, err
-	}
-	return profileWorld(base, w, sig, nil)
-}
-
 // profileWorld runs the fault-free profiling pass on an already-built
 // post-Setup world (a snapshot clone in campaign use). The profiler is a
 // disarmed injector wrapped exactly as an injection run arms one, so the

@@ -113,7 +113,7 @@ func readTree(fs vfs.FS, root string) (map[string][]byte, error) {
 
 func TestProfileCountsWrites(t *testing.T) {
 	w := toyWorkload()
-	count, err := Profile(w, Config{Model: BitFlip}.Signature())
+	count, err := (&Engine{}).Profile(CampaignSpec{Workload: w, Config: CampaignConfig{Fault: Config{Model: BitFlip}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestProfileFailsWhenWorkloadFails(t *testing.T) {
 		Name: "broken",
 		Run:  func(fs vfs.FS) error { return errors.New("boom") },
 	}
-	if _, err := Profile(w, Config{Model: BitFlip}.Signature()); err == nil {
+	if _, err := (&Engine{}).Profile(CampaignSpec{Workload: w, Config: CampaignConfig{Fault: Config{Model: BitFlip}}}); err == nil {
 		t.Fatal("expected profiling error")
 	}
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+
+	"ffis/internal/vfs"
 )
 
 // CampaignSpec is one cell of an Engine grid: a workload under one fault
@@ -199,6 +202,53 @@ func (e *Engine) Run(specs []CampaignSpec) []GridResult {
 	return out
 }
 
+// Profile returns the spec's target count: the memoized fault-free
+// profiling pass of its world, restricted to its armed mounts — the count
+// every run of the spec draws its target from.
+func (e *Engine) Profile(spec CampaignSpec) (int64, error) {
+	sig := spec.Config.Fault.Signature()
+	if err := sig.Validate(); err != nil {
+		return 0, err
+	}
+	return e.prep(spec.worldKey(), spec.Workload).profileCount(sig, spec.Config.ArmMounts)
+}
+
+// Replay executes run index of spec at target: one injection through the
+// Runner's own arm-run-classify path on a clone of the spec's memoized
+// snapshot, with run index's RNG stream advanced past its target draw
+// exactly as Runner.Run advances it. Replay(spec, i, rec.Target) therefore
+// reproduces record i of the campaign; any other target runs the fault
+// the campaign would have run there. It returns the record and the world
+// the run left behind, which the caller owns: no block list is attached
+// and nothing else holds it. Replay publishes no events and holds no pool
+// slot. A spec whose armed scope never executes the target primitive
+// fails with ErrNoTargets.
+func (e *Engine) Replay(spec CampaignSpec, index int, target int64) (RunRecord, vfs.FS, error) {
+	count, err := e.Profile(spec)
+	switch {
+	case err != nil:
+		return RunRecord{}, nil, err
+	case count == 0:
+		return RunRecord{}, nil, ErrNoTargets
+	case target < 0 || target >= count:
+		return RunRecord{}, nil, fmt.Errorf("core: target %d outside the %d profiled instances", target, count)
+	}
+	snap, _ := e.prep(spec.worldKey(), spec.Workload).snapshot() // built and error-checked by Profile
+	world, err := snap.World()
+	if err != nil {
+		return RunRecord{}, nil, err
+	}
+	cfg := spec.Config
+	rng := runStream(cfg.Seed, index)
+	rng.Int64n(count) // the run's own target draw
+	rec, err := runOnceTimed(world, spec.Workload, NewInjector(cfg.Fault.Signature(), target, rng), cfg.ArmMounts, new(stageTimes))
+	if err != nil {
+		return RunRecord{}, nil, err
+	}
+	rec.Index = index
+	return rec, world, nil
+}
+
 // runSpec runs one campaign cell on the shared pool: validate, memoized
 // profile + snapshot, then hand the spec to a Runner. Failures before the
 // Runner starts still close the spec's event stream with a terminal
@@ -212,25 +262,19 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, 
 	if cfg.Runs <= 0 {
 		return fail(errors.New("core: campaign needs Runs > 0"))
 	}
-	sig := cfg.Fault.Signature()
-	if err := sig.Validate(); err != nil {
-		return fail(err)
-	}
-	p := e.prep(spec.worldKey(), spec.Workload)
-
 	// Preparation (world build + profiling run) is real work: it occupies a
 	// pool slot like any injection run.
 	sem <- struct{}{}
-	count, err := p.profileCount(sig, cfg.ArmMounts)
+	count, err := e.Profile(spec)
 	<-sem
 	if err != nil {
 		return fail(err)
 	}
 	if count == 0 {
 		e.publish(Event{Kind: EventSpecDone, Key: spec.Key, Total: cfg.Runs, Err: ErrNoTargets})
-		return CampaignResult{Workload: spec.Workload.Name, Signature: sig}, ErrNoTargets
+		return CampaignResult{Workload: spec.Workload.Name, Signature: cfg.Fault.Signature()}, ErrNoTargets
 	}
-	snap, _ := p.snapshot() // built and error-checked by profileCount
+	snap, _ := e.prep(spec.worldKey(), spec.Workload).snapshot() // built and error-checked by Profile
 	r := &Runner{
 		Key:          spec.Key,
 		Workload:     spec.Workload,

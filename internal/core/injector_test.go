@@ -611,7 +611,7 @@ func TestZeroLengthWriteProfileAlignment(t *testing.T) {
 		},
 	}
 	sig := Config{Model: BitFlip}.Signature()
-	count, err := Profile(w, sig)
+	count, err := (&Engine{}).Profile(CampaignSpec{Workload: w, Config: CampaignConfig{Fault: Config{Model: BitFlip}}})
 	if err != nil {
 		t.Fatal(err)
 	}

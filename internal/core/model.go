@@ -8,12 +8,12 @@
 //   - Fault generator — Config.Signature() turns a user configuration into a
 //     fault signature (fault model + target primitive + model feature).
 //   - I/O profiler — a fault-free pass through a Disarmed injector reports
-//     the dynamic count of the target primitive (Profile() for a one-off
-//     count; the Engine memoizes it per world for every campaign).
+//     the dynamic count of the target primitive (Engine.Profile, memoized
+//     per world for every campaign).
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
 //     instance; the Engine schedules the runs of every campaign (a single
 //     cell is a one-spec grid) and the Runner classifies and tallies their
-//     outcomes.
+//     outcomes. Engine.Replay re-runs one chosen instance the same way.
 //
 // Fault models are an open vocabulary, as device studies keep surfacing new
 // manifestations: each model is a self-contained Model implementation

@@ -262,7 +262,7 @@ func TestProfileMountsRoutedCountOnly(t *testing.T) {
 		},
 	}
 	sig := Config{Model: BitFlip}.Signature()
-	all, err := Profile(w, sig)
+	all, err := (&Engine{}).Profile(CampaignSpec{Workload: w, Config: CampaignConfig{Fault: Config{Model: BitFlip}}})
 	if err != nil {
 		t.Fatalf("profile all: %v", err)
 	}

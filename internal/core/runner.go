@@ -19,7 +19,8 @@ import (
 // stages; Engine.runSpec is its one driver, supplying the memoized
 // snapshot and profile count and the grid-wide worker pool, and every
 // other layer (local grids, persisted grids, distributed workers) reaches
-// it through the Engine.
+// it through the Engine. Engine.Replay re-executes a single run through
+// the same runOnceTimed.
 type Runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
 	Key      string

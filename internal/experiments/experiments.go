@@ -302,24 +302,34 @@ func Fig8(o Options) (string, error) {
 	golden := app.GoldenCatalog()
 
 	// Find a dropped-write run that produced SDC and recover its catalog.
-	sig := core.Config{Model: core.DroppedWrite}.Signature()
-	count, err := core.Profile(app.Workload(), sig)
+	// The predicates below decide from the catalog alone, so the replays
+	// skip classification.
+	w := app.Workload()
+	w.Classify, w.Worker = nil, nil
+	spec := core.CampaignSpec{
+		Workload: w,
+		Config:   core.CampaignConfig{Fault: core.Config{Model: core.DroppedWrite}, Seed: o.Seed},
+	}
+	var (
+		e      core.Engine
+		sc     nyx.Scratch
+		faulty nyx.Catalog
+		found  bool
+	)
+	count, err := e.Profile(spec)
 	if err != nil {
 		return "", err
 	}
-	var faulty nyx.Catalog
-	found := false
-	for i := 0; i < int(count); i++ {
-		fs := vfs.NewMemFS()
-		inj := core.NewInjector(sig, int64(i), stats.NewRNG(o.Seed))
-		if err := app.Run(inj.Wrap(fs)); err != nil {
+	for t := range count {
+		rec, world, err := e.Replay(spec, int(t), t)
+		if err != nil {
+			return "", err
+		}
+		if rec.RunErr != nil {
 			continue
 		}
-		cat, err := nyx.RunHaloFinder(fs, nyx.OutputPath, nyx.DefaultHalo())
-		if err != nil || len(cat.Halos) == 0 {
-			continue
-		}
-		if cat.Render() == golden.Render() {
+		cat, text, err := app.Analyze(world, &sc)
+		if err != nil || len(cat.Halos) == 0 || text == app.Golden() {
 			continue
 		}
 		if !found {
@@ -453,45 +463,37 @@ func Fig9(o Options) (string, map[string][]byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	images := map[string][]byte{}
-
-	// Golden run.
-	fs := vfs.NewMemFS()
-	if err := app.Setup(fs); err != nil {
-		return "", nil, err
-	}
-	if err := app.Run(fs); err != nil {
-		return "", nil, err
-	}
-	goldenImg, err := vfs.ReadFile(fs, montage.ImagePath)
-	if err != nil {
-		return "", nil, err
-	}
-	images["original"] = goldenImg
-	goldenMin, _ := montage.ReadMin(fs)
+	images := map[string][]byte{"original": app.GoldenImage()}
+	goldenMin := app.GoldenMin()
 
 	// Dropped-write run: scan injection targets for the Figure 9
-	// black-stripe phenotype (detected: min escapes the window).
-	sig := core.Config{Model: core.DroppedWrite}.Signature()
+	// black-stripe phenotype (detected: min escapes the window). The
+	// predicates below read the mosaic and its min, so the replays skip
+	// classification.
 	w := app.Workload()
-	count, err := core.Profile(w, sig)
+	w.Classify, w.Worker = nil, nil
+	spec := core.CampaignSpec{
+		Workload: w,
+		Config:   core.CampaignConfig{Fault: core.Config{Model: core.DroppedWrite}, Seed: o.Seed},
+	}
+	var e core.Engine
+	count, err := e.Profile(spec)
 	if err != nil {
 		return "", nil, err
 	}
-	for i := 0; i < int(count); i++ {
-		fs := vfs.NewMemFS()
-		if err := app.Setup(fs); err != nil {
+	for t := range count {
+		rec, world, err := e.Replay(spec, int(t), t)
+		if err != nil {
 			return "", nil, err
 		}
-		inj := core.NewInjector(sig, int64(i), stats.NewRNG(o.Seed))
-		if err := app.Run(inj.Wrap(fs)); err != nil {
+		if rec.RunErr != nil {
 			continue
 		}
-		img, err := vfs.ReadFile(fs, montage.ImagePath)
+		img, err := vfs.ReadFile(world, montage.ImagePath)
 		if err != nil {
 			continue
 		}
-		minV, err := montage.ReadMin(fs)
+		minV, err := montage.ReadMin(world)
 		if err != nil {
 			continue
 		}
@@ -501,7 +503,7 @@ func Fig9(o Options) (string, map[string][]byte, error) {
 			b.WriteString("Figure 9: a typical faulty mosaic due to a dropped write\n")
 			fmt.Fprintf(&b, "  golden min = %.5f\n", goldenMin)
 			fmt.Fprintf(&b, "  faulty min = %.5f (outside ±%.2g: detected)\n", minV, montage.MinTolerance)
-			fmt.Fprintf(&b, "  dropped write target: instance %d of %d stage-4 writes\n", i, count)
+			fmt.Fprintf(&b, "  dropped write target: instance %d of %d stage-4 writes\n", t, count)
 			return b.String(), images, nil
 		}
 	}

@@ -89,7 +89,7 @@ func TestPipelineWorkloadsHaveReadTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		count, err := core.Profile(w, core.Config{Model: core.ReadBitFlip}.Signature())
+		count, err := (&core.Engine{}).Profile(core.CampaignSpec{Workload: w, Config: core.CampaignConfig{Fault: core.Config{Model: core.ReadBitFlip}}})
 		if err != nil {
 			t.Fatalf("%s: %v", cell, err)
 		}

@@ -27,10 +27,7 @@ type CampaignConfig struct {
 	// Stride > 1 samples every Stride-th byte (for cheap test runs);
 	// 1 reproduces the exhaustive per-byte study.
 	Stride int
-	// AllBits runs all 8 single-bit flips per byte instead of one
-	// deterministic bit per byte.
-	AllBits bool
-	// Seed selects the per-byte bit when AllBits is false.
+	// Seed selects the bit flipped in each byte.
 	Seed uint64
 }
 
@@ -86,27 +83,22 @@ func Run(cfg CampaignConfig) (*Result, error) {
 	rng := stats.NewRNG(cfg.Seed)
 
 	for off := 0; off < len(img.Meta); off += cfg.Stride {
-		bits := []int{rng.Intn(8)}
-		if cfg.AllBits {
-			bits = []int{0, 1, 2, 3, 4, 5, 6, 7}
-		}
+		bit := rng.Intn(8)
 		fr, _ := img.Fields.At(off)
-		for _, bit := range bits {
-			raw := append([]byte(nil), pristine...)
-			raw[off] ^= 1 << uint(bit)
-			// A failed write classifies as the crash of a failed run.
-			fs := vfs.NewMemFS()
-			fs.MkdirAll("/plt00000")
-			outcome := app.Classify(fs, vfs.WriteFile(fs, nyx.OutputPath, raw))
-			res.Tally.Add(outcome)
-			res.Cases = append(res.Cases, Case{Offset: off, Bit: bit, Field: fr, Outcome: outcome})
-			t := res.PerField[fr.Name]
-			if t == nil {
-				t = &classify.Tally{}
-				res.PerField[fr.Name] = t
-			}
-			t.Add(outcome)
+		raw := append([]byte(nil), pristine...)
+		raw[off] ^= 1 << uint(bit)
+		// A failed write classifies as the crash of a failed run.
+		fs := vfs.NewMemFS()
+		fs.MkdirAll("/plt00000")
+		outcome := app.Classify(fs, vfs.WriteFile(fs, nyx.OutputPath, raw))
+		res.Tally.Add(outcome)
+		res.Cases = append(res.Cases, Case{Offset: off, Bit: bit, Field: fr, Outcome: outcome})
+		t := res.PerField[fr.Name]
+		if t == nil {
+			t = &classify.Tally{}
+			res.PerField[fr.Name] = t
 		}
+		t.Add(outcome)
 	}
 	return res, nil
 }

@@ -32,6 +32,9 @@ var reachAllowlist = map[string]string{
 	"ffis/internal/core.WorldSnapshot.Pristine": "clone-isolation fixture",
 	// Float32 plotfiles in the hdf5 and metainject tests.
 	"ffis/internal/hdf5.IEEE754Single": "float32 codec fixture",
+	// The whole-file halo finder: the reference nyx.App.Analyze is tested
+	// against in the nyx and root tests.
+	"ffis/internal/apps/nyx.RunHaloFinder": "reference for App.Analyze",
 }
 
 // TestProductionCodeReachable fails on every non-test function, method or
