@@ -46,16 +46,6 @@ import (
 	"ffis/internal/stats"
 )
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return strings.Join(*l, ",") }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate one table (1-4)")
@@ -82,8 +72,11 @@ func main() {
 		resume   = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted work")
 		report   = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
-	var backends stringList
-	flag.Var(&backends, "backend", "storage backend the -tiered sweep runs every placement under (repeatable: mem, object[:lag=N], latency[:bb|:pfs]; default mem)")
+	var backends []string
+	flag.Func("backend", "storage backend the -tiered sweep runs every placement under (repeatable: mem, object[:lag=N], latency[:bb|:pfs]; default mem)", func(v string) error {
+		backends = append(backends, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *listOnly || strings.EqualFold(*model, "list") {

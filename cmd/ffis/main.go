@@ -54,16 +54,6 @@ import (
 	"ffis/internal/vfs"
 )
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return strings.Join(*l, ",") }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func main() {
 	var (
 		app      = flag.String("app", "nyx", "campaign cell: nyx, qmcpack, MT1, MT2, MT3, MT4")
@@ -89,9 +79,15 @@ func main() {
 		resume    = flag.Bool("resume", false, "resume the interrupted store at -out, skipping persisted runs")
 		reportFmt = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
-	var mountSpecs, armMounts stringList
-	flag.Var(&mountSpecs, "mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs], os:DIR)")
-	flag.Var(&armMounts, "arm", "arm the injector only on this mount point (repeatable; requires -mount)")
+	var mountSpecs, armMounts []string
+	flag.Func("mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs], os:DIR)", func(v string) error {
+		mountSpecs = append(mountSpecs, v)
+		return nil
+	})
+	flag.Func("arm", "arm the injector only on this mount point (repeatable; requires -mount)", func(v string) error {
+		armMounts = append(armMounts, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *listOnly || strings.EqualFold(*model, "list") {
@@ -172,24 +168,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 			os.Exit(1)
 		}
-		// Trace on the same world the campaign will run on, so the printed
-		// profile matches what the profiling pass is about to count.
-		world := vfs.FS(vfs.NewMemFS())
-		if w.NewFS != nil {
-			world, err = w.NewFS()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ffis: trace world: %v\n", err)
-				os.Exit(1)
-			}
+		// Trace the instrumented phase on a post-Setup world built the way
+		// the campaign builds it, so the printed profile matches what the
+		// profiling pass is about to count.
+		snap, err := core.NewWorldSnapshot(w)
+		var world vfs.FS
+		if err == nil {
+			world, err = snap.World()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ffis: trace world: %v\n", err)
+			os.Exit(1)
 		}
 		rec := trace.NewRecorder(world)
-		if w.Setup != nil {
-			if err := w.Setup(rec); err != nil {
-				fmt.Fprintf(os.Stderr, "ffis: trace setup: %v\n", err)
-				os.Exit(1)
-			}
-			rec.Reset() // profile only the instrumented phase
-		}
 		if err := w.Run(rec); err != nil {
 			fmt.Fprintf(os.Stderr, "ffis: trace run: %v\n", err)
 			os.Exit(1)

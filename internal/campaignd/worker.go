@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -202,71 +201,45 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // prefetchedLease is a lease fetched ahead of need: while spec N still
 // computes, a goroutine asks the coordinator for spec N+1 and keeps the
-// grant alive with heartbeats until the main loop adopts or abandons it.
-// Correctness never depends on it: an abandoned prefetch simply expires
-// and re-queues, and the records of the next spec are the same bytes
-// whether its lease was prefetched or polled for.
+// grant alive with the same heartbeat loop as a running lease until the
+// main loop adopts or abandons it. Correctness never depends on it: an
+// abandoned prefetch simply expires and re-queues, and the records of the
+// next spec are the same bytes whether its lease was prefetched or polled
+// for.
 type prefetchedLease struct {
-	w     *Worker
-	mu    sync.Mutex
-	grant *LeaseGrant
-	stop  chan struct{}
-	done  chan struct{}
+	grant   *LeaseGrant // written before done closes
+	revoked atomic.Bool
+	stop    context.CancelFunc
+	done    chan struct{}
 }
 
 func (w *Worker) startPrefetch(ctx context.Context) *prefetchedLease {
-	p := &prefetchedLease{w: w, stop: make(chan struct{}), done: make(chan struct{})}
-	go p.run(ctx)
+	ctx, stop := context.WithCancel(ctx)
+	p := &prefetchedLease{stop: stop, done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		var resp LeaseResponse
+		status, err := w.post("/lease", LeaseRequest{Worker: w.ID}, &resp)
+		if err != nil || status != http.StatusOK || resp.Grant == nil {
+			// Nothing to prefetch (all leased out, grid done, coordinator
+			// unreachable): the main loop proceeds exactly as without
+			// prefetch.
+			return
+		}
+		p.grant = resp.Grant
+		w.heartbeatLoop(ctx, *resp.Grant, &p.revoked)
+	}()
 	return p
-}
-
-func (p *prefetchedLease) run(ctx context.Context) {
-	defer close(p.done)
-	var resp LeaseResponse
-	status, err := p.w.post("/lease", LeaseRequest{Worker: p.w.ID}, &resp)
-	if err != nil || status != http.StatusOK || resp.Grant == nil {
-		// Nothing to prefetch (all leased out, grid done, coordinator
-		// unreachable): the main loop proceeds exactly as without prefetch.
-		return
-	}
-	p.mu.Lock()
-	p.grant = resp.Grant
-	p.mu.Unlock()
-	interval := p.w.Heartbeat
-	if interval <= 0 {
-		interval = time.Duration(resp.Grant.TTLMillis) * time.Millisecond / 3
-		if interval <= 0 {
-			interval = time.Second
-		}
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			status, err := p.w.post("/heartbeat", p.w.heartbeatReq(resp.Grant.LeaseID), nil)
-			if err != nil || status != http.StatusNoContent {
-				// Lease lost; the coordinator has re-queued the spec.
-				p.mu.Lock()
-				p.grant = nil
-				p.mu.Unlock()
-				return
-			}
-		}
-	}
 }
 
 // take stops the keep-alive and hands over the grant — nil when the
 // prefetch came back empty or the lease lapsed in the meantime.
 func (p *prefetchedLease) take() *LeaseGrant {
-	close(p.stop)
+	p.stop()
 	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	if p.revoked.Load() {
+		return nil
+	}
 	return p.grant
 }
 
@@ -323,8 +296,9 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 }
 
 // heartbeatLoop renews the lease until cancelled; any refusal or
-// transport failure marks the lease revoked, which the campaign's Abort
-// hook observes before each further run dispatch.
+// transport failure marks the lease revoked, which a running campaign's
+// Abort hook observes before each further run dispatch and which keeps a
+// prefetched lease from being adopted.
 func (w *Worker) heartbeatLoop(ctx context.Context, grant LeaseGrant, revoked *atomic.Bool) {
 	interval := w.Heartbeat
 	if interval <= 0 {

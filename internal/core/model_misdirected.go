@@ -30,11 +30,18 @@ func (misdirectedWriteModel) Describe() string {
 
 // MutateWrite performs the displaced write itself through the underlying
 // handle, then tells the injector to skip (and acknowledge) the requested
-// one. The displacement is 1–8 sectors toward the start of the device —
-// an already-programmed LBA — falling forward only when the write sits too
-// close to offset zero; either way the victim range is sector-aligned
-// relative to the intended offset.
+// one.
 func (md misdirectedWriteModel) MutateWrite(env Env, op WriteOp) WriteAction {
+	return misdirect(env, op, md, "")
+}
+
+// misdirect is the displaced write of the misdirection models, labelled
+// in Mutation.Detail by label ("" or "shot N "). The displacement is 1–8
+// sectors toward the start of the device — an already-programmed LBA —
+// falling forward only when the write sits too close to offset zero;
+// either way the victim range is sector-aligned relative to the intended
+// offset.
+func misdirect(env Env, op WriteOp, model Model, label string) WriteAction {
 	f := env.Feature()
 	delta := int64(1+env.Intn(8)) * int64(f.SectorSize)
 	wrong := op.Off - delta
@@ -42,15 +49,15 @@ func (md misdirectedWriteModel) MutateWrite(env Env, op WriteOp) WriteAction {
 		wrong = op.Off + delta
 	}
 	m := Mutation{
-		Model: md, Path: op.Path, Offset: op.Off, Length: len(op.Buf),
-		Detail: fmt.Sprintf("persisted at offset %d", wrong),
+		Model: model, Path: op.Path, Offset: op.Off, Length: len(op.Buf),
+		Detail: fmt.Sprintf("%spersisted at offset %d", label, wrong),
 	}
 	if _, err := op.File.WriteAt(op.Buf, wrong); err != nil {
 		// The displaced write failed: the device lost the data entirely,
 		// degenerating into a dropped write. The application still sees
 		// success — that is the point of the fault.
 		m.Dropped = true
-		m.Detail = fmt.Sprintf("misdirected to offset %d and lost (%v)", wrong, err)
+		m.Detail = fmt.Sprintf("%smisdirected to offset %d and lost (%v)", label, wrong, err)
 	}
 	env.Record(m)
 	return WriteAction{Skip: true}

@@ -53,22 +53,7 @@ func (repeatedMisdirectionModel) DefaultShots(Feature) int { return 4 }
 // handle, then tells the injector to skip (and acknowledge) the requested
 // one — per shot, the same device behavior as MisdirectedWrite.
 func (rm repeatedMisdirectionModel) MutateWrite(env Env, op WriteOp) WriteAction {
-	f := env.Feature()
-	delta := int64(1+env.Intn(8)) * int64(f.SectorSize)
-	wrong := op.Off - delta
-	if wrong < 0 {
-		wrong = op.Off + delta
-	}
-	m := Mutation{
-		Model: rm, Path: op.Path, Offset: op.Off, Length: len(op.Buf),
-		Detail: fmt.Sprintf("shot %d persisted at offset %d", env.Shot(), wrong),
-	}
-	if _, err := op.File.WriteAt(op.Buf, wrong); err != nil {
-		m.Dropped = true
-		m.Detail = fmt.Sprintf("shot %d misdirected to offset %d and lost (%v)", env.Shot(), wrong, err)
-	}
-	env.Record(m)
-	return WriteAction{Skip: true}
+	return misdirect(env, op, rm, fmt.Sprintf("shot %d ", env.Shot()))
 }
 
 func (repeatedMisdirectionModel) RenderMutation(m Mutation) string {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ffis/internal/classify"
 	"ffis/internal/core"
 )
 
@@ -29,16 +28,9 @@ func Ablations(o Options) (string, error) {
 		specs = append(specs, ws)
 	}
 
-	grid, err := o.runGrid(specs)
+	cells, err := o.cells("ablation", specs)
 	if err != nil {
 		return "", err
-	}
-	cells := make([]classify.Cell, len(grid))
-	for i, r := range grid {
-		if r.Err != nil {
-			return "", fmt.Errorf("ablation %s: %w", r.Spec.Key, r.Err)
-		}
-		cells[i] = classify.Cell{Label: r.Spec.Key, Tally: r.Result.Tally}
 	}
 
 	var b strings.Builder
@@ -68,16 +60,9 @@ func Fig7WithDetector(o Options) (string, error) {
 			specs = append(specs, ws)
 		}
 	}
-	grid, err := o.runGrid(specs)
+	cells, err := o.cells("detector study", specs)
 	if err != nil {
 		return "", err
-	}
-	var cells []classify.Cell
-	for _, r := range grid {
-		if r.Err != nil {
-			return "", fmt.Errorf("detector study %s: %w", r.Spec.Key, r.Err)
-		}
-		cells = append(cells, classify.Cell{Label: r.Spec.Key, Tally: r.Result.Tally})
 	}
 	out := o.table(
 		fmt.Sprintf("Nyx outcome spectrum without vs with the average-value method (%d runs per cell)", o.Runs),

@@ -101,6 +101,24 @@ func (o Options) runGrid(specs []WireSpec) ([]core.GridResult, error) {
 	return e.Run(cspecs), nil
 }
 
+// cells runs a grid of wire specs through runGrid and labels each tally
+// with its spec key. The first failed spec fails the grid as
+// "<what> <key>: <cause>".
+func (o Options) cells(what string, specs []WireSpec) ([]classify.Cell, error) {
+	grid, err := o.runGrid(specs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]classify.Cell, len(grid))
+	for i, r := range grid {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s %s: %w", what, r.Spec.Key, r.Err)
+		}
+		cells[i] = classify.Cell{Label: r.Spec.Key, Tally: r.Result.Tally}
+	}
+	return cells, nil
+}
+
 // wire is the wire spec of one local grid cell: the options' run budget,
 // seed and Nyx edge, and the average-value detector on the Nyx cell when
 // UseAvgDetector is set.
@@ -221,24 +239,38 @@ var Fig7Cells = []string{"nyx", "qmcpack", "MT1", "MT2", "MT3", "MT4"}
 // NewWorkload constructs the campaign workload for a Figure 7 cell name on
 // the workload's own flat MemFS world; a WireSpec names any other world.
 func NewWorkload(cell string, o Options) (core.Workload, error) {
+	return newWorkload(cell, o, false)
+}
+
+// newWorkload builds the application of a cell name or alias once and
+// returns its standard workload or, with pipeline, its producer→consumer
+// variant (NewPipelineWorkload).
+func newWorkload(cell string, o Options, pipeline bool) (core.Workload, error) {
 	o = o.normalize()
-	switch cell {
+	switch name := cellWorkloads[cell]; name {
 	case "nyx":
 		app, err := nyx.NewApp(o.nyxSim(), nyx.DefaultHalo())
 		if err != nil {
 			return core.Workload{}, err
 		}
+		if pipeline {
+			return nyxPipeline(app), nil
+		}
 		app.UseAvgDetector = o.UseAvgDetector
 		return app.Workload(), nil
-	case "qmcpack", "qmc":
+	case "qmcpack":
 		app, err := qmcpack.NewApp(qmcpack.DefaultQMC())
 		if err != nil {
 			return core.Workload{}, err
 		}
+		if pipeline {
+			return qmcPipeline(app), nil
+		}
 		return app.Workload(), nil
-	case "MT1", "MT2", "MT3", "MT4", "mt1", "mt2", "mt3", "mt4":
-		stage := montage.Stage(cell[2] - '0')
-		app, err := montage.NewApp(montage.DefaultConfig(), stage)
+	case "MT1", "MT2", "MT3", "MT4":
+		// Montage stages past the first already read their inputs during
+		// Run; the standard cell is its own pipeline variant.
+		app, err := montage.NewApp(montage.DefaultConfig(), montage.Stage(name[2]-'0'))
 		if err != nil {
 			return core.Workload{}, err
 		}
@@ -276,16 +308,9 @@ func Fig7(o Options) (string, []classify.Cell, error) {
 			specs = append(specs, o.wire(cell, model))
 		}
 	}
-	grid, err := o.runGrid(specs)
+	cells, err := o.cells("cell", specs)
 	if err != nil {
 		return "", nil, err
-	}
-	var cells []classify.Cell
-	for _, r := range grid {
-		if r.Err != nil {
-			return "", nil, fmt.Errorf("cell %s: %w", r.Spec.Key, r.Err)
-		}
-		cells = append(cells, r.Result.Cell())
 	}
 	title := fmt.Sprintf("Figure 7: characterization of I/O faults (%d runs per cell)", o.Runs)
 	return o.table(title, cells), cells, nil

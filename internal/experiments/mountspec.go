@@ -99,29 +99,21 @@ func ParseMountSpec(s string) (MountSpec, error) {
 	return MountSpec{Path: vfs.Clean(path), Backend: backend}, nil
 }
 
-// ParseMountSpecs parses a list of -mount flag values.
-func ParseMountSpecs(specs []string) ([]MountSpec, error) {
-	out := make([]MountSpec, 0, len(specs))
-	for _, s := range specs {
-		ms, err := ParseMountSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ms)
-	}
-	return out, nil
-}
-
-// NewFSFromSpecs returns a world constructor (core.Workload.NewFS) building
-// a MountFS with a MemFS root and one backend per spec. Hermetic backends
-// are fresh per call; os backends hand out the same host directory every
-// run — they break the fresh-world-per-run assumption statistical campaigns
-// rely on (WireSpec.Validate therefore refuses them) and exist for one-shot
-// inspection.
-func NewFSFromSpecs(specs []MountSpec) func() (vfs.FS, error) {
+// newWorld returns a world constructor (core.Workload.NewFS) building a
+// fresh root backend and, when mounts are given, a MountFS over it with
+// one fresh backend per mount. Every world a WireSpec or StorageLayout
+// names is built here. Hermetic backends are fresh per call; os backends
+// hand out the same host directory every run — they break the
+// fresh-world-per-run assumption statistical campaigns rely on
+// (WireSpec.Validate therefore refuses them).
+func newWorld(root string, mounts []MountSpec) func() (vfs.FS, error) {
 	return func() (vfs.FS, error) {
-		m := vfs.NewMountFS(vfs.NewMemFS())
-		for _, s := range specs {
+		fs, err := NewBackendFS(root)
+		if err != nil || len(mounts) == 0 {
+			return fs, err
+		}
+		m := vfs.NewMountFS(fs)
+		for _, s := range mounts {
 			backend, err := NewBackendFS(s.Backend)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: mount %s: %w", s.Path, err)

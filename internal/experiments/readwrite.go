@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ffis/internal/apps/montage"
 	"ffis/internal/apps/nyx"
 	"ffis/internal/apps/qmcpack"
 	"ffis/internal/classify"
@@ -45,107 +44,95 @@ var readWritePlacements = []string{"flat", "tiered"}
 // instances to land on. The consumer persists its result, and Classify
 // judges that artifact.
 func NewPipelineWorkload(cell string, o Options) (core.Workload, error) {
-	o = o.normalize()
-	switch cell {
-	case "nyx":
-		app, err := nyx.NewApp(o.nyxSim(), nyx.DefaultHalo())
-		if err != nil {
-			return core.Workload{}, err
+	return newWorkload(cell, o, true)
+}
+
+// nyxPipeline is the Nyx pipeline variant: the simulation writes the
+// plotfile, then the halo finder reads it back and persists its catalog.
+func nyxPipeline(app *nyx.App) core.Workload {
+	run := func(fs vfs.FS, sc *nyx.Scratch) error {
+		if err := app.Run(fs); err != nil { // producer: plotfile
+			return err
 		}
-		run := func(fs vfs.FS, sc *nyx.Scratch) error {
-			if err := app.Run(fs); err != nil { // producer: plotfile
+		_, text, err := app.Analyze(fs, sc) // consumer: halo finder
+		if err != nil {
+			return err
+		}
+		return vfs.WriteFile(fs, "/out/halos.txt", []byte(text))
+	}
+	w := core.Workload{
+		Name:  "nyx",
+		Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
+		Run:   func(fs vfs.FS) error { return run(fs, new(nyx.Scratch)) },
+		Classify: func(fs vfs.FS, runErr error) classify.Outcome {
+			if runErr != nil {
+				return classify.Crash
+			}
+			got, err := vfs.ReadFile(fs, "/out/halos.txt")
+			if err != nil {
+				return classify.Crash
+			}
+			switch {
+			case string(got) == app.Golden():
+				return classify.Benign
+			case strings.Contains(string(got), "nhalos 0"):
+				return classify.Detected // empty catalog: visibly wrong
+			default:
+				return classify.SDC
+			}
+		},
+	}
+	w.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+		sc := new(nyx.Scratch)
+		return func(fs vfs.FS) error { return run(fs, sc) }, w.Classify
+	}
+	return w
+}
+
+// qmcPipeline is the QMCPACK pipeline variant: the simulation writes the
+// scalar files, then the QMCA analysis reads the DMC series back and
+// persists the energy estimate.
+func qmcPipeline(app *qmcpack.App) core.Workload {
+	goldenE := app.GoldenEnergy()
+	return core.Workload{
+		Name:  "qmcpack",
+		Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
+		Run: func(fs vfs.FS) error {
+			if err := app.Run(fs); err != nil { // producer: scalar files
 				return err
 			}
-			_, text, err := app.Analyze(fs, sc) // consumer: halo finder
+			raw, err := vfs.ReadFile(fs, qmcpack.DMCPath) // consumer: QMCA
 			if err != nil {
 				return err
 			}
-			return vfs.WriteFile(fs, "/out/halos.txt", []byte(text))
-		}
-		w := core.Workload{
-			Name:  "nyx",
-			Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-			Run:   func(fs vfs.FS) error { return run(fs, new(nyx.Scratch)) },
-			Classify: func(fs vfs.FS, runErr error) classify.Outcome {
-				if runErr != nil {
-					return classify.Crash
-				}
-				got, err := vfs.ReadFile(fs, "/out/halos.txt")
-				if err != nil {
-					return classify.Crash
-				}
-				switch {
-				case string(got) == app.Golden():
-					return classify.Benign
-				case strings.Contains(string(got), "nhalos 0"):
-					return classify.Detected // empty catalog: visibly wrong
-				default:
-					return classify.SDC
-				}
-			},
-		}
-		w.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
-			sc := new(nyx.Scratch)
-			return func(fs vfs.FS) error { return run(fs, sc) }, w.Classify
-		}
-		return w, nil
-	case "qmcpack", "qmc":
-		app, err := qmcpack.NewApp(qmcpack.DefaultQMC())
-		if err != nil {
-			return core.Workload{}, err
-		}
-		goldenE := app.GoldenEnergy()
-		return core.Workload{
-			Name:  "qmcpack",
-			Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-			Run: func(fs vfs.FS) error {
-				if err := app.Run(fs); err != nil { // producer: scalar files
-					return err
-				}
-				raw, err := vfs.ReadFile(fs, qmcpack.DMCPath) // consumer: QMCA
-				if err != nil {
-					return err
-				}
-				analysis, err := app.AnalyzeDMC(raw)
-				if err != nil {
-					return err
-				}
-				return vfs.WriteFile(fs, "/out/energy.dat",
-					[]byte(fmt.Sprintf("%.10f\n", analysis.Energy)))
-			},
-			Classify: func(fs vfs.FS, runErr error) classify.Outcome {
-				if runErr != nil {
-					return classify.Crash
-				}
-				raw, err := vfs.ReadFile(fs, "/out/energy.dat")
-				if err != nil {
-					return classify.Crash
-				}
-				e, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-				if err != nil {
-					return classify.Crash
-				}
-				switch {
-				case e == goldenE:
-					return classify.Benign
-				case e >= qmcpack.SDCWindowLo && e <= qmcpack.SDCWindowHi:
-					return classify.SDC
-				default:
-					return classify.Detected
-				}
-			},
-		}, nil
-	case "MT1", "MT2", "MT3", "MT4", "mt1", "mt2", "mt3", "mt4":
-		// Montage stages past the first already read their inputs during
-		// Run; the standard cell is its own pipeline variant.
-		stage := montage.Stage(cell[2] - '0')
-		app, err := montage.NewApp(montage.DefaultConfig(), stage)
-		if err != nil {
-			return core.Workload{}, err
-		}
-		return app.Workload(), nil
-	default:
-		return core.Workload{}, fmt.Errorf("experiments: unknown read-write cell %q (want one of %v)", cell, ReadWriteCells)
+			analysis, err := app.AnalyzeDMC(raw)
+			if err != nil {
+				return err
+			}
+			return vfs.WriteFile(fs, "/out/energy.dat",
+				[]byte(fmt.Sprintf("%.10f\n", analysis.Energy)))
+		},
+		Classify: func(fs vfs.FS, runErr error) classify.Outcome {
+			if runErr != nil {
+				return classify.Crash
+			}
+			raw, err := vfs.ReadFile(fs, "/out/energy.dat")
+			if err != nil {
+				return classify.Crash
+			}
+			e, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+			if err != nil {
+				return classify.Crash
+			}
+			switch {
+			case e == goldenE:
+				return classify.Benign
+			case e >= qmcpack.SDCWindowLo && e <= qmcpack.SDCWindowHi:
+				return classify.SDC
+			default:
+				return classify.Detected
+			}
+		},
 	}
 }
 
@@ -169,16 +156,9 @@ func ReadWriteGrid(o Options) (string, []classify.Cell, error) {
 			}
 		}
 	}
-	grid, err := o.runGrid(specs)
+	cells, err := o.cells("cell", specs)
 	if err != nil {
 		return "", nil, err
-	}
-	var cells []classify.Cell
-	for _, r := range grid {
-		if r.Err != nil {
-			return "", nil, fmt.Errorf("cell %s: %w", r.Spec.Key, r.Err)
-		}
-		cells = append(cells, classify.Cell{Label: r.Spec.Key, Tally: r.Result.Tally})
 	}
 	var shorts []string
 	for _, m := range core.AllModels() {

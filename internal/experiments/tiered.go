@@ -13,6 +13,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,43 +62,32 @@ type StorageLayout struct {
 // FSFactory returns a world constructor (core.Workload.NewFS) building the
 // layout on the named backend: every mount — and the root — is a fresh
 // instance of that backend per call, so campaigns stay hermetic regardless
-// of backend. The plain "latency" backend is tier-aware: scratch-tier
-// mounts bill at burst-buffer rates and everything else at parallel-file-
-// system rates, the way an HPC site's tiers actually differ; latency:bb
-// and latency:pfs force one cost model everywhere.
+// of backend.
 func (l StorageLayout) FSFactory(backend string) func() (vfs.FS, error) {
-	return func() (vfs.FS, error) {
-		root, err := l.tierBackend(backend, "/")
-		if err != nil {
-			return nil, err
-		}
-		m := vfs.NewMountFS(root)
-		for _, dir := range l.Mounts {
-			fs, err := l.tierBackend(backend, dir)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.Mount(dir, fs); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
+	return newWorld(l.world(backend))
 }
 
-// tierBackend builds the backend instance for one mount point of the
-// layout, resolving the tier-aware latency model.
-func (l StorageLayout) tierBackend(backend, dir string) (vfs.FS, error) {
-	if backend == "latency" {
-		cost := vfs.ParallelFSModel
-		for _, m := range l.Tiers[TierScratch] {
-			if m == dir {
-				cost = vfs.BurstBufferModel
-			}
+// world resolves the layout on the named backend to the root backend and
+// mounts newWorld builds. The plain "latency" backend is tier-aware:
+// scratch-tier mount points resolve to latency:bb (burst-buffer rates) and
+// everything else to latency:pfs (parallel-file-system rates), the way an
+// HPC site's tiers actually differ; latency:bb and latency:pfs force one
+// cost model everywhere.
+func (l StorageLayout) world(backend string) (root string, mounts []MountSpec) {
+	resolve := func(dir string) string {
+		switch {
+		case backend != "latency":
+			return backend
+		case slices.Contains(l.Tiers[TierScratch], dir):
+			return "latency:bb"
+		default:
+			return "latency:pfs"
 		}
-		return vfs.NewLatencyFS(vfs.NewMemFS(), cost), nil
 	}
-	return NewBackendFS(backend)
+	for _, dir := range l.Mounts {
+		mounts = append(mounts, MountSpec{Path: dir, Backend: resolve(dir)})
+	}
+	return resolve("/"), mounts
 }
 
 // TierLayout returns the storage layout of a Figure 7 cell, placing each
@@ -112,7 +102,7 @@ func (l StorageLayout) tierBackend(backend, dir string) (vfs.FS, error) {
 //     root mount doubles as its scratch tier and /out is idle — the
 //     degenerate single-tier layout the paper's flat setup assumes.
 func TierLayout(cell string) (StorageLayout, error) {
-	switch cell {
+	switch cellWorkloads[cell] {
 	case "nyx":
 		return StorageLayout{
 			Mounts: []string{"/plt00000", "/out"},
@@ -121,7 +111,7 @@ func TierLayout(cell string) (StorageLayout, error) {
 				TierOutput:  {"/out"},
 			},
 		}, nil
-	case "qmcpack", "qmc":
+	case "qmcpack":
 		return StorageLayout{
 			Mounts: []string{"/out"},
 			Tiers: map[string][]string{
@@ -129,7 +119,7 @@ func TierLayout(cell string) (StorageLayout, error) {
 				TierOutput:  {"/out"},
 			},
 		}, nil
-	case "MT1", "MT2", "MT3", "MT4", "mt1", "mt2", "mt3", "mt4":
+	case "MT1", "MT2", "MT3", "MT4":
 		return StorageLayout{
 			Mounts: []string{"/raw", "/proj", "/diff", "/corr", "/mosaic"},
 			Tiers: map[string][]string{

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"ffis/internal/core"
-	"ffis/internal/vfs"
 )
 
 // WireSpec is the serializable form of one campaign cell, and the one form
@@ -102,13 +101,14 @@ func (ws WireSpec) pipeline() bool {
 
 // WorldKey groups specs that share a built world onto one snapshot, one
 // profile pass, and one built workload (Engine.Workload). It is derived
-// from every field that shapes the workload — cell, Nyx edge, pipeline
-// variant, average-value detector, tiered layout, mounts or backend — so
-// two specs share a key only when they would build the same application,
-// with the same classifier, on the same storage. Fault fields (model,
-// feature, shots) and arming stay out: they never change the world. Each
-// mount enters as its parsed, quoted "dir=backend", so no two mount lists
-// encode alike.
+// from the application fields — cell, Nyx edge, pipeline variant,
+// average-value detector — and from the resolved world the spec builds,
+// so two specs share a key exactly when they would build the same
+// application, with the same classifier, on the same storage: a tiered
+// layout and the same mounts listed explicitly share one. Fault fields
+// (model, feature, shots) and arming stay out: they never change the
+// world. Each mount enters as its quoted "dir=backend", so no two mount
+// lists encode alike.
 func (ws WireSpec) WorldKey() string {
 	key := ws.Cell
 	if ws.Cell == "nyx" && ws.NyxN != 0 {
@@ -122,19 +122,34 @@ func (ws WireSpec) WorldKey() string {
 	if ws.AvgDetector {
 		key += "@avg"
 	}
-	if ws.Tiered {
-		key += "@tiered"
+	root, mounts := ws.world()
+	if root != "mem" {
+		key += "@" + root
 	}
-	for _, m := range ws.Mounts {
-		if ms, err := ParseMountSpec(m); err == nil {
-			m = ms.Path + "=" + ms.Backend
-		}
-		key += "+" + strconv.Quote(m)
-	}
-	if b := ws.backend(); b != "mem" {
-		key += "@" + b
+	for _, m := range mounts {
+		key += "+" + strconv.Quote(m.Path+"="+m.Backend)
 	}
 	return key
+}
+
+// world resolves the storage world the spec builds: the root backend and
+// the mounts over it. A flat world is its backend alone, a mounted world
+// its mounts over a MemFS root, and a tiered world the cell's TierLayout
+// on the backend. Workload builds this world and WorldKey names it.
+func (ws WireSpec) world() (root string, mounts []MountSpec) {
+	switch {
+	case ws.Tiered:
+		layout, _ := TierLayout(ws.Cell) // an unknown cell fails Validate
+		return layout.world(ws.backend())
+	case len(ws.Mounts) > 0:
+		for _, m := range ws.Mounts {
+			// A malformed mount fails Validate; it enters the key as "=".
+			ms, _ := ParseMountSpec(m)
+			mounts = append(mounts, ms)
+		}
+		return "mem", mounts
+	}
+	return ws.backend(), nil
 }
 
 // cellWorkloads maps every accepted cell name to the name of the workload
@@ -179,30 +194,28 @@ func (ws WireSpec) Validate() error {
 	if ws.AvgDetector && (cellWorkloads[ws.Cell] != "nyx" || ws.pipeline()) {
 		return fail("avg_detector applies only to the standard nyx cell")
 	}
-	mounts, err := ParseMountSpecs(ws.Mounts)
-	if err != nil {
-		return fail("%w", err)
+	for _, m := range ws.Mounts {
+		if _, err := ParseMountSpec(m); err != nil {
+			return fail("%w", err)
+		}
 	}
 	if ws.Backend != "" {
 		if err := ValidateBackend(ws.Backend); err != nil {
 			return fail("%w", err)
 		}
 	}
-	backends := []string{ws.Backend}
-	for _, m := range mounts {
-		backends = append(backends, m.Backend)
-	}
-	for _, b := range backends {
-		if strings.HasPrefix(b, "os:") {
-			return fail("backend %q is a shared host directory; campaigns need hermetic per-run state", b)
+	root, mounts := ws.world()
+	for _, m := range append(mounts, MountSpec{Path: "/", Backend: root}) {
+		if strings.HasPrefix(m.Backend, "os:") {
+			return fail("backend %q is a shared host directory; campaigns need hermetic per-run state", m.Backend)
 		}
 	}
 	switch {
-	case len(mounts) > 0 && ws.Tiered:
+	case len(ws.Mounts) > 0 && ws.Tiered:
 		return fail("mounts and tiered are two world shapes; pick one")
-	case len(mounts) > 0 && ws.backend() != "mem":
+	case len(ws.Mounts) > 0 && ws.backend() != "mem":
 		return fail("backend applies to flat and tiered worlds; with mounts, name backends per mount (dir=backend)")
-	case len(ws.ArmMounts) > 0 && len(mounts) == 0 && !ws.Tiered:
+	case len(ws.ArmMounts) > 0 && len(ws.Mounts) == 0 && !ws.Tiered:
 		return fail("arm_mounts needs a mounted world (mounts or tiered)")
 	}
 	return nil
@@ -232,27 +245,11 @@ func (ws WireSpec) Workload() (core.Workload, error) {
 	if err := ws.Validate(); err != nil {
 		return core.Workload{}, err
 	}
-	build := NewWorkload
-	if ws.pipeline() {
-		build = NewPipelineWorkload
-	}
-	w, err := build(ws.Cell, Options{NyxN: ws.NyxN, UseAvgDetector: ws.AvgDetector})
+	w, err := newWorkload(ws.Cell, Options{NyxN: ws.NyxN, UseAvgDetector: ws.AvgDetector}, ws.pipeline())
 	if err != nil {
 		return core.Workload{}, fmt.Errorf("experiments: wire spec %q: %w", ws.Normalized().Key, err)
 	}
-	switch {
-	case ws.Tiered:
-		layout, err := TierLayout(ws.Cell)
-		if err != nil {
-			return core.Workload{}, err
-		}
-		w.NewFS = layout.FSFactory(ws.backend())
-	case len(ws.Mounts) > 0:
-		mounts, _ := ParseMountSpecs(ws.Mounts) // checked by Validate
-		w.NewFS = NewFSFromSpecs(mounts)
-	case ws.backend() != "mem":
-		w.NewFS = func() (vfs.FS, error) { return NewBackendFS(ws.Backend) }
-	}
+	w.NewFS = newWorld(ws.world())
 	return w, nil
 }
 

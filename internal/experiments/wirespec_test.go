@@ -3,12 +3,15 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"ffis/internal/core"
 	"ffis/internal/results"
+	"ffis/internal/vfs"
 )
 
 func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
@@ -274,6 +277,154 @@ func TestWireWorldKeysSeparateWorlds(t *testing.T) {
 					ws.WorldKey(), shared.Result.ProfileCount, shared.Result.Tally,
 					fresh.Result.ProfileCount, fresh.Result.Tally)
 			}
+		}
+	}
+}
+
+// TestWireSpecResolvedWorld pins the one world resolution every spec
+// shape goes through: the world a spec builds is the world its WorldKey
+// names. A tiered layout and the same mounts listed explicitly are one
+// world and share a key; for every cell, world shape and backend the built
+// world has the mount table and backends the flat, mounted and tiered
+// constructors have always built, with plain latency tier-aware only in a
+// tiered world (burst-buffer rates on scratch, parallel-file-system rates
+// elsewhere).
+func TestWireSpecResolvedWorld(t *testing.T) {
+	// Each cell's tier layout, hard-coded: mount points and scratch tier.
+	montage := [2][]string{{"/raw", "/proj", "/diff", "/corr", "/mosaic"}, {"/proj", "/diff", "/corr"}}
+	layouts := map[string][2][]string{
+		"nyx":     {{"/plt00000", "/out"}, {"/plt00000"}},
+		"qmcpack": {{"/out"}, {"/"}},
+		"MT1":     montage, "MT2": montage, "MT3": montage, "MT4": montage,
+	}
+	// What each backend name builds: flat or explicitly mounted, and in a
+	// tiered world on the scratch tier and on the others.
+	kinds := map[string][3]string{
+		"mem":          {"mem", "mem", "mem"},
+		"object:lag=2": {"object", "object", "object"},
+		"latency":      {"pfs", "bb", "pfs"},
+		"latency:bb":   {"bb", "bb", "bb"},
+	}
+	kind := func(fs vfs.FS) string {
+		switch b := fs.(type) {
+		case *vfs.MemFS:
+			return "mem"
+		case *vfs.ObjectFS:
+			return "object"
+		case *vfs.LatencyFS:
+			b.ResetSim()
+			if err := b.Mkdir("/probe"); err != nil {
+				t.Fatal(err)
+			}
+			if b.SimElapsed() == vfs.BurstBufferModel.MetaLatency {
+				return "bb"
+			}
+			return "pfs"
+		}
+		return fmt.Sprintf("%T", fs)
+	}
+	describe := func(fs vfs.FS) string {
+		m, ok := fs.(*vfs.MountFS)
+		if !ok {
+			return kind(fs)
+		}
+		var parts []string
+		for _, mp := range m.Mounts() {
+			parts = append(parts, mp.Path+"="+kind(mp.FS))
+		}
+		return strings.Join(parts, " ")
+	}
+	build := func(ws WireSpec) string {
+		t.Helper()
+		if err := ws.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := newWorld(ws.world())()
+		if err != nil {
+			t.Fatalf("%s: %v", ws.WorldKey(), err)
+		}
+		return describe(fs)
+	}
+
+	for _, cell := range Fig7Cells {
+		dirs, scratch := layouts[cell][0], layouts[cell][1]
+		for backend, k := range kinds {
+			flat := WireSpec{Cell: cell, Model: "bit-flip", Runs: 1, Backend: backend}
+			mounted, tiered := flat, flat
+			mounted.Backend, mounted.Mounts = "", nil
+			for _, d := range dirs {
+				mounted.Mounts = append(mounted.Mounts, d+"="+backend)
+			}
+			tiered.Tiered = true
+
+			wantMounted := []string{"/=mem"}
+			wantTiered := []string{"/=" + k[2]}
+			if slices.Contains(scratch, "/") {
+				wantTiered[0] = "/=" + k[1]
+			}
+			for _, d := range dirs {
+				wantMounted = append(wantMounted, d+"="+k[0])
+				if slices.Contains(scratch, d) {
+					wantTiered = append(wantTiered, d+"="+k[1])
+				} else {
+					wantTiered = append(wantTiered, d+"="+k[2])
+				}
+			}
+			slices.Sort(wantMounted)
+			slices.Sort(wantTiered)
+			for _, tc := range []struct {
+				ws   WireSpec
+				want string
+			}{
+				{flat, k[0]},
+				{mounted, strings.Join(wantMounted, " ")},
+				{tiered, strings.Join(wantTiered, " ")},
+			} {
+				if got := build(tc.ws); got != tc.want {
+					t.Errorf("%s: built %q, want %q", tc.ws.WorldKey(), got, tc.want)
+				}
+			}
+			if backend == "mem" && mounted.WorldKey() != tiered.WorldKey() {
+				t.Errorf("%s: tiered key %q, explicit mounts key %q", cell, tiered.WorldKey(), mounted.WorldKey())
+			}
+		}
+		keys := map[string]bool{}
+		for _, ws := range []WireSpec{
+			{Cell: cell, Tiered: true, Backend: "latency"},
+			{Cell: cell, Tiered: true},
+			{Cell: cell, Backend: "object:lag=2"},
+			{Cell: cell},
+		} {
+			keys[ws.WorldKey()] = true
+		}
+		if len(keys) != 4 {
+			t.Errorf("%s: tiered latency, tiered mem, flat object:lag=2 and flat mem share keys: %v", cell, keys)
+		}
+	}
+
+	// Workload builds the resolved world too.
+	ws := WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "latency"}
+	w, err := ws.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := w.NewFS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := describe(fs), build(ws); got != want {
+		t.Errorf("Workload built %q, world() resolves %q", got, want)
+	}
+
+	// Aliases build the canonical cells' pipeline variants: every one has
+	// a Setup (the standard QMCPACK cell has none).
+	for alias, name := range map[string]string{"qmc": "qmcpack", "mt2": "MT2"} {
+		w, err := NewPipelineWorkload(alias, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Name != name || w.Setup == nil {
+			t.Errorf("NewPipelineWorkload(%q) built %q (setup %v), want the %s pipeline", alias, w.Name, w.Setup != nil, name)
 		}
 	}
 }

@@ -49,13 +49,6 @@ func (r *Recorder) Log() []Op {
 	return append([]Op(nil), r.log...)
 }
 
-// Reset clears the log.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.log = nil
-}
-
 func (r *Recorder) record(p vfs.Primitive, path string, off int64, size int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

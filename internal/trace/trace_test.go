@@ -51,15 +51,6 @@ func TestRecorderRecordsErrors(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	rec := NewRecorder(vfs.NewMemFS())
-	rec.MkdirAll("/d")
-	rec.Reset()
-	if len(rec.Log()) != 0 {
-		t.Fatal("reset did not clear log")
-	}
-}
-
 func TestAnalyzeWritePattern(t *testing.T) {
 	rec := NewRecorder(vfs.NewMemFS())
 	f, _ := rec.Create("/f")
