@@ -19,6 +19,9 @@ func runCampaign(jobs int, cfg core.CampaignConfig, w core.Workload) (core.Campa
 	return grid[0].Result, grid[0].Err
 }
 
+// at returns the pixel at (x, y) of im.
+func at(im *fits.Image, x, y int) float64 { return im.Data[y*im.Width+x] }
+
 func smallConfig() Config {
 	c := DefaultConfig()
 	c.Tiles = 6
@@ -131,8 +134,8 @@ func TestBackgroundMatchingReducesSeams(t *testing.T) {
 				}
 				for y := y0; y < y1; y++ {
 					for x := x0; x < x1; x++ {
-						vi := imgs[i].At(x-int(imgs[i].CRVAL1), y-int(imgs[i].CRVAL2))
-						vj := imgs[j].At(x-int(imgs[j].CRVAL1), y-int(imgs[j].CRVAL2))
+						vi := at(imgs[i], x-int(imgs[i].CRVAL1), y-int(imgs[i].CRVAL2))
+						vj := at(imgs[j], x-int(imgs[j].CRVAL1), y-int(imgs[j].CRVAL2))
 						if vi == 0 || vj == 0 {
 							continue
 						}
@@ -178,7 +181,7 @@ func slicePlaneFit(diff *fits.Image) ([3]float64, int, error) {
 	var xs, ys, ds []float64
 	for y := 0; y < diff.Height; y++ {
 		for x := 0; x < diff.Width; x++ {
-			d := diff.At(x, y)
+			d := at(diff, x, y)
 			if math.IsNaN(d) {
 				continue
 			}

@@ -3,6 +3,7 @@ package montage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"ffis/internal/fits"
@@ -89,12 +90,13 @@ func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 		area.Reset(w, h)
 		area.CRVAL1, area.CRVAL2 = float64(x0), float64(y0)
 		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
+			prow, arow := proj.Data[y*w:][:w], area.Data[y*w:][:w]
+			ty := float64(y0+y) - raw.CRVAL2
+			for x := range prow {
 				tx := float64(x0+x) - raw.CRVAL1
-				ty := float64(y0+y) - raw.CRVAL2
 				if v, ok := raw.Bilinear(tx, ty); ok {
-					proj.Set(x, y, v)
-					area.Set(x, y, 1)
+					prow[x] = v
+					arow[x] = 1
 				}
 			}
 		}
@@ -149,8 +151,8 @@ func (s *planeSums) add(x, y, d float64) {
 func diffSums(diff *fits.Image) planeSums {
 	var s planeSums
 	for y := 0; y < diff.Height; y++ {
-		for x := 0; x < diff.Width; x++ {
-			if d := diff.At(x, y); !math.IsNaN(d) {
+		for x, d := range diff.Data[y*diff.Width:][:diff.Width] {
+			if !math.IsNaN(d) {
 				s.add(diff.CRVAL1+float64(x), diff.CRVAL2+float64(y), d)
 			}
 		}
@@ -217,13 +219,17 @@ func (c Config) diffPairs(sc *scratch, fit func(i, j int) error) error {
 			jx0, jy0 := int(imgs[j].CRVAL1), int(imgs[j].CRVAL2)
 			valid := 0
 			for y := y0; y < y1; y++ {
+				iy, jy := y-iy0, y-jy0
+				irow, jrow := imgs[i].Data[iy*imgs[i].Width:], imgs[j].Data[jy*imgs[j].Width:]
+				icov, jcov := areaRow(&areas[i], iy), areaRow(&areas[j], jy)
+				drow := diff.Data[(y-y0)*diff.Width:][:diff.Width]
 				for x := x0; x < x1; x++ {
-					ix, iy, jx, jy := x-ix0, y-iy0, x-jx0, y-jy0
-					if !covered(&areas[i], ix, iy) || !covered(&areas[j], jx, jy) {
-						diff.Set(x-x0, y-y0, math.NaN())
+					ix, jx := x-ix0, x-jx0
+					if !covered(icov, ix) || !covered(jcov, jx) {
+						drow[x-x0] = math.NaN()
 						continue
 					}
-					diff.Set(x-x0, y-y0, imgs[i].At(ix, iy)-imgs[j].At(jx, jy))
+					drow[x-x0] = irow[ix] - jrow[jx]
 					valid++
 				}
 			}
@@ -237,12 +243,16 @@ func (c Config) diffPairs(sc *scratch, fit func(i, j int) error) error {
 	return nil
 }
 
-// covered reports whether an area image covers pixel (x, y) of its tile,
-// indexing as At does; pixels past the end of a corrupted one are not.
-func covered(area *fits.Image, x, y int) bool {
-	k := y*area.Width + x
-	return k < len(area.Data) && area.Data[k] != 0
+// areaRow returns area's pixels from the start of its row y (row-major at
+// its own width) to the end of its data; a corrupted area image may be
+// narrower or shorter than its tile.
+func areaRow(area *fits.Image, y int) []float64 {
+	return area.Data[min(y*area.Width, len(area.Data)):]
 }
+
+// covered reports whether pixel x of an areaRow is covered; pixels past
+// the end of a corrupted area image are not.
+func covered(row []float64, x int) bool { return x < len(row) && row[x] != 0 }
 
 // appendFit fits the plane of pair (i, j)'s difference image and appends
 // its table row; an image with fewer than 16 covered pixels adds none.
@@ -365,10 +375,11 @@ func (c Config) background(table []byte) ([][3]float64, error) {
 // correct subtracts its background plane from im.
 func correct(im *fits.Image, plane [3]float64) {
 	for y := 0; y < im.Height; y++ {
-		for x := 0; x < im.Width; x++ {
+		row := im.Data[y*im.Width:][:im.Width]
+		my := im.CRVAL2 + float64(y)
+		for x := range row {
 			mx := im.CRVAL1 + float64(x)
-			my := im.CRVAL2 + float64(y)
-			im.Set(x, y, im.At(x, y)-(plane[0]+plane[1]*mx+plane[2]*my))
+			row[x] = row[x] - (plane[0] + plane[1]*mx + plane[2]*my)
 		}
 	}
 }
@@ -413,9 +424,10 @@ func (c Config) coadd(sc *scratch, tile func(i int) (im, area *fits.Image, err e
 		}
 		c.addTile(sc, im, area)
 	}
-	for i := range mosaic.Data {
-		if weight.Data[i] > 0 {
-			mosaic.Data[i] /= weight.Data[i]
+	weights := weight.Data[:len(mosaic.Data)]
+	for i, w := range weights {
+		if w > 0 {
+			mosaic.Data[i] /= w
 		} else {
 			mosaic.Data[i] = math.NaN() // blank pixel, like Montage's NaN fill
 		}
@@ -424,24 +436,29 @@ func (c Config) coadd(sc *scratch, tile func(i int) (im, area *fits.Image, err e
 }
 
 // addTile adds im, weighted by its area image, into sc.mosaic and
-// sc.weight.
+// sc.weight. Pixels outside the area image have weight 0, as do those
+// that fall off the mosaic.
 func (c Config) addTile(sc *scratch, im, area *fits.Image) {
 	x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
-	for y := 0; y < im.Height; y++ {
-		for x := 0; x < im.Width; x++ {
-			a := 0.0
-			if x < area.Width && y < area.Height {
-				a = area.At(x, y)
-			}
+	w := min(im.Width, area.Width)
+	for y := 0; y < min(im.Height, area.Height); y++ {
+		my := y0 + y
+		if my < 0 || my >= c.MosaicH {
+			continue
+		}
+		src, weights := im.Data[y*im.Width:][:w], area.Data[y*area.Width:][:w]
+		mrow := sc.mosaic.Data[my*c.MosaicW:][:c.MosaicW]
+		wrow := sc.weight.Data[my*c.MosaicW:][:c.MosaicW]
+		for x, a := range weights {
 			if a == 0 {
 				continue
 			}
-			mx, my := x0+x, y0+y
-			if mx < 0 || my < 0 || mx >= c.MosaicW || my >= c.MosaicH {
+			mx := x0 + x
+			if mx < 0 || mx >= c.MosaicW {
 				continue
 			}
-			sc.mosaic.Set(mx, my, sc.mosaic.At(mx, my)+a*im.At(x, y))
-			sc.weight.Set(mx, my, sc.weight.At(mx, my)+a)
+			mrow[mx] += a * src[x]
+			wrow[mx] += a
 		}
 	}
 }
@@ -477,13 +494,16 @@ func (c Config) render(sc *scratch) (string, error) {
 		return "", fmt.Errorf("montage: mosaic has no covered pixels")
 	}
 	pgm := fmt.Appendf(sc.pgm[:0], "P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
-	for _, v := range sc.mosaic.Data {
+	head := len(pgm)
+	pgm = slices.Grow(pgm, len(sc.mosaic.Data))[:head+len(sc.mosaic.Data)]
+	gray := pgm[head:]
+	for i, v := range sc.mosaic.Data {
 		if math.IsNaN(v) {
-			pgm = append(pgm, 0)
+			gray[i] = 0
 			continue
 		}
 		g := (v - lo) / (hi - lo)
-		pgm = append(pgm, byte(g*255))
+		gray[i] = byte(g * 255)
 	}
 	sc.pgm = pgm
 	return fmt.Sprintf("min %.5f\nmax %.5f\n", lo, hi), nil

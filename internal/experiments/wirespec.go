@@ -107,11 +107,12 @@ func (ws WireSpec) pipeline() bool {
 // application, with the same classifier, on the same storage: a tiered
 // layout and the same mounts listed explicitly share one. Fault fields
 // (model, feature, shots) and arming stay out: they never change the
-// world. Each mount enters as its quoted "dir=backend", so no two mount
-// lists encode alike.
+// world. A cell enters by its canonical name, so an alias ("qmc", "mt2")
+// shares its cell's key. Each mount enters as its quoted "dir=backend", so
+// no two mount lists encode alike.
 func (ws WireSpec) WorldKey() string {
-	key := ws.Cell
-	if ws.Cell == "nyx" && ws.NyxN != 0 {
+	key := cellWorkloads[ws.Cell]
+	if key == "nyx" && ws.NyxN != 0 {
 		key += fmt.Sprintf("@n%d", ws.NyxN)
 	}
 	if ws.pipeline() {

@@ -475,3 +475,25 @@ func FuzzParseWireSpecs(f *testing.F) {
 		}
 	})
 }
+
+// TestWorldKeyBuildsAliasOnce: a cell alias names its cell's world, so an
+// engine serving "qmcpack" and then "qmc" (or "MT2" and then "mt2")
+// builds, snapshots and profiles the application once.
+func TestWorldKeyBuildsAliasOnce(t *testing.T) {
+	for _, cells := range [][2]string{{"qmcpack", "qmc"}, {"MT2", "mt2"}} {
+		e := &core.Engine{Jobs: 1}
+		builds := 0
+		for _, cell := range cells {
+			ws := WireSpec{Cell: cell, Model: "bit-flip", Runs: 1, Seed: 3}
+			if _, err := e.Workload(ws.WorldKey(), func() (core.Workload, error) {
+				builds++
+				return ws.Workload()
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if builds != 1 {
+			t.Errorf("%s then %s: %d workload builds, want 1", cells[0], cells[1], builds)
+		}
+	}
+}

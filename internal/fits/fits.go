@@ -12,11 +12,11 @@
 package fits
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"ffis/internal/vfs"
 )
@@ -44,9 +44,6 @@ func New(w, h int) *Image {
 	return &Image{Width: w, Height: h, Data: make([]float64, w*h)}
 }
 
-// At returns the pixel at (x, y); it panics on out-of-range access.
-func (im *Image) At(x, y int) float64 { return im.Data[y*im.Width+x] }
-
 // Set stores the pixel at (x, y).
 func (im *Image) Set(x, y int, v float64) { im.Data[y*im.Width+x] = v }
 
@@ -65,10 +62,11 @@ func (im *Image) Bilinear(x, y float64) (float64, bool) {
 		y1 = y0
 	}
 	fx, fy := x-float64(x0), y-float64(y0)
-	v00 := im.At(x0, y0)
-	v10 := im.At(x1, y0)
-	v01 := im.At(x0, y1)
-	v11 := im.At(x1, y1)
+	r0, r1 := im.Data[y0*im.Width:], im.Data[y1*im.Width:]
+	v00 := r0[x0]
+	v10 := r0[x1]
+	v01 := r1[x0]
+	v11 := r1[x1]
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
 }
 
@@ -110,61 +108,77 @@ func (im *Image) decode(raw []byte) error {
 	}
 	im.resize(hd.Width, hd.Height)
 	im.CRVAL1, im.CRVAL2 = hd.CRVAL1, hd.CRVAL2
-	data := raw[blocks*BlockSize:]
-	for i := range im.Data {
-		im.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
+	// Four pixels a step, so that one length check covers four reads.
+	px, data := im.Data, raw[blocks*BlockSize:need]
+	for len(px) >= 4 && len(data) >= 32 {
+		px[0] = math.Float64frombits(binary.BigEndian.Uint64(data))
+		px[1] = math.Float64frombits(binary.BigEndian.Uint64(data[8:]))
+		px[2] = math.Float64frombits(binary.BigEndian.Uint64(data[16:]))
+		px[3] = math.Float64frombits(binary.BigEndian.Uint64(data[24:]))
+		px, data = px[4:], data[32:]
+	}
+	for i := range px {
+		px[i] = math.Float64frombits(binary.BigEndian.Uint64(data))
+		data = data[8:]
 	}
 	return nil
 }
 
+// headerKeys are the header keys parseHeader reads; it ignores the rest.
+var headerKeys = [...]string{"SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXIS2", "CRVAL1", "CRVAL2"}
+
 // parseHeader parses the header blocks at the start of raw into a
-// pixel-less image and counts them.
+// pixel-less image and counts them. It scans the cards in place and keeps
+// the last value of each of headerKeys; an absent key reads as empty.
 func parseHeader(raw []byte) (hd Image, blocks int, err error) {
 	if len(raw) < BlockSize {
 		return hd, 0, &FormatError{Msg: "file shorter than one header block"}
 	}
-	hdr := map[string]string{}
+	var vals [len(headerKeys)][]byte
 	for end := false; !end; blocks++ {
 		if (blocks+1)*BlockSize > len(raw) {
 			return hd, 0, &FormatError{Msg: "header END card missing"}
 		}
-		block := raw[blocks*BlockSize : (blocks+1)*BlockSize]
-		for c := 0; c < BlockSize/cardLen; c++ {
-			line := string(block[c*cardLen : (c+1)*cardLen])
-			key := strings.TrimSpace(line[:8])
-			if key == "END" {
+		for cards := raw[blocks*BlockSize : (blocks+1)*BlockSize]; len(cards) > 0; cards = cards[cardLen:] {
+			card := cards[:cardLen]
+			key := bytes.TrimSpace(card[:8])
+			if string(key) == "END" {
 				end = true
 				break
 			}
-			if key == "" {
+			if len(key) == 0 {
 				continue
 			}
-			if len(line) < 10 || line[8] != '=' {
-				return hd, 0, &FormatError{Msg: "malformed card: " + strings.TrimSpace(line)}
+			if card[8] != '=' {
+				return hd, 0, &FormatError{Msg: "malformed card: " + string(bytes.TrimSpace(card))}
 			}
-			hdr[key] = strings.TrimSpace(line[10:])
+			for k, name := range headerKeys {
+				if string(key) == name {
+					vals[k] = bytes.TrimSpace(card[10:])
+					break
+				}
+			}
 		}
 	}
-	if hdr["SIMPLE"] != "T" {
+	switch {
+	case string(vals[0]) != "T":
 		return hd, 0, &FormatError{Msg: "not a SIMPLE FITS file"}
+	case string(vals[1]) != "-64":
+		return hd, 0, &FormatError{Msg: "unsupported BITPIX " + string(vals[1])}
+	case string(vals[2]) != "2":
+		return hd, 0, &FormatError{Msg: "unsupported NAXIS " + string(vals[2])}
 	}
-	if hdr["BITPIX"] != "-64" {
-		return hd, 0, &FormatError{Msg: "unsupported BITPIX " + hdr["BITPIX"]}
+	if hd.Width, err = strconv.Atoi(string(vals[3])); err != nil || hd.Width <= 0 || hd.Width > 1<<16 {
+		return hd, 0, &FormatError{Msg: "bad NAXIS1 " + string(vals[3])}
 	}
-	if hdr["NAXIS"] != "2" {
-		return hd, 0, &FormatError{Msg: "unsupported NAXIS " + hdr["NAXIS"]}
+	if hd.Height, err = strconv.Atoi(string(vals[4])); err != nil || hd.Height <= 0 || hd.Height > 1<<16 {
+		return hd, 0, &FormatError{Msg: "bad NAXIS2 " + string(vals[4])}
 	}
-	if hd.Width, err = strconv.Atoi(hdr["NAXIS1"]); err != nil || hd.Width <= 0 || hd.Width > 1<<16 {
-		return hd, 0, &FormatError{Msg: "bad NAXIS1 " + hdr["NAXIS1"]}
+	if hd.CRVAL1, err = strconv.ParseFloat(string(vals[5]), 64); err != nil {
+		return hd, 0, &FormatError{Msg: "bad CRVAL1 " + string(vals[5])}
 	}
-	if hd.Height, err = strconv.Atoi(hdr["NAXIS2"]); err != nil || hd.Height <= 0 || hd.Height > 1<<16 {
-		return hd, 0, &FormatError{Msg: "bad NAXIS2 " + hdr["NAXIS2"]}
-	}
-	if hd.CRVAL1, err = strconv.ParseFloat(hdr["CRVAL1"], 64); err != nil {
-		return hd, 0, &FormatError{Msg: "bad CRVAL1 " + hdr["CRVAL1"]}
-	}
-	if hd.CRVAL2, err = strconv.ParseFloat(hdr["CRVAL2"], 64); err != nil {
-		return hd, 0, &FormatError{Msg: "bad CRVAL2 " + hdr["CRVAL2"]}
+	if hd.CRVAL2, err = strconv.ParseFloat(string(vals[6]), 64); err != nil {
+		return hd, 0, &FormatError{Msg: "bad CRVAL2 " + string(vals[6])}
 	}
 	return hd, blocks, nil
 }
@@ -173,8 +187,9 @@ func parseHeader(raw []byte) (hd Image, blocks int, err error) {
 // im: per card, the key left-justified in eight columns, "= ", and the
 // value right-justified in twenty, cut at column 80; spaces elsewhere.
 func putHeader(block []byte, im *Image) {
-	for i := range block {
-		block[i] = ' '
+	block[0] = ' '
+	for n := 1; n < len(block); n *= 2 { // spaces, doubling by copy
+		copy(block[n:], block[:n])
 	}
 	for i, kv := range [...][2]string{{"SIMPLE", "T"}, {"BITPIX", "-64"}, {"NAXIS", "2"},
 		{"NAXIS1", strconv.Itoa(im.Width)}, {"NAXIS2", strconv.Itoa(im.Height)},
@@ -223,10 +238,19 @@ func Write(fs vfs.FS, path string, im *Image) (err error) {
 	}
 	for data := im.Data; len(data) > 0; {
 		n := min(len(data), BlockSize/8)
-		for i, v := range data[:n] {
-			binary.BigEndian.PutUint64(block[i*8:], math.Float64bits(v))
+		px, out := data[:n], block
+		for len(px) >= 4 && len(out) >= 32 { // four pixels a step, as decode
+			binary.BigEndian.PutUint64(out, math.Float64bits(px[0]))
+			binary.BigEndian.PutUint64(out[8:], math.Float64bits(px[1]))
+			binary.BigEndian.PutUint64(out[16:], math.Float64bits(px[2]))
+			binary.BigEndian.PutUint64(out[24:], math.Float64bits(px[3]))
+			px, out = px[4:], out[32:]
 		}
-		clear(block[n*8:])
+		for _, v := range px {
+			binary.BigEndian.PutUint64(out, math.Float64bits(v))
+			out = out[8:]
+		}
+		clear(out)
 		if _, err := f.Write(block); err != nil {
 			return err
 		}

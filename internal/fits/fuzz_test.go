@@ -1,9 +1,11 @@
 package fits_test
 
 import (
+	"bytes"
 	"math"
 	"path"
 	"slices"
+	"strings"
 	"testing"
 
 	"ffis/internal/apps/montage"
@@ -48,6 +50,7 @@ func FuzzReadReuse(f *testing.F) {
 		f.Add(raw[:fits.BlockSize])
 	}
 	f.Add([]byte{})
+	addHeaderSeeds(f)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fs := vfs.NewMemFS()
@@ -60,6 +63,20 @@ func FuzzReadReuse(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, wantErr := fits.Read(fs, "/in", nil)
+		// The in-place header scan and the slice-walking decode against
+		// the map-based, byte-at-a-time reference.
+		ref, refErr := refDecode(raw)
+		switch {
+		case (wantErr == nil) != (refErr == nil):
+			t.Fatalf("Read error %v, reference error %v", wantErr, refErr)
+		case wantErr != nil:
+			if _, ok := wantErr.(*fits.FormatError); !ok || wantErr.Error() != refErr.Error() {
+				t.Fatalf("Read error %q, reference error %q", wantErr, refErr)
+			}
+		case !sameImage(want, ref):
+			t.Fatalf("Read gave %dx%d at (%v, %v), reference %dx%d at (%v, %v) (or pixels differ)",
+				want.Width, want.Height, want.CRVAL1, want.CRVAL2, ref.Width, ref.Height, ref.CRVAL1, ref.CRVAL2)
+		}
 		// Dirty images: one read from a larger file, one from a smaller
 		// file and then scribbled on.
 		big, err := fits.Read(fs, "/seed0", nil)
@@ -106,4 +123,58 @@ func sameImage(a, b *fits.Image) bool {
 		}
 	}
 	return true
+}
+
+// addHeaderSeeds adds the header shapes where the in-place card scan and
+// the map-based reference could part: duplicate and blank keys, cards
+// without "=", a missing END, keys and values padded with non-ASCII
+// whitespace, and truncated data.
+func addHeaderSeeds(f *testing.F) {
+	im := fits.New(5, 3)
+	im.CRVAL1, im.CRVAL2 = 12.25, -3.5
+	for i := range im.Data {
+		im.Data[i] = float64(i) * 1.5
+	}
+	good := refEncode(im)
+	card := func(b []byte, i int, text string) []byte {
+		c := b[i*80 : (i+1)*80]
+		copy(c, text+strings.Repeat(" ", 80-len(text)))
+		return b
+	}
+	mutated := func(mut func([]byte) []byte) []byte { return mut(append([]byte(nil), good...)) }
+	f.Add(good)
+	// A duplicate key: the last value wins, for a key read and one ignored.
+	f.Add(mutated(func(b []byte) []byte { return card(card(b, 7, "NAXIS1  =                    4"), 8, "END") }))
+	f.Add(mutated(func(b []byte) []byte { return card(card(b, 7, "NAXIS1  =                  999"), 8, "END") }))
+	f.Add(mutated(func(b []byte) []byte { return card(card(b, 7, "COMMENT =                    x"), 8, "END") }))
+	// A blank key before END, and blank keys whose card has no "=".
+	f.Add(mutated(func(b []byte) []byte { return card(card(b, 7, "        =                    1"), 8, "END") }))
+	f.Add(mutated(func(b []byte) []byte { return card(card(b, 7, "          no equals sign here"), 8, "END") }))
+	// A card without "=" under a key.
+	f.Add(mutated(func(b []byte) []byte { return card(b, 3, "NAXIS1    64") }))
+	// No END: in the only block, and in a second block that is cut short.
+	f.Add(mutated(func(b []byte) []byte { return card(b, 7, "") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 7, "")[:fits.BlockSize] }))
+	f.Add(mutated(func(b []byte) []byte {
+		return append(card(b[:fits.BlockSize], 7, ""), bytes.Repeat([]byte(" "), fits.BlockSize-1)...)
+	}))
+	// END in a second header block.
+	f.Add(mutated(func(b []byte) []byte {
+		hdr := card(b[:fits.BlockSize:fits.BlockSize], 7, "")
+		next := card(bytes.Repeat([]byte(" "), fits.BlockSize), 0, "END")
+		return append(append(hdr, next...), b[fits.BlockSize:]...)
+	}))
+	// Non-ASCII whitespace (NBSP, NEL, EN QUAD, ideographic space, line
+	// separator) around keys, values and END, a lone continuation byte,
+	// and a rune cut at the key's eighth column.
+	f.Add(mutated(func(b []byte) []byte { return card(b, 2, "\u00a0NAXIS =                    2\u3000") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 0, "SIMPLE\u0085=                    T") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 4, "NAXIS2  = \u2000                 3\u00a0") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 4, "NAXIS2  =                    3\x85") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 7, "END    \xe3\x80\x80") }))
+	f.Add(mutated(func(b []byte) []byte { return card(b, 7, "\u2028END") }))
+	// Truncated data, by one byte and by everything.
+	f.Add(good[:len(good)-fits.BlockSize+5*3*8-1])
+	f.Add(good[:len(good)-fits.BlockSize+5*3*8])
+	f.Add(good[:fits.BlockSize])
 }

@@ -8,7 +8,10 @@
 // classification, run after run.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, seedable pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). It is NOT safe for concurrent use;
@@ -35,25 +38,23 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // step advances the xoshiro256** state (s0, s1, s2, s3) once, returning
 // the output word and the new state.
 func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
-	out = rotl(s1*5, 7) * 9
+	out = bits.RotateLeft64(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
 	s1 ^= s2
 	s0 ^= s3
 	s2 ^= t
-	return out, s0, s1, s2, rotl(s3, 45)
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
-	out, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
-	r.s = [4]uint64{s0, s1, s2, s3}
+// Uint64 returns the next 64 random bits. It assigns the new state in
+// place, which keeps it inlinable (go build -gcflags=-m ./internal/stats/).
+func (r *RNG) Uint64() (out uint64) {
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
 	return out
 }
 
