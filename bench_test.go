@@ -549,6 +549,55 @@ func BenchmarkMontageClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkMontageWorker is the warm-slot path every campaign takes: one
+// App.Worker pair serves a fixed sequence of runs, each on a clone of the
+// post-Setup world that draws its blocks from one list and is released
+// after classification, as the campaign Runner drives them. Run k of the
+// 30-run sequence injects a bit flip, shorn write or dropped write (k mod
+// 3) at a target drawn from a seed-pinned stream over the stage's
+// profiled write count; the sequence repeats.
+func BenchmarkMontageWorker(b *testing.B) {
+	models := []core.Model{core.BitFlip, core.ShornWrite, core.DroppedWrite}
+	for _, stage := range montage.Stages() {
+		b.Run(fmt.Sprintf("MT%d", int(stage)), func(b *testing.B) {
+			app, err := montage.NewApp(montage.DefaultConfig(), stage)
+			if err != nil {
+				b.Fatal(err)
+			}
+			world := vfs.NewMemFS()
+			if err := app.Setup(world); err != nil {
+				b.Fatal(err)
+			}
+			type fault struct {
+				sig    core.Signature
+				target int64
+			}
+			var faults []fault
+			draw := stats.NewRNG(2021)
+			for k := 0; k < 30; k++ {
+				sig := core.Config{Model: models[k%len(models)]}.Signature()
+				count := core.Disarmed(sig)
+				if err := app.Run(count.Wrap(world.Clone())); err != nil {
+					b.Fatal(err)
+				}
+				faults = append(faults, fault{sig, draw.Int64n(count.Count())})
+			}
+			run, classify := app.Worker()
+			var list vfs.BlockList
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := faults[i%len(faults)]
+				fs := world.Clone()
+				fs.Attach(&list)
+				inj := core.NewInjector(f.sig, f.target, stats.NewRNG(uint64(i%len(faults))))
+				classify(fs, run(inj.Wrap(fs)))
+				fs.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkQMCPACKClassify is one standard QMCPACK campaign run whose DMC
 // file takes one bit flip: the scalar writes on a clone of an empty world,
 // the flip of a low bit in a digit mid-file, and the QMCA classification.

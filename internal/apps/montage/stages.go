@@ -1,10 +1,12 @@
 package montage
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
+	"strconv"
 
 	"ffis/internal/fits"
 	"ffis/internal/vfs"
@@ -32,19 +34,91 @@ func (s Stage) String() string {
 // Stages lists the instrumented stages in execution order.
 func Stages() []Stage { return []Stage{StageProject, StageDiff, StageBg, StageAdd} }
 
-// scratch holds the images and buffers of one run slot, one per role.
-// Every stage overwrites what it uses before reading it — fits.Read
-// decodes whole images, Reset zeroes them, the PGM is rebuilt from empty —
-// so a scratch carries nothing from one run into the next, even from a
-// run that failed midway.
+// scratch is what one run slot keeps from run to run: each input file as
+// last read and decoded, and each kernel output, recomputed only when an
+// input it was computed from changed. Outputs never change once stored.
 type scratch struct {
-	tiles, areas                        []fits.Image // runDiff and finish before mAdd keep every tile live
-	in, out, area, diff, mosaic, weight fits.Image
-	pgm, img, table                     []byte
+	gen                           uint64  // the last generation given out
+	raw, proj, area, corr         []image // input files, per tile
+	projected, corrected          []image // per tile: projections (areas in projArea), corrected tiles
+	projArea                      []fits.Image
+	pairs                         []pair // per pair i*Tiles+j
+	mosaic                        image
+	key                           []uint64     // the generations of the co-add's inputs
+	bgCorr                        [][3]float64 // the corrections solved from bgTable
+	weight, readBack              fits.Image
+	pgm, img, table, buf, bgTable []byte
+}
+
+// A memo marks a kept value: from holds the generations of the images and
+// the bits of the values it was computed from, gen its own generation. ok
+// is set once it is complete: an error or a panic midway leaves nothing.
+type memo struct {
+	ok   bool
+	gen  uint64
+	from []uint64
+}
+
+// stale reports whether m must be recomputed from inputs from; if so, it
+// invalidates and renews m and records from. The caller sets m.ok.
+func (sc *scratch) stale(m *memo, from ...uint64) bool {
+	if m.ok && slices.Equal(m.from, from) {
+		return false
+	}
+	sc.gen++
+	m.ok, m.gen, m.from = false, sc.gen, append(m.from[:0], from...)
+	return true
+}
+
+// An image is a kept image; for an input file, raw holds the bytes it was
+// decoded from.
+type image struct {
+	memo
+	im  fits.Image
+	raw []byte
+}
+
+// A pair is two overlapping tiles' difference image, its count of covered
+// pixels, its read-back, and its plane fit's table row, keyed by the
+// generation of the image fitted: the difference in finish, the read-back
+// in mDiffExec.
+type pair struct {
+	memo
+	diff  fits.Image
+	valid int
+	back  image
+	fit   memo
+	row   []byte
 }
 
 func (c Config) newScratch() *scratch {
-	return &scratch{tiles: make([]fits.Image, c.Tiles), areas: make([]fits.Image, c.Tiles)}
+	n := c.Tiles
+	return &scratch{
+		raw: make([]image, n), proj: make([]image, n), area: make([]image, n), corr: make([]image, n),
+		projected: make([]image, n), corrected: make([]image, n), projArea: make([]fits.Image, n),
+		pairs: make([]pair, n*n), key: make([]uint64, 2*n),
+	}
+}
+
+// read reads the file at path through fs, as fits.Read does, into f; it
+// decodes only when the bytes differ from those of f's last decode.
+func (sc *scratch) read(fs vfs.FS, path string, f *image) (*fits.Image, error) {
+	raw, err := vfs.ReadInto(fs, path, sc.buf)
+	if err != nil {
+		return nil, err
+	}
+	if f.ok && bytes.Equal(raw, f.raw) {
+		sc.buf = raw
+		return &f.im, nil
+	}
+	f.ok = false // invalidate, renew, then decode
+	sc.stale(&f.memo)
+	f.raw, sc.buf = raw, f.raw
+	if err := f.im.Decode(raw); err != nil {
+		return nil, err
+	}
+	f.ok = true
+	return &f.im, nil
 }
 
 // runStage executes one pipeline stage, reading its inputs from and
@@ -70,35 +144,38 @@ func (c Config) RunPipeline(fs vfs.FS, from, to Stage) error {
 
 // runProject resamples each raw tile onto the integer mosaic grid
 // (bilinear), producing a projected image and a fractional-coverage area
-// image per tile. Like every stage, it reuses one image per role across
-// its loop, so a run allocates for its largest tile, not for every tile.
+// image per tile; a tile whose raw file did not change keeps its images.
 func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(ProjDir); err != nil {
 		return err
 	}
-	raw, proj, area := &sc.in, &sc.out, &sc.area
 	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, rawPath(i), raw); err != nil {
+		raw, err := sc.read(fs, rawPath(i), &sc.raw[i])
+		if err != nil {
 			return err
 		}
-		x0 := int(math.Ceil(raw.CRVAL1))
-		y0 := int(math.Ceil(raw.CRVAL2))
-		w := raw.Width - 1 // resampling loses up to one boundary pixel
-		h := raw.Height - 1
-		proj.Reset(w, h)
-		proj.CRVAL1, proj.CRVAL2 = float64(x0), float64(y0)
-		area.Reset(w, h)
-		area.CRVAL1, area.CRVAL2 = float64(x0), float64(y0)
-		for y := 0; y < h; y++ {
-			prow, arow := proj.Data[y*w:][:w], area.Data[y*w:][:w]
-			ty := float64(y0+y) - raw.CRVAL2
-			for x := range prow {
-				tx := float64(x0+x) - raw.CRVAL1
-				if v, ok := raw.Bilinear(tx, ty); ok {
-					prow[x] = v
-					arow[x] = 1
+		p, proj, area := &sc.projected[i], &sc.projected[i].im, &sc.projArea[i]
+		if sc.stale(&p.memo, sc.raw[i].gen) {
+			x0 := int(math.Ceil(raw.CRVAL1))
+			y0 := int(math.Ceil(raw.CRVAL2))
+			w := raw.Width - 1 // resampling loses up to one boundary pixel
+			h := raw.Height - 1
+			proj.Reset(w, h)
+			proj.CRVAL1, proj.CRVAL2 = float64(x0), float64(y0)
+			area.Reset(w, h)
+			area.CRVAL1, area.CRVAL2 = float64(x0), float64(y0)
+			for y := 0; y < h; y++ {
+				prow, arow := proj.Data[y*w:][:w], area.Data[y*w:][:w]
+				ty := float64(y0+y) - raw.CRVAL2
+				for x := range prow {
+					tx := float64(x0+x) - raw.CRVAL1
+					if v, ok := raw.Bilinear(tx, ty); ok {
+						prow[x] = v
+						arow[x] = 1
+					}
 				}
 			}
+			p.ok = true
 		}
 		if err := fits.Write(fs, projPath(i), proj); err != nil {
 			return err
@@ -189,52 +266,57 @@ func solve3(m [3][3]float64, rhs [3]float64) ([3]float64, error) {
 	return [3]float64{rhs[0] / m[0][0], rhs[1] / m[1][1], rhs[2] / m[2][2]}, nil
 }
 
-// readTiles decodes the projection and the area file of each tile, in
-// that order, into sc.tiles and sc.areas.
-func (c Config) readTiles(fs vfs.FS, sc *scratch) error {
+// readTiles reads files[i] from path(i), then sc.area[i], for each tile.
+func (c Config) readTiles(fs vfs.FS, sc *scratch, path func(int) string, files []image) error {
 	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, projPath(i), &sc.tiles[i]); err != nil {
+		if _, err := sc.read(fs, path(i), &files[i]); err != nil {
 			return err
 		}
-		if _, err := fits.Read(fs, areaPath(i), &sc.areas[i]); err != nil {
+		if _, err := sc.read(fs, areaPath(i), &sc.area[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// diffPairs differences each overlapping pair of sc's tiles into sc.diff,
-// NaN where uncovered, and calls fit if 16 or more pixels are covered.
-func (c Config) diffPairs(sc *scratch, fit func(i, j int) error) error {
-	imgs, areas, diff := sc.tiles, sc.areas, &sc.diff
+// diffPairs differences each overlapping pair of sc.proj tiles, NaN where
+// uncovered, again only when one of its four files changed, and calls fit
+// with the pair if 16 or more pixels are covered.
+func (c Config) diffPairs(sc *scratch, fit func(i, j int, p *pair) error) error {
 	for i := 0; i < c.Tiles; i++ {
 		for j := i + 1; j < c.Tiles; j++ {
-			x0, y0, x1, y1, ok := overlap(&imgs[i], &imgs[j])
+			a, b := &sc.proj[i].im, &sc.proj[j].im
+			x0, y0, x1, y1, ok := overlap(a, b)
 			if !ok {
 				continue
 			}
-			diff.Reset(x1-x0, y1-y0)
-			diff.CRVAL1, diff.CRVAL2 = float64(x0), float64(y0)
-			ix0, iy0 := int(imgs[i].CRVAL1), int(imgs[i].CRVAL2)
-			jx0, jy0 := int(imgs[j].CRVAL1), int(imgs[j].CRVAL2)
-			valid := 0
-			for y := y0; y < y1; y++ {
-				iy, jy := y-iy0, y-jy0
-				irow, jrow := imgs[i].Data[iy*imgs[i].Width:], imgs[j].Data[jy*imgs[j].Width:]
-				icov, jcov := areaRow(&areas[i], iy), areaRow(&areas[j], jy)
-				drow := diff.Data[(y-y0)*diff.Width:][:diff.Width]
-				for x := x0; x < x1; x++ {
-					ix, jx := x-ix0, x-jx0
-					if !covered(icov, ix) || !covered(jcov, jx) {
-						drow[x-x0] = math.NaN()
-						continue
+			p := &sc.pairs[i*c.Tiles+j]
+			if sc.stale(&p.memo, sc.proj[i].gen, sc.proj[j].gen, sc.area[i].gen, sc.area[j].gen) {
+				diff := &p.diff
+				diff.Reset(x1-x0, y1-y0)
+				diff.CRVAL1, diff.CRVAL2 = float64(x0), float64(y0)
+				ix0, iy0 := int(a.CRVAL1), int(a.CRVAL2)
+				jx0, jy0 := int(b.CRVAL1), int(b.CRVAL2)
+				p.valid = 0
+				for y := y0; y < y1; y++ {
+					iy, jy := y-iy0, y-jy0
+					irow, jrow := a.Data[iy*a.Width:], b.Data[jy*b.Width:]
+					icov, jcov := areaRow(&sc.area[i].im, iy), areaRow(&sc.area[j].im, jy)
+					drow := diff.Data[(y-y0)*diff.Width:][:diff.Width]
+					for x := x0; x < x1; x++ {
+						ix, jx := x-ix0, x-jx0
+						if !covered(icov, ix) || !covered(jcov, jx) {
+							drow[x-x0] = math.NaN()
+							continue
+						}
+						drow[x-x0] = irow[ix] - jrow[jx]
+						p.valid++
 					}
-					drow[x-x0] = irow[ix] - jrow[jx]
-					valid++
 				}
+				p.ok = true
 			}
-			if valid >= 16 {
-				if err := fit(i, j); err != nil {
+			if p.valid >= 16 {
+				if err := fit(i, j, p); err != nil {
 					return err
 				}
 			}
@@ -268,6 +350,25 @@ func appendFit(table []byte, i, j int, diff *fits.Image) ([]byte, error) {
 	return fmt.Appendf(table, "%d %d %.8f %.8f %.8f %d\n", i, j, p[0], p[1], p[2], sums.n), nil
 }
 
+// fitRow returns p's table row for im, of generation gen, fitted again only
+// for a new gen; with store, as coadd's store.
+func (sc *scratch) fitRow(i, j int, p *pair, im *fits.Image, gen uint64, store bool) ([]byte, error) {
+	if sc.stale(&p.fit, gen) {
+		hd, err := *im, error(nil)
+		if store {
+			err = hd.StoreHeader()
+		}
+		if err == nil {
+			p.row, err = appendFit(p.row[:0], i, j, &hd)
+		}
+		if err != nil {
+			return nil, err
+		}
+		p.fit.ok = true
+	}
+	return p.row, nil
+}
+
 // runDiff differences every overlapping pair of projected images, writing
 // the difference image, and then — as Montage's mFitExec does — re-reads
 // each difference image from storage to calculate its plane-fitting
@@ -280,55 +381,98 @@ func (c Config) runDiff(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(DiffDir); err != nil {
 		return err
 	}
-	if err := c.readTiles(fs, sc); err != nil {
+	if err := c.readTiles(fs, sc, projPath, sc.proj); err != nil {
 		return err
 	}
-	var pairs [][2]int
-	if err := c.diffPairs(sc, func(i, j int) error {
-		pairs = append(pairs, [2]int{i, j})
-		return fits.Write(fs, diffPath(i, j), &sc.diff)
+	var pairs []int
+	if err := c.diffPairs(sc, func(i, j int, p *pair) error {
+		pairs = append(pairs, i*c.Tiles+j)
+		return fits.Write(fs, diffPath(i, j), &p.diff)
 	}); err != nil {
 		return err
 	}
 	// Fitting pass: read every difference image back and fit its plane.
 	table := append(sc.table[:0], fitsTableHeader...)
-	for _, pr := range pairs {
-		if _, err := fits.Read(fs, diffPath(pr[0], pr[1]), &sc.diff); err != nil {
+	for _, k := range pairs {
+		p, i, j := &sc.pairs[k], k/c.Tiles, k%c.Tiles
+		im, err := sc.read(fs, diffPath(i, j), &p.back)
+		if err != nil {
 			return err
 		}
-		var err error
-		if table, err = appendFit(table, pr[0], pr[1], &sc.diff); err != nil {
+		row, err := sc.fitRow(i, j, p, im, p.back.gen, false)
+		if err != nil {
 			return err
 		}
+		table = append(table, row...)
 	}
 	sc.table = table
 	return vfs.WriteFile(fs, FitsTablePath, table)
 }
 
-// background parses the plane-fit table and solves for per-image plane
-// corrections by iterative relaxation, image 0 the gauge anchor.
-func (c Config) background(table []byte) ([][3]float64, error) {
-	type pairFit struct {
-		i, j, n int
-		p       [3]float64
-	}
+// pairFit is one plane-fit table row: the plane p fitted to the n covered
+// pixels of pair (i, j).
+type pairFit struct {
+	i, j, n int
+	p       [3]float64
+}
+
+// parseTable returns the table rows that parse, in order, skipping blank
+// lines and '#' comments. A corrupted row is skipped too: the real
+// mBgModel would reject the table; parseTable fails only if no row parses.
+func parseTable(table []byte) ([]pairFit, error) {
 	var pairs []pairFit
-	for _, line := range strings.Split(string(table), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	for line := range bytes.SplitSeq(table, []byte("\n")) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		var pf pairFit
-		if _, err := fmt.Sscanf(line, "%d %d %f %f %f %d",
-			&pf.i, &pf.j, &pf.p[0], &pf.p[1], &pf.p[2], &pf.n); err != nil {
-			// A corrupted table row: the real mBgModel would reject the
-			// table; skip rows it cannot parse, fail if nothing parses.
-			continue
+		if pf, ok := parseRow(line); ok {
+			pairs = append(pairs, pf)
 		}
-		pairs = append(pairs, pf)
 	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("montage: fits table has no usable rows")
+	}
+	return pairs, nil
+}
+
+// parseRow parses a row as fmt.Sscanf(row, "%d %d %f %f %f %d", ...) does.
+// Six tokens of digits, '-' and '.' apart by single spaces (as appendFit
+// writes) take the strconv calls fmt makes on them; Sscanf reads the rest.
+func parseRow(row []byte) (pf pairFit, ok bool) {
+	var tok [6][]byte
+	rest, plain := row, true
+	for k := range tok {
+		tok[k], rest, _ = bytes.Cut(rest, []byte(" "))
+		plain = plain && len(bytes.Trim(tok[k], "-.0123456789")) == 0
+	}
+	if plain && len(rest) == 0 {
+		var err [6]error
+		pf.i, err[0] = strconv.Atoi(string(tok[0]))
+		pf.j, err[1] = strconv.Atoi(string(tok[1]))
+		for c := range pf.p {
+			pf.p[c], err[2+c] = strconv.ParseFloat(string(tok[2+c]), 64)
+		}
+		pf.n, err[5] = strconv.Atoi(string(tok[5]))
+		if errors.Join(err[:]...) == nil {
+			return pf, true
+		}
+	}
+	_, err := fmt.Sscanf(string(row), "%d %d %f %f %f %d", &pf.i, &pf.j, &pf.p[0], &pf.p[1], &pf.p[2], &pf.n)
+	return pf, err == nil
+}
+
+// background parses the plane-fit table and solves for per-image plane
+// corrections by iterative relaxation, image 0 the gauge anchor. It
+// solves again only when the table's bytes differ from the last solve's.
+func (c Config) background(sc *scratch, table []byte) ([][3]float64, error) {
+	if sc.bgCorr != nil && bytes.Equal(sc.bgTable, table) {
+		return sc.bgCorr, nil
+	}
+	sc.bgCorr = nil
+	pairs, err := parseTable(table)
+	if err != nil {
+		return nil, err
 	}
 	// The rows naming each tile, in table order, when both their tiles exist.
 	rows := make([][]pairFit, c.Tiles)
@@ -369,19 +513,28 @@ func (c Config) background(table []byte) ([][3]float64, error) {
 			}
 		}
 	}
+	sc.bgTable, sc.bgCorr = append(sc.bgTable[:0], table...), corr
 	return corr, nil
 }
 
-// correct subtracts its background plane from im.
-func correct(im *fits.Image, plane [3]float64) {
-	for y := 0; y < im.Height; y++ {
-		row := im.Data[y*im.Width:][:im.Width]
-		my := im.CRVAL2 + float64(y)
-		for x := range row {
-			mx := im.CRVAL1 + float64(x)
-			row[x] = row[x] - (plane[0] + plane[1]*mx + plane[2]*my)
+// correct returns projection i less its background plane, computed again
+// only when the projection or the plane changed.
+func (sc *scratch) correct(i int, plane [3]float64) *fits.Image {
+	src, out := &sc.proj[i].im, &sc.corrected[i]
+	if sc.stale(&out.memo, sc.proj[i].gen, math.Float64bits(plane[0]), math.Float64bits(plane[1]), math.Float64bits(plane[2])) {
+		out.im.Reset(src.Width, src.Height)
+		out.im.CRVAL1, out.im.CRVAL2 = src.CRVAL1, src.CRVAL2
+		for y := 0; y < src.Height; y++ {
+			row, dst := src.Data[y*src.Width:][:src.Width], out.im.Data[y*src.Width:][:src.Width]
+			my := src.CRVAL2 + float64(y)
+			for x := range row {
+				mx := src.CRVAL1 + float64(x)
+				dst[x] = row[x] - (plane[0] + plane[1]*mx + plane[2]*my)
+			}
 		}
+		out.ok = true
 	}
+	return &out.im
 }
 
 // runBg solves for per-image plane corrections from the pairwise fits and
@@ -395,34 +548,43 @@ func (c Config) runBg(fs vfs.FS, sc *scratch) error {
 		return err
 	}
 	sc.table = table
-	corr, err := c.background(table)
+	corr, err := c.background(sc, table)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < c.Tiles; i++ {
-		if _, err := fits.Read(fs, projPath(i), &sc.in); err != nil {
+		if _, err := sc.read(fs, projPath(i), &sc.proj[i]); err != nil {
 			return err
 		}
-		correct(&sc.in, corr[i])
-		if err := fits.Write(fs, corrPath(i), &sc.in); err != nil {
+		if err := fits.Write(fs, corrPath(i), sc.correct(i, corr[i])); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// coadd co-adds the tiles that tile(i) supplies, in tile order, into
-// sc.mosaic, the area-weighted mean; it stops at tile's first error.
-func (c Config) coadd(sc *scratch, tile func(i int) (im, area *fits.Image, err error)) error {
-	mosaic, weight := &sc.mosaic, &sc.weight
+// coadd co-adds tiles, weighted by sc.area, into the area-weighted mean
+// mosaic, again only when an input changed. With store, each tile is added
+// with the header a write and read-back would give it.
+func (c Config) coadd(sc *scratch, tiles []image, store bool) (*fits.Image, error) {
+	for i := range tiles {
+		sc.key[i], sc.key[c.Tiles+i] = tiles[i].gen, sc.area[i].gen
+	}
+	m := &sc.mosaic
+	if !sc.stale(&m.memo, sc.key...) {
+		return &m.im, nil
+	}
+	mosaic, weight := &m.im, &sc.weight
 	mosaic.Reset(c.MosaicW, c.MosaicH)
 	weight.Reset(c.MosaicW, c.MosaicH)
-	for i := 0; i < c.Tiles; i++ {
-		im, area, err := tile(i)
-		if err != nil {
-			return err
+	for i := range tiles {
+		im := tiles[i].im
+		if store {
+			if err := im.StoreHeader(); err != nil {
+				return nil, err
+			}
 		}
-		c.addTile(sc, im, area)
+		c.addTile(mosaic, weight, &im, &sc.area[i].im)
 	}
 	weights := weight.Data[:len(mosaic.Data)]
 	for i, w := range weights {
@@ -432,13 +594,14 @@ func (c Config) coadd(sc *scratch, tile func(i int) (im, area *fits.Image, err e
 			mosaic.Data[i] = math.NaN() // blank pixel, like Montage's NaN fill
 		}
 	}
-	return nil
+	m.ok = true
+	return mosaic, nil
 }
 
-// addTile adds im, weighted by its area image, into sc.mosaic and
-// sc.weight. Pixels outside the area image have weight 0, as do those
-// that fall off the mosaic.
-func (c Config) addTile(sc *scratch, im, area *fits.Image) {
+// addTile adds im, weighted by its area image, into mosaic and weight.
+// Pixels outside the area image have weight 0, as do those that fall off
+// the mosaic.
+func (c Config) addTile(mosaic, weight, im, area *fits.Image) {
 	x0, y0 := int(im.CRVAL1), int(im.CRVAL2)
 	w := min(im.Width, area.Width)
 	for y := 0; y < min(im.Height, area.Height); y++ {
@@ -447,8 +610,8 @@ func (c Config) addTile(sc *scratch, im, area *fits.Image) {
 			continue
 		}
 		src, weights := im.Data[y*im.Width:][:w], area.Data[y*area.Width:][:w]
-		mrow := sc.mosaic.Data[my*c.MosaicW:][:c.MosaicW]
-		wrow := sc.weight.Data[my*c.MosaicW:][:c.MosaicW]
+		mrow := mosaic.Data[my*c.MosaicW:][:c.MosaicW]
+		wrow := weight.Data[my*c.MosaicW:][:c.MosaicW]
 		for x, a := range weights {
 			if a == 0 {
 				continue
@@ -463,23 +626,11 @@ func (c Config) addTile(sc *scratch, im, area *fits.Image) {
 	}
 }
 
-// readCorr returns a coadd source that decodes corrected tile i and then
-// its area file into sc.in and sc.area, one tile at a time.
-func readCorr(fs vfs.FS, sc *scratch) func(int) (*fits.Image, *fits.Image, error) {
-	return func(i int) (*fits.Image, *fits.Image, error) {
-		if _, err := fits.Read(fs, corrPath(i), &sc.in); err != nil {
-			return nil, nil, err
-		}
-		_, err := fits.Read(fs, areaPath(i), &sc.area)
-		return &sc.in, &sc.area, err
-	}
-}
-
-// render stretches sc.mosaic to the 8-bit PGM in sc.pgm and formats the
+// render stretches mosaic to the 8-bit PGM in sc.pgm and formats the
 // min/max statistics the paper's classification keys on.
-func (c Config) render(sc *scratch) (string, error) {
+func (c Config) render(sc *scratch, mosaic *fits.Image) (string, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range sc.mosaic.Data {
+	for _, v := range mosaic.Data {
 		if math.IsNaN(v) {
 			continue
 		}
@@ -495,9 +646,9 @@ func (c Config) render(sc *scratch) (string, error) {
 	}
 	pgm := fmt.Appendf(sc.pgm[:0], "P5\n%d %d\n255\n", c.MosaicW, c.MosaicH)
 	head := len(pgm)
-	pgm = slices.Grow(pgm, len(sc.mosaic.Data))[:head+len(sc.mosaic.Data)]
+	pgm = slices.Grow(pgm, len(mosaic.Data))[:head+len(mosaic.Data)]
 	gray := pgm[head:]
-	for i, v := range sc.mosaic.Data {
+	for i, v := range mosaic.Data {
 		if math.IsNaN(v) {
 			gray[i] = 0
 			continue
@@ -515,18 +666,22 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 	if err := fs.MkdirAll(MosaicDir); err != nil {
 		return err
 	}
-	if err := c.coadd(sc, readCorr(fs, sc)); err != nil {
+	if err := c.readTiles(fs, sc, corrPath, sc.corr); err != nil {
 		return err
 	}
-	if err := fits.Write(fs, MosaicPath, &sc.mosaic); err != nil {
+	mosaic, err := c.coadd(sc, sc.corr, false)
+	if err != nil {
+		return err
+	}
+	if err := fits.Write(fs, MosaicPath, mosaic); err != nil {
 		return err
 	}
 	// Image generation (mViewer): the real pipeline hands the mosaic file,
 	// not memory, to the image generator, so its faults are visible here.
-	if _, err := fits.Read(fs, MosaicPath, &sc.mosaic); err != nil {
+	if mosaic, err = fits.Read(fs, MosaicPath, &sc.readBack); err != nil {
 		return err
 	}
-	stats, err := c.render(sc)
+	stats, err := c.render(sc, mosaic)
 	if err != nil {
 		return err
 	}
@@ -542,17 +697,20 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 // finish does too: each image the file stages write and read back takes
 // StoreHeader (pixels survive bit for bit); the table is parsed as text.
 func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, error) {
-	tiles := readCorr(fs, sc)
-	if from < StageAdd {
-		if err := c.readTiles(fs, sc); err != nil {
+	tiles := sc.corr
+	if from == StageAdd {
+		if err := c.readTiles(fs, sc, corrPath, sc.corr); err != nil {
+			return nil, "", err
+		}
+	} else {
+		if err := c.readTiles(fs, sc, projPath, sc.proj); err != nil {
 			return nil, "", err
 		}
 		table, err := append(sc.table[:0], fitsTableHeader...), error(nil)
 		if from == StageDiff {
-			err = c.diffPairs(sc, func(i, j int) (err error) {
-				if err = sc.diff.StoreHeader(); err == nil {
-					table, err = appendFit(table, i, j, &sc.diff)
-				}
+			err = c.diffPairs(sc, func(i, j int, p *pair) error {
+				row, err := sc.fitRow(i, j, p, &p.diff, p.gen, true)
+				table = append(table, row...)
 				return err
 			})
 		} else {
@@ -561,23 +719,25 @@ func (c Config) finish(fs vfs.FS, from Stage, sc *scratch) ([]byte, string, erro
 		var corr [][3]float64
 		if err == nil {
 			sc.table = table
-			corr, err = c.background(table)
+			corr, err = c.background(sc, table)
 		}
 		if err != nil {
 			return nil, "", err
 		}
-		tiles = func(i int) (*fits.Image, *fits.Image, error) {
-			correct(&sc.tiles[i], corr[i])
-			return &sc.tiles[i], &sc.areas[i], sc.tiles[i].StoreHeader()
+		for i := range corr {
+			sc.correct(i, corr[i])
 		}
+		tiles = sc.corrected
 	}
-	if err := c.coadd(sc, tiles); err != nil {
+	m, err := c.coadd(sc, tiles, from < StageAdd)
+	if err != nil {
 		return nil, "", err
 	}
-	if err := sc.mosaic.StoreHeader(); err != nil {
+	mosaic := *m
+	if err := mosaic.StoreHeader(); err != nil {
 		return nil, "", err
 	}
-	stats, err := c.render(sc)
+	stats, err := c.render(sc, &mosaic)
 	return sc.pgm, stats, err
 }
 

@@ -81,8 +81,8 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 	return a.classify(fs, runErr, a.Cfg.newScratch())
 }
 
-// Worker returns Run and Classify bound to one scratch they share and
-// reuse from run to run (core.Workload.Worker).
+// Worker returns Run and Classify bound to one scratch that keeps, from
+// run to run, what a changed file did not reach (core.Workload.Worker).
 func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
 	sc := a.Cfg.newScratch()
 	return func(fs vfs.FS) error { return a.Cfg.runStage(fs, a.Stage, sc) },

@@ -28,14 +28,14 @@ type Workload struct {
 	// application error or recovered panic, nil for a clean exit. It runs
 	// on the bare file system.
 	Classify func(fs vfs.FS, runErr error) classify.Outcome
-	// Worker, when non-nil, returns a Run/Classify pair that behaves
-	// exactly like Run and Classify but owns its scratch buffers. The
-	// Runner builds at most one pair per concurrently executing run and
-	// reuses it across the runs of one Runner.Run call, so a pair must
-	// carry nothing from one run into the next, not even after a run that
-	// failed or panicked midway. Setup, profiling and golden runs use Run
-	// and Classify. A wrapper that replaces Run or Classify must also
-	// replace or clear Worker, or injection runs bypass the wrapper.
+	// Worker, when non-nil, returns a Run/Classify pair with its own
+	// scratch. The Runner builds at most one pair per concurrently
+	// executing run and reuses it across the runs of one Runner.Run call.
+	// A pair may keep only what it derived from bytes it compared in full
+	// with those it reads, and must behave exactly like Run and Classify,
+	// also after a run that failed or panicked midway. Setup, profiling
+	// and golden runs use Run and Classify. A wrapper that replaces Run or
+	// Classify must also replace or clear Worker, or runs bypass it.
 	Worker func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome)
 	// NewFS constructs the storage world. Every run (golden, profiling,
 	// and each injection run) observes a pristine post-Setup world: a COW

@@ -7,8 +7,8 @@
 //
 // Write streams an image through one block buffer with the write calls and
 // bytes of a byte-at-a-time encoder, which TestEncodeMatchesReferenceEncoder
-// keeps as its reference. Read decodes into a caller-owned *Image, reusing
-// its pixels and raw bytes. The package holds no buffers of its own.
+// keeps as its reference. Read and Decode fill a caller-owned *Image,
+// reusing its pixels, and Read its raw bytes: the package keeps no buffers.
 package fits
 
 import (
@@ -94,10 +94,10 @@ type FormatError struct{ Msg string }
 
 func (e *FormatError) Error() string { return "fits: " + e.Msg }
 
-// decode parses a FITS byte stream written by Write (or corrupted en
+// Decode parses a FITS byte stream written by Write (or corrupted en
 // route) into im, reusing its pixel buffer. Violations return *FormatError
 // and leave im's header fields and pixels unchanged.
-func (im *Image) decode(raw []byte) error {
+func (im *Image) Decode(raw []byte) error {
 	hd, blocks, err := parseHeader(raw)
 	if err != nil {
 		return err
@@ -239,7 +239,7 @@ func Write(fs vfs.FS, path string, im *Image) (err error) {
 	for data := im.Data; len(data) > 0; {
 		n := min(len(data), BlockSize/8)
 		px, out := data[:n], block
-		for len(px) >= 4 && len(out) >= 32 { // four pixels a step, as decode
+		for len(px) >= 4 && len(out) >= 32 { // four pixels a step, as Decode
 			binary.BigEndian.PutUint64(out, math.Float64bits(px[0]))
 			binary.BigEndian.PutUint64(out[8:], math.Float64bits(px[1]))
 			binary.BigEndian.PutUint64(out[16:], math.Float64bits(px[2]))
@@ -273,7 +273,7 @@ func Read(fs vfs.FS, path string, dst *Image) (*Image, error) {
 		return nil, err
 	}
 	dst.raw = raw
-	if err := dst.decode(raw); err != nil {
+	if err := dst.Decode(raw); err != nil {
 		return nil, err
 	}
 	return dst, nil
