@@ -310,6 +310,46 @@ func BenchmarkFig7GridEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkFig7GridReps times one warm rep of the Figure 7 grid, in the
+// shape ffisbench's fig7_grid workload runs: the 18 specs at 40 runs each
+// on one engine whose worlds and profile counts a 1-run pass of every spec
+// built first. BenchmarkFig7GridEngine includes that set-up; this one
+// measures only what each further grid on a warm engine costs.
+func BenchmarkFig7GridReps(b *testing.B) {
+	o := experiments.Options{Seed: 2021, NyxN: 24}
+	var specs, warm []core.CampaignSpec
+	for _, cell := range experiments.Fig7Cells {
+		w, err := experiments.NewWorkload(cell, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range experiments.Fig7Models() {
+			spec := core.CampaignSpec{
+				Key: cell + "/" + m.Short(), WorldKey: cell, Workload: w,
+				Config: core.CampaignConfig{Fault: core.Config{Model: m}, Runs: 40, Seed: o.Seed},
+			}
+			specs = append(specs, spec)
+			spec.Config.Runs = 1
+			warm = append(warm, spec)
+		}
+	}
+	e := &core.Engine{}
+	for _, r := range e.Run(warm) {
+		if r.Err != nil {
+			b.Fatalf("warm-up %s: %v", r.Spec.Key, r.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range e.Run(specs) {
+			if r.Err != nil {
+				b.Fatalf("%s: %v", r.Spec.Key, r.Err)
+			}
+		}
+	}
+}
+
 // BenchmarkCampaignCOWvsFresh isolates the world-lifecycle cost on one cell
 // with a heavyweight Setup (MT4's preamble runs the first three Montage
 // stages): the same campaign with per-run COW clones vs per-run rebuilds of

@@ -36,13 +36,14 @@ func Stages() []Stage { return []Stage{StageProject, StageDiff, StageBg, StageAd
 
 // scratch is what one run slot keeps from run to run: each input file as
 // last read and decoded, and each kernel output, recomputed only when an
-// input it was computed from changed. Outputs never change once stored.
+// input it was computed from changed, with the encoding last written of
+// it. Outputs never change once stored.
 type scratch struct {
 	gen                           uint64  // the last generation given out
 	raw, proj, area, corr         []image // input files, per tile
 	projected, corrected          []image // per tile: projections (areas in projArea), corrected tiles
-	projArea                      []fits.Image
-	pairs                         []pair // per pair i*Tiles+j
+	projArea                      []image // per tile: areas, kept under projected's memo
+	pairs                         []pair  // per pair i*Tiles+j
 	mosaic                        image
 	key                           []uint64     // the generations of the co-add's inputs
 	bgCorr                        [][3]float64 // the corrections solved from bgTable
@@ -71,11 +72,31 @@ func (sc *scratch) stale(m *memo, from ...uint64) bool {
 }
 
 // An image is a kept image; for an input file, raw holds the bytes it was
-// decoded from.
+// decoded from, for an output, enc its encoding.
 type image struct {
 	memo
 	im  fits.Image
 	raw []byte
+	enc encoding
+}
+
+// An encoding is an output's fits.Encode stream, kept for the output's
+// generation gen (0: none).
+type encoding struct {
+	gen uint64
+	b   []byte
+}
+
+// write writes im, an output of generation gen, to path as fits.Write
+// would, encoding it again only for a new gen. The encoding is invalidated
+// first, so a panic midway leaves none.
+func (e *encoding) write(fs vfs.FS, path string, im *fits.Image, gen uint64) error {
+	if e.gen != gen {
+		e.gen = 0
+		e.b = fits.Encode(e.b, im)
+		e.gen = gen
+	}
+	return fits.WriteEncoded(fs, path, e.b)
 }
 
 // A pair is two overlapping tiles' difference image, its count of covered
@@ -85,6 +106,7 @@ type image struct {
 type pair struct {
 	memo
 	diff  fits.Image
+	enc   encoding
 	valid int
 	back  image
 	fit   memo
@@ -95,7 +117,7 @@ func (c Config) newScratch() *scratch {
 	n := c.Tiles
 	return &scratch{
 		raw: make([]image, n), proj: make([]image, n), area: make([]image, n), corr: make([]image, n),
-		projected: make([]image, n), corrected: make([]image, n), projArea: make([]fits.Image, n),
+		projected: make([]image, n), corrected: make([]image, n), projArea: make([]image, n),
 		pairs: make([]pair, n*n), key: make([]uint64, 2*n),
 	}
 }
@@ -154,7 +176,7 @@ func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 		if err != nil {
 			return err
 		}
-		p, proj, area := &sc.projected[i], &sc.projected[i].im, &sc.projArea[i]
+		p, proj, area := &sc.projected[i], &sc.projected[i].im, &sc.projArea[i].im
 		if sc.stale(&p.memo, sc.raw[i].gen) {
 			x0 := int(math.Ceil(raw.CRVAL1))
 			y0 := int(math.Ceil(raw.CRVAL2))
@@ -177,10 +199,10 @@ func (c Config) runProject(fs vfs.FS, sc *scratch) error {
 			}
 			p.ok = true
 		}
-		if err := fits.Write(fs, projPath(i), proj); err != nil {
+		if err := p.enc.write(fs, projPath(i), proj, p.gen); err != nil {
 			return err
 		}
-		if err := fits.Write(fs, areaPath(i), area); err != nil {
+		if err := sc.projArea[i].enc.write(fs, areaPath(i), area, p.gen); err != nil {
 			return err
 		}
 	}
@@ -387,7 +409,7 @@ func (c Config) runDiff(fs vfs.FS, sc *scratch) error {
 	var pairs []int
 	if err := c.diffPairs(sc, func(i, j int, p *pair) error {
 		pairs = append(pairs, i*c.Tiles+j)
-		return fits.Write(fs, diffPath(i, j), &p.diff)
+		return p.enc.write(fs, diffPath(i, j), &p.diff, p.gen)
 	}); err != nil {
 		return err
 	}
@@ -519,7 +541,7 @@ func (c Config) background(sc *scratch, table []byte) ([][3]float64, error) {
 
 // correct returns projection i less its background plane, computed again
 // only when the projection or the plane changed.
-func (sc *scratch) correct(i int, plane [3]float64) *fits.Image {
+func (sc *scratch) correct(i int, plane [3]float64) *image {
 	src, out := &sc.proj[i].im, &sc.corrected[i]
 	if sc.stale(&out.memo, sc.proj[i].gen, math.Float64bits(plane[0]), math.Float64bits(plane[1]), math.Float64bits(plane[2])) {
 		out.im.Reset(src.Width, src.Height)
@@ -534,7 +556,7 @@ func (sc *scratch) correct(i int, plane [3]float64) *fits.Image {
 		}
 		out.ok = true
 	}
-	return &out.im
+	return out
 }
 
 // runBg solves for per-image plane corrections from the pairwise fits and
@@ -556,7 +578,8 @@ func (c Config) runBg(fs vfs.FS, sc *scratch) error {
 		if _, err := sc.read(fs, projPath(i), &sc.proj[i]); err != nil {
 			return err
 		}
-		if err := fits.Write(fs, corrPath(i), sc.correct(i, corr[i])); err != nil {
+		out := sc.correct(i, corr[i])
+		if err := out.enc.write(fs, corrPath(i), &out.im, out.gen); err != nil {
 			return err
 		}
 	}
@@ -673,7 +696,7 @@ func (c Config) runAdd(fs vfs.FS, sc *scratch) error {
 	if err != nil {
 		return err
 	}
-	if err := fits.Write(fs, MosaicPath, mosaic); err != nil {
+	if err := sc.mosaic.enc.write(fs, MosaicPath, mosaic, sc.mosaic.gen); err != nil {
 		return err
 	}
 	// Image generation (mViewer): the real pipeline hands the mosaic file,

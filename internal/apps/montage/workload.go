@@ -84,7 +84,11 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 // Worker returns Run and Classify bound to one scratch that keeps, from
 // run to run, what a changed file did not reach (core.Workload.Worker).
 func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
-	sc := a.Cfg.newScratch()
+	return a.worker(a.Cfg.newScratch())
+}
+
+// worker returns Run and Classify bound to sc.
+func (a *App) worker(sc *scratch) (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
 	return func(fs vfs.FS) error { return a.Cfg.runStage(fs, a.Stage, sc) },
 		func(fs vfs.FS, runErr error) classify.Outcome { return a.classify(fs, runErr, sc) }
 }

@@ -106,7 +106,7 @@ func checkAnalyzeDMC(t *testing.T, app *App, name string, raw []byte) {
 // every later line against the golden).
 func TestAnalyzeDMCMatchesAnalyze(t *testing.T) {
 	app := newTestApp(t)
-	golden := []byte(app.dmcContent)
+	golden := bytes.Clone(app.dmcContent)
 	mutate := func(name string, f func(b []byte) []byte) {
 		checkAnalyzeDMC(t, app, name, f(bytes.Clone(golden)))
 	}
@@ -173,8 +173,8 @@ func FuzzAnalyzeDMC(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add([]byte(app.dmcContent))
-	f.Add([]byte(app.dmcContent[:len(app.dmcContent)/2]))
+	f.Add(bytes.Clone(app.dmcContent))
+	f.Add(bytes.Clone(app.dmcContent[:len(app.dmcContent)/2]))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkAnalyzeDMC(t, app, "fuzz", raw)
@@ -186,7 +186,7 @@ func FuzzAnalyzeDMC(f *testing.F) {
 // a result per line of it.
 func TestAnalyzeDMCAllocatesPerWindow(t *testing.T) {
 	app := newTestApp(t)
-	raw := []byte(app.dmcContent)
+	raw := bytes.Clone(app.dmcContent)
 	off := len(raw) / 2
 	for raw[off] < '1' || raw[off] > '8' {
 		off++

@@ -95,11 +95,11 @@ func TestVMCEnergyPlausible(t *testing.T) {
 
 func TestDMCImprovesOnVMC(t *testing.T) {
 	app := newTestApp(t)
-	vmcA, err := Analyze(app.vmcContent)
+	vmcA, err := Analyze(string(app.vmcContent))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmcA, err := Analyze(app.dmcContent)
+	dmcA, err := Analyze(string(app.dmcContent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDMCPopulationControlled(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	app := newTestApp(t)
 	v, d := RunAll(DefaultQMC())
-	if FormatRows(v) != app.vmcContent || FormatRows(d) != app.dmcContent {
+	if FormatRows(v) != string(app.vmcContent) || FormatRows(d) != string(app.dmcContent) {
 		t.Fatal("Monte Carlo not deterministic for fixed seed")
 	}
 }
@@ -145,8 +145,8 @@ func TestGoldenQMCOutputPinned(t *testing.T) {
 	_, ensemble := RunVMC(cfg, defaultTrial())
 	extinct := FormatRows(RunDMC(cfg, defaultTrial(), ensemble))
 	for _, c := range []struct{ name, content, want string }{
-		{"VMC", app.vmcContent, "f69a46651133ad236749bc05535ccbf67e4845d59af4cbd2b4c00bfa6e954336"},
-		{"DMC", app.dmcContent, "35461f27b9659724ad742ae1f3aa1a1672587cfab6b3a04859750e5f5e7db017"},
+		{"VMC", string(app.vmcContent), "f69a46651133ad236749bc05535ccbf67e4845d59af4cbd2b4c00bfa6e954336"},
+		{"DMC", string(app.dmcContent), "35461f27b9659724ad742ae1f3aa1a1672587cfab6b3a04859750e5f5e7db017"},
 		{"DMC with extinctions", extinct, "b4e20d09966d6228bf8c10c072e264c521e53ad4f35df3086c13e56e319857e7"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(c.content))); got != c.want {
@@ -312,7 +312,7 @@ func TestAnalyzeFailsOnEmpty(t *testing.T) {
 func TestWriteScalarFileBlockWrites(t *testing.T) {
 	fs := trace.NewRecorder(vfs.NewMemFS())
 	content := strings.Repeat("x", 10000)
-	if err := WriteScalarFile(fs, "/f", content); err != nil {
+	if err := WriteScalarFile(fs, "/f", []byte(content)); err != nil {
 		t.Fatal(err)
 	}
 	if got := trace.Analyze(fs.Log()).ByPrim[vfs.PrimWrite]; got != 3 { // ceil(10000/4096)
@@ -510,7 +510,7 @@ func TestWriteScalarFileReturnsSyncAndCloseErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		fs := &failFS{FS: vfs.NewMemFS(), syncErr: c.syncErr, closeErr: c.closed}
-		if err := WriteScalarFile(fs, "/t.dat", strings.Repeat("x", 5000)); err != c.want {
+		if err := WriteScalarFile(fs, "/t.dat", []byte(strings.Repeat("x", 5000))); err != c.want {
 			t.Errorf("%s: WriteScalarFile = %v, want %v", c.name, err, c.want)
 		}
 	}

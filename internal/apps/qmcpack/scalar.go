@@ -37,7 +37,7 @@ func FormatRows(rows []Row) string {
 const flushBytes = 4096
 
 // WriteScalarFile streams content to path in flushBytes-sized writes.
-func WriteScalarFile(fs vfs.FS, path, content string) (err error) {
+func WriteScalarFile(fs vfs.FS, path string, content []byte) (err error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
@@ -47,13 +47,9 @@ func WriteScalarFile(fs vfs.FS, path, content string) (err error) {
 			err = cerr
 		}
 	}()
-	data := []byte(content)
-	for off := 0; off < len(data); off += flushBytes {
-		end := off + flushBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := f.Write(data[off:end]); err != nil {
+	for off := 0; off < len(content); off += flushBytes {
+		end := min(off+flushBytes, len(content))
+		if _, err := f.Write(content[off:end:end]); err != nil {
 			return err
 		}
 	}
@@ -186,14 +182,14 @@ func (a *App) AnalyzeDMC(raw []byte) (Analysis, error) {
 	g := a.dmcContent
 	n := min(len(raw), len(g))
 	p := 0
-	for p+cmpChunk <= n && string(raw[p:p+cmpChunk]) == g[p:p+cmpChunk] {
+	for p+cmpChunk <= n && bytes.Equal(raw[p:p+cmpChunk], g[p:p+cmpChunk]) {
 		p += cmpChunk
 	}
 	for p < n && raw[p] == g[p] {
 		p++
 	}
 	s := 0
-	for s+cmpChunk <= n-p && string(raw[len(raw)-s-cmpChunk:len(raw)-s]) == g[len(g)-s-cmpChunk:len(g)-s] {
+	for s+cmpChunk <= n-p && bytes.Equal(raw[len(raw)-s-cmpChunk:len(raw)-s], g[len(g)-s-cmpChunk:len(g)-s]) {
 		s += cmpChunk
 	}
 	for s < n-p && raw[len(raw)-s-1] == g[len(g)-s-1] {
@@ -203,11 +199,11 @@ func (a *App) AnalyzeDMC(raw []byte) (Analysis, error) {
 	// differing byte to the first newline inside the common suffix; the
 	// lines after that newline are golden lines, and so are those before.
 	start := bytes.LastIndexByte(raw[:p], '\n') + 1
-	head := a.dmc[:strings.Count(g[:start], "\n")]
+	head := a.dmc[:bytes.Count(g[:start], []byte("\n"))]
 	end, tail := len(raw), a.dmc[len(a.dmc):]
 	if i := bytes.IndexByte(raw[len(raw)-s:], '\n'); i >= 0 {
 		end = len(raw) - s + i
-		tail = a.dmc[len(a.dmc)-strings.Count(g[len(g)-s+i+1:], "\n")-1:]
+		tail = a.dmc[len(a.dmc)-bytes.Count(g[len(g)-s+i+1:], []byte("\n"))-1:]
 	}
 	return summarize(head, parseLines(string(raw[start:end])), tail)
 }

@@ -1,6 +1,7 @@
 package qmcpack
 
 import (
+	"bytes"
 	"fmt"
 
 	"ffis/internal/classify"
@@ -27,8 +28,8 @@ const CrashSkipFraction = 0.5
 type App struct {
 	Cfg QMCConfig
 
-	vmcContent string
-	dmcContent string
+	vmcContent []byte
+	dmcContent []byte
 	dmc        []line // the parse of every dmcContent line
 	goldenE    float64
 }
@@ -38,10 +39,10 @@ func NewApp(cfg QMCConfig) (*App, error) {
 	vmcRows, dmcRows := RunAll(cfg)
 	a := &App{
 		Cfg:        cfg,
-		vmcContent: FormatRows(vmcRows),
-		dmcContent: FormatRows(dmcRows),
+		vmcContent: []byte(FormatRows(vmcRows)),
+		dmcContent: []byte(FormatRows(dmcRows)),
 	}
-	a.dmc = parseLines(a.dmcContent)
+	a.dmc = parseLines(string(a.dmcContent))
 	golden, err := summarize(a.dmc)
 	if err != nil {
 		return nil, fmt.Errorf("qmcpack: golden analysis failed: %w", err)
@@ -78,7 +79,7 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 	if err != nil {
 		return classify.Crash
 	}
-	if string(raw) == a.dmcContent {
+	if bytes.Equal(raw, a.dmcContent) {
 		return classify.Benign
 	}
 	analysis, err := a.AnalyzeDMC(raw)

@@ -30,7 +30,8 @@ type Workload struct {
 	Classify func(fs vfs.FS, runErr error) classify.Outcome
 	// Worker, when non-nil, returns a Run/Classify pair with its own
 	// scratch. The Runner builds at most one pair per concurrently
-	// executing run and reuses it across the runs of one Runner.Run call.
+	// executing run and reuses it across the runs of the specs of one
+	// world key within one Engine.Run call (CampaignSpec.WorldKey).
 	// A pair may keep only what it derived from bytes it compared in full
 	// with those it reads, and must behave exactly like Run and Classify,
 	// also after a run that failed or panicked midway. Setup, profiling

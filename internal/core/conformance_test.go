@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -539,6 +540,59 @@ func TestConformanceDrawFreeHooksArePure(t *testing.T) {
 	}
 	if pure == 0 || drawing == 0 {
 		t.Fatalf("%d draw-free and %d drawing hooks: the suite must see both kinds", pure, drawing)
+	}
+}
+
+// TestConformanceHooksLeaveWriteBufferIntact pins the WriteOp.Buf
+// contract that applications writing kept bytes rest on (Montage's kept
+// encodings, QMCPACK's golden scalar files): for every write-hosting model,
+// fired and unfired, under two RNG streams, a Write and a WriteAt leave
+// the caller's buffer, and the spare capacity behind it, byte-identical.
+func TestConformanceHooksLeaveWriteBufferIntact(t *testing.T) {
+	const n = 3 * 2880 // three FITS blocks: across a 4 KiB device block
+	pattern := make([]byte, 2*n)
+	for i := range pattern {
+		pattern[i] = byte(7*i + i/251)
+	}
+	for _, m := range AllModels() {
+		if !slices.Contains(m.Hosts(), vfs.PrimWrite) {
+			continue
+		}
+		sig := Config{Model: m, Primitive: vfs.PrimWrite}.Signature()
+		for _, seed := range []uint64{1, 0xdecafbad} {
+			for _, target := range []int64{0, 1 << 40} {
+				for _, at := range []bool{false, true} {
+					name := fmt.Sprintf("%s/seed=%d/target=%d/at=%v", m.Name(), seed, target, at)
+					inj := NewInjector(sig, target, stats.NewRNG(seed))
+					fs := inj.Wrap(conformanceWorld(t))
+					backing := bytes.Clone(pattern)
+					buf := backing[:n]
+					var err error
+					if at {
+						// Over the victim's existing bytes and past its end.
+						f, ferr := fs.Append("/victim")
+						if ferr != nil {
+							t.Fatal(ferr)
+						}
+						_, err = f.WriteAt(buf, 1024)
+						f.Close()
+					} else {
+						f, ferr := fs.Create("/fresh")
+						if ferr != nil {
+							t.Fatal(ferr)
+						}
+						_, err = f.Write(buf)
+						f.Close()
+					}
+					if _, fired := inj.Fired(); fired != (target == 0) {
+						t.Fatalf("%s: fired %v (write error %v)", name, fired, err)
+					}
+					if !bytes.Equal(backing, pattern) {
+						t.Errorf("%s: the write changed the caller's buffer", name)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -23,7 +23,10 @@ type CampaignSpec struct {
 	// identical NewFS and Setup. Specs built through Engine.Workload share
 	// the whole registered workload, Run and Classify included, so a key
 	// must separate everything the workload does (experiments.WireSpec's
-	// key separates the Nyx average-value classifier, for one). Empty
+	// key separates the Nyx average-value classifier, for one). Within one
+	// Engine.Run call they also share Worker pairs: a run of one spec may
+	// take a pair another spec's Worker built, so their Workers must be
+	// interchangeable. Empty
 	// defaults to Workload.Name, which is only safe while every same-named
 	// spec builds the same workload; grids mixing flat and tiered variants
 	// of one application must set it.
@@ -185,8 +188,17 @@ func (p *enginePrep) profileCount(sig Signature, mounts []string) (int64, error)
 // Run executes every spec of the grid and returns results in spec order.
 // Campaign failures are reported per cell in GridResult.Err; the grid keeps
 // going, so one starved placement (ErrNoTargets) does not abort the sweep.
+// The specs of one world key share at most Jobs Worker pairs, which die
+// when Run returns: pairs kept longer would hold their scratch on the
+// engine between grids and start a later grid warm from an earlier one.
 func (e *Engine) Run(specs []CampaignSpec) []GridResult {
 	sem := make(chan struct{}, e.jobs())
+	idle := map[string]chan Workload{}
+	for _, spec := range specs {
+		if idle[spec.worldKey()] == nil {
+			idle[spec.worldKey()] = make(chan Workload, cap(sem))
+		}
+	}
 	out := make([]GridResult, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
@@ -194,7 +206,7 @@ func (e *Engine) Run(specs []CampaignSpec) []GridResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.runSpec(spec, sem)
+			res, err := e.runSpec(spec, sem, idle[spec.worldKey()])
 			out[i] = GridResult{Spec: spec, Result: res, Err: err}
 		}()
 	}
@@ -253,7 +265,7 @@ func (e *Engine) Replay(spec CampaignSpec, index int, target int64) (RunRecord, 
 // profile + snapshot, then hand the spec to a Runner. Failures before the
 // Runner starts still close the spec's event stream with a terminal
 // SpecDone so subscribers see every campaign bracketed.
-func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, error) {
+func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workload) (CampaignResult, error) {
 	cfg := spec.Config
 	fail := func(err error) (CampaignResult, error) {
 		e.publish(Event{Kind: EventSpecDone, Key: spec.Key, Total: cfg.Runs, Err: err})
@@ -283,6 +295,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}) (CampaignResult, 
 		ProfileCount: count,
 		Pool:         sem,
 		Events:       e.Events,
+		Idle:         idle,
 	}
 	return r.Run()
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"ffis/internal/classify"
+	"ffis/internal/vfs"
 )
 
 // reuseWorld is one fixture of the record-reuse equivalence test: a world
@@ -126,5 +131,96 @@ func checkAgainstFresh(t *testing.T, r GridResult, reused map[int]bool, exact bo
 	}
 	if m := sig.Model; exact && (m == DroppedWrite || m == ShornWrite) && len(reused) == 0 {
 		t.Fatalf("%s: no run was reused at Jobs 1", key)
+	}
+}
+
+// pairWorkload is a world of its own key: Setup writes the key, Run writes
+// it back a thousand times over. Each pair its Worker builds is counted in
+// built, and each classification of a world not of key in strays.
+func pairWorkload(key string, built, strays *atomic.Int64) Workload {
+	golden := bytes.Repeat([]byte(key), 1000)
+	w := Workload{
+		Name:  "pairs",
+		Setup: func(fs vfs.FS) error { return vfs.WriteFile(fs, "/key", []byte(key)) },
+		Run: func(fs vfs.FS) error {
+			k, err := vfs.ReadFile(fs, "/key")
+			if err != nil {
+				return err
+			}
+			return vfs.WriteFile(fs, "/out", bytes.Repeat(k, 1000))
+		},
+		Classify: func(fs vfs.FS, runErr error) classify.Outcome {
+			out, err := vfs.ReadFile(fs, "/out")
+			switch {
+			case runErr != nil || err != nil:
+				return classify.Crash
+			case bytes.Equal(out, golden):
+				return classify.Benign
+			case len(out) == len(golden):
+				return classify.SDC
+			}
+			return classify.Detected
+		},
+	}
+	w.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+		built.Add(1)
+		return w.Run, func(fs vfs.FS, runErr error) classify.Outcome {
+			if k, _ := vfs.ReadFile(fs, "/key"); string(k) != key {
+				strays.Add(1)
+			}
+			return w.Classify(fs, runErr)
+		}
+	}
+	return w
+}
+
+// TestWorkerPairsSharedPerWorldKey: within one Engine.Run call, the specs
+// of a world key take their Worker pairs from one set. At most Jobs pairs
+// are built per key (one at Jobs 1, however many specs share it), no pair
+// serves a world of another key, and every spec's records equal those of
+// the spec run alone.
+func TestWorkerPairsSharedPerWorldKey(t *testing.T) {
+	keys := []string{"alpha", "beta"}
+	models := []Model{BitFlip, ShornWrite, DroppedWrite, ReadBitFlip}
+	for _, jobs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			built := map[string]*atomic.Int64{}
+			var strays atomic.Int64
+			var specs []CampaignSpec
+			for _, key := range keys {
+				built[key] = new(atomic.Int64)
+				w := pairWorkload(key, built[key], &strays)
+				for _, m := range models {
+					specs = append(specs, CampaignSpec{
+						Key: key + "/" + m.Short(), WorldKey: key, Workload: w,
+						Config: CampaignConfig{Fault: Config{Model: m}, Runs: 40, Seed: 7},
+					})
+				}
+			}
+			grid := (&Engine{Jobs: jobs}).Run(specs)
+			for _, key := range keys {
+				n := built[key].Load()
+				if n < 1 || n > int64(jobs) || jobs == 1 && n != 1 {
+					t.Errorf("key %s: %d pairs built at Jobs %d", key, n, jobs)
+				}
+			}
+			if n := strays.Load(); n != 0 {
+				t.Errorf("%d runs classified a world of another key", n)
+			}
+			for _, g := range grid {
+				alone := (&Engine{Jobs: jobs}).Run([]CampaignSpec{g.Spec})[0]
+				if g.Err != nil || alone.Err != nil {
+					t.Fatalf("%s: %v; alone: %v", g.Spec.Key, g.Err, alone.Err)
+				}
+				if len(g.Result.Records) != len(alone.Result.Records) {
+					t.Fatalf("%s: %d records, alone %d", g.Spec.Key, len(g.Result.Records), len(alone.Result.Records))
+				}
+				for i, rec := range g.Result.Records {
+					if !sameRecord(rec, alone.Result.Records[i]) {
+						t.Fatalf("%s: run %d differs from the spec run alone:\n  shared %+v\n  alone  %+v", g.Spec.Key, i, rec, alone.Result.Records[i])
+					}
+				}
+			}
+		})
 	}
 }

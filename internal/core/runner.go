@@ -17,9 +17,10 @@ import (
 // CampaignConfig hooks (Sink and its resume point, Abort, Stop
 // barriers). It is the only place in the tree that sequences those
 // stages; Engine.runSpec is its one driver, supplying the memoized
-// snapshot and profile count and the grid-wide worker pool, and every
-// other layer (local grids, persisted grids, distributed workers) reaches
-// it through the Engine. Engine.Replay re-executes a single run through
+// snapshot and profile count, the grid-wide worker pool and the idle
+// Worker pairs of the spec's world key, and every other layer (local
+// grids, persisted grids, distributed workers) reaches it through the
+// Engine. Engine.Replay re-executes a single run through
 // the same runOnceTimed.
 type Runner struct {
 	// Key labels the spec's events; empty falls back to the workload name.
@@ -43,6 +44,10 @@ type Runner struct {
 	// Barrier/StopDecision at adaptive chunk boundaries, and exactly one
 	// terminal SpecDone.
 	Events *EventBus
+	// Idle holds the idle Worker pairs that runs take and return; its
+	// capacity must be at least the pool's. The Engine hands one channel
+	// to every Runner of a world key within one Engine.Run call.
+	Idle chan Workload
 }
 
 func (r *Runner) key() string {
@@ -92,8 +97,8 @@ func (r *Runner) publish(ev Event) {
 // executes.
 //
 // Recycling: every run's world draws its blocks from one vfs.BlockList
-// and is released after Classify, and Worker pairs serve later runs. Both
-// belong to this call and are dropped when it returns.
+// and is released after Classify; the list belongs to this call. Worker
+// pairs serve later runs through Idle, and are dropped with it.
 func (r *Runner) Run() (CampaignResult, error) {
 	cfg, w := r.Config, r.Workload
 	sig := cfg.Fault.Signature()
@@ -151,7 +156,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 		// aborted latches the Abort hook's decision; set only from the
 		// dispatch loop, read only after the chunk has drained.
 		aborted bool
-		slots   = runSlots{idle: make(chan Workload, cap(r.Pool))}
+		slots   = runSlots{idle: r.Idle}
 	)
 	// dispatch launches runs for indices [lo, hi) and waits for the chunk
 	// to drain, so the caller observes a complete prefix.
@@ -311,10 +316,10 @@ type stageTimes struct {
 }
 
 // runSlots is what one Runner.Run call recycles across its runs: the
-// blocks of released worlds and the idle Worker pairs, each stored as the
-// workload with Run and Classify replaced. A pair is built only while all
-// others are in use, each under a pool slot, so idle never needs more
-// than the pool's capacity.
+// blocks of released worlds and the idle Worker pairs, each stored as a
+// workload whose Run and Classify are the pair. A pair is built only while
+// all others of its channel are in use, each under a slot of the one pool,
+// so idle never needs more than the pool's capacity.
 type runSlots struct {
 	blocks vfs.BlockList
 	idle   chan Workload
@@ -325,7 +330,8 @@ type runSlots struct {
 func (s *runSlots) take(w Workload) Workload {
 	if w.Worker != nil {
 		select {
-		case w = <-s.idle:
+		case p := <-s.idle:
+			w.Run, w.Classify = p.Run, p.Classify
 		default:
 			w.Run, w.Classify = w.Worker()
 		}

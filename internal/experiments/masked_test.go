@@ -51,7 +51,9 @@ func TestMT2ShortcutRecordsMatchFullClassification(t *testing.T) {
 				}
 			}
 			cfg := core.CampaignConfig{Fault: core.Config{Model: m}, Runs: runs, Seed: seed}
-			cloned = append(cloned, core.CampaignSpec{Key: key, WorldKey: "MT2/cloned", Workload: cw, Config: cfg})
+			// A key of its own: specs of one key share Worker pairs, and the
+			// counter must see exactly this spec's classifications.
+			cloned = append(cloned, core.CampaignSpec{Key: key, WorldKey: "MT2/cloned/" + key, Workload: cw, Config: cfg})
 			rebuilt = append(rebuilt, core.CampaignSpec{Key: key, WorldKey: "MT2/rebuilt", Workload: full, Config: cfg})
 		}
 	}

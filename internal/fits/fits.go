@@ -5,10 +5,11 @@
 // 2,880-byte-block writes so that storage faults land on realistic
 // device-write boundaries.
 //
-// Write streams an image through one block buffer with the write calls and
-// bytes of a byte-at-a-time encoder, which TestEncodeMatchesReferenceEncoder
-// keeps as its reference. Read and Decode fill a caller-owned *Image,
-// reusing its pixels, and Read its raw bytes: the package keeps no buffers.
+// Encode builds a file's whole stream in a caller's buffer and WriteEncoded
+// writes it; Write is the two. They make the write calls and bytes of a
+// byte-at-a-time encoder, which TestEncodeMatchesReferenceEncoder keeps as
+// its reference. Read and Decode fill a caller-owned *Image, reusing its
+// pixels, and Read its raw bytes: the package keeps no buffers.
 package fits
 
 import (
@@ -16,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"ffis/internal/vfs"
@@ -217,11 +219,40 @@ func (im *Image) StoreHeader() error {
 }
 
 // Write persists the image at path in BlockSize-sized writes — the
-// realistic write pattern fault campaigns interpose on. It streams through
-// one block buffer: the header cards space-padded to a block, then the
-// big-endian pixels, the last block zero-padded. It returns the first error
-// of the writes, Sync and Close.
-func Write(fs vfs.FS, path string, im *Image) (err error) {
+// realistic write pattern fault campaigns interpose on: WriteEncoded of
+// Encode(nil, im).
+func Write(fs vfs.FS, path string, im *Image) error {
+	return WriteEncoded(fs, path, Encode(nil, im))
+}
+
+// Encode returns the stream Write makes of im, in buf's storage when its
+// capacity allows: the header cards space-padded to a block, then the
+// big-endian pixels, the last block zero-padded.
+func Encode(buf []byte, im *Image) []byte {
+	n := BlockSize * (1 + (8*len(im.Data)+BlockSize-1)/BlockSize)
+	buf = slices.Grow(buf[:0], n)[:n]
+	putHeader(buf[:BlockSize], im)
+	px, out := im.Data, buf[BlockSize:]
+	for len(px) >= 4 && len(out) >= 32 { // four pixels a step, as Decode
+		binary.BigEndian.PutUint64(out, math.Float64bits(px[0]))
+		binary.BigEndian.PutUint64(out[8:], math.Float64bits(px[1]))
+		binary.BigEndian.PutUint64(out[16:], math.Float64bits(px[2]))
+		binary.BigEndian.PutUint64(out[24:], math.Float64bits(px[3]))
+		px, out = px[4:], out[32:]
+	}
+	for _, v := range px {
+		binary.BigEndian.PutUint64(out, math.Float64bits(v))
+		out = out[8:]
+	}
+	clear(out)
+	return buf
+}
+
+// WriteEncoded writes enc, a stream Encode returned, to a file created at
+// path: one write per BlockSize bytes, then Sync and Close. Each write
+// gets a slice capped at its own end, so nothing past it can be reached
+// through it. It returns the first error of the writes, Sync and Close.
+func WriteEncoded(fs vfs.FS, path string, enc []byte) (err error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
@@ -231,30 +262,12 @@ func Write(fs vfs.FS, path string, im *Image) (err error) {
 			err = cerr
 		}
 	}()
-	block := make([]byte, BlockSize)
-	putHeader(block, im)
-	if _, err := f.Write(block); err != nil {
-		return err
-	}
-	for data := im.Data; len(data) > 0; {
-		n := min(len(data), BlockSize/8)
-		px, out := data[:n], block
-		for len(px) >= 4 && len(out) >= 32 { // four pixels a step, as Decode
-			binary.BigEndian.PutUint64(out, math.Float64bits(px[0]))
-			binary.BigEndian.PutUint64(out[8:], math.Float64bits(px[1]))
-			binary.BigEndian.PutUint64(out[16:], math.Float64bits(px[2]))
-			binary.BigEndian.PutUint64(out[24:], math.Float64bits(px[3]))
-			px, out = px[4:], out[32:]
-		}
-		for _, v := range px {
-			binary.BigEndian.PutUint64(out, math.Float64bits(v))
-			out = out[8:]
-		}
-		clear(out)
-		if _, err := f.Write(block); err != nil {
+	for len(enc) > 0 {
+		n := min(len(enc), BlockSize)
+		if _, err := f.Write(enc[:n:n]); err != nil {
 			return err
 		}
-		data = data[n:]
+		enc = enc[n:]
 	}
 	return f.Sync()
 }

@@ -1,6 +1,7 @@
 package fits
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -67,6 +68,22 @@ func TestEncodeBlockAligned(t *testing.T) {
 	raw := encode(t, testImage(64, 64))
 	if len(raw)%BlockSize != 0 {
 		t.Fatalf("encoded length %d not block-aligned", len(raw))
+	}
+}
+
+// TestEncodeReusesBuffer: Encode into a buffer holding an earlier,
+// longer stream returns exactly the bytes Write persists, in that
+// buffer's storage.
+func TestEncodeReusesBuffer(t *testing.T) {
+	buf := Encode(nil, testImage(64, 64))
+	for _, im := range []*Image{testImage(17, 9), testImage(19, 19), New(0, 0)} {
+		got := Encode(buf, im)
+		if !bytes.Equal(got, encode(t, im)) {
+			t.Fatalf("%dx%d: Encode into a used buffer differs from Write", im.Width, im.Height)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatalf("%dx%d: Encode allocated although the buffer was large enough", im.Width, im.Height)
+		}
 	}
 }
 

@@ -71,6 +71,7 @@ func TestFSContract(t *testing.T) {
 		{"ConcurrentHandlesSameFile", testConcurrentHandlesSameFile},
 		{"ReadAtPastEOF", testReadAtPastEOF},
 		{"UnchangedExactOrFalse", testUnchangedExactOrFalse},
+		{"WriteDoesNotRetainBuffer", testWriteDoesNotRetainBuffer},
 	}
 	for _, backend := range contractBackends() {
 		t.Run(backend.name, func(t *testing.T) {
@@ -580,5 +581,35 @@ func testUnchangedExactOrFalse(t *testing.T, fs FS) {
 	}
 	if Unchanged(fs, "/u/g") {
 		t.Fatal("the clone source answered true")
+	}
+}
+
+// testWriteDoesNotRetainBuffer: a backend copies what Write and WriteAt
+// hand it, so a caller may overwrite its buffer once the call returns
+// (fits.WriteEncoded's blocks are a kept encoding's own bytes).
+func testWriteDoesNotRetainBuffer(t *testing.T, fs FS) {
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("first block|")
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXXXXXXXX")
+	at := []byte("positional")
+	if _, err := f.WriteAt(at, 20); err != nil {
+		t.Fatal(err)
+	}
+	copy(at, "YYYYYYYYYY")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(fs, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "first block|\x00\x00\x00\x00\x00\x00\x00\x00positional"; string(got) != want {
+		t.Fatalf("read back %q, want %q", got, want)
 	}
 }
