@@ -592,7 +592,7 @@ func BenchmarkMontageClassify(b *testing.B) {
 // BenchmarkMontageWorker is the warm-slot path every campaign takes: one
 // App.Worker pair serves a fixed sequence of runs, each on a clone of the
 // post-Setup world that draws its blocks from one list and is released
-// after classification, as the campaign Runner drives them. Run k of the
+// after classification, as the campaign loop drives them. Run k of the
 // 30-run sequence injects a bit flip, shorn write or dropped write (k mod
 // 3) at a target drawn from a seed-pinned stream over the stage's
 // profiled write count; the sequence repeats.

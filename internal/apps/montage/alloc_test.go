@@ -11,7 +11,7 @@ import (
 // TestStageRunAllocationBound bounds what one campaign run of each stage
 // allocates once its slot is warm: Run plus Classify through one Worker
 // pair, on clones of the post-Setup world attached to one block list and
-// released after each run, as the campaign Runner drives them. Per-slot
+// released after each run, as the campaign loop drives them. Per-slot
 // scratch images and recycled world blocks keep each stage under a third
 // of the bounds that held with a fresh image per role and fresh blocks
 // per run.

@@ -23,7 +23,7 @@ func setCard(raw []byte, key, value string) []byte {
 // a post-run MT1 world, the plane-fit table of an MT2 world, or one
 // corrected image of an MT3 world. Either both fail, or finish returns
 // the image and statistics text the file stages write. Neither may panic:
-// the Runner recovers panics in Run, not in Classify.
+// the campaign loop recovers panics in Run, not in Classify.
 func FuzzMontageFinish(f *testing.F) {
 	cfg := DefaultConfig()
 	type cell struct {

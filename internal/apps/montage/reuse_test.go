@@ -295,7 +295,7 @@ func TestWorkerReuseMatchesFreshScratch(t *testing.T) {
 }
 
 // runRecovering calls run on fs and returns a panic as an error, as the
-// campaign Runner does.
+// campaign loop does.
 func runRecovering(run func(vfs.FS) error, fs vfs.FS) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -358,10 +358,10 @@ func (w *Worker) post(path string, body, out any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// remoteSink is the worker-side core.RecordSink: the Runner delivers
+// remoteSink is the worker-side core.RecordSink: the Engine delivers
 // records in index order, and the sink streams them to the coordinator in
 // batches, so the wire only ever carries the next piece of the resumable
-// prefix. The Runner serializes every sink call and execute flushes only
+// prefix. The Engine serializes every sink call and execute flushes only
 // after the campaign returns, so the sink needs no lock.
 type remoteSink struct {
 	w       *Worker

@@ -29,7 +29,7 @@ type Workload struct {
 	// on the bare file system.
 	Classify func(fs vfs.FS, runErr error) classify.Outcome
 	// Worker, when non-nil, returns a Run/Classify pair with its own
-	// scratch. The Runner builds at most one pair per concurrently
+	// scratch. The Engine builds at most one pair per concurrently
 	// executing run and reuses it across the runs of the specs of one
 	// world key within one Engine.Run call (CampaignSpec.WorldKey).
 	// A pair may keep only what it derived from bytes it compared in full
@@ -72,7 +72,7 @@ type CampaignConfig struct {
 	ArmMounts []string
 	// Sink, when non-nil, receives the campaign's run records while it
 	// runs: BeginCampaign once after profiling succeeds, then one Record
-	// call per run. The Runner delivers in index order, serialized, from
+	// call per run. The Engine delivers in index order, serialized, from
 	// the sink's resume point on, so the sink only ever holds a prefix: a
 	// run past a failed index is never delivered. A sink error stops
 	// delivery and fails the campaign; records already delivered stay
@@ -92,7 +92,7 @@ type CampaignConfig struct {
 	// Abort, when non-nil, is polled before each run dispatch; once it
 	// returns true the campaign stops launching new runs, drains the ones
 	// in flight, and fails with ErrAborted. Records already delivered to
-	// the Sink stay delivered, and because the Runner delivers in index
+	// the Sink stay delivered, and because the Engine delivers in index
 	// order, an aborted campaign leaves behind exactly the resumable
 	// prefix a killed process would. A distributed worker sets this to its
 	// lease-revocation check so compute stops as soon as the coordinator
@@ -136,7 +136,7 @@ type CampaignMeta struct {
 
 // RecordSink streams finished run records out of a campaign while it runs,
 // so results reach durable storage before the process exits and the
-// campaign need not retain them in memory. The Runner delivers in index
+// campaign need not retain them in memory. The Engine delivers in index
 // order and never overlaps calls, so a sink can append each record as it
 // arrives and its contents are always a prefix of the campaign.
 type RecordSink interface {

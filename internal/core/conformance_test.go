@@ -506,7 +506,7 @@ func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcom
 	return hookOutcome{action: action, mutations: recordedMutations(inj), victim: victim, drew: inj.drew.Load()}
 }
 
-// TestConformanceDrawFreeHooksArePure pins the contract the Runner's
+// TestConformanceDrawFreeHooksArePure pins the contract the Engine's
 // record reuse rests on: a hook that makes no Env draw acts as a pure
 // function of its op. Every hosted primitive of every registered model is
 // called twice on identical ops under two different RNG streams; whenever

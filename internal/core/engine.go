@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -15,7 +14,8 @@ import (
 // vocabulary).
 type CampaignSpec struct {
 	// Key uniquely labels the cell in results and progress events, e.g.
-	// "nyx/bf/scratch-only".
+	// "nyx/bf/scratch-only". Empty labels every event of the spec with
+	// Workload.Name.
 	Key string
 	// WorldKey groups specs that share a storage world for memoization:
 	// specs with equal WorldKeys run on clones of ONE post-Setup snapshot
@@ -54,15 +54,15 @@ type GridResult struct {
 }
 
 // Engine schedules a grid of fault-injection campaigns over one shared
-// bounded worker pool. It is the only campaign driver: a single campaign is
-// a one-spec grid, and persisted grids and distributed workers hand it
-// their specs. Setup executes once per world (not once per run), every
-// injection run receives a copy-on-write clone of the
-// post-Setup snapshot (or a rebuilt world when the world cannot be
-// cloned), profile counts and golden snapshots are memoized by (world,
-// mounts) key across cells, and all runs of all campaigns share one pool
-// so the grid saturates the machine regardless of how unevenly cells are
-// sized.
+// bounded worker pool and runs each campaign's loop itself (runSpec). It
+// is the only campaign driver: a single campaign is a one-spec grid, and
+// persisted grids and distributed workers hand it their specs. Setup
+// executes once per world (not once per run), every injection run
+// receives a copy-on-write clone of the post-Setup snapshot (or a rebuilt
+// world when the world cannot be cloned), profile counts and golden
+// snapshots are memoized by (world, mounts) key across cells, and all runs
+// of all campaigns share one pool so the grid saturates the machine
+// regardless of how unevenly cells are sized.
 //
 // Determinism: each run's RNG stream is derived purely from the campaign
 // seed and the run index (runStream), and results are reported in spec
@@ -86,20 +86,11 @@ type Engine struct {
 // (COW, or rebuild-per-run for a world that cannot be cloned) plus profile
 // counts keyed within it.
 type enginePrep struct {
-	w Workload // the workload that builds this world (first spec wins)
-
-	snapOnce sync.Once
-	snap     *WorldSnapshot
-	snapErr  error
+	w        Workload                       // the workload that builds this world (first spec wins)
+	snapshot func() (*WorldSnapshot, error) // built once, on first call
 
 	mu       sync.Mutex
-	profiles map[string]*profileMemo
-}
-
-type profileMemo struct {
-	once  sync.Once
-	count int64
-	err   error
+	profiles map[string]func() (int64, error)
 }
 
 func (e *Engine) jobs() int {
@@ -107,12 +98,6 @@ func (e *Engine) jobs() int {
 		return e.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (e *Engine) publish(ev Event) {
-	if e.Events != nil {
-		e.Events.Publish(ev)
-	}
 }
 
 // prep returns (creating on first use) the memoization record for key.
@@ -124,7 +109,11 @@ func (e *Engine) prep(key string, w Workload) *enginePrep {
 	}
 	p, ok := e.prepared[key]
 	if !ok {
-		p = &enginePrep{w: w, profiles: map[string]*profileMemo{}}
+		p = &enginePrep{
+			w:        w,
+			snapshot: sync.OnceValues(func() (*WorldSnapshot, error) { return NewWorldSnapshot(w) }),
+			profiles: map[string]func() (int64, error){},
+		}
 		e.prepared[key] = p
 	}
 	return p
@@ -149,14 +138,6 @@ func (e *Engine) Workload(worldKey string, build func() (Workload, error)) (Work
 	return e.prep(worldKey, w).w, nil
 }
 
-// snapshot builds (once per world key) the post-Setup snapshot.
-func (p *enginePrep) snapshot() (*WorldSnapshot, error) {
-	p.snapOnce.Do(func() {
-		p.snap, p.snapErr = NewWorldSnapshot(p.w)
-	})
-	return p.snap, p.snapErr
-}
-
 // profileCount memoizes the fault-free profiling pass by (primitive,
 // mounts) within the world — the count does not depend on the fault
 // model's mutation details, so three fault models targeting the write
@@ -168,21 +149,19 @@ func (p *enginePrep) profileCount(sig Signature, mounts []string) (int64, error)
 	}
 	key := string(sig.Primitive) + "\x00" + strings.Join(mounts, "\x00")
 	p.mu.Lock()
-	m, ok := p.profiles[key]
+	count, ok := p.profiles[key]
 	if !ok {
-		m = &profileMemo{}
-		p.profiles[key] = m
+		count = sync.OnceValues(func() (int64, error) {
+			world, err := snap.World()
+			if err != nil {
+				return 0, err
+			}
+			return profileWorld(world, p.w, sig, mounts)
+		})
+		p.profiles[key] = count
 	}
 	p.mu.Unlock()
-	m.once.Do(func() {
-		world, err := snap.World()
-		if err != nil {
-			m.err = err
-			return
-		}
-		m.count, m.err = profileWorld(world, p.w, sig, mounts)
-	})
-	return m.count, m.err
+	return count()
 }
 
 // Run executes every spec of the grid and returns results in spec order.
@@ -225,27 +204,39 @@ func (e *Engine) Profile(spec CampaignSpec) (int64, error) {
 	return e.prep(spec.worldKey(), spec.Workload).profileCount(sig, spec.Config.ArmMounts)
 }
 
-// Replay executes run index of spec at target: one injection through the
-// Runner's own arm-run-classify path on a clone of the spec's memoized
-// snapshot, with run index's RNG stream advanced past its target draw
-// exactly as Runner.Run advances it. Replay(spec, i, rec.Target) therefore
-// reproduces record i of the campaign; any other target runs the fault
-// the campaign would have run there. It returns the record and the world
-// the run left behind, which the caller owns: no block list is attached
-// and nothing else holds it. Replay publishes no events and holds no pool
-// slot. A spec whose armed scope never executes the target primitive
-// fails with ErrNoTargets.
-func (e *Engine) Replay(spec CampaignSpec, index int, target int64) (RunRecord, vfs.FS, error) {
+// profiled returns the spec's target count and its world's snapshot,
+// failing with ErrNoTargets when the armed scope never executes the
+// target primitive.
+func (e *Engine) profiled(spec CampaignSpec) (int64, *WorldSnapshot, error) {
 	count, err := e.Profile(spec)
 	switch {
 	case err != nil:
-		return RunRecord{}, nil, err
+		return 0, nil, err
 	case count == 0:
-		return RunRecord{}, nil, ErrNoTargets
+		return 0, nil, ErrNoTargets
+	}
+	snap, _ := e.prep(spec.worldKey(), spec.Workload).snapshot() // built and error-checked by Profile
+	return count, snap, nil
+}
+
+// Replay executes run index of spec at target: one injection through the
+// campaign's own arm-run-classify path (runOnceTimed) on a clone of the
+// spec's memoized snapshot, with run index's RNG stream advanced past its
+// target draw exactly as runSpec advances it. Replay(spec, i, rec.Target)
+// therefore reproduces record i of the campaign; any other target runs the
+// fault the campaign would have run there. It returns the record and the
+// world the run left behind, which the caller owns: no block list is
+// attached and nothing else holds it. Replay publishes no events and holds
+// no pool slot. A spec whose armed scope never executes the target
+// primitive fails with ErrNoTargets.
+func (e *Engine) Replay(spec CampaignSpec, index int, target int64) (RunRecord, vfs.FS, error) {
+	count, snap, err := e.profiled(spec)
+	switch {
+	case err != nil:
+		return RunRecord{}, nil, err
 	case target < 0 || target >= count:
 		return RunRecord{}, nil, fmt.Errorf("core: target %d outside the %d profiled instances", target, count)
 	}
-	snap, _ := e.prep(spec.worldKey(), spec.Workload).snapshot() // built and error-checked by Profile
 	world, err := snap.World()
 	if err != nil {
 		return RunRecord{}, nil, err
@@ -259,43 +250,4 @@ func (e *Engine) Replay(spec CampaignSpec, index int, target int64) (RunRecord, 
 	}
 	rec.Index = index
 	return rec, world, nil
-}
-
-// runSpec runs one campaign cell on the shared pool: validate, memoized
-// profile + snapshot, then hand the spec to a Runner. Failures before the
-// Runner starts still close the spec's event stream with a terminal
-// SpecDone so subscribers see every campaign bracketed.
-func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workload) (CampaignResult, error) {
-	cfg := spec.Config
-	fail := func(err error) (CampaignResult, error) {
-		e.publish(Event{Kind: EventSpecDone, Key: spec.Key, Total: cfg.Runs, Err: err})
-		return CampaignResult{}, err
-	}
-	if cfg.Runs <= 0 {
-		return fail(errors.New("core: campaign needs Runs > 0"))
-	}
-	// Preparation (world build + profiling run) is real work: it occupies a
-	// pool slot like any injection run.
-	sem <- struct{}{}
-	count, err := e.Profile(spec)
-	<-sem
-	if err != nil {
-		return fail(err)
-	}
-	if count == 0 {
-		e.publish(Event{Kind: EventSpecDone, Key: spec.Key, Total: cfg.Runs, Err: ErrNoTargets})
-		return CampaignResult{Workload: spec.Workload.Name, Signature: cfg.Fault.Signature()}, ErrNoTargets
-	}
-	snap, _ := e.prep(spec.worldKey(), spec.Workload).snapshot() // built and error-checked by Profile
-	r := &Runner{
-		Key:          spec.Key,
-		Workload:     spec.Workload,
-		Config:       cfg,
-		Snapshot:     snap,
-		ProfileCount: count,
-		Pool:         sem,
-		Events:       e.Events,
-		Idle:         idle,
-	}
-	return r.Run()
 }

@@ -19,7 +19,7 @@ const (
 	// RunReused, the only kind a saturated subscriber queue may drop.
 	EventRunDone EventKind = "run_done"
 	// EventRunReused stands in for RunDone when a run's record was copied
-	// from an earlier draw-free run of the same target (see Runner.Run):
+	// from an earlier draw-free run of the same target (see Engine.runSpec):
 	// the same identity and counts, but no stage timings, since the run
 	// executed nothing. Which runs are reused depends on scheduling, so
 	// the kind is telemetry like the timings.
@@ -37,7 +37,7 @@ const (
 
 // Event is one item of the unified run-lifecycle stream every execution
 // path (Engine grids, persisted grids, distributed workers)
-// emits through the Runner. Fields beyond Kind and Key are populated per
+// emits through Engine.runSpec. Fields beyond Kind and Key are populated per
 // kind; per-stage timings live here and only here — RunRecord stays a
 // pure function of (spec, seed, index) so persisted record bytes never
 // depend on wall-clock noise.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"ffis/internal/stats"
+	"ffis/internal/vfs"
 )
 
 // eventGrid is the determinism fixture: the heterogeneous engine grid plus
@@ -109,6 +111,58 @@ func TestEventStreamDeterministicAcrossJobs(t *testing.T) {
 	adaptive := serial["adaptive/"+BitFlip.Short()]
 	if !strings.Contains(adaptive, "decision at=8 stopped=true") || !strings.Contains(adaptive, "done 8/8") {
 		t.Fatalf("adaptive campaign did not stop at the first barrier:\n%s", adaptive)
+	}
+}
+
+// TestSpecEventsCarryOneKey pins one event key per spec: a spec without a
+// Key labels every event with its workload name, the terminal SpecDone of
+// a campaign that fails before any run (no runs, a failing profiling pass,
+// no targets) included, as its SpecStart and RunDone events do on success.
+func TestSpecEventsCarryOneKey(t *testing.T) {
+	bitFlip := Config{Model: BitFlip}
+	zeroRuns := toyWorkload()
+	zeroRuns.Name = "zero-runs"
+	specs := []CampaignSpec{
+		{Workload: toyWorkload(), Config: CampaignConfig{Fault: bitFlip, Runs: 4, Seed: 1}},
+		{Workload: zeroRuns, Config: CampaignConfig{Fault: bitFlip}},
+		{Workload: Workload{Name: "broken", Run: func(vfs.FS) error { return errors.New("boom") }},
+			Config: CampaignConfig{Fault: bitFlip, Runs: 4}},
+		{Workload: Workload{Name: "no-io", Run: func(vfs.FS) error { return nil }},
+			Config: CampaignConfig{Fault: bitFlip, Runs: 4}},
+	}
+	bus := NewEventBus()
+	var mu sync.Mutex
+	perKey := map[string][]EventKind{}
+	bus.Subscribe(1<<10, func(ev Event) {
+		mu.Lock()
+		perKey[ev.Key] = append(perKey[ev.Key], ev.Kind)
+		mu.Unlock()
+	})
+	results := (&Engine{Jobs: 2, Events: bus}).Run(specs)
+	bus.Close()
+	if results[0].Err != nil {
+		t.Fatalf("toy: %v", results[0].Err)
+	}
+	for _, r := range results[1:] {
+		if r.Err == nil {
+			t.Fatalf("%s: campaign succeeded, want a failure before any run", r.Spec.Workload.Name)
+		}
+	}
+	if !errors.Is(results[3].Err, ErrNoTargets) {
+		t.Fatalf("no-io: err = %v, want ErrNoTargets", results[3].Err)
+	}
+	if evs := perKey[""]; len(evs) > 0 {
+		t.Fatalf("events with an empty key: %v", evs)
+	}
+	toy := perKey["toy"]
+	if len(toy) != 6 || toy[0] != EventSpecStart || toy[5] != EventSpecDone {
+		t.Fatalf("toy: events %v, want SpecStart, 4 runs, SpecDone", toy)
+	}
+	for _, r := range results[1:] {
+		name := r.Spec.Workload.Name
+		if evs := perKey[name]; len(evs) != 1 || evs[0] != EventSpecDone {
+			t.Fatalf("%s: events %v, want one SpecDone", name, evs)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ type Injector struct {
 	rngMu       sync.Mutex
 	// drew latches once a hook draws from the stream (flip, Env.Intn). A
 	// run that finishes without a draw has a record that is a pure
-	// function of (spec, target), which the Runner reuses for repeats.
+	// function of (spec, target), which the Engine reuses for repeats.
 	drew atomic.Bool
 }
 
@@ -216,14 +216,19 @@ func (e Env) Shot() int {
 // Wrap returns a file system that behaves exactly like inner except for the
 // single corrupted primitive instance.
 func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
-	return &InjectorFS{inner: inner, inj: inj}
+	return &InjectorFS{FS: inner, inj: inj}
 }
 
 // InjectorFS is the FFIS interposition layer (Figure 2): a drop-in vfs.FS
-// whose primitives consult the injector before delegating.
+// whose primitives consult the injector before delegating. The embedded
+// FS passes through the primitives no model hosts (Mkdir, Stat, Rename
+// and the rest). An embedded interface promotes only the vfs.FS methods,
+// so an armed view answers none of the optional interfaces of the FS it
+// wraps: it is no vfs.Cloner, Recycler or SimClocked, and vfs.Unchanged
+// reports false through it.
 type InjectorFS struct {
-	inner vfs.FS
-	inj   *Injector
+	vfs.FS
+	inj *Injector
 }
 
 func (f *InjectorFS) wrapFile(file vfs.File, err error) (vfs.File, error) {
@@ -234,47 +239,22 @@ func (f *InjectorFS) wrapFile(file vfs.File, err error) (vfs.File, error) {
 	// models that need a side handle onto the file being read or written
 	// (latent corruption's at-rest mutation) open it here without
 	// re-entering the injector.
-	return &injectorFile{File: file, inj: f.inj, fs: f.inner}, nil
+	return &injectorFile{File: file, inj: f.inj, fs: f.FS}, nil
 }
 
 // Create delegates and wraps the returned handle.
 func (f *InjectorFS) Create(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Create(name))
+	return f.wrapFile(f.FS.Create(name))
 }
 
 // Open delegates and wraps the returned handle.
 func (f *InjectorFS) Open(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Open(name))
+	return f.wrapFile(f.FS.Open(name))
 }
 
 // Append delegates and wraps the returned handle.
 func (f *InjectorFS) Append(name string) (vfs.File, error) {
-	return f.wrapFile(f.inner.Append(name))
-}
-
-// Mkdir delegates unchanged.
-func (f *InjectorFS) Mkdir(name string) error { return f.inner.Mkdir(name) }
-
-// MkdirAll delegates unchanged.
-func (f *InjectorFS) MkdirAll(name string) error { return f.inner.MkdirAll(name) }
-
-// Remove delegates unchanged.
-func (f *InjectorFS) Remove(name string) error { return f.inner.Remove(name) }
-
-// RemoveAll delegates unchanged.
-func (f *InjectorFS) RemoveAll(name string) error { return f.inner.RemoveAll(name) }
-
-// Rename delegates unchanged.
-func (f *InjectorFS) Rename(oldName, newName string) error {
-	return f.inner.Rename(oldName, newName)
-}
-
-// Stat delegates unchanged.
-func (f *InjectorFS) Stat(name string) (vfs.FileInfo, error) { return f.inner.Stat(name) }
-
-// ReadDir delegates unchanged.
-func (f *InjectorFS) ReadDir(name string) ([]vfs.FileInfo, error) {
-	return f.inner.ReadDir(name)
+	return f.wrapFile(f.FS.Append(name))
 }
 
 // Mknod hosts faults when the signature targets the mknod primitive
@@ -289,7 +269,7 @@ func (f *InjectorFS) Mknod(name string, mode uint32, dev uint64) error {
 		}
 		mode, dev = act.Mode, act.Dev
 	}
-	return f.inner.Mknod(name, mode, dev)
+	return f.FS.Mknod(name, mode, dev)
 }
 
 // Chmod hosts faults when the signature targets the chmod primitive.
@@ -302,7 +282,7 @@ func (f *InjectorFS) Chmod(name string, mode uint32) error {
 		}
 		mode = act.Mode
 	}
-	return f.inner.Chmod(name, mode)
+	return f.FS.Chmod(name, mode)
 }
 
 // Truncate hosts faults when the signature targets the truncate primitive.
@@ -311,7 +291,7 @@ func (f *InjectorFS) Truncate(name string, size int64) error {
 	if drop {
 		return nil
 	}
-	return f.inner.Truncate(name, size)
+	return f.FS.Truncate(name, size)
 }
 
 // interceptTruncate claims a truncate-hosted fault and asks the model for

@@ -12,8 +12,8 @@
 //     per world for every campaign).
 //   - Fault injector — NewInjector()/InjectorFS corrupt the randomly chosen
 //     instance; the Engine schedules the runs of every campaign (a single
-//     cell is a one-spec grid) and the Runner classifies and tallies their
-//     outcomes. Engine.Replay re-runs one chosen instance the same way.
+//     cell is a one-spec grid), classifies and tallies their outcomes.
+//     Engine.Replay re-runs one chosen instance the same way.
 //
 // Fault models are an open vocabulary, as device studies keep surfacing new
 // manifestations: each model is a self-contained Model implementation
@@ -50,7 +50,7 @@ import (
 // fires at most once per campaign run. A hook is responsible for recording
 // what it did via Env.Record; a fired-but-unrecorded shot makes the run
 // tally as never injected, which the registry conformance suite treats as
-// a model bug. Hooks draw randomness only through Env, and the Runner
+// a model bug. Hooks draw randomness only through Env, and the Engine
 // reuses the records of runs that drew nothing, so a hook that makes no
 // draw must act as a pure function of its op and the feature.
 type Model interface {

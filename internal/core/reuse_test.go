@@ -49,7 +49,7 @@ func sameRecord(a, b RunRecord) bool {
 
 // TestReusedRecordsMatchFreshRuns pins the record memo to fresh execution:
 // for every registered model on a flat and a mount-armed tiered world,
-// with far more runs than targets, the Runner's records equal a fresh run
+// with far more runs than targets, the Engine's records equal a fresh run
 // of each index at Jobs 1 and 8. A run whose fresh execution drew from its
 // RNG stream is never reused, and at Jobs 1 — where runs execute one at a
 // time — every draw-free repeat of an earlier draw-free target is.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -11,63 +13,20 @@ import (
 	"ffis/internal/vfs"
 )
 
-// Runner owns the per-run campaign lifecycle — clone-or-rebuild the
-// world, arm the injector, run the workload, classify the artifact,
-// record and tally — for exactly one spec, parameterized by the
-// CampaignConfig hooks (Sink and its resume point, Abort, Stop
-// barriers). It is the only place in the tree that sequences those
-// stages; Engine.runSpec is its one driver, supplying the memoized
-// snapshot and profile count, the grid-wide worker pool and the idle
-// Worker pairs of the spec's world key, and every other layer (local
-// grids, persisted grids, distributed workers) reaches it through the
-// Engine. Engine.Replay re-executes a single run through
-// the same runOnceTimed.
-type Runner struct {
-	// Key labels the spec's events; empty falls back to the workload name.
-	Key      string
-	Workload Workload
-	// Config drives the campaign; the caller has already validated the
-	// fault signature and Runs > 0.
-	Config CampaignConfig
-	// Snapshot serves one pristine post-Setup world per run (COW clone or
-	// full rebuild — the snapshot decides).
-	Snapshot *WorldSnapshot
-	// ProfileCount is the target primitive's dynamic count from the
-	// fault-free profiling pass; each run draws its target uniformly
-	// from [0, ProfileCount).
-	ProfileCount int64
-	// Pool bounds concurrent runs: one slot acquired per dispatched run.
-	// The Engine hands every Runner of a grid the same pool.
-	Pool chan struct{}
-	// Events, when non-nil, receives the spec's structured stream:
-	// SpecStart, one RunDone (or RunReused) per successful run,
-	// Barrier/StopDecision at adaptive chunk boundaries, and exactly one
-	// terminal SpecDone.
-	Events *EventBus
-	// Idle holds the idle Worker pairs that runs take and return; its
-	// capacity must be at least the pool's. The Engine hands one channel
-	// to every Runner of a world key within one Engine.Run call.
-	Idle chan Workload
-}
-
-func (r *Runner) key() string {
-	if r.Key != "" {
-		return r.Key
-	}
-	return r.Workload.Name
-}
-
-func (r *Runner) publish(ev Event) {
-	if r.Events == nil {
-		return
-	}
-	ev.Key = r.key()
-	r.Events.Publish(ev)
-}
-
-// Run executes the spec's injection runs [start, Runs) against worlds
-// served by the snapshot, bounded by the pool; start is the sink's resume
-// point (Resumer), 0 for a sink that holds nothing yet.
+// runSpec runs one campaign cell on the shared pool: the loop of the
+// paper's Figure 4 — count the target primitive, draw a target per run,
+// inject, classify and tally. It is the only place in the tree that
+// sequences those stages; local grids, persisted grids and distributed
+// workers all reach it through Engine.Run, and Engine.Replay re-executes a
+// single run through the same runOnceTimed. sem bounds concurrent work
+// across the grid, one slot per profiling pass or dispatched run; idle
+// holds the idle Worker pairs of the spec's world key, with at least
+// sem's capacity. Every event of the spec carries one key, spec.Key or the
+// workload name, and every failure closes the stream with one terminal
+// SpecDone, so subscribers see each campaign bracketed.
+//
+// The runs are [start, Runs), where start is the sink's resume point
+// (Resumer), 0 for a sink that holds nothing yet.
 //
 // With Config.Stop set, dispatch is chunked at the rule's index barriers:
 // each chunk drains completely, the rule is evaluated on the prefix tally
@@ -91,31 +50,53 @@ func (r *Runner) publish(ev Event) {
 // Record reuse: targets are drawn with replacement, so they repeat. A run
 // that succeeded without drawing from its RNG stream (models draw only
 // through Env) has a record that, apart from Index, is a pure function of
-// (spec, target). Run keeps such records by target for the rest of this
-// call; a later run of that target copies one instead of executing and
-// publishes RunReused in place of RunDone. A duplicate still in flight
-// executes.
+// (spec, target). runSpec keeps such records by target for the rest of
+// this call; a later run of that target copies one instead of executing
+// and publishes RunReused in place of RunDone. A duplicate still in
+// flight executes.
 //
 // Recycling: every run's world draws its blocks from one vfs.BlockList
 // and is released after Classify; the list belongs to this call. Worker
-// pairs serve later runs through Idle, and are dropped with it.
-func (r *Runner) Run() (CampaignResult, error) {
-	cfg, w := r.Config, r.Workload
+// pairs serve later runs through idle, and are dropped with it.
+func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workload) (CampaignResult, error) {
+	cfg, w := spec.Config, spec.Workload
+	key := cmp.Or(spec.Key, w.Name)
+	publish := func(ev Event) {
+		if e.Events != nil {
+			ev.Key = key
+			e.Events.Publish(ev)
+		}
+	}
 	sig := cfg.Fault.Signature()
-	count := r.ProfileCount
-	res := CampaignResult{Workload: w.Name, Signature: sig, ProfileCount: count}
+	res := CampaignResult{Workload: w.Name, Signature: sig}
+	// A failure before SpecStart reports no progress; after it, the
+	// terminal SpecDone closes progress at done == total.
+	closed, total := 0, cfg.Runs
+	fail := func(err error) (CampaignResult, error) {
+		publish(Event{Kind: EventSpecDone, Done: closed, Total: total, Err: err})
+		return res, err
+	}
+	if cfg.Runs <= 0 {
+		return fail(errors.New("core: campaign needs Runs > 0"))
+	}
+	// Preparation (world build + profiling run) is real work: it occupies a
+	// pool slot like any injection run.
+	sem <- struct{}{}
+	count, snap, err := e.profiled(spec)
+	<-sem
+	if err != nil {
+		return fail(err)
+	}
+	res.ProfileCount = count
 	// A resuming sink already holds [0, start); progress accounting reports
 	// the executed total so done/total reaches 100% exactly at completion.
 	start, prior := 0, []classify.Outcome(nil)
 	if rs, ok := cfg.Sink.(Resumer); ok {
 		start, prior = rs.Resume()
 	}
-	total := cfg.Runs - start
-	r.publish(Event{Kind: EventSpecStart, Total: total, Runs: cfg.Runs, ProfileCount: count})
-	fail := func(err error) (CampaignResult, error) {
-		r.publish(Event{Kind: EventSpecDone, Done: total, Total: total, Err: err})
-		return res, err
-	}
+	total = cfg.Runs - start
+	closed = total
+	publish(Event{Kind: EventSpecStart, Total: total, Runs: cfg.Runs, ProfileCount: count})
 	rule, err := cfg.NormalizedStop()
 	if err != nil {
 		return fail(err)
@@ -156,7 +137,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 		// aborted latches the Abort hook's decision; set only from the
 		// dispatch loop, read only after the chunk has drained.
 		aborted bool
-		slots   = runSlots{idle: r.Idle}
+		slots   = runSlots{idle: idle}
 	)
 	// dispatch launches runs for indices [lo, hi) and waits for the chunk
 	// to drain, so the caller observes a complete prefix.
@@ -166,11 +147,11 @@ func (r *Runner) Run() (CampaignResult, error) {
 				aborted = true
 				break
 			}
-			r.Pool <- struct{}{}
+			sem <- struct{}{}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { <-r.Pool }()
+				defer func() { <-sem }()
 				rng := runStream(cfg.Seed, idx)
 				target := rng.Int64n(count)
 				mu.Lock()
@@ -181,7 +162,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 				drawFree := false
 				if !reused {
 					inj := NewInjector(sig, target, rng)
-					rec, err = r.execute(inj, &st, &slots)
+					rec, err = slots.execute(snap, w, inj, cfg.ArmMounts, &st)
 					drawFree = !inj.drew.Load()
 				}
 				rec.Index = idx
@@ -221,7 +202,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 					if reused {
 						kind = EventRunReused
 					}
-					r.publish(Event{
+					publish(Event{
 						Kind: kind, Index: idx, Done: done, Total: total,
 						Target: rec.Target, Outcome: rec.Outcome, Fired: rec.Fired,
 						CloneMicros:    st.cloneNs / 1e3,
@@ -251,7 +232,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 			}
 			res.StopIndex = b
 			// wg has drained, so done/tally have no concurrent writers.
-			r.publish(Event{Kind: EventBarrier, Barrier: b, Done: done, Total: total})
+			publish(Event{Kind: EventBarrier, Barrier: b, Done: done, Total: total})
 			if b >= rule.MaxRuns {
 				break
 			}
@@ -265,7 +246,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 				trials += counts[i]
 			}
 			stopped := rule.Satisfied(counts, trials)
-			r.publish(Event{Kind: EventStopDecision, StopIndex: b, Stopped: stopped, Done: done, Total: total})
+			publish(Event{Kind: EventStopDecision, StopIndex: b, Stopped: stopped, Done: done, Total: total})
 			if stopped {
 				break
 			}
@@ -301,7 +282,7 @@ func (r *Runner) Run() (CampaignResult, error) {
 	if res.StopIndex > 0 && res.StopIndex < cfg.Runs {
 		final = res.Tally.Total()
 	}
-	r.publish(Event{Kind: EventSpecDone, Done: final, Total: final, Result: &res})
+	publish(Event{Kind: EventSpecDone, Done: final, Total: final, Result: &res})
 	return res, nil
 }
 
@@ -315,7 +296,7 @@ type stageTimes struct {
 	classifyNs int64
 }
 
-// runSlots is what one Runner.Run call recycles across its runs: the
+// runSlots is what one runSpec call recycles across its runs: the
 // blocks of released worlds and the idle Worker pairs, each stored as a
 // workload whose Run and Classify are the pair. A pair is built only while
 // all others of its channel are in use, each under a slot of the one pool,
@@ -325,9 +306,20 @@ type runSlots struct {
 	idle   chan Workload
 }
 
-// take returns w with an idle Worker pair in place of Run and Classify, or
-// a new pair when none is idle. Without a Worker it is w.
-func (s *runSlots) take(w Workload) Workload {
+// execute runs one injection through inj on a world served by snap,
+// timing the clone-or-rebuild into st. The world draws its blocks from s
+// and is released once classified. With a Worker, w runs on an idle pair
+// in place of its Run and Classify, or on a new pair when none is idle,
+// and the pair goes back to s afterwards.
+func (s *runSlots) execute(snap *WorldSnapshot, w Workload, inj *Injector, mounts []string, st *stageTimes) (RunRecord, error) {
+	t0 := time.Now()
+	base, err := snap.World()
+	st.cloneNs = time.Since(t0).Nanoseconds()
+	if err != nil {
+		return RunRecord{}, err
+	}
+	vfs.Attach(base, &s.blocks)
+	defer vfs.Release(base)
 	if w.Worker != nil {
 		select {
 		case p := <-s.idle:
@@ -335,27 +327,9 @@ func (s *runSlots) take(w Workload) Workload {
 		default:
 			w.Run, w.Classify = w.Worker()
 		}
+		defer func() { s.idle <- w }()
 	}
-	return w
-}
-
-// execute runs one injection through inj on a world served by the
-// snapshot, timing the clone-or-rebuild into st. The world draws its
-// blocks from slots and is released once classified.
-func (r *Runner) execute(inj *Injector, st *stageTimes, slots *runSlots) (RunRecord, error) {
-	t0 := time.Now()
-	base, err := r.Snapshot.World()
-	st.cloneNs = time.Since(t0).Nanoseconds()
-	if err != nil {
-		return RunRecord{}, err
-	}
-	vfs.Attach(base, &slots.blocks)
-	defer vfs.Release(base)
-	w := slots.take(r.Workload)
-	if w.Worker != nil {
-		defer func() { slots.idle <- w }()
-	}
-	return runOnceTimed(base, w, inj, r.Config.ArmMounts, st)
+	return runOnceTimed(base, w, inj, mounts, st)
 }
 
 // runOnceTimed performs one injection run through inj on an already-built

@@ -11,7 +11,7 @@ import (
 )
 
 // SpecSink streams one campaign's run records into the store. It implements
-// core.RecordSink: the Runner delivers records in run-index order and the
+// core.RecordSink: the Engine delivers records in run-index order and the
 // sink appends each as it arrives, refusing any other index, so the on-disk
 // file is always a valid in-order prefix — the invariant resume relies on.
 //

@@ -16,7 +16,7 @@
 // Every line is a self-contained JSON document. The first line of each
 // record file is a Header identifying the campaign (workload, model,
 // profile count, seed); each following line is one Record in run-index
-// order. The campaign Runner delivers records in index order and SpecSink
+// order. The campaign engine delivers records in index order and SpecSink
 // appends each as it arrives, refusing any other index, so the persisted
 // set is always a prefix [0, k) of the run indices and a killed process
 // leaves a file that is a valid prefix (possibly plus one torn final line,
