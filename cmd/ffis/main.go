@@ -80,7 +80,7 @@ func main() {
 		reportFmt = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
 	var mountSpecs, armMounts []string
-	flag.Func("mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs], os:DIR)", func(v string) error {
+	flag.Func("mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs])", func(v string) error {
 		mountSpecs = append(mountSpecs, v)
 		return nil
 	})

@@ -49,8 +49,8 @@ type WriteAction struct {
 type ReadOp struct {
 	// File is the underlying handle of the file being read.
 	File vfs.File
-	// FS is the uninstrumented view at the same path-translation layer:
-	// models that corrupt at-rest bytes open a writable side handle on it
+	// FS is the uninstrumented FS beneath the injector, addressed by the
+	// same paths the application used: models that corrupt at-rest bytes open a writable side handle on it
 	// without re-entering the injector.
 	FS vfs.FS
 	// Path names the file the primitive targeted.

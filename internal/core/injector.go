@@ -235,8 +235,8 @@ func (f *InjectorFS) wrapFile(file vfs.File, err error) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	// fs is the uninstrumented view at the same path-translation layer:
-	// models that need a side handle onto the file being read or written
+	// fs is the uninstrumented FS beneath the injector, addressed by the
+	// same paths the application used: models that need a side handle onto the file being read or written
 	// (latent corruption's at-rest mutation) open it here without
 	// re-entering the injector.
 	return &injectorFile{File: file, inj: f.inj, fs: f.FS}, nil

@@ -117,7 +117,8 @@ type collectSink struct {
 	meta    CampaignMeta
 	began   int
 	records []RunRecord
-	failAt  int // fail the Nth Record call (0 = never)
+	failAt  int    // fail the Nth Record call (0 = never)
+	onFail  func() // called on that failure, when set
 }
 
 func (s *collectSink) BeginCampaign(meta CampaignMeta) error {
@@ -128,6 +129,9 @@ func (s *collectSink) BeginCampaign(meta CampaignMeta) error {
 
 func (s *collectSink) Record(rec RunRecord) error {
 	if s.failAt > 0 && len(s.records)+1 == s.failAt {
+		if s.onFail != nil {
+			s.onFail()
+		}
 		return fmt.Errorf("sink full")
 	}
 	s.records = append(s.records, rec)
@@ -187,6 +191,28 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 	}
 	if len(sink.records) != 2 {
 		t.Fatalf("sink must go sterile after its first error; received %d records", len(sink.records))
+	}
+}
+
+// TestSinkFailureStopsDispatch: once the sink has failed, no later run can
+// be delivered, so a fixed-budget campaign stops dispatching instead of
+// executing its remaining budget and failing anyway. Abort is polled once
+// per dispatched run; past the failing Record, at most one run per pool
+// slot may still start, each one the loop had let through before the
+// failure was latched.
+func TestSinkFailureStopsDispatch(t *testing.T) {
+	const runs, jobs = 200, 2
+	var dispatched, atFailure atomic.Int64
+	sink := &collectSink{failAt: 3, onFail: func() { atFailure.Store(dispatched.Load()) }}
+	_, err := runCampaign(jobs, CampaignConfig{
+		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Sink: sink,
+		Abort: func() bool { dispatched.Add(1); return false },
+	}, toyWorkload())
+	if err == nil || !strings.Contains(err.Error(), "record sink") {
+		t.Fatalf("sink failure must fail the campaign; got %v", err)
+	}
+	if after := dispatched.Load() - atFailure.Load(); after > jobs {
+		t.Fatalf("dispatched %d runs after the sink failed (%d of %d in all); want at most %d", after, dispatched.Load(), runs, jobs)
 	}
 }
 

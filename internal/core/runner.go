@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ffis/internal/classify"
@@ -45,7 +46,8 @@ import (
 // and the returned error reports the lowest failing index, where the
 // prefix ends. Without a sink, the runs past it are appended to
 // res.Records after the prefix, so the result's Tally always covers
-// exactly res.Records, never a silent prefix of them.
+// exactly res.Records, never a silent prefix of them. A sink error, by
+// contrast, stops dispatch: no later run could reach the sink.
 //
 // Record reuse: targets are drawn with replacement, so they repeat. A run
 // that succeeded without drawing from its RNG stream (models draw only
@@ -125,6 +127,9 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 		failIdx  = -1
 		failErr  error
 		sinkErr  error
+		// sinkFailed latches sinkErr != nil for the dispatch loop, which
+		// reads it without mu: no run launched after it can be delivered.
+		sinkFailed atomic.Bool
 		// pending is the reorder buffer: finished runs waiting for a lower
 		// index; next is the lowest index not yet delivered.
 		pending = map[int]RunRecord{}
@@ -143,6 +148,9 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 	// to drain, so the caller observes a complete prefix.
 	dispatch := func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
+			if sinkFailed.Load() {
+				break
+			}
 			if cfg.Abort != nil && cfg.Abort() {
 				aborted = true
 				break
@@ -193,6 +201,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 							// The sink goes sterile after its first error:
 							// the next record would not extend its prefix.
 							sinkErr = cfg.Sink.Record(rec)
+							sinkFailed.Store(sinkErr != nil)
 						}
 					}
 				}

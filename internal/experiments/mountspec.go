@@ -28,7 +28,9 @@ import (
 //	             latency)
 //	os:DIR       the host directory DIR via vfs.OSFS — state persists across
 //	             runs, so WireSpec.Validate rejects it for campaigns; it
-//	             exists for library-level one-shot inspection
+//	             exists for library-level one-shot inspection. A backend
+//	             keeps table paths, so one mounted at /M stores its files
+//	             under DIR/M/
 //
 // Every backend except os:DIR is hermetic: a fresh instance per campaign
 // run. Examples: "/scratch", "/scratch=latency:bb", "/data=object:lag=2".

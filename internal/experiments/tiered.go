@@ -11,6 +11,7 @@ package experiments
 // reach the science?
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -237,47 +238,42 @@ func RenderTiered(model core.Model, runs int, results []PlacementResult) string 
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tiered storage: %s faults by placement (%d runs per armed cell)\n", model.Name(), runs)
-	if extended {
-		fmt.Fprintf(&b, "%-9s %-12s %-13s %-22s %8s %7s %7s %9s %7s %10s\n",
-			"workload", "backend", "placement", "armed mounts", "targets", "benign", "SDC", "detected", "crash", "sim-ms")
-	} else {
-		fmt.Fprintf(&b, "%-9s %-13s %-22s %8s %7s %7s %9s %7s\n",
-			"workload", "placement", "armed mounts", "targets", "benign", "SDC", "detected", "crash")
+	// lead writes a row's identifying columns; the backend column only
+	// in the extended layout.
+	lead := func(cell, backend, placement, armed string) {
+		fmt.Fprintf(&b, "%-9s ", cell)
+		if extended {
+			fmt.Fprintf(&b, "%-12s ", backend)
+		}
+		fmt.Fprintf(&b, "%-13s %-22s ", placement, armed)
 	}
+	lead("workload", "backend", "placement", "armed mounts")
+	fmt.Fprintf(&b, "%8s %7s %7s %9s %7s", "targets", "benign", "SDC", "detected", "crash")
+	if extended {
+		fmt.Fprintf(&b, " %10s", "sim-ms")
+	}
+	b.WriteByte('\n')
 	for _, r := range results {
 		armed := "(entire file system)"
 		if len(r.ArmMounts) > 0 {
 			armed = strings.Join(r.ArmMounts, ",")
 		}
+		lead(r.Cell, cmp.Or(r.Backend, "mem"), r.Placement, armed)
+		if r.NoTargets {
+			fmt.Fprintf(&b, "%8d %s\n", 0, "— no injectable I/O routed to this tier")
+			continue
+		}
+		fmt.Fprintf(&b, "%8d %7d %7d %9d %7d", r.ProfileCount,
+			r.Tally.Count(classify.Benign), r.Tally.Count(classify.SDC),
+			r.Tally.Count(classify.Detected), r.Tally.Count(classify.Crash))
 		if extended {
-			backend := r.Backend
-			if backend == "" {
-				backend = "mem"
-			}
-			if r.NoTargets {
-				fmt.Fprintf(&b, "%-9s %-12s %-13s %-22s %8d %s\n",
-					r.Cell, backend, r.Placement, armed, 0, "— no injectable I/O routed to this tier")
-				continue
-			}
 			sim := ""
 			if r.SimNanos > 0 {
 				sim = fmt.Sprintf("%.3f", float64(r.SimNanos)/1e6)
 			}
-			fmt.Fprintf(&b, "%-9s %-12s %-13s %-22s %8d %7d %7d %9d %7d %10s\n",
-				r.Cell, backend, r.Placement, armed, r.ProfileCount,
-				r.Tally.Count(classify.Benign), r.Tally.Count(classify.SDC),
-				r.Tally.Count(classify.Detected), r.Tally.Count(classify.Crash), sim)
-			continue
+			fmt.Fprintf(&b, " %10s", sim)
 		}
-		if r.NoTargets {
-			fmt.Fprintf(&b, "%-9s %-13s %-22s %8d %s\n",
-				r.Cell, r.Placement, armed, 0, "— no injectable I/O routed to this tier")
-			continue
-		}
-		fmt.Fprintf(&b, "%-9s %-13s %-22s %8d %7d %7d %9d %7d\n",
-			r.Cell, r.Placement, armed, r.ProfileCount,
-			r.Tally.Count(classify.Benign), r.Tally.Count(classify.SDC),
-			r.Tally.Count(classify.Detected), r.Tally.Count(classify.Crash))
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ffis/internal/apps/nyx"
 	"ffis/internal/hdf5"
 	"ffis/internal/stats"
 )
@@ -52,14 +53,11 @@ func (d Diagnosis) String() string {
 	}
 }
 
-// AvgTol is the tolerance for "the average value of the input data is 1".
-const AvgTol = 1e-3
-
 // Diagnose applies the paper's detection rules to a (possibly corrupted)
 // HDF5 file image containing the named dataset:
 //
-//  1. average ≈ 1 → check the ARD against the metadata size (ARD faults are
-//     invisible to the average);
+//  1. average ≈ 1 (nyx.DetectByAverage sees no deviation) → check the ARD
+//     against the metadata size (ARD faults are invisible to the average);
 //  2. average a power of two → Exponent Bias fault;
 //  3. float-geometry constraints violated → Exponent/Mantissa
 //     Location/Size fault;
@@ -83,7 +81,7 @@ func Diagnose(raw []byte, dataset string) (Diagnosis, error) {
 	}
 	avg := stats.Mean(values)
 	switch {
-	case math.Abs(avg-1) <= AvgTol:
+	case !nyx.DetectByAverage(avg):
 		if ds.DataOffset != f.MetadataEnd {
 			return DiagARD, nil
 		}

@@ -70,17 +70,15 @@ func cloneBackend(fs FS) (FS, error) {
 // Clone returns a copy-on-write snapshot of the mounted world: the mount
 // table is preserved entry for entry, with every backend replaced by its own
 // clone. Every backend must support cloning (the error wraps
-// ErrNotClonable otherwise), and an interposed view (WithInterposed) cannot
-// be cloned — snapshots are taken of pristine worlds, before any injector
-// or profiler is layered on.
+// ErrNotClonable otherwise); an interposed view (WithInterposed) clones
+// only if its wrapper is a Cloner, which core's injector is not —
+// snapshots are taken of pristine worlds, before any injector or profiler
+// is layered on.
 func (m *MountFS) Clone() (*MountFS, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	mounts := make([]mountEntry, len(m.mounts))
 	for i, mp := range m.mounts {
-		if mp.abs {
-			return nil, &PathError{Op: "clone", Path: mp.path, Err: errors.New("vfs: cannot clone an interposed view")}
-		}
 		fs, err := cloneBackend(mp.fs)
 		if err != nil {
 			return nil, &PathError{Op: "clone", Path: mp.path, Err: err}

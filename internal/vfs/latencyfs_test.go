@@ -121,6 +121,8 @@ func TestMountFSSimAggregation(t *testing.T) {
 	if err := m.Mount("/pfs", pfs); err != nil {
 		t.Fatal(err)
 	}
+	// Mount bills each backend for creating its mount-point directory.
+	m.ResetSim()
 	// One meta op routed into each mount plus unbilled root traffic.
 	if err := m.Mkdir("/bb/d"); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -55,6 +54,10 @@ type MountPoint struct {
 //   - Mount materializes the mount-point directory in the covering backend
 //     (like mounting over an existing directory), so parent ReadDir listings
 //     naturally include it and Stat on the mount point reports a directory.
+//   - Backends keep the application's paths: a backend mounted at /scratch
+//     stores /scratch/f as /scratch/f, so handle names, error paths and
+//     what an interposed wrapper sees all name the path the application
+//     used, as at a FUSE boundary.
 //   - Nested mounts shadow their ancestors: with backends at /a and /a/b,
 //     paths under /a/b route to the inner backend.
 //   - Rename across two backends fails with ErrCrossMount (EXDEV).
@@ -69,14 +72,10 @@ type MountFS struct {
 	cloned bool         // made by Clone and not remounted since (Unchanged)
 }
 
-// mountEntry is the table's internal form of a MountPoint. abs marks an
-// interposed entry whose FS expects table-absolute paths (see
-// WithInterposed): the interposition stack then observes the same namespace
-// the application uses, so fault-mutation records name the tier they hit.
+// mountEntry is the table's internal form of a MountPoint.
 type mountEntry struct {
 	path string
 	fs   FS
-	abs  bool
 }
 
 // NewMountFS returns a mount table with root attached at "/". The result is
@@ -89,7 +88,9 @@ func NewMountFS(root FS) *MountFS {
 // Mount attaches backend at dir. The mount-point directory is created in the
 // covering mount (MkdirAll through the table as it stands), mirroring the
 // Unix requirement that a mount point be an existing directory; mounting
-// over a regular file fails with ErrNotDir. Mounting at a path that already
+// over a regular file fails with ErrNotDir. It is created in backend too,
+// which stores everything routed to it under its table path (dir/...).
+// Mounting at a path that already
 // hosts a backend fails with ErrMountBusy, and mounting at "/" fails with
 // ErrMountBusy too (the root backend is fixed at construction).
 func (m *MountFS) Mount(dir string, backend FS) error {
@@ -106,6 +107,9 @@ func (m *MountFS) Mount(dir string, backend FS) error {
 	// Materialize the mount point in the covering backend before taking the
 	// write lock: MkdirAll re-enters the table through the public API.
 	if err := m.MkdirAll(dir); err != nil {
+		return err
+	}
+	if err := backend.MkdirAll(dir); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -131,17 +135,16 @@ func (m *MountFS) Mounts() []MountPoint {
 }
 
 // WithInterposed returns a copy of the mount table in which the backend at
-// dir is replaced by wrap over a prefix-translating view of that backend.
-// Backends are shared with the receiver, not copied: both tables route to
-// the same storage, only the wrapping differs. This is how core arms a
-// fault injector (or a disarmed one, for the profiling pass) on a single
-// storage tier while the original table remains a clean view for golden
-// comparison and outcome classification.
+// dir is replaced by wrap over that backend. Backends are shared with the
+// receiver, not copied: both tables route to the same storage, only the
+// wrapping differs. This is how core arms a fault injector (or a disarmed
+// one, for the profiling pass) on a single storage tier while the original
+// table remains a clean view for golden comparison and outcome
+// classification.
 //
-// The interposed stack observes table-absolute paths — wrap's FS receives
-// "/scratch/run/out.h5", not "/run/out.h5" — so injector mutation records
-// and profiler traces name the tier they belong to; the translation back to
-// backend-relative paths happens below the wrapper.
+// Backends keep the application's paths, so the interposed stack observes
+// them too — wrap's FS receives "/scratch/run/out.h5" — and injector
+// mutation records and profiler traces name the tier they belong to.
 func (m *MountFS) WithInterposed(dir string, wrap func(FS) FS) (*MountFS, error) {
 	dir = Clean(dir)
 	m.mu.RLock()
@@ -151,11 +154,7 @@ func (m *MountFS) WithInterposed(dir string, wrap func(FS) FS) (*MountFS, error)
 		return nil, &PathError{Op: "interpose", Path: dir, Err: ErrNotExist}
 	}
 	mounts := append([]mountEntry(nil), m.mounts...)
-	inner := mounts[idx].fs
-	if dir != "/" && !mounts[idx].abs {
-		inner = &prefixFS{inner: inner, prefix: dir}
-	}
-	mounts[idx] = mountEntry{path: dir, fs: wrap(inner), abs: true}
+	mounts[idx].fs = wrap(mounts[idx].fs)
 	return &MountFS{mounts: mounts}, nil
 }
 
@@ -180,11 +179,11 @@ func underneath(name, dir string) bool {
 }
 
 // resolve routes name to the mount owning the longest matching segment
-// prefix and returns the path to hand that mount: backend-relative (rooted,
-// so the mount point itself maps to "/") for plain entries, table-absolute
-// for interposed entries. Equal-length candidates cannot both match one
-// name — two distinct paths of the same length differ in some segment — so
-// the longest match is unique.
+// prefix and returns it with the cleaned name: every backend stores its
+// files under their table paths, so no translation happens here.
+// Equal-length candidates cannot both match one name — two distinct paths
+// of the same length differ in some segment — so the longest match is
+// unique.
 func (m *MountFS) resolve(name string) (mountEntry, string) {
 	name = Clean(name)
 	m.mu.RLock()
@@ -195,15 +194,7 @@ func (m *MountFS) resolve(name string) (mountEntry, string) {
 			best = i
 		}
 	}
-	mp := m.mounts[best] // the root mount matches everything; best >= 0
-	if mp.abs || mp.path == "/" {
-		return mp, name
-	}
-	rel := "/"
-	if name != mp.path {
-		rel = strings.TrimPrefix(name, mp.path)
-	}
-	return mp, rel
+	return m.mounts[best], name // the root mount matches everything; best >= 0
 }
 
 // guardMountPoints returns ErrMountBusy when any mount point other than the
@@ -221,108 +212,22 @@ func (m *MountFS) guardMountPoints(op, name string) error {
 	return nil
 }
 
-// prefixFS exposes a backend mounted at prefix under table-absolute paths:
-// incoming names are stripped of the prefix before reaching the backend,
-// and returned handles are relabelled with the absolute name. It is the
-// translation layer beneath an interposed wrapper stack (WithInterposed),
-// letting injectors and profilers see the application's namespace while the
-// backend keeps its own.
-type prefixFS struct {
-	inner  FS
-	prefix string
-}
-
-func (p *prefixFS) rel(name string) string {
-	name = Clean(name)
-	if name == p.prefix {
-		return "/"
-	}
-	return strings.TrimPrefix(name, p.prefix)
-}
-
-func (p *prefixFS) Create(name string) (File, error) {
-	f, err := p.inner.Create(p.rel(name))
-	return relabel(name, f, err)
-}
-
-func (p *prefixFS) Open(name string) (File, error) {
-	f, err := p.inner.Open(p.rel(name))
-	return relabel(name, f, err)
-}
-
-func (p *prefixFS) Append(name string) (File, error) {
-	f, err := p.inner.Append(p.rel(name))
-	return relabel(name, f, err)
-}
-
-func (p *prefixFS) Mkdir(name string) error     { return p.inner.Mkdir(p.rel(name)) }
-func (p *prefixFS) MkdirAll(name string) error  { return p.inner.MkdirAll(p.rel(name)) }
-func (p *prefixFS) Remove(name string) error    { return p.inner.Remove(p.rel(name)) }
-func (p *prefixFS) RemoveAll(name string) error { return p.inner.RemoveAll(p.rel(name)) }
-
-func (p *prefixFS) Rename(oldName, newName string) error {
-	return p.inner.Rename(p.rel(oldName), p.rel(newName))
-}
-
-func (p *prefixFS) Stat(name string) (FileInfo, error) {
-	rel := p.rel(name)
-	info, err := p.inner.Stat(rel)
-	if err == nil && rel == "/" {
-		info.Name = path.Base(p.prefix)
-	}
-	return info, err
-}
-func (p *prefixFS) ReadDir(name string) ([]FileInfo, error) { return p.inner.ReadDir(p.rel(name)) }
-
-func (p *prefixFS) Mknod(name string, mode uint32, dev uint64) error {
-	return p.inner.Mknod(p.rel(name), mode, dev)
-}
-
-func (p *prefixFS) Chmod(name string, mode uint32) error {
-	return p.inner.Chmod(p.rel(name), mode)
-}
-
-func (p *prefixFS) Truncate(name string, size int64) error {
-	return p.inner.Truncate(p.rel(name), size)
-}
-
-// mountFile re-labels a backend handle with the table-absolute path, so that
-// injector mutation records and application-visible Name() calls speak the
-// namespace the application used, not the backend-relative one (part of the
-// transparency requirement R1).
-type mountFile struct {
-	File
-	outer string
-}
-
-func (f *mountFile) Name() string { return f.outer }
-
-func relabel(outer string, file File, err error) (File, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &mountFile{File: file, outer: Clean(outer)}, nil
-}
-
 // Create routes to the owning mount.
 func (m *MountFS) Create(name string) (File, error) {
 	mp, rel := m.resolve(name)
-	f, err := mp.fs.Create(rel)
-	return relabel(name, f, err)
+	return mp.fs.Create(rel)
 }
 
 // Open routes to the owning mount.
 func (m *MountFS) Open(name string) (File, error) {
 	mp, rel := m.resolve(name)
-	f, err := mp.fs.Open(rel)
-	return relabel(name, f, err)
+	return mp.fs.Open(rel)
 }
 
 // Append routes to the owning mount.
 func (m *MountFS) Append(name string) (File, error) {
 	mp, rel := m.resolve(name)
-	f, err := mp.fs.Append(rel)
-	return relabel(name, f, err)
+	return mp.fs.Append(rel)
 }
 
 // Mkdir routes to the owning mount.
@@ -379,27 +284,18 @@ func (m *MountFS) Rename(oldName, newName string) error {
 	return oldMp.fs.Rename(oldRel, newRel)
 }
 
-// Stat routes to the owning mount; a mount point resolves to the root
-// directory of its own backend.
+// Stat routes to the owning mount; a mount point resolves to the
+// mount-point directory Mount created in its own backend.
 func (m *MountFS) Stat(name string) (FileInfo, error) {
 	mp, rel := m.resolve(name)
-	info, err := mp.fs.Stat(rel)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	if rel == "/" && mp.path != "/" {
-		// The backend reports its root as "/"; surface the mount-point name
-		// the caller used, as stat(2) has no name anyway but ours does.
-		info.Name = path.Base(mp.path)
-	}
-	return info, nil
+	return mp.fs.Stat(rel)
 }
 
 // ReadDir routes to the owning mount. Listings remain consistent at mount
 // boundaries without merging because Mount materialized every mount-point
 // directory in its covering backend: listing /​ shows scratch/ even though
-// scratch's content lives in another backend, and listing /scratch shows
-// that backend's root.
+// scratch's content lives in another backend, and listing /scratch lists
+// that backend's /scratch directory.
 func (m *MountFS) ReadDir(name string) ([]FileInfo, error) {
 	mp, rel := m.resolve(name)
 	return mp.fs.ReadDir(rel)
@@ -449,6 +345,5 @@ func (m *MountFS) backends(fn func(FS)) {
 
 var (
 	_ FS         = (*MountFS)(nil)
-	_ File       = (*mountFile)(nil)
 	_ SimClocked = (*MountFS)(nil)
 )

@@ -23,8 +23,8 @@ func TestMountRouting(t *testing.T) {
 	if err := WriteFile(m, "/scratch/f", []byte("tier")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// The bytes live in the scratch backend under the mount-relative path.
-	got, err := ReadFile(scratch, "/f")
+	// The bytes live in the scratch backend under their table path.
+	got, err := ReadFile(scratch, "/scratch/f")
 	if err != nil || string(got) != "tier" {
 		t.Fatalf("scratch backend content = %q, %v; want \"tier\"", got, err)
 	}
@@ -54,17 +54,17 @@ func TestMountNestedShadowing(t *testing.T) {
 	if err := WriteFile(m, "/scratch/tmp/f", []byte("inner")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if !Exists(tmp, "/f") {
+	if !Exists(tmp, "/scratch/tmp/f") {
 		t.Fatalf("nested mount must shadow its ancestor")
 	}
-	if Exists(scratch, "/tmp/f") {
+	if Exists(scratch, "/scratch/tmp/f") {
 		t.Fatalf("shadowed ancestor must not receive the write")
 	}
 	// A sibling path on the outer mount still routes to the outer backend.
 	if err := WriteFile(m, "/scratch/other", []byte("outer")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if !Exists(scratch, "/other") {
+	if !Exists(scratch, "/scratch/other") {
 		t.Fatalf("outer mount must keep non-shadowed paths")
 	}
 }
@@ -79,7 +79,7 @@ func TestMountSegmentBoundaryTies(t *testing.T) {
 	if err := WriteFile(m, "/scratchpad/x", []byte("pad")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if !Exists(root, "/scratchpad/x") || Exists(scratch, "pad/x") {
+	if !Exists(root, "/scratchpad/x") || Exists(scratch, "/scratchpad/x") {
 		t.Fatalf("/scratchpad must route to root, not the /scratch mount")
 	}
 	// Same-length sibling mounts resolve unambiguously.
@@ -93,13 +93,13 @@ func TestMountSegmentBoundaryTies(t *testing.T) {
 	if err := WriteFile(m, "/tb/x", []byte("b")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if Exists(a, "/x") || !Exists(b, "/x") {
+	if Exists(a, "/tb/x") || !Exists(b, "/tb/x") {
 		t.Fatalf("sibling mounts of equal path length must not alias")
 	}
 	if err := WriteFile(m, "/ta/whatever", []byte("a")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if !Exists(a, "/whatever") || Exists(b, "/whatever") {
+	if !Exists(a, "/ta/whatever") || Exists(b, "/ta/whatever") {
 		t.Fatalf("/ta/whatever must route to the /ta mount")
 	}
 }
@@ -147,7 +147,7 @@ func TestMountReadDirBoundary(t *testing.T) {
 	if !byName["scratch"].IsDir || !byName["out"].IsDir {
 		t.Fatalf("mount points must list as directories")
 	}
-	// Listing the mount point itself lists the mounted backend's root.
+	// Listing the mount point itself lists the mounted backend's copy of it.
 	infos, err = m.ReadDir("/scratch")
 	if err != nil {
 		t.Fatalf("readdir /scratch: %v", err)
@@ -246,6 +246,20 @@ func TestMountWithInterposed(t *testing.T) {
 	}
 	if _, err := m.WithInterposed("/nope", func(inner FS) FS { return inner }); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("interpose on unknown mount = %v; want ErrNotExist", err)
+	}
+}
+
+// TestMountErrorNamesTablePath: an error raised inside a mounted backend
+// names the path the application used, not a mount-relative one.
+func TestMountErrorNamesTablePath(t *testing.T) {
+	m := NewMountFS(NewMemFS())
+	if err := m.Mount("/proj", NewMemFS()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Open("/proj/p03.fits")
+	var pe *PathError
+	if !errors.As(err, &pe) || pe.Path != "/proj/p03.fits" || !errors.Is(err, ErrNotExist) {
+		t.Fatalf("open missing mounted file = %v; want a not-exist PathError on /proj/p03.fits", err)
 	}
 }
 
