@@ -15,8 +15,8 @@
 //	ffis -list-models
 //
 // Tiered storage: -mount builds a multi-backend world (repeatable, syntax
-// PATH[=BACKEND]; campaigns require hermetic backends — mem, object[:lag=N],
-// latency[:bb|:pfs] — while os:DIR is rejected) and -arm restricts injection
+// PATH[=BACKEND], BACKEND one of the hermetic backends mem, object[:lag=N]
+// and latency[:bb|:pfs]) and -arm restricts injection
 // to the I/O routed to the named mounts, leaving every other tier clean.
 // Without -mount, -backend swaps the whole flat world's storage backend:
 //
@@ -129,9 +129,8 @@ func main() {
 		Cell: *app, Model: fm.Name(), Runs: *runs, Seed: *seed, Shots: *shots, NyxN: *nyxN,
 		Backend: backendName, Mounts: mountSpecs, ArmMounts: armMounts, AvgDetector: *useAvg,
 	}
-	// One check for every flag that shapes the campaign: hermetic backends
-	// only (an os: directory is one shared host directory mutated by every
-	// run), -backend or -mount but not both, -arm only with -mount.
+	// One check for every flag that shapes the campaign: known backends,
+	// -backend or -mount but not both, -arm only with -mount.
 	if err := ws.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 		os.Exit(2)

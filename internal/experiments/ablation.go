@@ -53,11 +53,7 @@ func Fig7WithDetector(o Options) (string, error) {
 		for _, model := range Fig7Models() {
 			ws := o.wire("nyx", model)
 			ws.AvgDetector = useAvg
-			ws = ws.Normalized()
-			if useAvg {
-				ws.Key += "+avg"
-			}
-			specs = append(specs, ws)
+			specs = append(specs, ws.Normalized())
 		}
 	}
 	cells, err := o.cells("detector study", specs)

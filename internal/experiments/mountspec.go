@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -26,50 +25,35 @@ import (
 //	latency:bb   latency-modeled at burst-buffer rates
 //	latency:pfs  latency-modeled at parallel-file-system rates (alias of
 //	             latency)
-//	os:DIR       the host directory DIR via vfs.OSFS — state persists across
-//	             runs, so WireSpec.Validate rejects it for campaigns; it
-//	             exists for library-level one-shot inspection. A backend
-//	             keeps table paths, so one mounted at /M stores its files
-//	             under DIR/M/
 //
-// Every backend except os:DIR is hermetic: a fresh instance per campaign
-// run. Examples: "/scratch", "/scratch=latency:bb", "/data=object:lag=2".
+// Every backend is hermetic: a fresh instance per campaign run. A backend
+// keeps table paths, so one mounted at /M stores its files under /M.
+// Examples: "/scratch", "/scratch=latency:bb", "/data=object:lag=2".
 type MountSpec struct {
 	Path    string
-	Backend string // "mem", "object[:lag=N]", "latency[:bb|:pfs]", or "os:DIR"
+	Backend string // "mem", "object[:lag=N]", or "latency[:bb|:pfs]"
 }
 
-// ValidateBackend checks a backend name against the mount-spec vocabulary.
+// ValidateBackend checks a backend name against the mount-spec vocabulary
+// by building one: NewBackendFS is the grammar's one parser, and every
+// backend is cheap to construct.
 func ValidateBackend(b string) error {
-	switch {
-	case b == "mem", b == "object", b == "latency", b == "latency:bb", b == "latency:pfs":
-		return nil
-	case strings.HasPrefix(b, "object:lag="):
-		n, err := strconv.Atoi(strings.TrimPrefix(b, "object:lag="))
-		if err != nil || n < 0 {
-			return fmt.Errorf("experiments: backend %q: lag must be a non-negative integer", b)
-		}
-		return nil
-	case b == "os:":
-		return fmt.Errorf("experiments: backend %q: os backend needs a directory", b)
-	case strings.HasPrefix(b, "os:"):
-		return nil
-	}
-	return fmt.Errorf("experiments: unknown backend %q (want mem, object[:lag=N], latency[:bb|:pfs], or os:DIR)", b)
+	_, err := NewBackendFS(b)
+	return err
 }
 
 // NewBackendFS constructs one fresh backend instance by name.
 func NewBackendFS(backend string) (vfs.FS, error) {
-	if err := ValidateBackend(backend); err != nil {
-		return nil, err
-	}
 	switch {
 	case backend == "mem":
 		return vfs.NewMemFS(), nil
 	case backend == "object":
 		return vfs.NewObjectFS(), nil
 	case strings.HasPrefix(backend, "object:lag="):
-		lag, _ := strconv.Atoi(strings.TrimPrefix(backend, "object:lag="))
+		lag, err := strconv.Atoi(strings.TrimPrefix(backend, "object:lag="))
+		if err != nil || lag < 0 {
+			return nil, fmt.Errorf("experiments: backend %q: lag must be a non-negative integer", backend)
+		}
 		o := vfs.NewObjectFS()
 		o.SetConsistencyLag(lag)
 		return o, nil
@@ -77,13 +61,8 @@ func NewBackendFS(backend string) (vfs.FS, error) {
 		return vfs.NewLatencyFS(vfs.NewMemFS(), vfs.ParallelFSModel), nil
 	case backend == "latency:bb":
 		return vfs.NewLatencyFS(vfs.NewMemFS(), vfs.BurstBufferModel), nil
-	default: // os:DIR — validated above
-		dir := strings.TrimPrefix(backend, "os:")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("experiments: backend %s: %w", backend, err)
-		}
-		return vfs.NewOSFS(dir), nil
 	}
+	return nil, fmt.Errorf("experiments: unknown backend %q (want mem, object[:lag=N], or latency[:bb|:pfs])", backend)
 }
 
 // ParseMountSpec parses one -mount flag value.
@@ -104,10 +83,7 @@ func ParseMountSpec(s string) (MountSpec, error) {
 // newWorld returns a world constructor (core.Workload.NewFS) building a
 // fresh root backend and, when mounts are given, a MountFS over it with
 // one fresh backend per mount. Every world a WireSpec or StorageLayout
-// names is built here. Hermetic backends are fresh per call; os backends
-// hand out the same host directory every run — they break the
-// fresh-world-per-run assumption statistical campaigns rely on
-// (WireSpec.Validate therefore refuses them).
+// names is built here, every backend fresh per call.
 func newWorld(root string, mounts []MountSpec) func() (vfs.FS, error) {
 	return func() (vfs.FS, error) {
 		fs, err := NewBackendFS(root)

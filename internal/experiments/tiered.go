@@ -171,10 +171,10 @@ var TieredCells = []string{"nyx", "MT2", "MT4"}
 // world is built and Setup once, profile counts are memoized per
 // armed-mount set, and every placement's runs draw from the engine's shared
 // pool. Distinct backends get distinct WorldKeys, so the engine never hands
-// one backend's snapshot to another backend's runs, and a backend that is
-// not hermetic fails WireSpec.Validate. The default mem backend
-// keeps its legacy spec keys (cell/placement), so stores written before the
-// backend sweep existed resume unchanged.
+// one backend's snapshot to another backend's runs, and an unknown backend
+// fails WireSpec.Validate. Spec keys are cell[/backend]/placement/MODEL, the
+// backend named unless it is the default mem and MODEL the model's short
+// code, so the sweeps of several models can share one store.
 func Tiered(cells []string, model core.Model, o Options) (string, []PlacementResult, error) {
 	o = o.normalize()
 	if len(cells) == 0 {
@@ -199,7 +199,7 @@ func Tiered(cells []string, model core.Model, o Options) (string, []PlacementRes
 					Cell: cell, Backend: backend, Placement: pl.Name, ArmMounts: mounts,
 				})
 				ws := o.wire(cell, model)
-				ws.Key = key + "/" + pl.Name
+				ws.Key = key + "/" + pl.Name + "/" + model.Short()
 				ws.Tiered, ws.Backend, ws.ArmMounts = true, backend, mounts
 				specs = append(specs, ws)
 			}

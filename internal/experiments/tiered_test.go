@@ -61,6 +61,32 @@ func TestTieredSweepTwoWorkloads(t *testing.T) {
 	}
 }
 
+// TestTieredModelsShareOneStore: the tiered sweeps of two models run into
+// one results store, as "experiments -tiered -out DIR" runs them. Each
+// model's placements get their own spec keys, so the second sweep neither
+// finds the first's finalized records nor refuses them as another campaign.
+func TestTieredModelsShareOneStore(t *testing.T) {
+	o := storeOpts(t, smallOpts())
+	var tables []string
+	for _, m := range []core.Model{core.BitFlip, core.DroppedWrite} {
+		out, _, err := Tiered([]string{"MT4"}, m, o)
+		if err != nil {
+			t.Fatalf("%s sweep: %v", m.Name(), err)
+		}
+		want, _, err := Tiered([]string{"MT4"}, m, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want {
+			t.Fatalf("%s sweep into the shared store renders\n%s\nwant\n%s", m.Name(), out, want)
+		}
+		tables = append(tables, out)
+	}
+	if tables[0] == tables[1] {
+		t.Fatal("the two models' sweeps render the same table")
+	}
+}
+
 // TestTieredScratchArmedMatchesAllForNyx pins the routing equivalence: for
 // a workload whose entire instrumented I/O lives on one tier, arming that
 // tier is the same experiment as arming the world — identical target
@@ -132,7 +158,7 @@ func TestParseMountSpec(t *testing.T) {
 	}{
 		{in: "/scratch", path: "/scratch", backend: "mem"},
 		{in: "/scratch=mem", path: "/scratch", backend: "mem"},
-		{in: "/data=os:/tmp/x", path: "/data", backend: "os:/tmp/x"},
+		{in: "/data=os:/tmp/x", wantErr: true},
 		{in: "/a/b/../c", path: "/a/c", backend: "mem"},
 		{in: "/obj=object", path: "/obj", backend: "object"},
 		{in: "/obj=object:lag=2", path: "/obj", backend: "object:lag=2"},

@@ -79,9 +79,10 @@ func (ws WireSpec) config() core.Config {
 	}}
 }
 
-// Normalized fills the derived Key from the grid convention. Both the
-// coordinator and the worker normalize before use, so the two sides always
-// agree on store keys.
+// Normalized fills the derived Key from the grid convention and ends an
+// average-value-detector spec's key in "+avg", so its records never share a
+// store key with the plain spec's. Both the coordinator and the worker
+// normalize before use, so it is idempotent and the two sides agree on keys.
 func (ws WireSpec) Normalized() WireSpec {
 	if ws.Key == "" {
 		short := ws.Model
@@ -89,6 +90,9 @@ func (ws WireSpec) Normalized() WireSpec {
 			short = m.Short()
 		}
 		ws.Key = ws.Cell + "/" + short
+	}
+	if ws.AvgDetector && !strings.HasSuffix(ws.Key, "+avg") {
+		ws.Key += "+avg"
 	}
 	return ws
 }
@@ -163,9 +167,8 @@ var cellWorkloads = map[string]string{
 
 // Validate checks the spec without building anything: known cell, usable
 // Nyx edge, registered model, sane feature knobs, positive run budget, and
-// a hermetic world — parseable backend and mounts, none of them an os:
-// host directory (one shared directory mutated by every run), one world
-// shape at a time, and arming only on a mounted or tiered world. It is the
+// a buildable world — parseable backend and mounts, one world shape at a
+// time, and arming only on a mounted or tiered world. It is the
 // one check campaignd and the CLIs apply. A spec that passes can still
 // fail to build (a Nyx edge that seeds no halos), which surfaces from
 // Workload.
@@ -203,12 +206,6 @@ func (ws WireSpec) Validate() error {
 	if ws.Backend != "" {
 		if err := ValidateBackend(ws.Backend); err != nil {
 			return fail("%w", err)
-		}
-	}
-	root, mounts := ws.world()
-	for _, m := range append(mounts, MountSpec{Path: "/", Backend: root}) {
-		if strings.HasPrefix(m.Backend, "os:") {
-			return fail("backend %q is a shared host directory; campaigns need hermetic per-run state", m.Backend)
 		}
 	}
 	switch {

@@ -68,9 +68,9 @@ func TestWireSpecValidateCatchesStaticErrors(t *testing.T) {
 		{WireSpec{Cell: "MT2", Model: "bit-flip"}, "runs"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Backend: "floppy"}, "backend"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Mounts: []string{"not-absolute"}}, "mount"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Backend: "os:/tmp/x"}, "hermetic"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/mosaic=os:/tmp/y"}}, "hermetic"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "os:/tmp/x"}, "hermetic"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Backend: "os:/tmp/x"}, "unknown backend"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/mosaic=os:/tmp/y"}}, "unknown backend"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "os:/tmp/x"}, "unknown backend"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, ArmMounts: []string{"/proj"}}, "arm_mounts"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Tiered: true}, "tiered"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Backend: "object"}, "backend"},

@@ -3,11 +3,11 @@ package results
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
+	"ffis/internal/vfs"
 )
 
 // SpecSink streams one campaign's run records into the store. It implements
@@ -25,7 +25,7 @@ type SpecSink struct {
 	key   string
 	runs  int
 
-	f      *os.File
+	f      vfs.File
 	header *Header // recovered from an existing partial, nil when fresh
 	// prefix holds the outcomes of runs [0, len(prefix)) a prior process
 	// persisted: the resume point, and what a resumed adaptive campaign
@@ -50,12 +50,12 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := st.partialPath(key)
+	name := recordName(key, partialExt)
 	if ok {
 		// Crash recovery: drop the torn tail so the file ends on a record
 		// boundary, then append after it.
-		if err := os.Truncate(path, sf.validLen); err != nil {
-			return nil, fmt.Errorf("results: recover %s: %w", path, err)
+		if err := st.fs.Truncate(name, sf.validLen); err != nil {
+			return nil, fmt.Errorf("results: recover %s: %w", st.partialPath(key), err)
 		}
 		if sf.hasHeader {
 			h := sf.header
@@ -74,9 +74,9 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 		}
 		s.next = len(s.prefix)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := st.fs.Append(name)
 	if err != nil {
-		return nil, fmt.Errorf("results: open %s: %w", path, err)
+		return nil, fmt.Errorf("results: open %s: %w", st.partialPath(key), err)
 	}
 	s.f = f
 	return s, nil
@@ -208,7 +208,7 @@ func (s *SpecSink) Finalize() error {
 	if s.stop != 0 {
 		return s.finalizeWithStop()
 	}
-	if err := os.Rename(s.store.partialPath(s.key), s.store.finalPath(s.key)); err != nil {
+	if err := s.store.fs.Rename(recordName(s.key, partialExt), recordName(s.key, finalExt)); err != nil {
 		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
 	}
 	return nil
@@ -225,7 +225,8 @@ func (s *SpecSink) finalizeWithStop() error {
 	if s.header == nil {
 		return fmt.Errorf("results: spec %q: stop index %d recorded before any header", s.key, s.stop)
 	}
-	raw, err := os.ReadFile(s.store.partialPath(s.key))
+	fsys, partial, final := s.store.fs, recordName(s.key, partialExt), recordName(s.key, finalExt)
+	raw, err := vfs.ReadFile(fsys, partial)
 	if err != nil {
 		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
 	}
@@ -239,29 +240,27 @@ func (s *SpecSink) finalizeWithStop() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.store.finalPath(s.key) + ".tmp"
-	f, err := os.Create(tmp)
+	tmp := final + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err == nil {
+		_, err = f.Write(append(line, raw[nl+1:]...))
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, final)
+	}
 	if err != nil {
-		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
-	}
-	if _, err := f.Write(append(line, raw[nl+1:]...)); err != nil {
-		f.Close()
-		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("results: finalize spec %q: sync: %w", s.key, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("results: finalize spec %q: close: %w", s.key, err)
-	}
-	if err := os.Rename(tmp, s.store.finalPath(s.key)); err != nil {
 		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
 	}
 	// Best-effort: the final file is authoritative from here; a crash that
 	// leaves the partial behind is harmless because loads prefer the final
 	// form and a finalized spec never opens a new sink.
-	os.Remove(s.store.partialPath(s.key))
+	fsys.Remove(partial)
 	return nil
 }
 

@@ -24,21 +24,27 @@
 // record file depends on wall-clock time, map iteration, or worker
 // interleaving: a resumed campaign reproduces the uninterrupted file byte
 // for byte.
+//
+// All file I/O goes through a vfs.FS rooted at the store directory (OSFS in
+// production), so the store's recovery can be tested under the fault
+// models it records; only the flock of lock_unix.go uses os directly.
 package results
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
+
+	"ffis/internal/vfs"
 )
 
+// Store-relative names of the store's files.
 const (
-	manifestName = "manifest.json"
-	recordsDir   = "records"
+	manifestName = "/manifest.json"
+	recordsDir   = "/records"
 	finalExt     = ".jsonl"
 	partialExt   = ".jsonl.partial"
 )
@@ -65,6 +71,7 @@ type Manifest struct {
 // already (core.RecordSink delivery never overlaps).
 type Store struct {
 	dir string
+	fs  vfs.FS // the store's files, named relative to dir
 
 	mu  sync.Mutex
 	man Manifest
@@ -86,14 +93,19 @@ func (st *Store) Manifest() Manifest {
 // that already holds a store — resuming must be an explicit choice (Open),
 // not an accident that silently mixes two campaigns' records.
 func Create(dir string, man Manifest) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
+	return create(vfs.NewOSFS(dir), dir, man)
+}
+
+// create is Create over fsys; dir only names the store in messages.
+func create(fsys vfs.FS, dir string, man Manifest) (*Store, error) {
+	if vfs.Exists(fsys, manifestName) {
 		return nil, fmt.Errorf("results: %s already holds a results store (use resume to continue it)", dir)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, recordsDir), 0o755); err != nil {
+	if err := fsys.MkdirAll(recordsDir); err != nil {
 		return nil, fmt.Errorf("results: create store: %w", err)
 	}
 	man.Schema = schemaVersion
-	st := &Store{dir: dir, man: man}
+	st := &Store{dir: dir, fs: fsys, man: man}
 	if err := st.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -101,8 +113,11 @@ func Create(dir string, man Manifest) (*Store, error) {
 }
 
 // Open loads an existing store at dir.
-func Open(dir string) (*Store, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+func Open(dir string) (*Store, error) { return open(vfs.NewOSFS(dir), dir) }
+
+// open is Open over any file system.
+func open(fsys vfs.FS, dir string) (*Store, error) {
+	raw, err := vfs.ReadFile(fsys, manifestName)
 	if err != nil {
 		return nil, fmt.Errorf("results: open store: %w", err)
 	}
@@ -113,7 +128,7 @@ func Open(dir string) (*Store, error) {
 	if man.Schema != schemaVersion {
 		return nil, fmt.Errorf("results: %s: store schema %d, this binary speaks %d", dir, man.Schema, schemaVersion)
 	}
-	return &Store{dir: dir, man: man}, nil
+	return &Store{dir: dir, fs: fsys, man: man}, nil
 }
 
 // CreateOrResume is the CLI entry point: it creates a fresh store, or — when
@@ -145,11 +160,11 @@ func (st *Store) writeManifest() error {
 		return err
 	}
 	b = append(b, '\n')
-	tmp := filepath.Join(st.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	tmp := manifestName + ".tmp"
+	if err := vfs.WriteFile(st.fs, tmp, b); err != nil {
 		return fmt.Errorf("results: write manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(st.dir, manifestName)); err != nil {
+	if err := st.fs.Rename(tmp, manifestName); err != nil {
 		return fmt.Errorf("results: write manifest: %w", err)
 	}
 	return nil
@@ -206,20 +221,19 @@ func encodeKey(key string) string {
 	return b.String()
 }
 
-func (st *Store) finalPath(key string) string {
-	return filepath.Join(st.dir, recordsDir, encodeKey(key)+finalExt)
-}
+// recordName names the spec's record file in the form ext selects, relative
+// to the store; messages name its host path, finalPath or partialPath.
+func recordName(key, ext string) string { return recordsDir + "/" + encodeKey(key) + ext }
 
-func (st *Store) partialPath(key string) string {
-	return filepath.Join(st.dir, recordsDir, encodeKey(key)+partialExt)
-}
+func (st *Store) finalPath(key string) string { return st.dir + recordName(key, finalExt) }
+
+func (st *Store) partialPath(key string) string { return st.dir + recordName(key, partialExt) }
 
 // Finalized reports whether the spec's record file has been atomically
 // renamed into its final form — the marker that every one of its runs is
 // persisted and the spec need not execute again on resume.
 func (st *Store) Finalized(key string) bool {
-	_, err := os.Stat(st.finalPath(key))
-	return err == nil
+	return vfs.Exists(st.fs, recordName(key, finalExt))
 }
 
 // specFile is a parsed record file: its decoded header and records.
@@ -283,12 +297,12 @@ func parseSpecFile(raw []byte) (*specFile, error) {
 // readSpec loads and parses the spec's record file. final selects which
 // form to read; ok is false when the file does not exist.
 func (st *Store) readSpec(key string, final bool) (sf *specFile, ok bool, err error) {
-	p := st.partialPath(key)
+	name, p := recordName(key, partialExt), st.partialPath(key)
 	if final {
-		p = st.finalPath(key)
+		name, p = recordName(key, finalExt), st.finalPath(key)
 	}
-	raw, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
+	raw, err := vfs.ReadFile(st.fs, name)
+	if errors.Is(err, vfs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
