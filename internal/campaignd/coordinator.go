@@ -44,9 +44,6 @@ type lease struct {
 	id      string
 	worker  string
 	expires time.Time
-	// header reports whether the worker's campaign header has been
-	// validated and written/confirmed for this lease.
-	header bool
 }
 
 // Coordinator decomposes a spec grid into leases and ingests the record
@@ -225,7 +222,6 @@ func (c *Coordinator) Lease(worker string) (l LeaseGrant, ok, done bool, err err
 			id:      fmt.Sprintf("lease-%d", c.nLease),
 			worker:  worker,
 			expires: c.now().Add(c.ttl),
-			header:  st.sink.Header() != nil,
 		}
 		return LeaseGrant{
 			LeaseID:   st.lease.id,
@@ -305,8 +301,7 @@ func (c *Coordinator) Ingest(leaseID string, header *results.Header, recs []resu
 		if err := st.sink.BeginHeader(*header); err != nil {
 			return err
 		}
-		st.lease.header = true
-	} else if !st.lease.header {
+	} else if st.sink.Header() == nil {
 		return fmt.Errorf("campaignd: spec %q: first record batch must carry the campaign header", st.ws.Key)
 	}
 	for _, rec := range recs {

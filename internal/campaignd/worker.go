@@ -190,7 +190,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			err := w.execute(ctx, *grant)
 			switch {
 			case err == nil:
-			case errors.Is(err, core.ErrAborted), errors.Is(err, errLeaseLost):
+			case errors.Is(err, errLeaseLost), ctx.Err() != nil && errors.Is(err, ctx.Err()):
 				w.logf("worker %s: lost lease %s on %q, moving on", w.ID, grant.LeaseID, grant.Spec.Key)
 			default:
 				return err
@@ -250,9 +250,9 @@ var errLeaseLost = errors.New("campaignd: lease revoked by coordinator")
 // execute runs one lease: take the spec's workload from the engine
 // (building it only the first time its world is seen), run indices
 // [Start, Runs) with records streaming to the coordinator, then finalize.
-// A background heartbeat keeps the lease alive; if it ever fails, the
-// campaign's Abort hook stops dispatching new runs — compute halts as soon
-// as the work stops being ours.
+// A background heartbeat keeps the lease alive; once it fails, or ctx
+// ends, the sink refuses the next record, which stops the campaign's
+// dispatch: compute halts as soon as the work stops being ours.
 func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 	wl, err := w.engine().Workload(grant.Spec.WorldKey(), grant.Spec.Workload)
 	if err != nil {
@@ -266,16 +266,12 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, grant, &revoked)
 
-	sink := &remoteSink{w: w, leaseID: grant.LeaseID, start: grant.Start}
+	sink := &remoteSink{w: w, ctx: ctx, revoked: &revoked, leaseID: grant.LeaseID, start: grant.Start}
 	spec.Config.Sink = sink
-	spec.Config.Abort = func() bool { return revoked.Load() || ctx.Err() != nil }
 
 	res := w.engine().Run([]core.CampaignSpec{spec})[0]
 	stopHB()
 	if res.Err != nil {
-		if revoked.Load() && errors.Is(res.Err, core.ErrAborted) {
-			return errLeaseLost
-		}
 		return fmt.Errorf("campaignd: worker %s: spec %q: %w", w.ID, grant.Spec.Key, res.Err)
 	}
 	if err := sink.flush(); err != nil {
@@ -297,8 +293,8 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) error {
 
 // heartbeatLoop renews the lease until cancelled; any refusal or
 // transport failure marks the lease revoked, which a running campaign's
-// Abort hook observes before each further run dispatch and which keeps a
-// prefetched lease from being adopted.
+// sink observes at its next record and which keeps a prefetched lease
+// from being adopted.
 func (w *Worker) heartbeatLoop(ctx context.Context, grant LeaseGrant, revoked *atomic.Bool) {
 	interval := w.Heartbeat
 	if interval <= 0 {
@@ -365,6 +361,8 @@ func (w *Worker) post(path string, body, out any) (int, error) {
 // after the campaign returns, so the sink needs no lock.
 type remoteSink struct {
 	w       *Worker
+	ctx     context.Context // the worker's; once it ends, Record refuses
+	revoked *atomic.Bool    // set by the heartbeat loop when the lease is lost
 	leaseID string
 	start   int // the lease's resume point; immutable
 	batch   []results.Record
@@ -387,10 +385,17 @@ func (s *remoteSink) BeginCampaign(meta core.CampaignMeta) error {
 func (s *remoteSink) Resume() (int, []classify.Outcome) { return s.start, nil }
 
 // Record buffers one finished run and ships every batch of batchSize
-// records.
+// records. It refuses the run once the lease is lost (errLeaseLost) or
+// the worker's context has ended, which stops the campaign's dispatch.
 func (s *remoteSink) Record(rec core.RunRecord) error {
 	if s.err != nil {
 		return s.err
+	}
+	if s.revoked.Load() {
+		return errLeaseLost
+	}
+	if err := s.ctx.Err(); err != nil {
+		return err
 	}
 	s.batch = append(s.batch, results.NewRecord(rec))
 	if len(s.batch) >= s.batchSize() {

@@ -75,10 +75,14 @@ type CampaignConfig struct {
 	// call per run. The Engine delivers in index order, serialized, from
 	// the sink's resume point on, so the sink only ever holds a prefix: a
 	// run past a failed index is never delivered. A sink error stops
-	// delivery and fails the campaign; records already delivered stay
-	// delivered. The sink owns the records, so the CampaignResult keeps
-	// none (its Tally still covers every run). A sink that already holds a
-	// prefix of the campaign says so through Resumer.
+	// delivery and the dispatch of further runs, and fails the campaign
+	// with the error wrapped; records already delivered stay delivered.
+	// A sink that refuses to take more records, such as a distributed
+	// worker's once its lease is lost, thereby stops the campaign and
+	// leaves the resumable prefix a killed process would. The sink owns
+	// the records, so the CampaignResult keeps none (its Tally still
+	// covers every run). A sink that already holds a prefix of the
+	// campaign says so through Resumer.
 	Sink RecordSink
 	// Stop enables adaptive, confidence-driven stopping: runs dispatch in
 	// chunks up to the rule's fixed index barriers, and at each barrier the
@@ -89,22 +93,7 @@ type CampaignConfig struct {
 	// index is independent of Engine.Jobs and scheduling. Nil keeps the
 	// classic fixed-budget campaign, bit for bit.
 	Stop *stats.StopRule
-	// Abort, when non-nil, is polled before each run dispatch; once it
-	// returns true the campaign stops launching new runs, drains the ones
-	// in flight, and fails with ErrAborted. Records already delivered to
-	// the Sink stay delivered, and because the Engine delivers in index
-	// order, an aborted campaign leaves behind exactly the resumable
-	// prefix a killed process would. A distributed worker sets this to its
-	// lease-revocation check so compute stops as soon as the coordinator
-	// has re-queued the spec elsewhere.
-	Abort func() bool
 }
-
-// ErrAborted reports a campaign stopped by its CampaignConfig.Abort hook:
-// not a failure of any run, but an external decision (typically a lapsed
-// work lease) that the remaining runs are no longer this process's to
-// execute. Test with errors.Is.
-var ErrAborted = errors.New("core: campaign aborted")
 
 // NormalizedStop resolves the campaign's adaptive stopping rule against its
 // run budget: every field concrete, as persisted in record headers. Nil

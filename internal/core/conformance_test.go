@@ -335,7 +335,7 @@ func exerciseInstances(t *testing.T, fs vfs.FS, prim vfs.Primitive, n int) {
 // expectedClaims replays the injector's claim algebra in the open: given
 // the model's shot plan and a budget, how many of n instances from the
 // target on must fire.
-func expectedClaims(m Model, f Feature, budget, n int) int {
+func expectedClaims(m Model, budget, n int) int {
 	plan, multi := m.(MultiShot)
 	fired := 0
 	for rel := int64(0); rel < int64(n); rel++ {
@@ -343,7 +343,7 @@ func expectedClaims(m Model, f Feature, budget, n int) int {
 			break
 		}
 		if multi {
-			if plan.Claims(f, rel) {
+			if plan.Claims(rel) {
 				fired++
 			}
 		} else if rel == 0 {
@@ -368,7 +368,7 @@ func TestConformanceShotBudget(t *testing.T) {
 				sig := Config{Model: m, Primitive: prim, Shots: shots}.Signature()
 				inj := NewInjector(sig, 0, stats.NewRNG(7))
 				exerciseInstances(t, inj.Wrap(base), prim, instances)
-				want := expectedClaims(m, sig.Feature, sig.ShotBudget(), instances)
+				want := expectedClaims(m, sig.ShotBudget(), instances)
 				if got := inj.FiredShots(); got != want {
 					t.Fatalf("fired %d shots, want %d (budget %d over %d instances)",
 						got, want, sig.ShotBudget(), instances)

@@ -136,7 +136,7 @@ func (inj *Injector) claim() bool {
 	if inj.fired >= inj.shots {
 		return false
 	}
-	if inj.plan != nil && !inj.plan.Claims(inj.sig.Feature, rel) {
+	if inj.plan != nil && !inj.plan.Claims(rel) {
 		return false
 	}
 	inj.fired++

@@ -111,13 +111,21 @@ func IsRead(m Model) bool {
 type MultiShot interface {
 	// Claims reports whether the rel-th instance at or after the drawn
 	// target (rel 0 is the target itself) is one of the model's shots. It
-	// must be a pure function of (feature, rel) — campaign determinism
-	// depends on it.
-	Claims(f Feature, rel int64) bool
+	// must be a pure function of rel — campaign determinism depends on it.
+	Claims(rel int64) bool
 	// DefaultShots is the model's shot budget when Signature.Shots is
 	// unset. It must be >= 1.
-	DefaultShots(f Feature) int
+	DefaultShots() int
 }
+
+// The device geometry the write-path models act on: the paper's SSD
+// persists "each 4KB block at 512B granularity" (Table I).
+const (
+	// SectorSize is the persistence granularity of the device.
+	SectorSize = 512
+	// BlockSize is the device program block.
+	BlockSize = 4096
+)
 
 // Feature carries the per-model tunables of a fault signature. Zero values
 // select the paper's defaults via normalize().
@@ -129,20 +137,6 @@ type Feature struct {
 	// by ShornWrite: 3/8 or 7/8 in Table I. Default 7/8.
 	ShornKeepNum int
 	ShornKeepDen int
-	// SectorSize is the persistence granularity of the device (512 B).
-	SectorSize int
-	// BlockSize is the device program block (4 KiB).
-	BlockSize int
-	// BurstSectors is the number of adjacent sectors BurstCorruption mangles
-	// in one event. 0 selects the model default (4). Deliberately not filled
-	// by normalize(): the correlated-model tunables stay zero-valued unless
-	// set, so legacy signatures (and their persisted headers) are
-	// bit-identical to the pre-multi-shot era.
-	BurstSectors int
-	// MisdirectEvery is the write-instance stride of RepeatedMisdirection:
-	// the target and every MisdirectEvery-th write after it are misplaced.
-	// 0 selects the model default (4). Not filled by normalize(), as above.
-	MisdirectEvery int
 }
 
 // normalize fills in the paper defaults for any unset field.
@@ -158,12 +152,6 @@ func (f Feature) normalize() Feature {
 	}
 	if f.ShornKeepNum >= f.ShornKeepDen {
 		f.ShornKeepNum = f.ShornKeepDen - 1
-	}
-	if f.SectorSize <= 0 {
-		f.SectorSize = 512
-	}
-	if f.BlockSize <= 0 {
-		f.BlockSize = 4096
 	}
 	return f
 }
@@ -190,7 +178,7 @@ func (s Signature) ShotBudget() int {
 		return s.Shots
 	}
 	if ms, ok := s.Model.(MultiShot); ok {
-		if n := ms.DefaultShots(s.Feature); n > 0 {
+		if n := ms.DefaultShots(); n > 0 {
 			return n
 		}
 	}

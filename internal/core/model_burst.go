@@ -6,7 +6,7 @@ import (
 	"ffis/internal/vfs"
 )
 
-// BurstCorruption mangles k adjacent sectors of one write in a single event
+// BurstCorruption mangles 4 adjacent sectors of one write in a single event
 // — the spatially correlated corruption pattern device studies report from
 // voltage droops and program disturbs, where damage clusters on
 // neighbouring cells instead of striking one random bit. One event, one
@@ -25,29 +25,23 @@ func (burstCorruptionModel) Hosts() []vfs.Primitive {
 }
 
 func (burstCorruptionModel) Describe() string {
-	return "one event flips bits in k adjacent sectors of the buffer (feature: burst sectors, default 4)"
+	return "one event flips bits in 4 adjacent sectors of the buffer"
 }
 
-// burstSectors resolves the feature tunable; the default lives here rather
-// than in Feature.normalize so legacy signatures stay bit-identical.
-func burstSectors(f Feature) int {
-	if f.BurstSectors > 0 {
-		return f.BurstSectors
-	}
-	return 4
-}
+// burstSectors is the width of one burst, in sectors.
+const burstSectors = 4
 
-// MutateWrite flips FlipBits consecutive bits in each of k adjacent sectors
-// of the claimed buffer, starting at a uniformly drawn sector. The burst is
-// clamped to the buffer: a write shorter than k sectors is corrupted to its
-// end, matching a burst that runs off the victim's range.
+// MutateWrite flips FlipBits consecutive bits in each of burstSectors
+// adjacent sectors of the claimed buffer, starting at a uniformly drawn
+// sector. The burst is clamped to the buffer: a write shorter than the
+// burst is corrupted to its end, matching a burst that runs off the
+// victim's range.
 func (bc burstCorruptionModel) MutateWrite(env Env, op WriteOp) WriteAction {
-	f := env.Feature()
-	sec := f.SectorSize
+	const sec = SectorSize
 	out := append([]byte(nil), op.Buf...)
 	nsec := (len(out) + sec - 1) / sec
 	start := env.Intn(nsec)
-	k := burstSectors(f)
+	k := burstSectors
 	if start+k > nsec {
 		k = nsec - start
 	}

@@ -32,11 +32,11 @@ func (deviceFailureModel) Describe() string {
 
 // Claims takes every instance from the target on: a failed device does not
 // come back.
-func (deviceFailureModel) Claims(Feature, int64) bool { return true }
+func (deviceFailureModel) Claims(int64) bool { return true }
 
 // DefaultShots is effectively unbounded; the run ends long before 2^30
 // primitive instances.
-func (deviceFailureModel) DefaultShots(Feature) int { return 1 << 30 }
+func (deviceFailureModel) DefaultShots() int { return 1 << 30 }
 
 // MutateWrite fails the write with EIO; nothing reaches the device.
 func (df deviceFailureModel) MutateWrite(env Env, op WriteOp) WriteAction {

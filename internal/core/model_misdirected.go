@@ -42,8 +42,7 @@ func (md misdirectedWriteModel) MutateWrite(env Env, op WriteOp) WriteAction {
 // either way the victim range is sector-aligned relative to the intended
 // offset.
 func misdirect(env Env, op WriteOp, model Model, label string) WriteAction {
-	f := env.Feature()
-	delta := int64(1+env.Intn(8)) * int64(f.SectorSize)
+	delta := int64(1+env.Intn(8)) * SectorSize
 	wrong := op.Off - delta
 	if wrong < 0 {
 		wrong = op.Off + delta

@@ -7,7 +7,7 @@ import (
 )
 
 // RepeatedMisdirection is the firmware-bug rendering of a misdirected
-// write: once the bug triggers (at the drawn target instance), every Nth
+// write: once the bug triggers (at the drawn target instance), every 4th
 // write from then on is steered to the wrong LBA until the shot budget runs
 // out — a single temporally correlated event, not independent faults. The
 // model is the registry's first MultiShot registration: the injector,
@@ -26,28 +26,23 @@ func (repeatedMisdirectionModel) Hosts() []vfs.Primitive {
 }
 
 func (repeatedMisdirectionModel) Describe() string {
-	return "from the target on, every Nth write is persisted at a wrong sector-aligned offset (feature: stride, default 4; default budget 4 shots)"
+	return "from the target on, every 4th write is persisted at a wrong sector-aligned offset (default budget 4 shots)"
 }
 
-// misdirectEvery resolves the stride tunable; the default lives here rather
-// than in Feature.normalize so legacy signatures stay bit-identical.
-func misdirectEvery(f Feature) int {
-	if f.MisdirectEvery > 0 {
-		return f.MisdirectEvery
-	}
-	return 4
-}
+// misdirectEvery is the write-instance stride of one misdirection event.
+const misdirectEvery = 4
 
-// Claims selects the target write and every stride-th write after it.
-func (repeatedMisdirectionModel) Claims(f Feature, rel int64) bool {
-	return rel%int64(misdirectEvery(f)) == 0
+// Claims selects the target write and every misdirectEvery-th write after
+// it.
+func (repeatedMisdirectionModel) Claims(rel int64) bool {
+	return rel%misdirectEvery == 0
 }
 
 // DefaultShots bounds the event at four misplaced writes — long enough to
 // straddle checkpoint boundaries, short enough that the fault stays a
 // transient firmware episode rather than a dead device (that is
 // DeviceFailure's regime).
-func (repeatedMisdirectionModel) DefaultShots(Feature) int { return 4 }
+func (repeatedMisdirectionModel) DefaultShots() int { return 4 }
 
 // MutateWrite performs the displaced write itself through the underlying
 // handle, then tells the injector to skip (and acknowledge) the requested

@@ -42,7 +42,7 @@ func (sw shornWriteModel) MutateWrite(env Env, op WriteOp) WriteAction {
 		// ...and FTL remnants beyond old EOF: the buffer lagged by one
 		// sector, so lost sectors hold plausible same-magnitude data.
 		for i := n; i < len(out); i++ {
-			src := i - f.SectorSize
+			src := i - SectorSize
 			if src < 0 {
 				src = 0
 			}
@@ -84,19 +84,19 @@ func shornPlan(off int64, length int, f Feature) (keep []segment, droppedSectors
 	if length == 0 {
 		return nil, 0
 	}
-	keepBytesPerBlock := f.BlockSize * f.ShornKeepNum / f.ShornKeepDen
-	keepBytesPerBlock -= keepBytesPerBlock % f.SectorSize
+	keepBytesPerBlock := BlockSize * f.ShornKeepNum / f.ShornKeepDen
+	keepBytesPerBlock -= keepBytesPerBlock % SectorSize
 	end := off + int64(length)
-	blockStart := off - off%int64(f.BlockSize)
-	for bs := blockStart; bs < end; bs += int64(f.BlockSize) {
+	blockStart := off - off%BlockSize
+	for bs := blockStart; bs < end; bs += BlockSize {
 		keepEnd := bs + int64(keepBytesPerBlock)
 		segStart, segEnd := max(bs, off), min(keepEnd, end)
 		if segEnd > segStart {
 			keep = append(keep, segment{segStart - off, segEnd - off})
 		}
-		lostStart, lostEnd := max(keepEnd, off), min(bs+int64(f.BlockSize), end)
+		lostStart, lostEnd := max(keepEnd, off), min(bs+BlockSize, end)
 		if lostEnd > lostStart {
-			droppedSectors += int((lostEnd - lostStart + int64(f.SectorSize) - 1) / int64(f.SectorSize))
+			droppedSectors += int((lostEnd - lostStart + SectorSize - 1) / SectorSize)
 		}
 	}
 	return keep, droppedSectors

@@ -139,9 +139,6 @@ func TestFeatureDefaults(t *testing.T) {
 	if f.ShornKeepNum != 7 || f.ShornKeepDen != 8 {
 		t.Errorf("shorn keep = %d/%d, want 7/8", f.ShornKeepNum, f.ShornKeepDen)
 	}
-	if f.SectorSize != 512 || f.BlockSize != 4096 {
-		t.Errorf("geometry = %d/%d, want 512/4096", f.SectorSize, f.BlockSize)
-	}
 }
 
 func TestFeatureKeepClamped(t *testing.T) {

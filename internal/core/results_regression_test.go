@@ -196,23 +196,29 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 
 // TestSinkFailureStopsDispatch: once the sink has failed, no later run can
 // be delivered, so a fixed-budget campaign stops dispatching instead of
-// executing its remaining budget and failing anyway. Abort is polled once
-// per dispatched run; past the failing Record, at most one run per pool
-// slot may still start, each one the loop had let through before the
-// failure was latched.
+// executing its remaining budget and failing anyway. An unclonable world
+// is rebuilt for every dispatched run, after one build for Setup and
+// profiling, so its NewFS counts the dispatches. Past the failing Record,
+// at most one run per pool slot may still build its world, each one the
+// loop had let through before the failure was latched.
 func TestSinkFailureStopsDispatch(t *testing.T) {
 	const runs, jobs = 200, 2
-	var dispatched, atFailure atomic.Int64
-	sink := &collectSink{failAt: 3, onFail: func() { atFailure.Store(dispatched.Load()) }}
+	var builds, atFailure atomic.Int64
+	w := toyWorkload()
+	w.NewFS = func() (vfs.FS, error) {
+		builds.Add(1)
+		return plainFS{vfs.NewMemFS()}, nil
+	}
+	sink := &collectSink{failAt: 3, onFail: func() { atFailure.Store(builds.Load() - 1) }}
 	_, err := runCampaign(jobs, CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Sink: sink,
-		Abort: func() bool { dispatched.Add(1); return false },
-	}, toyWorkload())
+	}, w)
+	dispatched := builds.Load() - 1
 	if err == nil || !strings.Contains(err.Error(), "record sink") {
 		t.Fatalf("sink failure must fail the campaign; got %v", err)
 	}
-	if after := dispatched.Load() - atFailure.Load(); after > jobs {
-		t.Fatalf("dispatched %d runs after the sink failed (%d of %d in all); want at most %d", after, dispatched.Load(), runs, jobs)
+	if after := dispatched - atFailure.Load(); after > jobs {
+		t.Fatalf("dispatched %d runs after the sink failed (%d of %d in all); want at most %d", after, dispatched, runs, jobs)
 	}
 }
 
@@ -275,14 +281,29 @@ func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
 
 // TestSinkReceivesRunsInIndexOrder: runs finish out of order under a wide
 // pool, yet the sink sees indices start, start+1, … in order. The first
-// dispatched run is held inside the workload until a later run has
-// finished, so completion order provably differs from index order.
+// run to build its world is held inside the workload until a later run has
+// finished, so completion order differs from index order.
 func TestSinkReceivesRunsInIndexOrder(t *testing.T) {
 	const runs, start = 12, 3
 	var dispatching, held atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
 	w := toyWorkload()
+	// An unclonable world is rebuilt for every dispatched run, after one
+	// build for Setup and profiling. Holding every build after the first
+	// run's until a run is inside the workload makes that run, in
+	// practice run `start`, the held one.
+	var builds atomic.Int64
+	w.NewFS = func() (vfs.FS, error) {
+		switch builds.Add(1) {
+		case 1:
+		case 2:
+			dispatching.Store(true)
+		default:
+			<-entered
+		}
+		return plainFS{vfs.NewMemFS()}, nil
+	}
 	run := w.Run
 	w.Run = func(fs vfs.FS) error {
 		if !dispatching.Load() {
@@ -297,25 +318,11 @@ func TestSinkReceivesRunsInIndexOrder(t *testing.T) {
 		releaseOnce.Do(func() { close(release) })
 		return err
 	}
-	polls := 0 // touched only by the dispatch loop
 	sink := &resumeSink{start: start}
 	grid := (&Engine{Jobs: 8}).Run([]CampaignSpec{{
 		Key:      "order",
 		Workload: w,
-		Config: CampaignConfig{
-			Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Sink: sink,
-			// Abort is polled before each dispatch. Holding the second poll
-			// until a run is inside the workload makes run `start`, the only
-			// one dispatched so far, the held run.
-			Abort: func() bool {
-				polls++
-				dispatching.Store(true)
-				if polls == 2 {
-					<-entered
-				}
-				return false
-			},
-		},
+		Config:   CampaignConfig{Fault: Config{Model: BitFlip}, Runs: runs, Seed: 9, Sink: sink},
 	}})
 	if grid[0].Err != nil {
 		t.Fatal(grid[0].Err)

@@ -139,20 +139,13 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 		// priorTally accumulates the persisted outcomes below start
 		// (adaptive resume); touched only from the dispatch loop.
 		priorTally classify.Tally
-		// aborted latches the Abort hook's decision; set only from the
-		// dispatch loop, read only after the chunk has drained.
-		aborted bool
-		slots   = runSlots{idle: idle}
+		slots      = runSlots{idle: idle}
 	)
 	// dispatch launches runs for indices [lo, hi) and waits for the chunk
 	// to drain, so the caller observes a complete prefix.
 	dispatch := func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			if sinkFailed.Load() {
-				break
-			}
-			if cfg.Abort != nil && cfg.Abort() {
-				aborted = true
 				break
 			}
 			sem <- struct{}{}
@@ -236,7 +229,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 			}
 			dispatch(max(lo, start), b)
 			lo = b
-			if failErr != nil || sinkErr != nil || aborted {
+			if failErr != nil || sinkErr != nil {
 				break
 			}
 			res.StopIndex = b
@@ -262,7 +255,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 		}
 		// Persist the decision: a sink that stores records by index needs
 		// the stop index to declare the stream complete.
-		if sr, ok := cfg.Sink.(StopRecorder); ok && failErr == nil && sinkErr == nil && !aborted {
+		if sr, ok := cfg.Sink.(StopRecorder); ok && failErr == nil && sinkErr == nil {
 			sinkErr = sr.RecordStop(res.StopIndex)
 		}
 	}
@@ -281,8 +274,6 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 		return fail(fmt.Errorf("core: run %d: %w", failIdx, failErr))
 	case sinkErr != nil:
 		return fail(fmt.Errorf("core: record sink: %w", sinkErr))
-	case aborted:
-		return fail(ErrAborted)
 	}
 	// Adaptive early stop: the terminal event reports the runs that
 	// actually executed, so progress ends at done/done rather than

@@ -161,11 +161,12 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 		refGrid := runGridInto(t, ref, workers)
 
 		// Interrupted store: each spec's campaign runs through a real
-		// engine+sink pass until its Abort hook — the mechanism a revoked
-		// lease trips — stops dispatch after the first half of the indices.
-		// The in-flight runs drain, their in-order prefix stays on disk, and
-		// the sink is abandoned without finalizing: what a mid-grid kill
-		// leaves behind.
+		// engine+sink pass until its sink, having persisted the first half
+		// of the indices, fails the next record as a kill between two
+		// records would — the way a lost lease stops a worker. Dispatch
+		// stops, the in-flight runs drain, the in-order prefix stays on
+		// disk, and the sink is abandoned without finalizing: what a
+		// mid-grid kill leaves behind.
 		dir := t.TempDir()
 		st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
 		if err != nil {
@@ -177,14 +178,9 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := spec.Config
-			cfg.Sink = sink
-			dispatched := 0 // polled only by the dispatch loop
-			cfg.Abort = func() bool {
-				dispatched++
-				return dispatched > eqRuns/2
-			}
-			if _, err := runCampaign(workers, cfg, spec.Workload); !errors.Is(err, core.ErrAborted) {
-				t.Fatalf("interrupted campaign: err = %v, want ErrAborted", err)
+			cfg.Sink = &killAfter{SpecSink: sink, n: eqRuns / 2}
+			if _, err := runCampaign(workers, cfg, spec.Workload); !errors.Is(err, errKilled) {
+				t.Fatalf("interrupted campaign: err = %v, want errKilled", err)
 			}
 			if err := sink.Close(); err != nil { // no Finalize: the "kill"
 				t.Fatal(err)
@@ -218,6 +214,23 @@ func TestInterruptedThenResumedGridIsBitIdentical(t *testing.T) {
 		assertStoresIdentical(t, "resumed", ref, dir)
 		assertTalliesMatch(t, "resumed", refGrid, grid)
 	}
+}
+
+// errKilled is the simulated death of a process whose sink is a killAfter.
+var errKilled = errors.New("results test: killed between two records")
+
+// killAfter persists the first n records through its SpecSink and fails
+// every later one with errKilled.
+type killAfter struct {
+	*SpecSink
+	n int
+}
+
+func (k *killAfter) Record(rec core.RunRecord) error {
+	if k.SpecSink.Persisted() >= k.n {
+		return errKilled
+	}
+	return k.SpecSink.Record(rec)
 }
 
 // TestResumeOfCompleteStoreRunsNothing proves finalized specs load from

@@ -66,9 +66,12 @@ func newStopRuleRecord(rule *stats.StopRule) *StopRuleRecord {
 	}
 }
 
-// FeatureRecord is the serializable form of core.Feature. The correlated-
-// model tunables are appended with omitempty: legacy signatures leave them
-// zero, so headers written before they existed keep their exact bytes.
+// FeatureRecord is the serializable form of core.Feature plus the device
+// geometry the models act on. The geometry and the correlated models' fixed
+// burst width and stride are not tunable: NewHeader writes the sector and
+// block sizes of core, leaves the two omitempty fields zero (so the bytes of
+// every header written before they were fixed stay as they were), and
+// SignatureValue refuses any other values.
 type FeatureRecord struct {
 	FlipBits       int `json:"flip_bits"`
 	ShornKeepNum   int `json:"shorn_keep_num"`
@@ -91,13 +94,11 @@ func NewHeader(meta core.CampaignMeta) Header {
 		Model:     sig.Model.Name(),
 		Primitive: string(sig.Primitive),
 		Feature: FeatureRecord{
-			FlipBits:       sig.Feature.FlipBits,
-			ShornKeepNum:   sig.Feature.ShornKeepNum,
-			ShornKeepDen:   sig.Feature.ShornKeepDen,
-			SectorSize:     sig.Feature.SectorSize,
-			BlockSize:      sig.Feature.BlockSize,
-			BurstSectors:   sig.Feature.BurstSectors,
-			MisdirectEvery: sig.Feature.MisdirectEvery,
+			FlipBits:     sig.Feature.FlipBits,
+			ShornKeepNum: sig.Feature.ShornKeepNum,
+			ShornKeepDen: sig.Feature.ShornKeepDen,
+			SectorSize:   core.SectorSize,
+			BlockSize:    core.BlockSize,
 		},
 		ProfileCount: meta.ProfileCount,
 		Runs:         meta.Runs,
@@ -107,27 +108,29 @@ func NewHeader(meta core.CampaignMeta) Header {
 	}
 }
 
-// Signature reconstructs the fault signature the header describes,
+// SignatureValue reconstructs the fault signature the header describes,
 // resolving the model through the registry. Loading records for a model
 // this binary has never registered is an error — the tally could still be
-// rebuilt, but every downstream renderer needs the model's identity.
+// rebuilt, but every downstream renderer needs the model's identity. So is
+// a header whose device geometry, burst width or stride differs from what
+// NewHeader writes: no campaign of this binary produced those records.
 func (h Header) SignatureValue() (core.Signature, error) {
 	m, ok := core.Lookup(h.Model)
 	if !ok {
 		return core.Signature{}, fmt.Errorf("results: stored records use unregistered fault model %q", h.Model)
+	}
+	if f := h.Feature; f.SectorSize != core.SectorSize || f.BlockSize != core.BlockSize || f.BurstSectors != 0 || f.MisdirectEvery != 0 {
+		return core.Signature{}, fmt.Errorf("results: stored records use sector_size %d, block_size %d, burst_sectors %d, misdirect_every %d; this binary fixes %d, %d, 0, 0",
+			f.SectorSize, f.BlockSize, f.BurstSectors, f.MisdirectEvery, core.SectorSize, core.BlockSize)
 	}
 	return core.Signature{
 		Model:     m,
 		Primitive: vfs.Primitive(h.Primitive),
 		Shots:     h.Shots,
 		Feature: core.Feature{
-			FlipBits:       h.Feature.FlipBits,
-			ShornKeepNum:   h.Feature.ShornKeepNum,
-			ShornKeepDen:   h.Feature.ShornKeepDen,
-			SectorSize:     h.Feature.SectorSize,
-			BlockSize:      h.Feature.BlockSize,
-			BurstSectors:   h.Feature.BurstSectors,
-			MisdirectEvery: h.Feature.MisdirectEvery,
+			FlipBits:     h.Feature.FlipBits,
+			ShornKeepNum: h.Feature.ShornKeepNum,
+			ShornKeepDen: h.Feature.ShornKeepDen,
 		},
 	}, nil
 }

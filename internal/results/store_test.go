@@ -2,6 +2,7 @@ package results
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -293,6 +294,33 @@ func eqHeader(stopIndex int) Header {
 	})
 	h.StopIndex = stopIndex
 	return h
+}
+
+// TestSignatureValueRefusesForeignGeometry: the sector and block sizes,
+// burst width and stride are fixed in core, so a header that stores other
+// values describes records no campaign of this binary can reproduce, and
+// SignatureValue refuses it. NewHeader's own values load.
+func TestSignatureValueRefusesForeignGeometry(t *testing.T) {
+	if _, err := eqHeader(0).SignatureValue(); err != nil {
+		t.Fatalf("NewHeader's own header: %v", err)
+	}
+	for _, c := range []struct {
+		field string
+		value int
+		edit  func(*FeatureRecord, int)
+	}{
+		{"sector_size", 4096, func(f *FeatureRecord, v int) { f.SectorSize = v }},
+		{"block_size", 8192, func(f *FeatureRecord, v int) { f.BlockSize = v }},
+		{"burst_sectors", 8, func(f *FeatureRecord, v int) { f.BurstSectors = v }},
+		{"misdirect_every", 2, func(f *FeatureRecord, v int) { f.MisdirectEvery = v }},
+	} {
+		h := eqHeader(0)
+		c.edit(&h.Feature, c.value)
+		want := fmt.Sprintf("%s %d", c.field, c.value)
+		if _, err := h.SignatureValue(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want a refusal naming %q", c.field, err, want)
+		}
+	}
 }
 
 // writeRecordFile hand-writes a record file at path: header h, then one
