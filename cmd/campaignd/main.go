@@ -13,9 +13,10 @@
 //	campaignd -out ./res -gen > grid.json            # print the default grid
 //
 // The spec file is either a JSON array of wire specs or JSONL, one spec
-// object per line:
+// object per line; a field the wire spec does not have fails the file:
 //
 //	{"cell": "MT2", "model": "bit-flip", "runs": 1000, "seed": 2021}
+//	{"cell": "MT2", "model": "read-bit-flip", "runs": 1000, "seed": 2021, "mounts": ["/proj=object"], "arm_mounts": ["/proj"]}
 //
 // Watch progress with GET /progress, live operational metrics (ingest
 // throughput, lease churn, per-run stage latency averages) with

@@ -94,11 +94,8 @@ func main() {
 		Backends:       backends,
 	}
 	for _, b := range backends {
-		// Each -backend value becomes the backend of tiered wire specs;
-		// check it the way those specs are checked.
-		probe := experiments.WireSpec{Key: "-backend", Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: b}
-		if err := probe.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		if err := experiments.ValidateBackend(b); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -backend: %v\n", err)
 			os.Exit(2)
 		}
 	}

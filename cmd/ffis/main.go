@@ -14,14 +14,15 @@
 //	ffis -app MT2 -model misdirected-write -runs 200
 //	ffis -list-models
 //
-// Tiered storage: -mount builds a multi-backend world (repeatable, syntax
-// PATH[=BACKEND], BACKEND one of the hermetic backends mem, object[:lag=N]
-// and latency[:bb|:pfs]) and -arm restricts injection
-// to the I/O routed to the named mounts, leaving every other tier clean.
-// Without -mount, -backend swaps the whole flat world's storage backend:
+// Tiered storage: -backend names the root backend of the world (one of the
+// hermetic backends mem, object[:lag=N] and latency[:bb|:pfs]), -mount
+// mounts further backends over it (repeatable, syntax PATH[=BACKEND]), and
+// -arm restricts injection to the I/O routed to the named mounts, leaving
+// every other tier clean. Without -mount, -backend is the whole world:
 //
 //	ffis -app nyx -model bf -mount /plt00000 -mount /out -arm /plt00000
 //	ffis -app nyx -model bf -mount /plt00000=latency:bb -arm /plt00000
+//	ffis -app nyx -model bf -backend latency:pfs -mount /plt00000=latency:bb
 //	ffis -app MT2 -model dw -backend object:lag=2
 //
 // Persistent results: -out streams every run record to a JSONL store as it
@@ -72,7 +73,7 @@ func main() {
 		adaptive = flag.Float64("adaptive", 0, "adaptive stopping: halt when every outcome rate's Wilson 95% half-width is under this target (-runs becomes the budget cap; 0 = fixed budget)")
 		showCI   = flag.Bool("ci", false, "render outcome columns as rate ±halfwidth (Wilson 95%)")
 		shots    = flag.Int("shots", 0, "override the fault model's shot budget (0 = model default; >1 only affects multi-shot models)")
-		backend  = flag.String("backend", "mem", "storage backend of the flat world: mem, object[:lag=N], latency[:bb|:pfs] (with -mount, set backends per mount instead)")
+		backend  = flag.String("backend", "mem", "root storage backend of the world, the whole world without -mount: mem, object[:lag=N], latency[:bb|:pfs]")
 	)
 	var (
 		outDir    = flag.String("out", "", "stream run records to a JSONL results store at this directory")
@@ -80,7 +81,7 @@ func main() {
 		reportFmt = flag.String("report", "", "re-render the store at -out (text, csv, json, markdown) and exit without running")
 	)
 	var mountSpecs, armMounts []string
-	flag.Func("mount", "mount a backend at PATH[=BACKEND] (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs])", func(v string) error {
+	flag.Func("mount", "mount a backend at PATH[=BACKEND] over the -backend root (repeatable; BACKEND: mem, object[:lag=N], latency[:bb|:pfs])", func(v string) error {
 		mountSpecs = append(mountSpecs, v)
 		return nil
 	})
@@ -129,8 +130,8 @@ func main() {
 		Cell: *app, Model: fm.Name(), Runs: *runs, Seed: *seed, Shots: *shots, NyxN: *nyxN,
 		Backend: backendName, Mounts: mountSpecs, ArmMounts: armMounts, AvgDetector: *useAvg,
 	}
-	// One check for every flag that shapes the campaign: known backends,
-	// -backend or -mount but not both, -arm only with -mount.
+	// One check for every flag that shapes the campaign: known backends
+	// and mounts, -arm only with -mount.
 	if err := ws.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ffis: %v\n", err)
 		os.Exit(2)

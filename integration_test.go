@@ -5,6 +5,7 @@ package ffis
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,9 +157,10 @@ func TestSweepAcrossFlipWidthsOnNyx(t *testing.T) {
 	}
 	w := app.Workload()
 	var specs []core.CampaignSpec
-	for _, pt := range core.FlipWidthSweep() {
-		specs = append(specs, core.CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w,
-			Config: core.CampaignConfig{Fault: pt.Fault, Runs: 6, Seed: 11}})
+	for _, bits := range []int{1, 2, 4, 8} {
+		fault := core.Config{Model: core.BitFlip, Feature: core.Feature{FlipBits: bits}}
+		specs = append(specs, core.CampaignSpec{Key: fmt.Sprintf("%s/flip%d", w.Name, bits), Workload: w,
+			Config: core.CampaignConfig{Fault: fault, Runs: 6, Seed: 11}})
 	}
 	var results []core.CampaignResult
 	for _, r := range (&core.Engine{}).Run(specs) {

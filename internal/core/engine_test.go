@@ -493,7 +493,11 @@ func TestSweepPlumbsArmMounts(t *testing.T) {
 		t.Fatalf("scratch tier profile %d should be a proper nonzero subset of the whole world's %d", armed, whole)
 	}
 
-	results, err := Sweep(FlipWidthSweep(), CampaignConfig{
+	flips := map[string]Config{}
+	for _, bits := range []int{1, 2, 4, 8} {
+		flips[fmt.Sprintf("flip%d", bits)] = Config{Model: BitFlip, Feature: Feature{FlipBits: bits}}
+	}
+	results, err := Sweep(flips, CampaignConfig{
 		Runs:      6,
 		Seed:      2,
 		ArmMounts: []string{"/scratch"},

@@ -128,15 +128,16 @@ const (
 )
 
 // Feature carries the per-model tunables of a fault signature. Zero values
-// select the paper's defaults via normalize().
+// select the paper's defaults via normalize(). The JSON tags are its wire
+// form in a campaign spec; a zero field is omitted.
 type Feature struct {
 	// FlipBits is the number of consecutive bits flipped by BitFlip.
 	// The paper's default is 2 (footnote 3 also evaluates 4).
-	FlipBits int
+	FlipBits int `json:"flip_bits,omitempty"`
 	// ShornKeepNum/ShornKeepDen give the fraction of each block persisted
 	// by ShornWrite: 3/8 or 7/8 in Table I. Default 7/8.
-	ShornKeepNum int
-	ShornKeepDen int
+	ShornKeepNum int `json:"shorn_keep_num,omitempty"`
+	ShornKeepDen int `json:"shorn_keep_den,omitempty"`
 }
 
 // normalize fills in the paper defaults for any unset field.

@@ -2,46 +2,10 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"ffis/internal/classify"
 )
-
-// SweepPoint is one cell of a feature sweep — the ablation studies (2-bit
-// vs 4-bit flips, 3/8 vs 7/8 shorn fraction) the paper touches in footnote
-// 3 and Table I: a fault configuration plus a label for reports.
-type SweepPoint struct {
-	Label string
-	Fault Config
-}
-
-// FlipWidthSweep returns the bit-flip width ablation points (the paper's
-// default 2 bits and the 4-bit variant of footnote 3, plus 1 and 8 for
-// context).
-func FlipWidthSweep() []SweepPoint {
-	var pts []SweepPoint
-	for _, w := range []int{1, 2, 4, 8} {
-		pts = append(pts, SweepPoint{
-			Label: fmt.Sprintf("flip%d", w),
-			Fault: Config{Model: BitFlip, Feature: Feature{FlipBits: w}},
-		})
-	}
-	return pts
-}
-
-// ShornFractionSweep returns the shorn-write keep-fraction ablation points
-// (Table I's 3/8 and 7/8 plus intermediate fractions).
-func ShornFractionSweep() []SweepPoint {
-	var pts []SweepPoint
-	for _, keep := range []int{1, 3, 5, 7} {
-		pts = append(pts, SweepPoint{
-			Label: fmt.Sprintf("keep%dof8", keep),
-			Fault: Config{Model: ShornWrite, Feature: Feature{ShornKeepNum: keep, ShornKeepDen: 8}},
-		})
-	}
-	return pts
-}
 
 // resultJSON is the export form of a campaign result.
 type resultJSON struct {

@@ -4,28 +4,32 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"ffis/internal/classify"
 )
 
-// Sweep runs the same workload under a series of fault configurations as
-// one Engine grid on GOMAXPROCS slots. Every field of base except Fault
-// is honored per point — in particular ArmMounts, so a sweep over a tiered
-// world keeps its fault placement. All points share the workload's world:
-// one Setup and one profiling pass per target primitive serve the sweep.
-func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResult, error) {
-	specs := make([]CampaignSpec, len(points))
-	for i, pt := range points {
+// Sweep runs the same workload under a series of fault configurations,
+// keyed by label and run in label order, as one Engine grid on GOMAXPROCS
+// slots. Every field of base except Fault is honored per point — in
+// particular ArmMounts, so a sweep over a tiered world keeps its fault
+// placement. All points share the workload's world: one Setup and one
+// profiling pass per target primitive serve the sweep.
+func Sweep(points map[string]Config, base CampaignConfig, w Workload) ([]CampaignResult, error) {
+	labels := slices.Sorted(maps.Keys(points))
+	specs := make([]CampaignSpec, len(labels))
+	for i, label := range labels {
 		cfg := base
-		cfg.Fault = pt.Fault
-		specs[i] = CampaignSpec{Key: w.Name + "/" + pt.Label, Workload: w, Config: cfg}
+		cfg.Fault = points[label]
+		specs[i] = CampaignSpec{Key: w.Name + "/" + label, Workload: w, Config: cfg}
 	}
-	out := make([]CampaignResult, len(points))
+	out := make([]CampaignResult, len(labels))
 	for i, r := range (&Engine{}).Run(specs) {
 		if r.Err != nil {
-			return nil, fmt.Errorf("core: sweep point %q: %w", points[i].Label, r.Err)
+			return nil, fmt.Errorf("core: sweep point %q: %w", labels[i], r.Err)
 		}
 		out[i] = r.Result
 		out[i].Workload = r.Spec.Key
@@ -34,7 +38,10 @@ func Sweep(points []SweepPoint, base CampaignConfig, w Workload) ([]CampaignResu
 }
 
 func TestSweepRunsAllPoints(t *testing.T) {
-	pts := FlipWidthSweep()
+	pts := map[string]Config{}
+	for _, bits := range []int{1, 2, 4, 8} {
+		pts[fmt.Sprintf("flip%d", bits)] = Config{Model: BitFlip, Feature: Feature{FlipBits: bits}}
+	}
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -64,7 +71,11 @@ func TestShornFractionSweepMonotonicity(t *testing.T) {
 	// workload (uniform pattern, stale remnant equals fresh data) all
 	// fractions are benign — the point is that the sweep runs and labels
 	// correctly.
-	results, err := Sweep(ShornFractionSweep(), CampaignConfig{Runs: 6, Seed: 3}, toyWorkload())
+	pts := map[string]Config{}
+	for _, keep := range []int{1, 3, 5, 7} {
+		pts[fmt.Sprintf("keep%dof8", keep)] = Config{Model: ShornWrite, Feature: Feature{ShornKeepNum: keep, ShornKeepDen: 8}}
+	}
+	results, err := Sweep(pts, CampaignConfig{Runs: 6, Seed: 3}, toyWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}

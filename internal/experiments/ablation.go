@@ -8,23 +8,21 @@ import (
 )
 
 // Ablations runs the design-choice sweeps DESIGN.md calls out — flip width
-// (paper footnote 3) on Nyx and shorn keep-fraction (Table I's two
-// variants) on QMCPACK — as one engine grid and renders one table per
-// sweep.
+// (the paper's default 2 bits and footnote 3's 4, plus 1 and 8) on Nyx and
+// shorn keep-fraction (Table I's 3/8 and 7/8 plus 1/8 and 5/8) on QMCPACK —
+// as one engine grid and renders one table per sweep.
 func Ablations(o Options) (string, error) {
 	o = o.normalize()
-	flips := core.FlipWidthSweep()
-	shorn := core.ShornFractionSweep()
 	var specs []WireSpec
-	for i, pt := range append(flips, shorn...) {
-		cell := "nyx"
-		if i >= len(flips) {
-			cell = "qmcpack"
-		}
-		ws := o.wire(cell, pt.Fault.Model)
-		ws.Key = cell + "/" + pt.Label
-		f := pt.Fault.Feature
-		ws.Feature = WireFeature{FlipBits: f.FlipBits, ShornKeepNum: f.ShornKeepNum, ShornKeepDen: f.ShornKeepDen}
+	for _, bits := range []int{1, 2, 4, 8} {
+		ws := o.wire("nyx", core.BitFlip)
+		ws.Key, ws.Feature = fmt.Sprintf("nyx/flip%d", bits), core.Feature{FlipBits: bits}
+		specs = append(specs, ws)
+	}
+	flips := len(specs)
+	for _, keep := range []int{1, 3, 5, 7} {
+		ws := o.wire("qmcpack", core.ShornWrite)
+		ws.Key, ws.Feature = fmt.Sprintf("qmcpack/keep%dof8", keep), core.Feature{ShornKeepNum: keep, ShornKeepDen: 8}
 		specs = append(specs, ws)
 	}
 
@@ -34,9 +32,9 @@ func Ablations(o Options) (string, error) {
 	}
 
 	var b strings.Builder
-	b.WriteString(o.table("Ablation: bit-flip width on Nyx (footnote 3: SDC stays minimal)", cells[:len(flips)]))
+	b.WriteString(o.table("Ablation: bit-flip width on Nyx (footnote 3: SDC stays minimal)", cells[:flips]))
 	b.WriteString("\n")
-	b.WriteString(o.table("Ablation: shorn-write keep fraction on QMCPACK (Table I: 3/8 vs 7/8)", cells[len(flips):]))
+	b.WriteString(o.table("Ablation: shorn-write keep fraction on QMCPACK (Table I: 3/8 vs 7/8)", cells[flips:]))
 	return b.String(), nil
 }
 

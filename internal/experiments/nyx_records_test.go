@@ -37,8 +37,8 @@ func nyxSpecs() []WireSpec {
 		for _, m := range []string{"read-bit-flip", "latent-corruption", "short-read", "dropped-write"} {
 			specs = append(specs, WireSpec{
 				Key: "nyx.tiered@" + backend + "/" + m, Cell: "nyx", Model: m, Runs: runs, Seed: 2021, NyxN: n,
-				Pipeline: true, Tiered: true, Backend: backend, ArmMounts: []string{"/plt00000"},
-			})
+				Pipeline: true, ArmMounts: []string{"/plt00000"},
+			}.tiered(backend))
 		}
 	}
 	return specs

@@ -25,10 +25,10 @@ func objectWorldSpecs() []WireSpec {
 		{Cell: "MT2", Model: "latent-corruption", Runs: 24, Seed: 2021, Mounts: mounts, ArmMounts: proj},
 		{Cell: "MT2", Model: "read-bit-flip", Runs: 24, Seed: 2021, Mounts: mounts, ArmMounts: proj},
 		{Cell: "MT1", Model: "dropped-write", Runs: 24, Seed: 2021, Mounts: mounts, ArmMounts: proj},
-		{
+		WireSpec{
 			Cell: "nyx", Model: "short-read", Runs: 24, Seed: 2021, NyxN: 24,
-			Tiered: true, Backend: "object", ArmMounts: []string{"/plt00000"},
-		},
+			ArmMounts: []string{"/plt00000"},
+		}.tiered("object"),
 	}
 }
 

@@ -32,8 +32,8 @@ func qmcpackSpecs() []WireSpec {
 		for _, m := range []string{"read-bit-flip", "latent-corruption", "short-read", "dropped-write"} {
 			specs = append(specs, WireSpec{
 				Key: "qmcpack.tiered@" + backend + "/" + m, Cell: "qmcpack", Model: m, Runs: runs, Seed: seed,
-				Pipeline: true, Tiered: true, Backend: backend, ArmMounts: []string{"/"},
-			})
+				Pipeline: true, ArmMounts: []string{"/"},
+			}.tiered(backend))
 		}
 	}
 	return specs

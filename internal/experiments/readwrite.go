@@ -148,11 +148,15 @@ func ReadWriteGrid(o Options) (string, []classify.Cell, error) {
 	for _, cell := range ReadWriteCells {
 		for _, placement := range readWritePlacements {
 			for _, model := range core.AllModels() {
-				specs = append(specs, WireSpec{
+				ws := WireSpec{
 					Key:  cell + "." + placement + "/" + model.Short(),
 					Cell: cell, Model: model.Name(), Runs: o.Runs, Seed: o.Seed, NyxN: o.NyxN,
-					Pipeline: true, Tiered: placement == "tiered",
-				})
+					Pipeline: true,
+				}
+				if placement == "tiered" {
+					ws = ws.tiered("mem")
+				}
+				specs = append(specs, ws)
 			}
 		}
 	}

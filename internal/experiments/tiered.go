@@ -198,9 +198,8 @@ func Tiered(cells []string, model core.Model, o Options) (string, []PlacementRes
 				metas = append(metas, PlacementResult{
 					Cell: cell, Backend: backend, Placement: pl.Name, ArmMounts: mounts,
 				})
-				ws := o.wire(cell, model)
-				ws.Key = key + "/" + pl.Name + "/" + model.Short()
-				ws.Tiered, ws.Backend, ws.ArmMounts = true, backend, mounts
+				ws := o.wire(cell, model).tiered(backend)
+				ws.Key, ws.ArmMounts = key+"/"+pl.Name+"/"+model.Short(), mounts
 				specs = append(specs, ws)
 			}
 		}

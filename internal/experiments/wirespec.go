@@ -16,7 +16,9 @@ import (
 // of this package (Fig7, Fig7Cell, Ablations, Fig7WithDetector, Tiered,
 // ReadWriteGrid) is a []WireSpec run through Options.runGrid. Only
 // statically nameable campaign identity crosses the wire — cell, model,
-// feature knobs, run budget, seed, world shape — never live objects.
+// feature knobs, run budget, seed, storage world — never live objects,
+// and each setting has one field: a world is always a root Backend plus
+// Mounts over it, a tiered world included.
 // Workers and local grids build through Workload and CampaignSpecOn, the
 // coordinator checks headers against Meta, and all derive from the same
 // fields, so a worker's world, profile pass, and record stream are
@@ -42,13 +44,14 @@ type WireSpec struct {
 	// NyxN overrides the Nyx grid edge (0 = DefaultSim).
 	NyxN int `json:"nyx_n,omitempty"`
 	// Backend is the storage backend grammar string ("" = "mem") of the
-	// flat world or, with Tiered, of every tier. Mounts name their own.
+	// world's root: the whole world when Mounts is empty, and everything
+	// outside the mount points otherwise.
 	Backend string `json:"backend,omitempty"`
-	// Mounts, when non-empty, builds a MountFS world from these
-	// "dir[=backend]" mount specs instead of a flat world.
+	// Mounts, when non-empty, mounts these "dir[=backend]" mount specs over
+	// the root backend. A cell's tiered world is its TierLayout written out
+	// as Backend and Mounts.
 	Mounts []string `json:"mounts,omitempty"`
-	// ArmMounts restricts injection to I/O routed to these mount points of
-	// a mounted or tiered world.
+	// ArmMounts restricts injection to I/O routed to these mount points.
 	ArmMounts []string `json:"arm_mounts,omitempty"`
 	// Pipeline selects the producer→consumer pipeline variant of the cell's
 	// workload. Read-path models force it regardless: the standard phases
@@ -56,27 +59,16 @@ type WireSpec struct {
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Feature overrides the fault model's feature knobs (the ablation
 	// sweeps); zero fields keep the paper defaults.
-	Feature WireFeature `json:"feature,omitzero"`
+	Feature core.Feature `json:"feature,omitzero"`
 	// AvgDetector classifies the standard Nyx cell with the average-value
 	// method.
 	AvgDetector bool `json:"avg_detector,omitempty"`
-	// Tiered builds the cell's TierLayout world, every tier on Backend.
-	Tiered bool `json:"tiered,omitempty"`
-}
-
-// WireFeature is the wire form of the core.Feature knobs a grid sweeps.
-type WireFeature struct {
-	FlipBits     int `json:"flip_bits,omitempty"`
-	ShornKeepNum int `json:"shorn_keep_num,omitempty"`
-	ShornKeepDen int `json:"shorn_keep_den,omitempty"`
 }
 
 // config is the fault configuration the spec describes. ws must be valid.
 func (ws WireSpec) config() core.Config {
 	model, _ := core.Lookup(ws.Model)
-	return core.Config{Model: model, Shots: ws.Shots, Feature: core.Feature{
-		FlipBits: ws.Feature.FlipBits, ShornKeepNum: ws.Feature.ShornKeepNum, ShornKeepDen: ws.Feature.ShornKeepDen,
-	}}
+	return core.Config{Model: model, Shots: ws.Shots, Feature: ws.Feature}
 }
 
 // Normalized fills the derived Key from the grid convention and ends an
@@ -108,8 +100,7 @@ func (ws WireSpec) pipeline() bool {
 // from the application fields — cell, Nyx edge, pipeline variant,
 // average-value detector — and from the resolved world the spec builds,
 // so two specs share a key exactly when they would build the same
-// application, with the same classifier, on the same storage: a tiered
-// layout and the same mounts listed explicitly share one. Fault fields
+// application, with the same classifier, on the same storage. Fault fields
 // (model, feature, shots) and arming stay out: they never change the
 // world. A cell enters by its canonical name, so an alias ("qmc", "mt2")
 // shares its cell's key. Each mount enters as its quoted "dir=backend", so
@@ -138,23 +129,30 @@ func (ws WireSpec) WorldKey() string {
 }
 
 // world resolves the storage world the spec builds: the root backend and
-// the mounts over it. A flat world is its backend alone, a mounted world
-// its mounts over a MemFS root, and a tiered world the cell's TierLayout
-// on the backend. Workload builds this world and WorldKey names it.
+// the mounts over it. Workload builds this world and WorldKey names it.
 func (ws WireSpec) world() (root string, mounts []MountSpec) {
-	switch {
-	case ws.Tiered:
-		layout, _ := TierLayout(ws.Cell) // an unknown cell fails Validate
-		return layout.world(ws.backend())
-	case len(ws.Mounts) > 0:
-		for _, m := range ws.Mounts {
-			// A malformed mount fails Validate; it enters the key as "=".
-			ms, _ := ParseMountSpec(m)
-			mounts = append(mounts, ms)
-		}
-		return "mem", mounts
+	for _, m := range ws.Mounts {
+		// A malformed mount fails Validate; it enters the key as "=".
+		ms, _ := ParseMountSpec(m)
+		mounts = append(mounts, ms)
 	}
-	return ws.backend(), nil
+	return ws.backend(), mounts
+}
+
+// tiered returns ws on its cell's TierLayout world with every tier on
+// backend: the layout's resolved root as Backend and its mounts, in layout
+// order, as Mounts. An unknown cell is left as it is; it fails Validate.
+func (ws WireSpec) tiered(backend string) WireSpec {
+	layout, err := TierLayout(ws.Cell)
+	if err != nil {
+		return ws
+	}
+	root, mounts := layout.world(backend)
+	ws.Backend, ws.Mounts = root, nil
+	for _, m := range mounts {
+		ws.Mounts = append(ws.Mounts, m.Path+"="+m.Backend)
+	}
+	return ws
 }
 
 // cellWorkloads maps every accepted cell name to the name of the workload
@@ -167,11 +165,10 @@ var cellWorkloads = map[string]string{
 
 // Validate checks the spec without building anything: known cell, usable
 // Nyx edge, registered model, sane feature knobs, positive run budget, and
-// a buildable world — parseable backend and mounts, one world shape at a
-// time, and arming only on a mounted or tiered world. It is the
-// one check campaignd and the CLIs apply. A spec that passes can still
-// fail to build (a Nyx edge that seeds no halos), which surfaces from
-// Workload.
+// a buildable world — parseable backend and mounts, and arming only on a
+// mounted world. It is the one check campaignd and the CLIs apply. A spec
+// that passes can still fail to build (a Nyx edge that seeds no halos),
+// which surfaces from Workload.
 func (ws WireSpec) Validate() error {
 	if ws.Cell == "" {
 		return fmt.Errorf("experiments: wire spec has no cell")
@@ -208,13 +205,8 @@ func (ws WireSpec) Validate() error {
 			return fail("%w", err)
 		}
 	}
-	switch {
-	case len(ws.Mounts) > 0 && ws.Tiered:
-		return fail("mounts and tiered are two world shapes; pick one")
-	case len(ws.Mounts) > 0 && ws.backend() != "mem":
-		return fail("backend applies to flat and tiered worlds; with mounts, name backends per mount (dir=backend)")
-	case len(ws.ArmMounts) > 0 && len(ws.Mounts) == 0 && !ws.Tiered:
-		return fail("arm_mounts needs a mounted world (mounts or tiered)")
+	if len(ws.ArmMounts) > 0 && len(ws.Mounts) == 0 {
+		return fail("arm_mounts needs mounts")
 	}
 	return nil
 }
@@ -251,7 +243,7 @@ func (ws WireSpec) Workload() (core.Workload, error) {
 	return w, nil
 }
 
-// backend resolves the flat or tiered world's backend name.
+// backend resolves the root backend's name.
 func (ws WireSpec) backend() string {
 	if ws.Backend == "" {
 		return "mem"
@@ -288,7 +280,9 @@ func (ws WireSpec) CampaignSpec() (spec core.CampaignSpec, err error) {
 }
 
 // ParseWireSpecs reads a spec grid from r: either one JSON array of
-// WireSpecs or a JSONL stream of one spec object per line. Specs are
+// WireSpecs or a JSONL stream of one spec object per line. A field the
+// WireSpec does not have is an error, so a misspelled or retired field
+// never runs a different campaign than the file describes. Specs are
 // normalized and validated; duplicate keys are an error because the store
 // keeps one record stream per key.
 func ParseWireSpecs(r io.Reader) ([]WireSpec, error) {
@@ -298,19 +292,23 @@ func ParseWireSpecs(r io.Reader) ([]WireSpec, error) {
 	}
 	var specs []WireSpec
 	trimmed := bytes.TrimSpace(raw)
+	dec := json.NewDecoder(bytes.NewReader(trimmed))
+	dec.DisallowUnknownFields()
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(trimmed, &specs); err != nil {
-			return nil, fmt.Errorf("experiments: parse wire specs: %w", err)
+		err = dec.Decode(&specs)
+		if err == nil && dec.InputOffset() != int64(len(trimmed)) {
+			err = fmt.Errorf("data after the spec array")
 		}
 	} else {
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		for dec.More() {
+		for err == nil && dec.More() {
 			var ws WireSpec
-			if err := dec.Decode(&ws); err != nil {
-				return nil, fmt.Errorf("experiments: parse wire specs: %w", err)
+			if err = dec.Decode(&ws); err == nil {
+				specs = append(specs, ws)
 			}
-			specs = append(specs, ws)
 		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: parse wire specs: %w", err)
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("experiments: wire spec input holds no specs")

@@ -28,7 +28,7 @@ func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
 		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Pipeline: true},
 		{Cell: "MT2", Model: "read-bit-flip", Runs: 10, Seed: 3},
 		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Backend: "object:lag=2"},
-		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Tiered: true},
+		WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3}.tiered("mem"),
 	} {
 		if v.WorldKey() == ws.WorldKey() {
 			t.Fatalf("variant %+v shares world key %q with the standard cell", v, v.WorldKey())
@@ -37,7 +37,7 @@ func TestWireSpecNormalizedDerivesKeys(t *testing.T) {
 	// Fault knobs (model, feature, shots) never change the world: they
 	// share the cell's snapshot like the three Figure 7 models do.
 	for _, v := range []WireSpec{
-		{Cell: "MT2", Model: "shorn-write", Runs: 10, Seed: 3, Feature: WireFeature{ShornKeepNum: 3, ShornKeepDen: 8}},
+		{Cell: "MT2", Model: "shorn-write", Runs: 10, Seed: 3, Feature: core.Feature{ShornKeepNum: 3, ShornKeepDen: 8}},
 		{Cell: "MT2", Model: "bit-flip", Runs: 10, Seed: 3, Shots: 2},
 	} {
 		if v.WorldKey() != ws.WorldKey() {
@@ -70,15 +70,23 @@ func TestWireSpecValidateCatchesStaticErrors(t *testing.T) {
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 10, Mounts: []string{"not-absolute"}}, "mount"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Backend: "os:/tmp/x"}, "unknown backend"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/mosaic=os:/tmp/y"}}, "unknown backend"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "os:/tmp/x"}, "unknown backend"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1}.tiered("os:/tmp/x"), "unknown backend"},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, ArmMounts: []string{"/proj"}}, "arm_mounts"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Tiered: true}, "tiered"},
-		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Backend: "object"}, "backend"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Backend: "object", ArmMounts: []string{"/"}}, "arm_mounts needs mounts"},
+		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, Mounts: []string{"/proj"}, Backend: "object", ArmMounts: []string{"/proj"}}, ""},
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
 		{WireSpec{Cell: "nyx", Model: "read-bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
-		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 1, Feature: WireFeature{FlipBits: -1}}, "feature"},
+		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 1, Feature: core.Feature{FlipBits: -1}}, "feature"},
 	} {
+		// An empty want is a spec that must pass: a root backend beside
+		// mounts is one world, not two shapes.
 		err := tc.ws.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("Validate(%+v): got %v, want nil", tc.ws, err)
+			}
+			continue
+		}
 		if err == nil || !strings.Contains(strings.ToLower(err.Error()), tc.want) {
 			t.Errorf("Validate(%+v): got %v, want error containing %q", tc.ws, err, tc.want)
 		}
@@ -90,9 +98,7 @@ func TestParseWireSpecsArrayAndJSONL(t *testing.T) {
 		{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3},
 		{"cell": "MT2", "model": "dropped-write", "runs": 10, "seed": 3}
 	]`
-	// world_key is no longer a wire field (the key is derived); spec files
-	// that still carry it keep parsing.
-	jsonl := `{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3, "world_key": "old"}
+	jsonl := `{"cell": "MT1", "model": "bit-flip", "runs": 10, "seed": 3}
 {"cell": "MT2", "model": "dropped-write", "runs": 10, "seed": 3}`
 	for _, input := range []string{array, jsonl} {
 		specs, err := ParseWireSpecs(strings.NewReader(input))
@@ -111,14 +117,41 @@ func TestParseWireSpecsArrayAndJSONL(t *testing.T) {
 	}
 }
 
+// TestParseWireSpecsRefusesUnknownFields: a spec field the WireSpec does
+// not have fails the whole file, in the array form and in the JSONL form,
+// instead of being dropped. A misspelled "mount"/"arm_mount" would
+// otherwise run a flat world armed everywhere, and a retired "tiered" or
+// "world_key" a different world than the file describes.
+func TestParseWireSpecsRefusesUnknownFields(t *testing.T) {
+	for _, spec := range []string{
+		`{"cell":"MT2","model":"bit-flip","runs":10,"seed":1,"mount":["/proj=object"],"arm_mount":["/proj"]}`,
+		`{"cell":"MT2","model":"bit-flip","runs":10,"seed":1,"tiered":true,"backend":"latency"}`,
+		`{"cell":"MT1","model":"bit-flip","runs":10,"seed":3,"world_key":"old"}`,
+		`{"cell":"nyx","model":"bit-flip","runs":10,"seed":3,"feature":{"flip_width":4}}`,
+	} {
+		for _, input := range []string{spec, "[" + spec + "]", `{"cell":"MT3","model":"bit-flip","runs":1}` + "\n" + spec} {
+			specs, err := ParseWireSpecs(strings.NewReader(input))
+			if err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("ParseWireSpecs(%s) = %+v, %v; want an unknown-field error", input, specs, err)
+			}
+		}
+	}
+	valid := `{"cell":"MT1","model":"bit-flip","runs":10,"seed":3}`
+	for _, input := range []string{"[" + valid + "]]", "[" + valid + "] {}"} {
+		if specs, err := ParseWireSpecs(strings.NewReader(input)); err == nil {
+			t.Errorf("ParseWireSpecs(%s) = %+v; want trailing data refused", input, specs)
+		}
+	}
+}
+
 func TestWireSpecJSONRoundTrip(t *testing.T) {
 	ws := WireSpec{
 		Cell: "nyx", Model: "misdirected-write", Runs: 100, Seed: 11,
-		Shots: 3, NyxN: 24, Backend: "latency:bb",
+		Shots: 3, NyxN: 24,
 		ArmMounts: []string{"/plt00000"}, Pipeline: true,
-		Feature:     WireFeature{FlipBits: 4, ShornKeepNum: 3, ShornKeepDen: 8},
-		AvgDetector: true, Tiered: true,
-	}.Normalized()
+		Feature:     core.Feature{FlipBits: 4, ShornKeepNum: 3, ShornKeepDen: 8},
+		AvgDetector: true,
+	}.tiered("latency:bb").Normalized()
 	raw, err := json.Marshal(ws)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +163,8 @@ func TestWireSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, ws) {
 		t.Fatalf("round trip drifted:\n sent %+v\n got  %+v", ws, back)
 	}
-	for _, field := range []string{`"flip_bits":4`, `"shorn_keep_num":3`, `"shorn_keep_den":8`, `"avg_detector":true`, `"tiered":true`} {
+	for _, field := range []string{`"flip_bits":4`, `"shorn_keep_num":3`, `"shorn_keep_den":8`, `"avg_detector":true`,
+		`"backend":"latency:bb"`, `"mounts":["/plt00000=latency:bb","/out=latency:bb"]`} {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("marshaled spec lacks %s: %s", field, raw)
 		}
@@ -185,9 +219,9 @@ func TestWireSpecMetaMatchesBuiltSpec(t *testing.T) {
 		WireSpec{Cell: "qmc", Model: "bit-flip", Runs: 10, Seed: 5},
 		WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 10, Seed: 5},
 		WireSpec{Cell: "MT2", Model: "burst-corruption", Runs: 10, Seed: 5, Shots: 2},
-		WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, Seed: 5, NyxN: 24, Feature: WireFeature{FlipBits: 4}},
+		WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 10, Seed: 5, NyxN: 24, Feature: core.Feature{FlipBits: 4}},
 		WireSpec{Cell: "nyx", Model: "dropped-write", Runs: 10, Seed: 5, NyxN: 24, AvgDetector: true},
-		WireSpec{Cell: "MT2", Model: "dropped-write", Runs: 10, Seed: 5, Tiered: true, Backend: "object", ArmMounts: []string{"/proj"}},
+		WireSpec{Cell: "MT2", Model: "dropped-write", Runs: 10, Seed: 5, ArmMounts: []string{"/proj"}}.tiered("object"),
 	)
 	// CampaignSpec is Workload then CampaignSpecOn; the expensive Workload
 	// half is built once per world key so the test stays cheap under -race.
@@ -251,11 +285,11 @@ func TestWireWorldKeysSeparateWorlds(t *testing.T) {
 
 	// Dropped writes leave Nyx SDC that the average-value method detects,
 	// so a detector spec on the plain classifier shows in its tally.
-	joined, split, avg, tiered := nyx("bit-flip", 24), nyx("bit-flip", 24), nyx("dropped-write", 24), nyx("bit-flip", 24)
+	joined, split, avg, tiered := nyx("bit-flip", 24), nyx("bit-flip", 24), nyx("dropped-write", 24), nyx("bit-flip", 24).tiered("mem")
 	joined.Mounts = []string{"/plt00000+/out"}
 	split.Mounts, split.ArmMounts = []string{"/plt00000", "/out"}, []string{"/plt00000"}
 	avg.AvgDetector = true
-	tiered.Tiered, tiered.ArmMounts = true, []string{"/plt00000"}
+	tiered.ArmMounts = []string{"/plt00000"}
 	for _, pair := range [][2]WireSpec{
 		{nyx("bit-flip", 24), nyx("bit-flip", 32)},
 		{joined, split},
@@ -350,12 +384,11 @@ func TestWireSpecResolvedWorld(t *testing.T) {
 		dirs, scratch := layouts[cell][0], layouts[cell][1]
 		for backend, k := range kinds {
 			flat := WireSpec{Cell: cell, Model: "bit-flip", Runs: 1, Backend: backend}
-			mounted, tiered := flat, flat
+			mounted, tiered := flat, flat.tiered(backend)
 			mounted.Backend, mounted.Mounts = "", nil
 			for _, d := range dirs {
 				mounted.Mounts = append(mounted.Mounts, d+"="+backend)
 			}
-			tiered.Tiered = true
 
 			wantMounted := []string{"/=mem"}
 			wantTiered := []string{"/=" + k[2]}
@@ -390,8 +423,8 @@ func TestWireSpecResolvedWorld(t *testing.T) {
 		}
 		keys := map[string]bool{}
 		for _, ws := range []WireSpec{
-			{Cell: cell, Tiered: true, Backend: "latency"},
-			{Cell: cell, Tiered: true},
+			WireSpec{Cell: cell}.tiered("latency"),
+			WireSpec{Cell: cell}.tiered("mem"),
 			{Cell: cell, Backend: "object:lag=2"},
 			{Cell: cell},
 		} {
@@ -403,7 +436,7 @@ func TestWireSpecResolvedWorld(t *testing.T) {
 	}
 
 	// Workload builds the resolved world too.
-	ws := WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 1, Tiered: true, Backend: "latency"}
+	ws := WireSpec{Cell: "mt2", Model: "bit-flip", Runs: 1}.tiered("latency")
 	w, err := ws.Workload()
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +476,11 @@ func FuzzParseWireSpecs(f *testing.F) {
 	f.Add([]byte(`[{"cell":"nyx","model":"bit-flip","runs":5,"nyx_n":24,"feature":{"flip_bits":4}},
 {"cell":"qmcpack","model":"shorn-write","runs":5,"key":"q","feature":{"shorn_keep_num":3,"shorn_keep_den":8}}]`))
 	f.Add([]byte(`{"cell":"nyx","model":"dropped-write","runs":5,"avg_detector":true}`))
-	f.Add([]byte(`{"cell":"MT4","model":"dw","runs":5,"tiered":true,"backend":"latency","arm_mounts":["/mosaic"]}`))
+	tiered, err := json.Marshal(WireSpec{Cell: "MT4", Model: "dw", Runs: 5, ArmMounts: []string{"/mosaic"}}.tiered("latency"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tiered)
 	f.Add([]byte(`{"cell":"MT2","model":"bit-flip","runs":1,"backend":"os:/tmp/x"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, err := ParseWireSpecs(bytes.NewReader(data))

@@ -539,8 +539,7 @@ func TestInspectOutput(t *testing.T) {
 
 func TestSNODCapacityLimit(t *testing.T) {
 	b := NewBuilder()
-	b.LeafK = 1 // capacity 2 entries
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2*leafK+1; i++ { // capacity 2*leafK entries
 		b.AddDataset(DatasetSpec{Name: string(rune('a' + i)), Dims: []uint64{1}, Values: []float64{1}})
 	}
 	if _, err := b.Build(); err == nil {

@@ -60,28 +60,29 @@ func (d DatasetSpec) elemCount() (uint64, error) {
 	return n, nil
 }
 
-// Builder assembles an HDF5 file image. The tunables control how much slack
-// the metadata carries; their defaults size the metadata block at ~2.5 KiB
-// with the B-tree dominating, matching the composition the paper reports
-// (B-tree nodes ≈ 72% of metadata, mostly empty).
-type Builder struct {
-	// BTreeK is the group B-tree rank: the node allocates 2K children.
-	BTreeK int
-	// LeafK is the symbol-table leaf rank: the SNOD allocates 2K entries.
-	LeafK int
-	// NilPad is the size of the NIL message reserving space for future
+// The builder's geometry: how much slack the metadata carries. It sizes
+// the metadata block at ~2.5 KiB with the B-tree dominating, matching the
+// composition the paper reports (B-tree nodes ≈ 72% of metadata, mostly
+// empty).
+const (
+	// btreeK is the group B-tree rank: the node allocates 2K children.
+	btreeK = 52
+	// leafK is the symbol-table leaf rank: the SNOD allocates 2K entries.
+	leafK = 4
+	// nilPad is the size of the NIL message reserving space for future
 	// metadata in each dataset header.
-	NilPad int
-	// HeapSlack is the free space kept at the end of the local heap.
-	HeapSlack int
+	nilPad = 160
+	// heapSlack is the free space kept at the end of the local heap.
+	heapSlack = 24
+)
 
+// Builder assembles an HDF5 file image.
+type Builder struct {
 	datasets []DatasetSpec
 }
 
-// NewBuilder returns a builder with the default geometry.
-func NewBuilder() *Builder {
-	return &Builder{BTreeK: 52, LeafK: 4, NilPad: 160, HeapSlack: 24}
-}
+// NewBuilder returns an empty builder.
+func NewBuilder() *Builder { return &Builder{} }
 
 // AddDataset schedules a dataset for writing. Passing a zero-valued Spec
 // selects IEEE binary64.
@@ -180,7 +181,7 @@ func (b *Builder) layout() (sectionSizes, error) {
 	// Root header: prefix + symbol table message.
 	rootHdrSize := ohdrPrefixSize + msgHeaderSize + 16
 	s.btreeOff = s.rootHdrOff + rootHdrSize
-	s.btreeSize = 24 + (2*b.BTreeK+1)*8 + (2*b.BTreeK)*8
+	s.btreeSize = 24 + (2*btreeK+1)*8 + (2*btreeK)*8
 	s.heapOff = s.btreeOff + s.btreeSize
 	s.heapHdr = 32
 	// Heap data: 8 reserved bytes (offset 0 = empty root link name), one
@@ -193,10 +194,10 @@ func (b *Builder) layout() (sectionSizes, error) {
 		s.nameOffs = append(s.nameOffs, heapData)
 		heapData += align8(len(ds.Name) + 1)
 	}
-	heapData += align8(b.HeapSlack)
+	heapData += align8(heapSlack)
 	s.heapData = heapData
 	s.snodOff = s.heapOff + s.heapHdr + s.heapData
-	s.snodSize = 8 + 2*b.LeafK*symEntrySize
+	s.snodSize = 8 + 2*leafK*symEntrySize
 	cursor := s.snodOff + s.snodSize
 	for _, ds := range b.datasets {
 		s.dsHdrOff = append(s.dsHdrOff, cursor)
@@ -216,7 +217,7 @@ func (b *Builder) dsHeaderSize(ds DatasetSpec) int {
 		msgHeaderSize + datatypeBody +
 		msgHeaderSize + fillBody +
 		msgHeaderSize + layoutBody +
-		msgHeaderSize + b.NilPad
+		msgHeaderSize + nilPad
 }
 
 // Build assembles the file image.
@@ -224,8 +225,8 @@ func (b *Builder) Build() (*FileImage, error) {
 	if len(b.datasets) == 0 {
 		return nil, errors.New("hdf5: no datasets to write")
 	}
-	if 2*b.LeafK < len(b.datasets) {
-		return nil, fmt.Errorf("hdf5: %d datasets exceed SNOD capacity %d", len(b.datasets), 2*b.LeafK)
+	if 2*leafK < len(b.datasets) {
+		return nil, fmt.Errorf("hdf5: %d datasets exceed SNOD capacity %d", len(b.datasets), 2*leafK)
 	}
 	sec, err := b.layout()
 	if err != nil {
@@ -292,8 +293,8 @@ func (b *Builder) writeSuperblock(w *metaWriter, sec sectionSizes, eof uint64) {
 	w.u8(8, "superblock.sizeOfOffsets", ClassValue)
 	w.u8(8, "superblock.sizeOfLengths", ClassValue)
 	w.u8(0, "superblock.reserved1", ClassSlack)
-	w.u16(uint16(b.LeafK), "superblock.groupLeafNodeK", ClassValue)
-	w.u16(uint16(b.BTreeK), "superblock.groupInternalNodeK", ClassValue)
+	w.u16(uint16(leafK), "superblock.groupLeafNodeK", ClassValue)
+	w.u16(uint16(btreeK), "superblock.groupInternalNodeK", ClassValue)
 	// Consistency flags double as the writer's lock marker; the reader
 	// rejects a non-zero value, so corrupting them is fatal.
 	w.u32(0, "superblock.fileConsistencyFlags", ClassValue)
@@ -358,7 +359,7 @@ func (b *Builder) writeHeap(w *metaWriter, sec sectionSizes) {
 		copy(name, ds.Name)
 		w.bytes(name, fmt.Sprintf("heap.data.linkName[%d]=%q", i, ds.Name), ClassValue)
 	}
-	w.zeros(align8(b.HeapSlack), "heap.data.freeSpace", ClassSlack)
+	w.zeros(align8(heapSlack), "heap.data.freeSpace", ClassSlack)
 }
 
 func (b *Builder) writeSNOD(w *metaWriter, sec sectionSizes) {
@@ -373,8 +374,8 @@ func (b *Builder) writeSNOD(w *metaWriter, sec sectionSizes) {
 		w.u32(0, fmt.Sprintf("snod.entry[%d].reserved", i), ClassSlack)
 		w.zeros(16, fmt.Sprintf("snod.entry[%d].scratch", i), ClassSlack)
 	}
-	// Unused SNOD capacity (2*LeafK entries allocated).
-	w.zeros((2*b.LeafK-len(b.datasets))*symEntrySize, "snod.unusedEntries", ClassSlack)
+	// Unused SNOD capacity (2*leafK entries allocated).
+	w.zeros((2*leafK-len(b.datasets))*symEntrySize, "snod.unusedEntries", ClassSlack)
 }
 
 func (b *Builder) writeDatasetHeader(w *metaWriter, ds DatasetSpec, info DatasetInfo) {
@@ -451,10 +452,10 @@ func (b *Builder) writeDatasetHeader(w *metaWriter, ds DatasetSpec, info Dataset
 
 	// NIL message: space reserved for future metadata (benign).
 	w.u16(msgNil, p+".nil.msgType", ClassValue)
-	w.u16(uint16(b.NilPad), p+".nil.msgSize", ClassValue)
+	w.u16(uint16(nilPad), p+".nil.msgSize", ClassValue)
 	w.u8(0, p+".nil.msgFlags", ClassSlack)
 	w.zeros(3, p+".nil.msgReserved", ClassSlack)
-	w.zeros(b.NilPad, p+".nil.reservedSpace", ClassSlack)
+	w.zeros(nilPad, p+".nil.reservedSpace", ClassSlack)
 }
 
 // consistencyFlagsOff is the superblock offset of the file consistency

@@ -62,9 +62,10 @@ func (r *Result) FieldsWithOutcome(o classify.Outcome) []string {
 }
 
 // Run executes the metadata campaign: it builds the Nyx application and
-// its HDF5 image once, then for every targeted metadata byte writes a
-// corrupted copy of the file and classifies it with the application's own
-// outcome rules (nyx.App.Classify, average-value detector off).
+// its HDF5 image once, then for every targeted metadata byte writes the
+// file with that byte's bit flipped and classifies it with the
+// application's own outcome rules (the classify half of nyx.App.Worker,
+// average-value detector off).
 func Run(cfg CampaignConfig) (*Result, error) {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
@@ -79,18 +80,21 @@ func Run(cfg CampaignConfig) (*Result, error) {
 	}
 
 	res := &Result{MetaSize: len(img.Meta), PerField: map[string]*classify.Tally{}}
-	pristine := img.Bytes()
+	// One case buffer, its bit flipped for a case and restored once the
+	// case is classified, and one halo-finder scratch for every case.
+	raw := img.Bytes()
+	_, classifyCase := app.Worker()
 	rng := stats.NewRNG(cfg.Seed)
 
 	for off := 0; off < len(img.Meta); off += cfg.Stride {
 		bit := rng.Intn(8)
 		fr, _ := img.Fields.At(off)
-		raw := append([]byte(nil), pristine...)
 		raw[off] ^= 1 << uint(bit)
 		// A failed write classifies as the crash of a failed run.
 		fs := vfs.NewMemFS()
 		fs.MkdirAll("/plt00000")
-		outcome := app.Classify(fs, vfs.WriteFile(fs, nyx.OutputPath, raw))
+		outcome := classifyCase(fs, vfs.WriteFile(fs, nyx.OutputPath, raw))
+		raw[off] ^= 1 << uint(bit)
 		res.Tally.Add(outcome)
 		res.Cases = append(res.Cases, Case{Offset: off, Bit: bit, Field: fr, Outcome: outcome})
 		t := res.PerField[fr.Name]

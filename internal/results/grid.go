@@ -28,7 +28,7 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 		return nil, err
 	}
 
-	unlock, err := st.lock()
+	unlock, err := st.Lock()
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@
 
 package results
 
-// lock is a no-op where advisory file locks are unavailable; keeping
+// Lock is a no-op where advisory file locks are unavailable; keeping
 // writers off the same store is the operator's responsibility there.
-func (st *Store) lock() (func(), error) {
+func (st *Store) Lock() (func(), error) {
 	return func() {}, nil
 }

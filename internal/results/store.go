@@ -195,13 +195,6 @@ func (st *Store) EnsureSpecs(keys []string) error {
 	return st.writeManifest()
 }
 
-// Lock takes the store's exclusive inter-process lock — the same lock
-// RunGrid holds for its duration — returning the release function.
-// Exported for long-lived writers (the campaign coordinator daemon) that
-// stream records into the store outside any RunGrid invocation and need
-// the same one-writer-per-store guarantee.
-func (st *Store) Lock() (func(), error) { return st.lock() }
-
 // encodeKey renders a spec key ("nyx/BF", "MT2.tiered/SW") as a collision-
 // free file name: letters, digits, dot, underscore, and dash pass through;
 // every other byte becomes %XX. The encoding is injective, so two distinct

@@ -454,7 +454,7 @@ func TestStoreLockExcludesConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlock, err := st.lock()
+	unlock, err := st.Lock()
 	if err != nil {
 		t.Skipf("no advisory locks on this platform: %v", err)
 	}

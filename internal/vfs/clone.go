@@ -55,10 +55,9 @@ func (m *MemFS) CloneFS() (FS, error) {
 }
 
 // cloneBackend snapshots one backend through the Cloner contract. A
-// backend that implements Cloner answers for itself — OSFS implements the
-// interface precisely to return ErrNotClonable explicitly, so callers see
-// the real refusal rather than a failed type assertion — while a backend
-// that doesn't is refused here with the same sentinel.
+// backend that implements Cloner answers for itself, and one that does not
+// (OSFS, whose state lives outside the process) is refused with
+// ErrNotClonable.
 func cloneBackend(fs FS) (FS, error) {
 	c, ok := fs.(Cloner)
 	if !ok {

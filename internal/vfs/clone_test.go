@@ -442,14 +442,17 @@ func TestMemFSCloneWhileWriting(t *testing.T) {
 	}
 }
 
-// TestOSFSCloneRefusesExplicitly: OSFS implements Cloner only to return the
-// sentinel — callers probing for snapshot support get a typed refusal
-// instead of a failed type assertion.
+// TestOSFSCloneRefusesExplicitly: an OSFS world is never cloned. OSFS is
+// not a Cloner, and a mount table whose root is an OSFS refuses to clone
+// with the typed sentinel, not a failed type assertion.
 func TestOSFSCloneRefusesExplicitly(t *testing.T) {
-	fs := NewOSFS(t.TempDir())
-	cloned, err := fs.CloneFS()
+	var fs FS = NewOSFS(t.TempDir())
+	if _, ok := fs.(Cloner); ok {
+		t.Fatal("OSFS implements Cloner; a real directory tree has no copy-on-write clone")
+	}
+	cloned, err := NewMountFS(fs).Clone()
 	if cloned != nil || !errors.Is(err, ErrNotClonable) {
-		t.Fatalf("CloneFS = %v, %v; want nil, ErrNotClonable", cloned, err)
+		t.Fatalf("Clone of an OSFS-rooted mount table = %v, %v; want nil, ErrNotClonable", cloned, err)
 	}
 }
 

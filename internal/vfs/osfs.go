@@ -21,15 +21,6 @@ type OSFS struct {
 // NewOSFS returns a file system rooted at dir.
 func NewOSFS(dir string) *OSFS { return &OSFS{Root: dir} }
 
-// CloneFS implements Cloner by refusing: OSFS cannot snapshot a real
-// directory tree as a copy-on-write clone. Implementing the interface
-// anyway lets MountFS.Clone and core's snapshot probe surface the honest
-// ErrNotClonable (callers then fall back to rebuild-per-run) instead of
-// inferring it from a missing method.
-func (o *OSFS) CloneFS() (FS, error) {
-	return nil, &PathError{Op: "clone", Path: "/", Err: ErrNotClonable}
-}
-
 // osError pairs a host-OS error with the package sentinel it corresponds
 // to: errors.Is matches either, and the message stays the host's.
 type osError struct {
@@ -246,7 +237,6 @@ func (f *osFile) Sync() error { return osErr(f.f.Sync()) }
 func (f *osFile) Close() error { return osErr(f.f.Close()) }
 
 var (
-	_ FS     = (*OSFS)(nil)
-	_ File   = (*osFile)(nil)
-	_ Cloner = (*OSFS)(nil)
+	_ FS   = (*OSFS)(nil)
+	_ File = (*osFile)(nil)
 )
