@@ -152,9 +152,7 @@ func main() {
 	// and profile passes memoize across grids instead of per call.
 	opts.Engine = &core.Engine{Jobs: *jobs, Events: bus}
 	if *outDir != "" {
-		st, err := results.CreateOrResume(*outDir, *resume, results.Manifest{
-			Seed: *seed, Runs: *runs, Backend: backendName,
-		})
+		st, err := results.CreateOrResume(*outDir, *resume, results.Manifest{Seed: *seed, Runs: *runs})
 		if err != nil {
 			fail(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,17 +406,37 @@ func TestManifestForRejectsMixedCampaigns(t *testing.T) {
 	}
 	specs[1].Runs = 10
 	specs[0].Backend = "object"
-	specs[1].Backend = "object"
+	specs[1].Backend = "mem"
 	man, err := ManifestFor(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Backend != "object" {
-		t.Fatalf("uniform non-default backend should land in the manifest, got %q", man.Backend)
+	if man.Seed != 3 || man.Runs != 10 || len(man.Worlds) != 0 {
+		t.Fatalf("manifest %+v, want seed 3, runs 10 and no worlds before registration", man)
 	}
-	specs[1].Backend = "mem"
-	if man, err = ManifestFor(specs); err != nil || man.Backend != "" {
-		t.Fatalf("mixed backends should leave the manifest backend empty, got %q (%v)", man.Backend, err)
+	// The coordinator records each spec's world; a later coordinator that
+	// serves a spec on another backend is refused.
+	dir := t.TempDir()
+	st, err := results.Create(dir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(st, specs, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	want := map[string]string{"MT1/BF": specs[0].WorldKey(), "MT2/BF": specs[1].WorldKey()}
+	if got := st.Manifest().Worlds; !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest worlds %v, want %v", got, want)
+	}
+	specs[1].Backend = "object"
+	again, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(again, specs, time.Minute); err == nil || !strings.Contains(err.Error(), "world") {
+		t.Fatalf("a spec moved to another backend must be refused, got %v", err)
 	}
 }
 

@@ -78,26 +78,18 @@ type Coordinator struct {
 
 // ManifestFor derives the store manifest a spec grid requires: one seed
 // and one run budget (mixed grids are refused, mirroring the single
-// -seed/-runs flags of a local grid), and the shared backend string when
-// every spec runs the same non-default backend — which is what arms the
-// resume backend guard of CreateOrResume.
+// -seed/-runs flags of a local grid). Each spec's world enters the manifest
+// when NewCoordinator registers the grid.
 func ManifestFor(specs []experiments.WireSpec) (results.Manifest, error) {
 	if len(specs) == 0 {
 		return results.Manifest{}, fmt.Errorf("campaignd: no specs")
 	}
 	man := results.Manifest{Seed: specs[0].Seed, Runs: specs[0].Runs}
-	backend, uniform := specs[0].Backend, true
 	for _, ws := range specs {
 		if ws.Seed != man.Seed || ws.Runs != man.Runs {
 			return results.Manifest{}, fmt.Errorf("campaignd: specs disagree on campaign parameters (seed %d vs %d, runs %d vs %d); one coordinator serves one campaign",
 				man.Seed, ws.Seed, man.Runs, ws.Runs)
 		}
-		if ws.Backend != backend {
-			uniform = false
-		}
-	}
-	if uniform && backend != "" && backend != "mem" {
-		man.Backend = backend
 	}
 	return man, nil
 }
@@ -116,6 +108,7 @@ func NewCoordinator(st *results.Store, specs []experiments.WireSpec, ttl time.Du
 	}
 	man := st.Manifest()
 	keys := make([]string, 0, len(specs))
+	worlds := make(map[string]string, len(specs))
 	states := make(map[string]*specState, len(specs))
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
@@ -131,8 +124,9 @@ func NewCoordinator(st *results.Store, specs []experiments.WireSpec, ttl time.Du
 		}
 		states[ws.Key] = &specState{ws: ws, done: st.Finalized(ws.Key)}
 		keys = append(keys, ws.Key)
+		worlds[ws.Key] = ws.WorldKey()
 	}
-	if err := st.EnsureSpecs(keys); err != nil {
+	if err := st.EnsureSpecs(keys, worlds); err != nil {
 		return nil, err
 	}
 	unlock, err := st.Lock()

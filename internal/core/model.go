@@ -244,26 +244,30 @@ func (c Config) Signature() Signature {
 // instance, for logging and for tests that assert the corruption shape.
 // The fixed fields cover the built-in vocabulary; models with extra state
 // to report put it in Detail, which the generic rendering appends.
+//
+// The JSON tags name the fields of a stored record's "mutation" object,
+// in this order; internal/results is the one package that reads and
+// writes record files, and stores the model by name.
 type Mutation struct {
-	Model   Model
-	Path    string // file the primitive targeted
-	Offset  int64  // file offset of the write/read; requested size for truncate
-	Length  int    // length of the original buffer
-	BitPos  int    // bit-flip models: first flipped bit index within the buffer (-1: nothing to flip)
-	Kept    int    // bytes actually persisted (ShornWrite) or delivered (ShortRead)
-	Dropped bool   // DroppedWrite: write/truncate suppressed
-	Sectors int    // ShornWrite: sectors suppressed
+	Model   Model  `json:"-"`
+	Path    string `json:"path,omitempty"`    // file the primitive targeted
+	Offset  int64  `json:"offset"`            // file offset of the write/read; requested size for truncate
+	Length  int    `json:"length,omitempty"`  // length of the original buffer
+	BitPos  int    `json:"bit_pos"`           // bit-flip models: first flipped bit index within the buffer (-1: nothing to flip)
+	Kept    int    `json:"kept,omitempty"`    // bytes actually persisted (ShornWrite) or delivered (ShortRead)
+	Dropped bool   `json:"dropped,omitempty"` // DroppedWrite: write/truncate suppressed
+	Sectors int    `json:"sectors,omitempty"` // ShornWrite: sectors suppressed
 	// NewSize is the corrupted size a BitFlip@truncate actually applied.
-	NewSize int64
+	NewSize int64 `json:"new_size,omitempty"`
 	// Unreadable marks an UnreadableSector fault: the read failed with
 	// vfs.ErrUnreadable and delivered no data.
-	Unreadable bool
+	Unreadable bool `json:"unreadable,omitempty"`
 	// Latent marks a LatentCorruption fault: the flip was written back to
 	// the at-rest bytes, so it outlives this read.
-	Latent bool
+	Latent bool `json:"latent,omitempty"`
 	// Detail carries model-specific context with no dedicated field above
 	// (e.g. where a misdirected write actually landed).
-	Detail string
+	Detail string `json:"detail,omitempty"`
 }
 
 // String delegates rendering to the model that produced the mutation, so

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"ffis/internal/vfs"
-)
+import "ffis/internal/vfs"
 
 // DroppedWrite discards the write entirely yet reports full success,
 // modelling a write acknowledged by the device but never persisted. It
@@ -43,8 +39,4 @@ func (dw droppedWriteModel) MutateTruncate(env Env, op TruncateOp) TruncateActio
 func (dw droppedWriteModel) MutateMeta(env Env, op MetaOp) MetaAction {
 	env.Record(Mutation{Model: dw, Path: op.Path, Dropped: true})
 	return MetaAction{Drop: true}
-}
-
-func (droppedWriteModel) RenderMutation(m Mutation) string {
-	return fmt.Sprintf("dropped-write %s off=%d len=%d", m.Path, m.Offset, m.Length)
 }

@@ -61,7 +61,3 @@ func misdirect(env Env, op WriteOp, model Model, label string) WriteAction {
 	env.Record(m)
 	return WriteAction{Skip: true}
 }
-
-func (misdirectedWriteModel) RenderMutation(m Mutation) string {
-	return fmt.Sprintf("misdirected-write %s off=%d len=%d %s", m.Path, m.Offset, m.Length, m.Detail)
-}

@@ -50,7 +50,3 @@ func (repeatedMisdirectionModel) DefaultShots() int { return 4 }
 func (rm repeatedMisdirectionModel) MutateWrite(env Env, op WriteOp) WriteAction {
 	return misdirect(env, op, rm, fmt.Sprintf("shot %d ", env.Shot()))
 }
-
-func (repeatedMisdirectionModel) RenderMutation(m Mutation) string {
-	return fmt.Sprintf("repeated-misdirection %s off=%d len=%d %s", m.Path, m.Offset, m.Length, m.Detail)
-}

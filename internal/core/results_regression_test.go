@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ffis/internal/classify"
 	"ffis/internal/stats"
@@ -219,6 +220,51 @@ func TestSinkFailureStopsDispatch(t *testing.T) {
 	}
 	if after := dispatched - atFailure.Load(); after > jobs {
 		t.Fatalf("dispatched %d runs after the sink failed (%d of %d in all); want at most %d", after, dispatched, runs, jobs)
+	}
+}
+
+// countSink is a RecordSink whose delivered count may be read while the
+// campaign runs.
+type countSink struct{ n atomic.Int64 }
+
+func (*countSink) BeginCampaign(CampaignMeta) error { return nil }
+func (s *countSink) Record(RunRecord) error         { s.n.Add(1); return nil }
+
+// TestDispatchWindowBoundsRunAhead: one slow early run must not let the
+// rest of the pool run ahead of delivery without bound. While the first
+// executed run sleeps, at most dispatchWindow runs per pool slot may start
+// past the lowest undelivered index; the rest wait for it.
+func TestDispatchWindowBoundsRunAhead(t *testing.T) {
+	for _, jobs := range []int{2, 8} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			const runs = 400
+			var calls, worst atomic.Int64
+			sink := &countSink{}
+			w := toyWorkload()
+			run := w.Run
+			w.Run = func(fs vfs.FS) error {
+				switch c := calls.Add(1); {
+				case c == 2: // call 1 is the profiling pass
+					time.Sleep(50 * time.Millisecond)
+				case c > 2:
+					if gap := c - 1 - sink.n.Load(); gap > worst.Load() {
+						worst.Store(gap)
+					}
+				}
+				return run(fs)
+			}
+			if _, err := runCampaign(jobs, CampaignConfig{
+				Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Sink: sink,
+			}, w); err != nil {
+				t.Fatal(err)
+			}
+			if n := sink.n.Load(); n != runs {
+				t.Fatalf("sink received %d records, want %d", n, runs)
+			}
+			if limit := int64(dispatchWindow * jobs); worst.Load() > limit {
+				t.Fatalf("%d runs started past the lowest undelivered index; the window allows %d", worst.Load(), limit)
+			}
+		})
 	}
 }
 

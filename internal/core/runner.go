@@ -7,7 +7,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ffis/internal/classify"
@@ -40,7 +39,11 @@ import (
 // Ordering and error semantics: runs finish in any order under the pool,
 // but one that finishes ahead of a lower index waits in a reorder buffer,
 // so Config.Sink (or res.Records, without a sink) receives the contiguous
-// prefix [start, k) in index order. A failing run (world build or arming
+// prefix [start, k) in index order. The buffer is bounded: index i is
+// launched only while i < next + dispatchWindow*cap(sem), next being the
+// lowest undelivered index, and the dispatch loop waits for that before it
+// takes a pool slot, so a spec held back by one slow run leaves its slots
+// to the rest of the grid. A failing run (world build or arming
 // failure — never the application's own error, which classification
 // absorbs) does not poison its siblings: every successful run is tallied,
 // and the returned error reports the lowest failing index, where the
@@ -127,13 +130,14 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 		failIdx  = -1
 		failErr  error
 		sinkErr  error
-		// sinkFailed latches sinkErr != nil for the dispatch loop, which
-		// reads it without mu: no run launched after it can be delivered.
-		sinkFailed atomic.Bool
 		// pending is the reorder buffer: finished runs waiting for a lower
 		// index; next is the lowest index not yet delivered.
 		pending = map[int]RunRecord{}
 		next    = start
+		// finished wakes the dispatch loop, waiting on its window, after
+		// every run.
+		finished = sync.NewCond(&mu)
+		window   = dispatchWindow * cap(sem)
 		// memo holds draw-free runs' records by target (record reuse).
 		memo = map[int64]RunRecord{}
 		// priorTally accumulates the persisted outcomes below start
@@ -145,7 +149,16 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 	// to drain, so the caller observes a complete prefix.
 	dispatch := func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
-			if sinkFailed.Load() {
+			// After a run failure next stops advancing, so the window no
+			// longer binds; after a sink failure no later run can be
+			// delivered, so dispatch ends.
+			mu.Lock()
+			for idx >= next+window && failErr == nil && sinkErr == nil {
+				finished.Wait()
+			}
+			stop := sinkErr != nil
+			mu.Unlock()
+			if stop {
 				break
 			}
 			sem <- struct{}{}
@@ -169,6 +182,7 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 				rec.Index = idx
 				mu.Lock()
 				defer mu.Unlock()
+				defer finished.Signal()
 				if err != nil {
 					if failIdx < 0 || idx < failIdx {
 						failIdx, failErr = idx, err
@@ -194,7 +208,6 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 							// The sink goes sterile after its first error:
 							// the next record would not extend its prefix.
 							sinkErr = cfg.Sink.Record(rec)
-							sinkFailed.Store(sinkErr != nil)
 						}
 					}
 				}
@@ -285,6 +298,13 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 	publish(Event{Kind: EventSpecDone, Done: final, Total: final, Result: &res})
 	return res, nil
 }
+
+// dispatchWindow is how many runs per pool slot a spec may launch past its
+// lowest undelivered index: enough to keep every slot busy around a run a
+// few times slower than its neighbours, few enough that one slow run holds
+// back a bounded number of records, and a failing sink wastes at most that
+// many runs.
+const dispatchWindow = 4
 
 // stageTimes carries one run's per-stage wall-clock costs into the event
 // stream. They never enter RunRecord: persisted record bytes are a pure

@@ -189,6 +189,12 @@ func (ws WireSpec) Validate() error {
 	if f := ws.Feature; f.FlipBits < 0 || f.ShornKeepNum < 0 || f.ShornKeepDen < 0 {
 		return fail("feature knobs must not be negative, got %+v", f)
 	}
+	if ws.Feature.ShornKeepDen == 1 {
+		// Normalizing clamps the kept numerator below the denominator, so a
+		// denominator of 1 keeps 0/1 of each block: a zero knob, which the
+		// feature's omitempty tags would drop from the record header.
+		return fail("shorn_keep_den must be 0 (default) or at least 2")
+	}
 	if ws.Runs <= 0 {
 		return fail("runs must be positive, got %d", ws.Runs)
 	}

@@ -77,6 +77,8 @@ func TestWireSpecValidateCatchesStaticErrors(t *testing.T) {
 		{WireSpec{Cell: "MT2", Model: "bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
 		{WireSpec{Cell: "nyx", Model: "read-bit-flip", Runs: 1, AvgDetector: true}, "avg_detector"},
 		{WireSpec{Cell: "nyx", Model: "bit-flip", Runs: 1, Feature: core.Feature{FlipBits: -1}}, "feature"},
+		{WireSpec{Cell: "MT2", Model: "shorn-write", Runs: 1, Feature: core.Feature{ShornKeepDen: 1}}, "shorn_keep_den"},
+		{WireSpec{Cell: "MT2", Model: "shorn-write", Runs: 1, Feature: core.Feature{ShornKeepNum: 1, ShornKeepDen: 2}}, ""},
 	} {
 		// An empty want is a spec that must pass: a root backend beside
 		// mounts is one world, not two shapes.

@@ -21,10 +21,12 @@ import (
 // error only for store-level failures.
 func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridResult, error) {
 	keys := make([]string, len(specs))
+	worlds := make(map[string]string, len(specs))
 	for i, spec := range specs {
 		keys[i] = spec.Key
+		worlds[spec.Key] = spec.WorldKey
 	}
-	if err := st.EnsureSpecs(keys); err != nil {
+	if err := st.EnsureSpecs(keys, worlds); err != nil {
 		return nil, err
 	}
 

@@ -32,10 +32,11 @@ type Header struct {
 	// Shots is the raw Signature.Shots override (0 = model default); part of
 	// the stream identity because it changes every multi-shot record.
 	Shots int `json:"shots,omitempty"`
-	// StopRule is the adaptive stopping rule the campaign ran under, nil for
-	// fixed-budget campaigns. Appended with omitempty so legacy fixed-budget
-	// headers keep their exact bytes.
-	StopRule *StopRuleRecord `json:"stop_rule,omitempty"`
+	// StopRule is the normalized adaptive stopping rule the campaign ran
+	// under (every field explicit, so two processes resolve identical
+	// barriers), nil for fixed-budget campaigns. Appended with omitempty so
+	// legacy fixed-budget headers keep their exact bytes.
+	StopRule *stats.StopRule `json:"stop_rule,omitempty"`
 	// StopIndex is where the rule stopped the campaign: run indices [0,
 	// StopIndex) exist and nothing after them ever will. 0 for fixed-budget
 	// streams; an adaptive campaign that ran to its cap records StopIndex ==
@@ -44,38 +45,17 @@ type Header struct {
 	StopIndex int `json:"stop_index,omitempty"`
 }
 
-// StopRuleRecord is the serializable form of stats.StopRule (normalized, so
-// every field is explicit and two processes resolve identical barriers).
-type StopRuleRecord struct {
-	TargetHalfWidth float64 `json:"target_half_width"`
-	MinRuns         int     `json:"min_runs"`
-	MaxRuns         int     `json:"max_runs"`
-	CheckEvery      int     `json:"check_every"`
-}
-
-// newStopRuleRecord renders a normalized stopping rule, nil in, nil out.
-func newStopRuleRecord(rule *stats.StopRule) *StopRuleRecord {
-	if rule == nil {
-		return nil
-	}
-	return &StopRuleRecord{
-		TargetHalfWidth: rule.TargetHalfWidth,
-		MinRuns:         rule.MinRuns,
-		MaxRuns:         rule.MaxRuns,
-		CheckEvery:      rule.CheckEvery,
-	}
-}
-
-// FeatureRecord is the serializable form of core.Feature plus the device
-// geometry the models act on. The geometry and the correlated models' fixed
-// burst width and stride are not tunable: NewHeader writes the sector and
-// block sizes of core, leaves the two omitempty fields zero (so the bytes of
-// every header written before they were fixed stay as they were), and
-// SignatureValue refuses any other values.
+// FeatureRecord is the signature's normalized core.Feature plus the device
+// geometry the models act on. The normalized knobs of every spec
+// experiments.WireSpec.Validate accepts are nonzero, so the Feature's
+// omitempty tags omit nothing here. The geometry and the
+// correlated models' fixed burst width and stride are not tunable:
+// NewHeader writes the sector and block sizes of core, leaves the two
+// omitempty fields zero (so the bytes of every header written before they
+// were fixed stay as they were), and SignatureValue refuses any other
+// values.
 type FeatureRecord struct {
-	FlipBits       int `json:"flip_bits"`
-	ShornKeepNum   int `json:"shorn_keep_num"`
-	ShornKeepDen   int `json:"shorn_keep_den"`
+	core.Feature
 	SectorSize     int `json:"sector_size"`
 	BlockSize      int `json:"block_size"`
 	BurstSectors   int `json:"burst_sectors,omitempty"`
@@ -94,17 +74,15 @@ func NewHeader(meta core.CampaignMeta) Header {
 		Model:     sig.Model.Name(),
 		Primitive: string(sig.Primitive),
 		Feature: FeatureRecord{
-			FlipBits:     sig.Feature.FlipBits,
-			ShornKeepNum: sig.Feature.ShornKeepNum,
-			ShornKeepDen: sig.Feature.ShornKeepDen,
-			SectorSize:   core.SectorSize,
-			BlockSize:    core.BlockSize,
+			Feature:    sig.Feature,
+			SectorSize: core.SectorSize,
+			BlockSize:  core.BlockSize,
 		},
 		ProfileCount: meta.ProfileCount,
 		Runs:         meta.Runs,
 		Seed:         meta.Seed,
 		Shots:        sig.Shots,
-		StopRule:     newStopRuleRecord(meta.Stop),
+		StopRule:     meta.Stop,
 	}
 }
 
@@ -127,11 +105,7 @@ func (h Header) SignatureValue() (core.Signature, error) {
 		Model:     m,
 		Primitive: vfs.Primitive(h.Primitive),
 		Shots:     h.Shots,
-		Feature: core.Feature{
-			FlipBits:     h.Feature.FlipBits,
-			ShornKeepNum: h.Feature.ShornKeepNum,
-			ShornKeepDen: h.Feature.ShornKeepDen,
-		},
+		Feature:   h.Feature.Feature,
 	}, nil
 }
 
@@ -157,23 +131,14 @@ type Record struct {
 	SimNanos int64 `json:"sim_ns,omitempty"`
 }
 
-// MutationRecord is the serializable form of core.Mutation. The model is
-// rendered by name; Rendered carries the model's own human-readable line so
-// the record stays legible even to tools without the model registered.
+// MutationRecord is the serializable form of core.Mutation, whose tags name
+// its fields. The model is stored by name (core.Mutation's own Model is not
+// serialized); Rendered carries the model's own human-readable line so the
+// record stays legible even to tools without the model registered.
 type MutationRecord struct {
-	Model      string `json:"model"`
-	Path       string `json:"path,omitempty"`
-	Offset     int64  `json:"offset"`
-	Length     int    `json:"length,omitempty"`
-	BitPos     int    `json:"bit_pos"`
-	Kept       int    `json:"kept,omitempty"`
-	Dropped    bool   `json:"dropped,omitempty"`
-	Sectors    int    `json:"sectors,omitempty"`
-	NewSize    int64  `json:"new_size,omitempty"`
-	Unreadable bool   `json:"unreadable,omitempty"`
-	Latent     bool   `json:"latent,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-	Rendered   string `json:"rendered,omitempty"`
+	Model string `json:"model"`
+	core.Mutation
+	Rendered string `json:"rendered,omitempty"`
 }
 
 // NewRecord renders a finished run into its persisted form. The run error
@@ -197,23 +162,10 @@ func NewRecord(rec core.RunRecord) Record {
 		out.RunErr = rec.RunErr.Error()
 	}
 	if rec.Fired {
-		m := rec.Mutation
-		mr := &MutationRecord{
-			Path:       m.Path,
-			Offset:     m.Offset,
-			Length:     m.Length,
-			BitPos:     m.BitPos,
-			Kept:       m.Kept,
-			Dropped:    m.Dropped,
-			Sectors:    m.Sectors,
-			NewSize:    m.NewSize,
-			Unreadable: m.Unreadable,
-			Latent:     m.Latent,
-			Detail:     m.Detail,
-		}
-		if m.Model != nil {
-			mr.Model = m.Model.Name()
-			mr.Rendered = m.String()
+		mr := &MutationRecord{Mutation: rec.Mutation}
+		if m := rec.Mutation.Model; m != nil {
+			// The name stands in for the model, as after a JSON round trip.
+			mr.Model, mr.Rendered, mr.Mutation.Model = m.Name(), rec.Mutation.String(), nil
 		}
 		out.Mutation = mr
 	}
@@ -261,21 +213,8 @@ func (r Record) RunRecord() (core.RunRecord, error) {
 		out.RunErr = StoredError{Msg: r.RunErr}
 	}
 	if r.Mutation != nil {
-		m := r.Mutation
-		out.Mutation = core.Mutation{
-			Path:       m.Path,
-			Offset:     m.Offset,
-			Length:     m.Length,
-			BitPos:     m.BitPos,
-			Kept:       m.Kept,
-			Dropped:    m.Dropped,
-			Sectors:    m.Sectors,
-			NewSize:    m.NewSize,
-			Unreadable: m.Unreadable,
-			Latent:     m.Latent,
-			Detail:     m.Detail,
-		}
-		if model, ok := core.Lookup(m.Model); ok {
+		out.Mutation = r.Mutation.Mutation
+		if model, ok := core.Lookup(r.Mutation.Model); ok {
 			out.Mutation.Model = model
 		}
 	}

@@ -8,7 +8,7 @@
 // On disk a store is one directory:
 //
 //	out/
-//	  manifest.json              campaign-level metadata (seed, runs, backend, spec keys)
+//	  manifest.json              campaign-level metadata (seed, runs, spec keys and their worlds)
 //	  records/
 //	    <key>.jsonl              finalized spec: header line + one record line per run
 //	    <key>.jsonl.partial      in-flight spec: same layout, atomically renamed on finalize
@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -54,16 +55,17 @@ const (
 // under; Specs lists the spec keys in submission order, which is also
 // report order.
 type Manifest struct {
-	Schema int    `json:"ffis_store"`
-	Seed   uint64 `json:"seed"`
-	Runs   int    `json:"runs"`
-	// Backend is the storage-backend grammar string the grid's worlds were
-	// built over ("" = the default mem backend). Part of campaign identity:
-	// two runs over different backends can hold identical-looking record
-	// streams (same seed, same runs) whose outcomes came from different
-	// worlds, so resume refuses to mix them.
-	Backend string   `json:"backend,omitempty"`
-	Specs   []string `json:"specs,omitempty"`
+	Schema int      `json:"ffis_store"`
+	Seed   uint64   `json:"seed"`
+	Runs   int      `json:"runs"`
+	Specs  []string `json:"specs,omitempty"`
+	// Worlds maps a spec key to the world key (core.CampaignSpec.WorldKey)
+	// of the world its records come from: the application's build and its
+	// storage, root backend and mounts. Part of the spec's identity: two
+	// worlds can give record streams with equal headers (same seed, runs,
+	// profile count) whose outcomes differ, so EnsureSpecs refuses to mix
+	// them.
+	Worlds map[string]string `json:"worlds,omitempty"`
 }
 
 // Store is an open results directory. All methods are safe for concurrent
@@ -86,6 +88,7 @@ func (st *Store) Manifest() Manifest {
 	defer st.mu.Unlock()
 	man := st.man
 	man.Specs = append([]string(nil), st.man.Specs...)
+	man.Worlds = maps.Clone(st.man.Worlds)
 	return man
 }
 
@@ -133,8 +136,9 @@ func open(fsys vfs.FS, dir string) (*Store, error) {
 
 // CreateOrResume is the CLI entry point: it creates a fresh store, or — when
 // resume is set — opens the existing one and validates that the campaign
-// parameters match, since records produced under a different seed, run
-// count, or backend can never extend the stored ones.
+// parameters match, since records produced under a different seed or run
+// count can never extend the stored ones. Each spec's world is checked
+// when its grid registers it (EnsureSpecs).
 func CreateOrResume(dir string, resume bool, man Manifest) (*Store, error) {
 	if !resume {
 		return Create(dir, man)
@@ -143,10 +147,10 @@ func CreateOrResume(dir string, resume bool, man Manifest) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.man.Seed != man.Seed || st.man.Runs != man.Runs || st.man.Backend != man.Backend {
+	if st.man.Seed != man.Seed || st.man.Runs != man.Runs {
 		return nil, fmt.Errorf(
-			"results: resume mismatch: store %s holds seed=%d runs=%d backend=%q, this invocation wants seed=%d runs=%d backend=%q",
-			dir, st.man.Seed, st.man.Runs, st.man.Backend, man.Seed, man.Runs, man.Backend)
+			"results: resume mismatch: store %s holds seed=%d runs=%d, this invocation wants seed=%d runs=%d",
+			dir, st.man.Seed, st.man.Runs, man.Seed, man.Runs)
 	}
 	return st, nil
 }
@@ -171,25 +175,42 @@ func (st *Store) writeManifest() error {
 }
 
 // EnsureSpecs registers spec keys in the manifest (preserving first-seen
-// order), rewriting it if anything new appeared. Grids that run several
-// sweeps into one store (-all) accumulate their spec lists here, as does
-// the distributed coordinator when it adopts a spec grid into its store.
-func (st *Store) EnsureSpecs(keys []string) error {
+// order) with the world key each runs on, worlds[key] ("" records none),
+// rewriting it if anything new appeared. Grids that run several sweeps
+// into one store (-all) accumulate their spec lists here, as does the
+// distributed coordinator when it adopts a spec grid into its store. A
+// spec the manifest records under another world is refused, and nothing
+// is registered: its stored records, if any, came from other storage. A
+// spec with no recorded world adopts the one it runs on.
+func (st *Store) EnsureSpecs(keys []string, worlds map[string]string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	for _, k := range keys {
+		if stored, w := st.man.Worlds[k], worlds[k]; stored != "" && w != "" && stored != w {
+			return fmt.Errorf("results: spec %q is stored from world %q, this grid runs it on world %q; use a fresh store",
+				k, stored, w)
+		}
+	}
 	have := make(map[string]bool, len(st.man.Specs))
 	for _, k := range st.man.Specs {
 		have[k] = true
 	}
-	added := false
+	changed := false
 	for _, k := range keys {
 		if !have[k] {
 			st.man.Specs = append(st.man.Specs, k)
 			have[k] = true
-			added = true
+			changed = true
+		}
+		if w := worlds[k]; w != "" && st.man.Worlds[k] == "" {
+			if st.man.Worlds == nil {
+				st.man.Worlds = map[string]string{}
+			}
+			st.man.Worlds[k] = w
+			changed = true
 		}
 	}
-	if !added {
+	if !changed {
 		return nil
 	}
 	return st.writeManifest()

@@ -55,7 +55,7 @@ func storeLifecycle(fsys vfs.FS, h Header, recs []Record) error {
 	if err != nil {
 		return err
 	}
-	if err := st.EnsureSpecs([]string{faultKey}); err != nil {
+	if err := st.EnsureSpecs([]string{faultKey}, nil); err != nil {
 		return err
 	}
 	return streamSpec(st, h, recs)

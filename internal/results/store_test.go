@@ -1,14 +1,17 @@
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
+	"ffis/internal/experiments"
 )
 
 // runCampaign runs one campaign as a one-spec Engine grid on jobs slots
@@ -86,31 +89,131 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 
 func TestCreateOrResumeValidatesParameters(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, Manifest{Seed: 7, Runs: 50, Backend: "object"}); err != nil {
+	key, object := "MT2/BF", map[string]string{"MT2/BF": "MT2@object"}
+	st, err := Create(dir, Manifest{Seed: 7, Runs: 50})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CreateOrResume(dir, true, Manifest{Seed: 7, Runs: 50, Backend: "object"}); err != nil {
+	if err := st.EnsureSpecs([]string{key}, object); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := CreateOrResume(dir, true, Manifest{Seed: 7, Runs: 50})
+	if err != nil {
+		t.Fatalf("matching resume rejected: %v", err)
+	}
+	if err := resumed.EnsureSpecs([]string{key}, object); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
 	for _, bad := range []Manifest{
-		{Seed: 8, Runs: 50, Backend: "object"},
-		{Seed: 7, Runs: 51, Backend: "object"},
-		{Seed: 7, Runs: 50},
+		{Seed: 8, Runs: 50},
+		{Seed: 7, Runs: 51},
 	} {
 		if _, err := CreateOrResume(dir, true, bad); err == nil {
 			t.Fatalf("resume with drifted parameters %+v must be rejected", bad)
 		}
 	}
+	// A resume on the default mem backend is refused when its grid
+	// registers the spec.
+	if err := resumed.EnsureSpecs([]string{key}, map[string]string{key: "MT2"}); err == nil {
+		t.Fatal("resume with drifted backend must be rejected")
+	}
 }
 
 func TestResumeRejectsBackendMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns, Backend: "object"}); err != nil {
+	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := CreateOrResume(dir, true, Manifest{Seed: eqSeed, Runs: eqRuns, Backend: "latency:bb"})
-	if err == nil || !strings.Contains(err.Error(), "backend") {
+	// eq/old was registered by a grid that recorded no world.
+	if err := st.EnsureSpecs([]string{"eq/old", "eq/BF"}, map[string]string{"eq/BF": "eq@object"}); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := CreateOrResume(dir, true, Manifest{Seed: eqSeed, Runs: eqRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resumed.Manifest()
+	err = resumed.EnsureSpecs([]string{"eq/old", "eq/BF"}, map[string]string{"eq/old": "eq", "eq/BF": "eq@latency:bb"})
+	if err == nil || !strings.Contains(err.Error(), "world") {
 		t.Fatalf("resume across backends must be refused, got %v", err)
+	}
+	if got := resumed.Manifest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a refused registration changed the manifest: %+v, want %+v", got, want)
+	}
+	// The spec with no recorded world adopts one, and keeps it.
+	if err := resumed.EnsureSpecs([]string{"eq/old"}, map[string]string{"eq/old": "eq"}); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Manifest().Worlds; !reflect.DeepEqual(got, map[string]string{"eq/old": "eq", "eq/BF": "eq@object"}) {
+		t.Fatalf("persisted worlds %v", got)
+	}
+	if err := reopened.EnsureSpecs([]string{"eq/old"}, map[string]string{"eq/old": "eq@object"}); err == nil {
+		t.Fatal("an adopted world must be kept")
+	}
+}
+
+// TestResumeRefusesAnotherWorld: a resumed campaign whose mounts build
+// another world than the stored records came from must be refused before it
+// appends a record, even though seed, runs, root backend, header and
+// profile count all agree; the stored world resumes as before.
+func TestResumeRefusesAnotherWorld(t *testing.T) {
+	const runs, seed, cut = 10, 3, 5
+	armed := experiments.WireSpec{Cell: "MT2", Model: "read-bit-flip", Runs: runs, Seed: seed,
+		Mounts: []string{"/proj=object"}, ArmMounts: []string{"/proj"}}
+	key := armed.Normalized().Key
+	run := func(st *Store, ws experiments.WireSpec) error {
+		_, err := experiments.Fig7Cell(ws, experiments.Options{
+			Engine: &core.Engine{Jobs: 2},
+			RunGrid: func(e *core.Engine, specs []core.CampaignSpec) ([]core.GridResult, error) {
+				return RunGrid(e, st, specs)
+			},
+		})
+		return err
+	}
+	dir := t.TempDir()
+	st, err := Create(dir, Manifest{Seed: seed, Runs: runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(st, armed); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(st.finalPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the finalized file back to its header and first records.
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	prefix := bytes.Join(lines[:1+cut], nil)
+	if err := os.Remove(st.finalPath(key)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.partialPath(key), prefix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	mem := armed
+	mem.Mounts = []string{"/proj=mem"}
+	resumed, err := CreateOrResume(dir, true, Manifest{Seed: seed, Runs: runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(resumed, mem); err == nil || !strings.Contains(err.Error(), "world") {
+		t.Fatalf("resume on another world must be refused, got %v", err)
+	}
+	if got, err := os.ReadFile(st.partialPath(key)); err != nil || !bytes.Equal(got, prefix) {
+		t.Fatalf("the refused resume touched the stored prefix (%v)", err)
+	}
+	if err := run(resumed, armed); err != nil {
+		t.Fatalf("resume on the stored world: %v", err)
+	}
+	if got, err := os.ReadFile(st.finalPath(key)); err != nil || !bytes.Equal(got, full) {
+		t.Fatalf("resume on the stored world did not reproduce the file (%v)", err)
 	}
 }
 
@@ -222,7 +325,7 @@ func TestReportCallsOutMissingSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EnsureSpecs([]string{"eq/ghost"}); err != nil {
+	if err := st.EnsureSpecs([]string{"eq/ghost"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	text, err := Report(st, "text")

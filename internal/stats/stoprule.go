@@ -17,18 +17,21 @@ import "fmt"
 // campaign parameters alone — independent of worker count, pool scheduling,
 // and completion order — so resumed and re-executed campaigns agree on
 // exactly which runs exist.
+//
+// A record file's header stores the normalized rule under these JSON tags,
+// in this order.
 type StopRule struct {
-	// MaxRuns caps the campaign; 0 means "the campaign's fixed budget".
-	MaxRuns int
 	// TargetHalfWidth is the Wilson 95% half-width every outcome class must
 	// reach before the rule stops the campaign. Required (> 0).
-	TargetHalfWidth float64
+	TargetHalfWidth float64 `json:"target_half_width"`
 	// MinRuns is the first barrier: no decision is made before this many
 	// runs. 0 selects min(100, MaxRuns) — below ~100 runs the intervals are
 	// dominated by the prior, not the data.
-	MinRuns int
+	MinRuns int `json:"min_runs"`
+	// MaxRuns caps the campaign; 0 means "the campaign's fixed budget".
+	MaxRuns int `json:"max_runs"`
 	// CheckEvery is the barrier spacing after MinRuns. 0 selects 50.
-	CheckEvery int
+	CheckEvery int `json:"check_every"`
 }
 
 // Default barrier parameters, chosen so a paper-scale 1,000-run budget is
