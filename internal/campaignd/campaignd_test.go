@@ -440,6 +440,99 @@ func TestManifestForRejectsMixedCampaigns(t *testing.T) {
 	}
 }
 
+// TestNewCoordinatorRefusesFinalizedSpecOfAnotherCampaign: a resumed store
+// holds key k finalized with MT1 bit-flip records. A coordinator asked to
+// serve k as a dropped-write spec must refuse it, as a local RunGrid does,
+// instead of serving the stored bit-flip records as that spec's result.
+func TestNewCoordinatorRefusesFinalizedSpecOfAnotherCampaign(t *testing.T) {
+	const runs, seed = 4, uint64(3)
+	stored := experiments.WireSpec{Cell: "MT1", Model: "bit-flip", Runs: runs, Seed: seed}.Normalized()
+	man, err := ManifestFor([]experiments.WireSpec{stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := results.Create(dir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cspec, err := stored.CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid, err := results.RunGrid(&core.Engine{}, st, []core.CampaignSpec{cspec}); err != nil || grid[0].Err != nil {
+		t.Fatalf("stored grid: %v / %v", err, grid[0].Err)
+	}
+
+	resumed, err := results.CreateOrResume(dir, true, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := experiments.WireSpec{Key: stored.Key, Cell: "MT1", Model: "dropped-write", Runs: runs, Seed: seed}
+	coord, err := NewCoordinator(resumed, []experiments.WireSpec{other}, time.Minute)
+	if err == nil {
+		coord.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("a finalized spec of another campaign must be refused, got %v", err)
+	}
+	ospec, err := other.CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := results.RunGrid(&core.Engine{}, resumed, []core.CampaignSpec{ospec}); err == nil ||
+		!strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("a local RunGrid must refuse it too, got %v", err)
+	}
+}
+
+// TestLockedStoreCoordinatorRegistersNothing: while a coordinator holds the
+// store, a second coordinator and a local RunGrid on another handle are
+// refused by the lock, and neither registers its key or world.
+func TestLockedStoreCoordinatorRegistersNothing(t *testing.T) {
+	specs := testGrid([]string{"MT1"}, 4, 3)
+	man, err := ManifestFor(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := results.Create(dir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(st, specs[:1], time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	want := storeBytes(t, dir)["manifest.json"]
+
+	again, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2, err := NewCoordinator(again, specs[1:], time.Minute); err == nil || !strings.Contains(err.Error(), "another process") {
+		if err == nil {
+			c2.Close()
+		}
+		t.Fatalf("a second coordinator must be refused by the lock, got %v", err)
+	}
+	if got := storeBytes(t, dir)["manifest.json"]; !bytes.Equal(got, want) {
+		t.Fatalf("a coordinator refused by the lock changed the manifest:\n%s\nwant\n%s", got, want)
+	}
+	cspec, err := specs[1].CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := results.RunGrid(&core.Engine{}, again, []core.CampaignSpec{cspec}); err == nil ||
+		!strings.Contains(err.Error(), "another process") {
+		t.Fatalf("a local grid must be refused by the lock, got %v", err)
+	}
+	if got := storeBytes(t, dir)["manifest.json"]; !bytes.Equal(got, want) {
+		t.Fatalf("a grid refused by the lock changed the manifest:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestIngestChecksHeaderWithoutBuilding serves a spec that validates but
 // cannot be built (a Nyx edge of 12 seeds no halos): the coordinator must
 // check the worker's header against the spec's static identity alone, so

@@ -94,11 +94,13 @@ func ManifestFor(specs []experiments.WireSpec) (results.Manifest, error) {
 	return man, nil
 }
 
-// NewCoordinator adopts a spec grid into the store and prepares to lease
-// it out. Every spec must share the store's seed and run budget — the
-// manifest records one of each, exactly as a single-machine grid would.
-// The store's inter-process lock is held until Close: one coordinator per
-// store, and no local RunGrid can race it.
+// NewCoordinator adopts a spec grid into the store (results.Store.Adopt)
+// and prepares to lease it out. Every spec must share the store's seed and
+// run budget — the manifest records one of each, exactly as a
+// single-machine grid would — and a finalized spec is done only when its
+// stored header is this spec's campaign. The store's inter-process lock is
+// held until Close: one coordinator per store, and no local RunGrid can
+// race it.
 func NewCoordinator(st *results.Store, specs []experiments.WireSpec, ttl time.Duration) (*Coordinator, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("campaignd: no specs to serve")
@@ -106,32 +108,25 @@ func NewCoordinator(st *results.Store, specs []experiments.WireSpec, ttl time.Du
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	man := st.Manifest()
-	keys := make([]string, 0, len(specs))
-	worlds := make(map[string]string, len(specs))
+	grid := make([]results.GridSpec, len(specs))
+	keys := make([]string, len(specs))
 	states := make(map[string]*specState, len(specs))
 	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
+		ws := specs[i].Normalized()
+		meta, err := ws.Meta()
+		if err != nil {
 			return nil, err
 		}
-		ws := specs[i].Normalized()
-		if ws.Seed != man.Seed || ws.Runs != man.Runs {
-			return nil, fmt.Errorf("campaignd: spec %q wants seed=%d runs=%d, store %s holds seed=%d runs=%d",
-				ws.Key, ws.Seed, ws.Runs, st.Dir(), man.Seed, man.Runs)
-		}
-		if states[ws.Key] != nil {
-			return nil, fmt.Errorf("campaignd: duplicate spec key %q", ws.Key)
-		}
-		states[ws.Key] = &specState{ws: ws, done: st.Finalized(ws.Key)}
-		keys = append(keys, ws.Key)
-		worlds[ws.Key] = ws.WorldKey()
+		grid[i] = results.GridSpec{Key: ws.Key, World: ws.WorldKey(), Meta: meta}
+		keys[i] = ws.Key
+		states[ws.Key] = &specState{ws: ws}
 	}
-	if err := st.EnsureSpecs(keys, worlds); err != nil {
-		return nil, err
-	}
-	unlock, err := st.Lock()
+	final, unlock, err := st.Adopt(grid)
 	if err != nil {
 		return nil, err
+	}
+	for i, k := range keys {
+		states[k].done = final[i] != nil
 	}
 	c := &Coordinator{
 		store:       st,
@@ -320,7 +315,7 @@ func (c *Coordinator) Complete(leaseID string) error {
 	if st == nil {
 		return errLeaseGone
 	}
-	if err := st.sink.Finalize(); err != nil {
+	if err := st.sink.Finalize(0); err != nil {
 		return err
 	}
 	st.sink = nil

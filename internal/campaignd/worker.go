@@ -378,7 +378,7 @@ func (s *remoteSink) BeginCampaign(meta core.CampaignMeta) error {
 	return s.send(RecordsRequest{LeaseID: s.leaseID, Header: &h})
 }
 
-// Resume implements core.Resumer: the lease covers runs [start, Runs), the
+// Resume implements core.RecordSink: the lease covers runs [start, Runs), the
 // coordinator already holds the rest. It reports no prior outcomes, so an
 // adaptive campaign cannot resume remotely past run 0 (and WireSpec has no
 // stopping rule to begin with).
@@ -443,7 +443,4 @@ func (s *remoteSink) send(req RecordsRequest) error {
 	}
 }
 
-var (
-	_ core.RecordSink = (*remoteSink)(nil)
-	_ core.Resumer    = (*remoteSink)(nil)
-)
+var _ core.RecordSink = (*remoteSink)(nil)

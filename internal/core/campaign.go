@@ -82,7 +82,7 @@ type CampaignConfig struct {
 	// leaves the resumable prefix a killed process would. The sink owns
 	// the records, so the CampaignResult keeps none (its Tally still
 	// covers every run). A sink that already holds a prefix of the
-	// campaign says so through Resumer.
+	// campaign says so through Resume.
 	Sink RecordSink
 	// Stop enables adaptive, confidence-driven stopping: runs dispatch in
 	// chunks up to the rule's fixed index barriers, and at each barrier the
@@ -137,26 +137,16 @@ type RecordSink interface {
 	// Record receives the next run in index order: the resume point
 	// first, then each successor.
 	Record(RunRecord) error
-}
-
-// StopRecorder is the optional RecordSink extension for adaptive campaigns:
-// after the stopping rule decides, the campaign hands the sink the stop
-// index so it can persist the decision with the records (internal/results
-// rewrites its header line on finalize). A sink without this method simply
-// never learns the stop index — the records themselves are unaffected.
-type StopRecorder interface {
-	RecordStop(stopIndex int) error
-}
-
-// Resumer is the optional RecordSink extension for a sink that already
-// holds the start of the campaign: runs [0, start) are persisted, so only
-// [start, Runs) execute. Because each run's RNG stream derives purely from
-// (Seed, index), the executed suffix is bit-identical to the same indices
-// of an uninterrupted campaign. prior holds the persisted outcomes by run
-// index; an adaptive campaign needs all of [0, start) to evaluate its
-// barriers over complete prefixes and refuses to run when prior is
-// shorter. A sink without this method starts at 0.
-type Resumer interface {
+	// Resume reports what the sink already holds, before BeginCampaign:
+	// runs [0, start) are persisted, so only [start, Runs) execute; 0 for
+	// a sink that holds nothing yet. Because each run's RNG stream derives
+	// purely from (Seed, index), the executed suffix is bit-identical to
+	// the same indices of an uninterrupted campaign. prior holds the
+	// persisted outcomes by run index; an adaptive campaign needs all of
+	// [0, start) to evaluate its barriers over complete prefixes and
+	// refuses to run when prior is shorter. Where an adaptive campaign
+	// stopped is in its CampaignResult.StopIndex; a sink's owner persists
+	// it when it declares the stream complete.
 	Resume() (start int, prior []classify.Outcome)
 }
 

@@ -128,6 +128,8 @@ func (s *collectSink) BeginCampaign(meta CampaignMeta) error {
 	return nil
 }
 
+func (*collectSink) Resume() (int, []classify.Outcome) { return 0, nil }
+
 func (s *collectSink) Record(rec RunRecord) error {
 	if s.failAt > 0 && len(s.records)+1 == s.failAt {
 		if s.onFail != nil {
@@ -202,7 +204,71 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 // profiling, so its NewFS counts the dispatches. Past the failing Record,
 // at most one run per pool slot may still build its world, each one the
 // loop had let through before the failure was latched.
+//
+// The subtests turn the sink, as a distributed worker's sink turns once
+// its lease is lost, while run 0 is still in flight and slow: the sink
+// refuses the next record it is handed, and that delivery waits on run 0,
+// so until then the dispatch window is all that holds the other slots
+// back. At most dispatchWindow runs per pool slot may dispatch after the
+// sink has turned. Run 0 is told apart by its output file, which a
+// one-slot campaign of the same seed, running in index order, shows.
 func TestSinkFailureStopsDispatch(t *testing.T) {
+	const seed = 5
+	var outputs [][]byte
+	ref := toyWorkload()
+	refRun := ref.Run
+	ref.Run = func(fs vfs.FS) error {
+		err := refRun(fs)
+		out, _ := vfs.ReadFile(fs, "/out/data.bin")
+		outputs = append(outputs, out) // the profiling pass, then runs 0, 1, …
+		return err
+	}
+	if _, err := runCampaign(1, CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 8, Seed: seed}, ref); err != nil {
+		t.Fatal(err)
+	}
+	run0 := outputs[1]
+	for i, out := range outputs[2:] {
+		if bytes.Equal(out, run0) {
+			t.Fatalf("run %d writes the same output as run 0; pick another seed", i+1)
+		}
+	}
+	for _, jobs := range []int{2, 8} {
+		t.Run(fmt.Sprintf("slow run in flight/jobs=%d", jobs), func(t *testing.T) {
+			const runs = 200
+			var builds, atFailure atomic.Int64
+			var held atomic.Bool
+			sink := &refusingSink{}
+			w := toyWorkload()
+			w.NewFS = func() (vfs.FS, error) {
+				builds.Add(1)
+				return plainFS{vfs.NewMemFS()}, nil
+			}
+			run := w.Run
+			w.Run = func(fs vfs.FS) error {
+				err := run(fs)
+				if out, _ := vfs.ReadFile(fs, "/out/data.bin"); bytes.Equal(out, run0) && held.CompareAndSwap(false, true) {
+					atFailure.Store(builds.Load() - 1)
+					sink.refuse.Store(true)
+					time.Sleep(100 * time.Millisecond)
+				}
+				return err
+			}
+			_, err := runCampaign(jobs, CampaignConfig{
+				Fault: Config{Model: BitFlip}, Runs: runs, Seed: seed, Sink: sink,
+			}, w)
+			dispatched := builds.Load() - 1
+			if !held.Load() {
+				t.Fatal("run 0 was never told apart by its output")
+			}
+			if err == nil || !strings.Contains(err.Error(), "record sink") {
+				t.Fatalf("sink failure must fail the campaign; got %v", err)
+			}
+			if after, limit := dispatched-atFailure.Load(), int64(dispatchWindow*jobs); after > limit {
+				t.Fatalf("dispatched %d runs after the sink turned (%d of %d in all); the window allows %d", after, dispatched, runs, limit)
+			}
+		})
+	}
+
 	const runs, jobs = 200, 2
 	var builds, atFailure atomic.Int64
 	w := toyWorkload()
@@ -227,8 +293,22 @@ func TestSinkFailureStopsDispatch(t *testing.T) {
 // campaign runs.
 type countSink struct{ n atomic.Int64 }
 
-func (*countSink) BeginCampaign(CampaignMeta) error { return nil }
-func (s *countSink) Record(RunRecord) error         { s.n.Add(1); return nil }
+func (*countSink) BeginCampaign(CampaignMeta) error  { return nil }
+func (*countSink) Resume() (int, []classify.Outcome) { return 0, nil }
+func (s *countSink) Record(RunRecord) error          { s.n.Add(1); return nil }
+
+// refusingSink is a countSink that refuses every record once refuse is set.
+type refusingSink struct {
+	countSink
+	refuse atomic.Bool
+}
+
+func (s *refusingSink) Record(rec RunRecord) error {
+	if s.refuse.Load() {
+		return fmt.Errorf("lease lost")
+	}
+	return s.countSink.Record(rec)
+}
 
 // TestDispatchWindowBoundsRunAhead: one slow early run must not let the
 // rest of the pool run ahead of delivery without bound. While the first
@@ -269,7 +349,7 @@ func TestDispatchWindowBoundsRunAhead(t *testing.T) {
 }
 
 // resumeSink is a collectSink that already holds runs [0, start): the
-// Resumer extension a persistent store implements, without the store.
+// resume point a persistent store reports, without the store.
 type resumeSink struct {
 	collectSink
 	start int

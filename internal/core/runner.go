@@ -26,7 +26,7 @@ import (
 // SpecDone, so subscribers see each campaign bracketed.
 //
 // The runs are [start, Runs), where start is the sink's resume point
-// (Resumer), 0 for a sink that holds nothing yet.
+// (RecordSink.Resume), 0 without a sink.
 //
 // With Config.Stop set, dispatch is chunked at the rule's index barriers:
 // each chunk drains completely, the rule is evaluated on the prefix tally
@@ -96,8 +96,8 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 	// A resuming sink already holds [0, start); progress accounting reports
 	// the executed total so done/total reaches 100% exactly at completion.
 	start, prior := 0, []classify.Outcome(nil)
-	if rs, ok := cfg.Sink.(Resumer); ok {
-		start, prior = rs.Resume()
+	if cfg.Sink != nil {
+		start, prior = cfg.Sink.Resume()
 	}
 	total = cfg.Runs - start
 	closed = total
@@ -265,11 +265,6 @@ func (e *Engine) runSpec(spec CampaignSpec, sem chan struct{}, idle chan Workloa
 			if stopped {
 				break
 			}
-		}
-		// Persist the decision: a sink that stores records by index needs
-		// the stop index to declare the stream complete.
-		if sr, ok := cfg.Sink.(StopRecorder); ok && failErr == nil && sinkErr == nil {
-			sinkErr = sr.RecordStop(res.StopIndex)
 		}
 	}
 

@@ -39,9 +39,9 @@ func buildWorld(w Workload) (vfs.FS, error) {
 }
 
 // NewWorldSnapshot builds the workload's world, runs Setup once, and returns
-// a snapshot serving COW clones of the result. Worlds that cannot be cloned
-// (an OSFS-backed mount, a custom NewFS) fall back to rebuild-per-run
-// transparently.
+// a snapshot serving COW clones of the result. A world that cannot be
+// cloned (a custom NewFS whose file system, or a mount of it, is not a
+// vfs.Cloner) falls back to rebuild-per-run transparently.
 func NewWorldSnapshot(w Workload) (*WorldSnapshot, error) {
 	base, err := buildWorld(w)
 	if err != nil {

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 
@@ -20,17 +21,17 @@ import (
 // the rest of the grid completes and finalizes. RunGrid itself returns an
 // error only for store-level failures.
 func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridResult, error) {
-	keys := make([]string, len(specs))
-	worlds := make(map[string]string, len(specs))
+	grid := make([]GridSpec, len(specs))
+	stopErrs := make([]error, len(specs))
 	for i, spec := range specs {
-		keys[i] = spec.Key
-		worlds[spec.Key] = spec.WorldKey
+		// An invalid rule is the cell's error: a pending cell's campaign
+		// reports it, a finalized one's result carries it below.
+		stop, err := spec.Config.NormalizedStop()
+		stopErrs[i] = err
+		grid[i] = GridSpec{Key: spec.Key, World: spec.WorldKey, Meta: core.CampaignMeta{Workload: spec.Workload.Name,
+			Signature: spec.Config.Fault.Signature(), Runs: spec.Config.Runs, Seed: spec.Config.Seed, Stop: stop}}
 	}
-	if err := st.EnsureSpecs(keys, worlds); err != nil {
-		return nil, err
-	}
-
-	unlock, err := st.Lock()
+	final, unlock, err := st.Adopt(grid)
 	if err != nil {
 		return nil, err
 	}
@@ -39,52 +40,23 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 	out := make([]core.GridResult, len(specs))
 	var pending []core.CampaignSpec
 	var pendingAt []int
-	sinks := map[string]*SpecSink{}
-	// fail closes every sink opened so far before an early return, so a
-	// store-level error never leaks open partial-file handles.
-	fail := func(err error) ([]core.GridResult, error) {
-		for _, s := range sinks {
-			s.Close()
-		}
-		return nil, err
-	}
+	var sinks []*SpecSink
 	for i, spec := range specs {
-		if st.Finalized(spec.Key) {
-			data, ok, err := st.LoadSpec(spec.Key)
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				return fail(fmt.Errorf("results: spec %q finalized but unreadable", spec.Key))
-			}
-			// The finalized fast path skips the campaign entirely, so it
-			// must apply the same drift guard BeginCampaign enforces on
-			// partials: the stored header has to describe the spec being
-			// requested, or the store would silently answer a different
-			// campaign's question. (World-shape drift that only changes
-			// the profile count is the one thing a static check cannot
-			// see; everything nameable — workload, model, primitive,
-			// feature, runs, seed — is compared.)
-			stop, err := spec.Config.NormalizedStop()
-			if err == nil {
-				err = HeaderMatches(data.Header, core.CampaignMeta{Workload: spec.Workload.Name,
-					Signature: spec.Config.Fault.Signature(), Runs: spec.Config.Runs, Seed: spec.Config.Seed, Stop: stop})
-			}
-			if err != nil {
-				return fail(fmt.Errorf("results: spec %q: %w", spec.Key, err))
-			}
-			res, err := data.CampaignResult()
-			out[i] = core.GridResult{Spec: spec, Result: res, Err: err}
+		if final[i] != nil {
+			res, err := final[i].CampaignResult()
+			out[i] = core.GridResult{Spec: spec, Result: res, Err: cmp.Or(stopErrs[i], err)}
 			continue
-		}
-		if sinks[spec.Key] != nil {
-			return fail(fmt.Errorf("results: duplicate spec key %q in grid", spec.Key))
 		}
 		sink, err := st.SpecSink(spec.Key, spec.Config.Runs)
 		if err != nil {
-			return fail(err)
+			// Close every sink opened so far, so a store-level error never
+			// leaks open partial-file handles.
+			for _, s := range sinks {
+				s.Close()
+			}
+			return nil, err
 		}
-		sinks[spec.Key] = sink
+		sinks = append(sinks, sink)
 		// The sink is the single source of truth for what still runs:
 		// records stream to it, its Resume point (with the persisted
 		// outcomes an adaptive rule needs) skips the stored prefix, and the
@@ -95,10 +67,9 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 		pendingAt = append(pendingAt, i)
 	}
 
-	grid := e.Run(pending)
 	var firstErr error
-	for j, r := range grid {
-		sink := sinks[r.Spec.Key]
+	for j, r := range e.Run(pending) {
+		sink := sinks[j]
 		if r.Err != nil {
 			// Keep the partial for resume; the in-order prefix already on
 			// disk is untouched by the failure.
@@ -108,7 +79,7 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 			out[pendingAt[j]] = r
 			continue
 		}
-		if err := sink.Finalize(); err != nil {
+		if err := sink.Finalize(r.Result.StopIndex); err != nil {
 			r.Err = err
 			if firstErr == nil {
 				firstErr = err
@@ -130,9 +101,9 @@ func RunGrid(e *core.Engine, st *Store, specs []core.CampaignSpec) ([]core.GridR
 // signature, runs, seed, stopping rule — must equal want. The profile count
 // is copied from the stored header: it is a property of the built world,
 // observable only by re-profiling, which both callers exist to skip.
-// RunGrid's finalized fast path checks its spec's identity here, and the
-// distributed coordinator checks each worker's header against its wire
-// spec's Meta before ingesting any record.
+// Adopt checks a finalized spec's identity here, and the distributed
+// coordinator checks each worker's header against its wire spec's Meta
+// before ingesting any record.
 func HeaderMatches(h Header, want core.CampaignMeta) error {
 	want.ProfileCount = h.ProfileCount
 	w := NewHeader(want)

@@ -2,8 +2,8 @@
 
 package results
 
-// Lock is a no-op where advisory file locks are unavailable; keeping
+// lock is a no-op where advisory file locks are unavailable; keeping
 // writers off the same store is the operator's responsibility there.
-func (st *Store) Lock() (func(), error) {
+func (st *Store) lock() (func(), error) {
 	return func() {}, nil
 }

@@ -97,8 +97,7 @@ func TestSchemaLinesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sink.RecordStop(4)
-	if err := sink.Finalize(); err != nil {
+	if err := sink.Finalize(4); err != nil {
 		t.Fatal(err)
 	}
 	final, err := os.ReadFile(st.finalPath("MT2/BF"))

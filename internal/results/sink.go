@@ -32,7 +32,6 @@ type SpecSink struct {
 	// re-evaluates its stopping rule over.
 	prefix []classify.Outcome
 	next   int // lowest run index not yet written: the count persisted so far
-	stop   int // adaptive stop index reported by the campaign, 0 otherwise
 	err    error
 }
 
@@ -42,7 +41,7 @@ type SpecSink struct {
 // equally the fresh-start and the resume entry point. A finalized spec
 // refuses a sink: it has nothing left to run.
 func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
-	if st.Finalized(key) {
+	if st.finalized(key) {
 		return nil, fmt.Errorf("results: spec %q already finalized", key)
 	}
 	s := &SpecSink{store: st, key: key, runs: runs}
@@ -86,19 +85,11 @@ func (st *Store) SpecSink(key string, runs int) (*SpecSink, error) {
 // recovered prefix plus every record appended since.
 func (s *SpecSink) Persisted() int { return s.next }
 
-// Resume implements core.Resumer: the campaign executes only the runs
+// Resume implements core.RecordSink: the campaign executes only the runs
 // after the recovered prefix, and a resumed adaptive campaign evaluates
 // its stopping rule over the prefix's stored outcomes plus its own.
 func (s *SpecSink) Resume() (start int, prior []classify.Outcome) {
 	return len(s.prefix), s.prefix
-}
-
-// RecordStop implements core.StopRecorder: the campaign reports where its
-// adaptive rule stopped, and Finalize persists the decision by rewriting the
-// header line with the stop index.
-func (s *SpecSink) RecordStop(stopIndex int) error {
-	s.stop = stopIndex
-	return nil
 }
 
 // BeginCampaign implements core.RecordSink. On a fresh stream it writes the
@@ -184,16 +175,18 @@ func (s *SpecSink) Append(rec Record) error {
 
 // Finalize marks the spec complete: the partial file is synced and
 // atomically renamed to its final name, the durable signal that every one
-// of the spec's runs is persisted. It refuses a short stream — fewer runs
-// than the budget, or than the adaptive stop index when one is recorded —
-// since finalizing would declare missing runs complete.
-func (s *SpecSink) Finalize() error {
+// of the spec's runs is persisted. stopIndex is where an adaptive campaign
+// stopped (CampaignResult.StopIndex), 0 for a fixed budget; a non-zero one
+// is persisted in the header line. It refuses a short stream — fewer runs
+// than the budget, or than the stop index when one is given — since
+// finalizing would declare missing runs complete.
+func (s *SpecSink) Finalize(stopIndex int) error {
 	if s.err != nil {
 		return s.err
 	}
 	want := s.runs
-	if s.stop != 0 {
-		want = s.stop
+	if stopIndex != 0 {
+		want = stopIndex
 	}
 	if s.next != want {
 		return fmt.Errorf("results: spec %q: %d of %d runs persisted; not finalizing", s.key, s.next, want)
@@ -205,8 +198,8 @@ func (s *SpecSink) Finalize() error {
 		return fmt.Errorf("results: spec %q: close: %w", s.key, err)
 	}
 	s.f = nil
-	if s.stop != 0 {
-		return s.finalizeWithStop()
+	if stopIndex != 0 {
+		return s.finalizeWithStop(stopIndex)
 	}
 	if err := s.store.fs.Rename(recordName(s.key, partialExt), recordName(s.key, finalExt)); err != nil {
 		return fmt.Errorf("results: finalize spec %q: %w", s.key, err)
@@ -221,9 +214,9 @@ func (s *SpecSink) Finalize() error {
 // marker become durable together. The header line is rewritten rather than
 // appended-to because the stop index is campaign identity, and identity
 // lives on line one.
-func (s *SpecSink) finalizeWithStop() error {
+func (s *SpecSink) finalizeWithStop(stop int) error {
 	if s.header == nil {
-		return fmt.Errorf("results: spec %q: stop index %d recorded before any header", s.key, s.stop)
+		return fmt.Errorf("results: spec %q: stop index %d recorded before any header", s.key, stop)
 	}
 	fsys, partial, final := s.store.fs, recordName(s.key, partialExt), recordName(s.key, finalExt)
 	raw, err := vfs.ReadFile(fsys, partial)
@@ -235,7 +228,7 @@ func (s *SpecSink) finalizeWithStop() error {
 		return fmt.Errorf("results: finalize spec %q: partial holds no complete header line", s.key)
 	}
 	h := *s.header
-	h.StopIndex = s.stop
+	h.StopIndex = stop
 	line, err := marshalLine(h)
 	if err != nil {
 		return err
@@ -276,8 +269,4 @@ func (s *SpecSink) Close() error {
 	return err
 }
 
-var (
-	_ core.RecordSink   = (*SpecSink)(nil)
-	_ core.StopRecorder = (*SpecSink)(nil)
-	_ core.Resumer      = (*SpecSink)(nil)
-)
+var _ core.RecordSink = (*SpecSink)(nil)

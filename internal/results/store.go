@@ -36,9 +36,11 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 
+	"ffis/internal/core"
 	"ffis/internal/vfs"
 )
 
@@ -63,8 +65,7 @@ type Manifest struct {
 	// of the world its records come from: the application's build and its
 	// storage, root backend and mounts. Part of the spec's identity: two
 	// worlds can give record streams with equal headers (same seed, runs,
-	// profile count) whose outcomes differ, so EnsureSpecs refuses to mix
-	// them.
+	// profile count) whose outcomes differ, so Adopt refuses to mix them.
 	Worlds map[string]string `json:"worlds,omitempty"`
 }
 
@@ -120,25 +121,34 @@ func Open(dir string) (*Store, error) { return open(vfs.NewOSFS(dir), dir) }
 
 // open is Open over any file system.
 func open(fsys vfs.FS, dir string) (*Store, error) {
+	man, err := readManifest(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Store{dir: dir, fs: fsys, man: man}, nil
+}
+
+// readManifest loads and checks the manifest of the store at dir.
+func readManifest(fsys vfs.FS, dir string) (Manifest, error) {
 	raw, err := vfs.ReadFile(fsys, manifestName)
 	if err != nil {
-		return nil, fmt.Errorf("results: open store: %w", err)
+		return Manifest{}, fmt.Errorf("results: open store: %w", err)
 	}
 	var man Manifest
 	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("results: %s: corrupt manifest: %w", dir, err)
+		return Manifest{}, fmt.Errorf("results: %s: corrupt manifest: %w", dir, err)
 	}
 	if man.Schema != schemaVersion {
-		return nil, fmt.Errorf("results: %s: store schema %d, this binary speaks %d", dir, man.Schema, schemaVersion)
+		return Manifest{}, fmt.Errorf("results: %s: store schema %d, this binary speaks %d", dir, man.Schema, schemaVersion)
 	}
-	return &Store{dir: dir, fs: fsys, man: man}, nil
+	return man, nil
 }
 
 // CreateOrResume is the CLI entry point: it creates a fresh store, or — when
 // resume is set — opens the existing one and validates that the campaign
 // parameters match, since records produced under a different seed or run
-// count can never extend the stored ones. Each spec's world is checked
-// when its grid registers it (EnsureSpecs).
+// count can never extend the stored ones. Each spec is checked again, with
+// its world, when its grid adopts it (Adopt).
 func CreateOrResume(dir string, resume bool, man Manifest) (*Store, error) {
 	if !resume {
 		return Create(dir, man)
@@ -174,46 +184,95 @@ func (st *Store) writeManifest() error {
 	return nil
 }
 
-// EnsureSpecs registers spec keys in the manifest (preserving first-seen
-// order) with the world key each runs on, worlds[key] ("" records none),
-// rewriting it if anything new appeared. Grids that run several sweeps
-// into one store (-all) accumulate their spec lists here, as does the
-// distributed coordinator when it adopts a spec grid into its store. A
-// spec the manifest records under another world is refused, and nothing
-// is registered: its stored records, if any, came from other storage. A
-// spec with no recorded world adopts the one it runs on.
-func (st *Store) EnsureSpecs(keys []string, worlds map[string]string) error {
+// GridSpec is one spec of a grid entering the store: its key, the world
+// key (core.CampaignSpec.WorldKey) of the world it runs on ("" records
+// none), and its campaign identity.
+type GridSpec struct {
+	Key, World string
+	Meta       core.CampaignMeta
+}
+
+// Adopt is the one way a grid enters the store, for a local RunGrid and for
+// the distributed coordinator alike. It takes the store's lock, re-reads
+// the manifest under it (another handle on the store may have registered
+// specs since this one opened), and checks every spec before registering
+// any: a key twice in the grid, a finalized spec whose stored header is
+// another campaign's, a seed or run budget other than the manifest's, and
+// a spec the manifest records under another world are refused. Then the
+// keys (in first-seen order, so grids that run several sweeps into one
+// store accumulate their spec lists) and worlds are registered, a spec
+// with no recorded world adopting its own. final[i] holds spec i's stored
+// data when it is finalized, nil when it still has runs to execute. The
+// caller holds the lock until it calls unlock; on error nothing is
+// registered and the lock is released.
+func (st *Store) Adopt(specs []GridSpec) (final []*SpecData, unlock func(), err error) {
+	release, err := st.lock()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if err != nil {
+			release()
+		}
+	}()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, k := range keys {
-		if stored, w := st.man.Worlds[k], worlds[k]; stored != "" && w != "" && stored != w {
-			return fmt.Errorf("results: spec %q is stored from world %q, this grid runs it on world %q; use a fresh store",
-				k, stored, w)
-		}
+	man, err := readManifest(st.fs, st.dir)
+	if err != nil {
+		return nil, nil, err
 	}
-	have := make(map[string]bool, len(st.man.Specs))
-	for _, k := range st.man.Specs {
-		have[k] = true
+	final = make([]*SpecData, len(specs))
+	for i, spec := range specs {
+		k := spec.Key
+		if slices.ContainsFunc(specs[:i], func(g GridSpec) bool { return g.Key == k }) {
+			return nil, nil, fmt.Errorf("results: duplicate spec key %q in grid", k)
+		}
+		if st.finalized(k) {
+			data, ok, err := st.LoadSpec(k)
+			if err == nil && !ok {
+				err = fmt.Errorf("results: spec %q finalized but unreadable", k)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			// A finalized spec is served without running, so its stored
+			// header must describe the spec being requested, or the store
+			// would answer another campaign's question.
+			if err := HeaderMatches(data.Header, spec.Meta); err != nil {
+				return nil, nil, fmt.Errorf("results: spec %q: %w", k, err)
+			}
+			final[i] = &data
+		}
+		if spec.Meta.Seed != man.Seed || spec.Meta.Runs != man.Runs {
+			return nil, nil, fmt.Errorf("results: spec %q wants seed=%d runs=%d, store %s holds seed=%d runs=%d",
+				k, spec.Meta.Seed, spec.Meta.Runs, st.dir, man.Seed, man.Runs)
+		}
+		if stored := man.Worlds[k]; stored != "" && spec.World != "" && stored != spec.World {
+			return nil, nil, fmt.Errorf("results: spec %q is stored from world %q, this grid runs it on world %q; use a fresh store",
+				k, stored, spec.World)
+		}
 	}
 	changed := false
-	for _, k := range keys {
-		if !have[k] {
-			st.man.Specs = append(st.man.Specs, k)
-			have[k] = true
+	for _, spec := range specs {
+		if !slices.Contains(man.Specs, spec.Key) {
+			man.Specs = append(man.Specs, spec.Key)
 			changed = true
 		}
-		if w := worlds[k]; w != "" && st.man.Worlds[k] == "" {
-			if st.man.Worlds == nil {
-				st.man.Worlds = map[string]string{}
+		if spec.World != "" && man.Worlds[spec.Key] == "" {
+			if man.Worlds == nil {
+				man.Worlds = map[string]string{}
 			}
-			st.man.Worlds[k] = w
+			man.Worlds[spec.Key] = spec.World
 			changed = true
 		}
 	}
-	if !changed {
-		return nil
+	st.man = man
+	if changed {
+		if err := st.writeManifest(); err != nil {
+			return nil, nil, err
+		}
 	}
-	return st.writeManifest()
+	return final, release, nil
 }
 
 // encodeKey renders a spec key ("nyx/BF", "MT2.tiered/SW") as a collision-
@@ -243,10 +302,10 @@ func (st *Store) finalPath(key string) string { return st.dir + recordName(key, 
 
 func (st *Store) partialPath(key string) string { return st.dir + recordName(key, partialExt) }
 
-// Finalized reports whether the spec's record file has been atomically
+// finalized reports whether the spec's record file has been atomically
 // renamed into its final form — the marker that every one of its runs is
 // persisted and the spec need not execute again on resume.
-func (st *Store) Finalized(key string) bool {
+func (st *Store) finalized(key string) bool {
 	return vfs.Exists(st.fs, recordName(key, finalExt))
 }
 

@@ -45,17 +45,18 @@ func streamSpec(st *Store, h Header, recs []Record) error {
 			return err
 		}
 	}
-	return s.Finalize()
+	return s.Finalize(0)
 }
 
-// storeLifecycle is the store's whole write path: create, register the
-// spec, stream it, finalize.
-func storeLifecycle(fsys vfs.FS, h Header, recs []Record) error {
-	st, err := create(fsys, "", Manifest{Seed: h.Seed, Runs: h.Runs})
+// storeLifecycle is the store's whole write path: create, adopt the spec,
+// stream it, finalize. lockDir is the host directory of the store's lock
+// file, which the store's own files on fsys do not hold.
+func storeLifecycle(fsys vfs.FS, lockDir string, h Header, recs []Record) error {
+	st, err := create(fsys, lockDir, Manifest{Seed: h.Seed, Runs: h.Runs})
 	if err != nil {
 		return err
 	}
-	if err := st.EnsureSpecs([]string{faultKey}, nil); err != nil {
+	if err := adopt(st, nil, faultKey); err != nil {
 		return err
 	}
 	return streamSpec(st, h, recs)
@@ -68,7 +69,7 @@ func recoverSpec(fsys vfs.FS, h Header, recs []Record) (SpecData, error) {
 	if err != nil {
 		return SpecData{}, err
 	}
-	if !st.Finalized(faultKey) {
+	if !st.finalized(faultKey) {
 		if err := streamSpec(st, h, recs); err != nil {
 			return SpecData{}, err
 		}
@@ -104,8 +105,9 @@ func storeFiles(t *testing.T, fsys vfs.FS) map[string][]byte {
 // a flip that keeps the line valid JSON loads as a wrong record.
 func TestStoreUnderWriteFaults(t *testing.T) {
 	pinned, h, recs := faultSpec(t)
+	lockDir := t.TempDir()
 	clean := vfs.NewMemFS()
-	if err := storeLifecycle(clean, h, recs); err != nil {
+	if err := storeLifecycle(clean, lockDir, h, recs); err != nil {
 		t.Fatal(err)
 	}
 	want := storeFiles(t, clean)
@@ -114,7 +116,7 @@ func TestStoreUnderWriteFaults(t *testing.T) {
 	}
 
 	profiler := core.Disarmed(core.Config{Model: core.DroppedWrite}.Signature())
-	if err := storeLifecycle(profiler.Wrap(vfs.NewMemFS()), h, recs); err != nil {
+	if err := storeLifecycle(profiler.Wrap(vfs.NewMemFS()), lockDir, h, recs); err != nil {
 		t.Fatal(err)
 	}
 	writes := profiler.Count()
@@ -129,7 +131,7 @@ func TestStoreUnderWriteFaults(t *testing.T) {
 			mem := vfs.NewMemFS()
 			inj := core.NewInjector(sig, target, stats.NewRNG(uint64(target)+1))
 			// The lifecycle may fail under its own fault; recovery decides.
-			_ = storeLifecycle(inj.Wrap(mem), h, recs)
+			_ = storeLifecycle(inj.Wrap(mem), lockDir, h, recs)
 			if _, fired := inj.Fired(); !fired {
 				t.Fatalf("%s: write instance %d never fired", model.Name(), target)
 			}

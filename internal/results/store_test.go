@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
+	"ffis/internal/stats"
 )
 
 // runCampaign runs one campaign as a one-spec Engine grid on jobs slots
@@ -77,6 +79,21 @@ func TestParseSpecFileTornTailRecovery(t *testing.T) {
 	}
 }
 
+// adopt adopts keys, each on its world in worlds, as a grid of the store's
+// seed and run budget, and releases the store lock again.
+func adopt(st *Store, worlds map[string]string, keys ...string) error {
+	man := st.Manifest()
+	grid := make([]GridSpec, len(keys))
+	for i, k := range keys {
+		grid[i] = GridSpec{Key: k, World: worlds[k], Meta: core.CampaignMeta{Seed: man.Seed, Runs: man.Runs}}
+	}
+	_, unlock, err := st.Adopt(grid)
+	if err == nil {
+		unlock()
+	}
+	return err
+}
+
 func TestCreateRefusesExistingStore(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Create(dir, Manifest{Seed: 1, Runs: 2}); err != nil {
@@ -94,14 +111,14 @@ func TestCreateOrResumeValidatesParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EnsureSpecs([]string{key}, object); err != nil {
+	if err := adopt(st, object, key); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := CreateOrResume(dir, true, Manifest{Seed: 7, Runs: 50})
 	if err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
-	if err := resumed.EnsureSpecs([]string{key}, object); err != nil {
+	if err := adopt(resumed, object, key); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
 	for _, bad := range []Manifest{
@@ -113,8 +130,8 @@ func TestCreateOrResumeValidatesParameters(t *testing.T) {
 		}
 	}
 	// A resume on the default mem backend is refused when its grid
-	// registers the spec.
-	if err := resumed.EnsureSpecs([]string{key}, map[string]string{key: "MT2"}); err == nil {
+	// adopts the spec.
+	if err := adopt(resumed, map[string]string{key: "MT2"}, key); err == nil {
 		t.Fatal("resume with drifted backend must be rejected")
 	}
 }
@@ -126,7 +143,7 @@ func TestResumeRejectsBackendMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// eq/old was registered by a grid that recorded no world.
-	if err := st.EnsureSpecs([]string{"eq/old", "eq/BF"}, map[string]string{"eq/BF": "eq@object"}); err != nil {
+	if err := adopt(st, map[string]string{"eq/BF": "eq@object"}, "eq/old", "eq/BF"); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := CreateOrResume(dir, true, Manifest{Seed: eqSeed, Runs: eqRuns})
@@ -134,7 +151,7 @@ func TestResumeRejectsBackendMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resumed.Manifest()
-	err = resumed.EnsureSpecs([]string{"eq/old", "eq/BF"}, map[string]string{"eq/old": "eq", "eq/BF": "eq@latency:bb"})
+	err = adopt(resumed, map[string]string{"eq/old": "eq", "eq/BF": "eq@latency:bb"}, "eq/old", "eq/BF")
 	if err == nil || !strings.Contains(err.Error(), "world") {
 		t.Fatalf("resume across backends must be refused, got %v", err)
 	}
@@ -142,7 +159,7 @@ func TestResumeRejectsBackendMismatch(t *testing.T) {
 		t.Fatalf("a refused registration changed the manifest: %+v, want %+v", got, want)
 	}
 	// The spec with no recorded world adopts one, and keeps it.
-	if err := resumed.EnsureSpecs([]string{"eq/old"}, map[string]string{"eq/old": "eq"}); err != nil {
+	if err := adopt(resumed, map[string]string{"eq/old": "eq"}, "eq/old"); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir)
@@ -152,7 +169,7 @@ func TestResumeRejectsBackendMismatch(t *testing.T) {
 	if got := reopened.Manifest().Worlds; !reflect.DeepEqual(got, map[string]string{"eq/old": "eq", "eq/BF": "eq@object"}) {
 		t.Fatalf("persisted worlds %v", got)
 	}
-	if err := reopened.EnsureSpecs([]string{"eq/old"}, map[string]string{"eq/old": "eq@object"}); err == nil {
+	if err := adopt(reopened, map[string]string{"eq/old": "eq@object"}, "eq/old"); err == nil {
 		t.Fatal("an adopted world must be kept")
 	}
 }
@@ -325,7 +342,7 @@ func TestReportCallsOutMissingSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EnsureSpecs([]string{"eq/ghost"}, nil); err != nil {
+	if err := adopt(st, nil, "eq/ghost"); err != nil {
 		t.Fatal(err)
 	}
 	text, err := Report(st, "text")
@@ -519,10 +536,10 @@ func TestFinalizeRefusesShortStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sink.Finalize(); err == nil || !strings.Contains(err.Error(), "5 of 10 runs") {
+	if err := sink.Finalize(0); err == nil || !strings.Contains(err.Error(), "5 of 10 runs") {
 		t.Fatalf("finalizing runs [0, 5) of 10: err = %v, want the short-stream refusal", err)
 	}
-	if st.Finalized("eq/BF") {
+	if st.finalized("eq/BF") {
 		t.Fatal("a refused Finalize left a finalized .jsonl behind")
 	}
 }
@@ -550,25 +567,133 @@ func TestRunGridRejectsFinalizedSpecDrift(t *testing.T) {
 
 // TestStoreLockExcludesConcurrentWriters: a second writer on the same store
 // must fail fast instead of truncating and interleaving the first writer's
-// partial files.
+// partial files, and must not register its keys or pin their worlds in the
+// manifest: the lock is taken before anything is adopted.
 func TestStoreLockExcludesConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlock, err := st.Lock()
+	unlock, err := st.lock()
 	if err != nil {
 		t.Skipf("no advisory locks on this platform: %v", err)
 	}
 	defer unlock()
+	want := manifestBytes(t, dir)
 
 	st2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunGrid(&core.Engine{Jobs: 2}, st2, eqSpecs()); err == nil ||
+	specs := eqSpecs()
+	specs[0].WorldKey = "eq@object"
+	if _, err := RunGrid(&core.Engine{Jobs: 2}, st2, specs); err == nil ||
 		!strings.Contains(err.Error(), "another process") {
 		t.Fatalf("second writer must be excluded, got %v", err)
+	}
+	if got := manifestBytes(t, dir); !bytes.Equal(got, want) {
+		t.Fatalf("a grid refused by the lock changed the manifest:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// manifestBytes reads the store's manifest.json as it is on disk.
+func manifestBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDuplicateKeyGridRegistersNothing: a grid naming one key twice is
+// refused before any of its keys is registered or any record file opened.
+func TestDuplicateKeyGridRegistersNothing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := manifestBytes(t, dir)
+	specs := eqSpecs()
+	if _, err := RunGrid(&core.Engine{Jobs: 2}, st, append(specs, specs[0])); err == nil ||
+		!strings.Contains(err.Error(), "duplicate spec key") {
+		t.Fatalf("a duplicate key must be refused, got %v", err)
+	}
+	if got := manifestBytes(t, dir); !bytes.Equal(got, want) {
+		t.Fatalf("a refused grid changed the manifest:\n%s\nwant\n%s", got, want)
+	}
+	if files, err := os.ReadDir(filepath.Join(dir, "records")); err != nil || len(files) != 0 {
+		t.Fatalf("a refused grid left record files %v (%v)", files, err)
+	}
+}
+
+// TestTwoHandlesKeepEachOthersSpecs: grids run one after the other through
+// two handles on one store must both stay registered. Each adoption reads
+// the manifest under the lock, so the second handle's stale copy never
+// overwrites the first grid's key, and Report still lists it.
+func TestTwoHandlesKeepEachOthersSpecs(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns}); err != nil {
+		t.Fatal(err)
+	}
+	h1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := eqSpecs()
+	for i, h := range []*Store{h1, h2} {
+		grid, err := RunGrid(&core.Engine{Jobs: 2}, h, specs[i:i+1])
+		if err != nil || grid[0].Err != nil {
+			t.Fatalf("grid %d: %v / %v", i, err, grid[0].Err)
+		}
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Manifest().Specs, []string{"eq/BF", "eq/DW"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest specs %v, want %v", got, want)
+	}
+	text, err := Report(h2, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "eq/BF") || !strings.Contains(text, "eq/DW") {
+		t.Fatalf("report drops a spec:\n%s", text)
+	}
+}
+
+// TestInvalidStopRuleFailsItsCell: a spec whose stopping rule does not
+// normalize fails its own cell, not the grid, whether the spec still has
+// runs to execute or is finalized already. A finalized fixed-budget spec
+// is not served under an invalid rule.
+func TestInvalidStopRuleFailsItsCell(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Create(dir, Manifest{Seed: eqSeed, Runs: eqRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := eqSpecs()
+	grid, err := RunGrid(&core.Engine{Jobs: 2}, st, specs[:1])
+	if err != nil || grid[0].Err != nil {
+		t.Fatalf("fixed-budget grid: %v / %v", err, grid[0].Err)
+	}
+	for i := range specs {
+		specs[i].Config.Stop = &stats.StopRule{TargetHalfWidth: 2}
+	}
+	grid, err = RunGrid(&core.Engine{Jobs: 2}, st, specs) // eq/BF finalized, eq/DW pending
+	if err != nil {
+		t.Fatalf("an invalid stop rule failed the grid: %v", err)
+	}
+	for _, r := range grid {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "stop rule") {
+			t.Errorf("%s: err = %v, want the stop rule's error", r.Spec.Key, r.Err)
+		}
 	}
 }
