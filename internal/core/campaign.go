@@ -249,9 +249,15 @@ func interposeMounts(base vfs.FS, mounts []string, wrap func(vfs.FS) vfs.FS) (vf
 // runRecovering invokes run and converts panics into errors, standing in
 // for the process isolation a real injection campaign gets from running the
 // application in a child process: a crash must not take the campaign down.
+// A panic raised in a model hook comes back as a *hookPanic, which callers
+// treat as a failed campaign rather than an application crash.
 func runRecovering(run func(vfs.FS) error, fs vfs.FS) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if hp, ok := r.(*hookPanic); ok {
+				err = hp
+				return
+			}
 			err = fmt.Errorf("core: application panic: %v", r)
 		}
 	}()

@@ -239,10 +239,10 @@ func TestCampaignNoTargets(t *testing.T) {
 // conformance suite (which would reject it) never sees it.
 type statHostModel struct{ BaseModel }
 
-func (statHostModel) Name() string           { return "stat-host" }
-func (statHostModel) Short() string          { return "ST" }
-func (statHostModel) Hosts() []vfs.Primitive { return []vfs.Primitive{vfs.PrimStat} }
-func (statHostModel) Describe() string       { return "hosts stat (test-only, unregistered)" }
+func (statHostModel) Name() string        { return "stat-host" }
+func (statHostModel) Short() string       { return "ST" }
+func (statHostModel) Host() vfs.Primitive { return vfs.PrimStat }
+func (statHostModel) Describe() string    { return "hosts stat (test-only, unregistered)" }
 
 // TestProfileCountsOnlyInterceptedInstances pins that the profiler counts
 // exactly what the injector can claim: a model hosting a primitive the

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ffis/internal/classify"
 	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
@@ -15,15 +16,13 @@ import (
 // The registry conformance suite: every registered model — built-in or
 // added later — must satisfy the contract the campaign machinery assumes.
 // A new model that registers but breaks identity uniqueness, claims shots
-// it never records, fires on primitives outside Hosts(), burns its shot on
-// zero-length I/O, or mutates non-deterministically under a fixed RNG
-// stream fails here, before any campaign tallies nonsense.
+// it never records, fires on a primitive other than its Host, burns its
+// shot on zero-length I/O, or mutates non-deterministically under a fixed
+// RNG stream fails here, before any campaign tallies nonsense.
 
-// conformancePrims is the set of primitives the injector can intercept at
-// all; Hosts() entries outside it could never fire.
-var conformancePrims = []vfs.Primitive{
-	vfs.PrimWrite, vfs.PrimRead, vfs.PrimTruncate, vfs.PrimMknod, vfs.PrimChmod,
-}
+// conformancePrims is the set of primitives the injector intercepts; a
+// Host outside it could never fire, and Register refuses it.
+var conformancePrims = []vfs.Primitive{vfs.PrimWrite, vfs.PrimRead}
 
 // recordedMutations copies every mutation the injector recorded, in firing
 // order.
@@ -34,7 +33,7 @@ func recordedMutations(inj *Injector) []Mutation {
 }
 
 // conformanceWorld builds a base world with a seeded victim file for the
-// read/truncate/chmod exercises.
+// read and truncate exercises.
 func conformanceWorld(t *testing.T) vfs.FS {
 	t.Helper()
 	base := vfs.NewMemFS()
@@ -69,10 +68,6 @@ func exercisePrimitive(t *testing.T, fs vfs.FS, prim vfs.Primitive, path string)
 		return rerr
 	case vfs.PrimTruncate:
 		return fs.Truncate(path, 100)
-	case vfs.PrimMknod:
-		return fs.Mknod(path+".node", 0o600, 7)
-	case vfs.PrimChmod:
-		return fs.Chmod(path, 0o640)
 	default:
 		t.Fatalf("conformance: no exercise for primitive %s", prim)
 		return nil
@@ -115,92 +110,144 @@ func TestConformanceUniqueIdentity(t *testing.T) {
 	}
 }
 
+// TestConformanceHostsWithinInjectorSurface asserts that every registered
+// model hosts a primitive the injector intercepts, and that Register
+// refuses one that does not — without leaving it in the registry.
 func TestConformanceHostsWithinInjectorSurface(t *testing.T) {
 	for _, m := range AllModels() {
-		if len(m.Hosts()) == 0 {
-			t.Errorf("%s hosts nothing", m.Name())
-			continue
+		if !slices.Contains(conformancePrims, m.Host()) {
+			t.Errorf("%s hosts %s, which the injector never intercepts", m.Name(), m.Host())
 		}
-		for _, h := range m.Hosts() {
-			ok := false
-			for _, p := range conformancePrims {
-				if p == h {
-					ok = true
-				}
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), "stat") {
+				t.Errorf("Register of a stat-hosted model: recovered %v, want a panic naming stat", r)
 			}
-			if !ok {
-				t.Errorf("%s hosts %s, which the injector never intercepts", m.Name(), h)
-			}
-		}
+		}()
+		Register(statHostModel{})
+	}()
+	if m, ok := Lookup(statHostModel{}.Name()); ok {
+		t.Fatalf("a refused model is still registered: %s", m.Name())
+	}
+	if slices.ContainsFunc(AllModels(), func(m Model) bool { return m.Name() == statHostModel{}.Name() }) {
+		t.Fatal("a refused model is still listed")
 	}
 }
 
-// TestConformanceHostsFire asserts the positive half of the Hosts()
-// contract: arming any hosted primitive at target 0 and executing one
-// instance must fire and record a mutation stamped with the model.
+// TestConformanceHostsFire asserts the positive half of the Host contract:
+// arming a model at target 0 and executing one instance of its host must
+// fire and record a mutation stamped with the model.
 func TestConformanceHostsFire(t *testing.T) {
 	for _, m := range AllModels() {
-		for _, prim := range m.Hosts() {
-			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
-				base := conformanceWorld(t)
-				sig := Config{Model: m, Primitive: prim}.Signature()
-				if err := sig.Validate(); err != nil {
-					t.Fatalf("signature for hosted primitive rejected: %v", err)
-				}
-				inj := NewInjector(sig, 0, stats.NewRNG(99))
-				exercisePrimitive(t, inj.Wrap(base), prim, primTarget(prim))
-				if inj.Count() == 0 {
-					t.Fatalf("injector never saw the %s instance", prim)
-				}
-				mut, fired := inj.Fired()
-				if !fired {
-					t.Fatalf("%s claims to host %s but the claimed shot recorded nothing", m.Name(), prim)
-				}
-				if mut.Model != m {
-					t.Fatalf("mutation stamped with %v, want %s", mut.Model, m.Name())
-				}
-				if mut.String() == "" {
-					t.Fatal("mutation renders empty")
-				}
-			})
-		}
+		prim := m.Host()
+		t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
+			base := conformanceWorld(t)
+			sig := Config{Model: m}.Signature()
+			if err := sig.Validate(); err != nil {
+				t.Fatalf("signature rejected: %v", err)
+			}
+			inj := NewInjector(sig, 0, stats.NewRNG(99))
+			exercisePrimitive(t, inj.Wrap(base), prim, primTarget(prim))
+			if inj.Count() == 0 {
+				t.Fatalf("injector never saw the %s instance", prim)
+			}
+			mut, fired := inj.Fired()
+			if !fired {
+				t.Fatalf("%s claims to host %s but the claimed shot recorded nothing", m.Name(), prim)
+			}
+			if mut.Model != m {
+				t.Fatalf("mutation stamped with %v, want %s", mut.Model, m.Name())
+			}
+			if mut.String() == "" {
+				t.Fatal("mutation renders empty")
+			}
+		})
 	}
 }
 
-// TestConformanceUnhostedPassThrough asserts the negative half: arming a
-// primitive outside Hosts() must never record a fault, and the primitive's
-// effect must be transparent.
+// TestConformanceUnhostedPassThrough asserts the negative half: a
+// write-hosted model leaves reads transparent, a read-hosted model leaves
+// writes transparent, and no model faults a truncate, which the injector
+// passes to the FS beneath it. None records a fault.
 func TestConformanceUnhostedPassThrough(t *testing.T) {
 	for _, m := range AllModels() {
-		hosted := map[vfs.Primitive]bool{}
-		for _, h := range m.Hosts() {
-			hosted[h] = true
-		}
-		for _, prim := range conformancePrims {
-			if hosted[prim] {
+		for _, prim := range append(slices.Clone(conformancePrims), vfs.PrimTruncate) {
+			if prim == m.Host() {
 				continue
 			}
 			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
-				sig := Config{Model: m, Primitive: prim}.Signature()
-				if err := sig.Validate(); err == nil {
-					t.Errorf("Validate accepted unhosted %s@%s", m.Name(), prim)
-				}
 				base := conformanceWorld(t)
-				inj := NewInjector(sig, 0, stats.NewRNG(99))
+				before, err := vfs.ReadFile(base, "/victim")
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj := NewInjector(Config{Model: m}.Signature(), 0, stats.NewRNG(99))
 				if err := exercisePrimitive(t, inj.Wrap(base), prim, primTarget(prim)); err != nil {
 					t.Fatalf("pass-through %s failed: %v", prim, err)
 				}
 				if mut, fired := inj.Fired(); fired {
 					t.Fatalf("unhosted primitive recorded a mutation: %s", mut)
 				}
-				if prim == vfs.PrimWrite {
+				switch prim {
+				case vfs.PrimWrite:
 					got, err := vfs.ReadFile(base, "/fresh")
 					if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 4096)) {
 						t.Fatal("pass-through write altered data")
 					}
+				case vfs.PrimRead:
+					if got, err := vfs.ReadFile(base, "/victim"); err != nil || !bytes.Equal(got, before) {
+						t.Fatal("pass-through read altered the stored bytes")
+					}
+				case vfs.PrimTruncate:
+					if got, err := vfs.ReadFile(base, "/victim"); err != nil || !bytes.Equal(got, before[:100]) {
+						t.Fatal("pass-through truncate did not resize exactly")
+					}
 				}
 			})
 		}
+	}
+}
+
+// panicHookModel is a write model whose hook panics. It stays unregistered
+// so the registry, and every suite looping over it, never sees it.
+type panicHookModel struct{ BaseModel }
+
+func (panicHookModel) Name() string        { return "panic-hook" }
+func (panicHookModel) Short() string       { return "PH" }
+func (panicHookModel) Host() vfs.Primitive { return vfs.PrimWrite }
+func (panicHookModel) Describe() string    { return "panics in its write hook (test-only, unregistered)" }
+func (panicHookModel) MutateWrite(Env, WriteOp) WriteAction {
+	panic("hook bug")
+}
+
+// TestConformanceHookPanicFailsCampaign pins that a panic inside a model
+// hook is the model's bug, not the application's: the campaign fails with
+// an error naming the model, and no run is tallied or recorded as a Crash.
+func TestConformanceHookPanicFailsCampaign(t *testing.T) {
+	w := Workload{
+		Name: "one-write",
+		Run:  func(fs vfs.FS) error { return vfs.WriteFile(fs, "/out", []byte("payload")) },
+		Classify: func(fs vfs.FS, runErr error) classify.Outcome {
+			if runErr != nil {
+				return classify.Crash
+			}
+			return classify.Benign
+		},
+	}
+	sink := &collectSink{}
+	grid := (&Engine{Jobs: 2}).Run([]CampaignSpec{{
+		Key: "panic", Workload: w,
+		Config: CampaignConfig{Fault: Config{Model: panicHookModel{}}, Runs: 6, Seed: 1, Sink: sink},
+	}})
+	err := grid[0].Err
+	if err == nil || !strings.Contains(err.Error(), "panic-hook") {
+		t.Fatalf("Engine.Run err = %v (tally %s), want an error naming panic-hook",
+			err, grid[0].Result.Tally.String())
+	}
+	if len(sink.records) != 0 {
+		t.Fatalf("%d records reached the sink, want none: %+v", len(sink.records), sink.records)
 	}
 }
 
@@ -211,7 +258,7 @@ func TestConformanceUnhostedPassThrough(t *testing.T) {
 // covers the rest of their budget.
 func TestConformanceSingleShot(t *testing.T) {
 	for _, m := range AllModels() {
-		prim := m.Hosts()[0]
+		prim := m.Host()
 		t.Run(m.Name(), func(t *testing.T) {
 			paths := []string{"/victim", "/victim2"}
 			for target, wantPath := range paths {
@@ -226,7 +273,7 @@ func TestConformanceSingleShot(t *testing.T) {
 					paths = []string{"/fresh", "/fresh2"}
 					wantPath = paths[target]
 				}
-				inj := NewInjector(Config{Model: m, Primitive: prim}.Signature(), int64(target), stats.NewRNG(5))
+				inj := NewInjector(Config{Model: m}.Signature(), int64(target), stats.NewRNG(5))
 				fs := inj.Wrap(base)
 				for _, p := range paths {
 					exercisePrimitive(t, fs, prim, p)
@@ -235,12 +282,8 @@ func TestConformanceSingleShot(t *testing.T) {
 				if !fired {
 					t.Fatalf("target %d never fired", target)
 				}
-				want := wantPath
-				if prim == vfs.PrimMknod {
-					want += ".node"
-				}
-				if mut.Path != want {
-					t.Fatalf("target %d struck %s, want %s", target, mut.Path, want)
+				if mut.Path != wantPath {
+					t.Fatalf("target %d struck %s, want %s", target, mut.Path, wantPath)
 				}
 				if got := inj.Count(); got != int64(len(paths)) {
 					t.Fatalf("count = %d, want %d (later instances must still be counted)", got, len(paths))
@@ -255,53 +298,49 @@ func TestConformanceSingleShot(t *testing.T) {
 // moves bytes.
 func TestConformanceZeroLengthIO(t *testing.T) {
 	for _, m := range AllModels() {
-		for _, prim := range m.Hosts() {
-			if prim != vfs.PrimWrite && prim != vfs.PrimRead {
-				continue
+		prim := m.Host()
+		t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
+			base := conformanceWorld(t)
+			inj := NewInjector(Config{Model: m}.Signature(), 0, stats.NewRNG(5))
+			fs := inj.Wrap(base)
+			if prim == vfs.PrimWrite {
+				f, err := fs.Create("/z")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(nil); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			} else {
+				f, err := fs.Open("/victim")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Read([]byte{}); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
 			}
-			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
-				base := conformanceWorld(t)
-				inj := NewInjector(Config{Model: m, Primitive: prim}.Signature(), 0, stats.NewRNG(5))
-				fs := inj.Wrap(base)
-				if prim == vfs.PrimWrite {
-					f, err := fs.Create("/z")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := f.Write(nil); err != nil {
-						t.Fatal(err)
-					}
-					f.Close()
-				} else {
-					f, err := fs.Open("/victim")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := f.Read([]byte{}); err != nil {
-						t.Fatal(err)
-					}
-					f.Close()
-				}
-				if inj.Count() != 0 {
-					t.Fatal("zero-length I/O consumed the claim counter")
-				}
-				if _, fired := inj.Fired(); fired {
-					t.Fatal("zero-length I/O fired the shot")
-				}
-				if inj.FiredShots() != 0 {
-					t.Fatal("zero-length I/O consumed shot budget")
-				}
-				// The next real instance must still be corruptible.
-				exercisePrimitive(t, fs, prim, primTarget(prim))
-				if _, fired := inj.Fired(); !fired {
-					t.Fatal("shot was not preserved for the first real instance")
-				}
-			})
-		}
+			if inj.Count() != 0 {
+				t.Fatal("zero-length I/O consumed the claim counter")
+			}
+			if _, fired := inj.Fired(); fired {
+				t.Fatal("zero-length I/O fired the shot")
+			}
+			if inj.FiredShots() != 0 {
+				t.Fatal("zero-length I/O consumed shot budget")
+			}
+			// The next real instance must still be corruptible.
+			exercisePrimitive(t, fs, prim, primTarget(prim))
+			if _, fired := inj.Fired(); !fired {
+				t.Fatal("shot was not preserved for the first real instance")
+			}
+		})
 	}
 }
 
-// exerciseInstances performs n dynamic instances of the model's default
+// exerciseInstances performs n dynamic instances of the model's host
 // primitive through fs (write: n Write calls on one handle; read: n Read
 // calls), ignoring per-op errors — some models fail ops by design.
 func exerciseInstances(t *testing.T, fs vfs.FS, prim vfs.Primitive, n int) {
@@ -361,11 +400,11 @@ func expectedClaims(m Model, budget, n int) int {
 func TestConformanceShotBudget(t *testing.T) {
 	const instances = 24
 	for _, m := range AllModels() {
-		prim := m.Hosts()[0]
+		prim := m.Host()
 		for _, shots := range []int{0, 1, 2} { // 0 = model default
 			t.Run(fmt.Sprintf("%s/shots=%d", m.Name(), shots), func(t *testing.T) {
 				base := conformanceWorld(t)
-				sig := Config{Model: m, Primitive: prim, Shots: shots}.Signature()
+				sig := Config{Model: m, Shots: shots}.Signature()
 				inj := NewInjector(sig, 0, stats.NewRNG(7))
 				exerciseInstances(t, inj.Wrap(base), prim, instances)
 				want := expectedClaims(m, sig.ShotBudget(), instances)
@@ -421,35 +460,34 @@ func TestConformanceBudgetExhaustionRestoresTransparency(t *testing.T) {
 // mutation records and identical post-fault file bytes.
 func TestConformanceDeterministicMutation(t *testing.T) {
 	for _, m := range AllModels() {
-		for _, prim := range m.Hosts() {
-			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
-				run := func() (Mutation, []byte) {
-					base := conformanceWorld(t)
-					inj := NewInjector(Config{Model: m, Primitive: prim}.Signature(), 0, stats.NewRNG(12345))
-					exercisePrimitive(t, inj.Wrap(base), prim, primTarget(prim))
-					mut, fired := inj.Fired()
-					if !fired {
-						t.Fatal("shot never fired")
-					}
-					data, err := vfs.ReadFile(base, mut.Path)
-					if err != nil {
-						data = nil // mknod nodes and dropped creations have no bytes
-					}
-					return mut, data
+		prim := m.Host()
+		t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
+			run := func() (Mutation, []byte) {
+				base := conformanceWorld(t)
+				inj := NewInjector(Config{Model: m}.Signature(), 0, stats.NewRNG(12345))
+				exercisePrimitive(t, inj.Wrap(base), prim, primTarget(prim))
+				mut, fired := inj.Fired()
+				if !fired {
+					t.Fatal("shot never fired")
 				}
-				m1, d1 := run()
-				m2, d2 := run()
-				// DeepEqual, not ==: a registered model whose struct type
-				// has uncomparable fields must fail this suite with a diff,
-				// not a comparison panic.
-				if !reflect.DeepEqual(m1, m2) {
-					t.Fatalf("mutation not deterministic:\n  %+v\n  %+v", m1, m2)
+				data, err := vfs.ReadFile(base, mut.Path)
+				if err != nil {
+					data = nil // a dropped creation has no bytes
 				}
-				if !bytes.Equal(d1, d2) {
-					t.Fatal("post-fault bytes not deterministic")
-				}
-			})
-		}
+				return mut, data
+			}
+			m1, d1 := run()
+			m2, d2 := run()
+			// DeepEqual, not ==: a registered model whose struct type
+			// has uncomparable fields must fail this suite with a diff,
+			// not a comparison panic.
+			if !reflect.DeepEqual(m1, m2) {
+				t.Fatalf("mutation not deterministic:\n  %+v\n  %+v", m1, m2)
+			}
+			if !bytes.Equal(d1, d2) {
+				t.Fatal("post-fault bytes not deterministic")
+			}
+		})
 	}
 }
 
@@ -463,18 +501,18 @@ type hookOutcome struct {
 	drew      bool
 }
 
-// callHook claims one shot of m at prim and calls the matching hook
-// directly on a fixed op against the conformance world's victim file.
-func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcome {
+// callHook claims one shot of m and calls its hook directly on a fixed op
+// against the conformance world's victim file.
+func callHook(t *testing.T, m Model, seed uint64) hookOutcome {
 	t.Helper()
 	base := conformanceWorld(t)
-	inj := NewInjector(Config{Model: m, Primitive: prim}.Signature(), 0, stats.NewRNG(seed))
+	inj := NewInjector(Config{Model: m}.Signature(), 0, stats.NewRNG(seed))
 	if !inj.claim() {
 		t.Fatal("target 0 did not claim")
 	}
 	env := inj.env()
 	var action any
-	switch prim {
+	switch prim := m.Host(); prim {
 	case vfs.PrimWrite:
 		f, err := base.Append("/victim")
 		if err != nil {
@@ -492,10 +530,6 @@ func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcom
 		n, err := m.MutateRead(env, ReadOp{File: f, FS: base, Path: "/victim", Buf: buf, Off: 512,
 			Do: func(p []byte) (int, error) { return f.ReadAt(p, 512) }})
 		action = []any{n, err, buf}
-	case vfs.PrimTruncate:
-		action = m.MutateTruncate(env, TruncateOp{Path: "/victim", Size: 100})
-	case vfs.PrimMknod, vfs.PrimChmod:
-		action = m.MutateMeta(env, MetaOp{Primitive: prim, Path: "/victim", Mode: 0o640, Dev: 7})
 	default:
 		t.Fatalf("conformance: no hook for primitive %s", prim)
 	}
@@ -508,35 +542,33 @@ func callHook(t *testing.T, m Model, prim vfs.Primitive, seed uint64) hookOutcom
 
 // TestConformanceDrawFreeHooksArePure pins the contract the Engine's
 // record reuse rests on: a hook that makes no Env draw acts as a pure
-// function of its op. Every hosted primitive of every registered model is
-// called twice on identical ops under two different RNG streams; whenever
+// function of its op. Every registered model's hook is called twice on
+// identical ops under two different RNG streams; whenever
 // the hook drew nothing, action, recorded mutations and post-hook bytes
 // must be identical.
 func TestConformanceDrawFreeHooksArePure(t *testing.T) {
 	var pure, drawing int
 	for _, m := range AllModels() {
-		for _, prim := range m.Hosts() {
-			t.Run(m.Name()+"/"+string(prim), func(t *testing.T) {
-				a, b := callHook(t, m, prim, 1), callHook(t, m, prim, 0xdecafbad)
-				if a.drew != b.drew {
-					t.Fatalf("the hook drew under one stream and not the other (%v vs %v)", a.drew, b.drew)
-				}
-				if a.drew {
-					drawing++
-					return
-				}
-				pure++
-				if !reflect.DeepEqual(a.action, b.action) {
-					t.Fatalf("draw-free hook returned different actions:\n  %+v\n  %+v", a.action, b.action)
-				}
-				if !reflect.DeepEqual(a.mutations, b.mutations) {
-					t.Fatalf("draw-free hook recorded different mutations:\n  %+v\n  %+v", a.mutations, b.mutations)
-				}
-				if !bytes.Equal(a.victim, b.victim) {
-					t.Fatal("draw-free hook left different bytes behind")
-				}
-			})
-		}
+		t.Run(m.Name()+"/"+string(m.Host()), func(t *testing.T) {
+			a, b := callHook(t, m, 1), callHook(t, m, 0xdecafbad)
+			if a.drew != b.drew {
+				t.Fatalf("the hook drew under one stream and not the other (%v vs %v)", a.drew, b.drew)
+			}
+			if a.drew {
+				drawing++
+				return
+			}
+			pure++
+			if !reflect.DeepEqual(a.action, b.action) {
+				t.Fatalf("draw-free hook returned different actions:\n  %+v\n  %+v", a.action, b.action)
+			}
+			if !reflect.DeepEqual(a.mutations, b.mutations) {
+				t.Fatalf("draw-free hook recorded different mutations:\n  %+v\n  %+v", a.mutations, b.mutations)
+			}
+			if !bytes.Equal(a.victim, b.victim) {
+				t.Fatal("draw-free hook left different bytes behind")
+			}
+		})
 	}
 	if pure == 0 || drawing == 0 {
 		t.Fatalf("%d draw-free and %d drawing hooks: the suite must see both kinds", pure, drawing)
@@ -555,10 +587,10 @@ func TestConformanceHooksLeaveWriteBufferIntact(t *testing.T) {
 		pattern[i] = byte(7*i + i/251)
 	}
 	for _, m := range AllModels() {
-		if !slices.Contains(m.Hosts(), vfs.PrimWrite) {
+		if m.Host() != vfs.PrimWrite {
 			continue
 		}
-		sig := Config{Model: m, Primitive: vfs.PrimWrite}.Signature()
+		sig := Config{Model: m}.Signature()
 		for _, seed := range []uint64{1, 0xdecafbad} {
 			for _, target := range []int64{0, 1 << 40} {
 				for _, at := range []bool{false, true} {
@@ -636,7 +668,7 @@ func TestConformanceAllocFreePassThrough(t *testing.T) {
 	// Armed injector, target far beyond the op count: every op is a miss
 	// and must stay a pure pass-through.
 	for _, m := range AllModels() {
-		sig := Signature{Model: m, Primitive: m.Hosts()[0]}
+		sig := Signature{Model: m}
 		inj := NewInjector(sig, 1<<40, stats.NewRNG(1))
 		fs := inj.Wrap(vfs.NewMemFS())
 		w, r := openHandles(fs)

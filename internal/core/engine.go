@@ -147,7 +147,7 @@ func (p *enginePrep) profileCount(sig Signature, mounts []string) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	key := string(sig.Primitive) + "\x00" + strings.Join(mounts, "\x00")
+	key := string(sig.Model.Host()) + "\x00" + strings.Join(mounts, "\x00")
 	p.mu.Lock()
 	count, ok := p.profiles[key]
 	if !ok {

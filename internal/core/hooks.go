@@ -7,10 +7,10 @@ import (
 )
 
 // This file defines the contract between the injector and a fault model's
-// hooks: the op structs describe the one claimed primitive instance, the
-// action structs tell the injector how to complete it, and BaseModel
-// supplies pass-through hooks so a model implements only the injection
-// sites it hosts.
+// hooks: the op structs describe the one claimed primitive instance,
+// WriteAction tells the injector how to complete a write, and BaseModel
+// supplies pass-through hooks so a model implements only the one for the
+// primitive it hosts.
 
 // WriteOp describes one claimed write instance (sequential Write or
 // positional WriteAt — the paper funnels both into FFIS_write).
@@ -68,45 +68,11 @@ type ReadOp struct {
 	Do func(p []byte) (int, error)
 }
 
-// TruncateOp describes one claimed truncate instance; the requested size
-// plays the role of the write buffer.
-type TruncateOp struct {
-	Path string
-	Size int64
-}
-
-// TruncateAction tells the injector how to complete an intercepted
-// truncate.
-type TruncateAction struct {
-	// Size is the (possibly corrupted) size actually applied.
-	Size int64
-	// Drop suppresses the truncate entirely while acknowledging success.
-	Drop bool
-}
-
-// MetaOp describes one claimed metadata instance: a mknod or chmod call
-// (per Primitive) whose mode/dev arguments are the buffer.
-type MetaOp struct {
-	Primitive vfs.Primitive
-	Path      string
-	Mode      uint32
-	Dev       uint64
-}
-
-// MetaAction tells the injector how to complete an intercepted metadata
-// call.
-type MetaAction struct {
-	Mode uint32
-	Dev  uint64
-	// Drop suppresses the call entirely while acknowledging success.
-	Drop bool
-}
-
-// BaseModel provides pass-through implementations of every hook, so a
-// model embeds it and overrides only the injection sites named in its
-// Hosts() list. A pass-through hook performs the primitive unchanged and
-// records nothing — reaching one at runtime means Hosts() promised a site
-// the model never implemented, which the registry conformance suite flags.
+// BaseModel provides pass-through implementations of both hooks, so a
+// model embeds it and overrides only the one for its Host. A pass-through
+// hook performs the primitive unchanged and records nothing — reaching one
+// at runtime means Host() names a site the model never implemented, which
+// the registry conformance suite flags.
 type BaseModel struct{}
 
 // MutateWrite passes the write through unchanged.
@@ -117,16 +83,6 @@ func (BaseModel) MutateWrite(env Env, op WriteOp) WriteAction {
 // MutateRead performs the underlying read unchanged.
 func (BaseModel) MutateRead(env Env, op ReadOp) (int, error) {
 	return op.Do(op.Buf)
-}
-
-// MutateTruncate applies the requested size unchanged.
-func (BaseModel) MutateTruncate(env Env, op TruncateOp) TruncateAction {
-	return TruncateAction{Size: op.Size}
-}
-
-// MutateMeta applies the metadata arguments unchanged.
-func (BaseModel) MutateMeta(env Env, op MetaOp) MetaAction {
-	return MetaAction{Mode: op.Mode, Dev: op.Dev}
 }
 
 // RenderMutation formats a mutation generically from the fixed fields plus

@@ -26,13 +26,14 @@ import (
 // target instance fires, everything else passes through.
 //
 // The injector knows nothing about individual fault models: once a shot is
-// claimed on the armed primitive, it hands the instance to the signature's
-// Model hook (MutateWrite/MutateRead/MutateTruncate/MutateMeta) and
-// completes the primitive the way the returned action dictates. Models are
-// therefore free to ship as self-contained registrations — no dispatch
-// switch here grows when the vocabulary does.
+// claimed on the model's host primitive, it hands the instance to the
+// Model hook (MutateWrite or MutateRead) and completes the primitive the
+// way the hook dictates. Models are therefore free to ship as
+// self-contained registrations — no dispatch switch here grows when the
+// vocabulary does.
 type Injector struct {
 	sig    Signature
+	host   vfs.Primitive // sig.Model.Host(), resolved once for the per-op checks
 	target int64
 	rng    *stats.RNG
 	shots  int       // resolved shot budget
@@ -68,15 +69,10 @@ type Injector struct {
 // instance. rng supplies the intra-buffer randomness (bit position). After
 // its shot budget is exhausted the injector passes everything through.
 func NewInjector(sig Signature, target int64, rng *stats.RNG) *Injector {
-	sig = Signature{
-		Model:     sig.Model,
-		Primitive: sig.Primitive,
-		Feature:   sig.Feature.normalize(),
-		Shots:     sig.Shots,
-	}
+	sig.Feature = sig.Feature.normalize()
 	plan, _ := sig.Model.(MultiShot)
 	return &Injector{
-		sig: sig, target: target, rng: rng,
+		sig: sig, host: sig.Model.Host(), target: target, rng: rng,
 		shots: sig.ShotBudget(), plan: plan,
 		serialDraws: plan != nil,
 	}
@@ -149,8 +145,8 @@ func (inj *Injector) record(m Mutation) {
 	inj.mutations = append(inj.mutations, m)
 }
 
-// flip draws the bit position for every flipping caller (write, metadata,
-// truncate, and read paths alike) from the injector's per-run stream.
+// flip draws the bit position for every flipping caller (write and read
+// paths alike) from the injector's per-run stream.
 // Single-shot signatures draw lock-free: the claim winner is the only
 // goroutine that can ever reach a hook, so the stream is exclusively its
 // own. MultiShot plans, whose claimed hooks can overlap on concurrent
@@ -213,6 +209,37 @@ func (e Env) Shot() int {
 	return e.inj.fired
 }
 
+// mutateWrite and mutateRead are the injector's only calls into a model
+// hook. A hook that panics has a bug of its own, not the application's:
+// guard re-panics with a hookPanic naming the model, which runRecovering
+// turns into an error that fails the campaign instead of tallying a Crash.
+func (inj *Injector) mutateWrite(op WriteOp) WriteAction {
+	defer inj.guard()
+	return inj.sig.Model.MutateWrite(inj.env(), op)
+}
+
+func (inj *Injector) mutateRead(op ReadOp) (int, error) {
+	defer inj.guard()
+	return inj.sig.Model.MutateRead(inj.env(), op)
+}
+
+func (inj *Injector) guard() {
+	if r := recover(); r != nil {
+		panic(&hookPanic{model: inj.sig.Model.Name(), val: r})
+	}
+}
+
+// hookPanic is a panic raised inside a model hook, told apart from an
+// application panic.
+type hookPanic struct {
+	model string
+	val   any
+}
+
+func (p *hookPanic) Error() string {
+	return fmt.Sprintf("core: fault model %s panicked in its hook: %v", p.model, p.val)
+}
+
 // Wrap returns a file system that behaves exactly like inner except for the
 // single corrupted primitive instance.
 func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
@@ -221,11 +248,11 @@ func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
 
 // InjectorFS is the FFIS interposition layer (Figure 2): a drop-in vfs.FS
 // whose primitives consult the injector before delegating. The embedded
-// FS passes through the primitives no model hosts (Mkdir, Stat, Rename
-// and the rest). An embedded interface promotes only the vfs.FS methods,
-// so an armed view answers none of the optional interfaces of the FS it
-// wraps: it is no vfs.Cloner, Recycler or SimClocked, and vfs.Unchanged
-// reports false through it.
+// FS passes through the primitives no model hosts (Truncate, Mkdir, Stat,
+// Rename and the rest). An embedded interface promotes only the vfs.FS
+// methods, so an armed view answers none of the optional interfaces of the
+// FS it wraps: it is no vfs.Cloner, Recycler or SimClocked, and
+// vfs.Unchanged reports false through it.
 type InjectorFS struct {
 	vfs.FS
 	inj *Injector
@@ -257,54 +284,6 @@ func (f *InjectorFS) Append(name string) (vfs.File, error) {
 	return f.wrapFile(f.FS.Append(name))
 }
 
-// Mknod hosts faults when the signature targets the mknod primitive
-// (Table I lists FFIS_mknod as a host): the mode/dev arguments are treated
-// as the write buffer and handed to the model's metadata hook.
-func (f *InjectorFS) Mknod(name string, mode uint32, dev uint64) error {
-	if f.inj.sig.Primitive == vfs.PrimMknod && f.inj.claim() {
-		act := f.inj.sig.Model.MutateMeta(f.inj.env(),
-			MetaOp{Primitive: vfs.PrimMknod, Path: name, Mode: mode, Dev: dev})
-		if act.Drop {
-			return nil // node silently never created
-		}
-		mode, dev = act.Mode, act.Dev
-	}
-	return f.FS.Mknod(name, mode, dev)
-}
-
-// Chmod hosts faults when the signature targets the chmod primitive.
-func (f *InjectorFS) Chmod(name string, mode uint32) error {
-	if f.inj.sig.Primitive == vfs.PrimChmod && f.inj.claim() {
-		act := f.inj.sig.Model.MutateMeta(f.inj.env(),
-			MetaOp{Primitive: vfs.PrimChmod, Path: name, Mode: mode})
-		if act.Drop {
-			return nil
-		}
-		mode = act.Mode
-	}
-	return f.FS.Chmod(name, mode)
-}
-
-// Truncate hosts faults when the signature targets the truncate primitive.
-func (f *InjectorFS) Truncate(name string, size int64) error {
-	size, drop := f.inj.interceptTruncate(name, size)
-	if drop {
-		return nil
-	}
-	return f.FS.Truncate(name, size)
-}
-
-// interceptTruncate claims a truncate-hosted fault and asks the model for
-// the corrupted size; drop reports that the truncate must be suppressed
-// entirely (while still acknowledged).
-func (inj *Injector) interceptTruncate(name string, size int64) (newSize int64, drop bool) {
-	if inj.sig.Primitive != vfs.PrimTruncate || !inj.claim() {
-		return size, false
-	}
-	act := inj.sig.Model.MutateTruncate(inj.env(), TruncateOp{Path: name, Size: size})
-	return act.Size, act.Drop
-}
-
 // injectorFile interposes on the data path of a single handle. This is the
 // Go rendering of Figure 3a: the (buffer, size, offset) triple passed to
 // FFIS_write (or returned by FFIS_read) is handed to the armed model's hook
@@ -321,7 +300,7 @@ type injectorFile struct {
 // injector's single shot on it would tally a run as injected when no fault
 // ever reached the device.
 func (f *injectorFile) Write(p []byte) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
+	if f.inj.host != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
 		return f.File.Write(p)
 	}
 	off, err := f.File.Seek(0, io.SeekCurrent)
@@ -331,8 +310,7 @@ func (f *injectorFile) Write(p []byte) (int, error) {
 		// fail the write rather than corrupt the wrong bytes.
 		return 0, fmt.Errorf("core: injector: device offset unknown for armed write: %w", err)
 	}
-	act := f.inj.sig.Model.MutateWrite(f.inj.env(),
-		WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
+	act := f.inj.mutateWrite(WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
 	if act.Err != nil {
 		// The device refused the write: nothing persisted, nothing
 		// acknowledged, the sequential offset stays put.
@@ -361,11 +339,10 @@ func (f *injectorFile) Write(p []byte) (int, error) {
 
 // WriteAt intercepts the positional write primitive (pwrite).
 func (f *injectorFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
+	if f.inj.host != vfs.PrimWrite || len(p) == 0 || !f.inj.claim() {
 		return f.File.WriteAt(p, off)
 	}
-	act := f.inj.sig.Model.MutateWrite(f.inj.env(),
-		WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
+	act := f.inj.mutateWrite(WriteOp{File: f.File, Path: f.File.Name(), Buf: p, Off: off})
 	if act.Err != nil {
 		return 0, act.Err
 	}
@@ -383,14 +360,14 @@ func (f *injectorFile) WriteAt(p []byte, off int64) (int, error) {
 // for faults that surface when data is consumed. Zero-length buffers pass
 // through without claiming, like the write path.
 func (f *injectorFile) Read(p []byte) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
+	if f.inj.host != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
 		return f.File.Read(p)
 	}
 	off, offErr := f.File.Seek(0, io.SeekCurrent)
 	if offErr != nil {
 		off = -1
 	}
-	return f.inj.sig.Model.MutateRead(f.inj.env(), ReadOp{
+	return f.inj.mutateRead(ReadOp{
 		File: f.File, FS: f.fs, Path: f.File.Name(),
 		Buf: p, Off: off, OffErr: offErr,
 		Do: func(q []byte) (int, error) { return f.File.Read(q) },
@@ -399,24 +376,14 @@ func (f *injectorFile) Read(p []byte) (int, error) {
 
 // ReadAt intercepts the positional read primitive (pread).
 func (f *injectorFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.inj.sig.Primitive != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
+	if f.inj.host != vfs.PrimRead || len(p) == 0 || !f.inj.claim() {
 		return f.File.ReadAt(p, off)
 	}
-	return f.inj.sig.Model.MutateRead(f.inj.env(), ReadOp{
+	return f.inj.mutateRead(ReadOp{
 		File: f.File, FS: f.fs, Path: f.File.Name(),
 		Buf: p, Off: off,
 		Do: func(q []byte) (int, error) { return f.File.ReadAt(q, off) },
 	})
-}
-
-// Truncate intercepts the handle-level truncate primitive, hosting the same
-// faults as the FS-level call: both are instances of one primitive.
-func (f *injectorFile) Truncate(size int64) error {
-	size, drop := f.inj.interceptTruncate(f.File.Name(), size)
-	if drop {
-		return nil
-	}
-	return f.File.Truncate(size)
 }
 
 var (

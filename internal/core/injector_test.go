@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"ffis/internal/classify"
 	"ffis/internal/stats"
 	"ffis/internal/vfs"
 )
@@ -54,7 +53,7 @@ func TestDisarmedInjectorDelegatesContent(t *testing.T) {
 // TestDisarmedCountTracksWrites: sequential and positional writes are both
 // instances of the write primitive; the create that opens the file is not.
 func TestDisarmedCountTracksWrites(t *testing.T) {
-	inj := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimWrite})
+	inj := Disarmed(Signature{Model: BitFlip})
 	f, err := inj.Wrap(vfs.NewMemFS()).Create("/f")
 	if err != nil {
 		t.Fatal(err)
@@ -72,27 +71,31 @@ func TestDisarmedCountTracksWrites(t *testing.T) {
 }
 
 // TestDisarmedCountsEveryInterceptedPrimitive profiles each primitive the
-// injector intercepts, plus the handle-level truncate, which counts as the
-// same primitive as the FS-level call.
+// injector intercepts through a model hosting it. A truncate, FS-level or
+// on a handle, is an instance of neither.
 func TestDisarmedCountsEveryInterceptedPrimitive(t *testing.T) {
-	for _, prim := range conformancePrims {
-		inj := Disarmed(Signature{Model: BitFlip, Primitive: prim})
-		exercisePrimitive(t, inj.Wrap(conformanceWorld(t)), prim, primTarget(prim))
+	for _, m := range []Model{BitFlip, ReadBitFlip} {
+		prim := m.Host()
+		inj := Disarmed(Signature{Model: m})
+		fs := inj.Wrap(conformanceWorld(t))
+		exercisePrimitive(t, fs, prim, primTarget(prim))
 		if got := inj.Count(); got != 1 {
 			t.Errorf("%s counted %d instances, want 1", prim, got)
 		}
-	}
-	inj := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimTruncate})
-	f, err := inj.Wrap(conformanceWorld(t)).Append("/victim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.Truncate(10); err != nil {
-		t.Fatal(err)
-	}
-	if got := inj.Count(); got != 1 {
-		t.Fatalf("handle-level truncate counted %d instances, want 1", got)
+		if err := fs.Truncate("/victim", 100); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Append("/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(10); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if got := inj.Count(); got != 1 {
+			t.Errorf("truncates moved the %s count to %d, want 1", prim, got)
+		}
 	}
 }
 
@@ -125,8 +128,8 @@ func TestDisarmedCountConcurrent(t *testing.T) {
 // TestDisarmedCountSkipsZeroLengthTransfers: an empty transfer has nothing
 // to corrupt, so it is not an instance of the write or read primitive.
 func TestDisarmedCountSkipsZeroLengthTransfers(t *testing.T) {
-	writes := Disarmed(Signature{Model: BitFlip, Primitive: vfs.PrimWrite})
-	reads := Disarmed(Signature{Model: ReadBitFlip, Primitive: vfs.PrimRead})
+	writes := Disarmed(Signature{Model: BitFlip})
+	reads := Disarmed(Signature{Model: ReadBitFlip})
 	f, err := reads.Wrap(writes.Wrap(vfs.NewMemFS())).Create("/f")
 	if err != nil {
 		t.Fatal(err)
@@ -370,162 +373,15 @@ func TestInjectorTargetBeyondCountNeverFires(t *testing.T) {
 	}
 }
 
-func TestMknodFaultHosting(t *testing.T) {
-	base := vfs.NewMemFS()
-	sig := Config{Model: DroppedWrite, Primitive: vfs.PrimMknod}.Signature()
-	inj := NewInjector(sig, 0, stats.NewRNG(29))
-	fs := inj.Wrap(base)
-	if err := fs.Mknod("/dev0", 0o600, 7); err != nil {
-		t.Fatalf("dropped mknod must report success: %v", err)
-	}
-	if vfs.Exists(base, "/dev0") {
-		t.Fatal("dropped mknod still created the node")
-	}
-	// Next mknod goes through.
-	if err := fs.Mknod("/dev1", 0o600, 7); err != nil {
-		t.Fatal(err)
-	}
-	if !vfs.Exists(base, "/dev1") {
-		t.Fatal("subsequent mknod suppressed")
-	}
-}
-
-func TestChmodFaultHosting(t *testing.T) {
-	base := vfs.NewMemFS()
-	vfs.WriteFile(base, "/f", []byte("x"))
-	sig := Config{Model: BitFlip, Primitive: vfs.PrimChmod}.Signature()
-	inj := NewInjector(sig, 0, stats.NewRNG(31))
-	fs := inj.Wrap(base)
-	if err := fs.Chmod("/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := base.Stat("/f")
-	if info.Mode == 0o644 {
-		t.Fatal("chmod bit-flip did not alter the mode")
-	}
-	mut, fired := inj.Fired()
-	if !fired || mut.Path != "/f" {
-		t.Fatalf("mutation: %+v", mut)
-	}
-}
-
-func TestWritePrimitiveUntouchedWhenTargetingMknod(t *testing.T) {
-	base := vfs.NewMemFS()
-	sig := Config{Model: BitFlip, Primitive: vfs.PrimMknod}.Signature()
-	inj := NewInjector(sig, 0, stats.NewRNG(37))
-	fs := inj.Wrap(base)
-	payload := bytes.Repeat([]byte{0x77}, 1024)
-	vfs.WriteFile(fs, "/f", payload)
-	got, _ := vfs.ReadFile(base, "/f")
-	if !bytes.Equal(got, payload) {
-		t.Fatal("write corrupted although signature targets mknod")
-	}
-}
-
-// TestTruncateFaultHosting is the regression test for the truncate
-// dead-primitive hole: a truncate-targeted signature used to profile a
-// nonzero count while the injector passed every truncate through, so whole
-// campaigns silently tallied 100% benign.
-func TestTruncateFaultHosting(t *testing.T) {
-	t.Run("dropped-fs-level", func(t *testing.T) {
-		base := vfs.NewMemFS()
-		vfs.WriteFile(base, "/f", bytes.Repeat([]byte{1}, 1000))
-		sig := Config{Model: DroppedWrite, Primitive: vfs.PrimTruncate}.Signature()
-		inj := NewInjector(sig, 0, stats.NewRNG(41))
-		fs := inj.Wrap(base)
-		if err := fs.Truncate("/f", 100); err != nil {
-			t.Fatalf("dropped truncate must report success: %v", err)
-		}
-		if info, _ := base.Stat("/f"); info.Size != 1000 {
-			t.Fatalf("dropped truncate still resized to %d", info.Size)
-		}
-		mut, fired := inj.Fired()
-		if !fired || !mut.Dropped || mut.Offset != 100 {
-			t.Fatalf("mutation: %+v fired=%v", mut, fired)
-		}
-		// Single-shot: the next truncate goes through.
-		if err := fs.Truncate("/f", 100); err != nil {
-			t.Fatal(err)
-		}
-		if info, _ := base.Stat("/f"); info.Size != 100 {
-			t.Fatalf("subsequent truncate suppressed (size %d)", info.Size)
-		}
-	})
-	t.Run("bitflip-handle-level", func(t *testing.T) {
-		base := vfs.NewMemFS()
-		vfs.WriteFile(base, "/f", bytes.Repeat([]byte{1}, 1000))
-		sig := Config{Model: BitFlip, Primitive: vfs.PrimTruncate}.Signature()
-		inj := NewInjector(sig, 0, stats.NewRNG(43))
-		fs := inj.Wrap(base)
-		f, err := fs.Append("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Truncate(500); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		mut, fired := inj.Fired()
-		if !fired || mut.NewSize == 500 || mut.Offset != 500 {
-			t.Fatalf("mutation: %+v fired=%v", mut, fired)
-		}
-		info, _ := base.Stat("/f")
-		if info.Size != mut.NewSize {
-			t.Fatalf("file size %d, mutation recorded %d", info.Size, mut.NewSize)
-		}
-		// The flip stays within the significant bytes of the size argument:
-		// no exabyte allocations.
-		if mut.NewSize < 0 || mut.NewSize > 0xFFFF {
-			t.Fatalf("corrupted size %d escaped the significant bytes of 500", mut.NewSize)
-		}
-	})
-	t.Run("campaign-not-all-benign", func(t *testing.T) {
-		w := Workload{
-			Name:  "trunc-toy",
-			Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-			Run: func(fs vfs.FS) error {
-				if err := vfs.WriteFile(fs, "/out/d", bytes.Repeat([]byte{9}, 4096)); err != nil {
-					return err
-				}
-				return fs.Truncate("/out/d", 2048)
-			},
-			Classify: func(fs vfs.FS, runErr error) classify.Outcome {
-				if runErr != nil {
-					return classify.Crash
-				}
-				if info, err := fs.Stat("/out/d"); err != nil || info.Size != 2048 {
-					return classify.SDC
-				}
-				return classify.Benign
-			},
-		}
-		res, err := runCampaign(0, CampaignConfig{
-			Fault: Config{Model: DroppedWrite, Primitive: vfs.PrimTruncate},
-			Runs:  4,
-			Seed:  1,
-		}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ProfileCount != 1 {
-			t.Fatalf("profiled %d truncates, want 1", res.ProfileCount)
-		}
-		if got := res.Tally.Count(classify.SDC); got != 4 {
-			t.Fatalf("dropped-truncate campaign SDC = %d/4 (dead primitive regressed)\n%+v", got, res.Tally)
-		}
-	})
-}
-
-// TestSignatureValidationRejectsUnhostable is the other half of the
-// dead-primitive fix: combinations the injector cannot host are a
-// configuration error, not a silently-benign campaign.
+// TestSignatureValidationRejectsUnhostable pins that a signature the
+// injector cannot run — no model, or a negative shot budget — is a
+// configuration error, not a campaign. (A model's primitive is its Host,
+// which Register already holds to what the injector intercepts.)
 func TestSignatureValidationRejectsUnhostable(t *testing.T) {
 	bad := []Config{
-		{Model: ShornWrite, Primitive: vfs.PrimTruncate},
-		{Model: BitFlip, Primitive: vfs.PrimStat},
-		{Model: DroppedWrite, Primitive: vfs.PrimRead},
-		{Model: ReadBitFlip, Primitive: vfs.PrimWrite},
-		{Model: LatentCorruption, Primitive: vfs.PrimChmod},
+		{},
+		{Model: BitFlip, Shots: -1},
+		{Model: ReadBitFlip, Shots: -2},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Signature().Validate(); err == nil {

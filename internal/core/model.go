@@ -6,7 +6,8 @@
 // The package mirrors the three components of Figure 4 in the paper:
 //
 //   - Fault generator — Config.Signature() turns a user configuration into a
-//     fault signature (fault model + target primitive + model feature).
+//     fault signature (fault model + model feature; the model's Host is the
+//     target primitive).
 //   - I/O profiler — a fault-free pass through a Disarmed injector reports
 //     the dynamic count of the target primitive (Engine.Profile, memoized
 //     per world for every campaign).
@@ -38,10 +39,10 @@ import (
 
 // Model is one SSD partial-failure manifestation (Table I and its
 // extensions): a self-contained fault-model implementation. Identity comes
-// from Name/Short, the hostable surface from Hosts, and behavior from the
-// Mutate* hooks the injector calls when its single armed shot lands on an
-// instance of a hosted primitive. Implementations embed BaseModel to
-// inherit pass-through hooks and override only the sites they host; a
+// from Name/Short, the one primitive it faults from Host, and behavior from
+// the Mutate* hook the injector calls when its armed shot lands on an
+// instance of that primitive. Implementations embed BaseModel to inherit
+// pass-through hooks and override only the one for their host; a
 // Register call makes the model reachable by every campaign driver —
 // ParseModel-based CLI flags, experiment grids, examples — with no further
 // wiring.
@@ -60,11 +61,9 @@ type Model interface {
 	// Short is the two-letter code used in figure and table headings
 	// ("BF").
 	Short() string
-	// Hosts lists the file-system primitives that can host the fault, the
-	// Table I "affected FUSE primitives" column. Hosts()[0] is the default
-	// primitive a Config aims at when its Primitive field is unset;
-	// Signature.Validate rejects any primitive outside the list.
-	Hosts() []vfs.Primitive
+	// Host is the one primitive the fault lands on: write or read, the
+	// two the injector intercepts (Register refuses any other).
+	Host() vfs.Primitive
 	// Describe is the Table I "features" column: one line on what the
 	// model does to the victim primitive instance.
 	Describe() string
@@ -78,12 +77,6 @@ type Model interface {
 	// all, corrupts the delivered bytes or the at-rest media, Records the
 	// mutation, and returns what the application observes.
 	MutateRead(env Env, op ReadOp) (int, error)
-	// MutateTruncate corrupts a claimed truncate instance, treating the
-	// requested size as the write buffer.
-	MutateTruncate(env Env, op TruncateOp) TruncateAction
-	// MutateMeta corrupts a claimed metadata instance (mknod or chmod,
-	// per op.Primitive), treating the mode/dev arguments as the buffer.
-	MutateMeta(env Env, op MetaOp) MetaAction
 
 	// RenderMutation formats one of this model's mutation records for
 	// logs; Mutation.String delegates here, so new models get readable
@@ -91,13 +84,9 @@ type Model interface {
 	RenderMutation(m Mutation) string
 }
 
-// IsRead reports whether the model hosts on the read path: its default
-// target primitive (Hosts()[0]) is read rather than write, so campaigns aim
-// it at data consumption instead of production.
-func IsRead(m Model) bool {
-	hosts := m.Hosts()
-	return len(hosts) > 0 && hosts[0] == vfs.PrimRead
-}
+// IsRead reports whether the model hosts on the read path, so campaigns
+// aim it at data consumption instead of production.
+func IsRead(m Model) bool { return m.Host() == vfs.PrimRead }
 
 // MultiShot is the optional interface of correlated fault models: models
 // whose one physical fault event manifests on more than one primitive
@@ -158,12 +147,11 @@ func (f Feature) normalize() Feature {
 }
 
 // Signature is the fault signature produced by the fault generator: the
-// fault model, the file-system primitive hosting the fault, and the model
-// feature (Figure 4, "Generating fault signature").
+// fault model, which fixes the primitive hosting the fault (Model.Host),
+// and the model feature (Figure 4, "Generating fault signature").
 type Signature struct {
-	Model     Model
-	Primitive vfs.Primitive
-	Feature   Feature
+	Model   Model
+	Feature Feature
 	// Shots bounds how many primitive instances one injection run may
 	// corrupt. 0 keeps the model's own default budget — 1 for every
 	// single-manifestation model, the MultiShot model's DefaultShots
@@ -187,19 +175,15 @@ func (s Signature) ShotBudget() int {
 }
 
 func (s Signature) String() string {
-	name := "(no model)"
-	if s.Model != nil {
-		name = s.Model.Name()
+	if s.Model == nil {
+		return "(no model)"
 	}
-	return fmt.Sprintf("%s@%s", name, s.Primitive)
+	return fmt.Sprintf("%s@%s", s.Model.Name(), s.Model.Host())
 }
 
-// Validate reports whether the injector can actually host this signature:
-// the primitive must be in the model's Hosts() set. The Engine calls it
-// before profiling, so a signature the injector would silently pass
-// through (e.g. shorn-write@truncate, or any model on stat) is a
-// configuration error instead of a campaign that profiles a nonzero count
-// and then tallies 100% benign.
+// Validate reports whether the injector can run this signature: it needs
+// a model and a non-negative shot budget. The Engine calls it before
+// profiling.
 func (s Signature) Validate() error {
 	if s.Model == nil {
 		return fmt.Errorf("core: signature has no fault model (use ParseModel or a registered Model)")
@@ -207,23 +191,13 @@ func (s Signature) Validate() error {
 	if s.Shots < 0 {
 		return fmt.Errorf("core: signature shot budget %d is negative", s.Shots)
 	}
-	for _, p := range s.Model.Hosts() {
-		if p == s.Primitive {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: injector cannot host %s: model %s hosts only %v",
-		s, s.Model.Name(), s.Model.Hosts())
+	return nil
 }
 
 // Config is the user configuration the fault generator consumes.
 type Config struct {
-	Model Model
-	// Primitive defaults to the model's own default target — Hosts()[0]:
-	// write for the write-path family (Section IV-B), read for the
-	// read-path family.
-	Primitive vfs.Primitive
-	Feature   Feature
+	Model   Model
+	Feature Feature
 	// Shots overrides the per-run shot budget; 0 keeps the model default.
 	Shots int
 }
@@ -231,13 +205,7 @@ type Config struct {
 // Signature generates the fault signature from the configuration, applying
 // the paper's defaults for anything unspecified.
 func (c Config) Signature() Signature {
-	prim := c.Primitive
-	if prim == "" && c.Model != nil {
-		if hosts := c.Model.Hosts(); len(hosts) > 0 {
-			prim = hosts[0]
-		}
-	}
-	return Signature{Model: c.Model, Primitive: prim, Feature: c.Feature.normalize(), Shots: c.Shots}
+	return Signature{Model: c.Model, Feature: c.Feature.normalize(), Shots: c.Shots}
 }
 
 // Mutation describes what a fault model did to one intercepted primitive
@@ -251,14 +219,12 @@ func (c Config) Signature() Signature {
 type Mutation struct {
 	Model   Model  `json:"-"`
 	Path    string `json:"path,omitempty"`    // file the primitive targeted
-	Offset  int64  `json:"offset"`            // file offset of the write/read; requested size for truncate
+	Offset  int64  `json:"offset"`            // file offset of the write or read
 	Length  int    `json:"length,omitempty"`  // length of the original buffer
 	BitPos  int    `json:"bit_pos"`           // bit-flip models: first flipped bit index within the buffer (-1: nothing to flip)
 	Kept    int    `json:"kept,omitempty"`    // bytes actually persisted (ShornWrite) or delivered (ShortRead)
-	Dropped bool   `json:"dropped,omitempty"` // DroppedWrite: write/truncate suppressed
+	Dropped bool   `json:"dropped,omitempty"` // DroppedWrite: write suppressed
 	Sectors int    `json:"sectors,omitempty"` // ShornWrite: sectors suppressed
-	// NewSize is the corrupted size a BitFlip@truncate actually applied.
-	NewSize int64 `json:"new_size,omitempty"`
 	// Unreadable marks an UnreadableSector fault: the read failed with
 	// vfs.ErrUnreadable and delivered no data.
 	Unreadable bool `json:"unreadable,omitempty"`

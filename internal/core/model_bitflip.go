@@ -7,9 +7,7 @@ import (
 )
 
 // BitFlip flips consecutive bits at a random position in the write buffer,
-// modelling silent bit corruption that escaped the SSD's ECC. It hosts on
-// every buffer-carrying write-side primitive of Table I, plus truncate
-// (where the size argument is the buffer).
+// modelling silent bit corruption that escaped the SSD's ECC.
 var BitFlip = Register(bitFlipModel{}, "bitflip")
 
 type bitFlipModel struct{ BaseModel }
@@ -17,9 +15,7 @@ type bitFlipModel struct{ BaseModel }
 func (bitFlipModel) Name() string  { return "bit-flip" }
 func (bitFlipModel) Short() string { return "BF" }
 
-func (bitFlipModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite, vfs.PrimMknod, vfs.PrimChmod, vfs.PrimTruncate}
-}
+func (bitFlipModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (bitFlipModel) Describe() string {
 	return "flip consecutive multiple bits (default 2)"
@@ -35,45 +31,6 @@ func (bf bitFlipModel) MutateWrite(env Env, op WriteOp) WriteAction {
 	return WriteAction{Buf: mutated}
 }
 
-// MutateTruncate resizes to a corrupted size argument. The flip lands in
-// the significant bytes of the size, so the corrupted size stays the same
-// order of magnitude (a flip in the top bits of a 64-bit size would demand
-// exabytes of backing store no device models).
-func (bf bitFlipModel) MutateTruncate(env Env, op TruncateOp) TruncateAction {
-	width := 1
-	for s := op.Size >> 8; s > 0; s >>= 8 {
-		width++
-	}
-	buf := make([]byte, width)
-	for i := range buf {
-		buf[i] = byte(op.Size >> (8 * i))
-	}
-	mut, m := env.Flip(buf)
-	var newSize int64
-	for i := width - 1; i >= 0; i-- {
-		newSize = newSize<<8 | int64(mut[i])
-	}
-	m.Model = bf
-	m.Path = op.Path
-	m.Offset = op.Size
-	m.NewSize = newSize
-	env.Record(m)
-	return TruncateAction{Size: newSize}
-}
-
-func (bf bitFlipModel) MutateMeta(env Env, op MetaOp) MetaAction {
-	buf := []byte{byte(op.Mode), byte(op.Mode >> 8), byte(op.Mode >> 16), byte(op.Mode >> 24)}
-	mut, m := env.Flip(buf)
-	m.Model = bf
-	m.Path = op.Path
-	env.Record(m)
-	mode := uint32(mut[0]) | uint32(mut[1])<<8 | uint32(mut[2])<<16 | uint32(mut[3])<<24
-	return MetaAction{Mode: mode, Dev: op.Dev}
-}
-
 func (bitFlipModel) RenderMutation(m Mutation) string {
-	if m.NewSize > 0 {
-		return fmt.Sprintf("bit-flip %s truncate size %d -> %d bit=%d", m.Path, m.Offset, m.NewSize, m.BitPos)
-	}
 	return fmt.Sprintf("bit-flip %s off=%d len=%d bit=%d", m.Path, m.Offset, m.Length, m.BitPos)
 }

@@ -20,9 +20,7 @@ type burstCorruptionModel struct{ BaseModel }
 func (burstCorruptionModel) Name() string  { return "burst-corruption" }
 func (burstCorruptionModel) Short() string { return "BC" }
 
-func (burstCorruptionModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite}
-}
+func (burstCorruptionModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (burstCorruptionModel) Describe() string {
 	return "one event flips bits in 4 adjacent sectors of the buffer"

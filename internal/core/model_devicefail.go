@@ -7,14 +7,13 @@ import (
 )
 
 // DeviceFailure models a device dropping off the bus mid-run: at a drawn op
-// index the armed primitive starts failing with EIO and never recovers —
-// the whole-device counterpart of the sector-scoped faults, and the
-// maximally correlated member of the MultiShot family (its shot plan claims
-// every instance from the target on, with an effectively unbounded budget).
-// Armed on write it kills data production from the failure point; armed on
-// read, data consumption. Classification tells the stories apart: an
-// application that survives on already-persisted data is benign, one that
-// errors out is a detected failure or crash.
+// index every write starts failing with EIO and never recovers — the
+// whole-device counterpart of the sector-scoped faults, and the maximally
+// correlated member of the MultiShot family (its shot plan claims every
+// instance from the target on, with an effectively unbounded budget). It
+// kills data production from the failure point. Classification tells the
+// stories apart: an application that survives on already-persisted data is
+// benign, one that errors out is a detected failure or crash.
 var DeviceFailure = Register(deviceFailureModel{}, "devfail")
 
 type deviceFailureModel struct{ BaseModel }
@@ -22,9 +21,7 @@ type deviceFailureModel struct{ BaseModel }
 func (deviceFailureModel) Name() string  { return "device-failure" }
 func (deviceFailureModel) Short() string { return "DF" }
 
-func (deviceFailureModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite, vfs.PrimRead}
-}
+func (deviceFailureModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (deviceFailureModel) Describe() string {
 	return "the device drops off the bus at the drawn op index: the armed primitive fails with EIO from then on"
@@ -45,16 +42,6 @@ func (df deviceFailureModel) MutateWrite(env Env, op WriteOp) WriteAction {
 		Detail: fmt.Sprintf("shot %d: write refused", env.Shot()),
 	})
 	return WriteAction{Err: &vfs.PathError{Op: "write", Path: op.Path, Err: vfs.ErrDeviceFailed}}
-}
-
-// MutateRead fails the read with EIO; the underlying device read never
-// executes and no data is delivered.
-func (df deviceFailureModel) MutateRead(env Env, op ReadOp) (int, error) {
-	env.Record(Mutation{
-		Model: df, Path: op.Path, Offset: op.Off, Length: len(op.Buf),
-		Detail: fmt.Sprintf("shot %d: read refused", env.Shot()),
-	})
-	return 0, &vfs.PathError{Op: "read", Path: op.Path, Err: vfs.ErrDeviceFailed}
 }
 
 func (deviceFailureModel) RenderMutation(m Mutation) string {

@@ -19,9 +19,7 @@ type latentCorruptionModel struct{ BaseModel }
 func (latentCorruptionModel) Name() string  { return "latent-corruption" }
 func (latentCorruptionModel) Short() string { return "LC" }
 
-func (latentCorruptionModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimRead}
-}
+func (latentCorruptionModel) Host() vfs.Primitive { return vfs.PrimRead }
 
 func (latentCorruptionModel) Describe() string {
 	return "flip consecutive bits in the at-rest bytes under the read range; every later read observes it"

@@ -20,9 +20,7 @@ type misdirectedWriteModel struct{ BaseModel }
 func (misdirectedWriteModel) Name() string  { return "misdirected-write" }
 func (misdirectedWriteModel) Short() string { return "MD" }
 
-func (misdirectedWriteModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite}
-}
+func (misdirectedWriteModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (misdirectedWriteModel) Describe() string {
 	return "the buffer is persisted at a wrong sector-aligned offset; success at the requested offset is returned"

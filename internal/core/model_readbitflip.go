@@ -17,9 +17,7 @@ type readBitFlipModel struct{ BaseModel }
 func (readBitFlipModel) Name() string  { return "read-bit-flip" }
 func (readBitFlipModel) Short() string { return "RB" }
 
-func (readBitFlipModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimRead}
-}
+func (readBitFlipModel) Host() vfs.Primitive { return vfs.PrimRead }
 
 func (readBitFlipModel) Describe() string {
 	return "flip consecutive multiple bits in the returned read buffer; media unchanged (transient)"

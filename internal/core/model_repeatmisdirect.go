@@ -21,9 +21,7 @@ type repeatedMisdirectionModel struct{ BaseModel }
 func (repeatedMisdirectionModel) Name() string  { return "repeated-misdirection" }
 func (repeatedMisdirectionModel) Short() string { return "RM" }
 
-func (repeatedMisdirectionModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite}
-}
+func (repeatedMisdirectionModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (repeatedMisdirectionModel) Describe() string {
 	return "from the target on, every 4th write is persisted at a wrong sector-aligned offset (default budget 4 shots)"

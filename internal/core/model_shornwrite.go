@@ -16,9 +16,7 @@ type shornWriteModel struct{ BaseModel }
 func (shornWriteModel) Name() string  { return "shorn-write" }
 func (shornWriteModel) Short() string { return "SW" }
 
-func (shornWriteModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimWrite, vfs.PrimMknod, vfs.PrimChmod}
-}
+func (shornWriteModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (shornWriteModel) Describe() string {
 	return "completely write the first 3/8th or 7/8th of each 4KB block at 512B granularity; reported size unchanged"
@@ -58,17 +56,6 @@ func (sw shornWriteModel) MutateWrite(env Env, op WriteOp) WriteAction {
 		Length: len(op.Buf), Kept: kept, Sectors: droppedSectors,
 	})
 	return WriteAction{Buf: out}
-}
-
-// MutateMeta shears the metadata arguments: a shorn mknod persists the mode
-// but loses the device number; a shorn chmod keeps only the low mode bits.
-func (sw shornWriteModel) MutateMeta(env Env, op MetaOp) MetaAction {
-	if op.Primitive == vfs.PrimMknod {
-		env.Record(Mutation{Model: sw, Path: op.Path, Kept: 4})
-		return MetaAction{Mode: op.Mode, Dev: 0}
-	}
-	env.Record(Mutation{Model: sw, Path: op.Path, Kept: 2})
-	return MetaAction{Mode: op.Mode & 0xFFFF, Dev: op.Dev}
 }
 
 func (shornWriteModel) RenderMutation(m Mutation) string {

@@ -20,9 +20,7 @@ type shortReadModel struct{ BaseModel }
 func (shortReadModel) Name() string  { return "short-read" }
 func (shortReadModel) Short() string { return "SR" }
 
-func (shortReadModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimRead}
-}
+func (shortReadModel) Host() vfs.Primitive { return vfs.PrimRead }
 
 func (shortReadModel) Describe() string {
 	return "the read returns fewer bytes than requested with a success status; media unchanged"

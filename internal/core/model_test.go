@@ -56,19 +56,19 @@ func TestAllModelsPartition(t *testing.T) {
 		if got, want := IsRead(m), i >= len(WriteModels()); got != want {
 			t.Errorf("%s IsRead = %v, want %v (write family must come first)", m.Name(), got, want)
 		}
-		if len(m.Hosts()) == 0 || m.Describe() == "" {
-			t.Errorf("%s has empty hosts or feature", m.Name())
+		if m.Describe() == "" {
+			t.Errorf("%s has an empty feature", m.Name())
 		}
-		if IsRead(m) && m.Hosts()[0] != vfs.PrimRead {
-			t.Errorf("%s hosts = %v, want read first", m.Name(), m.Hosts())
+		if IsRead(m) && m.Host() != vfs.PrimRead {
+			t.Errorf("%s hosts %s, want read", m.Name(), m.Host())
 		}
 	}
 }
 
 func TestWriteModelsHostWriteFirst(t *testing.T) {
 	for _, m := range WriteModels() {
-		if prims := m.Hosts(); len(prims) == 0 || prims[0] != vfs.PrimWrite {
-			t.Errorf("%s hosts = %v", m.Name(), m.Hosts())
+		if m.Host() != vfs.PrimWrite {
+			t.Errorf("%s hosts %s", m.Name(), m.Host())
 		}
 	}
 }
@@ -150,9 +150,6 @@ func TestFeatureKeepClamped(t *testing.T) {
 
 func TestConfigSignatureDefaults(t *testing.T) {
 	sig := Config{Model: BitFlip}.Signature()
-	if sig.Primitive != vfs.PrimWrite {
-		t.Errorf("default primitive = %s, want write", sig.Primitive)
-	}
 	if sig.Feature.FlipBits != 2 {
 		t.Errorf("feature not normalized")
 	}

@@ -16,9 +16,7 @@ type unreadableSectorModel struct{ BaseModel }
 func (unreadableSectorModel) Name() string  { return "unreadable-sector" }
 func (unreadableSectorModel) Short() string { return "UR" }
 
-func (unreadableSectorModel) Hosts() []vfs.Primitive {
-	return []vfs.Primitive{vfs.PrimRead}
-}
+func (unreadableSectorModel) Host() vfs.Primitive { return vfs.PrimRead }
 
 func (unreadableSectorModel) Describe() string {
 	return "the read fails with EIO (uncorrectable ECC); no data is delivered"

@@ -24,7 +24,7 @@ type stuckBitsModel struct{ BaseModel }
 func (stuckBitsModel) Name() string  { return "stuck-bits" }
 func (stuckBitsModel) Short() string { return "SB" }
 
-func (stuckBitsModel) Hosts() []vfs.Primitive { return []vfs.Primitive{vfs.PrimWrite} }
+func (stuckBitsModel) Host() vfs.Primitive { return vfs.PrimWrite }
 
 func (stuckBitsModel) Describe() string {
 	return "one byte of the buffer is pinned to 0xFF (test-only registration)"

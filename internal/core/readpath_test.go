@@ -31,17 +31,16 @@ func seedFile(t *testing.T, base vfs.FS, path string, pattern byte, size int) []
 func TestReadModelDefaultsToReadPrimitive(t *testing.T) {
 	for _, m := range ReadModels() {
 		sig := Config{Model: m}.Signature()
-		if sig.Primitive != vfs.PrimRead {
-			t.Errorf("%s default primitive = %s, want read", m, sig.Primitive)
+		if m.Host() != vfs.PrimRead {
+			t.Errorf("%s primitive = %s, want read", m, m.Host())
 		}
 		if err := sig.Validate(); err != nil {
 			t.Errorf("%s default signature invalid: %v", m, err)
 		}
 	}
-	// Write models still default to write.
-	sig := Config{Model: BitFlip}.Signature()
-	if sig.Primitive != vfs.PrimWrite {
-		t.Errorf("BitFlip default primitive = %s", sig.Primitive)
+	// Write models still host write.
+	if BitFlip.Host() != vfs.PrimWrite {
+		t.Errorf("BitFlip primitive = %s", BitFlip.Host())
 	}
 }
 

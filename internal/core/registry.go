@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"ffis/internal/vfs"
 )
 
 // The model registry: fault models register themselves at package
@@ -26,10 +28,11 @@ func regKey(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 // Register adds a model to the registry under its Name, its Short code,
 // and any extra aliases, returning the model so built-ins can register from
-// their var declarations. It panics on an empty or duplicate identity —
+// their var declarations. It panics on an empty or duplicate identity, and
+// on a Host the injector does not intercept (only write and read are) —
 // registration happens at init time, where a misregistered model should
 // fail the process (and the conformance suite) loudly, not surface as a
-// campaign that silently resolves the wrong model.
+// campaign that silently resolves the wrong model or never fires.
 func Register(m Model, aliases ...string) Model {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -42,8 +45,8 @@ func Register(m Model, aliases ...string) Model {
 	if m.Name() == "" || m.Short() == "" {
 		panic(fmt.Sprintf("core: model %T needs a non-empty Name and Short", m))
 	}
-	if len(m.Hosts()) == 0 {
-		panic(fmt.Sprintf("core: model %s hosts no primitives", m.Name()))
+	if h := m.Host(); h != vfs.PrimWrite && h != vfs.PrimRead {
+		panic(fmt.Sprintf("core: model %s hosts %q; the injector intercepts only write and read", m.Name(), h))
 	}
 	keys := append([]string{m.Name(), m.Short()}, aliases...)
 	for _, k := range keys {
@@ -105,8 +108,8 @@ func AllModels() []Model {
 	return append(WriteModels(), ReadModels()...)
 }
 
-// WriteModels lists the registered write-path models (default target
-// primitive is not read) in registration order.
+// WriteModels lists the registered write-path models (hosted on write) in
+// registration order.
 func WriteModels() []Model { return familyModels(false) }
 
 // ReadModels lists the registered read-path models (faults that surface
@@ -126,16 +129,12 @@ func familyModels(read bool) []Model {
 }
 
 // ModelTable renders the registry as the table the -list-models CLI flags
-// print: name, short code, hostable primitives, and the feature line.
+// print: name, short code, the primitive it faults, and the feature line.
 func ModelTable() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-6s %-28s %s\n", "fault model", "short", "hostable primitives", "feature")
+	fmt.Fprintf(&b, "%-22s %-6s %-10s %s\n", "fault model", "short", "primitive", "feature")
 	for _, m := range AllModels() {
-		prims := make([]string, len(m.Hosts()))
-		for i, p := range m.Hosts() {
-			prims[i] = string(p)
-		}
-		fmt.Fprintf(&b, "%-20s %-6s %-28s %s\n", m.Name(), m.Short(), strings.Join(prims, ","), m.Describe())
+		fmt.Fprintf(&b, "%-22s %-6s %-10s %s\n", m.Name(), m.Short(), m.Host(), m.Describe())
 	}
 	return b.String()
 }

@@ -27,10 +27,10 @@ type relocatingSkipModel struct {
 	parkAt int64
 }
 
-func (relocatingSkipModel) Name() string           { return "relocating-skip" }
-func (relocatingSkipModel) Short() string          { return "RS" }
-func (relocatingSkipModel) Hosts() []vfs.Primitive { return []vfs.Primitive{vfs.PrimWrite} }
-func (relocatingSkipModel) Describe() string       { return "moves the handle, then skips the write" }
+func (relocatingSkipModel) Name() string        { return "relocating-skip" }
+func (relocatingSkipModel) Short() string       { return "RS" }
+func (relocatingSkipModel) Host() vfs.Primitive { return vfs.PrimWrite }
+func (relocatingSkipModel) Describe() string    { return "moves the handle, then skips the write" }
 
 func (m relocatingSkipModel) MutateWrite(env Env, op WriteOp) WriteAction {
 	if _, err := op.File.Seek(m.parkAt, io.SeekStart); err != nil {

@@ -351,7 +351,8 @@ func (s *runSlots) execute(snap *WorldSnapshot, w Workload, inj *Injector, mount
 // pristine world — arm, run, classify on the clean view — filling st with
 // the stage costs the event stream reports. Non-empty mounts arm the
 // injector only on the I/O routed to those mount points; classification
-// always reads through the unarmed view of the same storage.
+// always reads through the unarmed view of the same storage. A model hook
+// that panicked fails the run with an error instead of a record.
 func runOnceTimed(base vfs.FS, w Workload, inj *Injector, mounts []string, st *stageTimes) (RunRecord, error) {
 	armed, err := interposeMounts(base, mounts, inj.Wrap)
 	if err != nil {
@@ -365,6 +366,9 @@ func runOnceTimed(base vfs.FS, w Workload, inj *Injector, mounts []string, st *s
 	t := time.Now()
 	runErr := runRecovering(w.Run, armed)
 	st.workNs = time.Since(t).Nanoseconds()
+	if hp, ok := runErr.(*hookPanic); ok {
+		return RunRecord{}, hp
+	}
 	simNanos := int64(0)
 	if elapsed, ok := vfs.SimElapsed(base); ok {
 		simNanos = int64(elapsed)

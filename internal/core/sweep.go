@@ -40,7 +40,7 @@ func toJSON(r CampaignResult) resultJSON {
 	out := resultJSON{
 		Workload:     r.Workload,
 		Model:        r.Signature.Model.Name(),
-		Primitive:    string(r.Signature.Primitive),
+		Primitive:    string(r.Signature.Model.Host()),
 		Runs:         r.Tally.Total(),
 		ProfileCount: r.ProfileCount,
 		Outcomes:     map[string]int{},

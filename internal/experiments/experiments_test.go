@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ffis/internal/classify"
+	"ffis/internal/core"
 )
 
 // smallOpts keeps the experiment harness tests fast: tiny grid, few runs,
@@ -18,11 +19,30 @@ func smallOpts() Options {
 	}
 }
 
+// TestTable1ListsAllModels: Table I keeps the paper's primitive column for
+// its three models, lists every registered model, and stars exactly the
+// one primitive each model faults here.
 func TestTable1ListsAllModels(t *testing.T) {
 	out := Table1()
-	for _, want := range []string{"bit-flip", "shorn-write", "dropped-write", "FFIS_write", "FFIS_mknod"} {
+	for _, want := range []string{"FFIS_write*, FFIS_mknod, FFIS_chmod, FFIS_truncate",
+		"FFIS_write*, FFIS_mknod, FFIS_chmod ", "no application here issues mknod, chmod or truncate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I missing %q", want)
+		}
+	}
+	for _, m := range core.AllModels() {
+		var row string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, m.Name()+" ") {
+				row = line
+			}
+		}
+		if row == "" {
+			t.Errorf("Table I has no row for %s", m.Name())
+			continue
+		}
+		if strings.Count(row, "*") != 1 || !strings.Contains(row, "FFIS_"+string(m.Host())+"*") {
+			t.Errorf("%s row does not star its one primitive %s: %q", m.Name(), m.Host(), row)
 		}
 	}
 }

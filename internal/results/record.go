@@ -7,7 +7,6 @@ import (
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/stats"
-	"ffis/internal/vfs"
 )
 
 // schemaVersion tags every header line and manifest so future layout
@@ -72,7 +71,7 @@ func NewHeader(meta core.CampaignMeta) Header {
 		Schema:    schemaVersion,
 		Workload:  meta.Workload,
 		Model:     sig.Model.Name(),
-		Primitive: string(sig.Primitive),
+		Primitive: string(sig.Model.Host()),
 		Feature: FeatureRecord{
 			Feature:    sig.Feature,
 			SectorSize: core.SectorSize,
@@ -90,22 +89,26 @@ func NewHeader(meta core.CampaignMeta) Header {
 // resolving the model through the registry. Loading records for a model
 // this binary has never registered is an error — the tally could still be
 // rebuilt, but every downstream renderer needs the model's identity. So is
-// a header whose device geometry, burst width or stride differs from what
-// NewHeader writes: no campaign of this binary produced those records.
+// a header whose primitive is not the model's Host, or whose device
+// geometry, burst width or stride differs from what NewHeader writes: no
+// campaign of this binary produced those records.
 func (h Header) SignatureValue() (core.Signature, error) {
 	m, ok := core.Lookup(h.Model)
 	if !ok {
 		return core.Signature{}, fmt.Errorf("results: stored records use unregistered fault model %q", h.Model)
+	}
+	if h.Primitive != string(m.Host()) {
+		return core.Signature{}, fmt.Errorf("results: stored records put model %s on primitive %q; it hosts only %q",
+			m.Name(), h.Primitive, m.Host())
 	}
 	if f := h.Feature; f.SectorSize != core.SectorSize || f.BlockSize != core.BlockSize || f.BurstSectors != 0 || f.MisdirectEvery != 0 {
 		return core.Signature{}, fmt.Errorf("results: stored records use sector_size %d, block_size %d, burst_sectors %d, misdirect_every %d; this binary fixes %d, %d, 0, 0",
 			f.SectorSize, f.BlockSize, f.BurstSectors, f.MisdirectEvery, core.SectorSize, core.BlockSize)
 	}
 	return core.Signature{
-		Model:     m,
-		Primitive: vfs.Primitive(h.Primitive),
-		Shots:     h.Shots,
-		Feature:   h.Feature.Feature,
+		Model:   m,
+		Shots:   h.Shots,
+		Feature: h.Feature.Feature,
 	}, nil
 }
 

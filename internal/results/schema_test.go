@@ -15,14 +15,17 @@ import (
 
 // mutationShapes is one hand-built mutation per shape each registered model
 // records (see its Mutate hooks), with the shot count its record carries.
-// Model is stamped from the registry by name.
+// Model is stamped from the registry by name. The Kept-only shorn-write and
+// the length-less dropped-write shapes are what the retired mknod, chmod
+// and truncate hooks recorded; they stay pinned so stores written then
+// still decode.
 var mutationShapes = []struct {
 	model string
 	shots int
 	m     core.Mutation
 }{
 	{"bit-flip", 1, core.Mutation{Path: "/out/a.h5", Offset: 4096, Length: 512, BitPos: 1234}},
-	{"bit-flip", 1, core.Mutation{Path: "/out/a.h5", Offset: 8192, BitPos: 7, NewSize: 8064}},
+	{"bit-flip", 1, core.Mutation{Path: "/out/a.h5", Offset: 8192, BitPos: 7}},
 	{"shorn-write", 1, core.Mutation{Path: "/out/b.fits", Offset: 2880, Length: 5760, Kept: 3584, Sectors: 1}},
 	{"shorn-write", 1, core.Mutation{Path: "/out/b.fits", Kept: 4}},
 	{"dropped-write", 1, core.Mutation{Path: "/out/c.dat", Offset: 100, Length: 64, Dropped: true}},

@@ -443,6 +443,64 @@ func TestSignatureValueRefusesForeignGeometry(t *testing.T) {
 	}
 }
 
+// TestSignatureValueRefusesForeignPrimitive: a model faults only its
+// Host, so a header that puts bit-flip on truncate (hand-edited here)
+// describes records no campaign of this binary wrote. SignatureValue
+// refuses it naming both primitives, every path that loads the finalized
+// spec fails, and a grid over either file appends no record to it.
+func TestSignatureValueRefusesForeignPrimitive(t *testing.T) {
+	raw, err := marshalLine(eqHeader(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(raw, []byte(`"primitive":"write"`), []byte(`"primitive":"truncate"`), 1)
+	if bytes.Equal(edited, raw) {
+		t.Fatalf("header carries no write primitive: %s", raw)
+	}
+	var h Header
+	if err := json.Unmarshal(edited, &h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.SignatureValue(); err == nil ||
+		!strings.Contains(err.Error(), `"truncate"`) || !strings.Contains(err.Error(), `"write"`) {
+		t.Fatalf("SignatureValue of bit-flip on truncate: err = %v, want a refusal naming truncate and write", err)
+	}
+
+	for _, final := range []bool{true, false} {
+		st, err := Create(t.TempDir(), Manifest{Seed: eqSeed, Runs: eqRuns, Specs: []string{"eq/BF"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, indices := st.partialPath("eq/BF"), runsTo(0, 3, 1)
+		if final {
+			path, indices = st.finalPath("eq/BF"), runsTo(0, eqRuns, 1)
+		}
+		writeRecordFile(t, path, h, indices...)
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, gridErr := RunGrid(&core.Engine{Jobs: 1}, st, eqSpecs()[:1])
+		if gridErr == nil {
+			gridErr = grid[0].Err
+		}
+		errs := []error{gridErr}
+		if final {
+			_, resultErr := st.Result("eq/BF")
+			_, reportErr := Report(st, "text")
+			errs = append(errs, resultErr, reportErr)
+		}
+		for i, err := range errs {
+			if err == nil {
+				t.Fatalf("final=%v: load path %d accepted bit-flip on truncate", final, i)
+			}
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("final=%v: the record file changed (%v)", final, err)
+		}
+	}
+}
+
 // writeRecordFile hand-writes a record file at path: header h, then one
 // benign record per run index, in the order given.
 func writeRecordFile(t *testing.T, path string, h Header, indices ...int) {

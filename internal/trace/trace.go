@@ -141,20 +141,6 @@ func (r *Recorder) ReadDir(name string) ([]vfs.FileInfo, error) {
 	return infos, err
 }
 
-// Mknod delegates and records.
-func (r *Recorder) Mknod(name string, mode uint32, dev uint64) error {
-	err := r.inner.Mknod(name, mode, dev)
-	r.record(vfs.PrimMknod, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// Chmod delegates and records.
-func (r *Recorder) Chmod(name string, mode uint32) error {
-	err := r.inner.Chmod(name, mode)
-	r.record(vfs.PrimChmod, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
 // Truncate delegates and records.
 func (r *Recorder) Truncate(name string, size int64) error {
 	err := r.inner.Truncate(name, size)

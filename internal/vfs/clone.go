@@ -102,8 +102,8 @@ func Unchanged(fs FS, name string) bool {
 }
 
 // Unchanged implements the package function: Clone flags the nodes it
-// creates, and every write, truncate, chmod and rename of a node clears
-// its flag under the node lock.
+// creates, and every write, truncate and rename of a node clears its flag
+// under the node lock.
 func (m *MemFS) Unchanged(name string) bool {
 	m.mu.RLock()
 	n, ok := m.lookup(name)

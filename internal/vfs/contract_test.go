@@ -64,7 +64,6 @@ func TestFSContract(t *testing.T) {
 		{"RemoveAll", testRemoveAll},
 		{"RenameFileAndDir", testRenameFileAndDir},
 		{"ReadDirSortedAndShallow", testReadDirSortedAndShallow},
-		{"MknodAndChmod", testMknodAndChmod},
 		{"TruncatePath", testTruncatePath},
 		{"WalkVisitsAllFiles", testWalkVisitsAllFiles},
 		{"ConcurrentWriters", testConcurrentWriters},
@@ -387,29 +386,6 @@ func testReadDirSortedAndShallow(t *testing.T, fs FS) {
 	}
 	if !infos[2].IsDir {
 		t.Fatal("deep should be a dir")
-	}
-}
-
-func testMknodAndChmod(t *testing.T, fs FS) {
-	if err := fs.Mknod("/dev0", 0o600, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mknod("/dev0", 0o600, 42); !errors.Is(err, ErrExist) {
-		t.Fatalf("dup mknod err = %v", err)
-	}
-	info, _ := fs.Stat("/dev0")
-	if info.Mode != 0o600 {
-		t.Fatalf("mode = %o", info.Mode)
-	}
-	if err := fs.Chmod("/dev0", 0o444); err != nil {
-		t.Fatal(err)
-	}
-	info, _ = fs.Stat("/dev0")
-	if info.Mode != 0o444 {
-		t.Fatalf("mode after chmod = %o", info.Mode)
-	}
-	if err := fs.Chmod("/missing", 0o444); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("chmod missing err = %v", err)
 	}
 }
 

@@ -162,16 +162,6 @@ func (l *LatencyFS) ReadDir(name string) ([]FileInfo, error) {
 	return l.inner.ReadDir(name)
 }
 
-func (l *LatencyFS) Mknod(name string, mode uint32, dev uint64) error {
-	l.meta()
-	return l.inner.Mknod(name, mode, dev)
-}
-
-func (l *LatencyFS) Chmod(name string, mode uint32) error {
-	l.meta()
-	return l.inner.Chmod(name, mode)
-}
-
 func (l *LatencyFS) Truncate(name string, size int64) error {
 	l.write(0)
 	return l.inner.Truncate(name, size)

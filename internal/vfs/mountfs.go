@@ -301,18 +301,6 @@ func (m *MountFS) ReadDir(name string) ([]FileInfo, error) {
 	return mp.fs.ReadDir(rel)
 }
 
-// Mknod routes to the owning mount.
-func (m *MountFS) Mknod(name string, mode uint32, dev uint64) error {
-	mp, rel := m.resolve(name)
-	return mp.fs.Mknod(rel, mode, dev)
-}
-
-// Chmod routes to the owning mount.
-func (m *MountFS) Chmod(name string, mode uint32) error {
-	mp, rel := m.resolve(name)
-	return mp.fs.Chmod(rel, mode)
-}
-
 // Truncate routes to the owning mount.
 func (m *MountFS) Truncate(name string, size int64) error {
 	mp, rel := m.resolve(name)

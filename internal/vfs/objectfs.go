@@ -185,14 +185,6 @@ func (o *ObjectFS) Stat(name string) (FileInfo, error) { return o.fs.Stat(name) 
 // scan over the key table, delimiter-style.
 func (o *ObjectFS) ReadDir(name string) ([]FileInfo, error) { return o.fs.ReadDir(name) }
 
-// Mknod creates an empty object recording the mode and device number.
-func (o *ObjectFS) Mknod(name string, mode uint32, dev uint64) error {
-	return o.fs.Mknod(name, mode, dev)
-}
-
-// Chmod changes the recorded permission bits of name.
-func (o *ObjectFS) Chmod(name string, mode uint32) error { return o.fs.Chmod(name, mode) }
-
 // Truncate resizes name — a whole-object rewrite like any other mutation.
 func (o *ObjectFS) Truncate(name string, size int64) error {
 	err := o.fs.Truncate(name, size)

@@ -149,21 +149,6 @@ func (o *OSFS) ReadDir(name string) ([]FileInfo, error) {
 	return out, nil
 }
 
-// Mknod creates a regular marker file recording the mode (portable stand-in
-// for device nodes, which require privileges).
-func (o *OSFS) Mknod(name string, mode uint32, dev uint64) error {
-	f, err := os.OpenFile(o.resolve(name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, os.FileMode(mode&0o777))
-	if err != nil {
-		return osErr(err)
-	}
-	return osErr(f.Close())
-}
-
-// Chmod changes the permission bits of name.
-func (o *OSFS) Chmod(name string, mode uint32) error {
-	return osErr(os.Chmod(o.resolve(name), os.FileMode(mode&0o777)))
-}
-
 // Truncate resizes name.
 func (o *OSFS) Truncate(name string, size int64) error {
 	return osErr(os.Truncate(o.resolve(name), size))

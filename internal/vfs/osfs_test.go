@@ -117,27 +117,13 @@ func TestOSFSDirectoryOps(t *testing.T) {
 	}
 }
 
-func TestOSFSMknodChmodTruncate(t *testing.T) {
+func TestOSFSTruncate(t *testing.T) {
 	fs := newOSFS(t)
-	if err := fs.Mknod("/node", 0o600, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mknod("/node", 0o600, 1); err == nil {
-		t.Fatal("duplicate mknod accepted")
-	}
-	if err := fs.Chmod("/node", 0o400); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := fs.Stat("/node")
-	if info.Mode != 0o400 {
-		t.Fatalf("mode = %o", info.Mode)
-	}
-	fs.Chmod("/node", 0o600)
 	WriteFile(fs, "/t", bytes.Repeat([]byte{1}, 10))
 	if err := fs.Truncate("/t", 4); err != nil {
 		t.Fatal(err)
 	}
-	info, _ = fs.Stat("/t")
+	info, _ := fs.Stat("/t")
 	if info.Size != 4 {
 		t.Fatalf("size = %d", info.Size)
 	}

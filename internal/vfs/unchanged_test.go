@@ -79,7 +79,6 @@ func TestMemFSUnchanged(t *testing.T) {
 		{"CreateOver", func(fs *MemFS) error {
 			return onHandle(fs.Create, "/d/f", func(File) error { return nil })
 		}, true},
-		{"Chmod", func(fs *MemFS) error { return fs.Chmod("/d/f", 0o600) }, true},
 		{"RenameAway", func(fs *MemFS) error { return fs.Rename("/d/f", "/d/h") }, true},
 		{"RenameAwayAndBack", func(fs *MemFS) error {
 			if err := fs.Rename("/d/f", "/d/h"); err != nil {

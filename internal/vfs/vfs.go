@@ -95,9 +95,9 @@ type File interface {
 	Sync() error
 }
 
-// FS is the FUSE-shaped primitive set FFIS interposes on. The method set
-// matches the callbacks named in Table I of the paper (write, mknod, chmod,
-// ...) plus the read-side operations applications need.
+// FS is the FUSE-shaped primitive set FFIS interposes on: the file and
+// directory operations the applications here issue. Table I also names
+// mknod and chmod callbacks; no application calls them, so FS has neither.
 type FS interface {
 	Create(name string) (File, error)        // open for write, truncating
 	Open(name string) (File, error)          // open read-only
@@ -109,9 +109,7 @@ type FS interface {
 	Rename(oldName, newName string) error    // atomic rename
 	Stat(name string) (FileInfo, error)      // metadata lookup
 	ReadDir(name string) ([]FileInfo, error) // sorted directory listing
-	Mknod(name string, mode uint32, dev uint64) error
-	Chmod(name string, mode uint32) error
-	Truncate(name string, size int64) error
+	Truncate(name string, size int64) error  // resize a file
 }
 
 // Clean normalizes a path to the canonical rooted slash form used as map
@@ -231,9 +229,8 @@ type memNode struct {
 	blocks []*memBlock
 	mode   uint32
 	isDir  bool
-	dev    uint64 // mknod device number; kept so metadata faults have a target
-	// cloned is set by Clone and cleared by every write, truncate, chmod
-	// and rename that reaches the node (see Unchanged).
+	// cloned is set by Clone and cleared by every write, truncate and
+	// rename that reaches the node (see Unchanged).
 	cloned bool
 }
 
@@ -347,7 +344,6 @@ func (n *memNode) snapshot() *memNode {
 		blocks: append([]*memBlock(nil), n.blocks...),
 		mode:   n.mode,
 		isDir:  n.isDir,
-		dev:    n.dev,
 	}
 }
 
@@ -745,36 +741,6 @@ func (m *MemFS) ReadDir(name string) ([]FileInfo, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// Mknod creates a special node. MemFS records the mode and device number so
-// that fault models targeting FFIS_mknod (Table I) have real state to hit.
-func (m *MemFS) Mknod(name string, mode uint32, dev uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	name = Clean(name)
-	if _, ok := m.nodes[name]; ok {
-		return &PathError{Op: "mknod", Path: name, Err: ErrExist}
-	}
-	if err := m.parentOK(name); err != nil {
-		return err
-	}
-	m.nodes[name] = &memNode{mode: mode, dev: dev}
-	return nil
-}
-
-// Chmod changes the permission bits of name.
-func (m *MemFS) Chmod(name string, mode uint32) error {
-	m.mu.RLock()
-	n, ok := m.lookup(name)
-	m.mu.RUnlock()
-	if !ok {
-		return m.notExist("chmod", name)
-	}
-	n.mu.Lock()
-	n.mode, n.cloned = mode, false
-	n.mu.Unlock()
-	return nil
 }
 
 // Truncate resizes name to size bytes, zero-filling when growing.
