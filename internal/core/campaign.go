@@ -38,10 +38,10 @@ type Workload struct {
 	// and golden runs use Run and Classify. A wrapper that replaces Run or
 	// Classify must also replace or clear Worker, or runs bypass it.
 	Worker func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome)
-	// NewFS constructs the storage world. Every run (golden, profiling,
-	// and each injection run) observes a pristine post-Setup world: a COW
-	// clone when the world can be cloned, a full rebuild otherwise — the
-	// paper's remount of FFISFS per run. Nil selects a bare MemFS. Tiered
+	// NewFS constructs the storage world, which must be a vfs.Cloner.
+	// Every run (golden, profiling, and each injection run) observes a
+	// pristine post-Setup world: a COW clone of one Setup, standing in for
+	// the paper's remount of FFISFS per run. Nil selects a bare MemFS. Tiered
 	// campaigns return a *vfs.MountFS here so that CampaignConfig.ArmMounts
 	// can aim the injector at a single storage tier.
 	NewFS func() (vfs.FS, error)
@@ -161,9 +161,8 @@ type RunRecord struct {
 	RunErr   error    // the application error, if any
 	// SimNanos is the simulated I/O time the run charged against its
 	// world's latency-modeled backends (vfs.SimClocked), zero on worlds
-	// with no latency modeling. The clock is reset immediately before the
-	// application runs, so setup/profiling I/O is excluded and COW-cloned
-	// and rebuilt worlds report identical times.
+	// with no latency modeling. Every run's world is a fresh clone, whose
+	// clock starts at zero, so setup and profiling I/O is excluded.
 	SimNanos int64
 }
 

@@ -58,11 +58,11 @@ type GridResult struct {
 // is the only campaign driver: a single campaign is a one-spec grid, and
 // persisted grids and distributed workers hand it their specs. Setup
 // executes once per world (not once per run), every injection run
-// receives a copy-on-write clone of the post-Setup snapshot (or a rebuilt
-// world when the world cannot be cloned), profile counts and golden
-// snapshots are memoized by (world, mounts) key across cells, and all runs
-// of all campaigns share one pool so the grid saturates the machine
-// regardless of how unevenly cells are sized.
+// receives a copy-on-write clone of the post-Setup snapshot (a world that
+// cannot be cloned fails its specs at profiling), profile counts and
+// golden snapshots are memoized by (world, mounts) key across cells, and
+// all runs of all campaigns share one pool so the grid saturates the
+// machine regardless of how unevenly cells are sized.
 //
 // Determinism: each run's RNG stream is derived purely from the campaign
 // seed and the run index (runStream), and results are reported in spec
@@ -83,8 +83,7 @@ type Engine struct {
 }
 
 // enginePrep is the per-world memoization record: the post-Setup snapshot
-// (COW, or rebuild-per-run for a world that cannot be cloned) plus profile
-// counts keyed within it.
+// plus profile counts keyed within it.
 type enginePrep struct {
 	w        Workload                       // the workload that builds this world (first spec wins)
 	snapshot func() (*WorldSnapshot, error) // built once, on first call

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,46 +43,43 @@ func requireSameResult(t *testing.T, label string, a, b CampaignResult) {
 // TestCampaignDeterminismHarness is the table-driven determinism contract:
 // for every fault model, on both a flat and a tiered (mount-armed) world,
 // the same seed must produce identical tallies and identical per-run
-// Mutation records whether runs execute serially or on eight workers — and
-// whether worlds are COW clones or full per-run rebuilds (the same world
-// over an unclonable plainFS backend).
+// Mutation records whether runs execute serially or on eight workers, and
+// those of the reference loop, which rebuilds the world for every run
+// (referenceRecords).
 func TestCampaignDeterminismHarness(t *testing.T) {
 	type tc struct {
 		name      string
 		workload  func() Workload
-		rebuilt   func() Workload
 		armMounts []string
 	}
 	cases := []tc{
-		{name: "flat", workload: toyWorkload, rebuilt: func() Workload {
-			w := toyWorkload()
-			w.NewFS = newPlainFS
-			return w
-		}},
-		{name: "tiered-scratch", workload: tieredWorkload, armMounts: []string{"/scratch"},
-			rebuilt: func() Workload { return tieredWorkloadOn(newPlainFS) }},
+		{name: "flat", workload: toyWorkload},
+		{name: "tiered-scratch", workload: tieredWorkload, armMounts: []string{"/scratch"}},
 	}
 	for _, c := range cases {
 		for _, model := range writeTrio() {
 			c, model := c, model
 			t.Run(fmt.Sprintf("%s/%s", c.name, model.Short()), func(t *testing.T) {
-				run := func(w Workload, workers int) CampaignResult {
-					res, err := runCampaign(workers, CampaignConfig{
-						Fault:     Config{Model: model},
-						Runs:      24,
-						Seed:      4242,
-						ArmMounts: c.armMounts,
-					}, w)
+				cfg := CampaignConfig{
+					Fault:     Config{Model: model},
+					Runs:      24,
+					Seed:      4242,
+					ArmMounts: c.armMounts,
+				}
+				run := func(workers int) CampaignResult {
+					res, err := runCampaign(workers, cfg, c.workload())
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				serial := run(c.workload(), 1)
-				parallel := run(c.workload(), 8)
-				requireSameResult(t, "workers 1 vs 8", serial, parallel)
-				rebuilt := run(c.rebuilt(), 8)
-				requireSameResult(t, "COW vs rebuilt worlds", serial, rebuilt)
+				serial := run(1)
+				requireSameResult(t, "workers 1 vs 8", serial, run(8))
+				ref, err := referenceRecords(CampaignSpec{Workload: c.workload(), Config: cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, "engine vs reference", serial, ref)
 			})
 		}
 	}
@@ -159,35 +157,47 @@ func TestEngineMatchesCampaign(t *testing.T) {
 	requireSameResult(t, "engine vs campaign", direct, grid[0].Result)
 }
 
-// TestEngineMixedWorldModes pins the memoization boundary: in one grid, a
-// spec whose world clones and a spec whose world cannot (plainFS) each get
-// their own world mode and still produce identical results under the same
-// seed.
+// TestEngineMixedWorldModes pins the one world mode: in one grid, a spec
+// whose world cannot be cloned (plainFS) fails at profiling with an error
+// wrapping vfs.ErrNotClonable, which its terminal SpecDone carries, while
+// a sibling spec whose world clones completes.
 func TestEngineMixedWorldModes(t *testing.T) {
 	cfg := CampaignConfig{Fault: Config{Model: BitFlip}, Runs: 12, Seed: 3}
-	rebuilt := toyWorkload()
-	rebuilt.NewFS = newPlainFS
-	e := &Engine{Jobs: 2}
-	specs := []CampaignSpec{
+	unclonable := toyWorkload()
+	unclonable.NewFS = newPlainFS
+	bus := NewEventBus()
+	var mu sync.Mutex
+	done := map[string]Event{}
+	bus.Subscribe(0, func(ev Event) {
+		if ev.Kind == EventSpecDone {
+			mu.Lock()
+			done[ev.Key] = ev
+			mu.Unlock()
+		}
+	})
+	grid := (&Engine{Jobs: 2, Events: bus}).Run([]CampaignSpec{
 		{Key: "cow", WorldKey: "cow", Workload: toyWorkload(), Config: cfg},
-		{Key: "rebuilt", WorldKey: "rebuilt", Workload: rebuilt, Config: cfg},
+		{Key: "unclonable", WorldKey: "unclonable", Workload: unclonable, Config: cfg},
+	})
+	bus.Close()
+	if err := grid[0].Err; err != nil {
+		t.Fatalf("cow: %v", err)
 	}
-	grid := e.Run(specs)
-	for _, r := range grid {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Spec.Key, r.Err)
-		}
+	if got := grid[0].Result.Tally.Total(); got != cfg.Runs {
+		t.Fatalf("cow: tally covers %d runs, want %d", got, cfg.Runs)
 	}
-	for i, wantCOW := range []bool{true, false} {
-		snap, err := e.prep(specs[i].worldKey(), specs[i].Workload).snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (snap.pristine != nil) != wantCOW {
-			t.Fatalf("%s: snapshot COW = %v, want %v", specs[i].Key, snap.pristine != nil, wantCOW)
-		}
+	if err := grid[1].Err; !errors.Is(err, vfs.ErrNotClonable) {
+		t.Fatalf("unclonable: err = %v, want vfs.ErrNotClonable", err)
 	}
-	requireSameResult(t, "cow vs rebuilt in one grid", grid[0].Result, grid[1].Result)
+	if got := grid[1].Result.ProfileCount; got != 0 {
+		t.Fatalf("unclonable: profiled %d targets; it must fail before profiling", got)
+	}
+	if ev := done["unclonable"]; !errors.Is(ev.Err, vfs.ErrNotClonable) {
+		t.Fatalf("unclonable: SpecDone err = %v, want vfs.ErrNotClonable", ev.Err)
+	}
+	if ev := done["cow"]; ev.Err != nil || ev.Result == nil {
+		t.Fatalf("cow: SpecDone err %v, result %v", ev.Err, ev.Result)
+	}
 }
 
 // TestEngineMemoizesWorldAndProfile counts Setup and Run executions: three
@@ -410,23 +420,39 @@ func TestEngineEventStream(t *testing.T) {
 	}
 }
 
-// TestWorldSnapshotModes pins the snapshot fallback logic: clonable worlds
-// report COW and serve clones; a world with an unclonable backend degrades
-// to rebuild-per-run without error.
+// TestWorldSnapshotModes pins the one world mode: a snapshot runs Setup
+// once and serves a distinct clone to every World() call, and a world that
+// cannot be cloned — its root or one of its mounts — fails
+// NewWorldSnapshot with an error wrapping vfs.ErrNotClonable that names
+// the workload.
 func TestWorldSnapshotModes(t *testing.T) {
-	snap, err := NewWorldSnapshot(toyWorkload())
+	var setups atomic.Int64
+	w := toyWorkload()
+	setup := w.Setup
+	w.Setup = func(fs vfs.FS) error { setups.Add(1); return setup(fs) }
+	snap, err := NewWorldSnapshot(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.pristine == nil {
-		t.Fatal("MemFS world should snapshot as COW")
+	worlds := map[vfs.FS]bool{}
+	for i := 0; i < 3; i++ {
+		fs, err := snap.World()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worlds[fs] {
+			t.Fatal("the snapshot handed out the same world twice")
+		}
+		worlds[fs] = true
+		if !vfs.Exists(fs, "/out") {
+			t.Fatal("a clone lost the post-Setup state")
+		}
 	}
-	if snap.Pristine() == nil {
-		t.Fatal("COW snapshot should expose its pristine world")
+	if got := setups.Load(); got != 1 {
+		t.Fatalf("Setup ran %d times for 3 worlds, want 1", got)
 	}
 
-	var setups atomic.Int64
-	unclonable := Workload{
+	mounted := Workload{
 		Name: "os-backed",
 		NewFS: func() (vfs.FS, error) {
 			m := vfs.NewMountFS(vfs.NewMemFS())
@@ -435,45 +461,45 @@ func TestWorldSnapshotModes(t *testing.T) {
 			}
 			return m, nil
 		},
-		Setup: func(fs vfs.FS) error { setups.Add(1); return nil },
-		Run:   func(fs vfs.FS) error { return vfs.WriteFile(fs, "/f", []byte("x")) },
+		Run: func(fs vfs.FS) error { return vfs.WriteFile(fs, "/f", []byte("x")) },
 	}
-	snap, err = NewWorldSnapshot(unclonable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.pristine != nil {
-		t.Fatal("unclonable backend should force rebuild mode")
-	}
-	if snap.Pristine() != nil {
-		t.Fatal("rebuild mode has no pristine world")
-	}
-	worlds := map[vfs.FS]bool{}
-	for i := 0; i < 3; i++ {
-		w, err := snap.World()
-		if err != nil {
-			t.Fatal(err)
+	flat := Workload{Name: "plain", NewFS: newPlainFS, Run: mounted.Run}
+	for _, w := range []Workload{mounted, flat} {
+		snap, err := NewWorldSnapshot(w)
+		if snap != nil || !errors.Is(err, vfs.ErrNotClonable) || !strings.Contains(err.Error(), w.Name) {
+			t.Fatalf("%s: NewWorldSnapshot = %v, %v; want an error wrapping vfs.ErrNotClonable naming the workload", w.Name, snap, err)
 		}
-		if worlds[w] {
-			t.Fatal("rebuild mode handed out the same world twice")
-		}
-		worlds[w] = true
-	}
-	// One Setup per world, including the clonability-probe build the first
-	// World() call recycles — no wasted rebuilds.
-	if got := setups.Load(); got != 3 {
-		t.Fatalf("Setup ran %d times for 3 worlds, want 3", got)
 	}
 }
 
 // plainFS hides MemFS's Cloner implementation, standing in for an OSFS-like
-// backend: a world built on it cannot be cloned, so its snapshot rebuilds
-// the world (NewFS + Setup) for every run — the paper's remount-per-run.
+// backend: a world built on it cannot be cloned, so a campaign on it fails.
 type plainFS struct{ vfs.FS }
 
 // newPlainFS is a Workload.NewFS building a flat world that cannot be
 // cloned.
 func newPlainFS() (vfs.FS, error) { return plainFS{vfs.NewMemFS()}, nil }
+
+// hookFS is a clonable MemFS world whose CloneFS calls hook first, and
+// fails with its error: the probe with which tests count, fail or hold
+// the worlds a snapshot serves. Call 1 is the snapshot's probe clone,
+// which serves the profiling pass; every later call serves one run.
+type hookFS struct {
+	*vfs.MemFS
+	hook func() error
+}
+
+func (h hookFS) CloneFS() (vfs.FS, error) {
+	if err := h.hook(); err != nil {
+		return nil, err
+	}
+	return h.MemFS.CloneFS()
+}
+
+// hookedWorld is a Workload.NewFS building a flat hookFS world.
+func hookedWorld(hook func() error) func() (vfs.FS, error) {
+	return func() (vfs.FS, error) { return hookFS{vfs.NewMemFS(), hook}, nil }
+}
 
 // TestSweepPlumbsArmMounts is the regression test for the tiered-ablation
 // fix: a sweep over a mounted world must profile (and inject) only the I/O

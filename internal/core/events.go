@@ -66,7 +66,7 @@ type Event struct {
 	Target         int64
 	Outcome        classify.Outcome
 	Fired          bool
-	CloneMicros    int64 // world clone-or-rebuild
+	CloneMicros    int64 // world clone
 	WorkloadNanos  int64 // armed application run
 	ClassifyMicros int64 // artifact classification
 	SimNanos       int64 // simulated I/O clock charge (0 without latency-modeled backends)

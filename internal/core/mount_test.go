@@ -16,20 +16,10 @@ import (
 // /out. Each tier is its own backend behind a MountFS, the storage layout a
 // mount-scoped campaign targets.
 func tieredWorkload() Workload {
-	return tieredWorkloadOn(func() (vfs.FS, error) { return vfs.NewMemFS(), nil })
-}
-
-// tieredWorkloadOn is tieredWorkload with the mount table's root backend
-// built by root.
-func tieredWorkloadOn(root func() (vfs.FS, error)) Workload {
 	return Workload{
 		Name: "tiered-toy",
 		NewFS: func() (vfs.FS, error) {
-			r, err := root()
-			if err != nil {
-				return nil, err
-			}
-			m := vfs.NewMountFS(r)
+			m := vfs.NewMountFS(vfs.NewMemFS())
 			for _, dir := range []string{"/input", "/scratch", "/out"} {
 				if err := m.Mount(dir, vfs.NewMemFS()); err != nil {
 					return nil, err

@@ -353,30 +353,28 @@ func readWorkload() Workload {
 }
 
 // TestReadModelCampaignDeterminism is the read-path determinism check: for
-// every read model, workers 1 vs 8 and COW vs rebuilt (plainFS) worlds must
-// produce identical tallies and per-run mutation records.
+// every read model, workers 1 and 8 and the reference loop, which rebuilds
+// the world for every run (referenceRecords), must produce identical
+// tallies and per-run mutation records.
 func TestReadModelCampaignDeterminism(t *testing.T) {
 	for _, model := range ReadModels() {
 		model := model
 		t.Run(model.Short(), func(t *testing.T) {
-			run := func(workers int, newFS func() (vfs.FS, error)) CampaignResult {
-				w := readWorkload()
-				w.NewFS = newFS
-				res, err := runCampaign(workers, CampaignConfig{
-					Fault: Config{Model: model},
-					Runs:  24,
-					Seed:  777,
-				}, w)
+			cfg := CampaignConfig{Fault: Config{Model: model}, Runs: 24, Seed: 777}
+			run := func(workers int) CampaignResult {
+				res, err := runCampaign(workers, cfg, readWorkload())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			serial := run(1, nil)
-			parallel := run(8, nil)
-			requireSameResult(t, "workers 1 vs 8", serial, parallel)
-			rebuilt := run(8, newPlainFS)
-			requireSameResult(t, "COW vs rebuilt worlds", serial, rebuilt)
+			serial := run(1)
+			requireSameResult(t, "workers 1 vs 8", serial, run(8))
+			ref, err := referenceRecords(CampaignSpec{Workload: readWorkload(), Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, "engine vs reference", serial, ref)
 			// A read campaign must actually reach the read path.
 			firedOnRead := 0
 			for _, rec := range serial.Records {

@@ -12,7 +12,8 @@ import (
 // every registered model on a flat and a mount-armed tiered world, at Jobs
 // 1 and 8, Replay(spec, i, rec.Target) equals record i of Engine.Run in
 // every field. The world Replay returns is the caller's own: writing to it
-// changes neither the snapshot nor a later Replay. A target outside the
+// changes neither the snapshot (a world it serves afterwards) nor a later
+// Replay. A target outside the
 // profiled range and a spec with no targets fail.
 func TestReplayMatchesRunnerRecords(t *testing.T) {
 	const runs, seed = 24, 2026
@@ -50,7 +51,11 @@ func TestReplayMatchesRunnerRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if vfs.Exists(snap.Pristine(), probe) {
+				after, err := snap.World()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vfs.Exists(after, probe) {
 					t.Fatal("a write to a replayed world reached the snapshot")
 				}
 				_, w, err := e.Replay(specs[0], 0, 0)

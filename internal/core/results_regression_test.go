@@ -73,8 +73,8 @@ func TestWriteSkipSeeksAbsolutePostWriteOffset(t *testing.T) {
 }
 
 // TestRunInjectionsTalliesAllSuccessfulRuns pins the documented error
-// semantics of runInjections: a run that fails for infrastructure reasons
-// (here: a world build error in the middle of the campaign) surfaces as the
+// semantics of runSpec: a run that fails for infrastructure reasons (here:
+// a world clone error in the middle of the campaign) surfaces as the
 // campaign error, but every other run is still tallied and recorded — the
 // tally can never silently cover just a prefix of the records.
 func TestRunInjectionsTalliesAllSuccessfulRuns(t *testing.T) {
@@ -82,13 +82,12 @@ func TestRunInjectionsTalliesAllSuccessfulRuns(t *testing.T) {
 	const failCall = 4 // call 1 is the profiling world; call 4 is run index 2
 	var calls atomic.Int64
 	w := toyWorkload()
-	w.NewFS = func() (vfs.FS, error) {
+	w.NewFS = hookedWorld(func() error {
 		if calls.Add(1) == failCall {
-			return nil, fmt.Errorf("world %d exploded", failCall)
+			return fmt.Errorf("world %d exploded", failCall)
 		}
-		// An unclonable world is rebuilt per run, so NewFS is hit once per run.
-		return plainFS{vfs.NewMemFS()}, nil
-	}
+		return nil
+	})
 	res, err := runCampaign(1, CampaignConfig{
 		Fault: Config{Model: BitFlip},
 		Runs:  runs,
@@ -199,11 +198,11 @@ func TestCampaignSinkErrorFailsCampaign(t *testing.T) {
 
 // TestSinkFailureStopsDispatch: once the sink has failed, no later run can
 // be delivered, so a fixed-budget campaign stops dispatching instead of
-// executing its remaining budget and failing anyway. An unclonable world
-// is rebuilt for every dispatched run, after one build for Setup and
-// profiling, so its NewFS counts the dispatches. Past the failing Record,
-// at most one run per pool slot may still build its world, each one the
-// loop had let through before the failure was latched.
+// executing its remaining budget and failing anyway. Every dispatched run
+// clones its world, after one clone for profiling, so the world's CloneFS
+// counts the dispatches. Past the failing Record, at most one run per pool
+// slot may still clone its world, each one the loop had let through before
+// the failure was latched.
 //
 // The subtests turn the sink, as a distributed worker's sink turns once
 // its lease is lost, while run 0 is still in flight and slow: the sink
@@ -235,19 +234,16 @@ func TestSinkFailureStopsDispatch(t *testing.T) {
 	for _, jobs := range []int{2, 8} {
 		t.Run(fmt.Sprintf("slow run in flight/jobs=%d", jobs), func(t *testing.T) {
 			const runs = 200
-			var builds, atFailure atomic.Int64
+			var clones, atFailure atomic.Int64
 			var held atomic.Bool
 			sink := &refusingSink{}
 			w := toyWorkload()
-			w.NewFS = func() (vfs.FS, error) {
-				builds.Add(1)
-				return plainFS{vfs.NewMemFS()}, nil
-			}
+			w.NewFS = hookedWorld(func() error { clones.Add(1); return nil })
 			run := w.Run
 			w.Run = func(fs vfs.FS) error {
 				err := run(fs)
 				if out, _ := vfs.ReadFile(fs, "/out/data.bin"); bytes.Equal(out, run0) && held.CompareAndSwap(false, true) {
-					atFailure.Store(builds.Load() - 1)
+					atFailure.Store(clones.Load() - 1)
 					sink.refuse.Store(true)
 					time.Sleep(100 * time.Millisecond)
 				}
@@ -256,7 +252,7 @@ func TestSinkFailureStopsDispatch(t *testing.T) {
 			_, err := runCampaign(jobs, CampaignConfig{
 				Fault: Config{Model: BitFlip}, Runs: runs, Seed: seed, Sink: sink,
 			}, w)
-			dispatched := builds.Load() - 1
+			dispatched := clones.Load() - 1
 			if !held.Load() {
 				t.Fatal("run 0 was never told apart by its output")
 			}
@@ -270,17 +266,14 @@ func TestSinkFailureStopsDispatch(t *testing.T) {
 	}
 
 	const runs, jobs = 200, 2
-	var builds, atFailure atomic.Int64
+	var clones, atFailure atomic.Int64
 	w := toyWorkload()
-	w.NewFS = func() (vfs.FS, error) {
-		builds.Add(1)
-		return plainFS{vfs.NewMemFS()}, nil
-	}
-	sink := &collectSink{failAt: 3, onFail: func() { atFailure.Store(builds.Load() - 1) }}
+	w.NewFS = hookedWorld(func() error { clones.Add(1); return nil })
+	sink := &collectSink{failAt: 3, onFail: func() { atFailure.Store(clones.Load() - 1) }}
 	_, err := runCampaign(jobs, CampaignConfig{
 		Fault: Config{Model: BitFlip}, Runs: runs, Seed: 5, Sink: sink,
 	}, w)
-	dispatched := builds.Load() - 1
+	dispatched := clones.Load() - 1
 	if err == nil || !strings.Contains(err.Error(), "record sink") {
 		t.Fatalf("sink failure must fail the campaign; got %v", err)
 	}
@@ -407,7 +400,7 @@ func TestCampaignResumePointExecutesSuffixDeterministically(t *testing.T) {
 
 // TestSinkReceivesRunsInIndexOrder: runs finish out of order under a wide
 // pool, yet the sink sees indices start, start+1, … in order. The first
-// run to build its world is held inside the workload until a later run has
+// run to clone its world is held inside the workload until a later run has
 // finished, so completion order differs from index order.
 func TestSinkReceivesRunsInIndexOrder(t *testing.T) {
 	const runs, start = 12, 3
@@ -415,21 +408,21 @@ func TestSinkReceivesRunsInIndexOrder(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
 	w := toyWorkload()
-	// An unclonable world is rebuilt for every dispatched run, after one
-	// build for Setup and profiling. Holding every build after the first
-	// run's until a run is inside the workload makes that run, in
-	// practice run `start`, the held one.
-	var builds atomic.Int64
-	w.NewFS = func() (vfs.FS, error) {
-		switch builds.Add(1) {
+	// Every dispatched run clones its world, after one clone for
+	// profiling. Holding every clone after the first run's until a run is
+	// inside the workload makes that run, in practice run `start`, the held
+	// one.
+	var clones atomic.Int64
+	w.NewFS = hookedWorld(func() error {
+		switch clones.Add(1) {
 		case 1:
 		case 2:
 			dispatching.Store(true)
 		default:
 			<-entered
 		}
-		return plainFS{vfs.NewMemFS()}, nil
-	}
+		return nil
+	})
 	run := w.Run
 	w.Run = func(fs vfs.FS) error {
 		if !dispatching.Load() {

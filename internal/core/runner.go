@@ -321,8 +321,8 @@ type runSlots struct {
 	idle   chan Workload
 }
 
-// execute runs one injection through inj on a world served by snap,
-// timing the clone-or-rebuild into st. The world draws its blocks from s
+// execute runs one injection through inj on a clone served by snap,
+// timing the clone into st. The world draws its blocks from s
 // and is released once classified. With a Worker, w runs on an idle pair
 // in place of its Run and Classify, or on a new pair when none is idle,
 // and the pair goes back to s afterwards.
@@ -358,11 +358,9 @@ func runOnceTimed(base vfs.FS, w Workload, inj *Injector, mounts []string, st *s
 	if err != nil {
 		return RunRecord{}, err
 	}
-	// Measure only the application's own I/O on the simulated clock: reset
-	// before Run (excluding Setup and any profiling charges, and making COW
-	// clones and fresh rebuilds indistinguishable), read before
-	// classification touches the world.
-	vfs.ResetSim(base)
+	// base is a fresh clone, whose clock starts at zero: reading it before
+	// classification touches the world measures only the application's own
+	// I/O.
 	t := time.Now()
 	runErr := runRecovering(w.Run, armed)
 	st.workNs = time.Since(t).Nanoseconds()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -9,19 +8,15 @@ import (
 )
 
 // WorldSnapshot captures a workload's storage world once — NewFS plus a
-// single Setup execution — and hands out per-run worlds from it. When the
-// world supports copy-on-write cloning (vfs.Cloner: MemFS, and MountFS over
-// clonable backends), every World() call is a cheap structural-sharing clone
-// of the post-Setup state; otherwise the snapshot degrades to rebuilding the
-// world (NewFS + Setup) per call, the paper's original remount-per-run
-// procedure. Either way each run observes a bit-identical pristine world, so
-// campaign statistics are unaffected by the mode — only the per-run cost is.
+// single Setup execution — and hands out per-run worlds from it: every
+// World() call is a copy-on-write clone of the post-Setup state, so each
+// run observes a bit-identical pristine world at the cost of a structural
+// share, not a rebuild.
 type WorldSnapshot struct {
-	w        Workload
-	pristine vfs.Cloner // non-nil in COW mode
+	pristine vfs.Cloner
 
 	mu    sync.Mutex
-	spare vfs.FS // the probe's build or clone, served to the first World()
+	spare vfs.FS // the probe clone, served to the first World()
 }
 
 // buildWorld constructs the workload's world and runs Setup on it.
@@ -41,7 +36,7 @@ func buildWorld(w Workload) (vfs.FS, error) {
 // NewWorldSnapshot builds the workload's world, runs Setup once, and returns
 // a snapshot serving COW clones of the result. A world that cannot be
 // cloned (a custom NewFS whose file system, or a mount of it, is not a
-// vfs.Cloner) falls back to rebuild-per-run transparently.
+// vfs.Cloner) fails with an error wrapping vfs.ErrNotClonable.
 func NewWorldSnapshot(w Workload) (*WorldSnapshot, error) {
 	base, err := buildWorld(w)
 	if err != nil {
@@ -49,50 +44,31 @@ func NewWorldSnapshot(w Workload) (*WorldSnapshot, error) {
 	}
 	c, ok := base.(vfs.Cloner)
 	if !ok {
-		// Not a wasted build: the first World() call serves it.
-		return &WorldSnapshot{w: w, spare: base}, nil
+		return nil, fmt.Errorf("core: snapshot world of %s: %w", w.Name, vfs.ErrNotClonable)
 	}
 	// Probe clonability end to end: a MountFS is a Cloner statically but may
-	// hold backends that are not. A successful probe clone is kept and
-	// served to the first World() call (usually the profiling pass).
+	// hold backends that are not. The probe clone is kept and served to the
+	// first World() call (usually the profiling pass).
 	probe, err := c.CloneFS()
 	if err != nil {
-		if errors.Is(err, vfs.ErrNotClonable) {
-			return &WorldSnapshot{w: w, spare: base}, nil
-		}
-		return nil, fmt.Errorf("core: snapshot world: %w", err)
+		return nil, fmt.Errorf("core: snapshot world of %s: %w", w.Name, err)
 	}
-	return &WorldSnapshot{w: w, pristine: c, spare: probe}, nil
-}
-
-// Pristine returns the post-Setup snapshot world itself in COW mode, nil in
-// rebuild mode. It is the reference state clones diverge from; treat it as
-// read-only — mutating it would silently re-baseline every later clone.
-func (s *WorldSnapshot) Pristine() vfs.FS {
-	if s.pristine == nil {
-		return nil
-	}
-	return s.pristine.(vfs.FS)
+	return &WorldSnapshot{pristine: c, spare: probe}, nil
 }
 
 // World returns a fresh pristine world for one run: a COW clone of the
-// snapshot, or a full rebuild (NewFS + Setup) when the world is not
-// clonable. Safe for concurrent use.
+// snapshot. Safe for concurrent use.
 func (s *WorldSnapshot) World() (vfs.FS, error) {
 	s.mu.Lock()
-	if s.spare != nil {
-		fs := s.spare
+	if fs := s.spare; fs != nil {
 		s.spare = nil
 		s.mu.Unlock()
 		return fs, nil
 	}
 	s.mu.Unlock()
-	if s.pristine != nil {
-		fs, err := s.pristine.CloneFS()
-		if err != nil {
-			return nil, fmt.Errorf("core: clone world: %w", err)
-		}
-		return fs, nil
+	fs, err := s.pristine.CloneFS()
+	if err != nil {
+		return nil, fmt.Errorf("core: clone world: %w", err)
 	}
-	return buildWorld(s.w)
+	return fs, nil
 }

@@ -348,11 +348,11 @@ func TestWireSpecResolvedWorld(t *testing.T) {
 		case *vfs.ObjectFS:
 			return "object"
 		case *vfs.LatencyFS:
-			b.ResetSim()
+			before := b.SimElapsed()
 			if err := b.Mkdir("/probe"); err != nil {
 				t.Fatal(err)
 			}
-			if b.SimElapsed() == vfs.BurstBufferModel.MetaLatency {
+			if b.SimElapsed()-before == vfs.BurstBufferModel.MetaLatency {
 				return "bb"
 			}
 			return "pfs"

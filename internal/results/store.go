@@ -196,15 +196,15 @@ type GridSpec struct {
 // the distributed coordinator alike. It takes the store's lock, re-reads
 // the manifest under it (another handle on the store may have registered
 // specs since this one opened), and checks every spec before registering
-// any: a key twice in the grid, a finalized spec whose stored header is
-// another campaign's, a seed or run budget other than the manifest's, and
-// a spec the manifest records under another world are refused. Then the
-// keys (in first-seen order, so grids that run several sweeps into one
-// store accumulate their spec lists) and worlds are registered, a spec
-// with no recorded world adopting its own. final[i] holds spec i's stored
-// data when it is finalized, nil when it still has runs to execute. The
-// caller holds the lock until it calls unlock; on error nothing is
-// registered and the lock is released.
+// any: a key twice in the grid, a finalized or partial spec whose stored
+// header is another campaign's, a seed or run budget other than the
+// manifest's, and a spec the manifest records under another world are
+// refused. Then the keys (in first-seen order, so grids that run several
+// sweeps into one store accumulate their spec lists) and worlds are
+// registered, a spec with no recorded world adopting its own. final[i]
+// holds spec i's stored data when it is finalized, nil when it still has
+// runs to execute. The caller holds the lock until it calls unlock; on
+// error nothing is registered and the lock is released.
 func (st *Store) Adopt(specs []GridSpec) (final []*SpecData, unlock func(), err error) {
 	release, err := st.lock()
 	if err != nil {
@@ -242,6 +242,13 @@ func (st *Store) Adopt(specs []GridSpec) (final []*SpecData, unlock func(), err 
 				return nil, nil, fmt.Errorf("results: spec %q: %w", k, err)
 			}
 			final[i] = &data
+		} else if sf, ok, err := st.readSpec(k, false); err == nil && ok && sf.hasHeader {
+			// So must a partial one's, checked here rather than after the
+			// profiling pass its resume would run. A partial that does not
+			// parse is left to SpecSink, which fails that spec alone.
+			if err := HeaderMatches(sf.header, spec.Meta); err != nil {
+				return nil, nil, fmt.Errorf("results: spec %q: %w", k, err)
+			}
 		}
 		if spec.Meta.Seed != man.Seed || spec.Meta.Runs != man.Runs {
 			return nil, nil, fmt.Errorf("results: spec %q wants seed=%d runs=%d, store %s holds seed=%d runs=%d",

@@ -8,12 +8,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/experiments"
 	"ffis/internal/stats"
+	"ffis/internal/vfs"
 )
 
 // runCampaign runs one campaign as a one-spec Engine grid on jobs slots
@@ -620,6 +622,38 @@ func TestRunGridRejectsFinalizedSpecDrift(t *testing.T) {
 	if _, err := RunGrid(&core.Engine{Jobs: 2}, st, specs); err == nil ||
 		!strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("finalized specs from a drifted campaign must be rejected, got %v", err)
+	}
+}
+
+// TestRunGridRejectsPartialSpecDrift: a partial whose stored header names
+// another campaign (here another model) is refused when the grid enters
+// the store, before the workload runs at all: not after a profiling pass,
+// when the resumed sink would compare headers. The partial is untouched.
+func TestRunGridRejectsPartialSpecDrift(t *testing.T) {
+	st, err := Create(t.TempDir(), Manifest{Seed: eqSeed, Runs: eqRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := eqHeader(0)
+	drifted.Model = "dropped-write"
+	writeRecordFile(t, st.partialPath("eq/BF"), drifted, 0, 1, 2)
+	stored, err := os.ReadFile(st.partialPath("eq/BF"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	spec := eqSpecs()[0]
+	run := spec.Workload.Run
+	spec.Workload.Run = func(fs vfs.FS) error { runs.Add(1); return run(fs) }
+	if _, err := RunGrid(&core.Engine{Jobs: 2}, st, []core.CampaignSpec{spec}); err == nil ||
+		!strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("a partial from another campaign must be refused, got %v", err)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("the refused grid ran the workload %d times", n)
+	}
+	if got, err := os.ReadFile(st.partialPath("eq/BF")); err != nil || !bytes.Equal(got, stored) {
+		t.Fatalf("the refused grid touched the stored partial (%v)", err)
 	}
 }
 

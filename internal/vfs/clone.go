@@ -4,7 +4,8 @@ import "errors"
 
 // ErrNotClonable reports a backend that cannot produce a copy-on-write
 // snapshot of itself (e.g. OSFS, whose state lives outside the process).
-// Callers that want a clone-or-rebuild policy test for it with errors.Is.
+// A campaign cannot run on such a world: core.NewWorldSnapshot fails with
+// an error wrapping it.
 var ErrNotClonable = errors.New("vfs: backend does not support cloning")
 
 // Cloner is implemented by file systems that can snapshot themselves as a

@@ -78,9 +78,8 @@ func (c CostModel) writeCost(n int) int64 {
 // worlds.
 //
 // CloneFS clones the inner backend (which must support it) and gives the
-// clone a fresh clock; the campaign driver additionally resets clocks
-// immediately before each run (ResetSim) so cloned and rebuilt worlds
-// measure identically.
+// clone a fresh clock, so a run on a clone of a post-Setup world measures
+// only its own I/O.
 type LatencyFS struct {
 	inner FS
 	cost  CostModel
@@ -94,9 +93,6 @@ func NewLatencyFS(inner FS, cost CostModel) *LatencyFS {
 
 // SimElapsed implements SimClocked.
 func (l *LatencyFS) SimElapsed() time.Duration { return time.Duration(l.ns.Load()) }
-
-// ResetSim implements SimClocked.
-func (l *LatencyFS) ResetSim() { l.ns.Store(0) }
 
 // CloneFS implements Cloner when the inner backend does: the clone shares
 // the cost model, snapshots the inner state, and starts a fresh clock.

@@ -57,21 +57,21 @@ func TestLatencyFSBillsBytesMoved(t *testing.T) {
 	if err := WriteFile(fs, "/f", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	fs.ResetSim()
+	before := fs.SimElapsed()
 	f, _ := fs.Open("/f")
 	defer f.Close()
 	buf := make([]byte, 100)
 	f.ReadAt(buf, 1) // only 2 bytes exist past offset 1
-	if got, want := fs.SimElapsed(), 2*time.Millisecond; got != want {
+	if got, want := fs.SimElapsed()-before, 2*time.Millisecond; got != want {
 		t.Fatalf("short read billed %v; want %v", got, want)
 	}
 }
 
-// TestLatencyFSResetAndCloneClock: ResetSim zeroes the clock, and CloneFS
-// snapshots the inner world but starts the clone's clock at zero — the
-// protocol the campaign driver relies on to exclude Setup I/O and make COW
-// clones measure like fresh rebuilds.
-func TestLatencyFSResetAndCloneClock(t *testing.T) {
+// TestLatencyFSCloneStartsFreshClock: CloneFS snapshots the inner world
+// but starts the clone's clock at zero, and the two clocks run apart from
+// then on — what the campaign driver relies on to exclude Setup I/O from
+// every run.
+func TestLatencyFSCloneStartsFreshClock(t *testing.T) {
 	fs := NewLatencyFS(NewMemFS(), BurstBufferModel)
 	if err := WriteFile(fs, "/f", make([]byte, 4096)); err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestLatencyFSResetAndCloneClock(t *testing.T) {
 	if clone.SimElapsed() != 0 {
 		t.Fatalf("clone inherited %v of clock", clone.SimElapsed())
 	}
+	setup := fs.SimElapsed()
 	if got, _ := ReadFile(clone, "/f"); len(got) != 4096 {
 		t.Fatal("clone lost the inner snapshot")
 	}
-	fs.ResetSim()
-	if fs.SimElapsed() != 0 {
-		t.Fatal("ResetSim did not zero the clock")
+	if clone.SimElapsed() == 0 || fs.SimElapsed() != setup {
+		t.Fatalf("a read of the clone charged it %v and its source %v", clone.SimElapsed(), fs.SimElapsed()-setup)
 	}
 }
 
@@ -106,10 +106,10 @@ func TestLatencyFSRequiresClonableInner(t *testing.T) {
 }
 
 // TestMountFSSimAggregation: a mount table sums simulated time across its
-// latency-modeled mounts, ignores unmodeled ones, and ResetSim zeroes every
-// clocked mount. A world with no clocked mounts still implements SimClocked
-// and reports zero — which is what keeps sim_ns omitempty on default
-// worlds.
+// latency-modeled mounts, ignores unmodeled ones, and a clone of the
+// table starts every clocked mount at zero. A world with no clocked mounts
+// still implements SimClocked and reports zero — which is what keeps
+// sim_ns omitempty on default worlds.
 func TestMountFSSimAggregation(t *testing.T) {
 	cost := CostModel{MetaLatency: time.Millisecond}
 	bb := NewLatencyFS(NewMemFS(), cost)
@@ -122,7 +122,7 @@ func TestMountFSSimAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mount bills each backend for creating its mount-point directory.
-	m.ResetSim()
+	before := m.SimElapsed()
 	// One meta op routed into each mount plus unbilled root traffic.
 	if err := m.Mkdir("/bb/d"); err != nil {
 		t.Fatal(err)
@@ -133,12 +133,15 @@ func TestMountFSSimAggregation(t *testing.T) {
 	if err := WriteFile(m, "/rootfile", []byte("free")); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.SimElapsed(), 2*time.Millisecond; got != want {
+	if got, want := m.SimElapsed()-before, 2*time.Millisecond; got != want {
 		t.Fatalf("aggregated %v; want %v", got, want)
 	}
-	m.ResetSim()
-	if m.SimElapsed() != 0 || bb.SimElapsed() != 0 || pfs.SimElapsed() != 0 {
-		t.Fatal("ResetSim left a mount's clock running")
+	clone, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := clone.SimElapsed(); elapsed != 0 {
+		t.Fatalf("a clone of the table inherited %v of its mounts' clocks", elapsed)
 	}
 
 	plain := NewMountFS(NewMemFS())
@@ -147,23 +150,16 @@ func TestMountFSSimAggregation(t *testing.T) {
 	}
 }
 
-// TestSimElapsedHelpers: the package-level helpers answer (0, false) for
-// unclocked backends and pass through for clocked ones; ResetSim on an
-// unclocked backend is a no-op rather than a panic.
+// TestSimElapsedHelpers: the package-level SimElapsed answers (0, false)
+// for unclocked backends and passes through for clocked ones.
 func TestSimElapsedHelpers(t *testing.T) {
 	mem := NewMemFS()
 	if elapsed, ok := SimElapsed(mem); ok || elapsed != 0 {
 		t.Fatalf("MemFS SimElapsed = %v, %v; want 0, false", elapsed, ok)
 	}
-	ResetSim(mem) // must not panic
-
 	l := NewLatencyFS(NewMemFS(), CostModel{MetaLatency: time.Microsecond})
 	l.Mkdir("/d")
 	if elapsed, ok := SimElapsed(l); !ok || elapsed != time.Microsecond {
 		t.Fatalf("LatencyFS SimElapsed = %v, %v", elapsed, ok)
-	}
-	ResetSim(l)
-	if l.SimElapsed() != 0 {
-		t.Fatal("ResetSim helper did not reset")
 	}
 }

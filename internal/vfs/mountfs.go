@@ -319,9 +319,6 @@ func (m *MountFS) SimElapsed() time.Duration {
 	return total
 }
 
-// ResetSim implements SimClocked by resetting every clocked backend.
-func (m *MountFS) ResetSim() { m.backends(ResetSim) }
-
 // backends calls fn on every mounted backend, under the table's read lock.
 func (m *MountFS) backends(fn func(FS)) {
 	m.mu.RLock()

@@ -21,15 +21,13 @@ import (
 // reachAllowlist names the production declarations the guard accepts
 // although no program reaches them, as "pkgpath.Func", "pkgpath.Type.Method"
 // or "pkgpath.Type.Field". Each entry is a reference or fixture that tests in
-// several packages share; keep the list at five entries or fewer.
+// several packages share; keep the list at four entries or fewer.
 var reachAllowlist = map[string]string{
 	// The whole-file QMCA analysis: the reference AnalyzeDMC is tested
 	// against bit for bit.
 	"ffis/internal/apps/qmcpack.Analyze": "reference for AnalyzeDMC",
 	// Golden-tree snapshots in the core, experiments and vfs tests.
 	"ffis/internal/vfs.Walk": "file-tree walk shared by tests",
-	// Clone-isolation checks in the core and experiments tests.
-	"ffis/internal/core.WorldSnapshot.Pristine": "clone-isolation fixture",
 	// Float32 plotfiles in the hdf5 and metainject tests.
 	"ffis/internal/hdf5.IEEE754Single": "float32 codec fixture",
 	// The whole-file halo finder: the reference nyx.App.Analyze is tested
