@@ -2,7 +2,7 @@
 // of an HPC storage hierarchy, aim a fault signature at ONE tier, and watch
 // the other tiers stay clean — then run the full tiered placement sweep for
 // two of the paper's workloads, and finally cross placements with backend
-// *types*: the same grid re-run under an object store (whole-object RMW,
+// *types*: the same grid re-run under an object store (flat keys,
 // eventual consistency) and under latency-modeled tiers whose simulated
 // clock prices every operation.
 //
@@ -85,12 +85,10 @@ func main() {
 
 	// --- Part 3: backend × placement. --------------------------------------
 	// The same placement grid for Montage stage 2, re-run under each hermetic
-	// backend type. The backends' models make the differences visible in the
-	// table itself: ObjectFS pays whole-object read-modify-write commits for
-	// every fault the injector lands, and the latency backend's simulated
-	// clock (burst-buffer pricing on scratch mounts, parallel-FS pricing
-	// elsewhere) reports per-cell simulated I/O time in the sim-ms column —
-	// all at zero wall-clock cost, and bit-identically across worker counts.
+	// backend type. The latency backend's simulated clock (burst-buffer
+	// pricing on scratch mounts, parallel-FS pricing elsewhere) reports
+	// per-cell simulated I/O time in the sim-ms column — at zero wall-clock
+	// cost, and bit-identically across worker counts.
 	fmt.Println()
 	table, _, err = experiments.Tiered([]string{"MT2"}, core.MustModel("dropped-write"), experiments.Options{
 		Runs:     40,
@@ -121,5 +119,4 @@ func main() {
 	fresh, _ := vfs.ReadFile(obj, "/bucket/key")
 	fmt.Printf("\nobject store after overwrite (lag 1): GET %q, HEAD size %d, next GET %q\n",
 		stale, info.Size, fresh)
-	fmt.Printf("bytes rewritten by whole-object commits: %d\n", obj.RewrittenBytes())
 }

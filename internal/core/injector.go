@@ -248,8 +248,8 @@ func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
 
 // InjectorFS is the FFIS interposition layer (Figure 2): a drop-in vfs.FS
 // whose primitives consult the injector before delegating. The embedded
-// FS passes through the primitives no model hosts (Truncate, Mkdir, Stat,
-// Rename and the rest). An embedded interface promotes only the vfs.FS
+// FS passes through the primitives no model hosts: MkdirAll, Remove,
+// Rename, Stat, ReadDir and Truncate. An embedded interface promotes only the vfs.FS
 // methods, so an armed view answers none of the optional interfaces of the
 // FS it wraps: it is no vfs.Cloner, Recycler or SimClocked, and
 // vfs.Unchanged reports false through it.

@@ -16,8 +16,8 @@ import (
 // where PATH is the absolute mount point and BACKEND is one of
 //
 //	mem          a fresh in-memory backend per campaign run (the default)
-//	object       a fresh flat-key object store (vfs.ObjectFS): whole-object
-//	             read-modify-write semantics, strong consistency
+//	object       a fresh flat-key object store (vfs.ObjectFS) with strong
+//	             consistency
 //	object:lag=N the object store with an eventual-consistency window — the
 //	             next N opens after an overwrite observe the old object
 //	latency      a latency-modeled MemFS (vfs.LatencyFS) billing a simulated

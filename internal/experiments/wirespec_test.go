@@ -349,7 +349,7 @@ func TestWireSpecResolvedWorld(t *testing.T) {
 			return "object"
 		case *vfs.LatencyFS:
 			before := b.SimElapsed()
-			if err := b.Mkdir("/probe"); err != nil {
+			if err := b.MkdirAll("/probe"); err != nil {
 				t.Fatal(err)
 			}
 			if b.SimElapsed()-before == vfs.BurstBufferModel.MetaLatency {

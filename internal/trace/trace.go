@@ -92,13 +92,6 @@ func (r *Recorder) Append(name string) (vfs.File, error) {
 	return &recFile{File: f, r: r}, nil
 }
 
-// Mkdir delegates and records.
-func (r *Recorder) Mkdir(name string) error {
-	err := r.inner.Mkdir(name)
-	r.record(vfs.PrimMkdir, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
 // MkdirAll delegates and records.
 func (r *Recorder) MkdirAll(name string) error {
 	err := r.inner.MkdirAll(name)
@@ -109,13 +102,6 @@ func (r *Recorder) MkdirAll(name string) error {
 // Remove delegates and records.
 func (r *Recorder) Remove(name string) error {
 	err := r.inner.Remove(name)
-	r.record(vfs.PrimRemove, vfs.Clean(name), -1, 0, err)
-	return err
-}
-
-// RemoveAll delegates and records.
-func (r *Recorder) RemoveAll(name string) error {
-	err := r.inner.RemoveAll(name)
 	r.record(vfs.PrimRemove, vfs.Clean(name), -1, 0, err)
 	return err
 }

@@ -126,7 +126,6 @@ func TestMemFSCloneIsolation(t *testing.T) {
 			_, err = f.Write([]byte("short"))
 			return err
 		}},
-		{"removeall", func(fs FS) error { return fs.RemoveAll("/a") }},
 	}
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {

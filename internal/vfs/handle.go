@@ -4,30 +4,15 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
-var errNegativeTruncate = errors.New("vfs: negative truncate size")
-
-// fileNode is the storage an open handle addresses: a MemFS node, bare
-// (memTarget) or as an ObjectFS object whose writes are metered
-// (objTarget). Each method takes the node's own lock.
-type fileNode interface {
-	readAt(p []byte, off int64) (int, error)
-	writeAt(p []byte, off int64)
-	truncate(size int64)
-	size() int64
-	// live fails handle I/O once the handle's world is released.
-	live() error
-}
-
-// handle is an open file of MemFS or ObjectFS; the backends differ only
-// in the fileNode it addresses (read-only handles of both, including one
-// served from ObjectFS's consistency window, address a memTarget).
+// handle is an open file of MemFS or ObjectFS. It addresses a MemFS node
+// through its memTarget: for ObjectFS, a node of the store's private MemFS
+// or a superseded object served from its consistency window.
 //
 // The handle lock is an RWMutex so the closed check and the I/O it guards
 // are one critical section: positional operations (ReadAt/WriteAt/Size/
-// Truncate/Sync) hold the read side across the whole call — they can still
+// Sync) hold the read side across the whole call — they can still
 // run concurrently with each other, as pread/pwrite allow — while Close
 // takes the write side, so it cannot slip between a handle's closed check
 // and the node access (the old check-release-then-touch sequence let I/O
@@ -37,7 +22,7 @@ type fileNode interface {
 // move off.
 type handle struct {
 	name     string
-	node     fileNode
+	node     memTarget
 	writable bool
 
 	mu     sync.RWMutex // guards off and closed; see type comment
@@ -139,22 +124,6 @@ func (f *handle) Seek(offset int64, whence int) (int64, error) {
 	return pos, nil
 }
 
-func (f *handle) Truncate(size int64) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.check(); err != nil {
-		return err
-	}
-	if !f.writable {
-		return ErrReadOnly
-	}
-	if size < 0 {
-		return errNegativeTruncate
-	}
-	f.node.truncate(size)
-	return nil
-}
-
 func (f *handle) Size() (int64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -181,7 +150,7 @@ func (f *handle) Close() error {
 }
 
 // memTarget addresses a MemFS node; writes draw blocks from the list its
-// world is attached to.
+// world is attached to. readAt, writeAt and size take the node's own lock.
 type memTarget struct {
 	fs *MemFS
 	n  *memNode
@@ -199,42 +168,18 @@ func (t memTarget) writeAt(p []byte, off int64) {
 	t.n.write(p, off, t.fs.list)
 }
 
-func (t memTarget) truncate(size int64) {
-	t.n.mu.Lock()
-	defer t.n.mu.Unlock()
-	t.n.truncate(size)
-}
-
 func (t memTarget) size() int64 {
 	t.n.mu.RLock()
 	defer t.n.mu.RUnlock()
 	return t.n.size
 }
 
+// live fails handle I/O once the handle's world is released.
 func (t memTarget) live() error {
 	if t.fs.released.Load() {
 		return ErrReleased
 	}
 	return nil
-}
-
-// objTarget addresses an ObjectFS object: a memTarget whose writes and
-// truncates charge the whole resulting object to the store's meter.
-type objTarget struct {
-	memTarget
-	meter *atomic.Int64
-}
-
-func (t objTarget) writeAt(p []byte, off int64) {
-	t.n.mu.Lock()
-	defer t.n.mu.Unlock()
-	t.n.write(p, off, t.fs.list)
-	t.meter.Add(t.n.size)
-}
-
-func (t objTarget) truncate(size int64) {
-	t.memTarget.truncate(size)
-	t.meter.Add(size)
 }
 
 var _ File = (*handle)(nil)

@@ -16,7 +16,7 @@ type CostModel struct {
 	// WriteAt, Truncate).
 	WriteLatency time.Duration
 	// MetaLatency is charged per namespace or metadata operation (Create,
-	// Open, Mkdir, Stat, ReadDir, Rename, ...).
+	// Open, Append, MkdirAll, Remove, Rename, Stat, ReadDir).
 	MetaLatency time.Duration
 	// ReadBytesPerSec and WriteBytesPerSec are the tier's bandwidth
 	// budgets; each data operation additionally charges bytes/rate.
@@ -139,13 +139,8 @@ func (l *LatencyFS) Append(name string) (File, error) {
 	return &latencyFile{File: f, fs: l}, nil
 }
 
-func (l *LatencyFS) Mkdir(name string) error    { l.meta(); return l.inner.Mkdir(name) }
 func (l *LatencyFS) MkdirAll(name string) error { l.meta(); return l.inner.MkdirAll(name) }
 func (l *LatencyFS) Remove(name string) error   { l.meta(); return l.inner.Remove(name) }
-func (l *LatencyFS) RemoveAll(name string) error {
-	l.meta()
-	return l.inner.RemoveAll(name)
-}
 
 func (l *LatencyFS) Rename(oldName, newName string) error {
 	l.meta()
@@ -192,11 +187,6 @@ func (f *latencyFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
 	f.fs.write(n)
 	return n, err
-}
-
-func (f *latencyFile) Truncate(size int64) error {
-	f.fs.write(0)
-	return f.File.Truncate(size)
 }
 
 var (

@@ -124,10 +124,10 @@ func TestMountFSSimAggregation(t *testing.T) {
 	// Mount bills each backend for creating its mount-point directory.
 	before := m.SimElapsed()
 	// One meta op routed into each mount plus unbilled root traffic.
-	if err := m.Mkdir("/bb/d"); err != nil {
+	if err := m.MkdirAll("/bb/d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Mkdir("/pfs/d"); err != nil {
+	if err := m.MkdirAll("/pfs/d"); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFile(m, "/rootfile", []byte("free")); err != nil {
@@ -158,7 +158,7 @@ func TestSimElapsedHelpers(t *testing.T) {
 		t.Fatalf("MemFS SimElapsed = %v, %v; want 0, false", elapsed, ok)
 	}
 	l := NewLatencyFS(NewMemFS(), CostModel{MetaLatency: time.Microsecond})
-	l.Mkdir("/d")
+	l.MkdirAll("/d")
 	if elapsed, ok := SimElapsed(l); !ok || elapsed != time.Microsecond {
 		t.Fatalf("LatencyFS SimElapsed = %v, %v", elapsed, ok)
 	}

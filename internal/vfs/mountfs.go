@@ -12,8 +12,8 @@ import (
 // and leaves the copy-and-delete decision to the caller — exactly the
 // failure mode tiered HPC storage exposes when an application renames a
 // burst-buffer file onto the parallel file system. ErrMountBusy guards the
-// mount table itself (EBUSY): a mount point cannot be unlinked, renamed
-// over, or swept away by RemoveAll while a backend is attached beneath it.
+// mount table itself (EBUSY): a mount point cannot be unlinked or renamed
+// over while a backend is attached beneath it.
 var (
 	ErrCrossMount = &crossMountError{}
 	ErrMountBusy  = &mountBusyError{}
@@ -61,7 +61,7 @@ type MountPoint struct {
 //   - Nested mounts shadow their ancestors: with backends at /a and /a/b,
 //     paths under /a/b route to the inner backend.
 //   - Rename across two backends fails with ErrCrossMount (EXDEV).
-//   - Remove/RemoveAll/Rename refuse to disturb a live mount point
+//   - Remove and Rename refuse to disturb a live mount point
 //     (ErrMountBusy).
 //
 // MountFS is safe for concurrent use; the table itself is guarded by an
@@ -199,7 +199,7 @@ func (m *MountFS) resolve(name string) (mountEntry, string) {
 
 // guardMountPoints returns ErrMountBusy when any mount point other than the
 // one owning name sits at or below name — the table-structure guard for
-// Remove, RemoveAll, and rename targets.
+// Remove and rename targets.
 func (m *MountFS) guardMountPoints(op, name string) error {
 	name = Clean(name)
 	m.mu.RLock()
@@ -230,12 +230,6 @@ func (m *MountFS) Append(name string) (File, error) {
 	return mp.fs.Append(rel)
 }
 
-// Mkdir routes to the owning mount.
-func (m *MountFS) Mkdir(name string) error {
-	mp, rel := m.resolve(name)
-	return mp.fs.Mkdir(rel)
-}
-
 // MkdirAll routes to the owning mount. A path that crosses a mount boundary
 // resolves entirely to the innermost mount; the segments above the boundary
 // already exist as materialized mount-point directories.
@@ -252,17 +246,6 @@ func (m *MountFS) Remove(name string) error {
 	}
 	mp, rel := m.resolve(name)
 	return mp.fs.Remove(rel)
-}
-
-// RemoveAll routes to the owning mount; a subtree that covers a live mount
-// point cannot be removed atomically across backends, so it fails with
-// ErrMountBusy.
-func (m *MountFS) RemoveAll(name string) error {
-	if err := m.guardMountPoints("removeall", name); err != nil {
-		return err
-	}
-	mp, rel := m.resolve(name)
-	return mp.fs.RemoveAll(rel)
 }
 
 // Rename routes to the owning mount when both names resolve to the same

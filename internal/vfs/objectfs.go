@@ -3,26 +3,20 @@ package vfs
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ObjectFS is an S3-style object store behind the FS interface: every file
-// is one flat-keyed object, and every mutation — a 4-byte WriteAt included
-// — commits a complete replacement object. That is the read-modify-write
-// semantics of real object stores, where there is no partial PUT: the
-// writer fetches the object, patches it in memory, and uploads the whole
-// thing again. RewrittenBytes accumulates the committed object sizes so
-// experiments can report the write amplification a byte-addressable
-// backend (MemFS) never pays.
+// is one flat-keyed object, and an overwrite via Create replaces the whole
+// object.
 //
-// The model is all ObjectFS adds; the bytes and the namespace live in a
-// private MemFS. Its flat key table is the one an s3fs-style adapter
-// emulates POSIX over (directories are zero-byte markers, listings are
-// prefix scans), and the MemFS gives ObjectFS its copy-on-write Clone and
-// its run-scoped block recycling (Recycler). The MemFS is a named field,
-// not an embedded one: embedding would promote MemFS.CloneFS, whose clone
-// drops the meter and the window, and MemFS.Unchanged, which no object
-// world answers (vfs.Unchanged is false here).
+// The eventual-consistency window below is all ObjectFS adds; the bytes
+// and the namespace live in a private MemFS. Its flat key table is the one an s3fs-style
+// adapter emulates POSIX over (directories are zero-byte markers, listings
+// are prefix scans), and the MemFS gives ObjectFS its copy-on-write Clone
+// and its run-scoped block recycling (Recycler). The MemFS is a named
+// field, not an embedded one: embedding would promote MemFS.CloneFS, whose
+// clone drops the window, and MemFS.Unchanged, which no object world
+// answers (vfs.Unchanged is false here).
 //
 // ConsistencyLag models eventual consistency on overwrite, the classic
 // read-after-overwrite anomaly of eventually-consistent stores: when an
@@ -39,8 +33,6 @@ type ObjectFS struct {
 	mu    sync.RWMutex // guards lag and stale
 	lag   int
 	stale map[string]*staleObject
-
-	rewritten atomic.Int64
 }
 
 // staleObject is a superseded object still visible to readers: the next
@@ -66,18 +58,6 @@ func (o *ObjectFS) SetConsistencyLag(lag int) {
 	o.lag = max(lag, 0)
 }
 
-// RewrittenBytes reports the total bytes committed by whole-object writes
-// since construction (clones start at zero). Every mutating data operation
-// commits the full resulting object, so the ratio of RewrittenBytes to the
-// bytes the application logically wrote is the object store's write
-// amplification.
-func (o *ObjectFS) RewrittenBytes() int64 { return o.rewritten.Load() }
-
-// writable opens a metered handle on the object n.
-func (o *ObjectFS) writable(name string, n *memNode, off int64) File {
-	return &handle{node: objTarget{memTarget{o.fs, n}, &o.rewritten}, name: name, writable: true, off: off}
-}
-
 // Create opens name for writing, committing a fresh empty object over any
 // existing one. With a nonzero consistency lag the superseded object is
 // kept visible to the next lag Opens.
@@ -92,7 +72,7 @@ func (o *ObjectFS) Create(name string) (File, error) {
 	if old != nil {
 		o.stale[name] = &staleObject{node: old, remaining: o.lag}
 	}
-	return o.writable(name, n, 0), nil
+	return &handle{node: memTarget{o.fs, n}, name: name, writable: true}, nil
 }
 
 // Open opens name read-only. When the key sits inside an eventual-
@@ -112,18 +92,15 @@ func (o *ObjectFS) Open(name string) (File, error) {
 }
 
 // Append opens name for writing with the offset at end-of-object, creating
-// it if needed. Every subsequent write still commits the whole object.
+// it if needed.
 func (o *ObjectFS) Append(name string) (File, error) {
 	name = Clean(name)
 	n, off, err := o.fs.appendNode(name)
 	if err != nil {
 		return nil, err
 	}
-	return o.writable(name, n, off), nil
+	return &handle{node: memTarget{o.fs, n}, name: name, writable: true, off: off}, nil
 }
-
-// Mkdir creates a single directory marker.
-func (o *ObjectFS) Mkdir(name string) error { return o.fs.Mkdir(name) }
 
 // MkdirAll creates name and any missing parent markers.
 func (o *ObjectFS) MkdirAll(name string) error { return o.fs.MkdirAll(name) }
@@ -136,18 +113,6 @@ func (o *ObjectFS) Remove(name string) error {
 	err := o.fs.Remove(name)
 	if err == nil {
 		delete(o.stale, Clean(name))
-	}
-	return err
-}
-
-// RemoveAll deletes name and every key under it, with their stale
-// windows; absent names are not an error.
-func (o *ObjectFS) RemoveAll(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	err := o.fs.RemoveAll(name)
-	if err == nil {
-		o.dropStale(name)
 	}
 	return err
 }
@@ -185,18 +150,12 @@ func (o *ObjectFS) Stat(name string) (FileInfo, error) { return o.fs.Stat(name) 
 // scan over the key table, delimiter-style.
 func (o *ObjectFS) ReadDir(name string) ([]FileInfo, error) { return o.fs.ReadDir(name) }
 
-// Truncate resizes name — a whole-object rewrite like any other mutation.
-func (o *ObjectFS) Truncate(name string, size int64) error {
-	err := o.fs.Truncate(name, size)
-	if err == nil {
-		o.rewritten.Add(size)
-	}
-	return err
-}
+// Truncate resizes name.
+func (o *ObjectFS) Truncate(name string, size int64) error { return o.fs.Truncate(name, size) }
 
 // Clone returns a copy-on-write snapshot: the MemFS holding the objects is
 // cloned, so the first write on either side copies just the blocks it
-// touches, while the meter still bills the whole object. Pending eventual-
+// touches. Pending eventual-
 // consistency windows are carried over (counters copied, superseded
 // snapshots shared) so a cloned world replays the same anomaly sequence a
 // rebuilt one would.

@@ -95,17 +95,11 @@ func (o *OSFS) Append(name string) (File, error) {
 	return &osFile{name: Clean(name), f: f}, nil
 }
 
-// Mkdir creates one directory level.
-func (o *OSFS) Mkdir(name string) error { return osErr(os.Mkdir(o.resolve(name), 0o755)) }
-
 // MkdirAll creates name and any missing parents.
 func (o *OSFS) MkdirAll(name string) error { return osErr(os.MkdirAll(o.resolve(name), 0o755)) }
 
 // Remove unlinks a file or empty directory.
 func (o *OSFS) Remove(name string) error { return osErr(os.Remove(o.resolve(name))) }
-
-// RemoveAll removes name recursively; absent names are not an error.
-func (o *OSFS) RemoveAll(name string) error { return osErr(os.RemoveAll(o.resolve(name))) }
 
 // Rename moves oldName to newName.
 func (o *OSFS) Rename(oldName, newName string) error {
@@ -121,7 +115,6 @@ func (o *OSFS) Stat(name string) (FileInfo, error) {
 	return FileInfo{
 		Name:  fi.Name(),
 		Size:  fi.Size(),
-		Mode:  uint32(fi.Mode().Perm()),
 		IsDir: fi.IsDir(),
 	}, nil
 }
@@ -141,7 +134,6 @@ func (o *OSFS) ReadDir(name string) ([]FileInfo, error) {
 		out = append(out, FileInfo{
 			Name:  e.Name(),
 			Size:  fi.Size(),
-			Mode:  uint32(fi.Mode().Perm()),
 			IsDir: e.IsDir(),
 		})
 	}
@@ -200,13 +192,6 @@ func (f *osFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *osFile) Seek(offset int64, whence int) (int64, error) {
 	pos, err := f.f.Seek(offset, whence)
 	return pos, osErr(err)
-}
-
-func (f *osFile) Truncate(size int64) error {
-	if f.readOnly {
-		return ErrReadOnly
-	}
-	return osErr(f.f.Truncate(size))
 }
 
 func (f *osFile) Size() (int64, error) {

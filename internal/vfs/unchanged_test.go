@@ -73,9 +73,6 @@ func TestMemFSUnchanged(t *testing.T) {
 		}, true},
 		{"Truncate", func(fs *MemFS) error { return fs.Truncate("/d/f", 1) }, true},
 		{"TruncateSameSize", func(fs *MemFS) error { return fs.Truncate("/d/f", int64(len(same))) }, true},
-		{"HandleTruncate", func(fs *MemFS) error {
-			return onHandle(fs.Append, "/d/f", func(f File) error { return f.Truncate(3) })
-		}, true},
 		{"CreateOver", func(fs *MemFS) error {
 			return onHandle(fs.Create, "/d/f", func(File) error { return nil })
 		}, true},
@@ -166,7 +163,7 @@ func TestMemFSUnchanged(t *testing.T) {
 
 // TestMountFSUnchanged: a cloned mount table answers per mount, through
 // the backend owning the path; a table remounted since the clone, an
-// interposed view and whole-object or host backends answer false.
+// interposed view and object-store or host backends answer false.
 func TestMountFSUnchanged(t *testing.T) {
 	m := NewMountFS(NewMemFS())
 	if err := m.Mount("/fast", NewMemFS()); err != nil {

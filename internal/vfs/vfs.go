@@ -66,7 +66,6 @@ var (
 type FileInfo struct {
 	Name  string // base name
 	Size  int64  // content length in bytes (0 for directories)
-	Mode  uint32 // permission bits, POSIX style
 	IsDir bool
 }
 
@@ -85,8 +84,6 @@ type File interface {
 	ReadAt(p []byte, off int64) (int, error)
 	// WriteAt is pwrite(2): it does not move the sequential offset.
 	WriteAt(p []byte, off int64) (int, error)
-	// Truncate changes the file size.
-	Truncate(size int64) error
 	// Size reports the current content length.
 	Size() (int64, error)
 	// Sync flushes buffered state. MemFS is always durable, so this is a
@@ -96,16 +93,16 @@ type File interface {
 }
 
 // FS is the FUSE-shaped primitive set FFIS interposes on: the file and
-// directory operations the applications here issue. Table I also names
-// mknod and chmod callbacks; no application calls them, so FS has neither.
+// directory operations the programs here issue. Table I also names mknod
+// and chmod callbacks; no program calls them, so FS has neither. The
+// module's reachability test keeps it so: it fails on an FS or File
+// method that no program calls.
 type FS interface {
 	Create(name string) (File, error)        // open for write, truncating
 	Open(name string) (File, error)          // open read-only
 	Append(name string) (File, error)        // open for write at end, creating
-	Mkdir(name string) error                 // create one directory level
 	MkdirAll(name string) error              // create a directory tree
 	Remove(name string) error                // unlink a file or empty dir
-	RemoveAll(name string) error             // recursive remove, nil if absent
 	Rename(oldName, newName string) error    // atomic rename
 	Stat(name string) (FileInfo, error)      // metadata lookup
 	ReadDir(name string) ([]FileInfo, error) // sorted directory listing
@@ -227,7 +224,6 @@ type memNode struct {
 	mu     sync.RWMutex
 	size   int64
 	blocks []*memBlock
-	mode   uint32
 	isDir  bool
 	// cloned is set by Clone and cleared by every write, truncate and
 	// rename that reaches the node (see Unchanged).
@@ -342,7 +338,6 @@ func (n *memNode) snapshot() *memNode {
 	return &memNode{
 		size:   n.size,
 		blocks: append([]*memBlock(nil), n.blocks...),
-		mode:   n.mode,
 		isDir:  n.isDir,
 	}
 }
@@ -424,14 +419,14 @@ type MemFS struct {
 // NewMemFS returns an empty file system containing only the root directory.
 func NewMemFS() *MemFS {
 	return &MemFS{nodes: map[string]*memNode{
-		"/": {isDir: true, mode: 0o755},
+		"/": {isDir: true},
 	}}
 }
 
 // notExist reports a name the tree does not hold. A released world holds
 // no names at all, so there it reports ErrReleased instead: every MemFS
-// operation on a released world fails loudly through this miss (MkdirAll
-// and RemoveAll, which succeed on a miss, check for themselves).
+// operation on a released world fails loudly through this miss (MkdirAll,
+// which succeeds on a miss, checks for itself).
 func (m *MemFS) notExist(op, name string) error {
 	err := ErrNotExist
 	if m.released.Load() {
@@ -497,7 +492,7 @@ func (m *MemFS) create(name string, keep bool) (n, old *memNode, err error) {
 	}
 	n, ok := m.nodes[name]
 	if !ok {
-		n = &memNode{mode: 0o644}
+		n = &memNode{}
 		m.nodes[name] = n
 		return n, nil, nil
 	}
@@ -551,7 +546,7 @@ func (m *MemFS) appendNode(name string) (*memNode, int64, error) {
 	}
 	n, ok := m.nodes[name]
 	if !ok {
-		n = &memNode{mode: 0o644}
+		n = &memNode{}
 		m.nodes[name] = n
 	} else if n.isDir {
 		return nil, 0, &PathError{Op: "append", Path: name, Err: ErrIsDir}
@@ -559,21 +554,6 @@ func (m *MemFS) appendNode(name string) (*memNode, int64, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n, n.size, nil
-}
-
-// Mkdir creates a single directory level.
-func (m *MemFS) Mkdir(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	name = Clean(name)
-	if _, ok := m.nodes[name]; ok {
-		return &PathError{Op: "mkdir", Path: name, Err: ErrExist}
-	}
-	if err := m.parentOK(name); err != nil {
-		return err
-	}
-	m.nodes[name] = &memNode{isDir: true, mode: 0o755}
-	return nil
 }
 
 // MkdirAll creates name and any missing parents.
@@ -599,7 +579,7 @@ func (m *MemFS) MkdirAll(name string) error {
 			}
 			continue
 		}
-		m.nodes[p] = &memNode{isDir: true, mode: 0o755}
+		m.nodes[p] = &memNode{isDir: true}
 		m.mu.Unlock()
 	}
 	return nil
@@ -623,28 +603,6 @@ func (m *MemFS) Remove(name string) error {
 		}
 	}
 	delete(m.nodes, name)
-	return nil
-}
-
-// RemoveAll removes name and everything under it; absent names are not an
-// error, matching os.RemoveAll.
-func (m *MemFS) RemoveAll(name string) error {
-	if m.released.Load() {
-		return &PathError{Op: "removeall", Path: name, Err: ErrReleased}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	name = Clean(name)
-	if name == "/" {
-		m.nodes = map[string]*memNode{"/": {isDir: true, mode: 0o755}}
-		return nil
-	}
-	prefix := name + "/"
-	for p := range m.nodes {
-		if p == name || strings.HasPrefix(p, prefix) {
-			delete(m.nodes, p)
-		}
-	}
 	return nil
 }
 
@@ -703,7 +661,6 @@ func (m *MemFS) Stat(name string) (FileInfo, error) {
 	return FileInfo{
 		Name:  path.Base(name),
 		Size:  n.size,
-		Mode:  n.mode,
 		IsDir: n.isDir,
 	}, nil
 }
@@ -734,7 +691,6 @@ func (m *MemFS) ReadDir(name string) ([]FileInfo, error) {
 		out = append(out, FileInfo{
 			Name:  rest,
 			Size:  child.size,
-			Mode:  child.mode,
 			IsDir: child.isDir,
 		})
 		child.mu.RUnlock()
@@ -755,9 +711,11 @@ func (m *MemFS) Truncate(name string, size int64) error {
 		return &PathError{Op: "truncate", Path: name, Err: ErrIsDir}
 	}
 	if size < 0 {
-		return errNegativeTruncate
+		return errors.New("vfs: negative truncate size")
 	}
-	memTarget{m, n}.truncate(size)
+	n.mu.Lock()
+	n.truncate(size)
+	n.mu.Unlock()
 	return nil
 }
 

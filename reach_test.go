@@ -35,14 +35,18 @@ var reachAllowlist = map[string]string{
 	"ffis/internal/apps/nyx.RunHaloFinder": "reference for App.Analyze",
 }
 
-// TestProductionCodeReachable fails on every non-test function, method or
-// untagged exported struct field of the module that no program reaches.
-// The roots are every main, init and package-level var initializer in the
-// module, and everything the benchmark module (ffisbench/) references.
-// Exempt are methods whose name and signature match an interface declared
-// or used in the module or imported by it (they may be called through it),
-// the Unwrap methods the errors package looks for, embedded fields, and
-// reachAllowlist. Code that only tests call belongs in a _test.go file.
+// TestProductionCodeReachable fails on every non-test function, method,
+// interface method or untagged exported struct field of the module that no
+// program reaches. The roots are every main, init and package-level var
+// initializer in the module, and everything the benchmark module
+// (ffisbench/) references. A method of an interface the module declares is
+// reached only when reached code calls it, and a method whose name and
+// signature match it is reached once it is: a wrapper that forwards a
+// method nobody calls keeps neither alive. Exempt are methods whose name
+// and signature match an interface the module imports or uses from another
+// package (it may call them), the Unwrap methods the errors package looks
+// for, embedded fields, and reachAllowlist. Code that only tests call
+// belongs in a _test.go file.
 func TestProductionCodeReachable(t *testing.T) {
 	r, err := loadModule(".")
 	if err != nil {
@@ -50,6 +54,25 @@ func TestProductionCodeReachable(t *testing.T) {
 	}
 	for _, msg := range r.unreachable() {
 		t.Error(msg)
+	}
+}
+
+// TestReachFollowsDeclaredInterfaces runs the guard on a fixture module
+// whose interface has one method only a forwarding wrapper calls and one
+// that main calls through the interface: exactly the first method and its
+// two implementations are reported.
+func TestReachFollowsDeclaredInterfaces(t *testing.T) {
+	r, err := loadModule(filepath.Join("testdata", "reachfixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, msg := range r.unreachable() {
+		got = append(got, strings.Fields(msg)[2])
+	}
+	want := []string{"reachfixture.Store.Drop", "reachfixture.mem.Drop", "reachfixture.counted.Drop"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unreachable = %q, want %q", got, want)
 	}
 }
 
@@ -175,7 +198,7 @@ func (r *reach) unreachable() []string {
 	}
 	var candidates []decl
 
-	methods := r.interfaceMethods()
+	external, declared := r.interfaceMethods()
 	for ip, files := range r.files {
 		rootOnly := r.rootOnly[ip]
 		for _, f := range files {
@@ -185,10 +208,17 @@ func (r *reach) unreachable() []string {
 					fn := r.info.Defs[d.Name].(*types.Func)
 					name := qualifiedName(fn)
 					refs[fn] = r.references(d)
+					if d.Recv != nil {
+						for m := range declared {
+							if m.Name() == fn.Name() && types.Identical(m.Type(), fn.Type()) {
+								refs[m] = append(refs[m], fn)
+							}
+						}
+					}
 					switch {
 					case rootOnly, d.Recv == nil && (d.Name.Name == "init" ||
 						d.Name.Name == "main" && fn.Pkg().Name() == "main"),
-						d.Recv != nil && methods.satisfies(fn),
+						d.Recv != nil && external.satisfies(fn),
 						reachAllowlist[name] != "":
 						roots = append(roots, fn)
 					default:
@@ -202,8 +232,21 @@ func (r *reach) unreachable() []string {
 								roots = append(roots, r.references(s)...)
 							}
 						case *ast.TypeSpec:
+							if rootOnly {
+								continue
+							}
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, id := range m.Names {
+										fn := r.info.Defs[id].(*types.Func)
+										if name := qualifiedName(fn); reachAllowlist[name] == "" {
+											candidates = append(candidates, decl{fn, name})
+										}
+									}
+								}
+							}
 							st, ok := s.Type.(*ast.StructType)
-							if !ok || rootOnly {
+							if !ok {
 								continue
 							}
 							for _, fld := range st.Fields.List {
@@ -295,11 +338,14 @@ func (r *reach) references(n ast.Node) []types.Object {
 type ifaceMethods map[string][]*types.Signature
 
 // interfaceMethods collects the methods of every interface the module
-// declares or uses, every interface type its imports declare, the
-// predeclared error, and Unwrap() error and Unwrap() []error, which the
-// errors package asserts through interfaces local to its functions.
-func (r *reach) interfaceMethods() ifaceMethods {
+// declares or uses and every interface type its imports declare. Those
+// declared in the module's own source come back in declared; the rest,
+// with the predeclared error, and Unwrap() error and Unwrap() []error,
+// which the errors package asserts through interfaces local to its
+// functions, come back in external.
+func (r *reach) interfaceMethods() (external ifaceMethods, declared map[*types.Func]bool) {
 	m := ifaceMethods{}
+	declared = map[*types.Func]bool{}
 	add := func(t types.Type) {
 		it, ok := t.Underlying().(*types.Interface)
 		if !ok {
@@ -307,6 +353,10 @@ func (r *reach) interfaceMethods() ifaceMethods {
 		}
 		for i := 0; i < it.NumMethods(); i++ {
 			f := it.Method(i)
+			if f.Pkg() != nil && r.files[f.Pkg().Path()] != nil {
+				declared[f] = true
+				continue
+			}
 			m[f.Name()] = append(m[f.Name()], f.Type().(*types.Signature))
 		}
 	}
@@ -337,7 +387,7 @@ func (r *reach) interfaceMethods() ifaceMethods {
 			}
 		}
 	}
-	return m
+	return m, declared
 }
 
 // satisfies reports whether some interface has a method with fn's name and
