@@ -25,11 +25,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"ffis/internal/campaignd"
@@ -94,14 +97,29 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	defer coord.Close()
 	coord.AuthToken = *token
 
 	fmt.Printf("campaignd: serving %d specs (seed %d, %d runs per cell) on %s, lease TTL %s\n",
 		len(specs), man.Seed, man.Runs, *addr, *leaseTTL)
 	fmt.Printf("campaignd: store %s; watch GET /progress, render GET /report?format=markdown\n", st.Dir())
+	// SIGINT or SIGTERM stops serving, closes the sinks and releases the
+	// store lock. Notify also catches a SIGINT a background job ignores.
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	srv := &http.Server{Addr: *addr, Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	if err := srv.ListenAndServe(); err != nil {
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err = <-served:
+	case <-sig.Done():
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		err = srv.Shutdown(ctx)
+	}
+	if cerr := coord.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		die(err)
 	}
 }

@@ -131,6 +131,28 @@ func encodedTarget(t *testing.T, app *App, world *vfs.MemFS) (string, int64) {
 	return "", 0
 }
 
+// readTarget returns the read instance with which a fault-free Run on
+// world first reads path.
+func readTarget(t *testing.T, app *App, world *vfs.MemFS, path string) int64 {
+	t.Helper()
+	rec := trace.NewRecorder(world.Clone())
+	if err := app.Run(rec); err != nil {
+		t.Fatal(err)
+	}
+	reads := int64(0)
+	for _, op := range rec.Log() {
+		if op.Primitive != vfs.PrimRead || op.Size == 0 {
+			continue
+		}
+		if op.Path == path {
+			return reads
+		}
+		reads++
+	}
+	t.Fatalf("MT%d: Run reads no %q", int(app.Stage), path)
+	return 0
+}
+
 // TestWorkerReuseMatchesFreshScratch drives, for each stage, one Worker
 // pair and fresh scratches (App.Run, App.Classify) through the same
 // script of worlds: a file the stage's Run reads (its input) or writes
@@ -142,7 +164,11 @@ func encodedTarget(t *testing.T, app *App, world *vfs.MemFS) (string, int64) {
 // and a misdirected write on one, each followed by a golden world that
 // writes the kept encoding again; an input rewritten with bytes that decode
 // to the same pixels, whose outputs take a new generation and are encoded
-// again; and a Run that panics creating one. The pair keeps what it
+// again; and a Run that panics creating one. Last come the worlds where a
+// skip by vfs.Origin token would be wrong: an input rewritten with equal
+// bytes, an input deleted and re-created, a clone of another world that
+// Setup built with equal bytes, and a run under a read-hosting model
+// between two write-model runs. The pair keeps what it
 // decoded, computed and encoded from step to step; at every step its run
 // error, outcome and every file must equal those of fresh scratches, and
 // after a Run that no write fault hit, the encoded output must equal a
@@ -165,19 +191,35 @@ func TestWorkerReuseMatchesFreshScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		world := vfs.NewMemFS()
-		if err := app.Setup(world); err != nil {
-			t.Fatal(err)
+		world, other := vfs.NewMemFS(), vfs.NewMemFS()
+		for _, w := range []*vfs.MemFS{world, other} {
+			if err := app.Setup(w); err != nil {
+				t.Fatal(err)
+			}
 		}
 		in, out := input[stage], output[stage]
+		recreate := func(fs vfs.FS) {
+			raw, err := vfs.ReadFile(fs, in)
+			if err == nil {
+				err = fs.Remove(in)
+			}
+			if err == nil {
+				err = vfs.WriteFile(fs, in, raw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		enc, target := encodedTarget(t, app, world)
+		inRead := readTarget(t, app, world, in)
 		steps := []struct {
 			name          string
 			before, after func(vfs.FS)
 			open          *faultyOpen
-			fault         core.Model // on the first pixel block of enc
+			fault         core.Model // on the first pixel block of enc, or on the read of in
 			panics        bool       // creating enc
 			reencode      bool
+			other         bool // a clone of another world Setup built with equal bytes
 		}{
 			{name: "golden"},
 			{name: "input flipped", before: rewrite(t, in, flipped)},
@@ -201,6 +243,14 @@ func TestWorkerReuseMatchesFreshScratch(t *testing.T) {
 			{name: "input rewritten with equal pixels", before: rewrite(t, in, pastEnd), reencode: true},
 			{name: "Run panics creating an encoded output", panics: true},
 			{name: "golden after a panic"},
+			{name: "input rewritten with equal bytes", before: rewrite(t, in, bytes.Clone)},
+			{name: "input deleted and re-created", before: recreate},
+			{name: "another world with equal bytes", other: true},
+			{name: "golden after another world"},
+			{name: "write model before a read model", fault: core.BitFlip},
+			{name: "read model between write models", fault: core.ReadBitFlip},
+			{name: "write model after a read model", fault: core.ShornWrite},
+			{name: "golden after a read model"},
 		}
 		sc := cfg.newScratch()
 		run, cls := app.worker(sc) // as App.Worker binds its own scratch
@@ -215,6 +265,9 @@ func TestWorkerReuseMatchesFreshScratch(t *testing.T) {
 				classify func(vfs.FS, error) classify.Outcome
 			}{{run, cls}, {app.Run, app.Classify}} {
 				fs := world.Clone()
+				if st.other {
+					fs = other.Clone()
+				}
 				if st.before != nil {
 					st.before(fs)
 				}
@@ -225,7 +278,11 @@ func TestWorkerReuseMatchesFreshScratch(t *testing.T) {
 					o.FS = fs
 					view = o
 				case st.fault != nil:
-					view = core.NewInjector(core.Config{Model: st.fault}.Signature(), target, stats.NewRNG(2021)).Wrap(fs)
+					at, seed := target, uint64(2021)
+					if st.fault.Host() == vfs.PrimRead {
+						at, seed = inRead, 2 // seed 2 flips a pixel bit of in: SDC in every stage
+					}
+					view = core.NewInjector(core.Config{Model: st.fault}.Signature(), at, stats.NewRNG(seed)).Wrap(fs)
 				case st.panics:
 					view = panicCreate{fs, enc}
 				}

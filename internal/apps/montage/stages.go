@@ -72,12 +72,14 @@ func (sc *scratch) stale(m *memo, from ...uint64) bool {
 }
 
 // An image is a kept image; for an input file, raw holds the bytes it was
-// decoded from, for an output, enc its encoding.
+// decoded from and origin their vfs.Origin token, for an output, enc its
+// encoding.
 type image struct {
 	memo
-	im  fits.Image
-	raw []byte
-	enc encoding
+	im     fits.Image
+	raw    []byte
+	origin *vfs.Token
+	enc    encoding
 }
 
 // An encoding is an output's fits.Encode stream, kept for the output's
@@ -123,12 +125,18 @@ func (c Config) newScratch() *scratch {
 }
 
 // read reads the file at path through fs, as fits.Read does, into f; it
-// decodes only when the bytes differ from those of f's last decode.
+// decodes only when the bytes differ from those of f's last decode, and
+// does not read a file whose vfs.Origin token f's bytes were read with.
 func (sc *scratch) read(fs vfs.FS, path string, f *image) (*fits.Image, error) {
+	origin := vfs.Origin(fs, path)
+	if f.ok && origin != nil && origin == f.origin {
+		return &f.im, nil
+	}
 	raw, err := vfs.ReadInto(fs, path, sc.buf)
 	if err != nil {
 		return nil, err
 	}
+	f.origin = origin
 	if f.ok && bytes.Equal(raw, f.raw) {
 		sc.buf = raw
 		return &f.im, nil

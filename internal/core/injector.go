@@ -249,13 +249,23 @@ func (inj *Injector) Wrap(inner vfs.FS) vfs.FS {
 // InjectorFS is the FFIS interposition layer (Figure 2): a drop-in vfs.FS
 // whose primitives consult the injector before delegating. The embedded
 // FS passes through the primitives no model hosts: MkdirAll, Remove,
-// Rename, Stat, ReadDir and Truncate. An embedded interface promotes only the vfs.FS
-// methods, so an armed view answers none of the optional interfaces of the
-// FS it wraps: it is no vfs.Cloner, Recycler or SimClocked, and
-// vfs.Unchanged reports false through it.
+// Rename, Stat, ReadDir and Truncate. An embedded interface promotes only
+// the vfs.FS methods, so the view is no vfs.Cloner, Recycler or
+// SimClocked. The one optional interface it answers is vfs.Origin, and
+// only for a model that hosts writes (see Origin).
 type InjectorFS struct {
 	vfs.FS
 	inj *Injector
+}
+
+// Origin forwards vfs.Origin only while the model hosts writes, when no
+// read is claimed, counted or changed: under a read-hosting model every
+// read is an instance the injector must see.
+func (f *InjectorFS) Origin(name string) *vfs.Token {
+	if f.inj.host == vfs.PrimRead {
+		return nil
+	}
+	return vfs.Origin(f.FS, name)
 }
 
 func (f *InjectorFS) wrapFile(file vfs.File, err error) (vfs.File, error) {

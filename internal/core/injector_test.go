@@ -559,3 +559,37 @@ func TestInjectorSerializesDrawsOnlyForMultiShotPlans(t *testing.T) {
 		t.Fatal("multi-shot model must serialize RNG draws")
 	}
 }
+
+// TestInjectorForwardsOriginOnlyForWriteHosts: a view armed with a model
+// that hosts writes forwards the world's vfs.Origin token, since it never
+// claims, counts or changes a read; one armed with a model that hosts
+// reads (read bit flip, short read, latent corruption, unreadable sector)
+// answers nil, armed or disarmed, so every read it must see is issued.
+func TestInjectorForwardsOriginOnlyForWriteHosts(t *testing.T) {
+	src := vfs.NewMemFS()
+	if err := vfs.WriteFile(src, "/f", []byte("snapshot bytes")); err != nil {
+		t.Fatal(err)
+	}
+	world := src.Clone()
+	token := vfs.Origin(world, "/f")
+	if token == nil {
+		t.Fatal("the cloned world answered no token")
+	}
+	reads := 0
+	for _, m := range AllModels() {
+		sig := Config{Model: m}.Signature()
+		want := token
+		if m.Host() == vfs.PrimRead {
+			want = nil
+			reads++
+		}
+		for _, inj := range []*Injector{Disarmed(sig), NewInjector(sig, 0, stats.NewRNG(1))} {
+			if got := vfs.Origin(inj.Wrap(world), "/f"); got != want {
+				t.Errorf("%s (hosts %s): token %p, want %p", m.Name(), m.Host(), got, want)
+			}
+		}
+	}
+	if reads == 0 {
+		t.Fatal("no registered model hosts reads")
+	}
+}

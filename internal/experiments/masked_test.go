@@ -71,8 +71,10 @@ func TestMT2ShortcutRecordsMatchFullClassification(t *testing.T) {
 	t.Logf("shortcut took %d classifications over %d cloned campaigns", total, 2*len(cloned))
 }
 
-// projOpens counts the files opened under /proj. It forwards
-// vfs.Unchanged, so the shortcut still sees the cloned world beneath.
+// projOpens counts the files opened under /proj. It answers vfs.Origin
+// with a new token for every file the cloned world beneath proves
+// unchanged: the shortcut still sees the clone, while no token matches the
+// one a read recorded, so every full classification reads the projections.
 type projOpens struct {
 	vfs.FS
 	n *int
@@ -85,4 +87,9 @@ func (p projOpens) Open(name string) (vfs.File, error) {
 	return p.FS.Open(name)
 }
 
-func (p projOpens) Unchanged(name string) bool { return vfs.Unchanged(p.FS, name) }
+func (p projOpens) Origin(name string) *vfs.Token {
+	if vfs.Origin(p.FS, name) == nil {
+		return nil
+	}
+	return new(vfs.Token)
+}

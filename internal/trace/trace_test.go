@@ -112,3 +112,19 @@ func TestProfileNyxWorkload(t *testing.T) {
 		t.Fatalf("no 4 KiB writes recorded: %v", p.WriteSizes.Counts)
 	}
 }
+
+// TestRecorderAnswersNoOrigin: every operation the trace sees must be
+// issued, so a recorder over a cloned world answers no vfs.Origin token.
+func TestRecorderAnswersNoOrigin(t *testing.T) {
+	src := vfs.NewMemFS()
+	if err := vfs.WriteFile(src, "/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	world := src.Clone()
+	if vfs.Origin(world, "/f") == nil {
+		t.Fatal("the cloned world answered no token")
+	}
+	if vfs.Origin(NewRecorder(world), "/f") != nil {
+		t.Fatal("a recorder answered a token")
+	}
+}

@@ -39,12 +39,15 @@ func (m *MemFS) Clone() *MemFS {
 	nodes := make(map[string]*memNode, len(m.nodes))
 	for p, n := range m.nodes {
 		n.mu.Lock()
+		if n.origin == nil && !n.isDir {
+			n.origin = new(Token)
+		}
 		cp := n.snapshot()
+		cp.origin = n.origin
 		n.mu.Unlock()
-		cp.cloned = true
 		nodes[p] = cp
 	}
-	return &MemFS{nodes: nodes}
+	return &MemFS{nodes: nodes, cloned: true}
 }
 
 // CloneFS implements Cloner.
@@ -91,41 +94,58 @@ func (m *MountFS) Clone() (*MountFS, error) {
 // CloneFS implements Cloner.
 func (m *MountFS) CloneFS() (FS, error) { return m.Clone() }
 
-// Unchanged reports whether the file name, in a world made by Clone, still
-// holds exactly what it held when the world was cloned: content, size and
-// mode, under the same path. False means only "cannot prove": a directory,
-// a missing or re-created file, a world not made by Clone, a released one,
-// and every backend that does not implement the question (OSFS, ObjectFS,
-// LatencyFS, wrappers) answer false.
-func Unchanged(fs FS, name string) bool {
-	u, ok := fs.(interface{ Unchanged(string) bool })
-	return ok && u.Unchanged(name)
+// Token is the identity of the bytes a snapshot holds for one file. It is
+// not zero-sized, so every token has an address of its own.
+type Token struct{ _ byte }
+
+// Origin returns the token of the file name. The first Clone of a world
+// mints one per file and shares it with every copy; a write, truncate,
+// rename, create-over or Release of the file drops it. Equal tokens thus
+// prove equal bytes, in any two worlds. Nil only means "cannot prove": a
+// directory, a missing or re-created file, a world Clone did not make, and
+// every view whose reads a record or trace can see (ObjectFS, OSFS,
+// LatencyFS, trace.Recorder, an interposed MountFS) answer nil.
+func Origin(fs FS, name string) *Token {
+	if o, ok := fs.(interface{ Origin(string) *Token }); ok {
+		return o.Origin(name)
+	}
+	return nil
 }
 
-// Unchanged implements the package function: Clone flags the nodes it
-// creates, and every write, truncate and rename of a node clears its flag
-// under the node lock.
-func (m *MemFS) Unchanged(name string) bool {
+// Unchanged reports whether the file name, in a world made by Clone, still
+// holds exactly what it held when the world was cloned: content, size and
+// mode, under the same path. It is Origin(fs, name) != nil, and false
+// likewise means only "cannot prove".
+func Unchanged(fs FS, name string) bool { return Origin(fs, name) != nil }
+
+// Origin implements the package function.
+func (m *MemFS) Origin(name string) *Token {
+	if !m.cloned {
+		return nil
+	}
 	m.mu.RLock()
 	n, ok := m.lookup(name)
 	m.mu.RUnlock()
 	if !ok {
-		return false
+		return nil
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.cloned && !n.isDir
+	return n.origin
 }
 
-// Unchanged implements the package function through the backend owning
+// Origin implements the package function through the backend owning
 // name, while the table is the one Clone made: a later Mount may shadow
 // the path with another backend.
-func (m *MountFS) Unchanged(name string) bool {
+func (m *MountFS) Origin(name string) *Token {
 	mp, rel := m.resolve(name)
 	m.mu.RLock()
 	cloned := m.cloned
 	m.mu.RUnlock()
-	return cloned && Unchanged(mp.fs, rel)
+	if !cloned {
+		return nil
+	}
+	return Origin(mp.fs, rel)
 }
 
 var (

@@ -69,7 +69,7 @@ type MountPoint struct {
 type MountFS struct {
 	mu     sync.RWMutex
 	mounts []mountEntry // resolution scans for the longest segment-prefix
-	cloned bool         // made by Clone and not remounted since (Unchanged)
+	cloned bool         // made by Clone and not remounted since (Origin)
 }
 
 // mountEntry is the table's internal form of a MountPoint.

@@ -97,7 +97,7 @@ func (m *MemFS) Release() {
 				m.list.put(b.data)
 			}
 		}
-		n.size, n.blocks, n.cloned = 0, nil, false
+		n.size, n.blocks, n.origin = 0, nil, nil
 		n.mu.Unlock()
 	}
 	m.nodes = nil

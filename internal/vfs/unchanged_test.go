@@ -101,11 +101,18 @@ func TestMemFSUnchanged(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := unchangedWorld(t)
+			g := Origin(fs, "/d/g")
 			if err := tc.mutate(fs); err != nil {
 				t.Fatal(err)
 			}
 			if Unchanged(fs, "/d/f") {
 				t.Error("/d/f still answers true")
+			}
+			if Origin(fs, "/d/f") != nil {
+				t.Error("/d/f still has a token")
+			}
+			if got := Origin(fs, "/d/g"); (got == g) != tc.sibling || got != nil && got != g {
+				t.Errorf("/d/g has token %p, want %p while unchanged (%v), nil otherwise", got, g, tc.sibling)
 			}
 			if Unchanged(fs, "/d/h") || Unchanged(fs, "/e/f") {
 				t.Error("a moved file answers true at its new path")
@@ -161,9 +168,41 @@ func TestMemFSUnchanged(t *testing.T) {
 	})
 }
 
+// TestOriginTokens: the tokens of two clones of one world are equal, file
+// for file, and so are those of a clone of a clone; two worlds built the
+// same way, byte for byte, have distinct tokens, and so do two files of
+// one world.
+func TestOriginTokens(t *testing.T) {
+	build := func() *MemFS {
+		fs := NewMemFS()
+		for _, p := range []string{"/f", "/g"} {
+			if err := WriteFile(fs, p, []byte("same bytes")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fs
+	}
+	src, other := build(), build()
+	a, b := src.Clone(), src.Clone()
+	f := Origin(a, "/f")
+	if f == nil || Origin(b, "/f") != f || Origin(a.Clone(), "/f") != f || Origin(b, "/g") != Origin(a, "/g") {
+		t.Fatal("clones of one world do not share each file's token")
+	}
+	if Origin(other.Clone(), "/f") == f {
+		t.Fatal("two worlds built alike share a token")
+	}
+	if Origin(a, "/g") == f {
+		t.Fatal("two files of one world share a token")
+	}
+	if Origin(src, "/f") != nil {
+		t.Fatal("the clone source answered a token")
+	}
+}
+
 // TestMountFSUnchanged: a cloned mount table answers per mount, through
-// the backend owning the path; a table remounted since the clone, an
-// interposed view and object-store or host backends answer false.
+// the backend owning the path, and forwards its token; a table remounted
+// since the clone, an interposed view and object-store or host backends
+// answer false.
 func TestMountFSUnchanged(t *testing.T) {
 	m := NewMountFS(NewMemFS())
 	if err := m.Mount("/fast", NewMemFS()); err != nil {
@@ -199,8 +238,11 @@ func TestMountFSUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Unchanged(view, "/fast/b") {
+	if Unchanged(view, "/fast/b") || Origin(view, "/fast/b") != nil {
 		t.Fatal("an interposed view answered true")
+	}
+	if Origin(c, "/fast/b") == nil || Origin(c, "/fast/b") != Origin(c.Mounts()[1].FS, "/fast/b") {
+		t.Fatal("a cloned table did not forward the owning backend's token")
 	}
 	if err := c.Mount("/root.txt.d", NewMemFS().Clone()); err != nil {
 		t.Fatal(err)
@@ -211,7 +253,7 @@ func TestMountFSUnchanged(t *testing.T) {
 }
 
 // TestUnchangedFalseOnOtherBackends: ObjectFS, OSFS and LatencyFS cannot
-// prove anything, cloned or not.
+// prove anything, cloned or not, and answer no token.
 func TestUnchangedFalseOnOtherBackends(t *testing.T) {
 	obj := NewObjectFS()
 	lat := NewLatencyFS(NewMemFS(), ParallelFSModel)
@@ -219,7 +261,7 @@ func TestUnchangedFalseOnOtherBackends(t *testing.T) {
 		if err := WriteFile(fs, "/f", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if Unchanged(fs, "/f") {
+		if Unchanged(fs, "/f") || Origin(fs, "/f") != nil {
 			t.Fatalf("%T answered true", fs)
 		}
 	}
@@ -227,7 +269,7 @@ func TestUnchangedFalseOnOtherBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Unchanged(obj.Clone(), "/f") || Unchanged(latClone, "/f") {
+	if Unchanged(obj.Clone(), "/f") || Unchanged(latClone, "/f") || Origin(obj.Clone(), "/f") != nil || Origin(latClone, "/f") != nil {
 		t.Fatal("a cloned ObjectFS or LatencyFS answered true")
 	}
 }

@@ -225,9 +225,10 @@ type memNode struct {
 	size   int64
 	blocks []*memBlock
 	isDir  bool
-	// cloned is set by Clone and cleared by every write, truncate and
-	// rename that reaches the node (see Unchanged).
-	cloned bool
+	// origin is minted by the first Clone of the node's world, shared with
+	// the copy, and cleared by every write, truncate and rename that
+	// reaches the node (see Origin).
+	origin *Token
 }
 
 // blockCount returns how many table entries a file of the given size needs.
@@ -281,7 +282,7 @@ func (n *memNode) readAt(p []byte, off int64) (int, error) {
 // Blocks come from list when the world is attached to one (nil allocates).
 // Caller holds n.mu for writing.
 func (n *memNode) write(p []byte, off int64, list *BlockList) {
-	n.cloned = false
+	n.origin = nil
 	if end := off + int64(len(p)); end > n.size {
 		n.grow(end)
 	}
@@ -355,10 +356,10 @@ func (b *memBlock) seal() {
 	}
 }
 
-// moved clears the clone flag of a node that now answers to another path.
+// moved clears the origin of a node that now answers to another path.
 func (n *memNode) moved() *memNode {
 	n.mu.Lock()
-	n.cloned = false
+	n.origin = nil
 	n.mu.Unlock()
 	return n
 }
@@ -377,7 +378,7 @@ func (n *memNode) grow(size int64) {
 // block's bytes (including its slice header) must never change; growing is
 // the zero-materialization grow path. Caller holds n.mu for writing.
 func (n *memNode) truncate(size int64) {
-	n.cloned = false
+	n.origin = nil
 	switch {
 	case size < n.size:
 		n.blocks = n.blocks[:blockCount(size)]
@@ -414,6 +415,7 @@ type MemFS struct {
 	nodes    map[string]*memNode
 	list     *BlockList // set by Attach
 	released atomic.Bool
+	cloned   bool // made by Clone: only then does it answer Origin
 }
 
 // NewMemFS returns an empty file system containing only the root directory.
@@ -505,7 +507,7 @@ func (m *MemFS) create(name string, keep bool) (n, old *memNode, err error) {
 	}
 	// Truncating to zero never needs the old bytes: drop the block
 	// table outright (sealed blocks are simply dereferenced).
-	n.size, n.blocks, n.cloned = 0, nil, false
+	n.size, n.blocks, n.origin = 0, nil, nil
 	n.mu.Unlock()
 	return n, old, nil
 }
