@@ -70,15 +70,27 @@ func (a *App) Run(fs vfs.FS) error {
 // Classify implements the paper's QMCPACK outcome rules: a bit-wise
 // identical He.s001.scalar.dat is benign; otherwise the QMCA energy decides
 // between SDC (inside the window) and detected (outside); an unusable file
-// is a crash.
+// is a crash. It reads the DMC file into a new buffer.
 func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
+	return a.classify(fs, runErr, new([]byte))
+}
+
+// Worker returns Run and a Classify that reads the DMC file into one
+// buffer it keeps from run to run (core.Workload.Worker).
+func (a *App) Worker() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+	var buf []byte
+	return a.Run, func(fs vfs.FS, runErr error) classify.Outcome { return a.classify(fs, runErr, &buf) }
+}
+
+func (a *App) classify(fs vfs.FS, runErr error, buf *[]byte) classify.Outcome {
 	if runErr != nil {
 		return classify.Crash
 	}
-	raw, err := vfs.ReadFile(fs, DMCPath)
+	raw, err := vfs.ReadInto(fs, DMCPath, *buf)
 	if err != nil {
 		return classify.Crash
 	}
+	*buf = raw
 	if bytes.Equal(raw, a.dmcContent) {
 		return classify.Benign
 	}
@@ -98,7 +110,7 @@ func (a *App) Classify(fs vfs.FS, runErr error) classify.Outcome {
 
 // Workload adapts the app to the campaign runner.
 func (a *App) Workload() core.Workload {
-	return core.Workload{Name: "qmcpack", Run: a.Run, Classify: a.Classify}
+	return core.Workload{Name: "qmcpack", Run: a.Run, Classify: a.Classify, Worker: a.Worker}
 }
 
 // Describe returns the Table II row for QMCPACK.

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -626,6 +628,115 @@ func TestConformanceHooksLeaveWriteBufferIntact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConformanceReadHooksCopyNothing pins what a fired read fault costs:
+// the bits it flips, not a copy of the buffer. For every read-hosting
+// model, a fired 1 MiB ReadAt on a MemFS, with a fresh injector each
+// time, allocates under 16 KiB. Latent corruption reads the at-rest bytes
+// into the application's buffer; when that side read comes back short,
+// the bytes it did not fill go back to rest as zeros, whatever the buffer
+// held, as they did from a fresh buffer.
+func TestConformanceReadHooksCopyNothing(t *testing.T) {
+	t.Run("fired 1 MiB reads", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counts are not meaningful under -race")
+		}
+		const size, reps, limit = 1 << 20, 20, 16 << 10
+		base := vfs.NewMemFS()
+		if err := vfs.WriteFile(base, "/victim", bytes.Repeat([]byte{0xC3, 0x5A}, size/2)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, size)
+		for _, m := range AllModels() {
+			if m.Host() != vfs.PrimRead {
+				continue
+			}
+			sig := Config{Model: m}.Signature()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range reps {
+				inj := NewInjector(sig, 0, stats.NewRNG(uint64(i)))
+				f, err := inj.Wrap(base).Open("/victim")
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.ReadAt(buf, 0)
+				f.Close()
+				if _, fired := inj.Fired(); !fired {
+					t.Fatalf("%s: the read did not fire", m.Name())
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / reps
+			if per >= limit {
+				t.Errorf("%s: a fired 1 MiB read allocates %d bytes, want under %d", m.Name(), per, limit)
+			}
+			t.Logf("%s: %d bytes per fired 1 MiB read", m.Name(), per)
+		}
+	})
+	t.Run("latent short side read", func(t *testing.T) {
+		const n = 4096
+		orig, err := vfs.ReadFile(conformanceWorld(t), "/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := Config{Model: LatentCorruption}.Signature()
+		for seed := range uint64(8) {
+			world := vfs.NewMemFS()
+			if err := vfs.WriteFile(world, "/victim", orig); err != nil {
+				t.Fatal(err)
+			}
+			inj := NewInjector(sig, 0, stats.NewRNG(seed))
+			f, err := inj.Wrap(shortSideFS{world}).Open("/victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.ReadAt(bytes.Repeat([]byte{0xEE}, n), 0)
+			f.Close()
+			m, fired := inj.Fired()
+			if !fired {
+				t.Fatal("the read did not fire")
+			}
+			want := append(bytes.Clone(orig[:n/2]), make([]byte, n/2)...)
+			for i := range sig.Feature.FlipBits {
+				bit := m.BitPos + i
+				want[bit/8] ^= 1 << uint(bit%8)
+			}
+			got, err := vfs.ReadFile(world, "/victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:n], want) {
+				t.Fatalf("seed %d: at rest, the read range is not the delivered half, a zero tail and the recorded flip", seed)
+			}
+			if !bytes.Equal(got[n:], orig[n:]) {
+				t.Fatalf("seed %d: bytes past the read changed", seed)
+			}
+		}
+	})
+}
+
+// shortSideFS hands out write handles whose ReadAt delivers only the
+// first half of what it is asked for, with io.EOF.
+type shortSideFS struct{ vfs.FS }
+
+type shortReadAtFile struct{ vfs.File }
+
+func (fs shortSideFS) Append(name string) (vfs.File, error) {
+	f, err := fs.FS.Append(name)
+	if err != nil {
+		return nil, err
+	}
+	return shortReadAtFile{f}, nil
+}
+
+func (f shortReadAtFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p[:len(p)/2], off)
+	if err == nil {
+		err = io.EOF
+	}
+	return n, err
 }
 
 // TestConformanceAllocFreePassThrough pins the hot-path allocation

@@ -55,7 +55,9 @@ type ReadOp struct {
 	FS vfs.FS
 	// Path names the file the primitive targeted.
 	Path string
-	// Buf is the application's destination buffer.
+	// Buf is the application's destination buffer. As io.Reader allows, a
+	// hook may use all of it as scratch before Do overwrites what it
+	// delivers (latent corruption reads the at-rest bytes into it).
 	Buf []byte
 	// Off is the device offset of the read, or -1 when unknown; OffErr
 	// then carries why (a sequential handle whose position query failed).

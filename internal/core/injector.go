@@ -152,7 +152,7 @@ func (inj *Injector) record(m Mutation) {
 // own. MultiShot plans, whose claimed hooks can overlap on concurrent
 // handles, serialize on rngMu — still never queuing behind the
 // claim/record bookkeeping guarded by mu.
-func (inj *Injector) flip(buf []byte) ([]byte, Mutation) {
+func (inj *Injector) flip(buf []byte) Mutation {
 	inj.drew.Store(true)
 	if inj.serialDraws {
 		inj.rngMu.Lock()
@@ -176,11 +176,11 @@ type Env struct {
 // Feature returns the signature's normalized tunables.
 func (e Env) Feature() Feature { return e.inj.sig.Feature }
 
-// Flip returns a copy of buf with Feature().FlipBits consecutive bits
-// flipped at a random position, drawing from the injector's RNG under its
-// mutex. The returned mutation carries only BitPos and Length; the hook
-// stamps Model, Path, and Offset before recording.
-func (e Env) Flip(buf []byte) ([]byte, Mutation) { return e.inj.flip(buf) }
+// Flip flips Feature().FlipBits consecutive bits of buf in place at a
+// random position, drawing from the injector's RNG stream. The returned
+// mutation carries only BitPos and Length; the hook stamps Model, Path,
+// and Offset before recording.
+func (e Env) Flip(buf []byte) Mutation { return e.inj.flip(buf) }
 
 // Intn draws a uniform int in [0, n) from the injector's per-run RNG
 // stream — lock-free for single-shot signatures (the claim winner owns

@@ -246,17 +246,16 @@ func (m Mutation) String() string {
 	return m.Model.RenderMutation(m)
 }
 
-// mutateBitFlip returns a copy of buf with feature.FlipBits consecutive bits
-// flipped starting at a random bit position. Flipping may straddle byte
+// mutateBitFlip flips feature.FlipBits consecutive bits of buf in place,
+// starting at a random bit position. Flipping may straddle byte
 // boundaries; positions are uniform over the whole buffer. The returned
 // mutation has only BitPos and Length set; the calling hook stamps Model,
 // Path, and Offset.
-func mutateBitFlip(buf []byte, f Feature, rng *stats.RNG) ([]byte, Mutation) {
-	out := append([]byte(nil), buf...)
-	if len(out) == 0 {
-		return out, Mutation{BitPos: -1}
+func mutateBitFlip(buf []byte, f Feature, rng *stats.RNG) Mutation {
+	if len(buf) == 0 {
+		return Mutation{BitPos: -1}
 	}
-	totalBits := len(out) * 8
+	totalBits := len(buf) * 8
 	width := f.FlipBits
 	if width > totalBits {
 		width = totalBits
@@ -264,7 +263,7 @@ func mutateBitFlip(buf []byte, f Feature, rng *stats.RNG) ([]byte, Mutation) {
 	start := rng.Intn(totalBits - width + 1)
 	for i := 0; i < width; i++ {
 		bit := start + i
-		out[bit/8] ^= 1 << uint(bit%8)
+		buf[bit/8] ^= 1 << uint(bit%8)
 	}
-	return out, Mutation{Length: len(buf), BitPos: start}
+	return Mutation{Length: len(buf), BitPos: start}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"ffis/internal/vfs"
@@ -22,7 +23,8 @@ func (bitFlipModel) Describe() string {
 }
 
 func (bf bitFlipModel) MutateWrite(env Env, op WriteOp) WriteAction {
-	mutated, m := env.Flip(op.Buf)
+	mutated := bytes.Clone(op.Buf) // op.Buf is the application's buffer
+	m := env.Flip(mutated)
 	m.Model = bf
 	m.Path = op.Path
 	m.Offset = op.Off

@@ -50,8 +50,7 @@ func (bc burstCorruptionModel) MutateWrite(env Env, op WriteOp) WriteAction {
 		if hi > len(out) {
 			hi = len(out)
 		}
-		seg, m := env.Flip(out[lo:hi])
-		copy(out[lo:hi], seg)
+		m := env.Flip(out[lo:hi])
 		if firstBit < 0 && m.BitPos >= 0 {
 			firstBit = lo*8 + m.BitPos
 		}

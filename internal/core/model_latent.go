@@ -64,12 +64,17 @@ func (lc latentCorruptionModel) corruptAtRest(env Env, op ReadOp) error {
 	if op.Off+n > size {
 		n = size - op.Off
 	}
-	buf := make([]byte, n)
-	if _, err := wf.ReadAt(buf, op.Off); err != nil && err != io.EOF {
+	// The read's own buffer is the scratch (op.Do overwrites what it
+	// delivers). What a short side read leaves unfilled is zeroed, as a
+	// fresh buffer would be, and the same n bytes are written back.
+	buf := op.Buf[:n]
+	k, err := wf.ReadAt(buf, op.Off)
+	if err != nil && err != io.EOF {
 		return err
 	}
-	mutated, m := env.Flip(buf)
-	if _, err := wf.WriteAt(mutated, op.Off); err != nil {
+	clear(buf[k:])
+	m := env.Flip(buf)
+	if _, err := wf.WriteAt(buf, op.Off); err != nil {
 		return err
 	}
 	m.Model = lc

@@ -29,8 +29,7 @@ func (readBitFlipModel) Describe() string {
 // burns harmlessly, recorded with BitPos -1 like a latent shot at EOF.
 func (rb readBitFlipModel) MutateRead(env Env, op ReadOp) (int, error) {
 	n, err := op.Do(op.Buf)
-	mutated, m := env.Flip(op.Buf[:n])
-	copy(op.Buf, mutated)
+	m := env.Flip(op.Buf[:n])
 	m.Model = rb
 	m.Path = op.Path
 	m.Offset = op.Off

@@ -165,7 +165,8 @@ func TestMutateBitFlipFlipsExactlyN(t *testing.T) {
 		orig[i] = byte(i)
 	}
 	for trial := 0; trial < 200; trial++ {
-		mut, m := mutateBitFlip(orig, Feature{FlipBits: 2}.normalize(), rng)
+		mut := bytes.Clone(orig)
+		m := mutateBitFlip(mut, Feature{FlipBits: 2}.normalize(), rng)
 		if bytes.Equal(mut, orig) {
 			t.Fatal("no bits flipped")
 		}
@@ -206,7 +207,8 @@ func TestMutateBitFlipIsInvolution(t *testing.T) {
 		for i := range orig {
 			orig[i] = byte(rng.Uint64())
 		}
-		mut, m := mutateBitFlip(orig, Feature{FlipBits: 2}.normalize(), rng)
+		mut := bytes.Clone(orig)
+		m := mutateBitFlip(mut, Feature{FlipBits: 2}.normalize(), rng)
 		// Re-flip the same bits manually.
 		for i := 0; i < 2 && m.BitPos+i < size*8; i++ {
 			bit := m.BitPos + i
@@ -219,19 +221,25 @@ func TestMutateBitFlipIsInvolution(t *testing.T) {
 	}
 }
 
+// mutateBitFlip flips in place, so BitFlip, whose op.Buf is the
+// application's buffer, must flip a copy.
 func TestMutateBitFlipDoesNotAliasInput(t *testing.T) {
-	rng := stats.NewRNG(2)
+	inj := NewInjector(Config{Model: BitFlip}.Signature(), 0, stats.NewRNG(2))
 	orig := []byte{0xAA, 0xBB}
 	snapshot := append([]byte(nil), orig...)
-	mutateBitFlip(orig, Feature{}.normalize(), rng)
+	act := BitFlip.MutateWrite(inj.env(), WriteOp{Path: "/f", Buf: orig})
 	if !bytes.Equal(orig, snapshot) {
-		t.Fatal("mutateBitFlip modified the caller's buffer")
+		t.Fatal("BitFlip.MutateWrite modified the caller's buffer")
+	}
+	if bytes.Equal(act.Buf, snapshot) {
+		t.Fatal("BitFlip.MutateWrite returned an unchanged buffer")
 	}
 }
 
 func TestMutateBitFlipEmptyBuffer(t *testing.T) {
 	rng := stats.NewRNG(3)
-	mut, m := mutateBitFlip(nil, Feature{}.normalize(), rng)
+	var mut []byte
+	m := mutateBitFlip(mut, Feature{}.normalize(), rng)
 	if len(mut) != 0 || m.BitPos != -1 {
 		t.Fatalf("empty buffer mutation: %v %+v", mut, m)
 	}
@@ -240,8 +248,9 @@ func TestMutateBitFlipEmptyBuffer(t *testing.T) {
 func TestMutateBitFlipWidthWiderThanBuffer(t *testing.T) {
 	rng := stats.NewRNG(4)
 	orig := []byte{0x00}
-	mut, _ := mutateBitFlip(orig, Feature{FlipBits: 64}.normalize(), rng)
-	if popcount(mut[0]) != 8 {
+	mut := bytes.Clone(orig)
+	mutateBitFlip(mut, Feature{FlipBits: 64}.normalize(), rng)
+	if popcount(mut[0]^orig[0]) != 8 {
 		t.Fatalf("expected all 8 bits flipped, got %08b", mut[0])
 	}
 }

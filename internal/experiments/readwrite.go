@@ -91,27 +91,30 @@ func nyxPipeline(app *nyx.App) core.Workload {
 
 // qmcPipeline is the QMCPACK pipeline variant: the simulation writes the
 // scalar files, then the QMCA analysis reads the DMC series back and
-// persists the energy estimate.
+// persists the energy estimate. Its Worker keeps the buffer the consumer
+// reads the DMC file into.
 func qmcPipeline(app *qmcpack.App) core.Workload {
 	goldenE := app.GoldenEnergy()
-	return core.Workload{
+	run := func(fs vfs.FS, buf *[]byte) error {
+		if err := app.Run(fs); err != nil { // producer: scalar files
+			return err
+		}
+		raw, err := vfs.ReadInto(fs, qmcpack.DMCPath, *buf) // consumer: QMCA
+		if err != nil {
+			return err
+		}
+		*buf = raw
+		analysis, err := app.AnalyzeDMC(raw)
+		if err != nil {
+			return err
+		}
+		return vfs.WriteFile(fs, "/out/energy.dat",
+			[]byte(fmt.Sprintf("%.10f\n", analysis.Energy)))
+	}
+	w := core.Workload{
 		Name:  "qmcpack",
 		Setup: func(fs vfs.FS) error { return fs.MkdirAll("/out") },
-		Run: func(fs vfs.FS) error {
-			if err := app.Run(fs); err != nil { // producer: scalar files
-				return err
-			}
-			raw, err := vfs.ReadFile(fs, qmcpack.DMCPath) // consumer: QMCA
-			if err != nil {
-				return err
-			}
-			analysis, err := app.AnalyzeDMC(raw)
-			if err != nil {
-				return err
-			}
-			return vfs.WriteFile(fs, "/out/energy.dat",
-				[]byte(fmt.Sprintf("%.10f\n", analysis.Energy)))
-		},
+		Run:   func(fs vfs.FS) error { return run(fs, new([]byte)) },
 		Classify: func(fs vfs.FS, runErr error) classify.Outcome {
 			if runErr != nil {
 				return classify.Crash
@@ -134,6 +137,11 @@ func qmcPipeline(app *qmcpack.App) core.Workload {
 			}
 		},
 	}
+	w.Worker = func() (func(vfs.FS) error, func(vfs.FS, error) classify.Outcome) {
+		var buf []byte
+		return func(fs vfs.FS) error { return run(fs, &buf) }, w.Classify
+	}
+	return w
 }
 
 // ReadWriteGrid runs the read-vs-write characterization: every cell ×

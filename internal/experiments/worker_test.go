@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ffis/internal/apps/montage"
+	"ffis/internal/apps/qmcpack"
 	"ffis/internal/classify"
 	"ffis/internal/core"
 	"ffis/internal/results"
@@ -215,4 +216,95 @@ func TestWorkerRecordsMatchPlainRuns(t *testing.T) {
 		t.Fatalf("%d panicking and %d failing runs; the test needs both", panics, errs)
 	}
 	t.Logf("%d panicking and %d failing runs among %d", panics, errs, 2*len(worker)*runs)
+}
+
+// editOnOpen rewrites one file the first time it is opened for reading.
+type editOnOpen struct {
+	vfs.FS
+	path string
+	edit func(vfs.FS) // nil leaves the file as written
+	done *bool
+}
+
+func (f editOnOpen) Open(name string) (vfs.File, error) {
+	if name == f.path && f.edit != nil && !*f.done {
+		*f.done = true
+		f.edit(f.FS)
+	}
+	return f.FS.Open(name)
+}
+
+// TestQMCPACKWorkerMatchesFreshScratch pins the QMCPACK Workers, whose
+// slot keeps the buffer it reads the DMC file into, to plain Run and
+// Classify. One pair of the standard cell (Classify reads the file) and
+// one of the pipeline (Run's consumer reads it) meet, in turn, the golden
+// file, a bit-flipped one, a truncated one, an empty one, none at all,
+// the golden file again and none again; each step must give the run error
+// and outcome a fresh Run and Classify give.
+func TestQMCPACKWorkerMatchesFreshScratch(t *testing.T) {
+	rewrite := func(edit func([]byte) []byte) func(vfs.FS) {
+		return func(fs vfs.FS) {
+			raw, err := vfs.ReadFile(fs, qmcpack.DMCPath)
+			if err == nil {
+				err = vfs.WriteFile(fs, qmcpack.DMCPath, edit(raw))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(fs vfs.FS) {
+		if err := fs.Remove(qmcpack.DMCPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		name string
+		edit func(vfs.FS)
+	}{
+		{"golden", nil},
+		{"bit flipped", rewrite(func(raw []byte) []byte { raw[len(raw)/2] ^= 0x04; return raw })},
+		{"truncated", rewrite(func(raw []byte) []byte { return raw[:len(raw)/3] })},
+		{"empty", rewrite(func([]byte) []byte { return nil })},
+		{"missing", remove},
+		{"golden again", nil},
+		{"missing after golden", remove},
+	}
+	for _, cell := range []struct {
+		name  string
+		build func(string, Options) (core.Workload, error)
+	}{{"qmcpack", NewWorkload}, {"qmcpack.pipeline", NewPipelineWorkload}} {
+		w, err := cell.build("qmcpack", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Worker == nil {
+			t.Fatal("the QMCPACK workload has no Worker")
+		}
+		run, cls := w.Worker()
+		outcome := func(edit func(vfs.FS), run func(vfs.FS) error, cls func(vfs.FS, error) classify.Outcome) (string, classify.Outcome) {
+			world := vfs.NewMemFS()
+			if w.Setup != nil {
+				if err := w.Setup(world); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs := editOnOpen{world, qmcpack.DMCPath, edit, new(bool)}
+			err := run(fs)
+			return fmt.Sprint(err), cls(fs, err)
+		}
+		seen := map[classify.Outcome]bool{}
+		for _, st := range steps {
+			wantErr, want := outcome(st.edit, w.Run, w.Classify)
+			gotErr, got := outcome(st.edit, run, cls)
+			if gotErr != wantErr || got != want {
+				t.Fatalf("%s, %s: the Worker gives %s (run error %s), fresh scratch %s (run error %s)",
+					cell.name, st.name, got, gotErr, want, wantErr)
+			}
+			seen[want] = true
+		}
+		if !seen[classify.Crash] || len(seen) < 3 {
+			t.Fatalf("%s: the steps gave only %v", cell.name, seen)
+		}
+	}
 }
